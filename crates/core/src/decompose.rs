@@ -651,13 +651,12 @@ struct ChunkDecomposition {
     l2_neg: u64,
 }
 
-/// The row ranges the parallel sweep splits into: one chunk per worker.
-/// "Worker" uses `available_parallelism`, which is exactly the pool size
-/// of the vendored `rayon` shim (it has no pool-size override); the shim
-/// distributes whole chunks, so finer splits would only add allocations.
+/// The row ranges the parallel sweep splits into: one chunk per thread
+/// the `rayon` pool runs a map on. Rows cost about the same, so equal
+/// chunks already balance, and each extra chunk would cost its own
+/// allocations and a merge step.
 fn chunk_bounds(rows: usize) -> Vec<(usize, usize)> {
-    let workers =
-        std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1);
+    let workers = rayon::current_num_threads();
     let size = rows.div_ceil(workers.min(rows.max(1))).max(1);
     (0..rows.div_ceil(size)).map(|c| (c * size, ((c + 1) * size).min(rows))).collect()
 }

@@ -208,11 +208,6 @@ fn sweep_rows(
     }
 }
 
-/// Worker count the parallel sweeps fan out to.
-fn available_workers() -> usize {
-    std::thread::available_parallelism().map(usize::from).unwrap_or(1)
-}
-
 /// Computes the layer output from a Phi decomposition: Level-1 PWP
 /// accumulations plus Level-2 signed weight-row accumulations.
 ///
@@ -251,7 +246,7 @@ pub fn par_phi_matmul(decomp: &Decomposition, pwp: &PwpTable, weights: &Matrix) 
     // One contiguous row block per worker (not per row): the parallel map
     // costs `workers` allocations, and the in-order block concatenation is
     // the only copy.
-    let workers = available_workers().min(rows);
+    let workers = rayon::current_num_threads().min(rows);
     let chunk = rows.div_ceil(workers);
     let ranges: Vec<(usize, usize)> =
         (0..rows).step_by(chunk).map(|lo| (lo, (lo + chunk).min(rows))).collect();
@@ -1142,7 +1137,7 @@ impl ReusePlan {
         pwp: &PwpTable,
         weights: &Matrix,
     ) -> Result<Matrix> {
-        self.execute_with_workers(decomp, pwp, weights, available_workers())
+        self.execute_with_workers(decomp, pwp, weights, rayon::current_num_threads())
     }
 
     /// [`ReusePlan::execute`] with an explicit worker count — outputs are

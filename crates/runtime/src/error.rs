@@ -66,6 +66,15 @@ pub enum RuntimeError {
     },
     /// An empty batch was submitted.
     EmptyBatch,
+    /// A streamed batch named the same session for two frames. A session
+    /// holds one "previous timestep", so its frames must be served in
+    /// order, not fused side by side.
+    DuplicateSession {
+        /// Index of the session's first frame in the batch.
+        first: usize,
+        /// Index of the frame that named it again.
+        again: usize,
+    },
     /// Reading or writing an artifact file failed.
     Io(String),
 }
@@ -106,6 +115,9 @@ impl fmt::Display for RuntimeError {
                 write!(f, "backend '{backend}' does not model hardware; request OutputsOnly")
             }
             RuntimeError::EmptyBatch => write!(f, "cannot execute an empty batch"),
+            RuntimeError::DuplicateSession { first, again } => {
+                write!(f, "streamed frames {first} and {again} name the same session")
+            }
             RuntimeError::Io(reason) => write!(f, "artifact I/O: {reason}"),
         }
     }

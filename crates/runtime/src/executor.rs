@@ -551,29 +551,28 @@ impl<B: ExecutionBackend> BatchExecutor<B> {
     /// # Errors
     ///
     /// Same conditions as [`BatchExecutor::execute_with`], plus
-    /// [`RuntimeError::Shape`] when a frame's row count disagrees with the
-    /// one its session was fixed to by its first frame.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `frames` and `sessions` disagree in length or a session
-    /// appears more than once in the batch (a session holds one "previous
-    /// timestep" — two frames of the same session must be served in
-    /// order, not fused side by side; the server's session router
-    /// guarantees this).
+    /// [`RuntimeError::Shape`] when `frames` and `sessions` disagree in
+    /// length or a frame's row count disagrees with the one its session
+    /// was fixed to by its first frame, and
+    /// [`RuntimeError::DuplicateSession`] when a session appears more than
+    /// once in the batch (the server's session router never fuses two
+    /// frames of one session).
     pub fn execute_stream_with(
         &self,
         frames: &[InferenceRequest],
         sessions: &[&StreamSession],
         metrics: MetricsMode,
     ) -> Result<BatchReport> {
-        assert_eq!(frames.len(), sessions.len(), "one session per streamed frame");
-        for (i, a) in sessions.iter().enumerate() {
-            for b in &sessions[i + 1..] {
-                assert!(
-                    !std::ptr::eq(*a, *b),
-                    "a session may appear at most once per streamed batch"
-                );
+        if frames.len() != sessions.len() {
+            return Err(RuntimeError::Shape {
+                op: "one session per streamed frame",
+                expected: frames.len(),
+                actual: sessions.len(),
+            });
+        }
+        for (first, a) in sessions.iter().enumerate() {
+            if let Some(offset) = sessions[first + 1..].iter().position(|b| std::ptr::eq(*a, *b)) {
+                return Err(RuntimeError::DuplicateSession { first, again: first + 1 + offset });
             }
         }
         if metrics == MetricsMode::FullSim && !self.backend.models_hardware() {

@@ -138,7 +138,6 @@ use phi_accel::{BackendKind, ExecutionBackend};
 use phi_core::{DeltaStats, ReuseStats, TileCacheStats};
 use snn_core::Matrix;
 use std::collections::{HashMap, VecDeque};
-use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -346,11 +345,12 @@ impl Default for ServerConfig {
     }
 }
 
-/// The host's available core count (1 when undetectable) — the default
-/// for [`ServerConfig::workers`] and the auto-sizing basis for
-/// [`ServerConfig::intake_shards`].
+/// The host's available core count (1 when undetectable), probed once
+/// per process — the default for [`ServerConfig::workers`] and the
+/// auto-sizing basis for [`ServerConfig::intake_shards`]. It is the same
+/// count the `rayon` pool sizes itself by.
 pub fn available_cores() -> usize {
-    std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1)
+    rayon::current_num_threads()
 }
 
 impl ServerConfig {

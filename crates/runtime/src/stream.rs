@@ -40,8 +40,9 @@ use std::sync::Mutex;
 /// (every later frame must carry the same row count).
 ///
 /// A session may ride in at most one in-flight batch at a time — the
-/// executor asserts this — which is also what keeps its timestep order
-/// well-defined.
+/// executor refuses a batch naming it twice with
+/// [`RuntimeError::DuplicateSession`] — which is also what keeps its
+/// timestep order well-defined.
 #[derive(Debug)]
 pub struct StreamSession {
     /// One memo per model layer, individually locked so the executor's

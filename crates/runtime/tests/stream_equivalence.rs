@@ -13,7 +13,8 @@
 mod common;
 
 use phi_runtime::{
-    BatchExecutor, CompiledModel, InferenceRequest, ServerConfig, ServerError, StreamSession,
+    BatchExecutor, CompiledModel, InferenceRequest, RuntimeError, ServerConfig, ServerError,
+    StreamSession,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -149,15 +150,33 @@ fn executor_stream_batches_match_per_frame_direct_execution() {
 
 /// A session may ride in at most one in-flight batch at a time; handing
 /// the executor the same session twice in one fused batch is a caller
-/// bug and must fail loudly, not corrupt timestep order.
+/// bug and must fail with a typed error, not corrupt timestep order.
 #[test]
-#[should_panic(expected = "at most once")]
-fn duplicate_session_in_one_stream_batch_panics() {
+fn duplicate_session_in_one_stream_batch_is_a_typed_error() {
+    let (w, model) = fixture(32);
+    let executor = BatchExecutor::cpu(Arc::clone(model));
+    let (session, other) = (StreamSession::new(model), StreamSession::new(model));
+    let frames = common::requests(w, 3, 4, 7);
+    let err = executor.execute_stream(&frames, &[&other, &session, &session]).unwrap_err();
+    assert_eq!(err, RuntimeError::DuplicateSession { first: 1, again: 2 });
+    assert!(err.to_string().contains("same session"));
+    assert_eq!(session.timesteps(), 0, "a refused batch must not advance any session");
+    assert_eq!(other.timesteps(), 0);
+}
+
+/// Every streamed frame needs exactly one session.
+#[test]
+fn frame_session_count_mismatch_is_a_typed_error() {
     let (w, model) = fixture(32);
     let executor = BatchExecutor::cpu(Arc::clone(model));
     let session = StreamSession::new(model);
     let frames = common::requests(w, 2, 4, 7);
-    let _ = executor.execute_stream(&frames, &[&session, &session]);
+    let err = executor.execute_stream(&frames, &[&session]).unwrap_err();
+    assert!(
+        matches!(err, RuntimeError::Shape { expected: 2, actual: 1, .. }),
+        "unexpected error {err:?}"
+    );
+    assert_eq!(session.timesteps(), 0);
 }
 
 proptest! {
