@@ -1,6 +1,6 @@
-//! The calibration-engine speedup bench: sequential unweighted Lloyd
+//! The calibration-engine speedup bench: unweighted Lloyd
 //! (the original implementation, [`CalibrationEngine::Reference`]) against
-//! the weight-compressed engines on the paper's headline workload
+//! the weight-compressed engine on the paper's headline workload
 //! (VGG-16 / CIFAR-10, `CalibrationConfig::default()`, q = 128).
 //!
 //! The acceptance bar for the weighted engine is ≥ 5× over the reference
@@ -41,9 +41,7 @@ fn bench_engines(c: &mut Criterion) {
     for q in [128usize, 32] {
         let mut group = c.benchmark_group(format!("calibrate_vgg16_cifar10_q{q}"));
         group.sample_size(10);
-        for engine in
-            [CalibrationEngine::Reference, CalibrationEngine::Weighted, CalibrationEngine::Parallel]
-        {
+        for engine in [CalibrationEngine::Reference, CalibrationEngine::Weighted] {
             group.bench_with_input(
                 BenchmarkId::from_parameter(format!("{engine:?}")),
                 &engine,

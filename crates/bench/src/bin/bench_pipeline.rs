@@ -1,22 +1,22 @@
 //! Measures the calibrate→decompose hot path and writes the numbers to
 //! `BENCH_pipeline.json` at the repository root, so the speedup of the
-//! weight-compressed parallel engine is tracked across PRs.
+//! weight-compressed calibration engine is tracked across PRs.
 //!
 //! Measured on the VGG-16 / CIFAR-10 workload at two pattern budgets:
 //!
 //! * `q = 128` (`CalibrationConfig::default()`) — the paper's headline
 //!   configuration. Every partition of this workload holds fewer than 128
-//!   distinct tiles, so the weighted engines resolve it through the
+//!   distinct tiles, so the weighted engine resolves it through the
 //!   distinct ≤ q fast path.
 //! * `q = 32` — forces distinct > q in most partitions, so the weighted
 //!   Lloyd *iteration* path is exercised and the clustering objective is
 //!   nonzero (a real regression guard, not 0 == 0).
 //!
 //! Per configuration: full-workload calibration per engine (reference /
-//! weighted / parallel, min wall-clock), plus byte-identity and
-//! objective checks; and once overall, the full-workload decomposition
+//! weighted, min wall-clock), plus byte-identity and objective checks; and once overall, the full-workload decomposition
 //! under three matchers — the linear reference scan, the cold
-//! popcount-bucketed [`phi_core::MatchIndex`] path, and the warm
+//! popcount-bucketed [`phi_core::MatchIndex`] path (`decompose_cached`
+//! on a disabled cache), and the warm
 //! [`phi_core::TileCache`]-memoized path — and the full-workload
 //! *functional execution* of those decompositions through the CPU
 //! execution backend ([`phi_accel::CpuBackend`]) — the pure PWP
@@ -34,7 +34,7 @@
 //! * `PHI_TILE_CACHE` — per-layer tile-cache capacity for the warm track
 //!   (0 disables the cache, which also skips the warm-speedup floor).
 //! * `PHI_PIPELINE_MIN_WARM_SPEEDUP` — floor for warm (cached) vs cold
-//!   (indexed, uncached) decomposition (default 1.25; 0 disables).
+//!   (uncached) decomposition (default 1.25; 0 disables).
 //! * `PHI_PIPELINE_MAX_COLD_RATIO` — ceiling for cold (indexed) vs the
 //!   linear-reference decomposition time: both paths now answer exact
 //!   tile hits with the same sorted-array binary search, so the gap is
@@ -58,9 +58,9 @@
 use phi_accel::{CpuBackend, ExecutionBackend, LayerWork, MetricsMode, ReadoutPlan};
 use phi_bench::{bench_runs, env_f64};
 use phi_core::{
-    decompose, decompose_cached, decompose_indexed, force_reuse, simd, total_distance,
-    CalibrationConfig, CalibrationEngine, Calibrator, LayerMatchIndex, PwpTable, ReuseMode,
-    ReuseStats, TileCache, TileCacheStats,
+    decompose, decompose_cached, force_reuse, simd, total_distance, CalibrationConfig,
+    CalibrationEngine, Calibrator, LayerMatchIndex, PwpTable, ReuseMode, ReuseStats, TileCache,
+    TileCacheStats,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -152,19 +152,14 @@ struct ConfigResult {
     q: usize,
     reference: Duration,
     weighted: Duration,
-    parallel: Duration,
     byte_identical: bool,
     objective_reference: u64,
-    objective_parallel: u64,
+    objective_weighted: u64,
 }
 
 impl ConfigResult {
     fn speedup_weighted(&self) -> f64 {
         self.reference.as_secs_f64() / self.weighted.as_secs_f64()
-    }
-
-    fn speedup_parallel(&self) -> f64 {
-        self.reference.as_secs_f64() / self.parallel.as_secs_f64()
     }
 
     fn json(&self) -> String {
@@ -173,22 +168,19 @@ impl ConfigResult {
     "q": {q},
     "calibration_ms": {{
       "reference_unweighted": {ref_ms:.3},
-      "weighted": {wgt_ms:.3},
-      "parallel": {par_ms:.3}
+      "weighted": {wgt_ms:.3}
     }},
-    "speedup_vs_reference": {{ "weighted": {sw:.3}, "parallel": {sp:.3} }},
+    "speedup_vs_reference": {{ "weighted": {sw:.3} }},
     "engines_byte_identical": {byte_identical},
-    "objective": {{ "reference": {obj_ref}, "parallel": {obj_par} }}
+    "objective": {{ "reference": {obj_ref}, "weighted": {obj_wgt} }}
   }}"#,
             q = self.q,
             ref_ms = self.reference.as_secs_f64() * 1e3,
             wgt_ms = self.weighted.as_secs_f64() * 1e3,
-            par_ms = self.parallel.as_secs_f64() * 1e3,
             sw = self.speedup_weighted(),
-            sp = self.speedup_parallel(),
             byte_identical = self.byte_identical,
             obj_ref = self.objective_reference,
-            obj_par = self.objective_parallel,
+            obj_wgt = self.objective_weighted,
         )
     }
 }
@@ -201,31 +193,24 @@ fn measure_config(workload: &Workload, q: usize, runs: usize) -> ConfigResult {
     let weighted = time_runs(runs, || {
         std::hint::black_box(calibrate_workload(workload, q, CalibrationEngine::Weighted));
     });
-    let parallel = time_runs(runs, || {
-        std::hint::black_box(calibrate_workload(workload, q, CalibrationEngine::Parallel));
-    });
 
-    // Correctness checks alongside the timings: single-threaded weighted is
-    // byte-identical to the reference; parallel must not regress the
-    // clustering objective (it is byte-identical too, so it cannot).
+    // Correctness checks alongside the timings: weighted is byte-identical
+    // to the reference, so it cannot regress the clustering objective.
     let p_ref = calibrate_workload(workload, q, CalibrationEngine::Reference);
     let p_wgt = calibrate_workload(workload, q, CalibrationEngine::Weighted);
-    let p_par = calibrate_workload(workload, q, CalibrationEngine::Parallel);
     let result = ConfigResult {
         q,
         reference,
         weighted,
-        parallel,
-        byte_identical: p_ref == p_wgt && p_wgt == p_par,
+        byte_identical: p_ref == p_wgt,
         objective_reference: workload_objective(workload, &p_ref),
-        objective_parallel: workload_objective(workload, &p_par),
+        objective_weighted: workload_objective(workload, &p_wgt),
     };
     println!("  reference: {:?}", result.reference);
     println!("  weighted:  {:?}  ({:.2}x)", result.weighted, result.speedup_weighted());
-    println!("  parallel:  {:?}  ({:.2}x)", result.parallel, result.speedup_parallel());
     println!(
-        "  byte-identical: {}, objective: reference {} / parallel {}",
-        result.byte_identical, result.objective_reference, result.objective_parallel
+        "  byte-identical: {}, objective: reference {} / weighted {}",
+        result.byte_identical, result.objective_reference, result.objective_weighted
     );
     result
 }
@@ -241,47 +226,48 @@ fn main() {
     let iterated = measure_config(&workload, 32, runs);
 
     // The decomposition tracks: the linear reference matcher, cold =
-    // every tile resolved through the popcount-bucketed match index (what
-    // a first-ever batch pays), warm = tile decisions replayed from the
+    // every tile resolved through the popcount-bucketed match index on a
+    // disabled cache (what a first-ever batch pays), warm = tile decisions replayed from the
     // shared memo (what every later batch pays, spiking activations being
     // as repetitive as they are), and — when dispatch is non-scalar — the
     // cold track again under forced-scalar kernels. All four are timed
     // round-robin so the floor-checked ratios between them sample the
     // same background-load epochs.
-    let p_par = calibrate_workload(&workload, 128, CalibrationEngine::Parallel);
-    let indexes: Vec<LayerMatchIndex> = p_par.iter().map(LayerMatchIndex::new).collect();
+    let patterns = calibrate_workload(&workload, 128, CalibrationEngine::Weighted);
+    let indexes: Vec<LayerMatchIndex> = patterns.iter().map(LayerMatchIndex::new).collect();
     let cache_capacity = phi_runtime::default_tile_cache_capacity();
-    let caches: Vec<TileCache> = p_par.iter().map(|_| TileCache::new(cache_capacity)).collect();
+    let caches: Vec<TileCache> = patterns.iter().map(|_| TileCache::new(cache_capacity)).collect();
+    let uncached = TileCache::disabled();
     let simd_level = simd::level();
     let scalar_ab = simd_level != simd::SimdLevel::Scalar;
     println!(
-        "timing decomposition, interleaved (linear / indexed cold / cached warm, capacity \
+        "timing decomposition, interleaved (linear / uncached cold / cached warm, capacity \
          {cache_capacity}/layer{})...",
         if scalar_ab { " / cold at forced scalar" } else { "" }
     );
     let mut run_linear = || {
-        for (layer, lp) in workload.layers.iter().zip(&p_par) {
+        for (layer, lp) in workload.layers.iter().zip(&patterns) {
             std::hint::black_box(decompose(&layer.activations, lp));
         }
     };
     let mut run_cold = || {
-        for (layer, (lp, idx)) in workload.layers.iter().zip(p_par.iter().zip(&indexes)) {
-            std::hint::black_box(decompose_indexed(&layer.activations, lp, idx));
+        for (layer, (lp, idx)) in workload.layers.iter().zip(patterns.iter().zip(&indexes)) {
+            std::hint::black_box(decompose_cached(&layer.activations, lp, idx, &uncached));
         }
     };
     // time_interleaved's warm-up call doubles as the cache-filling pass;
     // the measured iterations then run against a hot cache.
     let mut run_warm = || {
         for (layer, ((lp, idx), cache)) in
-            workload.layers.iter().zip(p_par.iter().zip(&indexes).zip(&caches))
+            workload.layers.iter().zip(patterns.iter().zip(&indexes).zip(&caches))
         {
             std::hint::black_box(decompose_cached(&layer.activations, lp, idx, cache));
         }
     };
     let mut run_cold_scalar = || {
         let prev = simd::force(simd::SimdLevel::Scalar);
-        for (layer, (lp, idx)) in workload.layers.iter().zip(p_par.iter().zip(&indexes)) {
-            std::hint::black_box(decompose_indexed(&layer.activations, lp, idx));
+        for (layer, (lp, idx)) in workload.layers.iter().zip(patterns.iter().zip(&indexes)) {
+            std::hint::black_box(decompose_cached(&layer.activations, lp, idx, &uncached));
         }
         simd::force(prev);
     };
@@ -293,7 +279,7 @@ fn main() {
     let (decompose_time, cold_time, warm_time) = (times[0], times[1], times[2]);
     let scalar_cold = scalar_ab.then(|| times[3]);
     println!("decomposition (linear): {decompose_time:?}");
-    println!("decomposition (indexed, cold): {cold_time:?}");
+    println!("decomposition (uncached, cold): {cold_time:?}");
     let mut cache_stats = TileCacheStats::default();
     for cache in &caches {
         cache_stats.merge(&cache.stats());
@@ -309,22 +295,27 @@ fn main() {
 
     // Bit-identity across all three matcher paths, per layer, warm cache
     // included — the correctness invariant of the whole accelerator.
-    let paths_identical = workload.layers.iter().zip(p_par.iter().zip(&indexes).zip(&caches)).all(
-        |(layer, ((lp, idx), cache))| {
-            let linear = decompose(&layer.activations, lp);
-            linear == decompose_indexed(&layer.activations, lp, idx)
-                && linear == decompose_cached(&layer.activations, lp, idx, cache)
-        },
-    );
-    println!("linear == indexed == cached decompositions: {paths_identical}");
+    let paths_identical =
+        workload.layers.iter().zip(patterns.iter().zip(&indexes).zip(&caches)).all(
+            |(layer, ((lp, idx), cache))| {
+                let linear = decompose(&layer.activations, lp);
+                linear == decompose_cached(&layer.activations, lp, idx, &uncached)
+                    && linear == decompose_cached(&layer.activations, lp, idx, cache)
+            },
+        );
+    println!("linear == uncached == cached decompositions: {paths_identical}");
 
     // Functional execution through the CPU backend: every layer's
     // precomputed decomposition runs the rayon-parallel PWP sparse matmul
     // against deterministic per-layer weights — the post-decomposition
     // cost of an outputs-only serving request.
     println!("timing functional execution (CpuBackend PWP sparse matmul)...");
-    let decomps: Vec<_> =
-        workload.layers.iter().zip(&p_par).map(|(l, lp)| decompose(&l.activations, lp)).collect();
+    let decomps: Vec<_> = workload
+        .layers
+        .iter()
+        .zip(&patterns)
+        .map(|(l, lp)| decompose(&l.activations, lp))
+        .collect();
     let weights: Vec<Matrix> = workload
         .layers
         .iter()
@@ -334,7 +325,7 @@ fn main() {
             Matrix::random(l.spec.shape.k, l.spec.shape.n, &mut rng)
         })
         .collect();
-    let pwps: Vec<PwpTable> = p_par
+    let pwps: Vec<PwpTable> = patterns
         .iter()
         .zip(&weights)
         .map(|(lp, w)| PwpTable::new(lp, w).expect("weights match patterns"))
@@ -354,7 +345,7 @@ fn main() {
         })
         .collect();
     let fused_decomps: Vec<_> =
-        fused.iter().zip(&p_par).map(|(acts, lp)| decompose(acts, lp)).collect();
+        fused.iter().zip(&patterns).map(|(acts, lp)| decompose(acts, lp)).collect();
 
     // One full sweep of the given per-layer decompositions through the
     // CPU backend, outputs only.
@@ -485,8 +476,8 @@ fn main() {
         let scalar_decomps: Vec<_> = workload
             .layers
             .iter()
-            .zip(p_par.iter().zip(&indexes))
-            .map(|(l, (lp, idx))| decompose_indexed(&l.activations, lp, idx))
+            .zip(patterns.iter().zip(&indexes))
+            .map(|(l, (lp, idx))| decompose_cached(&l.activations, lp, idx, &uncached))
             .collect();
         let scalar_readouts: Vec<_> = workload
             .layers
@@ -508,12 +499,12 @@ fn main() {
         simd::force(prev);
         // Bit-identity at both levels, on both tracks: the dispatched
         // decompositions (`decomps` ran under auto dispatch via the
-        // linear matcher; re-derive the indexed ones) and the readouts.
+        // linear matcher; re-derive the uncached ones) and the readouts.
         let simd_decomps: Vec<_> = workload
             .layers
             .iter()
-            .zip(p_par.iter().zip(&indexes))
-            .map(|(l, (lp, idx))| decompose_indexed(&l.activations, lp, idx))
+            .zip(patterns.iter().zip(&indexes))
+            .map(|(l, (lp, idx))| decompose_cached(&l.activations, lp, idx, &uncached))
             .collect();
         let simd_readouts: Vec<_> = workload
             .layers
@@ -546,7 +537,7 @@ fn main() {
     let simd_json = match &simd_ab {
         Some((scalar_cold, scalar_execute, dec_speedup, exe_speedup, identical)) => format!(
             r#"{{
-    "decompose_indexed_cold_ms": {sc:.3},
+    "decompose_cold_ms": {sc:.3},
     "cpu_execute_ms": {se:.3},
     "speedup": {{ "decompose_cold": {sd:.3}, "cpu_execute": {sx:.3} }},
     "bit_identical": {identical}
@@ -568,7 +559,7 @@ fn main() {
   "headline_q128": {headline},
   "iterated_q32": {iterated},
   "decompose_ms": {dec_ms:.3},
-  "decompose_indexed_cold_ms": {cold_ms:.3},
+  "decompose_cold_ms": {cold_ms:.3},
   "decompose_cached_warm_ms": {warm_ms:.3},
   "decompose_warm_speedup": {warm_speedup:.3},
   "tile_cache": {{
@@ -632,8 +623,8 @@ fn main() {
             result.q
         );
         assert_eq!(
-            result.objective_parallel, result.objective_reference,
-            "parallel engine must not change the clustering objective (q = {})",
+            result.objective_weighted, result.objective_reference,
+            "weighted engine must not change the clustering objective (q = {})",
             result.q
         );
     }
@@ -641,10 +632,10 @@ fn main() {
     // tiles: a zero objective would mean the iterated Lloyd path was never
     // exercised and the objective check above was vacuous.
     assert!(iterated.objective_reference > 0, "q = 32 run must exercise the iterated path");
-    assert!(paths_identical, "indexed and cached decompositions must equal the linear reference");
+    assert!(paths_identical, "uncached and cached decompositions must equal the linear reference");
     // Wall-clock ratios on shared machines are noisy; CI smoke runs lower
     // the bars via the env knobs (0 disables).
-    // The cold (indexed, uncached) path must stay within 1.3x of the
+    // The cold (uncached) path must stay within 1.3x of the
     // linear reference scan. Since the match index gained its own
     // sorted exact-match layer, both paths answer the dominant
     // distance-0 probes identically and cold measures ~1.05-1.1x linear
@@ -655,7 +646,7 @@ fn main() {
         let ratio = cold_time.as_secs_f64() / decompose_time.as_secs_f64();
         assert!(
             ratio <= max_cold_ratio,
-            "indexed cold decompose ({cold_time:?}) must not be slower than {max_cold_ratio}x \
+            "uncached cold decompose ({cold_time:?}) must not be slower than {max_cold_ratio}x \
              the linear reference ({decompose_time:?}), got {ratio:.2}x"
         );
     }

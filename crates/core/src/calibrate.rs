@@ -6,9 +6,8 @@
 //! partition is stable between training and test data, so patterns
 //! generalize. Each partition is calibrated independently to capture its
 //! local distribution — and because each partition draws an *independent*
-//! RNG seed up front, the partition walk can run sequentially or in
-//! parallel ([`CalibrationEngine::Parallel`], the default) with bit-equal
-//! results.
+//! RNG seed up front, the partition walk runs in parallel with results
+//! bit-equal to a sequential walk.
 
 use crate::kmeans::{
     compress_tiles, hamming_kmeans_unweighted, weighted_hamming_kmeans, KmeansConfig,
@@ -19,26 +18,21 @@ use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 use snn_core::SpikeMatrix;
 
-/// Which calibration engine to run.
+/// Which k-means kernel calibrates each partition.
 ///
-/// All three produce byte-identical pattern sets for the same outer RNG
-/// state: the weighted engines are mathematically equivalent reformulations
-/// of the reference sweep, and partition seeds are drawn before the walk so
-/// execution order cannot matter. `Reference` exists as the benchmark
-/// baseline and test oracle.
+/// Both produce byte-identical pattern sets for the same outer RNG state:
+/// the weighted kernel is a mathematically equivalent reformulation of the
+/// reference sweep. `Reference` exists as the benchmark baseline and test
+/// oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CalibrationEngine {
-    /// Sequential, unweighted Lloyd iterations over every raw tile — the
-    /// original implementation, kept for speedup tracking and as the
-    /// byte-identity oracle.
+    /// Unweighted Lloyd iterations over every raw tile — the original
+    /// implementation, kept for speedup tracking and as the byte-identity
+    /// oracle.
     Reference,
-    /// Weight-compressed Lloyd iterations (deduplicated tiles), sequential
-    /// partition walk.
-    Weighted,
-    /// Weight-compressed Lloyd iterations with the partition walk
-    /// parallelized across threads.
+    /// Weight-compressed Lloyd iterations over deduplicated tiles.
     #[default]
-    Parallel,
+    Weighted,
 }
 
 /// Configuration for the calibration stage.
@@ -56,8 +50,7 @@ pub struct CalibrationConfig {
     /// Whether to top up the pattern set with the most frequent unmatched
     /// tiles when k-means returns fewer than `q` distinct centers.
     pub fill_with_frequent: bool,
-    /// Execution engine (weighted/parallel by default; see
-    /// [`CalibrationEngine`]).
+    /// k-means kernel (weighted by default; see [`CalibrationEngine`]).
     pub engine: CalibrationEngine,
 }
 
@@ -181,9 +174,8 @@ impl Calibrator {
     /// counts (e.g. one dump per calibration batch).
     ///
     /// One independent seed per partition is drawn from `rng` before the
-    /// walk, so the per-partition work is order-free and the
-    /// [`CalibrationEngine::Parallel`] engine returns exactly what the
-    /// sequential engines return.
+    /// walk, so the per-partition work is order-free and the parallel walk
+    /// returns exactly what a sequential one would.
     ///
     /// # Panics
     ///
@@ -201,16 +193,10 @@ impl Calibrator {
         let k = self.config.k;
         let parts = cols.div_ceil(k);
         let seeded: Vec<(usize, u64)> = (0..parts).map(|part| (part, rng.gen::<u64>())).collect();
-        let sets: Vec<PatternSet> = match self.config.engine {
-            CalibrationEngine::Parallel => seeded
-                .into_par_iter()
-                .map(|(part, seed)| self.calibrate_partition(dumps, part, seed))
-                .collect(),
-            _ => seeded
-                .into_iter()
-                .map(|(part, seed)| self.calibrate_partition(dumps, part, seed))
-                .collect(),
-        };
+        let sets: Vec<PatternSet> = seeded
+            .into_par_iter()
+            .map(|(part, seed)| self.calibrate_partition(dumps, part, seed))
+            .collect();
         LayerPatterns::new(k, sets)
     }
 
@@ -320,7 +306,7 @@ impl Calibrator {
                 let centers = hamming_kmeans_unweighted(&tiles, k, kmeans_config, &mut rng);
                 (compress_tiles(&tiles), centers)
             }
-            _ => {
+            CalibrationEngine::Weighted => {
                 let compressed = self.gather_compressed(dumps, part);
                 let centers = weighted_hamming_kmeans(&compressed, k, kmeans_config, &mut rng);
                 (compressed, centers)
@@ -445,18 +431,14 @@ mod tests {
 
     #[test]
     fn engines_agree_byte_for_byte() {
-        // The acceptance property at the calibration level: reference,
-        // weighted, and parallel engines produce identical LayerPatterns
-        // for the same outer RNG state.
+        // The acceptance property at the calibration level: the reference
+        // and weighted kernels produce identical LayerPatterns for the
+        // same outer RNG state.
         let mut r = rng();
         for density in [0.1, 0.3] {
             let acts = SpikeMatrix::random(512, 50, density, &mut r);
             let mut results = Vec::new();
-            for engine in [
-                CalibrationEngine::Reference,
-                CalibrationEngine::Weighted,
-                CalibrationEngine::Parallel,
-            ] {
+            for engine in [CalibrationEngine::Reference, CalibrationEngine::Weighted] {
                 let cal = Calibrator::new(CalibrationConfig {
                     q: 16,
                     max_iters: 12,
@@ -466,7 +448,6 @@ mod tests {
                 results.push(cal.calibrate(&acts, &mut StdRng::seed_from_u64(41)));
             }
             assert_eq!(results[0], results[1], "reference vs weighted diverged");
-            assert_eq!(results[1], results[2], "weighted vs parallel diverged");
         }
     }
 }

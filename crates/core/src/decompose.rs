@@ -21,18 +21,22 @@
 //!
 //! # Entry points
 //!
-//! Three functions produce bit-identical [`Decomposition`]s:
+//! Four functions produce bit-identical [`Decomposition`]s:
 //!
-//! * [`decompose`] — the linear reference: every tile probes
+//! * [`decompose`] — the linear reference (§3.1 oracle): every tile probes
 //!   [`crate::PatternSet::best_match`].
-//! * [`decompose_indexed`] — probes a precomputed [`MatchIndex`] per
-//!   partition instead of scanning all `q` patterns: popcount buckets are
+//! * [`decompose_cached`] — probes a precomputed [`MatchIndex`] per
+//!   partition instead of scanning all `q` patterns (popcount buckets are
 //!   visited in best-first order of the Hamming lower bound
 //!   `|popcount(pattern) − popcount(tile)|` and the scan stops once that
-//!   bound exceeds the best distance found.
-//! * [`decompose_cached`] — additionally memoizes whole tile decisions in
-//!   a shared, bounded [`TileCache`], so repeated tiles (ubiquitous in
-//!   spiking activations) skip the matcher entirely.
+//!   bound exceeds the best distance found), and memoizes whole tile
+//!   decisions in a shared, bounded [`TileCache`], so repeated tiles
+//!   (ubiquitous in spiking activations) skip the matcher entirely. On
+//!   [`TileCache::disabled`] it is the pure indexed path.
+//! * [`decompose_delta`] / [`decompose_delta_sparse`] — one frame of a
+//!   stream, diffed against the previous frame's [`FrameMemo`] so only
+//!   changed tiles are re-decided (the sparse variant emits changed rows
+//!   only).
 
 use crate::calibrate::LayerPatterns;
 use crate::pattern::PatternSet;
@@ -127,51 +131,16 @@ impl Decomposition {
 /// ```
 pub fn decompose(activations: &SpikeMatrix, patterns: &LayerPatterns) -> Decomposition {
     check_partitioning(activations, patterns);
-    let chunks = run_chunks(activations, patterns, |_| {
-        |part: usize, tile: u64, baseline: u32| {
-            finish_decision(activations, patterns, part, tile, baseline, {
-                patterns.set(part).best_match(tile)
+    let chunks = chunk_bounds(activations.rows())
+        .into_par_iter()
+        .map(|(lo, hi)| {
+            run_chunk(activations, patterns, lo, hi, |part, tile, baseline| {
+                finish_decision(activations, patterns, part, tile, baseline, {
+                    patterns.set(part).best_match(tile)
+                })
             })
-        }
-    });
-    combine(activations, patterns, chunks)
-}
-
-/// [`decompose`] resolving every nontrivial tile through a precomputed
-/// [`MatchIndex`] per partition — the popcount-bucketed best-first probe —
-/// instead of the linear reference scan. Bit-identical to [`decompose`].
-///
-/// # Panics
-///
-/// Panics if the pattern partition count does not match the activation
-/// width, or if `index` does not cover `patterns`' partitioning.
-pub fn decompose_indexed(
-    activations: &SpikeMatrix,
-    patterns: &LayerPatterns,
-    index: &LayerMatchIndex,
-) -> Decomposition {
-    check_partitioning(activations, patterns);
-    check_index(patterns, index);
-    let parts = patterns.num_partitions();
-    let chunks = run_chunks(activations, patterns, |_| {
-        // Last decision per partition: spiking rows repeat the previous
-        // row's tile ~30% of the time, and the decision is a pure
-        // function of `(partition, tile)`, so a repeat replays it
-        // without walking the index. (The linear [`decompose`] path
-        // deliberately stays memo-free — it is the reference the
-        // indexed path is benchmarked against.)
-        let mut memo_tile = vec![0u64; parts];
-        let mut memo_dec = vec![TileDecision { pattern: None, diff: 0 }; parts];
-        move |part: usize, tile: u64, baseline: u32| {
-            if memo_tile[part] == tile {
-                return memo_dec[part];
-            }
-            let decision = resolve_tile(activations, patterns, index, part, tile, baseline);
-            memo_tile[part] = tile;
-            memo_dec[part] = decision;
-            decision
-        }
-    });
+        })
+        .collect();
     combine(activations, patterns, chunks)
 }
 
@@ -180,18 +149,21 @@ pub fn decompose_indexed(
 /// commit merge).
 type ChunkOutcome = (ChunkDecomposition, u64, u64, TileMap);
 
-/// [`decompose_indexed`] with a shared [`TileCache`] memoizing whole tile
-/// decisions across calls: a hit skips the matcher entirely and replays
-/// the stored decision. The cache is keyed by
+/// [`decompose`] resolving every nontrivial tile through a precomputed
+/// [`MatchIndex`] per partition — the popcount-bucketed best-first probe —
+/// instead of the linear reference scan, with a shared [`TileCache`]
+/// memoizing whole tile decisions across calls: a hit skips the matcher
+/// entirely and replays the stored decision. The cache is keyed by
 /// `(partition, partition width, tile bits)` — the width matters because
 /// the final partition of a narrower activation masks its corrections
 /// differently — and every stored decision is a pure function of that
 /// key, so the output is bit-identical to [`decompose`] regardless of
 /// cache state, capacity, or eviction history (even when one cache is
 /// shared across activations of different column counts), including a
-/// disabled (capacity-0) cache, which degrades to the pure indexed path.
+/// disabled (capacity-0) cache, which is the pure indexed path: no probe,
+/// no commit, no counter movement.
 ///
-/// The sweep reads one immutable snapshot of the cache (lock-free
+/// An enabled sweep reads one immutable snapshot of the cache (lock-free
 /// probes), resolves each distinct missed key through the index exactly
 /// once (repeats within the sweep replay the in-flight decision), and
 /// commits the resolved keys — with the sweep's hit/miss counts — in one
@@ -200,27 +172,30 @@ type ChunkOutcome = (ChunkDecomposition, u64, u64, TileMap);
 /// # Panics
 ///
 /// Panics if the pattern partition count does not match the activation
-/// width, if `index` does not cover `patterns`' partitioning, or if the
-/// partition count exceeds the key encoding's [`MAX_CACHE_PARTITIONS`].
+/// width, if `index` does not cover `patterns`' partitioning, or if an
+/// enabled cache sees a partition count beyond the key encoding's
+/// [`MAX_CACHE_PARTITIONS`].
 pub fn decompose_cached(
     activations: &SpikeMatrix,
     patterns: &LayerPatterns,
     index: &LayerMatchIndex,
     cache: &TileCache,
 ) -> Decomposition {
-    if !cache.is_enabled() {
-        return decompose_indexed(activations, patterns, index);
-    }
     check_partitioning(activations, patterns);
     check_index(patterns, index);
     let parts = patterns.num_partitions();
-    assert!(parts <= MAX_CACHE_PARTITIONS, "partition count {parts} exceeds the cache key space");
     let k = patterns.k();
     // Only the final partition can be narrower than k; every probe below
     // needs its width in the key.
     let last_part = parts.wrapping_sub(1);
     let last_width = if parts == 0 { 0 } else { k.min(activations.cols() - last_part * k) as u32 };
-    let snapshot = cache.snapshot();
+    let snapshot = cache.is_enabled().then(|| {
+        assert!(
+            parts <= MAX_CACHE_PARTITIONS,
+            "partition count {parts} exceeds the cache key space"
+        );
+        cache.snapshot()
+    });
     let bounds = chunk_bounds(activations.rows());
     let outcomes: Vec<ChunkOutcome> = bounds
         .into_par_iter()
@@ -229,12 +204,15 @@ pub fn decompose_cached(
             let mut miss_probes = 0u64;
             let mut resolved = TileMap::default();
             // Last decision per partition: spiking rows repeat the
-            // previous row's tile ~30% of the time, and the snapshot is
+            // previous row's tile ~30% of the time, the decision is a pure
+            // function of `(partition, tile)`, and the snapshot is
             // immutable for the whole sweep, so a repeat replays the
             // decision — and the same hit/miss accounting — without
-            // touching the map. Tile 0 never reaches the closure
-            // (trivial tiles are decided inline), so it is a free
-            // "empty" sentinel.
+            // walking the index or touching the map. (The linear
+            // [`decompose`] path deliberately stays memo-free: it is the
+            // reference this path is benchmarked against.) Tile 0 never
+            // reaches the closure (trivial tiles are decided inline), so
+            // it is a free "empty" sentinel.
             let mut memo_tile = vec![0u64; parts];
             let mut memo_was_hit = vec![false; parts];
             let mut memo_dec = vec![TileDecision { pattern: None, diff: 0 }; parts];
@@ -247,23 +225,29 @@ pub fn decompose_cached(
                     }
                     return memo_dec[part];
                 }
-                let width = if part == last_part { last_width } else { k as u32 };
-                let key = tile_key(part as u32, width, tile);
-                let decision = match snapshot.get(&key) {
-                    Some(&decision) => {
-                        hits += 1;
-                        memo_was_hit[part] = true;
-                        decision
-                    }
-                    None => {
-                        miss_probes += 1;
-                        memo_was_hit[part] = false;
-                        // Spiking tiles repeat heavily even within one
-                        // sweep: resolve each distinct key once and
-                        // replay it for the repeats.
-                        *resolved.entry(key).or_insert_with(|| {
-                            resolve_tile(activations, patterns, index, part, tile, baseline)
-                        })
+                let decision = match &snapshot {
+                    // Disabled cache: the pure indexed path.
+                    None => resolve_tile(activations, patterns, index, part, tile, baseline),
+                    Some(snapshot) => {
+                        let width = if part == last_part { last_width } else { k as u32 };
+                        let key = tile_key(part as u32, width, tile);
+                        match snapshot.get(&key) {
+                            Some(&decision) => {
+                                hits += 1;
+                                memo_was_hit[part] = true;
+                                decision
+                            }
+                            None => {
+                                miss_probes += 1;
+                                memo_was_hit[part] = false;
+                                // Spiking tiles repeat heavily even within
+                                // one sweep: resolve each distinct key once
+                                // and replay it for the repeats.
+                                *resolved.entry(key).or_insert_with(|| {
+                                    resolve_tile(activations, patterns, index, part, tile, baseline)
+                                })
+                            }
+                        }
                     }
                 };
                 memo_tile[part] = tile;
@@ -286,7 +270,9 @@ pub fn decompose_cached(
         resolved.extend(chunk_resolved);
         chunks.push(chunk);
     }
-    cache.commit(hits, miss_probes, resolved);
+    if cache.is_enabled() {
+        cache.commit(hits, miss_probes, resolved);
+    }
     combine(activations, patterns, chunks)
 }
 
@@ -400,7 +386,7 @@ impl FrameMemo {
 /// is pure memo replay. Re-decided nontrivial tiles probe and commit
 /// the [`TileCache`] with exactly the accounting of
 /// [`decompose_cached`]; on a disabled cache they resolve through the
-/// index directly, as [`decompose_indexed`] would.
+/// index directly, as [`decompose_cached`] does.
 ///
 /// The sweep is sequential — streaming frames are a handful of rows, and
 /// batch-level parallelism belongs to the caller fanning out sessions.
@@ -661,29 +647,13 @@ fn chunk_bounds(rows: usize) -> Vec<(usize, usize)> {
     (0..rows.div_ceil(size)).map(|c| (c * size, ((c + 1) * size).min(rows))).collect()
 }
 
-/// Runs the chunked parallel sweep with a per-chunk decision closure for
-/// nontrivial tiles (trivial tiles — empty or single-bit — are decided
-/// inline: an empty tile emits nothing, and a single-bit tile can only
-/// win via an exact hit, which has no corrections).
-fn run_chunks<D, F>(
-    activations: &SpikeMatrix,
-    patterns: &LayerPatterns,
-    make_decide: F,
-) -> Vec<ChunkDecomposition>
-where
-    D: FnMut(usize, u64, u32) -> TileDecision,
-    F: Fn(usize) -> D + Sync,
-{
-    chunk_bounds(activations.rows())
-        .into_par_iter()
-        .map(|(lo, hi)| run_chunk(activations, patterns, lo, hi, make_decide(lo)))
-        .collect()
-}
-
 /// Decomposes rows `lo..hi`: applies the matcher rule per partition tile
 /// and expands the decisions into L1 indices and column-sorted L2
 /// corrections (partitions ascend and bits ascend within a partition, so
-/// entries come out sorted without a sort).
+/// entries come out sorted without a sort). `decide` resolves nontrivial
+/// tiles; trivial ones — empty or single-bit — are decided inline: an
+/// empty tile emits nothing, and a single-bit tile can only win via an
+/// exact hit, which has no corrections.
 fn run_chunk(
     activations: &SpikeMatrix,
     patterns: &LayerPatterns,
@@ -1358,7 +1328,7 @@ impl MatchIndex {
 }
 
 /// One [`MatchIndex`] per partition of a layer — the unit
-/// [`decompose_indexed`] and [`decompose_cached`] consume, and the record
+/// [`decompose_cached`] and the delta sweeps consume, and the record
 /// `phi-runtime` serializes into compiled-model artifacts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LayerMatchIndex {
@@ -1450,7 +1420,7 @@ impl TileCacheStats {
     }
 
     /// Sums a set of counters into one aggregate — the executor-level
-    /// (per-layer) and server-level (per-worker cache shard) rollup.
+    /// rollup over per-layer caches.
     pub fn merged<I: IntoIterator<Item = TileCacheStats>>(stats: I) -> TileCacheStats {
         let mut total = TileCacheStats::default();
         for s in stats {
@@ -1582,7 +1552,7 @@ impl TileCache {
     }
 
     /// A disabled cache: every lookup misses, inserts are dropped, and no
-    /// counter moves. [`decompose_indexed`] behaves as if running on one.
+    /// counter moves. [`decompose_cached`] on one is the pure indexed path.
     pub fn disabled() -> Self {
         TileCache::new(0)
     }
@@ -1859,7 +1829,7 @@ mod tests {
             let patterns = cal.calibrate(&acts, &mut rng);
             let index = LayerMatchIndex::new(&patterns);
             let linear = decompose(&acts, &patterns);
-            let indexed = decompose_indexed(&acts, &patterns, &index);
+            let indexed = decompose_cached(&acts, &patterns, &index, &TileCache::disabled());
             assert_eq!(indexed, linear);
             let cache = TileCache::new(256);
             let cold = decompose_cached(&acts, &patterns, &index, &cache);

@@ -409,16 +409,6 @@ impl ReuseStats {
         self.prefix_links += other.prefix_links;
         self.term_loads += other.term_loads;
     }
-
-    /// Sums a set of counters into one aggregate (executor shards,
-    /// server workers).
-    pub fn merged<I: IntoIterator<Item = ReuseStats>>(stats: I) -> ReuseStats {
-        let mut total = ReuseStats::default();
-        for s in stats {
-            total.merge(&s);
-        }
-        total
-    }
 }
 
 /// One materialized Level-1 class partial: copy the base class's partial
@@ -1584,7 +1574,8 @@ mod tests {
             prefix_links: 1,
             term_loads: 12,
         };
-        let merged = ReuseStats::merged([a, a]);
+        let mut merged = a;
+        merged.merge(&a);
         assert_eq!(merged.rows, 8);
         assert_eq!(merged.term_rows_total, 80);
         assert_eq!(merged.term_rows_computed, 20);

@@ -5,14 +5,14 @@
 //! * [`MatchIndex::best_match`] equals [`PatternSet::best_match`] (the
 //!   linear reference scan) bit for bit, including the lowest-index tie
 //!   rule, over randomized pattern sets with duplicates.
-//! * [`decompose_cached`] == [`decompose_indexed`] == [`decompose`] over
-//!   randomized calibrated workloads at q ∈ {32, 128}, for cache
-//!   capacities including 0 (disabled) and 1 (pure thrash), warm replays
+//! * [`decompose_cached`] == [`decompose`] over randomized calibrated
+//!   workloads at q ∈ {32, 128}, for cache capacities including 0
+//!   (disabled, the pure indexed path) and 1 (pure thrash), warm replays
 //!   included, with eviction under pressure observed by its counter.
 
 use phi_core::{
-    decompose, decompose_cached, decompose_indexed, CalibrationConfig, Calibrator, LayerMatchIndex,
-    MatchIndex, Pattern, PatternSet, TileCache,
+    decompose, decompose_cached, CalibrationConfig, Calibrator, LayerMatchIndex, MatchIndex,
+    Pattern, PatternSet, TileCache,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -100,7 +100,9 @@ proptest! {
 
         let reference = decompose(&acts, &patterns);
         prop_assert!(reference.verify_lossless(&acts));
-        prop_assert_eq!(&decompose_indexed(&acts, &patterns, &index), &reference);
+        let disabled = TileCache::disabled();
+        prop_assert_eq!(&decompose_cached(&acts, &patterns, &index, &disabled), &reference);
+        prop_assert_eq!(disabled.stats(), phi_core::TileCacheStats::default());
 
         let cache = TileCache::new(capacity);
         let cold = decompose_cached(&acts, &patterns, &index, &cache);

@@ -278,6 +278,11 @@ impl CompiledModel {
         let q = r.u32()? as usize;
         let seed = r.u64()?;
         let layer_count = r.u32()? as usize;
+        // A model without layers has no readout: refuse it here rather
+        // than let the first session or request panic on it.
+        if layer_count == 0 {
+            return Err(RuntimeError::Shape { op: "layer count", expected: 1, actual: 0 });
+        }
         let mut layers = Vec::with_capacity(layer_count.min(1024));
         for _ in 0..layer_count {
             let name = r.str()?;

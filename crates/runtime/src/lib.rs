@@ -134,8 +134,8 @@ pub use lifecycle::{
     PHI_LIFECYCLE_ENV,
 };
 pub use server::{
-    available_cores, IntakeMode, ModelRegistry, ModelStatsSnapshot, PhiServer, ResponseHandle,
-    ServedResponse, ServerConfig, ServerResult, SessionReadout, TileCacheMode,
+    available_cores, ModelRegistry, ModelStatsSnapshot, PhiServer, ResponseHandle, ServedResponse,
+    ServerConfig, ServerResult, SessionReadout,
 };
 pub use stream::StreamSession;
 // The backend vocabulary serving code needs — including everything

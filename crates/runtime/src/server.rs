@@ -12,13 +12,13 @@
 //! [`PhiServer`] is that someone else. The request lifecycle:
 //!
 //! ```text
-//!  submit(key, request)                  collector thread            worker pool
-//!  ───────────────────┐  shard 0  ┌──────────────────────┐      ┌──────────────────┐
-//!  admission control  │ ┌───────┐ │ drain all shards,     │ batch│ BatchExecutor<B> │
-//!  · unknown model    ├─┤ shard…├▶│ restore arrival order,├─────▶│ execute(&batch)  │
-//!  · ragged/oversized │ └───────┘ │ coalesce (model, rows)│ mpsc │ resolve handles  │
-//!  · queue-full shed  │  shard N  │ groups ≤ max_batch    │      │ record stats     │
-//!  ───────────────────┘           └──────────────────────┘      └──────────────────┘
+//!  submit(key, request)               collector thread               worker pool
+//!  ───────────────────┐          ┌────────────────────────┐     ┌──────────────────┐
+//!  admission control  │ ┌──────┐ │ drain the queue FIFO,  │batch│ BatchExecutor<B> │
+//!  · unknown model    ├─┤intake├▶│ coalesce (model, rows) ├────▶│ execute(&batch)  │
+//!  · ragged/oversized │ └──────┘ │ groups ≤ max_batch     │mpsc │ resolve handles  │
+//!  · queue-full shed  │          └────────────────────────┘     │ record stats     │
+//!  ───────────────────┘                                         └──────────────────┘
 //!          │ Err(ServerError)                                          │
 //!          ▼                                                           ▼
 //!   caller keeps the rejected            ResponseHandle::wait() ⇒ ServedResponse
@@ -34,19 +34,15 @@
 //!   it. When the admitted-but-undispatched count reaches
 //!   [`ServerConfig::queue_capacity`] the request is *shed*
 //!   ([`ServerError::QueueFull`]) instead of blocking the submitter.
-//! * **The submit path is sharded for contention.** Under the default
-//!   [`IntakeMode::Sharded`] intake, submitters round-robin across
-//!   several small mutex-guarded deques instead of serializing on one
-//!   queue lock; admission capacity and per-group occupancy are plain
-//!   atomics, and the collector's condition variable is touched only on
-//!   an idle→traffic transition or when an arrival completes a full
-//!   batch. [`IntakeMode::Mutex`] collapses the shard count to one — the
-//!   PR 4 single Mutex/Condvar intake, kept selectable so the two can be
-//!   measured head-to-head (`bench_server` does).
+//! * **The submit path holds one short lock.** Submitters push onto one
+//!   mutex-guarded intake deque; admission capacity and per-group
+//!   occupancy are plain atomics, and the collector's condition variable
+//!   is touched only on an idle→traffic transition or when an arrival
+//!   completes a full batch.
 //! * **Batches are coalesced by `(model, rows)`.** The executor requires
 //!   row-uniform batches (one extrapolation factor per fused matrix). The
-//!   collector drains every shard, restores global arrival order by
-//!   sequence stamp, and buffers requests per group: a group dispatches
+//!   collector drains the intake queue in arrival order and buffers
+//!   requests per group: a group dispatches
 //!   as soon as it holds [`ServerConfig::max_batch`] requests, and no
 //!   later than [`ServerConfig::max_wait`] after its oldest request
 //!   enqueued. Groups dispatch independently — a slow-filling group never
@@ -58,16 +54,10 @@
 //!   one per available core) executes dispatched batches concurrently,
 //!   and per-model stats are maintained so that concurrent batch
 //!   completions can never over-count a batch's mean size.
-//! * **Tile caches can be shared or per-worker.**
-//!   [`TileCacheMode::Shared`] (default) gives each model one executor
-//!   whose per-layer [`TileCache`](phi_core::TileCache)s all workers
-//!   share — maximum reuse,
-//!   but every worker commits misses into the same tables.
-//!   [`TileCacheMode::PerWorker`] gives each worker its own executor
-//!   with an independent cache lineage — zero cross-worker cache
-//!   contention at the cost of duplicated warmup. Readouts are
-//!   bit-identical either way (and with caching disabled); snapshots
-//!   report hit rates per cache shard so the trade can be measured.
+//! * **One tile-cache lineage per model.** Each model version gets one
+//!   executor whose per-layer [`TileCache`](phi_core::TileCache)s every
+//!   worker shares, so a tile resolved by any worker is a hit for all of
+//!   them. Readouts are bit-identical with caching disabled.
 //! * **Execution is bit-identical to calling [`BatchExecutor`] directly.**
 //!   The server adds queueing and coalescing, never arithmetic: readouts
 //!   are the same bits a direct `execute` of the same requests produces,
@@ -148,85 +138,6 @@ use std::time::{Duration, Instant};
 /// Outcome alias for server calls.
 pub type ServerResult<T> = std::result::Result<T, ServerError>;
 
-/// How submitted requests reach the collector — the contention trade of
-/// the submit path (see [`ServerConfig::intake`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IntakeMode {
-    /// One mutex-guarded intake queue: every submitter serializes on the
-    /// same lock. The PR 4 design, kept selectable as the head-to-head
-    /// baseline for the sharded path.
-    Mutex,
-    /// Several mutex-guarded intake shards ([`ServerConfig::intake_shards`]),
-    /// round-robined by arrival stamp: concurrent submitters contend on a
-    /// given shard lock only `1/shards` of the time, and the collector
-    /// restores global arrival order when it drains. The default.
-    #[default]
-    Sharded,
-}
-
-impl std::fmt::Display for IntakeMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            IntakeMode::Mutex => "mutex",
-            IntakeMode::Sharded => "sharded",
-        })
-    }
-}
-
-impl std::str::FromStr for IntakeMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> std::result::Result<Self, Self::Err> {
-        match s {
-            "mutex" => Ok(IntakeMode::Mutex),
-            "sharded" => Ok(IntakeMode::Sharded),
-            other => Err(format!("unknown intake mode '{other}' (expected 'mutex' or 'sharded')")),
-        }
-    }
-}
-
-/// How a hosted model's decomposition tile caches are wired across the
-/// worker pool (see [`ServerConfig::cache_mode`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TileCacheMode {
-    /// One executor per model whose per-layer [`TileCache`]s every worker
-    /// shares (`Arc`'d): a tile resolved by any worker is a hit for all
-    /// of them, at the cost of committing misses into shared tables. The
-    /// default.
-    ///
-    /// [`TileCache`]: phi_core::TileCache
-    #[default]
-    Shared,
-    /// One executor (and cache lineage) per worker: workers never touch
-    /// each other's cache tables, at the cost of each warming its own
-    /// copy. Stats report hit rates per shard. Readouts are bit-identical
-    /// to the shared wiring — caches only ever change speed.
-    PerWorker,
-}
-
-impl std::fmt::Display for TileCacheMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            TileCacheMode::Shared => "shared",
-            TileCacheMode::PerWorker => "per-worker",
-        })
-    }
-}
-
-impl std::str::FromStr for TileCacheMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> std::result::Result<Self, Self::Err> {
-        match s {
-            "shared" => Ok(TileCacheMode::Shared),
-            "per-worker" | "per_worker" => Ok(TileCacheMode::PerWorker),
-            other => Err(format!(
-                "unknown tile-cache mode '{other}' (expected 'shared' or 'per-worker')"
-            )),
-        }
-    }
-}
-
 /// Tuning knobs of the dynamic batcher. Start from
 /// [`ServerConfig::default`] and override with the `with_*` builders.
 ///
@@ -267,18 +178,6 @@ pub struct ServerConfig {
     /// [`crate::executor::default_tile_cache_capacity`], i.e. the
     /// `PHI_TILE_CACHE` environment knob).
     pub tile_cache: usize,
-    /// How the submit path hands requests to the collector (default
-    /// [`IntakeMode::Sharded`]).
-    pub intake: IntakeMode,
-    /// Intake shard count under [`IntakeMode::Sharded`]; `0` (the
-    /// default) auto-sizes to the available core count, floored at 2 so
-    /// the sharded path stays structurally distinct from
-    /// [`IntakeMode::Mutex`] even on one core. Ignored under
-    /// [`IntakeMode::Mutex`] (always one shard).
-    pub intake_shards: usize,
-    /// How tile caches are wired across workers (default
-    /// [`TileCacheMode::Shared`]).
-    pub cache_mode: TileCacheMode,
     /// Most live streaming sessions one hosted model may hold; opening
     /// beyond it is refused with [`ServerError::SessionLimit`] — session
     /// state (per-layer frame memos plus LIF membrane banks) is memory
@@ -330,9 +229,6 @@ impl Default for ServerConfig {
             workers: available_cores(),
             backend: BackendKind::default(),
             tile_cache: crate::executor::default_tile_cache_capacity(),
-            intake: IntakeMode::default(),
-            intake_shards: 0,
-            cache_mode: TileCacheMode::default(),
             max_sessions: 256,
             session_ttl: Duration::from_secs(60),
             lifecycle: lifecycle_mode(),
@@ -346,9 +242,8 @@ impl Default for ServerConfig {
 }
 
 /// The host's available core count (1 when undetectable), probed once
-/// per process — the default for [`ServerConfig::workers`] and the
-/// auto-sizing basis for [`ServerConfig::intake_shards`]. It is the same
-/// count the `rayon` pool sizes itself by.
+/// per process — the default for [`ServerConfig::workers`]. It is the
+/// same count the `rayon` pool sizes itself by.
 pub fn available_cores() -> usize {
     rayon::current_num_threads()
 }
@@ -393,25 +288,6 @@ impl ServerConfig {
     /// Overrides the per-layer tile-cache capacity (`0` disables).
     pub fn with_tile_cache(mut self, tile_cache: usize) -> Self {
         self.tile_cache = tile_cache;
-        self
-    }
-
-    /// Overrides the intake mode.
-    pub fn with_intake(mut self, intake: IntakeMode) -> Self {
-        self.intake = intake;
-        self
-    }
-
-    /// Overrides the intake shard count (`0` auto-sizes; only meaningful
-    /// under [`IntakeMode::Sharded`]).
-    pub fn with_intake_shards(mut self, intake_shards: usize) -> Self {
-        self.intake_shards = intake_shards;
-        self
-    }
-
-    /// Overrides the tile-cache wiring mode.
-    pub fn with_cache_mode(mut self, cache_mode: TileCacheMode) -> Self {
-        self.cache_mode = cache_mode;
         self
     }
 
@@ -461,33 +337,6 @@ impl ServerConfig {
     pub fn with_lifecycle_interval(mut self, lifecycle_interval: Duration) -> Self {
         self.lifecycle_interval = lifecycle_interval;
         self
-    }
-
-    /// The intake shard count this configuration resolves to: 1 under
-    /// [`IntakeMode::Mutex`]; the explicit [`ServerConfig::intake_shards`]
-    /// (or the core count, floored at 2, when that is 0) under
-    /// [`IntakeMode::Sharded`].
-    pub fn intake_shard_count(&self) -> usize {
-        match self.intake {
-            IntakeMode::Mutex => 1,
-            IntakeMode::Sharded => {
-                if self.intake_shards > 0 {
-                    self.intake_shards
-                } else {
-                    available_cores().max(2)
-                }
-            }
-        }
-    }
-
-    /// How many executors (tile-cache shards) each hosted model gets: one
-    /// under [`TileCacheMode::Shared`], [`ServerConfig::workers`] under
-    /// [`TileCacheMode::PerWorker`].
-    pub fn cache_shard_count(&self) -> usize {
-        match self.cache_mode {
-            TileCacheMode::Shared => 1,
-            TileCacheMode::PerWorker => self.workers,
-        }
     }
 }
 
@@ -621,17 +470,12 @@ pub struct ModelStatsSnapshot {
     pub p50_exec_us: f64,
     /// 99th-percentile execution time, µs.
     pub p99_exec_us: f64,
-    /// Decomposition tile-cache counters of this model's executors,
-    /// aggregated over every cache shard and layer (all zeros when the
-    /// cache is disabled via [`ServerConfig::tile_cache`]).
+    /// Decomposition tile-cache counters of this model's executor,
+    /// aggregated over every layer (all zeros when the cache is disabled
+    /// via [`ServerConfig::tile_cache`]).
     pub tile_cache: TileCacheStats,
-    /// The same counters per cache shard: one entry under
-    /// [`TileCacheMode::Shared`], one per worker under
-    /// [`TileCacheMode::PerWorker`] — so shard balance and per-worker
-    /// warmup are observable, not just the aggregate.
-    pub tile_cache_shards: Vec<TileCacheStats>,
     /// Cross-row product-sparsity reuse counters of this model's
-    /// executors, aggregated over every shard (all zeros when the CPU
+    /// executor (all zeros when the CPU
     /// reuse pass is disabled via `PHI_REUSE=off` or the backend never
     /// took the planned readout path).
     pub reuse: ReuseStats,
@@ -724,7 +568,6 @@ impl ModelStats {
     fn snapshot(
         &self,
         tile_cache: TileCacheStats,
-        tile_cache_shards: Vec<TileCacheStats>,
         reuse: ReuseStats,
         sessions_open: usize,
     ) -> ModelStatsSnapshot {
@@ -746,7 +589,6 @@ impl ModelStats {
             p50_exec_us: exec.percentile(50.0),
             p99_exec_us: exec.percentile(99.0),
             tile_cache,
-            tile_cache_shards,
             reuse,
             sessions_open,
             stream_frames: self.stream_frames.load(Ordering::Relaxed),
@@ -756,7 +598,7 @@ impl ModelStats {
 }
 
 /// One *version* of a hosted model: the immutable artifact plus its
-/// executors and per-group occupancy. Coalescing groups identify entries
+/// executor and per-group occupancy. Coalescing groups identify entries
 /// by `Arc` pointer, so a batch is homogeneous in version by construction
 /// — an in-flight batch finishes on the entry it was admitted against
 /// even if the slot swaps mid-execution.
@@ -765,12 +607,9 @@ struct ModelEntry {
     version: u64,
     /// The compiled artifact this version serves.
     model: Arc<CompiledModel>,
-    /// One executor per cache shard: a single entry under
-    /// [`TileCacheMode::Shared`] (all workers share its caches), one per
-    /// worker under [`TileCacheMode::PerWorker`]. Every executor shares
-    /// the same `Arc`'d artifact; only cache lineage (and backend
-    /// instance) differ.
-    executors: Vec<BatchExecutor<Box<dyn ExecutionBackend>>>,
+    /// The version's executor over the shared `Arc`'d artifact; every
+    /// worker serves through it and shares its per-layer tile caches.
+    executor: BatchExecutor<Box<dyn ExecutionBackend>>,
     /// The slot's counters, shared across every version (a swap must not
     /// reset a model's served/shed history).
     stats: Arc<ModelStats>,
@@ -799,7 +638,7 @@ impl ModelEntry {
     }
 }
 
-/// Builds the executor bank for one model version.
+/// Builds the executor for one model version.
 fn build_entry(
     model: Arc<CompiledModel>,
     version: u64,
@@ -807,13 +646,9 @@ fn build_entry(
     slot: Weak<ModelSlot>,
     config: &ServerConfig,
 ) -> ModelEntry {
-    let executors = (0..config.cache_shard_count())
-        .map(|_| {
-            BatchExecutor::with_backend(Arc::clone(&model), config.backend.create())
-                .with_tile_cache_capacity(config.tile_cache)
-        })
-        .collect();
-    ModelEntry { version, model, executors, stats, group_counts: RwLock::new(HashMap::new()), slot }
+    let executor = BatchExecutor::with_backend(Arc::clone(&model), config.backend.create())
+        .with_tile_cache_capacity(config.tile_cache);
+    ModelEntry { version, model, executor, stats, group_counts: RwLock::new(HashMap::new()), slot }
 }
 
 /// How many lifecycle events a slot retains for its snapshot (older
@@ -983,7 +818,7 @@ struct SessionEntry {
 }
 
 /// The ordering queue of one session. Invariant: at most one of the
-/// session's frames is ever past this queue (in an intake shard, a
+/// session's frames is ever past this queue (in the intake queue, a
 /// collector buffer, or an executing batch) — `in_flight` guards the
 /// slot, later frames park here in arrival order, and the worker that
 /// resolves the in-flight frame promotes the next parked one. That is
@@ -1029,40 +864,30 @@ struct Pending {
     session: Option<Arc<SessionEntry>>,
 }
 
-/// A [`Pending`] plus its global arrival stamp, as stored in an intake
-/// shard (the stamp restores cross-shard arrival order at drain time).
-struct Stamped {
-    seq: u64,
-    pending: Pending,
-}
-
 /// A coalesced batch on its way to a worker.
 struct Batch {
     entry: Arc<ModelEntry>,
     pending: Vec<Pending>,
 }
 
-/// One intake shard: a short-held mutex around a deque. `closed` is set
+/// The intake queue: a short-held mutex around a deque. `closed` is set
 /// (under the lock) during shutdown *before* the final drain, so a
 /// racing submitter either lands its request in the drained deque or
 /// observes the closure — a request can never be stranded.
-struct IntakeShard {
-    items: VecDeque<Stamped>,
+struct IntakeQueue {
+    items: VecDeque<Pending>,
     closed: bool,
 }
 
 /// State shared between submitters and the collector.
 struct Shared {
     config: ServerConfig,
-    shards: Vec<Mutex<IntakeShard>>,
+    intake: Mutex<IntakeQueue>,
     /// Admitted-but-not-yet-dispatched requests (the queue-capacity
     /// accounting; includes requests the collector has drained but not
     /// dispatched).
     queued: AtomicUsize,
-    /// Global arrival stamp: selects the shard (round-robin) and restores
-    /// cross-shard arrival order at drain time.
-    seq: AtomicU64,
-    /// True when some shard holds undrained traffic. Written with `swap`
+    /// True when the intake queue holds undrained traffic. Written with `swap`
     /// on both sides so the RMW chain orders a submitter's push before
     /// the collector's next drain.
     dirty: AtomicBool,
@@ -1089,8 +914,8 @@ struct Shared {
 /// at the same row count.
 type GroupKey = (usize, usize, bool);
 
-/// The collector's private per-group buffers (drained from the shards,
-/// in arrival order).
+/// The collector's private per-group buffers (drained from the intake
+/// queue, in arrival order).
 type Groups = HashMap<GroupKey, VecDeque<Pending>>;
 
 fn group_of(pending: &Pending) -> GroupKey {
@@ -1135,9 +960,9 @@ pub struct PhiServer {
 impl PhiServer {
     /// Spawns the collector and worker threads and starts serving.
     ///
-    /// Every registered model gets one executor per cache shard
-    /// ([`ServerConfig::cache_mode`]), each over a fresh instance of the
-    /// configured backend; artifacts stay shared (`Arc`-cloned from the
+    /// Every registered model gets one executor over a fresh instance of
+    /// the configured backend, whose tile caches all workers share;
+    /// artifacts stay shared (`Arc`-cloned from the
     /// registry, never copied).
     ///
     /// # Panics
@@ -1163,14 +988,10 @@ impl PhiServer {
             .map(|(key, model)| (key, ModelSlot::new(model, &config)))
             .collect();
 
-        let shards = (0..config.intake_shard_count())
-            .map(|_| Mutex::new(IntakeShard { items: VecDeque::new(), closed: false }))
-            .collect();
         let shared = Arc::new(Shared {
             config,
-            shards,
+            intake: Mutex::new(IntakeQueue { items: VecDeque::new(), closed: false }),
             queued: AtomicUsize::new(0),
-            seq: AtomicU64::new(0),
             dirty: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
             ctrl: Mutex::new(()),
@@ -1188,7 +1009,7 @@ impl PhiServer {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("phi-server-worker-{w}"))
-                    .spawn(move || worker_loop(w, &rx, &shared))
+                    .spawn(move || worker_loop(&rx, &shared))
                     .expect("spawn worker thread")
             })
             .collect();
@@ -1366,8 +1187,7 @@ impl PhiServer {
     /// (including the ragged check), the row ceiling is enforced, and the
     /// admission capacity is reserved — so every error below is returned
     /// before the request can influence any other request's batch. The
-    /// hot path then touches one intake-shard lock (1 / `intake_shards`
-    /// contention under the default sharded intake) plus a handful of
+    /// hot path then touches the intake-queue lock plus a handful of
     /// atomics; the collector's condition variable is involved only when
     /// this arrival is the first after idle or completes a full batch.
     ///
@@ -1433,7 +1253,7 @@ impl PhiServer {
         let (tx, rx) = mpsc::channel();
         let pending = Pending { entry, request, rows, enqueued: Instant::now(), tx, session: None };
         if let Err(_pending) = push_admitted(shared, pending, matching) {
-            // Shutdown closed the shard between the fast check above and
+            // Shutdown closed the intake between the fast check above and
             // the push: roll back the reservation and refuse.
             counter.fetch_sub(1, Ordering::SeqCst);
             shared.queued.fetch_sub(1, Ordering::SeqCst);
@@ -1589,7 +1409,7 @@ impl PhiServer {
         };
 
         // Claim the session's in-flight slot or park behind it. The queue
-        // lock is held across the shard push so a concurrent release
+        // lock is held across the intake push so a concurrent release
         // can never observe the slot claimed with the frame not yet
         // visible anywhere.
         let mut queue = lock(&session.queue);
@@ -1661,17 +1481,13 @@ impl PhiServer {
     pub fn stats(&self, key: &str) -> Option<ModelStatsSnapshot> {
         self.slots.get(key).map(|slot| {
             // Cache/reuse counters come from the *active* version's
-            // executors; the admission/latency counters live on the slot
+            // executor; the admission/latency counters live on the slot
             // and span every version.
             let active = slot.active_entry();
-            let shards: Vec<TileCacheStats> =
-                active.executors.iter().map(BatchExecutor::tile_cache_stats).collect();
-            let reuse = ReuseStats::merged(active.executors.iter().map(BatchExecutor::reuse_stats));
             let sessions_open = lock(&slot.sessions).len();
             slot.stats.snapshot(
-                TileCacheStats::merged(shards.iter().copied()),
-                shards,
-                reuse,
+                active.executor.tile_cache_stats(),
+                active.executor.reuse_stats(),
                 sessions_open,
             )
         })
@@ -1705,11 +1521,11 @@ impl PhiServer {
         if let Some(lifecycle) = lock(&self.lifecycle).take() {
             let _ = lifecycle.join();
         }
-        // The collector's shutdown sweep already closed and drained every
-        // shard; repeat it here in case the collector died early (a
+        // The collector's shutdown sweep already closed and drained the
+        // intake; repeat it here in case the collector died early (a
         // panicked collector must not strand submitted requests).
-        close_and_resolve_shards(&self.shared);
-        // Frames parked on sessions never reached a shard — close each
+        close_and_resolve_intake(&self.shared);
+        // Frames parked on sessions never reached the intake — close each
         // session queue (so racing submitters can no longer park) and
         // resolve the parked frames with the same typed error. In-flight
         // streamed frames are already dispatched and resolve normally.
@@ -1762,8 +1578,8 @@ impl std::fmt::Debug for PhiServer {
 }
 
 /// The dynamic batcher: sleeps until traffic (or a group deadline, or
-/// shutdown), drains every intake shard into private per-group buffers in
-/// global arrival order, and dispatches each group that is full or past
+/// shutdown), drains the intake queue into private per-group buffers in
+/// arrival order, and dispatches each group that is full or past
 /// its deadline to the worker pool. Coalescing is intentionally a single
 /// thread — it is the batching policy's serialization point and does a
 /// few pointer moves per request, while execution (the scalable part)
@@ -1834,24 +1650,17 @@ fn earliest_deadline(groups: &Groups, max_wait: Duration) -> Option<Instant> {
         .min()
 }
 
-/// Moves everything the shards hold into the collector's per-group
-/// buffers, restoring global arrival order by sequence stamp. Shard locks
-/// are held only for the O(1) deque handoff.
+/// Moves everything the intake queue holds into the collector's
+/// per-group buffers, in arrival order. The intake lock is held only for
+/// the O(1) deque handoff.
 fn drain_intake(shared: &Shared, groups: &mut Groups) {
     // Clear the flag *before* draining (with a swap, pairing with the
     // submitters' swap): a push that lands after this drain re-raises the
     // flag, so the next loop iteration drains it.
     shared.dirty.swap(false, Ordering::SeqCst);
-    let mut drained: Vec<Stamped> = Vec::new();
-    for shard in &shared.shards {
-        let mut shard = lock(shard);
-        if !shard.items.is_empty() {
-            drained.extend(shard.items.drain(..));
-        }
-    }
-    drained.sort_unstable_by_key(|stamped| stamped.seq);
-    for stamped in drained {
-        groups.entry(group_of(&stamped.pending)).or_default().push_back(stamped.pending);
+    let drained = std::mem::take(&mut lock(&shared.intake).items);
+    for pending in drained {
+        groups.entry(group_of(&pending)).or_default().push_back(pending);
     }
 }
 
@@ -1924,34 +1733,33 @@ fn shed_deadline(shared: &Shared, pending: Pending) {
     }
 }
 
-/// The collector's shutdown sweep: close every shard (so racing
+/// The collector's shutdown sweep: close the intake (so racing
 /// submitters observe the closure instead of stranding a request), then
 /// resolve everything undispatched with [`ServerError::ShuttingDown`].
 fn resolve_shutdown(shared: &Shared, groups: &mut Groups) {
     resolve_all(shared, groups, &ServerError::ShuttingDown);
 }
 
-/// Closes and drains the intake shards, resolving the drained requests
+/// Closes and drains the intake queue, resolving the drained requests
 /// with [`ServerError::ShuttingDown`]; idempotent.
-fn close_and_resolve_shards(shared: &Shared) {
+fn close_and_resolve_intake(shared: &Shared) {
     let mut resolved = 0usize;
-    for shard in &shared.shards {
-        let mut shard = lock(shard);
-        shard.closed = true;
-        for stamped in shard.items.drain(..) {
-            let _ = stamped.pending.tx.send(Err(ServerError::ShuttingDown));
-            resolved += 1;
-        }
+    let mut intake = lock(&shared.intake);
+    intake.closed = true;
+    for pending in intake.items.drain(..) {
+        let _ = pending.tx.send(Err(ServerError::ShuttingDown));
+        resolved += 1;
     }
+    drop(intake);
     if resolved > 0 {
         shared.queued.fetch_sub(resolved, Ordering::SeqCst);
     }
 }
 
-/// Resolves every undispatched request — shards and private buffers —
-/// with `error`; nothing vanishes silently.
+/// Resolves every undispatched request — intake queue and private
+/// buffers — with `error`; nothing vanishes silently.
 fn resolve_all(shared: &Shared, groups: &mut Groups, error: &ServerError) {
-    close_and_resolve_shards(shared);
+    close_and_resolve_intake(shared);
     let mut resolved = 0usize;
     for (_, buf) in groups.drain() {
         for pending in buf {
@@ -1964,7 +1772,7 @@ fn resolve_all(shared: &Shared, groups: &mut Groups, error: &ServerError) {
     }
 }
 
-/// Pushes an admitted request into an intake shard and wakes the
+/// Pushes an admitted request onto the intake queue and wakes the
 /// collector when the arrival changes its decision: traffic after idle
 /// starts a batch, and a full group dispatches immediately. Intermediate
 /// arrivals just set `dirty`, which the collector reads at its next
@@ -1973,16 +1781,15 @@ fn resolve_all(shared: &Shared, groups: &mut Groups, error: &ServerError) {
 /// sides `swap` the dirty flag, so the collector's drain is ordered
 /// after this push.
 ///
-/// On a closed shard (a shutdown race) the pending is handed back so the
+/// On a closed intake (a shutdown race) the pending is handed back so the
 /// caller can unwind its reservations and resolve or refuse it.
 fn push_admitted(shared: &Shared, pending: Pending, matching: usize) -> Result<(), Pending> {
-    let seq = shared.seq.fetch_add(1, Ordering::Relaxed);
     {
-        let mut shard = lock(&shared.shards[seq as usize % shared.shards.len()]);
-        if shard.closed {
+        let mut intake = lock(&shared.intake);
+        if intake.closed {
             return Err(pending);
         }
-        shard.items.push_back(Stamped { seq, pending });
+        intake.items.push_back(pending);
     }
     let first_after_idle = !shared.dirty.swap(true, Ordering::SeqCst);
     if first_after_idle || matching >= shared.config.max_batch {
@@ -2012,8 +1819,8 @@ fn release_session(shared: &Shared, session: &Arc<SessionEntry>) {
         let counter = pending.entry.group_counter(pending.rows);
         let matching = counter.load(Ordering::SeqCst);
         if let Err(pending) = push_admitted(shared, pending, matching) {
-            // Shutdown closed the shards; resolve the promoted frame the
-            // same way the shard drain would have.
+            // Shutdown closed the intake; resolve the promoted frame the
+            // same way the intake drain would have.
             counter.fetch_sub(1, Ordering::SeqCst);
             shared.queued.fetch_sub(1, Ordering::SeqCst);
             let _ = pending.tx.send(Err(ServerError::ShuttingDown));
@@ -2022,11 +1829,11 @@ fn release_session(shared: &Shared, session: &Arc<SessionEntry>) {
     }
 }
 
-/// A worker: pull a batch, execute it on this worker's cache shard of the
-/// model, resolve every rider with its share of the report plus
-/// wall-clock latency, and record stats. Exits when the collector hangs
-/// up the channel.
-fn worker_loop(worker: usize, rx: &Mutex<mpsc::Receiver<Batch>>, shared: &Shared) {
+/// A worker: pull a batch, execute it on the model version's executor,
+/// resolve every rider with its share of the report plus wall-clock
+/// latency, and record stats. Exits when the collector hangs up the
+/// channel.
+fn worker_loop(rx: &Mutex<mpsc::Receiver<Batch>>, shared: &Shared) {
     loop {
         // Hold the receiver lock only while waiting; execution happens
         // after it is released so other workers can pick up batches.
@@ -2034,16 +1841,13 @@ fn worker_loop(worker: usize, rx: &Mutex<mpsc::Receiver<Batch>>, shared: &Shared
             Ok(batch) => batch,
             Err(_) => return,
         };
-        serve_batch(batch, worker, shared);
+        serve_batch(batch, shared);
     }
 }
 
-fn serve_batch(batch: Batch, worker: usize, shared: &Shared) {
+fn serve_batch(batch: Batch, shared: &Shared) {
     let Batch { entry, pending } = batch;
-    // Under TileCacheMode::Shared there is one executor (index 0) whose
-    // caches every worker shares; under PerWorker each worker owns the
-    // executor (and cache lineage) at its own index.
-    let executor = &entry.executors[worker % entry.executors.len()];
+    let executor = &entry.executor;
     let exec_start = Instant::now();
     let queue_waits: Vec<Duration> =
         pending.iter().map(|p| exec_start.duration_since(p.enqueued)).collect();
@@ -2082,13 +1886,7 @@ fn serve_batch(batch: Batch, worker: usize, shared: &Shared) {
             // canary costs candidate-side throughput, never served
             // latency.
             if let Some((slot, candidate)) = shadow {
-                run_canary_shadow(
-                    &slot,
-                    &candidate,
-                    &requests,
-                    &served.unwrap_or_default(),
-                    worker,
-                );
+                run_canary_shadow(&slot, &candidate, &requests, &served.unwrap_or_default());
             }
         }
         Err(e) => {
@@ -2229,7 +2027,6 @@ fn run_canary_shadow(
     candidate: &Arc<CandidateState>,
     requests: &[InferenceRequest],
     served: &[Option<Matrix>],
-    worker: usize,
 ) {
     if candidate.decided.load(Ordering::Acquire) {
         return;
@@ -2243,7 +2040,7 @@ fn run_canary_shadow(
     if !admitted {
         return;
     }
-    let executor = &candidate.entry.executors[worker % candidate.entry.executors.len()];
+    let executor = &candidate.entry.executor;
     let outcome = catch_unwind(AssertUnwindSafe(|| executor.execute(requests)));
     let report = match outcome {
         Ok(Ok(report)) => report,
@@ -2488,33 +2285,6 @@ mod tests {
     }
 
     #[test]
-    fn intake_and_cache_modes_parse_and_display() {
-        for mode in [IntakeMode::Mutex, IntakeMode::Sharded] {
-            assert_eq!(mode.to_string().parse::<IntakeMode>(), Ok(mode));
-        }
-        for mode in [TileCacheMode::Shared, TileCacheMode::PerWorker] {
-            assert_eq!(mode.to_string().parse::<TileCacheMode>(), Ok(mode));
-        }
-        assert!("bogus".parse::<IntakeMode>().is_err());
-        assert!("bogus".parse::<TileCacheMode>().is_err());
-    }
-
-    #[test]
-    fn config_resolves_shard_counts() {
-        let config = ServerConfig::default();
-        assert_eq!(config.with_intake(IntakeMode::Mutex).intake_shard_count(), 1);
-        // Auto-sizing floors the sharded intake at 2 so it stays
-        // structurally distinct from the mutex baseline on one core.
-        assert!(config.with_intake(IntakeMode::Sharded).intake_shard_count() >= 2);
-        assert_eq!(config.with_intake_shards(5).intake_shard_count(), 5);
-        assert_eq!(config.cache_shard_count(), 1);
-        assert_eq!(
-            config.with_cache_mode(TileCacheMode::PerWorker).with_workers(3).cache_shard_count(),
-            3
-        );
-    }
-
-    #[test]
     fn server_serves_and_counts_requests() {
         let w = tiny_workload();
         let mut registry = ModelRegistry::new();
@@ -2560,26 +2330,6 @@ mod tests {
         let stats = server.stats("m").unwrap();
         assert_eq!((stats.served, stats.batches), (4, 1));
         assert!((stats.mean_batch - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mutex_intake_serves_the_same_contract() {
-        let w = tiny_workload();
-        let mut registry = ModelRegistry::new();
-        registry.register("m", model(&w));
-        let config = ServerConfig::default()
-            .with_intake(IntakeMode::Mutex)
-            .with_max_batch(4)
-            .with_max_wait(Duration::from_secs(3600))
-            .with_workers(1);
-        let server = PhiServer::start(registry, config);
-        assert_eq!(server.config().intake, IntakeMode::Mutex);
-        let handles: Vec<ResponseHandle> =
-            requests(&w, 4, 4, 5).into_iter().map(|r| server.submit("m", r).unwrap()).collect();
-        for handle in handles {
-            assert_eq!(handle.wait().unwrap().batch_size, 4);
-        }
-        assert_eq!(server.stats("m").unwrap().served, 4);
     }
 
     #[test]
@@ -2675,9 +2425,6 @@ mod tests {
         assert!(stats.tile_cache.capacity > 0);
         assert!(stats.tile_cache.hits > 0, "repeated traffic must hit: {:?}", stats.tile_cache);
         assert!(stats.tile_cache.hit_rate() > 0.0);
-        // Shared wiring: one cache shard whose counters equal the rollup.
-        assert_eq!(stats.tile_cache_shards.len(), 1);
-        assert_eq!(stats.tile_cache_shards[0], stats.tile_cache);
 
         // A cache-disabled server serves identical readouts.
         let mut registry = ModelRegistry::new();
@@ -2690,29 +2437,6 @@ mod tests {
         }
         let stats = off.stats("m").unwrap();
         assert_eq!(stats.tile_cache, TileCacheStats::default());
-    }
-
-    #[test]
-    fn per_worker_cache_mode_reports_one_shard_per_worker() {
-        let w = tiny_workload();
-        let mut registry = ModelRegistry::new();
-        registry.register("m", model(&w));
-        let config = ServerConfig::default()
-            .with_workers(2)
-            .with_cache_mode(TileCacheMode::PerWorker)
-            .with_tile_cache(1 << 12);
-        let server = PhiServer::start(registry, config);
-        for r in requests(&w, 6, 4, 17) {
-            server.submit("m", r).unwrap().wait().unwrap();
-        }
-        let stats = server.stats("m").unwrap();
-        assert_eq!(stats.served, 6);
-        assert_eq!(stats.tile_cache_shards.len(), 2);
-        // The aggregate is exactly the shard sum.
-        let rollup = TileCacheStats::merged(stats.tile_cache_shards.iter().copied());
-        assert_eq!(rollup, stats.tile_cache);
-        // Someone decomposed something, so at least one shard saw misses.
-        assert!(stats.tile_cache.misses > 0);
     }
 
     #[test]

@@ -162,3 +162,13 @@ fn truncated_header_is_rejected_with_truncation_error() {
         ));
     }
 }
+
+#[test]
+fn zero_layer_artifacts_are_rejected() {
+    // Serializable, but unservable: a model without layers has no readout.
+    let bytes = CompiledModel::new("empty".into(), 16, 8, 0, vec![]).to_bytes();
+    assert_eq!(
+        CompiledModel::from_bytes(&bytes).unwrap_err(),
+        RuntimeError::Shape { op: "layer count", expected: 1, actual: 0 }
+    );
+}
