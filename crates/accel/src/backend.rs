@@ -10,9 +10,7 @@
 //!   the Phi accelerator, bit-identical to calling the simulator directly.
 //!   Used when a batch asks for [`MetricsMode::FullSim`].
 //! * [`CpuBackend`] executes the decomposition directly on the host: the
-//!   PWP-based sparse matmul — cross-row product-sparsity reuse
-//!   ([`phi_core::phi_matmul_batch_reuse`]) by default, the rayon-parallel
-//!   per-row sweep ([`phi_core::par_phi_matmul`]) under `PHI_REUSE=off` —
+//!   rayon-parallel PWP sparse matmul ([`phi_core::par_phi_matmul`]),
 //!   with no tile scheduler, packer walk, or traffic/energy bookkeeping
 //!   on the hot path. It cannot model hardware; it exists to produce
 //!   outputs as fast as the host allows.
@@ -24,10 +22,7 @@
 use crate::config::PhiConfig;
 use crate::report::LayerReport;
 use crate::sim::PhiSimulator;
-use phi_core::{
-    par_phi_matmul, phi_matmul_batch_reuse, reuse_mode, Decomposition, PwpTable, ReuseMode,
-    ReuseStats,
-};
+use phi_core::{par_phi_matmul, Decomposition, PwpTable};
 use snn_core::{GemmShape, Matrix};
 
 /// A value-level backend choice, for configuration surfaces (server
@@ -135,10 +130,6 @@ pub struct LayerOutput {
     pub report: Option<LayerReport>,
     /// Functional output rows, when a [`ReadoutPlan`] was supplied.
     pub readout: Option<Matrix>,
-    /// Cross-row reuse accounting — `Some` only when the readout ran
-    /// through a product-sparsity [`phi_core::ReusePlan`]
-    /// ([`CpuBackend`] under [`phi_core::ReuseMode::Auto`]).
-    pub reuse: Option<ReuseStats>,
 }
 
 /// A compute engine that executes decomposed layers.
@@ -243,26 +234,19 @@ impl ExecutionBackend for SimBackend {
         let report = (metrics == MetricsMode::FullSim).then(|| {
             self.sim.run_decomposition(work.decomp, work.shape, work.row_scale, work.name)
         });
-        LayerOutput { report, readout: compute_readout(work), reuse: None }
+        LayerOutput { report, readout: compute_readout(work) }
     }
 }
 
 /// The fast host-CPU backend: executes the decomposition directly via the
 /// PWP sparse matmul, with zero accelerator bookkeeping.
 ///
-/// Its outputs are bit-identical to [`SimBackend`]'s; it never produces a
-/// [`LayerReport`]. Under [`phi_core::ReuseMode::Auto`] (the default;
-/// `PHI_REUSE=off` or [`phi_core::force_reuse`] disables it) outputs-only
-/// batches run through the cross-row product-sparsity plan
-/// ([`phi_core::phi_matmul_batch_reuse`]): each distinct pattern-weight
-/// product and shared Level-1 partial in the fused batch is computed once
-/// and rows assemble from the shared partials — bit-identical to the
-/// per-row [`phi_core::par_phi_matmul`] sweep by the prefix
-/// accumulation-order rule (see `phi_core::pwp`). The inner accumulation
-/// runs on the runtime-dispatched [`phi_core::simd`] kernels —
-/// elementwise `f32` adds with no reassociation — so readouts are also
-/// bit-identical across every dispatch level (`PHI_SIMD=off|scalar|auto`)
-/// and both reuse modes.
+/// Its outputs are bit-identical to [`SimBackend`]'s (both answer through
+/// the same [`phi_core::par_phi_matmul`] kernel); it never produces a
+/// [`LayerReport`]. The inner accumulation runs on the runtime-dispatched
+/// [`phi_core::simd`] kernels — elementwise `f32` adds with no
+/// reassociation — so readouts are also bit-identical across every
+/// dispatch level (`PHI_SIMD=off|scalar|auto`).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CpuBackend;
 
@@ -280,14 +264,7 @@ impl ExecutionBackend for CpuBackend {
             metrics == MetricsMode::OutputsOnly,
             "CpuBackend cannot model hardware; callers must request OutputsOnly"
         );
-        if reuse_mode() == ReuseMode::Auto {
-            if let Some(plan) = work.readout {
-                let (readout, stats) = phi_matmul_batch_reuse(work.decomp, plan.pwp, plan.weights)
-                    .expect("readout plan shapes must match the decomposition");
-                return LayerOutput { report: None, readout: Some(readout), reuse: Some(stats) };
-            }
-        }
-        LayerOutput { report: None, readout: compute_readout(work), reuse: None }
+        LayerOutput { report: None, readout: compute_readout(work) }
     }
 }
 
@@ -351,24 +328,6 @@ mod tests {
         // with no NaNs in play), so this pins SIMD == scalar end to end.
         assert_eq!(auto.readout, scalar.readout);
         assert!(auto.readout.is_some());
-    }
-
-    #[test]
-    fn reuse_off_readout_is_bit_identical_to_auto() {
-        let f = fixture(17);
-        let prev = phi_core::force_reuse(phi_core::ReuseMode::Auto);
-        let auto = CpuBackend.run_layer(&work(&f, true), MetricsMode::OutputsOnly);
-        phi_core::force_reuse(phi_core::ReuseMode::Off);
-        let off = CpuBackend.run_layer(&work(&f, true), MetricsMode::OutputsOnly);
-        phi_core::force_reuse(prev);
-        assert_eq!(auto.readout, off.readout);
-        assert!(auto.readout.is_some());
-        // The planned path accounts its work; the per-row path reports
-        // nothing to account.
-        let stats = auto.reuse.expect("auto mode reports reuse stats");
-        assert_eq!(stats.rows, 64);
-        assert!(stats.term_rows_computed <= stats.term_rows_total);
-        assert!(off.reuse.is_none());
     }
 
     #[test]

@@ -66,13 +66,9 @@ pub use backend::{
     BackendKind, CpuBackend, ExecutionBackend, LayerOutput, LayerWork, MetricsMode, ReadoutPlan,
     SimBackend,
 };
-// The execution-reuse vocabulary (`PHI_REUSE` knob and its counters),
-// re-exported so backend callers can configure and observe the CPU
-// path's product-sparsity pass without importing `phi_core` directly.
 pub use config::PhiConfig;
 pub use dram::DramModel;
 pub use energy::{AreaBreakdown, EnergyBreakdown, EnergyModel};
-pub use phi_core::{force_reuse, reuse_mode, ReuseMode, ReuseStats};
 pub use report::{LayerReport, ModelReport};
 pub use sim::PhiSimulator;
 pub use traffic::TrafficReport;

@@ -10,9 +10,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use phi_core::{
-    compress_tiles, decompose, hamming_kmeans_unweighted, par_phi_matmul, phi_matmul_batch_reuse,
-    phi_matmul_row_into, simd, weighted_hamming_kmeans, CalibrationConfig, CalibrationEngine,
-    Calibrator, KmeansConfig, PwpTable, ReusePlan,
+    compress_tiles, decompose, hamming_kmeans_unweighted, phi_matmul_row_into, simd,
+    weighted_hamming_kmeans, CalibrationConfig, CalibrationEngine, Calibrator, KmeansConfig,
+    PwpTable,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -162,73 +162,11 @@ fn bench_phi_matmul_row(c: &mut Criterion) {
     group.finish();
 }
 
-/// Product-sparsity A/B on the deepest VGG-16 layer: the reuse-plan
-/// builder alone, then the planned batch executor
-/// (`phi_matmul_batch_reuse`, build + term-stationary sweeps) against the
-/// per-row sweep (`par_phi_matmul`), on fused serving batches of 8 and 64
-/// requests × 4 rows — the shapes the serving executor fuses.
-fn bench_batch_reuse(c: &mut Criterion) {
-    let workload = vgg16_cifar10();
-    let (li, layer) = workload
-        .layers
-        .iter()
-        .enumerate()
-        .max_by_key(|(_, l)| l.spec.shape.k * l.spec.shape.n)
-        .expect("workload has layers");
-    let mut rng = StdRng::seed_from_u64(0xF00D ^ li as u64);
-    let weights = Matrix::random(layer.spec.shape.k, layer.spec.shape.n, &mut rng);
-    let mut cal_rng = StdRng::seed_from_u64(7u64.wrapping_add(li as u64));
-    let patterns =
-        Calibrator::new(CalibrationConfig::default()).calibrate(&layer.calibration, &mut cal_rng);
-    let pwp = PwpTable::new(&patterns, &weights).expect("weights match patterns");
-    for batch in [8usize, 64] {
-        let requests = workload.sample_requests(batch, 4, 0xBA7C4);
-        let mats: Vec<&SpikeMatrix> = requests.iter().map(|r| &r[li]).collect();
-        let fused = SpikeMatrix::vstack(&mats).expect("fused batch stacks");
-        let decomp = decompose(&fused, &patterns);
-        let plan = ReusePlan::build(&decomp);
-        println!(
-            "batch {batch}: {} rows, reuse rate {:.3}, loads/refs {:.3}, profitable {}",
-            fused.rows(),
-            plan.stats().reuse_rate(),
-            plan.stats().term_loads as f64 / plan.stats().term_rows_total.max(1) as f64,
-            plan.is_profitable_for(weights.cols()),
-        );
-        let mut group = c.benchmark_group(format!("batch_reuse_b{batch}"));
-        group.sample_size(10);
-        group.bench_function("plan_build", |b| {
-            b.iter(|| black_box(ReusePlan::build(black_box(&decomp))))
-        });
-        group.bench_function("per_row", |b| {
-            b.iter(|| {
-                black_box(
-                    par_phi_matmul(black_box(&decomp), black_box(&pwp), black_box(&weights))
-                        .expect("shapes match"),
-                )
-            })
-        });
-        group.bench_function("reuse", |b| {
-            b.iter(|| {
-                black_box(
-                    phi_matmul_batch_reuse(
-                        black_box(&decomp),
-                        black_box(&pwp),
-                        black_box(&weights),
-                    )
-                    .expect("shapes match"),
-                )
-            })
-        });
-        group.finish();
-    }
-}
-
 criterion_group!(
     benches,
     bench_engines,
     bench_kmeans_compression,
     bench_hamming_batch,
-    bench_phi_matmul_row,
-    bench_batch_reuse
+    bench_phi_matmul_row
 );
 criterion_main!(benches);

@@ -21,11 +21,8 @@
 //! *functional execution* of those decompositions through the CPU
 //! execution backend ([`phi_accel::CpuBackend`]) — the pure PWP
 //! sparse-matmul hot path a serving request pays after decomposition,
-//! with zero simulator bookkeeping. A separate fused batch-64 execution
-//! pair (per-row vs the product-sparsity batch executor, on the stacked
-//! serving batches the runtime executor actually builds) carries the
-//! reuse floor. All three decomposition paths are asserted bit-identical
-//! before anything is written.
+//! with zero simulator bookkeeping. All three decomposition paths are
+//! asserted bit-identical before anything is written.
 //!
 //! Run with `cargo run --release -p phi_bench --bin bench_pipeline`.
 //! Environment knobs:
@@ -44,13 +41,6 @@
 //!   execution tracks (default 1.1; 0 disables). Skipped automatically
 //!   when dispatch resolves to scalar (`PHI_SIMD=scalar` or a host
 //!   without AVX2/NEON).
-//! * `PHI_PIPELINE_MIN_REUSE_SPEEDUP` — floor for the product-sparsity
-//!   batch executor ([`phi_core::phi_matmul_batch_reuse`]) vs the per-row
-//!   sweep on the *fused serving batches* track: 64 requests × 4 rows
-//!   sampled from the workload's calibrated cluster model and stacked per
-//!   layer, exactly what the serving executor hands the backend at batch
-//!   64 (default 1.15; 0 disables). The two tracks are always asserted
-//!   bit-identical first.
 //! * `PHI_SIMD` — kernel dispatch override (see [`phi_core::simd`]); the
 //!   recorded `simd_dispatch` field names the level every track above ran
 //!   at.
@@ -58,13 +48,12 @@
 use phi_accel::{CpuBackend, ExecutionBackend, LayerWork, MetricsMode, ReadoutPlan};
 use phi_bench::{bench_runs, env_f64};
 use phi_core::{
-    decompose, decompose_cached, force_reuse, simd, total_distance, CalibrationConfig,
-    CalibrationEngine, Calibrator, LayerMatchIndex, PwpTable, ReuseMode, ReuseStats, TileCache,
-    TileCacheStats,
+    decompose, decompose_cached, simd, total_distance, CalibrationConfig, CalibrationEngine,
+    Calibrator, LayerMatchIndex, PwpTable, TileCache, TileCacheStats,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use snn_core::{Matrix, SpikeMatrix};
+use snn_core::Matrix;
 use snn_workloads::{DatasetId, ModelId, Workload, WorkloadConfig};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -332,26 +321,11 @@ fn main() {
         .collect();
     let backend = CpuBackend;
 
-    // Fused serving batches for the product-sparsity A/B: 64 requests ×
-    // 4 rows per layer, drawn from the workload's calibrated cluster
-    // model and stacked per layer — the exact matrices the serving
-    // executor hands the backend at batch 64, where cross-row
-    // duplication lives.
-    let requests = workload.sample_requests(64, 4, 0xBA7C4);
-    let fused: Vec<_> = (0..layers)
-        .map(|l| {
-            let mats: Vec<&SpikeMatrix> = requests.iter().map(|r| &r[l]).collect();
-            SpikeMatrix::vstack(&mats).expect("fused batch stacks")
-        })
-        .collect();
-    let fused_decomps: Vec<_> =
-        fused.iter().zip(&patterns).map(|(acts, lp)| decompose(acts, lp)).collect();
-
-    // One full sweep of the given per-layer decompositions through the
-    // CPU backend, outputs only.
-    let sweep = |decomps: &[phi_core::Decomposition], expect_reuse: bool| {
+    // One full sweep of the per-layer decompositions through the CPU
+    // backend, outputs only.
+    let sweep = || {
         for (((layer, decomp), pwp), w) in
-            workload.layers.iter().zip(decomps).zip(&pwps).zip(&weights)
+            workload.layers.iter().zip(&decomps).zip(&pwps).zip(&weights)
         {
             let work = LayerWork {
                 decomp,
@@ -362,103 +336,30 @@ fn main() {
             };
             let out = backend.run_layer(&work, MetricsMode::OutputsOnly);
             assert!(out.readout.is_some() && out.report.is_none());
-            if expect_reuse {
-                assert!(out.reuse.is_some(), "reuse track must take the planned path");
-            }
             std::hint::black_box(out);
         }
     };
-    // Four execution tracks, interleaved: the full-workload per-row
-    // sweep (reuse forced off — the SIMD A/B baseline), the fused
-    // batch-64 sweep per-row and through the product-sparsity batch
-    // executor (the reuse A/B pair), and — when dispatch is non-scalar —
-    // the full-workload sweep under forced-scalar kernels.
-    let mut run_execute = || {
-        let prev = force_reuse(ReuseMode::Off);
-        sweep(&decomps, false);
-        force_reuse(prev);
-    };
-    let mut run_batch64 = || {
-        let prev = force_reuse(ReuseMode::Off);
-        sweep(&fused_decomps, false);
-        force_reuse(prev);
-    };
-    let mut run_batch64_reuse = || {
-        let prev = force_reuse(ReuseMode::Auto);
-        sweep(&fused_decomps, true);
-        force_reuse(prev);
-    };
+    // Two execution tracks, interleaved: the full-workload sweep, and —
+    // when dispatch is non-scalar — the same sweep under forced-scalar
+    // kernels.
+    let mut run_execute = sweep;
     let mut run_execute_scalar = || {
-        let prev = force_reuse(ReuseMode::Off);
         let prev_simd = simd::force(simd::SimdLevel::Scalar);
-        sweep(&decomps, false);
+        sweep();
         simd::force(prev_simd);
-        force_reuse(prev);
     };
-    let mut variants: Vec<&mut dyn FnMut()> =
-        vec![&mut run_execute, &mut run_batch64, &mut run_batch64_reuse];
+    let mut variants: Vec<&mut dyn FnMut()> = vec![&mut run_execute];
     if scalar_ab {
         variants.push(&mut run_execute_scalar);
     }
-    // The reuse-vs-per-row ratio gates an acceptance floor and both
-    // sides swing several ms with slow-timescale machine noise; a handful
-    // of extra repetitions (each tens of ms) makes the min-of-runs
-    // estimate stable where the default count is not.
+    // The SIMD ratio gates an acceptance floor and both sides swing with
+    // slow-timescale machine noise; a handful of extra repetitions (each
+    // tens of ms) makes the min-of-runs estimate stable where the default
+    // count is not.
     let times = time_interleaved(runs.max(9), &mut variants);
     let cpu_execute_time = times[0];
-    let cpu_batch64_time = times[1];
-    let cpu_batch64_reuse_time = times[2];
-    let scalar_execute = scalar_ab.then(|| times[3]);
-    let reuse_speedup = cpu_batch64_time.as_secs_f64() / cpu_batch64_reuse_time.as_secs_f64();
-    println!("functional execution (cpu backend, full workload, per-row): {cpu_execute_time:?}");
-    println!("functional execution (cpu backend, fused batch-64, per-row): {cpu_batch64_time:?}");
-    println!(
-        "functional execution (cpu backend, fused batch-64, reuse): {cpu_batch64_reuse_time:?} \
-         ({reuse_speedup:.2}x)"
-    );
-
-    // One checked pass per fused layer batch: the planned (reuse)
-    // readouts must be bit-identical to the per-row sweep, and the
-    // plans' deterministic counters are the recorded reuse rate.
-    let checked_sweep = |reuse_stats: &mut ReuseStats, collect_stats: bool| {
-        workload
-            .layers
-            .iter()
-            .zip(&fused_decomps)
-            .zip(&pwps)
-            .zip(&weights)
-            .map(|(((layer, decomp), pwp), w)| {
-                let work = LayerWork {
-                    decomp,
-                    shape: layer.spec.shape,
-                    row_scale: layer.row_scale,
-                    name: &layer.spec.name,
-                    readout: Some(ReadoutPlan { pwp, weights: w }),
-                };
-                let out = backend.run_layer(&work, MetricsMode::OutputsOnly);
-                if collect_stats {
-                    reuse_stats.merge(&out.reuse.expect("reuse track must take the planned path"));
-                }
-                out.readout
-            })
-            .collect()
-    };
-    let mut reuse_stats = ReuseStats::default();
-    let prev = force_reuse(ReuseMode::Auto);
-    let reuse_readouts: Vec<_> = checked_sweep(&mut reuse_stats, true);
-    force_reuse(ReuseMode::Off);
-    let perrow_readouts = checked_sweep(&mut reuse_stats, false);
-    force_reuse(prev);
-    let reuse_identical = reuse_readouts == perrow_readouts;
-    println!(
-        "reuse vs per-row: bit-identical {reuse_identical}, reuse rate {:.4} ({} of {} term \
-         rows shared, {} L1 classes, {} products)",
-        reuse_stats.reuse_rate(),
-        reuse_stats.term_rows_total - reuse_stats.term_rows_computed,
-        reuse_stats.term_rows_total,
-        reuse_stats.l1_classes,
-        reuse_stats.products
-    );
+    let scalar_execute = scalar_ab.then(|| times[1]);
+    println!("functional execution (cpu backend, full workload): {cpu_execute_time:?}");
 
     // SIMD A/B: re-run the cold decomposition and CPU execution tracks
     // with dispatch forced to scalar, assert bit-identity against the
@@ -469,9 +370,6 @@ fn main() {
         let scalar_cold = scalar_cold.expect("timed when dispatch is non-scalar");
         let scalar_execute = scalar_execute.expect("timed when dispatch is non-scalar");
         println!("checking forced-scalar bit-identity (decompose cold + cpu execute)...");
-        // The A/B isolates the SIMD kernels: both sides run the per-row
-        // sweep (reuse has its own bit-identity check above).
-        let prev_reuse = force_reuse(ReuseMode::Off);
         let prev = simd::force(simd::SimdLevel::Scalar);
         let scalar_decomps: Vec<_> = workload
             .layers
@@ -523,7 +421,6 @@ fn main() {
                 backend.run_layer(&work, MetricsMode::OutputsOnly).readout
             })
             .collect();
-        force_reuse(prev_reuse);
         let identical = scalar_decomps == simd_decomps && scalar_readouts == simd_readouts;
         let dec_speedup = scalar_cold.as_secs_f64() / cold_time.as_secs_f64();
         let exe_speedup = scalar_execute.as_secs_f64() / cpu_execute_time.as_secs_f64();
@@ -572,20 +469,6 @@ fn main() {
   }},
   "decompose_paths_bit_identical": {paths_identical},
   "cpu_execute_ms": {cpu_ms:.3},
-  "cpu_execute_batch64_ms": {batch64_ms:.3},
-  "cpu_execute_reuse_ms": {reuse_ms:.3},
-  "reuse_speedup": {reuse_speedup:.3},
-  "reuse_bit_identical": {reuse_identical},
-  "reuse": {{
-    "rows": {reuse_rows},
-    "term_rows_total": {reuse_total},
-    "term_rows_computed": {reuse_computed},
-    "reuse_rate": {reuse_rate:.6},
-    "l1_classes": {reuse_classes},
-    "products": {reuse_products},
-    "shared_partial_hits": {reuse_hits},
-    "prefix_links": {reuse_prefix}
-  }},
   "simd_dispatch": "{simd_level}",
   "simd_scalar": {simd_json}
 }}
@@ -602,16 +485,6 @@ fn main() {
         cache_entries = cache_stats.entries,
         cache_hit_rate = cache_stats.hit_rate(),
         cpu_ms = cpu_execute_time.as_secs_f64() * 1e3,
-        batch64_ms = cpu_batch64_time.as_secs_f64() * 1e3,
-        reuse_ms = cpu_batch64_reuse_time.as_secs_f64() * 1e3,
-        reuse_rows = reuse_stats.rows,
-        reuse_total = reuse_stats.term_rows_total,
-        reuse_computed = reuse_stats.term_rows_computed,
-        reuse_rate = reuse_stats.reuse_rate(),
-        reuse_classes = reuse_stats.l1_classes,
-        reuse_products = reuse_stats.products,
-        reuse_hits = reuse_stats.shared_partial_hits,
-        reuse_prefix = reuse_stats.prefix_links,
     );
 
     // Assert before persisting, so a failed acceptance run can never
@@ -665,23 +538,6 @@ fn main() {
         );
     } else {
         println!("PHI_TILE_CACHE=0: warm-speedup floor skipped (cache disabled)");
-    }
-    // The product-sparsity pass must keep earning its keep: bit-identity
-    // unconditionally, and the planned path at least
-    // PHI_PIPELINE_MIN_REUSE_SPEEDUP times the per-row sweep on this
-    // workload's fused batches.
-    assert!(
-        reuse_identical,
-        "reuse-planned and per-row readouts must be bit-identical on every layer"
-    );
-    let min_reuse = env_f64("PHI_PIPELINE_MIN_REUSE_SPEEDUP", 1.15);
-    if min_reuse > 0.0 {
-        assert!(
-            reuse_speedup >= min_reuse,
-            "reuse execution on fused batch-64 ({cpu_batch64_reuse_time:?}) must be at least \
-             {min_reuse}x faster than the per-row sweep ({cpu_batch64_time:?}), got \
-             {reuse_speedup:.2}x"
-        );
     }
     // The SIMD kernels must actually pay for their dispatch: dispatched
     // vs forced-scalar, on both tracks. Bit-identity is unconditional —

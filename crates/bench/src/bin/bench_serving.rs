@@ -41,19 +41,11 @@
 //!   (default 4; 0 disables).
 //! * `PHI_SERVING_MIN_CPU_SPEEDUP` — floor for CPU-vs-sim backend at
 //!   batch 64 (default 2; 0 disables).
-//!
-//! The CPU track additionally times batch-64 serving with the
-//! product-sparsity reuse pass forced off and on (interleaved, fastest
-//! repetition each), asserts the two serve bit-identical readouts, and
-//! records the executor's cumulative [`phi_runtime::ReuseStats`]. The
-//! speedup floor for the reuse pass lives in `bench_pipeline`
-//! (`PHI_PIPELINE_MIN_REUSE_SPEEDUP`); here the A/B is recorded, not
-//! gated, because serving wall-clock also pays intake and fusion.
 
 use phi_bench::{bench_runs, env_f64, median};
 use phi_runtime::{
-    force_reuse, readouts_identical, BatchExecutor, CompileOptions, CompiledModel,
-    InferenceRequest, ModelCompiler, ReuseMode,
+    readouts_identical, BatchExecutor, CompileOptions, CompiledModel, InferenceRequest,
+    ModelCompiler,
 };
 use snn_workloads::{DatasetId, ModelId, WorkloadConfig};
 use std::path::PathBuf;
@@ -80,27 +72,6 @@ fn time_runs(runs: usize, mut f: impl FnMut()) -> Duration {
             })
             .collect(),
     )
-}
-
-/// Times variants round-robin — variant 0, 1, …, then variant 0 again —
-/// taking each variant's *fastest* repetition: the two sides of a
-/// ratio must sample the same interference epochs, or background-load
-/// drift shows up as a phantom speedup (same rationale as
-/// `bench_pipeline`).
-fn time_interleaved(runs: usize, fs: &mut [&mut dyn FnMut()]) -> Vec<Duration> {
-    for f in fs.iter_mut() {
-        f(); // warm-up
-    }
-    let mut mins = vec![Duration::MAX; fs.len()];
-    for _ in 0..runs {
-        for (min, f) in mins.iter_mut().zip(fs.iter_mut()) {
-            let start = Instant::now();
-            f();
-            let elapsed = start.elapsed();
-            *min = (*min).min(elapsed);
-        }
-    }
-    mins
 }
 
 /// Times one executor over the batch-size sweep, returning inf/s per size.
@@ -212,52 +183,6 @@ fn main() {
         "tile-cached readouts must equal the cache-disabled path bit-for-bit"
     );
 
-    // Product-sparsity A/B: batch-64 serving through a fresh CPU executor
-    // with the reuse pass forced off and on, interleaved (fastest
-    // repetition each). The fresh executor keeps the cumulative reuse
-    // counters scoped to this track's reuse-on runs.
-    println!("timing cpu batch-64 serving, reuse off vs on (interleaved, {runs} runs)...");
-    let reuse_executor = BatchExecutor::cpu(Arc::clone(&model));
-    let mut serve_off = || {
-        let prev = force_reuse(ReuseMode::Off);
-        std::hint::black_box(reuse_executor.execute(&requests).expect("batch serves"));
-        force_reuse(prev);
-    };
-    let mut serve_on = || {
-        let prev = force_reuse(ReuseMode::Auto);
-        std::hint::black_box(reuse_executor.execute(&requests).expect("batch serves"));
-        force_reuse(prev);
-    };
-    let reuse_times = time_interleaved(runs, &mut [&mut serve_off, &mut serve_on]);
-    let reuse_off_inf_s = REQUESTS as f64 / reuse_times[0].as_secs_f64();
-    let reuse_on_inf_s = REQUESTS as f64 / reuse_times[1].as_secs_f64();
-    let serving_reuse_speedup = reuse_times[0].as_secs_f64() / reuse_times[1].as_secs_f64();
-    println!(
-        "  reuse off: {reuse_off_inf_s:.1} inf/s, reuse on: {reuse_on_inf_s:.1} inf/s \
-         ({serving_reuse_speedup:.2}x)"
-    );
-
-    // Bit-identity between the two modes, through the full serving path.
-    let prev = force_reuse(ReuseMode::Off);
-    let report_off = reuse_executor.execute(&requests).expect("batch serves");
-    force_reuse(ReuseMode::Auto);
-    let report_on = reuse_executor.execute(&requests).expect("batch serves");
-    force_reuse(prev);
-    let reuse_matches = readouts_identical(&report_off, &report_on);
-    println!("reuse-on outputs == reuse-off outputs: {reuse_matches}");
-    assert!(reuse_matches, "reuse-pass readouts must equal the per-row path bit-for-bit");
-
-    let mut reuse_stats = cpu_executor.reuse_stats();
-    reuse_stats.merge(&reuse_executor.reuse_stats());
-    println!(
-        "cumulative reuse: rate {:.3}, loads/refs {:.3} ({} rows, {} products, {} prefix links)",
-        reuse_stats.reuse_rate(),
-        reuse_stats.term_loads as f64 / reuse_stats.term_rows_total.max(1) as f64,
-        reuse_stats.rows,
-        reuse_stats.products,
-        reuse_stats.prefix_links,
-    );
-
     if cpu_only {
         println!("PHI_SERVING_TRACKS=cpu: smoke complete, BENCH_serving.json left untouched");
         return;
@@ -312,17 +237,6 @@ fn main() {
     "batch_8_inf_per_s": {c8:.3},
     "batch_64_inf_per_s": {c64:.3}
   }},
-  "cpu_reuse": {{
-    "batch_64_off_inf_per_s": {reuse_off_inf_s:.3},
-    "batch_64_on_inf_per_s": {reuse_on_inf_s:.3},
-    "serving_speedup": {serving_reuse_speedup:.3},
-    "reuse_rate": {reuse_rate:.6},
-    "term_loads_fraction": {loads_fraction:.6},
-    "rows": {reuse_rows},
-    "products": {reuse_products},
-    "prefix_links": {reuse_prefix_links},
-    "outputs_match_per_row": {reuse_matches}
-  }},
   "speedup_batch64_vs_single_request": {speedup_vs_single:.3},
   "speedup_cpu_vs_sim_batch64": {speedup_cpu_vs_sim:.3},
   "tile_cache": {{
@@ -350,11 +264,6 @@ fn main() {
         cache_evictions = cache_stats.evictions,
         cache_hit_rate = cache_stats.hit_rate(),
         layers = workload.layers.len(),
-        reuse_rate = reuse_stats.reuse_rate(),
-        loads_fraction = reuse_stats.term_loads as f64 / reuse_stats.term_rows_total.max(1) as f64,
-        reuse_rows = reuse_stats.rows,
-        reuse_products = reuse_stats.products,
-        reuse_prefix_links = reuse_stats.prefix_links,
         threads = std::thread::available_parallelism().map(usize::from).unwrap_or(1),
         compile_ms = compile_time.as_secs_f64() * 1e3,
         artifact_bytes = bytes.len(),

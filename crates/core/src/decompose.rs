@@ -945,10 +945,9 @@ impl Decomposition {
 
     /// The raw Level-1 index row of `row` — one `u16` per partition, in
     /// partition order, with [`Decomposition::NO_PATTERN`] marking
-    /// unassigned tiles. This is the zero-cost per-row term view the
-    /// cross-row reuse planner ([`crate::pwp::ReusePlan`]) groups and
-    /// hashes rows by; [`Decomposition::l1_index`] is the decoded
-    /// single-tile accessor.
+    /// unassigned tiles. This is the zero-cost per-row term view
+    /// [`crate::pwp::ReuseStats::of`] counts term rows through;
+    /// [`Decomposition::l1_index`] is the decoded single-tile accessor.
     ///
     /// # Panics
     ///

@@ -76,10 +76,7 @@ pub use kmeans::{
 };
 pub use paft::{AlignmentModel, PaftRegularizer};
 pub use pattern::{Pattern, PatternSet};
-pub use pwp::{
-    force_reuse, par_phi_matmul, phi_matmul, phi_matmul_batch_reuse, phi_matmul_row_into,
-    reuse_mode, PwpTable, ReuseMode, ReusePlan, ReuseStats,
-};
+pub use pwp::{par_phi_matmul, phi_matmul, phi_matmul_row_into, PwpTable, ReuseStats};
 pub use stats::SparsityStats;
 
 /// Runtime-dispatched SIMD kernels for the bit-op hot loops (re-exported

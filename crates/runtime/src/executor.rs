@@ -6,7 +6,9 @@
 //! against the artifact's patterns, then the layer is handed to the
 //! executor's backend. Rows decompose independently, so the fused results
 //! are bit-identical to running each request alone; layers fan out across
-//! rayon workers.
+//! rayon workers. Streamed frames take the same path with one session per
+//! request: only the decomposition differs, diffing each frame against
+//! its session's memo instead of stacking raw rows.
 //!
 //! What happens per layer depends on the backend and the batch's
 //! [`MetricsMode`]:
@@ -282,9 +284,8 @@ pub struct BatchExecutor<B = SimBackend> {
     caches: Arc<Vec<TileCache>>,
     /// Recycled word buffers for batch assembly ([`SpikeMatrix::vstack_into`]).
     scratch: Arc<Mutex<Vec<Vec<u64>>>>,
-    /// Cumulative cross-row reuse counters from every layer the backend
-    /// executed through a product-sparsity plan, shared across clones
-    /// like the tile caches.
+    /// Cumulative term-row work of every readout the backend computed,
+    /// shared across clones like the tile caches.
     reuse: Arc<Mutex<ReuseStats>>,
 }
 
@@ -371,12 +372,11 @@ impl<B: ExecutionBackend> BatchExecutor<B> {
         TileCacheStats::merged(self.caches.iter().map(TileCache::stats))
     }
 
-    /// Cumulative product-sparsity reuse counters over every readout layer
-    /// the backend executed through a cross-row reuse plan (see
-    /// `phi_core::phi_matmul_batch_reuse`). All-zero when the backend
-    /// never took the planned path — e.g. under `PHI_REUSE=off`, under
-    /// [`MetricsMode::FullSim`], or on a backend without the CPU readout
-    /// fast path. Shared across clones, like the tile caches.
+    /// Cumulative term-row work ([`ReuseStats::of`]) of every readout the
+    /// backend computed, on either backend and either batch path; stream
+    /// rows replayed from a session's previous readout are not counted.
+    /// All-zero on an artifact without readout weights. Shared across
+    /// clones, like the tile caches.
     pub fn reuse_stats(&self) -> ReuseStats {
         *crate::sync::lock(&self.reuse)
     }
@@ -415,58 +415,7 @@ impl<B: ExecutionBackend> BatchExecutor<B> {
         batch: &[InferenceRequest],
         metrics: MetricsMode,
     ) -> Result<BatchReport> {
-        if metrics == MetricsMode::FullSim && !self.backend.models_hardware() {
-            return Err(RuntimeError::MetricsUnavailable { backend: self.backend.name() });
-        }
-        let first = batch.first().ok_or(RuntimeError::EmptyBatch)?;
-        let rows = first.rows()?;
-        for request in batch {
-            request.validate(&self.model, rows)?;
-        }
-
-        let layers = self.model.layers();
-        let last = layers.len() - 1;
-        // Under FullSim every layer is decomposed and simulated. Under
-        // OutputsOnly a layer's decomposition is consumed by nothing
-        // unless it feeds a functional readout, so only layers with an
-        // observable product run — this, not just skipping the simulator,
-        // is what keeps accelerator bookkeeping off the outputs-only hot
-        // path.
-        let indexed: Vec<(usize, &CompiledLayer)> = layers
-            .iter()
-            .enumerate()
-            .filter(|&(l, layer)| {
-                metrics == MetricsMode::FullSim
-                    || (l == last && layer.pwp.is_some() && layer.weights.is_some())
-            })
-            .collect();
-        let outcomes: Vec<LayerOutcome> = indexed
-            .into_par_iter()
-            .map(|(l, layer)| self.run_layer(l, l == last, layer, batch, rows, metrics))
-            .collect();
-
-        let mut requests: Vec<RequestResult> = (0..batch.len())
-            .map(|_| RequestResult { readout: None, cycles: 0.0, energy_j: 0.0 })
-            .collect();
-        let mut layer_reports = Vec::with_capacity(outcomes.len());
-        for outcome in outcomes {
-            if let (Some(report), Some(shares)) = (outcome.report, outcome.shares) {
-                let total: f64 = shares.iter().sum();
-                let energy_j = report.energy.total_j();
-                for (b, share) in shares.iter().enumerate() {
-                    let frac = share / total;
-                    requests[b].cycles += report.cycles * frac;
-                    requests[b].energy_j += energy_j * frac;
-                }
-                layer_reports.push(report);
-            }
-            if let Some(readout) = outcome.readout {
-                for (b, request) in requests.iter_mut().enumerate() {
-                    request.readout = Some(readout.row_range(b * rows, (b + 1) * rows));
-                }
-            }
-        }
-        Ok(BatchReport { metrics, layer_reports, requests })
+        self.execute_fused(batch, None, metrics)
     }
 
     /// Executes one request — the sequential single-input path, under the
@@ -568,65 +517,7 @@ impl<B: ExecutionBackend> BatchExecutor<B> {
                 return Err(RuntimeError::DuplicateSession { first, again: first + 1 + offset });
             }
         }
-        if metrics == MetricsMode::FullSim && !self.backend.models_hardware() {
-            return Err(RuntimeError::MetricsUnavailable { backend: self.backend.name() });
-        }
-        let first = frames.first().ok_or(RuntimeError::EmptyBatch)?;
-        let rows = first.rows()?;
-        for frame in frames {
-            frame.validate(&self.model, rows)?;
-        }
-        for session in sessions {
-            session.fix_rows(rows)?;
-        }
-
-        let layers = self.model.layers();
-        let last = layers.len() - 1;
-        // The same observable-product pruning as the stateless path.
-        let indexed: Vec<(usize, &CompiledLayer)> = layers
-            .iter()
-            .enumerate()
-            .filter(|&(l, layer)| {
-                metrics == MetricsMode::FullSim
-                    || (l == last && layer.pwp.is_some() && layer.weights.is_some())
-            })
-            .collect();
-        let outcomes: Vec<(LayerOutcome, Vec<DeltaStats>)> = indexed
-            .into_par_iter()
-            .map(|(l, layer)| {
-                self.run_layer_stream(l, l == last, layer, frames, sessions, rows, metrics)
-            })
-            .collect();
-
-        let mut requests: Vec<RequestResult> = (0..frames.len())
-            .map(|_| RequestResult { readout: None, cycles: 0.0, energy_j: 0.0 })
-            .collect();
-        let mut deltas = vec![DeltaStats::default(); frames.len()];
-        let mut layer_reports = Vec::with_capacity(outcomes.len());
-        for (outcome, frame_deltas) in outcomes {
-            for (total, delta) in deltas.iter_mut().zip(&frame_deltas) {
-                total.merge(delta);
-            }
-            if let (Some(report), Some(shares)) = (outcome.report, outcome.shares) {
-                let total: f64 = shares.iter().sum();
-                let energy_j = report.energy.total_j();
-                for (b, share) in shares.iter().enumerate() {
-                    let frac = share / total;
-                    requests[b].cycles += report.cycles * frac;
-                    requests[b].energy_j += energy_j * frac;
-                }
-                layer_reports.push(report);
-            }
-            if let Some(readout) = outcome.readout {
-                for (b, request) in requests.iter_mut().enumerate() {
-                    request.readout = Some(readout.row_range(b * rows, (b + 1) * rows));
-                }
-            }
-        }
-        for ((session, result), delta) in sessions.iter().zip(&requests).zip(deltas) {
-            session.absorb(result.readout.as_ref(), delta);
-        }
-        Ok(BatchReport { metrics, layer_reports, requests })
+        self.execute_fused(frames, Some(sessions), metrics)
     }
 
     /// [`BatchExecutor::execute_stream_with`] under the backend's default
@@ -664,35 +555,173 @@ impl<B: ExecutionBackend> BatchExecutor<B> {
         Ok(report.requests.pop().expect("batch of one yields one result"))
     }
 
-    /// Incrementally decomposes one layer of each streamed frame against
-    /// its session's memo, splices the per-frame decompositions into one
-    /// fused layer, and hands it to the backend.
+    /// The one batch path behind [`BatchExecutor::execute_with`] (no
+    /// sessions) and [`BatchExecutor::execute_stream_with`] (one session
+    /// per request): validates the batch, runs every observable layer
+    /// fused across the batch (layers fan out across the pool), folds the
+    /// simulator reports into per-request cycle and energy shares, and
+    /// splits the readout into per-request rows. A stream batch then
+    /// advances each session by its frame.
+    fn execute_fused(
+        &self,
+        batch: &[InferenceRequest],
+        sessions: Option<&[&StreamSession]>,
+        metrics: MetricsMode,
+    ) -> Result<BatchReport> {
+        if metrics == MetricsMode::FullSim && !self.backend.models_hardware() {
+            return Err(RuntimeError::MetricsUnavailable { backend: self.backend.name() });
+        }
+        let first = batch.first().ok_or(RuntimeError::EmptyBatch)?;
+        let rows = first.rows()?;
+        for request in batch {
+            request.validate(&self.model, rows)?;
+        }
+        for session in sessions.unwrap_or_default() {
+            session.fix_rows(rows)?;
+        }
+
+        let layers = self.model.layers();
+        let last = layers.len() - 1;
+        // Under FullSim every layer is decomposed and simulated. Under
+        // OutputsOnly a layer's decomposition is consumed by nothing
+        // unless it feeds a functional readout, so only layers with an
+        // observable product run — this, not just skipping the simulator,
+        // is what keeps accelerator bookkeeping off the outputs-only hot
+        // path.
+        let indexed: Vec<(usize, &CompiledLayer)> = layers
+            .iter()
+            .enumerate()
+            .filter(|&(l, layer)| {
+                metrics == MetricsMode::FullSim
+                    || (l == last && layer.pwp.is_some() && layer.weights.is_some())
+            })
+            .collect();
+        let outcomes: Vec<LayerOutcome> = indexed
+            .into_par_iter()
+            .map(|(l, layer)| self.run_layer(l, l == last, layer, batch, sessions, rows, metrics))
+            .collect();
+
+        let mut requests: Vec<RequestResult> = (0..batch.len())
+            .map(|_| RequestResult { readout: None, cycles: 0.0, energy_j: 0.0 })
+            .collect();
+        let mut deltas = vec![DeltaStats::default(); sessions.map_or(0, <[_]>::len)];
+        let mut layer_reports = Vec::with_capacity(outcomes.len());
+        for outcome in outcomes {
+            for (total, delta) in deltas.iter_mut().zip(&outcome.deltas) {
+                total.merge(delta);
+            }
+            if let (Some(report), Some(shares)) = (outcome.report, outcome.shares) {
+                let total: f64 = shares.iter().sum();
+                let energy_j = report.energy.total_j();
+                for (b, share) in shares.iter().enumerate() {
+                    let frac = share / total;
+                    requests[b].cycles += report.cycles * frac;
+                    requests[b].energy_j += energy_j * frac;
+                }
+                layer_reports.push(report);
+            }
+            if let Some(readout) = outcome.readout {
+                for (b, request) in requests.iter_mut().enumerate() {
+                    request.readout = Some(readout.row_range(b * rows, (b + 1) * rows));
+                }
+            }
+        }
+        let sessions = sessions.unwrap_or_default();
+        for ((session, result), delta) in sessions.iter().zip(&requests).zip(deltas) {
+            session.absorb(result.readout.as_ref(), delta);
+        }
+        Ok(BatchReport { metrics, layer_reports, requests })
+    }
+
+    /// Decomposes one layer of the batch fused, hands it to the backend,
+    /// and accounts for it: the readout's term-row work, the per-request
+    /// attribution weights when the backend simulated the layer, and the
+    /// stream rows replayed from their session's previous readout.
+    ///
+    /// Only the decomposition branches. A stateless batch stacks its rows
+    /// into a recycled buffer and decomposes them through the artifact's
+    /// match index and this executor's persistent tile cache; a stream
+    /// batch diffs each frame against its session's memo
+    /// ([`BatchExecutor::decompose_frames`]).
     #[allow(clippy::too_many_arguments)]
-    fn run_layer_stream(
+    fn run_layer(
         &self,
         l: usize,
         is_readout: bool,
         layer: &CompiledLayer,
-        frames: &[InferenceRequest],
-        sessions: &[&StreamSession],
+        batch: &[InferenceRequest],
+        sessions: Option<&[&StreamSession]>,
         rows: usize,
         metrics: MetricsMode,
-    ) -> (LayerOutcome, Vec<DeltaStats>) {
-        let readout = match (&layer.pwp, &layer.weights) {
+    ) -> LayerOutcome {
+        let plan = match (&layer.pwp, &layer.weights) {
             (Some(pwp), Some(weights)) if is_readout => Some(ReadoutPlan { pwp, weights }),
             _ => None,
         };
-        // Delta-sparse execution: in outputs-only mode a row the frame
-        // left bit-identical has a bit-identical decomposition row, and
-        // readout rows are a pure per-row function of the decomposition
-        // (the batch-invariance the equivalence suites pin down) — so the
-        // session's previous readout row IS this frame's. Sessions with a
-        // cached readout sweep sparsely (unchanged rows are never even
-        // emitted), the backend sees only the changed rows, and the rest
-        // replay — skipping their matmul as well as their decomposition.
-        // Full simulation keeps the full sweep: its cycle and energy
-        // attribution models the hardware executing every row.
-        let replay = metrics == MetricsMode::OutputsOnly && readout.is_some();
+        let (decomp, deltas, replay) = match sessions {
+            None => {
+                let mats: Vec<&SpikeMatrix> = batch.iter().map(|r| &r.layers[l]).collect();
+                // Layers run in parallel, so the pool holds one buffer
+                // per concurrently fused layer.
+                let buffer = crate::sync::lock(&self.scratch).pop().unwrap_or_default();
+                let stacked = SpikeMatrix::vstack_into(&mats, buffer).expect("widths validated");
+                let decomp = decompose_cached(
+                    &stacked,
+                    &layer.patterns,
+                    &layer.match_index,
+                    &self.caches[l],
+                );
+                crate::sync::lock(&self.scratch).push(stacked.into_bits());
+                (decomp, Vec::new(), None)
+            }
+            Some(sessions) => {
+                // Delta-sparse execution: in outputs-only mode a row the
+                // frame left bit-identical has a bit-identical readout
+                // row, so it replays from the session's cache. Full
+                // simulation keeps the full sweep: its cycle and energy
+                // attribution models the hardware executing every row.
+                let replay = metrics == MetricsMode::OutputsOnly && plan.is_some();
+                self.decompose_frames(l, layer, batch, sessions, rows, replay)
+            }
+        };
+        // A stream batch whose every row replays leaves nothing to run.
+        let output = (decomp.rows() > 0).then(|| {
+            let work = LayerWork {
+                decomp: &decomp,
+                shape: layer.shape,
+                row_scale: layer.total_rows() as f64 / rows as f64,
+                name: &layer.name,
+                readout: plan,
+            };
+            self.backend.run_layer(&work, metrics)
+        });
+        let (report, computed) = output.map_or((None, None), |o| (o.report, o.readout));
+        if computed.is_some() {
+            crate::sync::lock(&self.reuse).merge(&ReuseStats::of(&decomp));
+        }
+        let shares = report.is_some().then(|| attribution_shares(&decomp, batch.len(), rows));
+        let readout = match replay {
+            Some(replay) => Some(replay.scatter(computed.as_ref(), layer.shape.n)),
+            None => computed,
+        };
+        LayerOutcome { report, shares, readout, deltas }
+    }
+
+    /// Incrementally decomposes one layer of each streamed frame against
+    /// its session's memo and splices the per-frame decompositions into
+    /// one fused layer ([`Decomposition::concat`]). With `replay`, each
+    /// session holding a previous readout sweeps sparsely — its unchanged
+    /// rows are never emitted — and the returned [`Replay`] names the
+    /// rows to fill from those readouts (`None` when every row runs).
+    fn decompose_frames(
+        &self,
+        l: usize,
+        layer: &CompiledLayer,
+        frames: &[InferenceRequest],
+        sessions: &[&StreamSession],
+        rows: usize,
+        replay: bool,
+    ) -> (Decomposition, Vec<DeltaStats>, Option<Replay>) {
         let prevs: Vec<Option<Matrix>> = if replay {
             sessions.iter().map(|s| s.prev_readout()).collect()
         } else {
@@ -732,107 +761,9 @@ impl<B: ExecutionBackend> BatchExecutor<B> {
             deltas.push(stats);
         }
         let parts: Vec<&Decomposition> = decomps.iter().collect();
-        let decomp = Decomposition::concat(&parts);
-
-        if replay && changed.iter().any(|&c| !c) {
-            // `decomp` already holds exactly the changed rows, in batch
-            // order; execute them and scatter, filling the gaps from each
-            // session's previous readout.
-            let computed = if decomp.rows() == 0 {
-                None
-            } else {
-                let work = LayerWork {
-                    decomp: &decomp,
-                    shape: layer.shape,
-                    row_scale: layer.total_rows() as f64 / rows as f64,
-                    name: &layer.name,
-                    readout,
-                };
-                let output = self.backend.run_layer(&work, metrics);
-                if let Some(stats) = output.reuse {
-                    crate::sync::lock(&self.reuse).merge(&stats);
-                }
-                output.readout
-            };
-            let n = layer.shape.n;
-            let mut data = vec![0f32; frames.len() * rows * n];
-            let mut next = 0usize;
-            for (b, prev) in prevs.iter().enumerate() {
-                for r in 0..rows {
-                    let slot = b * rows + r;
-                    let dst = &mut data[slot * n..(slot + 1) * n];
-                    if changed[slot] {
-                        let src = computed.as_ref().expect("changed rows were executed");
-                        dst.copy_from_slice(&src.as_slice()[next * n..(next + 1) * n]);
-                        next += 1;
-                    } else {
-                        let src = prev.as_ref().expect("unchanged row has a cached readout");
-                        dst.copy_from_slice(&src.as_slice()[r * n..(r + 1) * n]);
-                    }
-                }
-            }
-            let full = Matrix::from_vec(frames.len() * rows, n, data)
-                .expect("scattered readout matches the batch shape");
-            return (LayerOutcome { report: None, shares: None, readout: Some(full) }, deltas);
-        }
-
-        let work = LayerWork {
-            decomp: &decomp,
-            shape: layer.shape,
-            row_scale: layer.total_rows() as f64 / rows as f64,
-            name: &layer.name,
-            readout,
-        };
-        let output = self.backend.run_layer(&work, metrics);
-        if let Some(stats) = output.reuse {
-            crate::sync::lock(&self.reuse).merge(&stats);
-        }
-        let shares =
-            output.report.is_some().then(|| attribution_shares(&decomp, frames.len(), rows));
-        (LayerOutcome { report: output.report, shares, readout: output.readout }, deltas)
-    }
-
-    /// Fuses and decomposes one layer of the batch, hands it to the
-    /// backend, and (when the backend simulated it) computes the
-    /// per-request attribution weights.
-    fn run_layer(
-        &self,
-        l: usize,
-        is_readout: bool,
-        layer: &CompiledLayer,
-        batch: &[InferenceRequest],
-        rows: usize,
-        metrics: MetricsMode,
-    ) -> LayerOutcome {
-        let mats: Vec<&SpikeMatrix> = batch.iter().map(|r| &r.layers[l]).collect();
-        // Assemble into a recycled buffer (layers run in parallel, so the
-        // pool holds one buffer per concurrently fused layer), decompose
-        // through the artifact's match index and this executor's
-        // persistent tile cache, then return the buffer for the next
-        // batch.
-        let buffer = crate::sync::lock(&self.scratch).pop().unwrap_or_default();
-        let stacked = SpikeMatrix::vstack_into(&mats, buffer).expect("widths validated");
-        let decomp =
-            decompose_cached(&stacked, &layer.patterns, &layer.match_index, &self.caches[l]);
-        crate::sync::lock(&self.scratch).push(stacked.into_bits());
-        let readout = match (&layer.pwp, &layer.weights) {
-            (Some(pwp), Some(weights)) if is_readout => Some(ReadoutPlan { pwp, weights }),
-            _ => None,
-        };
-        let work = LayerWork {
-            decomp: &decomp,
-            shape: layer.shape,
-            row_scale: layer.total_rows() as f64 / rows as f64,
-            name: &layer.name,
-            readout,
-        };
-        let output = self.backend.run_layer(&work, metrics);
-        if let Some(stats) = output.reuse {
-            crate::sync::lock(&self.reuse).merge(&stats);
-        }
-        let shares =
-            output.report.is_some().then(|| attribution_shares(&decomp, batch.len(), rows));
-        LayerOutcome { report: output.report, shares, readout: output.readout }
+        let replay =
+            (replay && changed.iter().any(|&c| !c)).then_some(Replay { prevs, changed, rows });
+        (Decomposition::concat(&parts), deltas, replay)
     }
 }
 
@@ -867,6 +798,45 @@ struct LayerOutcome {
     report: Option<LayerReport>,
     shares: Option<Vec<f64>>,
     readout: Option<Matrix>,
+    /// Per-frame delta counters of a stream batch; empty when stateless.
+    deltas: Vec<DeltaStats>,
+}
+
+/// The rows of a stream batch that replay their session's previous
+/// readout instead of executing.
+struct Replay {
+    /// Each session's previous readout (`rows × N`), when it has one.
+    prevs: Vec<Option<Matrix>>,
+    /// Per fused row slot: `true` when the row changed and was executed.
+    changed: Vec<bool>,
+    rows: usize,
+}
+
+impl Replay {
+    /// Assembles the full `batch·rows × n` readout: changed rows from
+    /// `computed` (exactly the executed rows, in batch order), the rest
+    /// from their session's previous readout.
+    fn scatter(&self, computed: Option<&Matrix>, n: usize) -> Matrix {
+        let rows = self.rows;
+        let mut data = vec![0f32; self.prevs.len() * rows * n];
+        let mut next = 0usize;
+        for (b, prev) in self.prevs.iter().enumerate() {
+            for r in 0..rows {
+                let slot = b * rows + r;
+                let dst = &mut data[slot * n..(slot + 1) * n];
+                if self.changed[slot] {
+                    let src = computed.expect("changed rows were executed");
+                    dst.copy_from_slice(&src.as_slice()[next * n..(next + 1) * n]);
+                    next += 1;
+                } else {
+                    let src = prev.as_ref().expect("unchanged row has a cached readout");
+                    dst.copy_from_slice(&src.as_slice()[r * n..(r + 1) * n]);
+                }
+            }
+        }
+        Matrix::from_vec(self.prevs.len() * rows, n, data)
+            .expect("scattered readout matches the batch shape")
+    }
 }
 
 #[cfg(test)]
@@ -926,25 +896,25 @@ mod tests {
     }
 
     #[test]
-    fn cpu_executor_accumulates_reuse_stats() {
+    fn executors_accumulate_readout_term_rows() {
         let w = tiny_workload();
         let model = Arc::new(ModelCompiler::new(CompileOptions::fast()).compile(&w));
         let sim = BatchExecutor::new(Arc::clone(&model));
         let cpu = BatchExecutor::cpu(model);
         let batch = requests(&w, 5, 17);
-        let prev = phi_core::force_reuse(phi_core::ReuseMode::Auto);
         let fast = cpu.execute(&batch).unwrap();
         let full = sim.execute(&batch).unwrap();
-        phi_core::force_reuse(prev);
         assert!(readouts_identical(&fast, &full));
-        // Every fused readout row went through a reuse plan: 5 requests
-        // of 4 rows each, and the counters persist on the executor.
+        // Every fused readout row is counted, 5 requests of 4 rows each,
+        // and every term row is computed.
         let stats = cpu.reuse_stats();
         assert_eq!(stats.rows, 20);
-        assert!(stats.term_rows_total >= stats.term_rows_computed);
-        // The sim backend never takes the planned readout path.
-        assert_eq!(sim.reuse_stats(), phi_core::ReuseStats::default());
-        // Clones share the accumulator, like the tile caches.
+        assert!(stats.term_rows_total > 0);
+        assert_eq!(stats.term_rows_computed, stats.term_rows_total);
+        assert_eq!(stats.reuse_rate(), 0.0);
+        // Both backends compute the same readout, so they count the same
+        // work; clones share the accumulator, like the tile caches.
+        assert_eq!(sim.reuse_stats(), stats);
         assert_eq!(cpu.clone().reuse_stats(), stats);
     }
 

@@ -149,7 +149,6 @@ pub use phi_accel::{
 // artifact's per-layer match indexes and the executor's tile caches),
 // likewise re-exported.
 pub use phi_core::{DeltaStats, FrameMemo, LayerMatchIndex, MatchIndex, TileCache, TileCacheStats};
-// The product-sparsity vocabulary (`PHI_REUSE` knob and its counters):
-// executors surface [`ReuseStats`] and servers embed them in
-// [`ModelStatsSnapshot`], so the knob and types ride along.
-pub use phi_core::{force_reuse, reuse_mode, ReuseMode, ReuseStats};
+// The readout term-row counters executors surface and servers embed in
+// [`ModelStatsSnapshot`].
+pub use phi_core::ReuseStats;

@@ -474,10 +474,8 @@ pub struct ModelStatsSnapshot {
     /// aggregated over every layer (all zeros when the cache is disabled
     /// via [`ServerConfig::tile_cache`]).
     pub tile_cache: TileCacheStats,
-    /// Cross-row product-sparsity reuse counters of this model's
-    /// executor (all zeros when the CPU
-    /// reuse pass is disabled via `PHI_REUSE=off` or the backend never
-    /// took the planned readout path).
+    /// Term-row work of every readout this model's executor computed
+    /// (see [`BatchExecutor::reuse_stats`](crate::BatchExecutor::reuse_stats)).
     pub reuse: ReuseStats,
     /// Live streaming sessions this model currently holds (open, not yet
     /// closed or expired).

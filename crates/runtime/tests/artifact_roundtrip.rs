@@ -7,17 +7,70 @@
 //! * a deserialized artifact serves **identical batch outputs** to the
 //!   model it was serialized from, and batched execution equals the
 //!   sequential single-input path bit-for-bit;
-//! * corrupted and truncated artifacts are rejected, never mis-served.
+//! * corrupted and truncated artifacts are rejected, never mis-served;
+//! * artifacts mutated behind a re-stamped checksum never panic the
+//!   loader, and the ones that load never panic serving.
 
 use common::tiny_workload;
 use phi_runtime::{
-    BatchExecutor, CompileOptions, CompiledModel, InferenceRequest, ModelCompiler, RuntimeError,
-    WeightsMode,
+    BatchExecutor, CompileOptions, CompiledModel, InferenceRequest, MetricsMode, ModelCompiler,
+    RuntimeError, StreamSession, WeightsMode,
 };
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use snn_workloads::Workload;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 mod common;
+
+/// Re-sealed mutants tried per damaged-artifact case.
+const RESEALED_MUTANTS: usize = 8;
+
+/// FNV-1a 64-bit, the artifact's trailing checksum over its body.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// Mutates an artifact's body — 1–4 overwritten bytes, a truncation, or
+/// both — and re-stamps the checksum, so only record validation stands
+/// between the mutant and the executor.
+fn resealed_mutant(bytes: &[u8], rng: &mut StdRng) -> Vec<u8> {
+    let mut body = bytes[..bytes.len() - 8].to_vec();
+    let edits = rng.gen_range(0..5usize);
+    for _ in 0..edits {
+        let at = rng.gen_range(0..body.len());
+        body[at] ^= rng.gen_range(1..=255u8);
+    }
+    if edits == 0 || rng.gen_bool(0.25) {
+        body.truncate(rng.gen_range(0..body.len()));
+    }
+    let checksum = fnv1a(&body);
+    body.extend_from_slice(&checksum.to_le_bytes());
+    body
+}
+
+/// Serves a loaded mutant every way a client can: a CPU batch, a
+/// simulated batch of one, and two stream frames. Typed errors are fine;
+/// only a panic fails the caller.
+fn serve_mutant(model: CompiledModel, workload: &Workload, seed: u64) {
+    let model = Arc::new(model);
+    let batch: Vec<InferenceRequest> =
+        workload.sample_requests(2, 3, seed).into_iter().map(InferenceRequest::new).collect();
+    let _ = BatchExecutor::cpu(Arc::clone(&model)).execute(&batch);
+    let _ = BatchExecutor::new(Arc::clone(&model)).execute_with(&batch[..1], MetricsMode::FullSim);
+    let session = StreamSession::new(&model);
+    let streaming = BatchExecutor::cpu(Arc::clone(&model));
+    for frame in &batch {
+        let _ = streaming.execute_stream_one(frame, &session);
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -126,7 +179,8 @@ proptest! {
         }
     }
 
-    /// Any single corrupted byte or truncation is rejected.
+    /// Any single corrupted byte or truncation is rejected; mutants that
+    /// re-stamp the checksum never panic loading or serving.
     #[test]
     fn damaged_artifacts_never_load(
         flip_bit in 0u8..8,
@@ -147,6 +201,17 @@ proptest! {
         // Truncate at a pseudo-random length.
         let cut = (seed as usize).wrapping_mul(31) % bytes.len();
         prop_assert!(CompiledModel::from_bytes(&bytes[..cut]).is_err());
+        // Mutate behind a valid checksum.
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5EA1);
+        for m in 0..RESEALED_MUTANTS {
+            let mutant = resealed_mutant(&bytes, &mut rng);
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                if let Ok(model) = CompiledModel::from_bytes(&mutant) {
+                    serve_mutant(model, &workload, seed ^ m as u64);
+                }
+            }));
+            prop_assert!(outcome.is_ok(), "re-sealed mutant {} of seed {} panicked", m, seed);
+        }
     }
 }
 

@@ -13,8 +13,8 @@
 mod common;
 
 use phi_runtime::{
-    BatchExecutor, CompiledModel, InferenceRequest, RuntimeError, ServerConfig, ServerError,
-    StreamSession,
+    BatchExecutor, CompiledModel, InferenceRequest, MetricsMode, RuntimeError, ServerConfig,
+    ServerError, StreamSession,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -146,6 +146,53 @@ fn executor_stream_batches_match_per_frame_direct_execution() {
     // resample to identical bits — with these seeds, none.
     let churn = sessions[2].delta_stats();
     assert!(churn.tiles_rematched >= calm.tiles_rematched);
+}
+
+/// Under full simulation a stream batch is the stateless batch of the
+/// same frames in the hardware's eyes too: every row runs (no replay), so
+/// each layer's report, and each request's attributed cycles and energy,
+/// must equal stateless `FullSim` execution bit-for-bit, alongside the
+/// readouts.
+#[test]
+fn full_sim_stream_batches_match_stateless_full_sim() {
+    const T: usize = 5;
+    const ROWS: usize = 4;
+    let (w, model) = fixture(32);
+    let streaming = BatchExecutor::new(Arc::clone(model));
+    let stateless = BatchExecutor::new(Arc::clone(model));
+    let streams: Vec<Vec<InferenceRequest>> = [0.0, 0.3, 1.0]
+        .iter()
+        .enumerate()
+        .map(|(s, &delta)| stream(w, ROWS, T, delta, 0xF5 + s as u64))
+        .collect();
+    let sessions: Vec<StreamSession> = streams.iter().map(|_| StreamSession::new(model)).collect();
+    let refs: Vec<&StreamSession> = sessions.iter().collect();
+
+    for t in 0..T {
+        let frames: Vec<InferenceRequest> = streams.iter().map(|f| f[t].clone()).collect();
+        let streamed = streaming.execute_stream_with(&frames, &refs, MetricsMode::FullSim).unwrap();
+        let direct = stateless.execute_with(&frames, MetricsMode::FullSim).unwrap();
+        assert_eq!(streamed.metrics, MetricsMode::FullSim);
+        assert_eq!(streamed.requests.len(), direct.requests.len());
+        for (s, (a, b)) in streamed.requests.iter().zip(&direct.requests).enumerate() {
+            assert!(a.readout.is_some(), "session {s} timestep {t} produced no readout");
+            assert_eq!(a.readout, b.readout, "session {s} timestep {t} readout diverged");
+            assert_eq!(a.cycles.to_bits(), b.cycles.to_bits(), "session {s} timestep {t} cycles");
+            assert_eq!(
+                a.energy_j.to_bits(),
+                b.energy_j.to_bits(),
+                "session {s} timestep {t} energy"
+            );
+        }
+        assert_eq!(streamed.layer_reports.len(), w.layers.len());
+        assert_eq!(streamed.layer_reports.len(), direct.layer_reports.len());
+        for (i, (a, b)) in streamed.layer_reports.iter().zip(&direct.layer_reports).enumerate() {
+            assert_eq!(a.cycles.to_bits(), b.cycles.to_bits(), "layer {i} timestep {t} cycles");
+        }
+    }
+    for session in &sessions {
+        assert_eq!(session.timesteps(), T as u64);
+    }
 }
 
 /// A session may ride in at most one in-flight batch at a time; handing
