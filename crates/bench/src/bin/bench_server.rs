@@ -70,15 +70,15 @@
 //! PR 10 adds a **drift** track exercising the live model lifecycle:
 //! serving traffic shifts to a drifted distribution
 //! ([`Workload::drifted`]) and throughput collapses (the calibrated
-//! patterns stop matching), the background recalibrator is nudged
-//! ([`PhiServer::request_recalibration`]), recompiles from a reservoir of
-//! served requests, shadow-executes the candidate on live traffic, and
-//! hot-swaps it in — after which throughput on the drifted traffic must
+//! patterns stop matching), the serving artifact is recompiled from a
+//! fixed stride of the drifted requests
+//! ([`ModelCompiler::recompile_from_samples`]) and proposed as a canary
+//! ([`PhiServer::propose`]), which shadow-executes on live traffic and
+//! hot-swaps in — after which throughput on the drifted traffic must
 //! recover to within `PHI_SERVER_MIN_DRIFT_RECOVERY` of the pre-drift
 //! baseline. A rival artifact with different weights is then proposed
 //! under a bit-identity tolerance and must roll back without shedding or
-//! disturbing a single live request. Setting `PHI_LIFECYCLE=off` skips
-//! the track (that run instead smoke-checks the static-registry path).
+//! disturbing a single live request.
 //!
 //! Every server response readout — closed- and open-loop and streamed —
 //! is asserted bit-identical to a direct [`BatchExecutor`] call on the
@@ -104,9 +104,6 @@
 //!   vs pre-drift throughput ratio on the drift track (default 0.9;
 //!   0 disables; skipped under smoke, where the track's correctness
 //!   asserts stay hard but wall-clock ratios are too noisy to gate).
-//! * `PHI_LIFECYCLE=off` — skip the drift track and run everything else
-//!   against the default static registry (the lifecycle-disabled path CI
-//!   smokes).
 //! * `PHI_SERVER_SMOKE=1` — CI smoke: a small traffic volume per client,
 //!   2 streaming sessions, and no `BENCH_server.json` rewrite (asserts
 //!   stay hard).
@@ -123,14 +120,15 @@
 //! [`ArrivalSchedule::poisson`]: phi_bench::openloop::ArrivalSchedule::poisson
 //! [`Workload::sample_client_requests`]: snn_workloads::Workload::sample_client_requests
 //! [`Workload::drifted`]: snn_workloads::Workload::drifted
-//! [`PhiServer::request_recalibration`]: phi_runtime::PhiServer::request_recalibration
+//! [`ModelCompiler::recompile_from_samples`]: phi_runtime::ModelCompiler::recompile_from_samples
+//! [`PhiServer::propose`]: phi_runtime::PhiServer::propose
 
 use phi_bench::openloop::{ArrivalSchedule, LatencySummary};
 use phi_bench::{bench_runs, env_f64, median, median_f64};
 use phi_runtime::{
     available_cores, BatchExecutor, CompileOptions, CompiledModel, CpuBackend, InferenceRequest,
-    LifecycleMode, ModelCompiler, ModelRegistry, ModelStatsSnapshot, PhiServer, ResponseHandle,
-    ServerConfig, ServerError, TolerancePolicy, PHI_LIFECYCLE_ENV,
+    ModelCompiler, ModelRegistry, ModelStatsSnapshot, PhiServer, ResponseHandle, ServerConfig,
+    ServerError, TolerancePolicy, DEFAULT_DIVERGENCE_TOLERANCE,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -187,12 +185,11 @@ const DRIFT_CLIENTS: usize = 8;
 /// Seed of the drifted serving distribution ([`Workload::drifted`]).
 const DRIFT_SEED: u64 = 0x0D41_F7ED;
 /// Canary comparisons required before the recalibrated candidate is
-/// promoted (every drift-track request shadow-executes: slice 1.0).
+/// promoted (every stateless batch shadow-executes while it is pending).
 const DRIFT_CANARY_TARGET: u64 = 16;
-/// Served-request reservoir the recalibrator recompiles from.
-const DRIFT_RESERVOIR: usize = 32;
-/// Lifecycle thread tick while the drift track waits on a decision.
-const DRIFT_INTERVAL: Duration = Duration::from_millis(5);
+/// Drifted requests the candidate is recompiled from, taken at a fixed
+/// stride across the drifted traffic.
+const DRIFT_SAMPLES: usize = 32;
 /// Ceiling on waiting for an asynchronous lifecycle decision.
 const DRIFT_DEADLINE: Duration = Duration::from_secs(180);
 
@@ -562,9 +559,8 @@ struct DriftReport {
     drifted_inf_s: f64,
     recovered_inf_s: f64,
     promoted_version: u64,
-    recompiles: u64,
     canary_compared: u64,
-    samples_seen: u64,
+    samples: usize,
     rolled_back_delta: u64,
     rollback_shed_delta: u64,
     version_after_rollback: u64,
@@ -572,9 +568,9 @@ struct DriftReport {
 
 /// The drift track: serving traffic shifts away from the distribution
 /// the artifact was calibrated on, throughput collapses (patterns stop
-/// matching, every mismatch decomposes the slow way), the lifecycle
-/// recalibrator recompiles from a reservoir of *served* requests,
-/// shadow-executes the candidate on live traffic, hot-swaps it in — and
+/// matching, every mismatch decomposes the slow way), the artifact is
+/// recompiled from a fixed stride of the drifted requests and proposed as
+/// a canary, which shadow-executes on live traffic and hot-swaps in — and
 /// throughput on the drifted traffic recovers to within
 /// `PHI_SERVER_MIN_DRIFT_RECOVERY` of the pre-drift baseline. A second
 /// proposal with genuinely different weights is then injected under
@@ -592,16 +588,8 @@ fn run_drift_track(
     runs: usize,
     per_client: usize,
 ) -> DriftReport {
-    let drift_cfg = base_config()
-        .with_max_batch(DRIFT_CLIENTS)
-        .with_lifecycle(LifecycleMode::Auto)
-        .with_canary_slice(1.0)
-        .with_canary_target(DRIFT_CANARY_TARGET)
-        .with_reservoir_capacity(DRIFT_RESERVOIR)
-        // Recalibration fires on the explicit nudge below, never on a
-        // served-request counter: the phases stay deterministic.
-        .with_recalibrate_after(u64::MAX)
-        .with_lifecycle_interval(DRIFT_INTERVAL);
+    let drift_cfg =
+        base_config().with_max_batch(DRIFT_CLIENTS).with_canary_target(DRIFT_CANARY_TARGET);
     let total = (DRIFT_CLIENTS * per_client) as f64;
 
     // Phase 1 — baseline: the calibrated distribution, throwaway servers.
@@ -609,37 +597,49 @@ fn run_drift_track(
     let expected = reference(direct, &traffic);
     let (baseline_inf_s, _) = measure_server(model, &traffic, &expected, drift_cfg, runs);
 
-    // Phase 2 — collapse: the same artifact serving drifted traffic. The
-    // nudge never fires on these throwaway servers, so they pin the
-    // un-recalibrated rate (and its bit-identity to the incumbent).
+    // Phase 2 — collapse: the same artifact serving drifted traffic on
+    // throwaway servers, pinning the un-recalibrated rate (and its
+    // bit-identity to the incumbent).
     let drifted_workload = workload.drifted(DRIFT_SEED);
     let drift_traffic = client_traffic(&drifted_workload, DRIFT_CLIENTS, per_client);
     let expected_v1 = reference(direct, &drift_traffic);
     let (drifted_inf_s, _) = measure_server(model, &drift_traffic, &expected_v1, drift_cfg, runs);
 
-    // Phase 3 — recalibrate: one long-lived server sees only drifted
-    // traffic (its reservoir samples nothing stale), is nudged, and is
-    // driven until the recompiled candidate survives its canary window.
+    // Phase 3 — recalibrate: one long-lived server serves the drifted
+    // traffic, the serving artifact is recompiled from a fixed stride of
+    // it and proposed, and the server is driven until the candidate
+    // survives its canary window.
     let mut registry = ModelRegistry::new();
     registry.register(MODEL_KEY, Arc::clone(model));
     let server = PhiServer::start(registry, drift_cfg);
     let (_, warm) = serve_wave(&server, &drift_traffic);
     assert!(warm == expected_v1, "pre-recalibration serving diverged from the incumbent");
-    server.request_recalibration(MODEL_KEY).expect("registered model");
+    let stride = (DRIFT_CLIENTS * per_client / DRIFT_SAMPLES).max(1);
+    let samples: Vec<InferenceRequest> =
+        drift_traffic.iter().flatten().step_by(stride).take(DRIFT_SAMPLES).cloned().collect();
+    let candidate = ModelCompiler::default()
+        .recompile_from_samples(&server.model(MODEL_KEY).expect("registered model"), &samples)
+        .expect("recompiling from drifted samples must not fail");
+    server
+        .propose(
+            MODEL_KEY,
+            Arc::new(candidate),
+            TolerancePolicy::BoundedDivergence { max_abs: DEFAULT_DIVERGENCE_TOLERANCE },
+        )
+        .expect("no canary in flight");
     let deadline = Instant::now() + DRIFT_DEADLINE;
     let mut drive_waves: Vec<Vec<Vec<Option<Matrix>>>> = Vec::new();
     loop {
         let (_, outputs) = serve_wave(&server, &drift_traffic);
         drive_waves.push(outputs);
         let lc = server.lifecycle_stats(MODEL_KEY).expect("registered model");
-        assert_eq!(lc.compile_failures, 0, "recompiling from served samples must not fail");
         if lc.promoted >= 1 {
             break;
         }
+        assert_eq!(lc.rolled_back, 0, "the recompiled candidate was rolled back");
         assert!(
             Instant::now() < deadline,
-            "recalibration never promoted (recompiles {}, canary comparisons {})",
-            lc.recompiles,
+            "recalibration never promoted ({} canary comparisons)",
             lc.canary_compared,
         );
     }
@@ -678,8 +678,7 @@ fn run_drift_track(
     }
     let recovered_inf_s = total / median(times).as_secs_f64();
     let lc = server.lifecycle_stats(MODEL_KEY).expect("registered model");
-    let (promoted_version, recompiles, canary_compared, samples_seen) =
-        (lc.version, lc.recompiles, lc.canary_compared, lc.samples_seen);
+    let (promoted_version, canary_compared) = (lc.version, lc.canary_compared);
 
     // Phase 5 — injected failure: a rival with genuinely different
     // weights can never survive a bit-identity canary. The incumbent
@@ -719,9 +718,8 @@ fn run_drift_track(
         drifted_inf_s,
         recovered_inf_s,
         promoted_version,
-        recompiles,
         canary_compared,
-        samples_seen,
+        samples: samples.len(),
         rolled_back_delta: lc_after.rolled_back - lc_before.rolled_back,
         rollback_shed_delta,
         version_after_rollback: lc_after.version,
@@ -953,32 +951,23 @@ fn main() {
     );
 
     // ---- Drift: shift -> collapse -> recalibrate -> hot swap -> recover ----
-    let lifecycle_off =
-        std::env::var(PHI_LIFECYCLE_ENV).is_ok_and(|v| v.trim().eq_ignore_ascii_case("off"));
-    let drift = if lifecycle_off {
-        println!("  drift: skipped ({PHI_LIFECYCLE_ENV}=off pins the static-registry path)");
-        None
-    } else {
-        let d = run_drift_track(&workload, &model, &direct, runs, per_client);
-        println!(
-            "  drift: baseline {:>9.1} inf/s | drifted {:>9.1} inf/s ({:.2}x) | recovered \
-             {:>9.1} inf/s ({:.2}x of baseline; version {}, {} recompiles, {} canary \
-             comparisons)",
-            d.baseline_inf_s,
-            d.drifted_inf_s,
-            d.drifted_inf_s / d.baseline_inf_s,
-            d.recovered_inf_s,
-            d.recovered_inf_s / d.baseline_inf_s,
-            d.promoted_version,
-            d.recompiles,
-            d.canary_compared,
-        );
-        println!(
-            "  drift rollback: diverging canary rolled back (version {} kept, {} requests shed)",
-            d.version_after_rollback, d.rollback_shed_delta,
-        );
-        Some(d)
-    };
+    let drift = run_drift_track(&workload, &model, &direct, runs, per_client);
+    println!(
+        "  drift: baseline {:>9.1} inf/s | drifted {:>9.1} inf/s ({:.2}x) | recovered \
+         {:>9.1} inf/s ({:.2}x of baseline; version {}, {} samples, {} canary comparisons)",
+        drift.baseline_inf_s,
+        drift.drifted_inf_s,
+        drift.drifted_inf_s / drift.baseline_inf_s,
+        drift.recovered_inf_s,
+        drift.recovered_inf_s / drift.baseline_inf_s,
+        drift.promoted_version,
+        drift.samples,
+        drift.canary_compared,
+    );
+    println!(
+        "  drift rollback: diverging canary rolled back (version {} kept, {} requests shed)",
+        drift.version_after_rollback, drift.rollback_shed_delta,
+    );
 
     // The canonical "per-request (batch-1) serving" rate is the 1-client
     // direct track: one request stream through `execute_one`, nothing
@@ -1086,14 +1075,13 @@ fn main() {
         })
         .collect();
     let drift_floor = env_f64("PHI_SERVER_MIN_DRIFT_RECOVERY", 0.9);
-    let drift_json = match &drift {
-        Some(d) => format!(
-            r#"{{
+    let drift_json = format!(
+        r#"{{
     "clients": {DRIFT_CLIENTS},
     "requests_per_client": {per_client},
     "drift_seed": {DRIFT_SEED},
     "canary_target": {DRIFT_CANARY_TARGET},
-    "reservoir_capacity": {DRIFT_RESERVOIR},
+    "samples": {samples},
     "baseline_inf_per_s": {baseline:.3},
     "drifted_inf_per_s": {drifted:.3},
     "collapse_ratio": {collapse:.3},
@@ -1101,26 +1089,21 @@ fn main() {
     "recovery_ratio": {recovery:.3},
     "min_recovery": {drift_floor},
     "promoted_version": {version},
-    "recompiles": {recompiles},
     "canary_compared": {compared},
-    "samples_seen": {samples},
     "rollback": {{ "rolled_back": {rolled_back}, "shed": {shed}, "version_kept": {kept} }}
   }}"#,
-            baseline = d.baseline_inf_s,
-            drifted = d.drifted_inf_s,
-            collapse = d.drifted_inf_s / d.baseline_inf_s,
-            recovered = d.recovered_inf_s,
-            recovery = d.recovered_inf_s / d.baseline_inf_s,
-            version = d.promoted_version,
-            recompiles = d.recompiles,
-            compared = d.canary_compared,
-            samples = d.samples_seen,
-            rolled_back = d.rolled_back_delta,
-            shed = d.rollback_shed_delta,
-            kept = d.version_after_rollback,
-        ),
-        None => "null".to_string(),
-    };
+        samples = drift.samples,
+        baseline = drift.baseline_inf_s,
+        drifted = drift.drifted_inf_s,
+        collapse = drift.drifted_inf_s / drift.baseline_inf_s,
+        recovered = drift.recovered_inf_s,
+        recovery = drift.recovered_inf_s / drift.baseline_inf_s,
+        version = drift.promoted_version,
+        compared = drift.canary_compared,
+        rolled_back = drift.rolled_back_delta,
+        shed = drift.rollback_shed_delta,
+        kept = drift.version_after_rollback,
+    );
     let open_track_json: Vec<String> = open_tracks
         .iter()
         .map(|t| {
@@ -1243,20 +1226,18 @@ fn main() {
              got {worker_speedup:.2}x"
         );
     }
-    if let Some(d) = &drift {
-        // The recovery floor holds on full runs; smoke volumes are too
-        // small for a stable wall-clock ratio (the bit-identity, swap,
-        // and rollback asserts inside the track stay hard either way).
-        if !smoke && drift_floor > 0.0 {
-            assert!(
-                d.recovered_inf_s >= drift_floor * d.baseline_inf_s,
-                "post-recalibration serving ({:.1} inf/s) must recover to at least \
-                 {drift_floor}x the pre-drift baseline ({:.1} inf/s), got {:.2}x",
-                d.recovered_inf_s,
-                d.baseline_inf_s,
-                d.recovered_inf_s / d.baseline_inf_s,
-            );
-        }
+    // The recovery floor holds on full runs; smoke volumes are too small
+    // for a stable wall-clock ratio (the bit-identity, swap, and rollback
+    // asserts inside the track stay hard either way).
+    if !smoke && drift_floor > 0.0 {
+        assert!(
+            drift.recovered_inf_s >= drift_floor * drift.baseline_inf_s,
+            "post-recalibration serving ({:.1} inf/s) must recover to at least \
+             {drift_floor}x the pre-drift baseline ({:.1} inf/s), got {:.2}x",
+            drift.recovered_inf_s,
+            drift.baseline_inf_s,
+            drift.recovered_inf_s / drift.baseline_inf_s,
+        );
     }
     if stream_floor > 0.0 {
         assert!(

@@ -12,6 +12,7 @@ pub mod openloop;
 use phi_core::CalibrationConfig;
 use phi_snn::pipeline::PipelineConfig;
 use snn_baselines::{Accelerator, Ptb, Sato, SpikingEyeriss, SpinalFlow, Stellar};
+use snn_core::env::read_env;
 use snn_workloads::{DatasetId, ModelId, Workload, WorkloadConfig};
 use std::path::PathBuf;
 
@@ -115,7 +116,7 @@ pub fn median_f64(mut values: Vec<f64>) -> f64 {
 ///
 /// Panics when `PHI_BENCH_RUNS` is set but not a count.
 pub fn bench_runs() -> usize {
-    env_knob("PHI_BENCH_RUNS", 5)
+    read_env("PHI_BENCH_RUNS", 5)
 }
 
 /// Reads an `f64` env knob (the `bench_*` speedup floors), `default` when
@@ -125,30 +126,7 @@ pub fn bench_runs() -> usize {
 ///
 /// Panics when the variable is set but not a number.
 pub fn env_f64(name: &str, default: f64) -> f64 {
-    env_knob(name, default)
-}
-
-/// Reads and parses env knob `name` through [`parse_env`].
-fn env_knob<T: std::str::FromStr>(name: &str, default: T) -> T {
-    let raw = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
-    parse_env(name, raw.as_deref(), default)
-}
-
-/// Parses env knob `name` from its raw value: `default` when unset
-/// (`None`), the parsed value when set.
-///
-/// # Panics
-///
-/// Panics, naming the variable and the value, when a set value does not
-/// parse: a mistyped floor must stop the run, not quietly enforce the
-/// default.
-pub fn parse_env<T: std::str::FromStr>(name: &str, value: Option<&str>, default: T) -> T {
-    match value {
-        None => default,
-        Some(raw) => raw
-            .parse()
-            .unwrap_or_else(|_| panic!("{name}={raw:?} does not parse; unset it for the default")),
-    }
+    read_env(name, default)
 }
 
 /// Formats a float with `digits` decimals.
@@ -203,27 +181,6 @@ mod tests {
         assert_eq!(median(vec![ms(3), ms(1), ms(2)]), ms(2));
         assert_eq!(median(vec![ms(5)]), ms(5));
         assert_eq!(env_f64("PHI_NO_SUCH_KNOB", 4.0), 4.0);
-    }
-
-    #[test]
-    fn env_knobs_parse_set_values_and_default_when_unset() {
-        assert_eq!(parse_env("PHI_SERVER_MIN_SPEEDUP", None, 3.0), 3.0);
-        assert_eq!(parse_env("PHI_SERVER_MIN_SPEEDUP", Some("0.5"), 3.0), 0.5);
-        assert_eq!(parse_env("PHI_SERVER_MIN_SPEEDUP", Some("0"), 3.0), 0.0);
-        assert_eq!(parse_env("PHI_BENCH_RUNS", Some("9"), 5usize), 9);
-        assert_eq!(parse_env("PHI_BENCH_RUNS", None, 5usize), 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "PHI_SERVER_MIN_SPEEDUP=\"O.5\" does not parse")]
-    fn malformed_floor_is_refused() {
-        parse_env("PHI_SERVER_MIN_SPEEDUP", Some("O.5"), 3.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "PHI_BENCH_RUNS=\"five\" does not parse")]
-    fn malformed_run_count_is_refused() {
-        parse_env("PHI_BENCH_RUNS", Some("five"), 5usize);
     }
 
     #[test]

@@ -140,9 +140,11 @@ impl ModelCompiler {
         )
     }
 
-    /// Recalibrates an incumbent artifact's pattern sets from served
-    /// traffic — the model-lifecycle entry point behind
-    /// [`LifecycleMode::Auto`](crate::LifecycleMode::Auto).
+    /// Recalibrates an incumbent artifact's pattern sets from sampled
+    /// traffic — the model-lifecycle recompile step. The caller supplies
+    /// the samples (whatever activations it collected) and hands the
+    /// result to [`PhiServer::propose`](crate::PhiServer::propose) to vet
+    /// it against live traffic.
     ///
     /// Per layer, the samples' activations for that layer become the
     /// calibration dumps (each sample weighted equally), calibrated with

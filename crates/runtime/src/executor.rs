@@ -56,13 +56,14 @@ pub const DEFAULT_TILE_CACHE_CAPACITY: usize = 1 << 15;
 pub const PHI_TILE_CACHE_ENV: &str = "PHI_TILE_CACHE";
 
 /// The per-layer tile-cache capacity executors default to:
-/// [`PHI_TILE_CACHE_ENV`] when set and parsable, else
-/// [`DEFAULT_TILE_CACHE_CAPACITY`].
+/// [`PHI_TILE_CACHE_ENV`] when set, else [`DEFAULT_TILE_CACHE_CAPACITY`].
+///
+/// # Panics
+///
+/// Panics, naming the variable and the value, when [`PHI_TILE_CACHE_ENV`]
+/// is set but not a slot count (`off` is not `0`).
 pub fn default_tile_cache_capacity() -> usize {
-    std::env::var(PHI_TILE_CACHE_ENV)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_TILE_CACHE_CAPACITY)
+    snn_core::env::read_env(PHI_TILE_CACHE_ENV, DEFAULT_TILE_CACHE_CAPACITY)
 }
 
 /// One inference request: the layer-wise spike activations of a single
@@ -850,6 +851,12 @@ mod tests {
             .with_max_rows(32)
             .with_calibration_rows(64)
             .generate()
+    }
+
+    #[test]
+    #[should_panic(expected = "PHI_TILE_CACHE=\"off\" does not parse")]
+    fn tile_cache_knob_refuses_off() {
+        snn_core::env::parse_env(PHI_TILE_CACHE_ENV, Some("off"), DEFAULT_TILE_CACHE_CAPACITY);
     }
 
     fn executor(workload: &Workload) -> BatchExecutor {

@@ -47,11 +47,10 @@
 //! The registry is *live* ([`lifecycle`] module): each model key is a
 //! versioned slot whose active artifact can be hot-swapped atomically
 //! ([`PhiServer::deploy`]) — in-flight batches finish on the version they
-//! started on — and under [`LifecycleMode::Auto`] a background
-//! recalibrator samples served traffic, recompiles the patterns
-//! off-thread ([`ModelCompiler::recompile_from_samples`]), shadow-executes
-//! a canary slice of live traffic on the candidate, and promotes it or
-//! rolls back under a typed [`TolerancePolicy`].
+//! started on — and a candidate recompiled from sampled activations
+//! ([`ModelCompiler::recompile_from_samples`]) can be proposed as a canary
+//! ([`PhiServer::propose`]): live traffic is shadow-executed on it, and it
+//! is promoted or rolled back under a typed [`TolerancePolicy`].
 //!
 //! Temporal workloads stream through the same machinery: a
 //! [`StreamSession`] holds per-client LIF membrane state and a per-layer
@@ -129,9 +128,8 @@ pub use executor::{
     RequestResult, DEFAULT_TILE_CACHE_CAPACITY, PHI_TILE_CACHE_ENV,
 };
 pub use lifecycle::{
-    default_canary_slice, lifecycle_mode, LifecycleEvent, LifecycleMode, LifecycleStatsSnapshot,
-    RollbackReason, TolerancePolicy, DEFAULT_DIVERGENCE_TOLERANCE, PHI_CANARY_SLICE_ENV,
-    PHI_LIFECYCLE_ENV,
+    LifecycleEvent, LifecycleStatsSnapshot, RollbackReason, TolerancePolicy,
+    DEFAULT_DIVERGENCE_TOLERANCE,
 };
 pub use server::{
     available_cores, ModelRegistry, ModelStatsSnapshot, PhiServer, ResponseHandle, ServedResponse,

@@ -1,30 +1,25 @@
-//! Live model lifecycle vocabulary: modes, tolerance policies, typed
-//! events, and the lock-free request reservoir behind traffic-aware
-//! recalibration.
+//! Live model lifecycle vocabulary: tolerance policies, typed events and
+//! the per-model lifecycle snapshot.
 //!
 //! Phi's patterns are calibrated offline, but pattern-based sparsity only
 //! pays off while the calibrated pattern set keeps matching the activity
-//! actually arriving — and production traffic drifts. The lifecycle
-//! subsystem closes that loop without restarting the server:
+//! actually arriving — and production traffic drifts. Recalibrating means
+//! rerunning that offline selection on fresh activations
+//! ([`ModelCompiler::recompile_from_samples`], fed whatever samples the
+//! caller collected) and handing the result to the server, which vets it
+//! against live traffic before it serves anyone:
 //!
 //! ```text
-//!  Serving ──▶ Sampling ──▶ Compiling ──▶ Canary ──▶ Promoted
-//!     ▲         (reservoir)  (off-thread)  (shadow)      │
-//!     └──────────────◀── RolledBack ◀────────┴───────────┘
+//!  Serving ──propose──▶ Canary ──▶ Promoted
+//!     ▲                 (shadow)      │
+//!     └──◀── RolledBack ◀──┴──────────┘
 //! ```
 //!
-//! * **Sampling** — under [`LifecycleMode::Auto`] every admitted request
-//!   is offered to a bounded sample reservoir (Algorithm R over a
-//!   monotonic counter; `try_lock`-only, so the submit path never blocks
-//!   on the sampler).
-//! * **Compiling** — a background recalibrator drains the reservoir and
-//!   recompiles the artifact's patterns from the sampled traffic
-//!   ([`ModelCompiler::recompile_from_samples`]) with the parallel
-//!   calibration engine, off the serving threads.
-//! * **Canary** — the candidate shadow-executes a configurable slice of
-//!   live traffic ([`ServerConfig::canary_slice`]) next to the incumbent
-//!   and its readouts are compared under a [`TolerancePolicy`]; enough
-//!   clean comparisons promote it, any violation rolls it back.
+//! * **Canary** — [`PhiServer::propose`](crate::PhiServer::propose)
+//!   installs the candidate next to the incumbent; every stateless batch
+//!   served on the active version is shadow-executed on it, and the
+//!   readouts are compared under a [`TolerancePolicy`]. Enough clean
+//!   comparisons promote it, any violation rolls it back.
 //! * **Promoted / RolledBack** — promotion swaps the slot's active entry
 //!   atomically (in-flight batches finish on the artifact they started
 //!   with); rollback discards the candidate and the incumbent keeps
@@ -35,78 +30,6 @@
 //! ([`PhiServer::lifecycle_stats`](crate::PhiServer::lifecycle_stats)).
 //!
 //! [`ModelCompiler::recompile_from_samples`]: crate::ModelCompiler::recompile_from_samples
-//! [`ServerConfig::canary_slice`]: crate::ServerConfig::canary_slice
-
-use crate::executor::InferenceRequest;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-/// Environment variable selecting the default [`LifecycleMode`]
-/// (`off` or `auto`) for servers that do not set one explicitly.
-pub const PHI_LIFECYCLE_ENV: &str = "PHI_LIFECYCLE";
-
-/// Environment variable overriding the default canary shadow slice — the
-/// fraction of live batches shadow-executed on a pending candidate,
-/// parsed as a float within `(0, 1]`.
-pub const PHI_CANARY_SLICE_ENV: &str = "PHI_CANARY_SLICE";
-
-/// Whether a server runs the automatic lifecycle machinery (request
-/// sampling plus the background recalibrator thread).
-///
-/// The *manual* lifecycle — [`PhiServer::deploy`](crate::PhiServer::deploy)
-/// and [`PhiServer::propose`](crate::PhiServer::propose) — is always
-/// available; the mode only gates what happens without operator action.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LifecycleMode {
-    /// No sampling, no recalibrator thread: the serving stack behaves
-    /// exactly as it did before the lifecycle subsystem existed. The
-    /// default.
-    #[default]
-    Off,
-    /// Sample served traffic into the reservoir and recalibrate +
-    /// canary + swap automatically when enough new traffic accumulated
-    /// ([`ServerConfig::recalibrate_after`](crate::ServerConfig::recalibrate_after)).
-    Auto,
-}
-
-impl std::fmt::Display for LifecycleMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            LifecycleMode::Off => "off",
-            LifecycleMode::Auto => "auto",
-        })
-    }
-}
-
-impl std::str::FromStr for LifecycleMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> std::result::Result<Self, Self::Err> {
-        match s {
-            "off" => Ok(LifecycleMode::Off),
-            "auto" => Ok(LifecycleMode::Auto),
-            other => Err(format!("unknown lifecycle mode '{other}' (expected 'off' or 'auto')")),
-        }
-    }
-}
-
-/// The lifecycle mode servers default to: [`PHI_LIFECYCLE_ENV`] when set
-/// and parsable, else [`LifecycleMode::Off`].
-pub fn lifecycle_mode() -> LifecycleMode {
-    std::env::var(PHI_LIFECYCLE_ENV).ok().and_then(|v| v.parse().ok()).unwrap_or_default()
-}
-
-/// The canary shadow slice servers default to: [`PHI_CANARY_SLICE_ENV`]
-/// when set, parsable, and within `(0, 1]`, else `1.0` (every live batch
-/// is shadowed while a canary is pending — the deterministic default; a
-/// loaded deployment lowers it to bound the shadow overhead).
-pub fn default_canary_slice() -> f64 {
-    std::env::var(PHI_CANARY_SLICE_ENV)
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|s| *s > 0.0 && *s <= 1.0)
-        .unwrap_or(1.0)
-}
 
 /// How a canary candidate's shadow readouts must relate to the
 /// incumbent's for the comparison to count as clean.
@@ -133,8 +56,8 @@ pub enum TolerancePolicy {
     },
 }
 
-/// The divergence bound auto-recalibration uses for drift-adapted
-/// candidates (pattern sets that changed): generous against f32
+/// The divergence bound recommended for drift-adapted recompiles
+/// (candidates whose pattern sets changed): generous against f32
 /// reassociation noise, far below any real numerical defect.
 pub const DEFAULT_DIVERGENCE_TOLERANCE: f32 = 1e-3;
 
@@ -160,7 +83,7 @@ impl std::fmt::Display for TolerancePolicy {
     }
 }
 
-/// Why a proposed candidate was rolled back (or never reached the canary).
+/// Why a proposed candidate was rolled back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RollbackReason {
     /// A shadow readout violated the candidate's [`TolerancePolicy`].
@@ -170,9 +93,6 @@ pub enum RollbackReason {
     CanaryPanicked,
     /// Shadow execution on the candidate returned a typed error.
     CanaryExecutionFailed,
-    /// Recompiling from sampled traffic failed or panicked; no candidate
-    /// was ever proposed and the incumbent is untouched.
-    CompileFailed,
     /// The server shut down while the canary was still undecided.
     ShuttingDown,
 }
@@ -183,7 +103,6 @@ impl std::fmt::Display for RollbackReason {
             RollbackReason::CanaryDivergence => "canary readout divergence",
             RollbackReason::CanaryPanicked => "canary shadow execution panicked",
             RollbackReason::CanaryExecutionFailed => "canary shadow execution failed",
-            RollbackReason::CompileFailed => "recompile from samples failed",
             RollbackReason::ShuttingDown => "server shut down mid-canary",
         })
     }
@@ -217,11 +136,9 @@ pub enum LifecycleEvent {
         /// The newly active version tag.
         version: u64,
     },
-    /// A candidate was discarded and the incumbent kept serving. For
-    /// [`RollbackReason::CompileFailed`] the version is the *incumbent's*
-    /// (no candidate version was ever allocated).
+    /// A candidate was discarded and the incumbent kept serving.
     RolledBack {
-        /// The version the event concerns.
+        /// The discarded candidate's version tag.
         version: u64,
         /// Why the candidate was discarded.
         reason: RollbackReason,
@@ -242,124 +159,20 @@ pub struct LifecycleStatsSnapshot {
     pub proposed: u64,
     /// Versions promoted to active (canary passes plus direct deploys).
     pub promoted: u64,
-    /// Candidates rolled back (including recompile failures).
+    /// Candidates rolled back.
     pub rolled_back: u64,
     /// Whether a candidate is in its canary stage right now.
     pub canary_pending: bool,
     /// Requests shadow-executed and compared across every canary so far.
     pub canary_compared: u64,
-    /// Recompile-from-samples attempts by the background recalibrator.
-    pub recompiles: u64,
-    /// Recompile attempts that failed or panicked (the incumbent kept
-    /// serving; counted inside `rolled_back` too).
-    pub compile_failures: u64,
-    /// Requests ever offered to the sampling reservoir.
-    pub samples_seen: u64,
-    /// Samples currently held by the reservoir (bounded by
-    /// [`ServerConfig::reservoir_capacity`](crate::ServerConfig::reservoir_capacity)).
-    pub samples_held: usize,
     /// The most recent lifecycle events, oldest first (bounded; earlier
     /// events age out but stay counted above).
     pub events: Vec<LifecycleEvent>,
 }
 
-/// Bounded uniform sample of served requests — the recalibration corpus.
-///
-/// Algorithm R over a monotonic offer counter: offer `n` (0-based) lands
-/// in slot `splitmix64(n) % (n + 1)` and is kept only if that slot exists,
-/// so after `N ≥ capacity` offers every request was retained with
-/// probability `capacity / N`. Slots are individually `try_lock`ed — a
-/// submitter that loses the race simply skips its offer (a sampling loss,
-/// never a stall), which is what keeps the hot path lock-free in the
-/// never-blocks sense.
-#[derive(Debug)]
-pub(crate) struct SampleReservoir {
-    slots: Vec<Mutex<Option<InferenceRequest>>>,
-    seen: AtomicU64,
-    held: AtomicUsize,
-}
-
-/// SplitMix64 — a stateless integer mixer; drives slot selection so the
-/// hot path carries no RNG state (the offer counter is the stream).
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-impl SampleReservoir {
-    pub(crate) fn new(capacity: usize) -> Self {
-        SampleReservoir {
-            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
-            seen: AtomicU64::new(0),
-            held: AtomicUsize::new(0),
-        }
-    }
-
-    /// Requests ever offered.
-    pub(crate) fn seen(&self) -> u64 {
-        self.seen.load(Ordering::Relaxed)
-    }
-
-    /// Samples currently held (approximate under concurrent offers).
-    pub(crate) fn held(&self) -> usize {
-        self.held.load(Ordering::Relaxed)
-    }
-
-    /// Offers one served request for sampling; clones it only when
-    /// selected, and never blocks.
-    pub(crate) fn offer(&self, request: &InferenceRequest) {
-        if self.slots.is_empty() {
-            return;
-        }
-        let n = self.seen.fetch_add(1, Ordering::Relaxed);
-        let capacity = self.slots.len() as u64;
-        let index = if n < capacity { n } else { splitmix64(n) % (n + 1) };
-        if index >= capacity {
-            return;
-        }
-        if let Ok(mut slot) = self.slots[index as usize].try_lock() {
-            if slot.is_none() {
-                self.held.fetch_add(1, Ordering::Relaxed);
-            }
-            *slot = Some(request.clone());
-        }
-    }
-
-    /// Takes every held sample, leaving the reservoir empty (the offer
-    /// counter keeps running, so post-drain traffic refills it with the
-    /// Algorithm R retention probabilities of the full stream).
-    pub(crate) fn drain(&self) -> Vec<InferenceRequest> {
-        let mut out = Vec::new();
-        for slot in &self.slots {
-            if let Some(request) = crate::sync::lock(slot).take() {
-                out.push(request);
-            }
-        }
-        self.held.store(0, Ordering::Relaxed);
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snn_core::SpikeMatrix;
-
-    fn request(tag: u64) -> InferenceRequest {
-        let mut m = SpikeMatrix::zeros(1, 64);
-        m.set_tile(0, 0, 64, tag);
-        InferenceRequest::new(vec![m])
-    }
-
-    #[test]
-    fn modes_parse_and_display() {
-        for mode in [LifecycleMode::Off, LifecycleMode::Auto] {
-            assert_eq!(mode.to_string().parse::<LifecycleMode>(), Ok(mode));
-        }
-        assert!("bogus".parse::<LifecycleMode>().is_err());
-    }
 
     #[test]
     fn tolerance_policies_gate_divergence() {
@@ -371,40 +184,5 @@ mod tests {
         assert!(!bounded.allows(2e-3));
         assert!(!bounded.allows(f32::NAN));
         assert!(bounded.to_string().contains("0.001"));
-    }
-
-    #[test]
-    fn reservoir_fills_then_samples_uniformly_enough() {
-        let reservoir = SampleReservoir::new(8);
-        for i in 0..8 {
-            reservoir.offer(&request(i));
-        }
-        assert_eq!((reservoir.seen(), reservoir.held()), (8, 8));
-        // Beyond capacity, offers displace earlier samples with decaying
-        // probability; the reservoir stays full and bounded.
-        for i in 8..512 {
-            reservoir.offer(&request(i));
-        }
-        assert_eq!(reservoir.seen(), 512);
-        assert_eq!(reservoir.held(), 8);
-        let drained = reservoir.drain();
-        assert_eq!(drained.len(), 8);
-        assert_eq!(reservoir.held(), 0);
-        // Late traffic must actually displace early traffic: at least one
-        // retained sample comes from beyond the initial fill.
-        let late = drained.iter().any(|r| r.layers[0].partition_tile(0, 0, 64) >= 8);
-        assert!(late, "512 offers never displaced the initial fill");
-        // The counter keeps running after a drain, so refills keep the
-        // whole-stream retention probabilities.
-        reservoir.offer(&request(999));
-        assert_eq!(reservoir.seen(), 513);
-    }
-
-    #[test]
-    fn zero_capacity_reservoir_is_inert() {
-        let reservoir = SampleReservoir::new(0);
-        reservoir.offer(&request(1));
-        assert_eq!((reservoir.seen(), reservoir.held()), (0, 0));
-        assert!(reservoir.drain().is_empty());
     }
 }

@@ -80,10 +80,16 @@
 //!   stay bit-identical to stateless serving; sessions are bounded
 //!   ([`ServerConfig::max_sessions`]) and expire after
 //!   [`ServerConfig::session_ttl`] of inactivity.
+//! * **Versions swap live, on the caller's schedule.** [`PhiServer::deploy`]
+//!   hot-swaps a model key to a new artifact; [`PhiServer::propose`]
+//!   installs a canary candidate (typically the output of
+//!   [`ModelCompiler::recompile_from_samples`](crate::ModelCompiler::recompile_from_samples))
+//!   that the workers shadow-execute on live stateless batches, after the
+//!   riders resolved, and then promote or roll back.
 //! * **No async runtime.** The workspace vendors its dependencies, so the
 //!   collector and workers are `std::thread`s coordinated with mutexes,
-//!   atomics, and `mpsc` channels; [`ResponseHandle`] is the blocking
-//!   future equivalent.
+//!   atomics, and `mpsc` channels — the only threads a server spawns;
+//!   [`ResponseHandle`] is the blocking future equivalent.
 //!
 //! # Example: start a server, submit, wait
 //!
@@ -115,13 +121,9 @@
 //! ```
 
 use crate::artifact::CompiledModel;
-use crate::compile::ModelCompiler;
 use crate::error::ServerError;
 use crate::executor::{BatchExecutor, InferenceRequest};
-use crate::lifecycle::{
-    default_canary_slice, lifecycle_mode, LifecycleEvent, LifecycleMode, LifecycleStatsSnapshot,
-    RollbackReason, SampleReservoir, TolerancePolicy, DEFAULT_DIVERGENCE_TOLERANCE,
-};
+use crate::lifecycle::{LifecycleEvent, LifecycleStatsSnapshot, RollbackReason, TolerancePolicy};
 use crate::stream::StreamSession;
 use crate::sync::{lock, read, write};
 use phi_accel::{BackendKind, ExecutionBackend};
@@ -150,6 +152,11 @@ pub type ServerResult<T> = std::result::Result<T, ServerError>;
 /// full batch dispatches immediately, with `max_wait` only catching
 /// stragglers); open-loop traffic near saturation is dominated by
 /// `queue_capacity` (how much burst is absorbed before shedding).
+///
+/// The model lifecycle adds one knob, `canary_target`: how many clean
+/// shadow comparisons a [`PhiServer::propose`]d candidate needs before it
+/// is promoted. Recompiling a candidate is the caller's job
+/// ([`ModelCompiler::recompile_from_samples`](crate::ModelCompiler::recompile_from_samples)).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerConfig {
     /// Largest batch the collector will fuse (default 64).
@@ -189,34 +196,9 @@ pub struct ServerConfig {
     /// eligible for eviction; expired sessions are swept lazily when new
     /// sessions open (default 60 s).
     pub session_ttl: Duration,
-    /// Whether the automatic lifecycle machinery runs: under
-    /// [`LifecycleMode::Auto`] every hosted model samples served traffic
-    /// into a bounded reservoir and a background recalibrator thread
-    /// recompiles / canaries / swaps when enough new traffic accumulated.
-    /// Under [`LifecycleMode::Off`] (the default, overridable via the
-    /// `PHI_LIFECYCLE` environment knob) the serving stack is exactly the
-    /// pre-lifecycle one — no sampling, no extra thread — though manual
-    /// [`PhiServer::deploy`] / [`PhiServer::propose`] still work.
-    pub lifecycle: LifecycleMode,
-    /// Fraction of live batches shadow-executed on a pending canary
-    /// candidate, within `(0, 1]` (default: the `PHI_CANARY_SLICE`
-    /// environment knob, else `1.0`). Shadow execution happens on the
-    /// worker *after* the riders' responses are sent, so it costs batch
-    /// throughput while a canary is pending, never response latency.
-    pub canary_slice: f64,
     /// Requests whose shadow readouts must compare clean before a
     /// canary candidate is promoted (default 64).
     pub canary_target: u64,
-    /// Capacity of the per-model served-request sampling reservoir under
-    /// [`LifecycleMode::Auto`]; `0` disables sampling (default 64).
-    pub reservoir_capacity: usize,
-    /// Served requests since the last proposal that trigger an automatic
-    /// recalibration (default 4096). [`PhiServer::request_recalibration`]
-    /// bypasses the threshold.
-    pub recalibrate_after: u64,
-    /// How often the background recalibrator wakes to check its
-    /// thresholds (default 100 ms).
-    pub lifecycle_interval: Duration,
 }
 
 impl Default for ServerConfig {
@@ -231,12 +213,7 @@ impl Default for ServerConfig {
             tile_cache: crate::executor::default_tile_cache_capacity(),
             max_sessions: 256,
             session_ttl: Duration::from_secs(60),
-            lifecycle: lifecycle_mode(),
-            canary_slice: default_canary_slice(),
             canary_target: 64,
-            reservoir_capacity: 64,
-            recalibrate_after: 4096,
-            lifecycle_interval: Duration::from_millis(100),
         }
     }
 }
@@ -303,39 +280,9 @@ impl ServerConfig {
         self
     }
 
-    /// Overrides the lifecycle mode.
-    pub fn with_lifecycle(mut self, lifecycle: LifecycleMode) -> Self {
-        self.lifecycle = lifecycle;
-        self
-    }
-
-    /// Overrides the canary shadow slice (must be within `(0, 1]`).
-    pub fn with_canary_slice(mut self, canary_slice: f64) -> Self {
-        self.canary_slice = canary_slice;
-        self
-    }
-
     /// Overrides the canary comparison target.
     pub fn with_canary_target(mut self, canary_target: u64) -> Self {
         self.canary_target = canary_target;
-        self
-    }
-
-    /// Overrides the sampling-reservoir capacity (`0` disables sampling).
-    pub fn with_reservoir_capacity(mut self, reservoir_capacity: usize) -> Self {
-        self.reservoir_capacity = reservoir_capacity;
-        self
-    }
-
-    /// Overrides the served-traffic recalibration threshold.
-    pub fn with_recalibrate_after(mut self, recalibrate_after: u64) -> Self {
-        self.recalibrate_after = recalibrate_after;
-        self
-    }
-
-    /// Overrides the recalibrator wake interval.
-    pub fn with_lifecycle_interval(mut self, lifecycle_interval: Duration) -> Self {
-        self.lifecycle_interval = lifecycle_interval;
         self
     }
 }
@@ -661,22 +608,18 @@ struct LifecycleCounters {
     promoted: AtomicU64,
     rolled_back: AtomicU64,
     canary_compared: AtomicU64,
-    recompiles: AtomicU64,
-    compile_failures: AtomicU64,
 }
 
-/// A candidate version in its canary stage: shadow-executes a slice of
-/// live traffic until `target` comparisons pass (promote) or one fails
-/// (rollback). `decided` is the single-decision gate — racing workers and
-/// shutdown agree on exactly one outcome.
+/// A candidate version in its canary stage: shadow-executes every
+/// stateless batch served on the active version until `target`
+/// comparisons pass (promote) or one fails (rollback). `decided` is the
+/// single-decision gate — racing workers and shutdown agree on exactly
+/// one outcome.
 struct CandidateState {
     entry: Arc<ModelEntry>,
     tolerance: TolerancePolicy,
     target: u64,
     compared: AtomicU64,
-    /// Counts shadow opportunities (batches observed while pending) for
-    /// the deterministic slice gate.
-    shadow_seq: AtomicU64,
     decided: AtomicBool,
     max_divergence: Mutex<f32>,
 }
@@ -686,7 +629,9 @@ struct CandidateState {
 /// one `Acquire` load and two reference-count bumps, no lock — while
 /// `history` retains every version ever installed (so the pointer is
 /// always backed by a live allocation, and in-flight batches plus pinned
-/// sessions can keep serving on superseded versions).
+/// sessions can keep serving on superseded versions). A version arrives
+/// either directly ([`PhiServer::deploy`]) or as the one pending canary
+/// candidate of [`PhiServer::propose`], which the workers decide.
 struct ModelSlot {
     /// Points at the entry new admissions serve on. Always one of the
     /// `history` elements.
@@ -710,24 +655,12 @@ struct ModelSlot {
     /// Monotonic session-id source (ids are never reused, so a closed or
     /// expired session's id can never alias a new client).
     session_seq: AtomicU64,
-    /// The fraction of served batches a pending canary shadows
-    /// ([`ServerConfig::canary_slice`], fixed at start).
-    canary_slice: f64,
     /// The pending canary candidate, if any (at most one per slot).
     candidate: Mutex<Option<Arc<CandidateState>>>,
     /// Fast-path mirror of `candidate.is_some()`, so workers serving
     /// traffic with no canary pending pay one relaxed-ish load, not a
     /// lock.
     canary_active: AtomicBool,
-    /// Bounded uniform sample of served requests (the recalibration
-    /// corpus) under [`LifecycleMode::Auto`].
-    reservoir: SampleReservoir,
-    /// Set by [`PhiServer::request_recalibration`]; the recalibrator
-    /// consumes it to bypass the served-traffic threshold.
-    nudge: AtomicBool,
-    /// `stats.served` at the last proposal, so `recalibrate_after`
-    /// measures traffic *since* then.
-    served_at_proposal: AtomicU64,
     lifecycle: LifecycleCounters,
     /// The most recent lifecycle events, oldest first (bounded by
     /// [`EVENT_LOG_CAP`]).
@@ -748,12 +681,8 @@ impl ModelSlot {
                 stats,
                 sessions: Mutex::new(HashMap::new()),
                 session_seq: AtomicU64::new(0),
-                canary_slice: config.canary_slice,
                 candidate: Mutex::new(None),
                 canary_active: AtomicBool::new(false),
-                reservoir: SampleReservoir::new(config.reservoir_capacity),
-                nudge: AtomicBool::new(false),
-                served_at_proposal: AtomicU64::new(0),
                 lifecycle: LifecycleCounters::default(),
                 events: Mutex::new(VecDeque::new()),
             }
@@ -895,11 +824,6 @@ struct Shared {
     /// against the collector's check-then-wait.
     ctrl: Mutex<()>,
     cond: Condvar,
-    /// Anchor mutex + condvar for the lifecycle thread's timed sleep, so
-    /// shutdown (and [`PhiServer::request_recalibration`]) can cut its
-    /// [`ServerConfig::lifecycle_interval`] nap short.
-    lc_ctrl: Mutex<()>,
-    lc_cond: Condvar,
     unknown_model: AtomicU64,
 }
 
@@ -931,13 +855,6 @@ impl Shared {
         drop(lock(&self.ctrl));
         self.cond.notify_all();
     }
-
-    /// Wakes the lifecycle thread (same ordering argument as
-    /// [`Shared::wake_collector`], against its timed wait).
-    fn wake_lifecycle(&self) {
-        drop(lock(&self.lc_ctrl));
-        self.lc_cond.notify_all();
-    }
 }
 
 /// The serving front-end: hosts every model of a [`ModelRegistry`] behind
@@ -951,7 +868,6 @@ pub struct PhiServer {
     shared: Arc<Shared>,
     slots: HashMap<String, Arc<ModelSlot>>,
     collector: Mutex<Option<JoinHandle<()>>>,
-    lifecycle: Mutex<Option<JoinHandle<()>>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -975,10 +891,6 @@ impl PhiServer {
         assert!(config.max_request_rows > 0, "max_request_rows must be at least 1");
         assert!(config.workers > 0, "workers must be at least 1");
         assert!(config.max_sessions > 0, "max_sessions must be at least 1");
-        assert!(
-            config.canary_slice > 0.0 && config.canary_slice <= 1.0,
-            "canary_slice must be in (0, 1]"
-        );
 
         let slots: HashMap<String, Arc<ModelSlot>> = registry
             .models
@@ -994,8 +906,6 @@ impl PhiServer {
             shutdown: AtomicBool::new(false),
             ctrl: Mutex::new(()),
             cond: Condvar::new(),
-            lc_ctrl: Mutex::new(()),
-            lc_cond: Condvar::new(),
             unknown_model: AtomicU64::new(0),
         });
 
@@ -1018,20 +928,11 @@ impl PhiServer {
                 .spawn(move || collector_loop(&shared, &dispatch_tx))
                 .expect("spawn collector thread")
         };
-        let lifecycle = (config.lifecycle == LifecycleMode::Auto).then(|| {
-            let shared = Arc::clone(&shared);
-            let slots: Vec<Arc<ModelSlot>> = slots.values().map(Arc::clone).collect();
-            std::thread::Builder::new()
-                .name("phi-server-lifecycle".into())
-                .spawn(move || lifecycle_loop(&shared, &slots))
-                .expect("spawn lifecycle thread")
-        });
 
         PhiServer {
             shared,
             slots,
             collector: Mutex::new(Some(collector)),
-            lifecycle: Mutex::new(lifecycle),
             workers: Mutex::new(workers),
         }
     }
@@ -1102,10 +1003,10 @@ impl PhiServer {
         Ok(version)
     }
 
-    /// Proposes `model` as a canary candidate for `key`: a
-    /// [`ServerConfig::canary_slice`] fraction of live stateless traffic
-    /// is shadow-executed on the candidate and compared to the served
-    /// readouts under `tolerance`. After
+    /// Proposes `model` as a canary candidate for `key`: every stateless
+    /// batch served on the active version while the candidate is pending
+    /// is shadow-executed on it and compared to the served readouts under
+    /// `tolerance`. After
     /// [`ServerConfig::canary_target`] comparisons within tolerance the
     /// candidate is promoted (hot-swapped in, exactly like
     /// [`PhiServer::deploy`]); one comparison outside tolerance — or a
@@ -1131,22 +1032,6 @@ impl PhiServer {
             .ok_or_else(|| ServerError::CanaryInProgress { key: key.to_string() })
     }
 
-    /// Asks the background recalibrator to recalibrate `key` from its
-    /// traffic reservoir at the next lifecycle tick, bypassing the
-    /// [`ServerConfig::recalibrate_after`] traffic threshold. A no-op
-    /// (beyond arming the flag) unless the server runs
-    /// [`LifecycleMode::Auto`].
-    ///
-    /// # Errors
-    ///
-    /// [`ServerError::UnknownModel`].
-    pub fn request_recalibration(&self, key: &str) -> ServerResult<()> {
-        let slot = self.slot(key)?;
-        slot.nudge.store(true, Ordering::Release);
-        self.shared.wake_lifecycle();
-        Ok(())
-    }
-
     /// Lifecycle counters and recent events for `key`; `None` for an
     /// unknown key.
     pub fn lifecycle_stats(&self, key: &str) -> Option<LifecycleStatsSnapshot> {
@@ -1160,10 +1045,6 @@ impl PhiServer {
                 rolled_back: lc.rolled_back.load(Ordering::Relaxed),
                 canary_pending: slot.canary_active.load(Ordering::Acquire),
                 canary_compared: lc.canary_compared.load(Ordering::Relaxed),
-                recompiles: lc.recompiles.load(Ordering::Relaxed),
-                compile_failures: lc.compile_failures.load(Ordering::Relaxed),
-                samples_seen: slot.reservoir.seen(),
-                samples_held: slot.reservoir.held(),
                 events: lock(&slot.events).iter().cloned().collect(),
             }
         })
@@ -1232,12 +1113,6 @@ impl PhiServer {
                 Ok(_) => break,
                 Err(actual) => queued = actual,
             }
-        }
-
-        // Feed the recalibration reservoir from admitted traffic (Auto
-        // mode only; a lock-free try-offer, never blocking the hot path).
-        if shared.config.lifecycle == LifecycleMode::Auto {
-            slot.reservoir.offer(&request);
         }
 
         // Count into the coalescing group *before* the push: the counter
@@ -1390,9 +1265,6 @@ impl PhiServer {
                 Err(actual) => queued = actual,
             }
         }
-        if shared.config.lifecycle == LifecycleMode::Auto {
-            slot.reservoir.offer(&frame);
-        }
         let counter = entry.group_counter(rows);
         let matching = counter.fetch_add(1, Ordering::SeqCst) + 1;
 
@@ -1512,12 +1384,8 @@ impl PhiServer {
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.shared.wake_collector();
-        self.shared.wake_lifecycle();
         if let Some(collector) = lock(&self.collector).take() {
             let _ = collector.join();
-        }
-        if let Some(lifecycle) = lock(&self.lifecycle).take() {
-            let _ = lifecycle.join();
         }
         // The collector's shutdown sweep already closed and drained the
         // intake; repeat it here in case the collector died early (a
@@ -1988,7 +1856,6 @@ fn propose_candidate(
         tolerance,
         target: config.canary_target.max(1),
         compared: AtomicU64::new(0),
-        shadow_seq: AtomicU64::new(0),
         decided: AtomicBool::new(false),
         max_divergence: Mutex::new(0.0),
     }));
@@ -2027,15 +1894,6 @@ fn run_canary_shadow(
     served: &[Option<Matrix>],
 ) {
     if candidate.decided.load(Ordering::Acquire) {
-        return;
-    }
-    // Deterministic slice gate: admit the batches whose index crosses a
-    // new integer multiple of the slice, giving exactly a `slice`
-    // fraction of shadow opportunities without RNG state.
-    let slice = slot.canary_slice;
-    let tick = candidate.shadow_seq.fetch_add(1, Ordering::Relaxed);
-    let admitted = ((tick + 1) as f64 * slice).floor() > (tick as f64 * slice).floor();
-    if !admitted {
         return;
     }
     let executor = &candidate.entry.executor;
@@ -2148,97 +2006,6 @@ fn rollback_candidate(
     }
     slot.lifecycle.rolled_back.fetch_add(1, Ordering::Relaxed);
     slot.push_event(LifecycleEvent::RolledBack { version: candidate.entry.version, reason });
-}
-
-/// The background recalibrator ([`LifecycleMode::Auto`] only): every
-/// [`ServerConfig::lifecycle_interval`] (or sooner, when nudged), checks
-/// each slot for enough fresh traffic since its last proposal, recompiles
-/// the incumbent's patterns from the reservoir off-thread, and proposes
-/// the result as a canary candidate. A panicking or failing recompile
-/// degrades to the incumbent — it is counted and logged, and never
-/// touches the registry.
-fn lifecycle_loop(shared: &Shared, slots: &[Arc<ModelSlot>]) {
-    let interval = shared.config.lifecycle_interval;
-    loop {
-        {
-            let guard = lock(&shared.lc_ctrl);
-            if shared.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            let _ = shared
-                .lc_cond
-                .wait_timeout(guard, interval)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        for slot in slots {
-            maybe_recalibrate(shared, slot);
-        }
-    }
-}
-
-/// One recalibration check for one slot (see [`lifecycle_loop`]).
-fn maybe_recalibrate(shared: &Shared, slot: &Arc<ModelSlot>) {
-    if lock(&slot.candidate).is_some() {
-        return;
-    }
-    let nudged = slot.nudge.swap(false, Ordering::AcqRel);
-    let served = slot.stats.served.load(Ordering::Acquire);
-    let due = served.saturating_sub(slot.served_at_proposal.load(Ordering::Acquire))
-        >= shared.config.recalibrate_after;
-    if !nudged && !due {
-        return;
-    }
-    let incumbent = slot.active_entry();
-    let samples: Vec<InferenceRequest> = slot
-        .reservoir
-        .drain()
-        .into_iter()
-        .filter(|s| s.validate_against(incumbent.model()).is_ok())
-        .collect();
-    if samples.is_empty() {
-        // Nothing to calibrate from yet; keep an explicit nudge armed so
-        // it fires once traffic arrives.
-        if nudged {
-            slot.nudge.store(true, Ordering::Release);
-        }
-        return;
-    }
-    slot.served_at_proposal.store(served, Ordering::Release);
-    slot.lifecycle.recompiles.fetch_add(1, Ordering::Relaxed);
-    let compiled = catch_unwind(AssertUnwindSafe(|| {
-        ModelCompiler::default().recompile_from_samples(&incumbent.model, &samples)
-    }));
-    let candidate = match compiled {
-        Ok(Ok(model)) => Arc::new(model),
-        Ok(Err(_)) | Err(_) => {
-            slot.lifecycle.compile_failures.fetch_add(1, Ordering::Relaxed);
-            slot.lifecycle.rolled_back.fetch_add(1, Ordering::Relaxed);
-            slot.push_event(LifecycleEvent::RolledBack {
-                version: incumbent.version,
-                reason: RollbackReason::CompileFailed,
-            });
-            return;
-        }
-    };
-    // A recompile that reproduced the incumbent's patterns must be
-    // byte-identical end to end (same weights, same PWP folding), so the
-    // canary can demand bit-identity; drift-adapted patterns change the
-    // decomposition and warrant a bounded numeric tolerance instead.
-    let same_patterns = incumbent
-        .model
-        .layers()
-        .iter()
-        .zip(candidate.layers())
-        .all(|(a, b)| a.patterns == b.patterns);
-    let tolerance = if same_patterns {
-        TolerancePolicy::BitIdentical
-    } else {
-        TolerancePolicy::BoundedDivergence { max_abs: DEFAULT_DIVERGENCE_TOLERANCE }
-    };
-    propose_candidate(slot, candidate, tolerance, &shared.config);
 }
 
 #[cfg(test)]
@@ -2602,6 +2369,45 @@ mod tests {
     }
 
     #[test]
+    fn deadline_shed_stream_frame_promotes_its_successor() {
+        let w = tiny_workload();
+        let m = model(&w);
+        let mut registry = ModelRegistry::new();
+        registry.register("m", Arc::clone(&m));
+        let config = ServerConfig::default()
+            .with_max_batch(64)
+            .with_max_wait(Duration::from_millis(20))
+            .with_workers(1);
+        let server = PhiServer::start(registry, config);
+        let session = server.open_session("m").unwrap();
+        let frames = requests(&w, 2, 4, 17);
+        // Frame 1 expires in the collector long before max_wait; frame 2
+        // parks behind it and must be promoted by the shed, not stranded.
+        let first = frames[0].clone().with_deadline(Duration::from_millis(1));
+        let first = server.submit_stream("m", session, first).unwrap();
+        let second = server.submit_stream("m", session, frames[1].clone()).unwrap();
+        assert!(matches!(
+            first.wait(),
+            Err(ServerError::DeadlineExceeded { deadline }) if deadline == Duration::from_millis(1)
+        ));
+        let response = second
+            .wait_timeout(Duration::from_secs(5))
+            .expect("the parked frame was never promoted")
+            .unwrap();
+        // The shed frame never touched the session, so frame 2 is the
+        // first timestep of a fresh stream.
+        let direct = BatchExecutor::cpu(Arc::clone(&m)).with_tile_cache_capacity(0);
+        let fresh = StreamSession::new(&m);
+        assert_eq!(
+            response.readout,
+            direct.execute_stream_one(&frames[1], &fresh).unwrap().readout
+        );
+        assert_eq!(server.session_snapshot("m", session).unwrap().timesteps, 1);
+        let stats = server.stats("m").unwrap();
+        assert_eq!((stats.deadline_exceeded, stats.served, stats.failed), (1, 1, 0));
+    }
+
+    #[test]
     fn deploy_swaps_atomically_and_new_admissions_serve_the_new_version() {
         let w = tiny_workload();
         let a = model(&w);
@@ -2667,7 +2473,7 @@ mod tests {
         registry.register("m", Arc::clone(&a));
         let server = PhiServer::start(
             registry,
-            ServerConfig::default().with_workers(1).with_canary_target(2).with_canary_slice(1.0),
+            ServerConfig::default().with_workers(1).with_canary_target(2),
         );
         // Proposing the identical artifact: every shadow must match bit
         // for bit, so the canary passes on live traffic alone.
@@ -2681,7 +2487,7 @@ mod tests {
             server.lifecycle_stats("m").unwrap().promoted == 1
         });
         let lc = server.lifecycle_stats("m").unwrap();
-        assert_eq!((lc.version, lc.rolled_back, lc.compile_failures), (2, 0, 0));
+        assert_eq!((lc.version, lc.rolled_back), (2, 0));
         assert!(lc.canary_compared >= 2);
         assert!(!lc.canary_pending);
         assert!(lc.events.iter().any(|e| matches!(
@@ -2700,7 +2506,7 @@ mod tests {
         registry.register("m", Arc::clone(&a));
         let server = PhiServer::start(
             registry,
-            ServerConfig::default().with_workers(1).with_canary_target(4).with_canary_slice(1.0),
+            ServerConfig::default().with_workers(1).with_canary_target(4),
         );
         server.propose("m", Arc::clone(&b), TolerancePolicy::BitIdentical).unwrap();
         let batch = requests(&w, 4, 4, 3);

@@ -1,6 +1,7 @@
 //! Integration tests for the live model lifecycle: zero-downtime hot
-//! swap, session pinning, canary promotion/rollback, and end-to-end
-//! automatic recalibration — all through the public [`PhiServer`] API.
+//! swap, session pinning, canary promotion/rollback, and a recompiled
+//! candidate promoted end to end — all through the public [`PhiServer`]
+//! API.
 //!
 //! The load-bearing invariant: **every readout a client ever observes is
 //! bit-identical to direct execution on some version that was registered
@@ -10,8 +11,8 @@
 mod common;
 
 use phi_runtime::{
-    BatchExecutor, CompileOptions, CompiledModel, InferenceRequest, LifecycleMode, ModelCompiler,
-    ModelRegistry, PhiServer, ServerConfig, StreamSession, TolerancePolicy,
+    BatchExecutor, CompileOptions, CompiledModel, InferenceRequest, ModelCompiler, ModelRegistry,
+    PhiServer, ServerConfig, StreamSession, TolerancePolicy, DEFAULT_DIVERGENCE_TOLERANCE,
 };
 use proptest::prelude::*;
 use snn_core::Matrix;
@@ -140,7 +141,7 @@ fn sessions_stay_pinned_to_their_version_across_swap() {
 #[test]
 fn promotion_after_matching_canary_swaps_without_disturbing_traffic() {
     let (workload, a, _) = fixture();
-    let config = serving_config(2, 4).with_canary_target(4).with_canary_slice(1.0);
+    let config = serving_config(2, 4).with_canary_target(4);
     let server = common::server_with(Arc::clone(a), config);
     let pool = common::requests(workload, 8, 4, 0xCAFE);
     let expected = direct(a, &pool);
@@ -170,7 +171,7 @@ fn promotion_after_matching_canary_swaps_without_disturbing_traffic() {
 #[test]
 fn rejected_canary_rolls_back_and_serving_stays_bit_identical() {
     let (workload, a, b) = fixture();
-    let config = serving_config(2, 4).with_canary_target(1_000).with_canary_slice(1.0);
+    let config = serving_config(2, 4).with_canary_target(1_000);
     let server = common::server_with(Arc::clone(a), config);
     let pool = common::requests(workload, 8, 4, 0xDEAD);
     let expected = direct(a, &pool);
@@ -203,17 +204,23 @@ fn rejected_canary_rolls_back_and_serving_stays_bit_identical() {
 }
 
 #[test]
-fn auto_recalibration_samples_recompiles_and_promotes_end_to_end() {
+fn recompiled_candidate_promotes_through_propose() {
     let (workload, a, _) = fixture();
-    let config = serving_config(2, 4)
-        .with_lifecycle(LifecycleMode::Auto)
-        .with_canary_slice(1.0)
-        .with_canary_target(2)
-        .with_reservoir_capacity(32)
-        .with_recalibrate_after(8)
-        .with_lifecycle_interval(Duration::from_millis(5));
+    let config = serving_config(2, 4).with_canary_target(2);
     let server = common::server_with(Arc::clone(a), config);
     let pool = common::requests(workload, 8, 4, 0xF00D);
+
+    for request in &pool {
+        let response = server.submit("model", request.clone()).unwrap().wait().unwrap();
+        assert!(response.readout.is_some());
+    }
+    // Recalibrate the serving artifact from the traffic it just served
+    // and hand the result to the canary.
+    let candidate = ModelCompiler::default()
+        .recompile_from_samples(&server.model("model").unwrap(), &pool)
+        .expect("recompiling from served samples must not fail");
+    let tolerance = TolerancePolicy::BoundedDivergence { max_abs: DEFAULT_DIVERGENCE_TOLERANCE };
+    assert_eq!(server.propose("model", Arc::new(candidate), tolerance).unwrap(), 2);
 
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
@@ -221,16 +228,12 @@ fn auto_recalibration_samples_recompiles_and_promotes_end_to_end() {
             let response = server.submit("model", request.clone()).unwrap().wait().unwrap();
             assert!(response.readout.is_some());
         }
-        let lc = server.lifecycle_stats("model").unwrap();
-        assert_eq!(lc.compile_failures, 0, "recompiling from served samples must not fail");
-        if lc.promoted >= 1 {
+        if server.lifecycle_stats("model").unwrap().promoted >= 1 {
             break;
         }
-        assert!(Instant::now() < deadline, "auto recalibration never promoted a candidate");
+        assert!(Instant::now() < deadline, "the recompiled candidate never promoted");
     }
     let lc = server.lifecycle_stats("model").unwrap();
-    assert!(lc.recompiles >= 1);
-    assert!(lc.samples_seen > 0);
     assert!(lc.version >= 2);
     assert!(server.model_version("model").unwrap() >= 2);
     let stats = server.stats("model").unwrap();

@@ -15,7 +15,9 @@
 //! * [`network`] / [`train`] — a small, real, surrogate-gradient-trained SNN
 //!   used to demonstrate Pattern-Aware Fine-Tuning (PAFT) as actual training
 //!   rather than a modeling knob,
-//! * [`dataset`] — synthetic rate-coded classification data for the trainer.
+//! * [`dataset`] — synthetic rate-coded classification data for the trainer,
+//! * [`env`](mod@env) — the strict parser valued `PHI_*` environment knobs read
+//!   through.
 //!
 //! # Example
 //!
@@ -33,6 +35,7 @@
 pub mod bitmatrix;
 pub mod dataset;
 pub mod encode;
+pub mod env;
 pub mod error;
 pub mod layer;
 pub mod lif;

@@ -31,10 +31,12 @@
 //! # Dispatch
 //!
 //! The active level is detected once and cached. The `PHI_SIMD`
-//! environment variable overrides it: `off`/`scalar` force the portable
-//! path, `auto` (or unset, or any unrecognized value) uses the best
-//! detected level, and `avx2`/`avx512`/`neon` clamp to that level if the
-//! host supports it. Benchmarks A/B the paths in-process via [`force`].
+//! environment variable overrides it: `off`/`scalar`/`0` force the
+//! portable path, `auto` (or empty, or unset) uses the best detected
+//! level, and `avx2`/`avx512`/`neon` clamp to that level if the host
+//! supports it. Any other value panics on first dispatch, naming the
+//! variable and the value. Benchmarks A/B the paths in-process via
+//! [`force`].
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -132,15 +134,36 @@ fn clamp(requested: SimdLevel) -> SimdLevel {
     }
 }
 
+/// What the `PHI_SIMD` knob asks for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SimdRequest {
+    /// The best detected level (`auto`, empty, or unset).
+    Auto,
+    /// A fixed tier, clamped to what the host supports.
+    Fixed(SimdLevel),
+}
+
+impl std::str::FromStr for SimdRequest {
+    type Err = ();
+
+    fn from_str(s: &str) -> Result<Self, ()> {
+        match s {
+            "" | "auto" => Ok(SimdRequest::Auto),
+            "off" | "scalar" | "0" => Ok(SimdRequest::Fixed(SimdLevel::Scalar)),
+            "avx2" => Ok(SimdRequest::Fixed(SimdLevel::Avx2)),
+            "avx512" => Ok(SimdRequest::Fixed(SimdLevel::Avx512)),
+            "neon" => Ok(SimdRequest::Fixed(SimdLevel::Neon)),
+            _ => Err(()),
+        }
+    }
+}
+
 /// The level `PHI_SIMD` requests, clamped to what the host supports.
+/// A set value outside the accepted spellings panics, naming it.
 fn env_level() -> SimdLevel {
-    match std::env::var("PHI_SIMD").ok().as_deref() {
-        Some("off") | Some("scalar") | Some("0") => SimdLevel::Scalar,
-        Some("avx2") => clamp(SimdLevel::Avx2),
-        Some("avx512") => clamp(SimdLevel::Avx512),
-        Some("neon") => clamp(SimdLevel::Neon),
-        // `auto`, unset, empty, or unrecognized: best detected.
-        _ => detected(),
+    match crate::env::read_env("PHI_SIMD", SimdRequest::Auto) {
+        SimdRequest::Auto => detected(),
+        SimdRequest::Fixed(level) => clamp(level),
     }
 }
 
@@ -1062,6 +1085,27 @@ mod tests {
         assert_eq!(level(), expect);
         force(prev);
         assert_eq!(level(), prev);
+    }
+
+    #[test]
+    fn simd_knob_accepts_its_spellings() {
+        let parse = |raw| crate::env::parse_env("PHI_SIMD", Some(raw), SimdRequest::Auto);
+        for raw in ["", "auto"] {
+            assert_eq!(parse(raw), SimdRequest::Auto);
+        }
+        for raw in ["off", "scalar", "0"] {
+            assert_eq!(parse(raw), SimdRequest::Fixed(SimdLevel::Scalar));
+        }
+        assert_eq!(parse("avx2"), SimdRequest::Fixed(SimdLevel::Avx2));
+        assert_eq!(parse("avx512"), SimdRequest::Fixed(SimdLevel::Avx512));
+        assert_eq!(parse("neon"), SimdRequest::Fixed(SimdLevel::Neon));
+        assert_eq!(crate::env::parse_env("PHI_SIMD", None, SimdRequest::Auto), SimdRequest::Auto);
+    }
+
+    #[test]
+    #[should_panic(expected = "PHI_SIMD=\"avx9\" does not parse")]
+    fn unknown_simd_tier_is_refused() {
+        crate::env::parse_env("PHI_SIMD", Some("avx9"), SimdRequest::Auto);
     }
 
     #[test]
