@@ -97,7 +97,8 @@
 //!   1-worker throughput ratio, enforced only on multi-core hosts
 //!   (default 1.5; 0 disables).
 //! * `PHI_SERVER_WORKERS` — worker count of the multi-worker comparison
-//!   (default: the core count, floored at 2).
+//!   (default: the core count, floored at 2; a set value below 2 stops
+//!   the run).
 //! * `PHI_SERVER_MIN_STREAM_SPEEDUP` — floor for the incremental-vs-full
 //!   streaming throughput ratio at δ = 0.1 (default 1.2; 0 disables).
 //! * `PHI_SERVER_MIN_DRIFT_RECOVERY` — floor for the post-recalibration
@@ -132,6 +133,7 @@ use phi_runtime::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use snn_core::env::{read_env, read_flag};
 use snn_core::Matrix;
 use snn_workloads::{DatasetId, ModelId, Workload, WorkloadConfig};
 use std::path::PathBuf;
@@ -726,9 +728,22 @@ fn run_drift_track(
     }
 }
 
+/// Checks the multi-worker comparison's worker count.
+///
+/// # Panics
+///
+/// Panics below 2 workers: the comparison is N workers against 1.
+fn multi_workers(workers: usize) -> usize {
+    assert!(
+        workers >= 2,
+        "PHI_SERVER_WORKERS={workers} is below 2; the comparison is against 1 worker"
+    );
+    workers
+}
+
 fn main() {
     let runs = bench_runs();
-    let smoke = std::env::var("PHI_SERVER_SMOKE").is_ok_and(|v| v == "1");
+    let smoke = read_flag("PHI_SERVER_SMOKE");
     let per_client = if smoke { SMOKE_REQUESTS_PER_CLIENT } else { REQUESTS_PER_CLIENT };
     let open_loop_n = if smoke { SMOKE_OPEN_LOOP_REQUESTS } else { OPEN_LOOP_REQUESTS };
     let cores = available_cores();
@@ -785,11 +800,7 @@ fn main() {
     let wide_cfg = base_config().with_max_batch(wide_clients);
 
     // ---- Multi-worker: 1 worker vs the core count (or override) ----
-    let workers_multi = std::env::var("PHI_SERVER_WORKERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&w: &usize| w >= 2)
-        .unwrap_or_else(|| cores.max(2));
+    let workers_multi = multi_workers(read_env("PHI_SERVER_WORKERS", cores.max(2)));
     let (single_inf_s, _) =
         measure_server(&model, &wide_traffic, &wide_expected, wide_cfg.with_workers(1), runs);
     let (multi_inf_s, _) = measure_server(
@@ -1255,4 +1266,28 @@ fn main() {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_server.json");
     std::fs::write(&path, json).expect("write BENCH_server.json");
     println!("wrote {}", path.display());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use snn_core::env::parse_env;
+
+    #[test]
+    fn worker_count_defaults_and_parses() {
+        assert_eq!(multi_workers(parse_env("PHI_SERVER_WORKERS", None, 2)), 2);
+        assert_eq!(multi_workers(parse_env("PHI_SERVER_WORKERS", Some("3"), 2)), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "PHI_SERVER_WORKERS=\"two\" does not parse")]
+    fn worker_count_in_words_is_refused() {
+        multi_workers(parse_env("PHI_SERVER_WORKERS", Some("two"), 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "PHI_SERVER_WORKERS=1 is below 2")]
+    fn one_worker_is_refused() {
+        multi_workers(parse_env("PHI_SERVER_WORKERS", Some("1"), 2));
+    }
 }

@@ -33,7 +33,8 @@
 //! Environment knobs:
 //!
 //! * `PHI_BENCH_RUNS` — repetition count (default 5; median reported).
-//! * `PHI_SERVING_TRACKS=cpu` — CPU-backend smoke: skip the recalibrating
+//! * `PHI_SERVING_TRACKS=all|cpu` — `cpu` is the CPU-backend smoke
+//!   (default `all`, the full run): skip the recalibrating
 //!   baseline and the sim-backend throughput sweep (the sim path still
 //!   runs once as the bit-identity anchor) and do not rewrite
 //!   `BENCH_serving.json`.
@@ -47,8 +48,10 @@ use phi_runtime::{
     readouts_identical, BatchExecutor, CompileOptions, CompiledModel, InferenceRequest,
     ModelCompiler,
 };
+use snn_core::env::read_env;
 use snn_workloads::{DatasetId, ModelId, WorkloadConfig};
 use std::path::PathBuf;
+use std::str::FromStr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -96,9 +99,30 @@ fn sweep<B: phi_runtime::ExecutionBackend>(
         .collect()
 }
 
+/// Which tracks a run measures (`PHI_SERVING_TRACKS`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tracks {
+    /// Every track, and `BENCH_serving.json` is rewritten.
+    All,
+    /// The CPU-backend smoke.
+    Cpu,
+}
+
+impl FromStr for Tracks {
+    type Err = ();
+
+    fn from_str(raw: &str) -> Result<Self, ()> {
+        match raw {
+            "all" => Ok(Tracks::All),
+            "cpu" => Ok(Tracks::Cpu),
+            _ => Err(()),
+        }
+    }
+}
+
 fn main() {
     let runs = bench_runs();
-    let cpu_only = std::env::var("PHI_SERVING_TRACKS").is_ok_and(|t| t == "cpu");
+    let cpu_only = read_env("PHI_SERVING_TRACKS", Tracks::All) == Tracks::Cpu;
     println!("generating VGG-16 / CIFAR-10 workload...");
     let workload = WorkloadConfig::new(ModelId::Vgg16, DatasetId::Cifar10).generate();
     let compiler = ModelCompiler::new(CompileOptions::default());
@@ -297,4 +321,23 @@ fn main() {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_serving.json");
     std::fs::write(&path, json).expect("write BENCH_serving.json");
     println!("wrote {}", path.display());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use snn_core::env::parse_env;
+
+    #[test]
+    fn tracks_parse_all_or_cpu() {
+        assert_eq!(parse_env("PHI_SERVING_TRACKS", None, Tracks::All), Tracks::All);
+        assert_eq!(parse_env("PHI_SERVING_TRACKS", Some("all"), Tracks::All), Tracks::All);
+        assert_eq!(parse_env("PHI_SERVING_TRACKS", Some("cpu"), Tracks::All), Tracks::Cpu);
+    }
+
+    #[test]
+    #[should_panic(expected = "PHI_SERVING_TRACKS=\"CPU\" does not parse")]
+    fn upper_case_tracks_are_refused() {
+        parse_env("PHI_SERVING_TRACKS", Some("CPU"), Tracks::All);
+    }
 }

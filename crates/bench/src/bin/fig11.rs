@@ -18,7 +18,7 @@
 //! Run: `cargo run --release -p phi-bench --bin fig11`
 
 use phi_analysis::Table;
-use phi_bench::{fmt, pct, results_dir};
+use phi_bench::{fmt, pct, results_dir, smoke};
 use phi_core::{decompose, CalibrationConfig, Calibrator, PaftRegularizer, PwpTable};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -105,7 +105,7 @@ fn element_density(net: &SnnNetwork, data: &snn_core::dataset::Dataset, seed: u6
 }
 
 fn main() {
-    let smoke = std::env::var_os("PHI_SMOKE").is_some();
+    let smoke = smoke();
     let mut rng = StdRng::seed_from_u64(2024);
     // Harder than the unit-test dataset (more classes, heavier noise,
     // fewer informative features) so the four bars separate like the

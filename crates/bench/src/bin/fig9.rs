@@ -15,7 +15,7 @@
 
 use phi_analysis::tsne::{Tsne, TsneConfig};
 use phi_analysis::{neighborhood_compactness, scatter, Table};
-use phi_bench::{fmt, results_dir, ExperimentScale};
+use phi_bench::{fmt, results_dir, smoke, ExperimentScale};
 use phi_core::AlignmentModel;
 use phi_snn::pipeline::calibrate_layer;
 use rand::rngs::StdRng;
@@ -45,7 +45,7 @@ fn write_embedding(name: &str, groups: &[(&str, &[[f64; 2]])]) {
 
 fn main() {
     let scale = ExperimentScale::from_env();
-    let limit = if std::env::var_os("PHI_SMOKE").is_some() { 120 } else { 400 };
+    let limit = if smoke() { 120 } else { 400 };
     let workload = scale.workload(ModelId::Vgg16, DatasetId::Cifar100);
     // A mid-network conv layer has enough width for visible structure.
     let layer = &workload.layers[4];

@@ -12,7 +12,7 @@ pub mod openloop;
 use phi_core::CalibrationConfig;
 use phi_snn::pipeline::PipelineConfig;
 use snn_baselines::{Accelerator, Ptb, Sato, SpikingEyeriss, SpinalFlow, Stellar};
-use snn_core::env::read_env;
+use snn_core::env::{read_env, read_flag};
 use snn_workloads::{DatasetId, ModelId, Workload, WorkloadConfig};
 use std::path::PathBuf;
 
@@ -40,10 +40,10 @@ impl ExperimentScale {
         ExperimentScale { max_rows: 128, calibration_rows: 128, kmeans_iters: 6 }
     }
 
-    /// Honors the `PHI_SMOKE` environment variable so CI can run every
-    /// binary quickly.
+    /// Honors `PHI_SMOKE=1` (see [`smoke`]) so CI can run every binary
+    /// quickly.
     pub fn from_env() -> Self {
-        if std::env::var_os("PHI_SMOKE").is_some() {
+        if smoke() {
             ExperimentScale::smoke()
         } else {
             ExperimentScale::default()
@@ -107,6 +107,16 @@ pub fn median_f64(mut values: Vec<f64>) -> f64 {
     assert!(!values.is_empty(), "median of no values");
     values.sort_unstable_by(f64::total_cmp);
     values[values.len() / 2]
+}
+
+/// `PHI_SMOKE=1` shrinks the experiment binaries to a smoke run; `0` or
+/// unset runs them at full scale.
+///
+/// # Panics
+///
+/// Panics when `PHI_SMOKE` is set to anything but `0` or `1`.
+pub fn smoke() -> bool {
+    read_flag("PHI_SMOKE")
 }
 
 /// Repetition count for the `bench_*` binaries: `PHI_BENCH_RUNS`, 5 when

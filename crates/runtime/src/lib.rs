@@ -38,8 +38,10 @@
 //!
 //! On top of the executor sits the **serving front-end** ([`PhiServer`],
 //! [`server`] module): requests enqueue one at a time, a dynamic batcher
-//! coalesces them into executor batches bounded by
-//! [`ServerConfig::max_batch`] / [`ServerConfig::max_wait`], a
+//! runs them at once on an idle server and otherwise coalesces them into
+//! executor batches bounded by [`ServerConfig::max_batch`] /
+//! [`ServerConfig::max_wait`] (requests linger only while a batch
+//! executes), a
 //! [`ModelRegistry`] lets one server host several compiled models, and
 //! admission control sheds or rejects bad traffic with typed
 //! [`ServerError`]s before it can reach a batch.

@@ -42,18 +42,24 @@
 //! * **Batches are coalesced by `(model, rows)`.** The executor requires
 //!   row-uniform batches (one extrapolation factor per fused matrix). The
 //!   collector drains the intake queue in arrival order and buffers
-//!   requests per group: a group dispatches
-//!   as soon as it holds [`ServerConfig::max_batch`] requests, and no
-//!   later than [`ServerConfig::max_wait`] after its oldest request
-//!   enqueued. Groups dispatch independently — a slow-filling group never
+//!   requests per group. Batching is work-conserving: when no batch is
+//!   executing anywhere on the server, the group with the oldest head
+//!   dispatches at once, whatever its size. Requests linger only while a
+//!   batch executes: then a group dispatches as soon as it holds
+//!   [`ServerConfig::max_batch`] requests, and no later than
+//!   [`ServerConfig::max_wait`] after its oldest request enqueued.
+//!   Groups dispatch independently — a slow-filling group never
 //!   head-of-line-blocks a full one.
 //! * **One collector, many workers — by design.** Coalescing is the
 //!   batching policy's serialization point and stays on a single thread
 //!   (its work per request is a few pointer moves; execution is what
 //!   scales). The worker pool ([`ServerConfig::workers`], defaulting to
-//!   one per available core) executes dispatched batches concurrently,
-//!   and per-model stats are maintained so that concurrent batch
-//!   completions can never over-count a batch's mean size.
+//!   one per available core) executes dispatched batches concurrently.
+//!   Because an idle server dispatches only when *no* batch executes,
+//!   a second worker runs only full or expired batches that formed
+//!   behind a running one. Per-model stats are maintained so that
+//!   concurrent batch completions can never over-count a batch's mean
+//!   size.
 //! * **One tile-cache lineage per model.** Each model version gets one
 //!   executor whose per-layer [`TileCache`](phi_core::TileCache)s every
 //!   worker shares, so a tile resolved by any worker is a hit for all of
@@ -143,15 +149,18 @@ pub type ServerResult<T> = std::result::Result<T, ServerError>;
 /// Tuning knobs of the dynamic batcher. Start from
 /// [`ServerConfig::default`] and override with the `with_*` builders.
 ///
-/// The two policy bounds interact: a batch for one `(model, rows)` group
-/// is dispatched as soon as `max_batch` requests have coalesced, and no
-/// later than `max_wait` after its oldest request enqueued. So `max_wait`
-/// bounds the batching latency a request is charged, and `max_batch` caps
-/// how much traffic one execution fuses. Closed-loop deployments get the
-/// best throughput when `max_batch` is near the expected concurrency (a
-/// full batch dispatches immediately, with `max_wait` only catching
-/// stragglers); open-loop traffic near saturation is dominated by
-/// `queue_capacity` (how much burst is absorbed before shedding).
+/// The two policy bounds interact with one rule: an idle server (no
+/// batch executing) dispatches the oldest waiting group at once, so
+/// requests linger only while a batch executes. Then a batch for one
+/// `(model, rows)` group is dispatched as soon as `max_batch` requests
+/// have coalesced, and no later than `max_wait` after its oldest request
+/// enqueued. So `max_wait` bounds the batching latency a request is
+/// charged behind a busy executor, and `max_batch` caps how much traffic
+/// one execution fuses. Closed-loop deployments get the best throughput
+/// when `max_batch` is near the expected concurrency (a full batch
+/// dispatches immediately, with `max_wait` only catching stragglers);
+/// open-loop traffic near saturation is dominated by `queue_capacity`
+/// (how much burst is absorbed before shedding).
 ///
 /// The model lifecycle adds one knob, `canary_target`: how many clean
 /// shadow comparisons a [`PhiServer::propose`]d candidate needs before it
@@ -161,8 +170,9 @@ pub type ServerResult<T> = std::result::Result<T, ServerError>;
 pub struct ServerConfig {
     /// Largest batch the collector will fuse (default 64).
     pub max_batch: usize,
-    /// Longest a queued request waits for its batch to fill before the
-    /// collector dispatches the partial batch (default 1 ms).
+    /// Longest a queued request lingers behind an executing batch for
+    /// its own batch to fill before the collector dispatches the partial
+    /// batch; an idle server never lingers (default 1 ms).
     pub max_wait: Duration,
     /// Bounded admission capacity — admitted-but-not-yet-dispatched
     /// requests; submissions beyond it are shed with
@@ -818,6 +828,16 @@ struct Shared {
     /// on both sides so the RMW chain orders a submitter's push before
     /// the collector's next drain.
     dirty: AtomicBool,
+    /// Batches dispatched and not yet finished anywhere on the server
+    /// (a batch finishes when its worker is done with it, canary shadow
+    /// included — the shadow occupies the cores too). While it is 0 the
+    /// server is idle and the collector dispatches at once.
+    executing: AtomicUsize,
+    /// Held by a test to stall every worker between receiving a batch
+    /// and executing it, so the server stays busy and later traffic
+    /// lingers under the full / expired rule.
+    #[cfg(test)]
+    gate: Mutex<()>,
     shutdown: AtomicBool,
     /// Anchor mutex for `cond`; holds no data — the predicates are the
     /// atomics above, and wakers lock/unlock it to order flag updates
@@ -903,6 +923,9 @@ impl PhiServer {
             intake: Mutex::new(IntakeQueue { items: VecDeque::new(), closed: false }),
             queued: AtomicUsize::new(0),
             dirty: AtomicBool::new(false),
+            executing: AtomicUsize::new(0),
+            #[cfg(test)]
+            gate: Mutex::new(()),
             shutdown: AtomicBool::new(false),
             ctrl: Mutex::new(()),
             cond: Condvar::new(),
@@ -1443,20 +1466,24 @@ impl std::fmt::Debug for PhiServer {
     }
 }
 
-/// The dynamic batcher: sleeps until traffic (or a group deadline, or
-/// shutdown), drains the intake queue into private per-group buffers in
-/// arrival order, and dispatches each group that is full or past
-/// its deadline to the worker pool. Coalescing is intentionally a single
-/// thread — it is the batching policy's serialization point and does a
-/// few pointer moves per request, while execution (the scalable part)
-/// fans out across the worker pool.
+/// The dynamic batcher: sleeps until traffic (or a group deadline, an
+/// idle server, or shutdown), drains the intake queue into private
+/// per-group buffers in arrival order, and dispatches each group that
+/// [`batch_due`] calls due to the worker pool. Coalescing is
+/// intentionally a single thread — it is the batching policy's
+/// serialization point and does a few pointer moves per request, while
+/// execution (the scalable part) fans out across the worker pool.
 fn collector_loop(shared: &Shared, dispatch: &mpsc::Sender<Batch>) {
     let max_wait = shared.config.max_wait;
     let mut groups: Groups = HashMap::new();
     loop {
         // Sleep phase: hold ctrl from predicate check to wait so wakers
         // can never slip a flag update between the two (see
-        // `Shared::wake_collector`).
+        // `Shared::wake_collector`). A finishing worker decrements
+        // `executing` *before* its `wake_collector` takes ctrl, so the
+        // idle check below either reads the decrement or the worker's
+        // wake blocks until this thread waits — the same no-lost-wakeup
+        // argument as for `dirty`.
         {
             let mut guard = lock(&shared.ctrl);
             loop {
@@ -1468,9 +1495,13 @@ fn collector_loop(shared: &Shared, dispatch: &mpsc::Sender<Batch>) {
                 if shared.dirty.load(Ordering::SeqCst) {
                     break;
                 }
+                let now = Instant::now();
+                let executing = shared.executing.load(Ordering::SeqCst);
+                if groups.values().any(|buf| group_due(&shared.config, buf, now, executing)) {
+                    break;
+                }
                 match earliest_deadline(&groups, max_wait) {
                     Some(deadline) => {
-                        let now = Instant::now();
                         if now >= deadline {
                             break;
                         }
@@ -1530,20 +1561,47 @@ fn drain_intake(shared: &Shared, groups: &mut Groups) {
     }
 }
 
-/// Dispatches every group that is full (in `max_batch` cuts) or whose
-/// oldest request has waited out `max_wait`; empty groups are dropped.
-/// Errors when the worker pool has hung up the dispatch channel.
+/// The batching rule. A group of `len` buffered requests, whose oldest
+/// has waited `oldest_waited`, is due when it holds `max_batch`
+/// requests, when that oldest request has waited out `max_wait`, or when
+/// no batch is executing anywhere on the server. So an idle server runs
+/// a request at once, and `max_wait` bounds only how long a request
+/// lingers behind a busy executor. An empty group is never due.
+fn batch_due(
+    len: usize,
+    oldest_waited: Duration,
+    executing: usize,
+    max_batch: usize,
+    max_wait: Duration,
+) -> bool {
+    len > 0 && (len >= max_batch || oldest_waited >= max_wait || executing == 0)
+}
+
+/// [`batch_due`] for one buffered group at `now`.
+fn group_due(
+    config: &ServerConfig,
+    buf: &VecDeque<Pending>,
+    now: Instant,
+    executing: usize,
+) -> bool {
+    let waited = buf.front().map_or(Duration::ZERO, |p| now.saturating_duration_since(p.enqueued));
+    batch_due(buf.len(), waited, executing, config.max_batch, config.max_wait)
+}
+
+/// Sheds deadline-expired requests, then dispatches every group that
+/// [`batch_due`] calls due, in `max_batch` cuts. Groups are visited
+/// oldest head first, so on an idle server the longest-waiting group
+/// gets the executor and every other group keeps the full / expired
+/// rule until that batch finishes. Empty groups are dropped. Errors
+/// when the worker pool has hung up the dispatch channel.
 fn dispatch_due(
     shared: &Shared,
     groups: &mut Groups,
     dispatch: &mpsc::Sender<Batch>,
 ) -> std::result::Result<(), ()> {
     let max_batch = shared.config.max_batch;
-    let max_wait = shared.config.max_wait;
     let now = Instant::now();
-    let keys: Vec<GroupKey> = groups.keys().copied().collect();
-    for key in keys {
-        let buf = groups.get_mut(&key).expect("group just listed");
+    for buf in groups.values_mut() {
         // Shed requests that waited out their own deadline before cutting
         // batches — an expired request must resolve with the typed shed
         // error, not ride into a batch it asked not to wait for.
@@ -1560,12 +1618,13 @@ fn dispatch_due(
                 idx += 1;
             }
         }
-        loop {
-            let due =
-                buf.len() >= max_batch || buf.front().is_some_and(|p| now >= p.enqueued + max_wait);
-            if !due {
-                break;
-            }
+    }
+    let mut heads: Vec<(Instant, GroupKey)> =
+        groups.iter().filter_map(|(key, buf)| buf.front().map(|p| (p.enqueued, *key))).collect();
+    heads.sort_unstable();
+    for (_, key) in heads {
+        let buf = groups.get_mut(&key).expect("group just listed");
+        while group_due(&shared.config, buf, now, shared.executing.load(Ordering::SeqCst)) {
             let take = buf.len().min(max_batch);
             let pending: Vec<Pending> = buf.drain(..take).collect();
             let entry = Arc::clone(&pending[0].entry);
@@ -1573,14 +1632,13 @@ fn dispatch_due(
             // requests held; they are the workers' problem now.
             shared.queued.fetch_sub(pending.len(), Ordering::SeqCst);
             entry.group_counter(key.1).fetch_sub(pending.len(), Ordering::SeqCst);
+            shared.executing.fetch_add(1, Ordering::SeqCst);
             if dispatch.send(Batch { entry, pending }).is_err() {
                 return Err(());
             }
         }
-        if buf.is_empty() {
-            groups.remove(&key);
-        }
     }
+    groups.retain(|_, buf| !buf.is_empty());
     Ok(())
 }
 
@@ -1707,7 +1765,27 @@ fn worker_loop(rx: &Mutex<mpsc::Receiver<Batch>>, shared: &Shared) {
             Ok(batch) => batch,
             Err(_) => return,
         };
+        let _finished = FinishedBatch(shared);
+        #[cfg(test)]
+        drop(lock(&shared.gate));
         serve_batch(batch, shared);
+    }
+}
+
+/// Marks one dispatched batch finished when dropped — after
+/// `serve_batch` returns, canary shadow included, or while a panicking
+/// worker unwinds — so a crashed batch can never leave the server busy
+/// forever. The decrement comes first and the wake second: the collector
+/// either reads the decrement at its idle check or is woken by it (see
+/// `collector_loop`). A server with nothing queued needs no wake.
+struct FinishedBatch<'a>(&'a Shared);
+
+impl Drop for FinishedBatch<'_> {
+    fn drop(&mut self) {
+        self.0.executing.fetch_sub(1, Ordering::SeqCst);
+        if self.0.queued.load(Ordering::SeqCst) > 0 {
+            self.0.wake_collector();
+        }
     }
 }
 
@@ -2078,17 +2156,21 @@ mod tests {
     #[test]
     fn server_coalesces_a_full_batch_without_waiting_for_the_deadline() {
         let w = tiny_workload();
-        let mut registry = ModelRegistry::new();
-        registry.register("m", model(&w));
-        // A deadline far beyond the test timeout: only the max_batch bound
-        // can dispatch, so observing responses proves full-batch dispatch.
+        let m = model(&w);
+        // A deadline far beyond the test timeout on a busy server: only
+        // the max_batch bound can dispatch, so a second executing batch
+        // proves full-batch dispatch.
         let config = ServerConfig::default()
             .with_max_batch(4)
             .with_max_wait(Duration::from_secs(3600))
             .with_workers(1);
-        let server = PhiServer::start(registry, config);
+        let server = PhiServer::start(gated_registry(&m), config);
+        let (gate, blocker) = hold_busy(&server, requests(&w, 1, 4, 4).remove(0));
         let handles: Vec<ResponseHandle> =
             requests(&w, 4, 4, 5).into_iter().map(|r| server.submit("m", r).unwrap()).collect();
+        wait_until("the full batch to dispatch", || executing(&server) == 2);
+        drop(gate);
+        assert!(blocker.wait().is_ok());
         for handle in handles {
             assert_eq!(handle.wait().unwrap().batch_size, 4);
         }
@@ -2100,16 +2182,19 @@ mod tests {
     #[test]
     fn deadline_dispatches_partial_batches() {
         let w = tiny_workload();
-        let mut registry = ModelRegistry::new();
-        registry.register("m", model(&w));
+        let m = model(&w);
         let config = ServerConfig::default()
             .with_max_batch(64)
             .with_max_wait(Duration::from_millis(5))
             .with_workers(1);
-        let server = PhiServer::start(registry, config);
-        // One lone request can never fill max_batch; only the deadline can
-        // dispatch it.
+        let server = PhiServer::start(gated_registry(&m), config);
+        let (gate, blocker) = hold_busy(&server, requests(&w, 1, 4, 6).remove(0));
+        // One lone request behind a busy executor can never fill
+        // max_batch; only the deadline can dispatch it.
         let handle = server.submit("m", requests(&w, 1, 4, 7).remove(0)).unwrap();
+        wait_until("the partial batch to dispatch", || executing(&server) == 2);
+        drop(gate);
+        assert!(blocker.wait().is_ok());
         let response = handle.wait().unwrap();
         assert_eq!(response.batch_size, 1);
         // The lone request waited out (approximately) the full deadline.
@@ -2150,19 +2235,23 @@ mod tests {
     #[test]
     fn shutdown_resolves_queued_requests_and_refuses_new_ones() {
         let w = tiny_workload();
-        let mut registry = ModelRegistry::new();
-        registry.register("m", model(&w));
-        // max_batch larger than what we submit + an hour-long deadline:
-        // the collector holds the batch open, so the requests are still
-        // queued when shutdown lands and must resolve with ShuttingDown.
+        let m = model(&w);
+        // max_batch larger than what we submit, an hour-long deadline and
+        // a busy server: the collector holds the batch open, so the
+        // request is still queued when shutdown lands and must resolve
+        // with ShuttingDown.
         let config = ServerConfig::default()
             .with_max_batch(64)
             .with_max_wait(Duration::from_secs(3600))
             .with_workers(1);
-        let server = PhiServer::start(registry, config);
+        let server = PhiServer::start(gated_registry(&m), config);
+        let (gate, blocker) = hold_busy(&server, requests(&w, 1, 4, 10).remove(0));
         let held = server.submit("m", requests(&w, 1, 4, 11).remove(0)).unwrap();
-        server.shutdown();
-        assert!(matches!(held.wait(), Err(ServerError::ShuttingDown)));
+        shutdown_while_gated(&server, gate, || {
+            assert!(matches!(held.wait(), Err(ServerError::ShuttingDown)));
+        });
+        // The batch already dispatched still completed.
+        assert!(blocker.wait().is_ok());
         assert_eq!(
             server.submit("m", requests(&w, 1, 4, 12).remove(0)).unwrap_err(),
             ServerError::ShuttingDown
@@ -2326,29 +2415,234 @@ mod tests {
         report.requests.into_iter().map(|r| r.readout.unwrap()).collect()
     }
 
-    /// Polls `predicate` for up to ~5s; panics with `what` on timeout.
+    /// Polls `predicate` every millisecond for up to ~5s; panics with
+    /// `what` on timeout.
     fn wait_until(what: &str, mut predicate: impl FnMut() -> bool) {
-        for _ in 0..1000 {
+        for _ in 0..5000 {
             if predicate() {
                 return;
             }
-            std::thread::sleep(Duration::from_millis(5));
+            std::thread::sleep(Duration::from_millis(1));
         }
         panic!("timed out waiting for {what}");
+    }
+
+    /// A registry hosting `m` under `"m"` and again under `"gate"`, the
+    /// key [`hold_busy`]'s blocker rides — so the blocker's batch never
+    /// shows in `"m"`'s stats.
+    fn gated_registry(m: &Arc<CompiledModel>) -> ModelRegistry {
+        let mut registry = ModelRegistry::new();
+        registry.register("m", Arc::clone(m));
+        registry.register("gate", Arc::clone(m));
+        registry
+    }
+
+    fn executing(server: &PhiServer) -> usize {
+        server.shared.executing.load(Ordering::SeqCst)
+    }
+
+    /// Makes `server` busy: takes the worker gate, submits `blocker` on
+    /// the `"gate"` key and waits until its batch counts as executing.
+    /// Until the returned guard drops, everything submitted next lingers
+    /// under the full / expired rule, as it never would on an idle
+    /// server.
+    fn hold_busy(
+        server: &PhiServer,
+        blocker: InferenceRequest,
+    ) -> (std::sync::MutexGuard<'_, ()>, ResponseHandle) {
+        let gate = lock(&server.shared.gate);
+        let handle = server.submit("gate", blocker).unwrap();
+        wait_until("the blocker to execute", || executing(server) == 1);
+        (gate, handle)
+    }
+
+    /// Shuts `server` down while `gate` stalls its workers. Shutdown
+    /// joins the workers, so it runs on a scoped thread; `resolved`
+    /// checks the queued requests on this one, and only then is the gate
+    /// released so the dispatched blocker can finish.
+    fn shutdown_while_gated(
+        server: &PhiServer,
+        gate: std::sync::MutexGuard<'_, ()>,
+        resolved: impl FnOnce(),
+    ) {
+        std::thread::scope(|scope| {
+            let shutdown = scope.spawn(|| server.shutdown());
+            resolved();
+            drop(gate);
+            shutdown.join().unwrap();
+        });
+    }
+
+    #[test]
+    fn batch_due_is_full_or_expired_or_idle() {
+        let (max_batch, max_wait) = (4, Duration::from_millis(1));
+        let fresh = Duration::ZERO;
+        let almost = max_wait - Duration::from_micros(1);
+        // (len, oldest_waited, executing, due)
+        let table = [
+            // Full: due whether or not a batch executes.
+            (4, fresh, 0, true),
+            (4, fresh, 1, true),
+            (9, fresh, 1, true),
+            // Expired: due whether or not a batch executes.
+            (1, max_wait, 0, true),
+            (1, max_wait, 1, true),
+            // Idle: a partial, unexpired group goes at once on an idle
+            // server and lingers behind any executing batch.
+            (1, fresh, 0, true),
+            (3, almost, 0, true),
+            (1, fresh, 1, false),
+            (3, almost, 2, false),
+            // Empty: never due, so no batch is cut without a head.
+            (0, fresh, 0, false),
+            (0, max_wait, 0, false),
+            (0, max_wait, 1, false),
+        ];
+        for (len, waited, executing, due) in table {
+            assert_eq!(
+                batch_due(len, waited, executing, max_batch, max_wait),
+                due,
+                "len {len}, waited {waited:?}, executing {executing}"
+            );
+        }
+    }
+
+    #[test]
+    fn idle_server_never_lingers() {
+        let w = tiny_workload();
+        let mut registry = ModelRegistry::new();
+        registry.register("m", model(&w));
+        let config =
+            ServerConfig::default().with_max_wait(Duration::from_secs(3600)).with_workers(1);
+        let server = PhiServer::start(registry, config);
+        let handle = server.submit("m", requests(&w, 1, 4, 19).remove(0)).unwrap();
+        let response = handle
+            .wait_timeout(Duration::from_secs(5))
+            .expect("a lone request on an idle server lingered")
+            .unwrap();
+        assert_eq!(response.batch_size, 1);
+    }
+
+    #[test]
+    fn busy_server_coalesces() {
+        let w = tiny_workload();
+        let m = model(&w);
+        let config =
+            ServerConfig::default().with_max_wait(Duration::from_secs(3600)).with_workers(1);
+        let server = PhiServer::start(gated_registry(&m), config);
+        let (gate, blocker) = hold_busy(&server, requests(&w, 1, 4, 22).remove(0));
+        let batch = requests(&w, 5, 4, 23);
+        let handles: Vec<ResponseHandle> =
+            batch.iter().map(|r| server.submit("m", r.clone()).unwrap()).collect();
+        // Neither full nor expired behind the blocker: once drained, all
+        // five linger with the collector asleep on an hour-long deadline.
+        wait_until("the collector to drain", || !server.shared.dirty.load(Ordering::SeqCst));
+        assert_eq!(executing(&server), 1);
+        assert_eq!(server.shared.queued.load(Ordering::SeqCst), 5);
+        // Releasing the gate finishes the blocker, whose worker wakes the
+        // collector; the idle server then runs everything that lingered
+        // as one batch.
+        drop(gate);
+        assert!(blocker.wait().is_ok());
+        for (handle, want) in handles.into_iter().zip(direct_readouts(&m, &batch)) {
+            let response = handle
+                .wait_timeout(Duration::from_secs(5))
+                .expect("the finished batch never woke the collector")
+                .unwrap();
+            assert_eq!(response.batch_size, 5);
+            assert_eq!(response.readout, Some(want));
+        }
+        let stats = server.stats("m").unwrap();
+        assert_eq!((stats.served, stats.batches), (5, 1));
+    }
+
+    #[test]
+    fn queue_full_sheds_instead_of_blocking() {
+        let w = tiny_workload();
+        let m = model(&w);
+        // Capacity 3, and a batcher that cannot dispatch (batch of 64, an
+        // hour-long deadline, a busy server): requests accumulate in the
+        // queue so the 4th submission must be shed synchronously.
+        let config = ServerConfig::default()
+            .with_queue_capacity(3)
+            .with_max_batch(64)
+            .with_max_wait(Duration::from_secs(3600));
+        let server = PhiServer::start(gated_registry(&m), config);
+        let (gate, blocker) = hold_busy(&server, requests(&w, 1, 4, 4).remove(0));
+        let held: Vec<ResponseHandle> =
+            requests(&w, 3, 4, 5).into_iter().map(|r| server.submit("m", r).unwrap()).collect();
+        assert!(matches!(
+            server.submit("m", requests(&w, 1, 4, 6).remove(0)),
+            Err(ServerError::QueueFull { capacity: 3 })
+        ));
+        let stats = server.stats("m").unwrap();
+        assert_eq!((stats.shed, stats.served), (1, 0));
+        // Shutdown resolves the held requests instead of leaking them.
+        shutdown_while_gated(&server, gate, || {
+            for handle in held {
+                assert!(matches!(handle.wait(), Err(ServerError::ShuttingDown)));
+            }
+        });
+        assert!(blocker.wait().is_ok());
+    }
+
+    #[test]
+    fn ragged_request_is_rejected_at_enqueue_not_mid_batch() {
+        let w = tiny_workload();
+        let m = model(&w);
+        // A patient batcher sized to the 7 good requests below, behind a
+        // busy executor: if the ragged request were admitted it WOULD be
+        // coalesced with the good traffic submitted around it (and the
+        // batch would misfuse).
+        let config =
+            ServerConfig::default().with_max_batch(7).with_max_wait(Duration::from_secs(3600));
+        let server = PhiServer::start(gated_registry(&m), config);
+        let (gate, blocker) = hold_busy(&server, requests(&w, 1, 4, 1).remove(0));
+        let mut batch = requests(&w, 8, 4, 2);
+        let victim = batch.remove(0);
+        let mut ragged = batch.remove(0);
+        let wide = ragged.layers[1].cols();
+        ragged.layers[1] = snn_core::SpikeMatrix::zeros(5, wide);
+
+        // Good request enqueues and waits for its batch to fill...
+        let good = server.submit("m", victim).unwrap();
+        // ...the ragged one is refused synchronously, with the typed cause.
+        assert!(matches!(
+            server.submit("m", ragged),
+            Err(ServerError::Rejected(crate::error::RuntimeError::Ragged {
+                layer: 1,
+                expected: 4,
+                actual: 5
+            }))
+        ));
+        assert_eq!(server.stats("m").unwrap().rejected, 1);
+
+        // The good traffic batches and serves untouched by the rejection.
+        for request in batch {
+            server.submit("m", request).unwrap();
+        }
+        wait_until("the full batch to dispatch", || executing(&server) == 2);
+        drop(gate);
+        assert!(blocker.wait().is_ok());
+        let response = good.wait().unwrap();
+        assert_eq!(response.batch_size, 7);
+        assert!(response.readout.is_some());
+        let stats = server.stats("m").unwrap();
+        assert_eq!((stats.served, stats.failed), (7, 0));
     }
 
     #[test]
     fn deadline_expired_requests_shed_with_typed_error() {
         let w = tiny_workload();
-        let mut registry = ModelRegistry::new();
-        registry.register("m", model(&w));
-        // max_batch and max_wait both out of reach: only the request's own
-        // deadline can resolve it.
+        let m = model(&w);
+        // max_batch and max_wait both out of reach on a busy server: only
+        // the request's own deadline can resolve it.
         let config = ServerConfig::default()
             .with_max_batch(64)
             .with_max_wait(Duration::from_secs(3600))
             .with_workers(1);
-        let server = PhiServer::start(registry, config);
+        let server = PhiServer::start(gated_registry(&m), config);
+        let (gate, blocker) = hold_busy(&server, requests(&w, 1, 4, 2).remove(0));
         let request = requests(&w, 1, 4, 3).remove(0).with_deadline(Duration::from_millis(1));
         let handle = server.submit("m", request).unwrap();
         assert!(matches!(
@@ -2357,6 +2651,8 @@ mod tests {
         ));
         let stats = server.stats("m").unwrap();
         assert_eq!((stats.deadline_exceeded, stats.served, stats.shed), (1, 0, 0));
+        drop(gate);
+        assert!(blocker.wait().is_ok());
 
         // A generous deadline rides along without ever triggering.
         let mut registry = ModelRegistry::new();
@@ -2372,17 +2668,17 @@ mod tests {
     fn deadline_shed_stream_frame_promotes_its_successor() {
         let w = tiny_workload();
         let m = model(&w);
-        let mut registry = ModelRegistry::new();
-        registry.register("m", Arc::clone(&m));
         let config = ServerConfig::default()
             .with_max_batch(64)
             .with_max_wait(Duration::from_millis(20))
             .with_workers(1);
-        let server = PhiServer::start(registry, config);
+        let server = PhiServer::start(gated_registry(&m), config);
         let session = server.open_session("m").unwrap();
         let frames = requests(&w, 2, 4, 17);
-        // Frame 1 expires in the collector long before max_wait; frame 2
-        // parks behind it and must be promoted by the shed, not stranded.
+        let (gate, blocker) = hold_busy(&server, frames[0].clone());
+        // Frame 1 expires in the collector (behind the busy executor) long
+        // before max_wait; frame 2 parks behind it and must be promoted by
+        // the shed, not stranded.
         let first = frames[0].clone().with_deadline(Duration::from_millis(1));
         let first = server.submit_stream("m", session, first).unwrap();
         let second = server.submit_stream("m", session, frames[1].clone()).unwrap();
@@ -2390,6 +2686,8 @@ mod tests {
             first.wait(),
             Err(ServerError::DeadlineExceeded { deadline }) if deadline == Duration::from_millis(1)
         ));
+        drop(gate);
+        assert!(blocker.wait().is_ok());
         let response = second
             .wait_timeout(Duration::from_secs(5))
             .expect("the parked frame was never promoted")

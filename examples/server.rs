@@ -26,9 +26,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     registry.register("resnet18", Arc::clone(&resnet_model));
     registry.register("vgg16", Arc::clone(&vgg_model));
 
-    // 2. Start the server: requests enqueue one at a time; the collector
-    //    coalesces them into executor batches of up to `max_batch`,
-    //    dispatching a partial batch after `max_wait` at the latest.
+    // 2. Start the server: requests enqueue one at a time; an idle
+    //    server runs them at once, and while a batch executes the
+    //    collector coalesces them into executor batches of up to
+    //    `max_batch`, dispatching a partial batch after `max_wait` at the
+    //    latest — requests linger only while a batch executes.
     let clients = 8;
     let per_client = 32;
     let config = ServerConfig::default().with_max_batch(clients);
