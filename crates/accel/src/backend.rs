@@ -211,6 +211,10 @@ impl Default for SimBackend {
 
 impl SimBackend {
     /// Creates a simulator backend with the given accelerator config.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a packer configuration [`PhiSimulator::new`] rejects.
     pub fn new(config: PhiConfig) -> Self {
         SimBackend { sim: PhiSimulator::new(config) }
     }

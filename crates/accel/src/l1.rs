@@ -36,15 +36,11 @@ impl L1Model {
     /// Cycles to process rows `row_lo..row_hi` of the pattern-index matrix
     /// for one `n`-tile.
     pub fn tile_cycles(&self, decomp: &Decomposition, row_lo: usize, row_hi: usize) -> u64 {
-        let parts = decomp.num_partitions();
         let mut cycles = 0u64;
         for r in row_lo..row_hi.min(decomp.rows()) {
-            let mut part = 0;
-            while part < parts {
-                let end = (part + self.window).min(parts);
-                let nnz = (part..end).filter(|&p| decomp.l1_index(r, p).is_some()).count();
+            for window in decomp.l1_row(r).chunks(self.window) {
+                let nnz = assigned(window);
                 cycles += (nnz.div_ceil(self.channels)).max(1) as u64;
-                part = end;
             }
         }
         cycles
@@ -52,13 +48,13 @@ impl L1Model {
 
     /// PWP accumulations performed in the same region (energy events).
     pub fn accumulations(&self, decomp: &Decomposition, row_lo: usize, row_hi: usize) -> u64 {
-        (row_lo..row_hi.min(decomp.rows()))
-            .map(|r| {
-                (0..decomp.num_partitions()).filter(|&p| decomp.l1_index(r, p).is_some()).count()
-                    as u64
-            })
-            .sum()
+        (row_lo..row_hi.min(decomp.rows())).map(|r| assigned(decomp.l1_row(r)) as u64).sum()
     }
+}
+
+/// Assigned tiles among `indices` (a slice of a Level-1 index row).
+fn assigned(indices: &[u16]) -> usize {
+    indices.iter().filter(|&&i| i != Decomposition::NO_PATTERN).count()
 }
 
 #[cfg(test)]

@@ -7,10 +7,17 @@
 //! different partial-sum banks (`row mod banks`), which is what guarantees
 //! conflict-free psum access in the L2 processor.
 //!
-//! This module builds real packs (the L2 processor model consumes their
-//! count and occupancy), maintaining the paper's multi-window scheduling:
+//! One window state machine implements the paper's multi-window schedule:
 //! a row goes to the first window with space and no bank conflict; if none
-//! qualifies, the fullest window is flushed.
+//! qualifies, the fullest window is flushed. Two front ends share it:
+//!
+//! * [`pack_rows`] is the functional packer — it records every unit, and
+//!   [`crate::datapath`] executes the packs it builds;
+//! * [`PackCounter`] is the timing model's packer — it sees only each
+//!   row's correction count and records the pack count, the occupied units
+//!   and the oversize rows, which is all the cycle and traffic models read.
+
+use std::ops::Range;
 
 /// One unit inside a pack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,11 +105,139 @@ impl PackerOutput {
     }
 }
 
-#[derive(Debug, Default)]
-struct Window {
-    units: Vec<PackUnit>,
+/// Asserts the configuration the window state machine needs: chunks of at
+/// least one correction, at least one window, and psum banks that fit the
+/// `u64` conflict mask.
+fn assert_packable(config: &PackerConfig) {
+    assert!(config.pack_units >= 2, "pack_units must be at least 2, got {}", config.pack_units);
+    assert!(config.windows >= 1, "windows must be at least 1, got {}", config.windows);
+    assert!(
+        (1..=64).contains(&config.psum_banks),
+        "psum_banks must be in 1..=64, got {}",
+        config.psum_banks
+    );
+}
+
+/// One open window of the state machine: occupied units, resident rows and
+/// the bitmask of psum banks those rows use.
+#[derive(Debug, Clone, Copy, Default)]
+struct WindowState {
+    units: usize,
     rows: u32,
-    banks_used: u64, // bitmask over psum banks
+    banks_used: u64,
+}
+
+/// Where the state machine reports its decisions.
+trait PackSink {
+    /// Window `w`, holding `units` units over `rows` rows, leaves as a pack.
+    fn flush(&mut self, w: usize, units: usize, rows: u32);
+    /// Corrections `chunk` of the current row join window `w` behind the
+    /// row's partial-sum unit.
+    fn place(&mut self, w: usize, row: u32, chunk: Range<usize>);
+}
+
+/// The packer's placement rule, shared by [`pack_rows`] and
+/// [`PackCounter`].
+#[derive(Debug, Clone)]
+struct Windows {
+    pack_units: usize,
+    psum_banks: usize,
+    open: Vec<WindowState>,
+    oversize_rows: u64,
+    forced_flushes: u64,
+}
+
+impl Windows {
+    fn new(config: &PackerConfig) -> Self {
+        assert_packable(config);
+        Windows {
+            pack_units: config.pack_units,
+            psum_banks: config.psum_banks,
+            open: vec![WindowState::default(); config.windows],
+            oversize_rows: 0,
+            forced_flushes: 0,
+        }
+    }
+
+    /// Places one row of `nnz` corrections. Oversize rows are split into
+    /// pack-sized chunks; every chunk needs its own partial-sum unit to
+    /// chain the accumulation.
+    #[inline]
+    fn place_row(&mut self, row: u32, nnz: usize, sink: &mut impl PackSink) {
+        debug_assert!(nnz > 0, "compressor must filter empty rows");
+        let chunk_capacity = self.pack_units - 1;
+        if nnz > chunk_capacity {
+            self.oversize_rows += 1;
+        }
+        let bank = 1u64 << (row as usize % self.psum_banks);
+        let mut start = 0;
+        while start < nnz {
+            let end = nnz.min(start + chunk_capacity);
+            let needed = end - start + 1;
+            loop {
+                // Step 5 of Fig. 4: find a window with space and no bank
+                // conflict.
+                let slot = self
+                    .open
+                    .iter()
+                    .position(|w| w.units + needed <= self.pack_units && w.banks_used & bank == 0);
+                if let Some(i) = slot {
+                    let w = &mut self.open[i];
+                    w.units += needed;
+                    w.rows += 1;
+                    w.banks_used |= bank;
+                    sink.place(i, row, start..end);
+                    break;
+                }
+                // Flush the fullest window (the last one on ties) and retry.
+                let fullest = self
+                    .open
+                    .iter()
+                    .enumerate()
+                    .max_by_key(|(_, w)| w.units)
+                    .map(|(i, _)| i)
+                    .expect("at least one window");
+                self.flush(fullest, sink);
+                self.forced_flushes += 1;
+            }
+            start = end;
+        }
+    }
+
+    /// Flushes every non-empty window, leaving the machine empty.
+    fn drain(&mut self, sink: &mut impl PackSink) {
+        for i in 0..self.open.len() {
+            if self.open[i].units > 0 {
+                self.flush(i, sink);
+            }
+        }
+    }
+
+    fn flush(&mut self, i: usize, sink: &mut impl PackSink) {
+        let w = std::mem::take(&mut self.open[i]);
+        sink.flush(i, w.units, w.rows);
+    }
+}
+
+/// Records every unit: the functional packer's sink.
+struct Recorder<'a> {
+    entries: &'a [(u8, bool)],
+    open: Vec<Vec<PackUnit>>,
+    packs: Vec<Pack>,
+}
+
+impl PackSink for Recorder<'_> {
+    fn flush(&mut self, w: usize, _units: usize, rows: u32) {
+        self.packs.push(Pack { units: std::mem::take(&mut self.open[w]), rows });
+    }
+
+    fn place(&mut self, w: usize, row: u32, chunk: Range<usize>) {
+        let units = &mut self.open[w];
+        units.push(PackUnit::PartialSum { row });
+        for &(col, negative) in &self.entries[chunk] {
+            units.push(PackUnit::Nonzero { row, col, negative });
+        }
+    }
 }
 
 /// Packs a stream of `(row, level-2 corrections)` for one partition.
@@ -110,78 +245,102 @@ struct Window {
 /// `rows` yields `(row_id, &[(col_in_partition, negative)])`; all-zero rows
 /// must already be filtered out (the compressor's job —
 /// [`pack_rows`] debug-asserts it).
+///
+/// # Panics
+///
+/// Panics if `config.pack_units < 2`, `config.windows == 0`, or
+/// `config.psum_banks` is outside `1..=64`.
 pub fn pack_rows<'a>(
     rows: impl Iterator<Item = (u32, &'a [(u8, bool)])>,
     config: &PackerConfig,
 ) -> PackerOutput {
-    let mut windows: Vec<Window> = (0..config.windows).map(|_| Window::default()).collect();
-    let mut out = PackerOutput { packs: Vec::new(), oversize_rows: 0, forced_flushes: 0 };
-
+    let mut windows = Windows::new(config);
+    let mut sink =
+        Recorder { entries: &[], open: vec![Vec::new(); config.windows], packs: Vec::new() };
     for (row, entries) in rows {
-        debug_assert!(!entries.is_empty(), "compressor must filter empty rows");
-        let mut remaining = entries;
-        // Oversize rows are split into pack-sized chunks; every chunk needs
-        // its own partial-sum unit to chain the accumulation.
-        let chunk_capacity = config.pack_units - 1;
-        if remaining.len() > chunk_capacity {
-            out.oversize_rows += 1;
-        }
-        while !remaining.is_empty() {
-            let take = remaining.len().min(chunk_capacity);
-            let (chunk, rest) = remaining.split_at(take);
-            remaining = rest;
-            place_chunk(row, chunk, config, &mut windows, &mut out);
-        }
+        sink.entries = entries;
+        windows.place_row(row, entries.len(), &mut sink);
     }
-    // Flush everything left.
-    for w in &mut windows {
-        if !w.units.is_empty() {
-            out.packs.push(Pack { units: std::mem::take(&mut w.units), rows: w.rows });
-        }
+    windows.drain(&mut sink);
+    PackerOutput {
+        packs: sink.packs,
+        oversize_rows: windows.oversize_rows,
+        forced_flushes: windows.forced_flushes,
     }
-    out
 }
 
-fn place_chunk(
-    row: u32,
-    chunk: &[(u8, bool)],
-    config: &PackerConfig,
-    windows: &mut [Window],
-    out: &mut PackerOutput,
-) {
-    let needed = chunk.len() + 1;
-    let bank = (row as usize % config.psum_banks) as u64;
-    loop {
-        // Step 5 of Fig. 4: find a window with space and no bank conflict.
-        let slot = windows.iter().position(|w| {
-            w.units.len() + needed <= config.pack_units && w.banks_used & (1 << bank) == 0
-        });
-        match slot {
-            Some(i) => {
-                let w = &mut windows[i];
-                w.units.push(PackUnit::PartialSum { row });
-                for &(col, negative) in chunk {
-                    w.units.push(PackUnit::Nonzero { row, col, negative });
-                }
-                w.rows += 1;
-                w.banks_used |= 1 << bank;
-                return;
-            }
-            None => {
-                // Flush the fullest window and retry.
-                let fullest = windows
-                    .iter()
-                    .enumerate()
-                    .max_by_key(|(_, w)| w.units.len())
-                    .map(|(i, _)| i)
-                    .expect("at least one window");
-                let w = &mut windows[fullest];
-                out.packs.push(Pack { units: std::mem::take(&mut w.units), rows: w.rows });
-                w.rows = 0;
-                w.banks_used = 0;
-                out.forced_flushes += 1;
-            }
-        }
+/// What [`PackCounter::finish`] reports for one stream: the quantities the
+/// timing and traffic models read from [`pack_rows`]' output.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PackCounts {
+    /// Packs built (`PackerOutput::packs.len()`).
+    pub packs: u64,
+    /// Units occupied across those packs.
+    pub occupied_units: u64,
+    /// Rows split across packs (`PackerOutput::oversize_rows`).
+    pub oversize_rows: u64,
+}
+
+impl PackSink for PackCounts {
+    #[inline]
+    fn flush(&mut self, _w: usize, units: usize, _rows: u32) {
+        self.packs += 1;
+        self.occupied_units += units as u64;
+    }
+
+    #[inline]
+    fn place(&mut self, _w: usize, _row: u32, _chunk: Range<usize>) {}
+}
+
+/// The packer without the packs: applies the same placement rule as
+/// [`pack_rows`] from each row's correction count and keeps only
+/// [`PackCounts`]. Allocates once, at construction; [`PackCounter::finish`]
+/// leaves it ready for the next stream.
+///
+/// ```
+/// use phi_accel::packer::{pack_rows, PackCounter, PackerConfig};
+///
+/// let config = PackerConfig::default();
+/// let e = [(0u8, false), (3, true)];
+/// let mut counter = PackCounter::new(&config);
+/// counter.push_row(0, e.len());
+/// counter.push_row(8, e.len());
+/// let counts = counter.finish();
+/// let packed = pack_rows([(0, &e[..]), (8, &e[..])].into_iter(), &config);
+/// assert_eq!(counts.packs, packed.packs.len() as u64);
+/// assert_eq!(counts.occupied_units, 6);
+/// ```
+#[derive(Debug, Clone)]
+pub struct PackCounter {
+    windows: Windows,
+    counts: PackCounts,
+}
+
+impl PackCounter {
+    /// A counter for streams packed under `config`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.pack_units < 2`, `config.windows == 0`, or
+    /// `config.psum_banks` is outside `1..=64`.
+    pub fn new(config: &PackerConfig) -> Self {
+        PackCounter { windows: Windows::new(config), counts: PackCounts::default() }
+    }
+
+    /// Packs row `row`, which carries `nnz` Level-2 corrections (nonzero:
+    /// the compressor filters empty rows, and this debug-asserts it).
+    #[inline]
+    pub fn push_row(&mut self, row: u32, nnz: usize) {
+        self.windows.place_row(row, nnz, &mut self.counts);
+    }
+
+    /// Flushes the open windows and returns the stream's counts, leaving
+    /// the counter empty for the next stream.
+    pub fn finish(&mut self) -> PackCounts {
+        self.windows.drain(&mut self.counts);
+        self.counts.oversize_rows = std::mem::take(&mut self.windows.oversize_rows);
+        self.windows.forced_flushes = 0;
+        std::mem::take(&mut self.counts)
     }
 }
 
@@ -277,6 +436,34 @@ mod tests {
         let rows = vec![(0u32, e.as_slice())];
         let out = pack_rows(rows.into_iter(), &PackerConfig::default());
         assert!((out.mean_occupancy(8) - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    #[should_panic(expected = "pack_units must be at least 2")]
+    fn one_unit_packs_are_rejected() {
+        let e = entries(1);
+        pack_rows(
+            [(0u32, e.as_slice())].into_iter(),
+            &PackerConfig { pack_units: 1, ..Default::default() },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "windows must be at least 1")]
+    fn zero_windows_are_rejected() {
+        PackCounter::new(&PackerConfig { windows: 0, ..Default::default() });
+    }
+
+    #[test]
+    #[should_panic(expected = "psum_banks must be in 1..=64")]
+    fn zero_psum_banks_are_rejected() {
+        PackCounter::new(&PackerConfig { psum_banks: 0, ..Default::default() });
+    }
+
+    #[test]
+    #[should_panic(expected = "psum_banks must be in 1..=64")]
+    fn psum_banks_beyond_the_mask_are_rejected() {
+        pack_rows(std::iter::empty(), &PackerConfig { psum_banks: 65, ..Default::default() });
     }
 
     #[test]

@@ -10,6 +10,12 @@
 //!   otherwise free;
 //! * DRAM transfers are double-buffered against compute: the layer takes
 //!   `max(compute, preprocessing, DRAM, LIF)` cycles.
+//!
+//! The walk counts; it builds nothing. A [`PackCounter`] per partition
+//! turns each row's per-partition correction count into pack counts (the
+//! functional [`crate::packer::pack_rows`], which records every unit, is
+//! what [`crate::datapath`] executes), the L1 model scans the index rows,
+//! and the PWP prefetch sets are bitsets.
 
 use crate::config::PhiConfig;
 use crate::energy::{BusyCycles, EnergyModel};
@@ -17,16 +23,12 @@ use crate::l1::L1Model;
 use crate::l2::L2Model;
 use crate::matcher::MatcherModel;
 use crate::neuron::NeuronArrayModel;
-use crate::packer::{pack_rows, PackerConfig};
+use crate::packer::{PackCounter, PackerConfig};
 use crate::report::{CycleBreakdown, LayerReport, ModelReport};
 use crate::tiling::TileSchedule;
 use crate::traffic::layer_traffic;
 use phi_core::{decompose, Decomposition, LayerPatterns};
 use snn_core::{GemmShape, SpikeMatrix};
-
-/// One m-tile row's Level-2 corrections for one partition, in the packer's
-/// input form: `(row offset within the tile, [(local column, is_negative)])`.
-type PackerRow = (u32, Vec<(u8, bool)>);
 
 /// The Phi accelerator simulator.
 ///
@@ -43,7 +45,25 @@ pub struct PhiSimulator {
 
 impl PhiSimulator {
     /// Creates a simulator with the default energy model.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.pack_units < 2` (a pack must hold a correction
+    /// next to its partial-sum unit), `config.packer_windows == 0`, or
+    /// `config.psum_banks` is outside `1..=64` (the packer's bank-conflict
+    /// mask is a `u64`).
     pub fn new(config: PhiConfig) -> Self {
+        assert!(config.pack_units >= 2, "pack_units must be at least 2, got {}", config.pack_units);
+        assert!(
+            config.packer_windows >= 1,
+            "packer_windows must be at least 1, got {}",
+            config.packer_windows
+        );
+        assert!(
+            (1..=64).contains(&config.psum_banks),
+            "psum_banks must be in 1..=64, got {}",
+            config.psum_banks
+        );
         PhiSimulator { config, energy: EnergyModel::default() }
     }
 
@@ -145,6 +165,9 @@ impl PhiSimulator {
             psum_banks: self.config.psum_banks,
         };
 
+        // One counter per partition, allocated once and emptied by
+        // `finish` at the end of every m-tile.
+        let mut counters = vec![PackCounter::new(&packer_config); parts];
         let mut l1_cycles = 0.0f64;
         let mut l2_cycles = 0.0f64;
         let mut compute_cycles = 0.0f64;
@@ -155,31 +178,24 @@ impl PhiSimulator {
         for mt in 0..schedule.m_tiles() {
             let (lo, hi) = schedule.m_range(mt);
             let l1_mt = l1_model.tile_cycles(decomp, lo, hi) as f64;
-            // Pack each partition's surviving Level-2 rows. Each row's
-            // corrections are sorted by column, so one sweep per row splits
-            // them into contiguous per-partition runs — O(entries) instead
-            // of re-filtering every row once per partition.
-            let mut per_part: Vec<Vec<PackerRow>> = vec![Vec::new(); parts];
+            // Count each partition's packs. Each row's corrections are
+            // sorted by column, so they form one contiguous run per
+            // partition; the packer needs only each run's length.
             for r in lo..hi.min(rows) {
-                let row = decomp.l2_row(r);
-                let mut i = 0;
-                while i < row.len() {
-                    let part = row[i].col as usize / k;
-                    let mut entries = Vec::new();
-                    while i < row.len() && row[i].col as usize / k == part {
-                        entries.push(((row[i].col as usize - part * k) as u8, row[i].value < 0));
-                        i += 1;
-                    }
-                    per_part[part].push(((r - lo) as u32, entries));
+                let mut rest = decomp.l2_row(r);
+                while let Some(first) = rest.first() {
+                    let part = first.col as usize / k;
+                    let run = rest.partition_point(|e| (e.col as usize) < (part + 1) * k);
+                    counters[part].push_row((r - lo) as u32, run);
+                    rest = &rest[run..];
                 }
             }
             let mut packs_mt = 0u64;
-            for rows_entries in &per_part {
-                let output =
-                    pack_rows(rows_entries.iter().map(|(r, e)| (*r, e.as_slice())), &packer_config);
-                packs_mt += output.packs.len() as u64;
-                occupied_units += output.packs.iter().map(|p| p.units.len() as u64).sum::<u64>();
-                oversize_rows += output.oversize_rows;
+            for counter in &mut counters {
+                let counts = counter.finish();
+                packs_mt += counts.packs;
+                occupied_units += counts.occupied_units;
+                oversize_rows += counts.oversize_rows;
             }
             let l2_mt = l2_model.cycles(packs_mt) as f64;
             total_packs += packs_mt;
@@ -359,6 +375,30 @@ mod tests {
             1.0,
             "layer",
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "pack_units must be at least 2")]
+    fn one_unit_packs_are_rejected() {
+        PhiSimulator::new(PhiConfig { pack_units: 1, ..Default::default() });
+    }
+
+    #[test]
+    #[should_panic(expected = "packer_windows must be at least 1")]
+    fn zero_packer_windows_are_rejected() {
+        PhiSimulator::new(PhiConfig { packer_windows: 0, ..Default::default() });
+    }
+
+    #[test]
+    #[should_panic(expected = "psum_banks must be in 1..=64")]
+    fn psum_banks_beyond_the_mask_are_rejected() {
+        PhiSimulator::new(PhiConfig { psum_banks: 65, ..Default::default() });
+    }
+
+    #[test]
+    #[should_panic(expected = "psum_banks must be in 1..=64")]
+    fn zero_psum_banks_are_rejected() {
+        PhiSimulator::new(PhiConfig { psum_banks: 0, ..Default::default() });
     }
 
     #[test]

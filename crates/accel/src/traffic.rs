@@ -23,7 +23,6 @@
 
 use crate::config::PhiConfig;
 use phi_core::Decomposition;
-use std::collections::HashSet;
 
 /// Byte counts for one layer (already scaled to full layer size).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -99,24 +98,7 @@ pub fn layer_traffic(
 
     // Prefetch: count used patterns per m-tile per partition; dedupe across
     // tiles when the buffer can hold the union working set.
-    let m_tiles = decomp.rows().div_ceil(config.tile_m);
-    let mut per_tile_used = 0u64;
-    let mut union_used: Vec<HashSet<u16>> = vec![HashSet::new(); parts];
-    for mt in 0..m_tiles {
-        let row_lo = mt * config.tile_m;
-        let row_hi = (row_lo + config.tile_m).min(decomp.rows());
-        for (part, union) in union_used.iter_mut().enumerate().take(parts) {
-            let mut tile_set = HashSet::new();
-            for r in row_lo..row_hi {
-                if let Some(idx) = decomp.l1_index(r, part) {
-                    tile_set.insert(idx);
-                    union.insert(idx);
-                }
-            }
-            per_tile_used += tile_set.len() as u64;
-        }
-    }
-    let union_count: u64 = union_used.iter().map(|s| s.len() as u64).sum();
+    let (per_tile_used, union_count) = prefetch_counts(decomp, config.tile_m);
     let union_bytes = union_count as f64 * n as f64 * config.pwp_bytes as f64;
     let pwp_prefetch = if union_bytes <= config.pwp_buffer_bytes as f64 {
         union_bytes
@@ -144,6 +126,39 @@ pub fn layer_traffic(
         act_out: act_out * row_scale,
     }
     .clamp_pwp()
+}
+
+/// The PWPs a layer's prefetcher loads: `(per-tile, union)`, where
+/// per-tile sums the patterns each (m-tile, partition) uses and union sums
+/// the patterns any tile of a partition uses. Counted over per-partition
+/// bitsets: bit `i` of partition `p`'s words is pattern `i` of set `p`.
+fn prefetch_counts(decomp: &Decomposition, tile_m: usize) -> (u64, u64) {
+    let parts = decomp.num_partitions();
+    // Partition `p` owns words `offsets[p]..offsets[p + 1]`, enough for
+    // every index its pattern set can hold.
+    let mut offsets = Vec::with_capacity(parts + 1);
+    offsets.push(0usize);
+    for p in 0..parts {
+        offsets.push(offsets[p] + decomp.patterns().set(p).len().div_ceil(64));
+    }
+    let mut tile = vec![0u64; offsets[parts]];
+    let mut union = tile.clone();
+    let mut per_tile = 0u64;
+    let rows = decomp.rows();
+    for row_lo in (0..rows).step_by(tile_m) {
+        for r in row_lo..(row_lo + tile_m).min(rows) {
+            for (&offset, &idx) in offsets.iter().zip(decomp.l1_row(r)) {
+                if idx != Decomposition::NO_PATTERN {
+                    tile[offset + idx as usize / 64] |= 1 << (idx % 64);
+                }
+            }
+        }
+        for (t, u) in tile.iter_mut().zip(&mut union) {
+            per_tile += u64::from(t.count_ones());
+            *u |= std::mem::take(t);
+        }
+    }
+    (per_tile, union.iter().map(|u| u64::from(u.count_ones())).sum())
 }
 
 impl TrafficReport {

@@ -1,6 +1,7 @@
 //! Criterion benchmarks for the architecture simulator components:
 //! pattern matcher + packer throughput (Fig. 4), L1/L2 cycle models, and
-//! full per-layer simulation (the engine behind Table 2 and Fig. 8).
+//! full per-layer simulation (the engine behind Table 2 and Fig. 8), and
+//! `run_decomposition` at the serving benchmark's `fullsim` shape.
 //!
 //! Also includes the **ablation** groups DESIGN.md calls out: packer window
 //! count and psum banking, which quantify the design choices of §4.2.2.
@@ -10,10 +11,12 @@ use phi_accel::l1::L1Model;
 use phi_accel::packer::{pack_rows, PackerConfig};
 use phi_accel::{PhiConfig, PhiSimulator};
 use phi_core::{decompose, CalibrationConfig, Calibrator, Decomposition, LayerPatterns};
+use phi_runtime::{CompileOptions, ModelCompiler};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use snn_core::GemmShape;
-use snn_workloads::{activation_profile, generate_clustered, DatasetId, ModelId};
+use snn_core::SpikeMatrix;
+use snn_workloads::{activation_profile, generate_clustered, DatasetId, ModelId, WorkloadConfig};
 use std::hint::black_box;
 
 fn setup() -> (snn_core::SpikeMatrix, LayerPatterns, Decomposition) {
@@ -79,6 +82,32 @@ fn bench_run_layer(c: &mut Criterion) {
     group.finish();
 }
 
+/// Requests per fused batch and rows per request of the `fullsim` shape.
+const FULLSIM_BATCH: usize = 32;
+const FULLSIM_ROWS: usize = 4;
+
+fn bench_run_decomposition(c: &mut Criterion) {
+    // The `fullsim` shape: 32 four-row VGG-16 requests fused into one
+    // 128-row decomposition per layer, simulated from the decomposition
+    // alone with the executor's row scale.
+    let workload = WorkloadConfig::new(ModelId::Vgg16, DatasetId::Cifar10).generate();
+    let model = ModelCompiler::new(CompileOptions::default()).compile(&workload);
+    let requests = workload.sample_requests(FULLSIM_BATCH, FULLSIM_ROWS, 1);
+    let sim = PhiSimulator::new(PhiConfig::default());
+    let mut group = c.benchmark_group("run_decomposition_vgg16_128_rows");
+    for name in ["conv1_2", "conv3_1", "conv5_3", "fc1"] {
+        let l = model.layers().iter().position(|layer| layer.name == name).expect("VGG-16 layer");
+        let layer = &model.layers()[l];
+        let mats: Vec<&SpikeMatrix> = requests.iter().map(|r| &r[l]).collect();
+        let decomp = decompose(&SpikeMatrix::vstack(&mats).expect("equal widths"), &layer.patterns);
+        let row_scale = layer.total_rows() as f64 / FULLSIM_ROWS as f64;
+        group.bench_function(name, |b| {
+            b.iter(|| sim.run_decomposition(black_box(&decomp), layer.shape, row_scale, name))
+        });
+    }
+    group.finish();
+}
+
 fn bench_ablation_cycles(c: &mut Criterion) {
     // Not a speed benchmark per se: quantifies the modeled hardware cycles
     // across ablated configs so `cargo bench` output records the design
@@ -108,5 +137,12 @@ fn patterns_ref(p: &LayerPatterns) -> &LayerPatterns {
     p
 }
 
-criterion_group!(benches, bench_packer, bench_l1_model, bench_run_layer, bench_ablation_cycles);
+criterion_group!(
+    benches,
+    bench_packer,
+    bench_l1_model,
+    bench_run_layer,
+    bench_run_decomposition,
+    bench_ablation_cycles
+);
 criterion_main!(benches);

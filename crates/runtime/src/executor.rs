@@ -780,14 +780,15 @@ fn build_caches(model: &CompiledModel, capacity: usize) -> Arc<Vec<TileCache>> {
 /// backend produced a report (the proxy walk is itself simulator-grade
 /// bookkeeping and stays off the outputs-only hot path).
 fn attribution_shares(decomp: &Decomposition, batch: usize, rows: usize) -> Vec<f64> {
-    let parts = decomp.num_partitions();
     (0..batch)
         .map(|b| {
             let (lo, hi) = (b * rows, (b + 1) * rows);
             let mut proxy = rows as f64;
             for r in lo..hi {
                 proxy += decomp.l2_row(r).len() as f64;
-                proxy += (0..parts).filter(|&p| decomp.l1_index(r, p).is_some()).count() as f64;
+                let assigned =
+                    decomp.l1_row(r).iter().filter(|&&i| i != Decomposition::NO_PATTERN).count();
+                proxy += assigned as f64;
             }
             proxy
         })
@@ -980,6 +981,37 @@ mod tests {
         assert!((attributed - total).abs() / total < 1e-9, "{attributed} vs {total}");
         let attributed_e: f64 = report.requests.iter().map(|r| r.energy_j).sum();
         assert!((attributed_e - report.total_energy_j()).abs() / report.total_energy_j() < 1e-9);
+    }
+
+    #[test]
+    fn attribution_shares_match_the_per_tile_formula() {
+        // Reference: assigned tiles counted one `l1_index` lookup per
+        // partition, in the same per-row f64 order, bit for bit.
+        let w = tiny_workload();
+        let exec = executor(&w);
+        let batch = requests(&w, 6, 41);
+        let report = exec.execute_with(&batch, MetricsMode::FullSim).unwrap();
+        assert_eq!(report.layer_reports.len(), w.layers.len());
+        for (l, layer) in exec.model().layers().iter().enumerate() {
+            let mats: Vec<&SpikeMatrix> = batch.iter().map(|r| &r.layers[l]).collect();
+            let stacked = SpikeMatrix::vstack(&mats).unwrap();
+            let decomp = phi_core::decompose(&stacked, &layer.patterns);
+            let parts = decomp.num_partitions();
+            let per_tile: Vec<f64> = (0..batch.len())
+                .map(|b| {
+                    let mut proxy = 4.0;
+                    for r in b * 4..(b + 1) * 4 {
+                        proxy += decomp.l2_row(r).len() as f64;
+                        proxy +=
+                            (0..parts).filter(|&p| decomp.l1_index(r, p).is_some()).count() as f64;
+                    }
+                    proxy
+                })
+                .collect();
+            let shares = attribution_shares(&decomp, batch.len(), 4);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&shares), bits(&per_tile), "layer {l}");
+        }
     }
 
     #[test]
