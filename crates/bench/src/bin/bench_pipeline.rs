@@ -13,32 +13,29 @@
 //!   nonzero (a real regression guard, not 0 == 0).
 //!
 //! Per configuration: full-workload calibration per engine (reference /
-//! weighted, min wall-clock), plus byte-identity and objective checks; and once overall, the full-workload decomposition
-//! under three matchers — the linear reference scan, the cold
-//! popcount-bucketed [`phi_core::MatchIndex`] path (`decompose_cached`
-//! on a disabled cache), and the warm
-//! [`phi_core::TileCache`]-memoized path — and the full-workload
-//! *functional execution* of those decompositions through the CPU
-//! execution backend ([`phi_accel::CpuBackend`]) — the pure PWP
-//! sparse-matmul hot path a serving request pays after decomposition,
-//! with zero simulator bookkeeping. All three decomposition paths are
-//! asserted bit-identical before anything is written.
+//! weighted, min wall-clock), plus byte-identity and objective checks;
+//! and once overall, the full-workload decomposition through two paths —
+//! the linear reference scan and the production sweep
+//! (`decompose_cached` on a disabled cache; every layer of this k = 16
+//! workload is packed, so the sweep decides each tile with one
+//! brute-force `simd::min_hamming16` probe and would not consult a cache
+//! anyway) — and the full-workload *functional execution* of those
+//! decompositions through the CPU execution backend
+//! ([`phi_accel::CpuBackend`]) — the pure PWP sparse-matmul hot path a
+//! serving request pays after decomposition, with zero simulator
+//! bookkeeping. Both decomposition paths are asserted bit-identical
+//! before anything is written.
 //!
 //! Run with `cargo run --release -p phi_bench --bin bench_pipeline`.
 //! Environment knobs:
 //!
 //! * `PHI_BENCH_RUNS` — repetition count (default 5; fastest run reported).
-//! * `PHI_TILE_CACHE` — per-layer tile-cache capacity for the warm track
-//!   (0 disables the cache, which also skips the warm-speedup floor).
-//! * `PHI_PIPELINE_MIN_WARM_SPEEDUP` — floor for warm (cached) vs cold
-//!   (uncached) decomposition (default 1.25; 0 disables).
-//! * `PHI_PIPELINE_MAX_COLD_RATIO` — ceiling for cold (indexed) vs the
-//!   linear-reference decomposition time: both paths now answer exact
-//!   tile hits with the same sorted-array binary search, so the gap is
-//!   down to index bookkeeping (default 1.3; 0 disables).
+//! * `PHI_PIPELINE_MAX_COLD_RATIO` — ceiling for the production sweep
+//!   ("cold": no cache) vs the linear-reference decomposition time
+//!   (default 1.3; 0 disables).
 //! * `PHI_PIPELINE_MIN_SIMD_SPEEDUP` — floor for the dispatched SIMD
 //!   kernels vs forced-scalar on both the cold decomposition and the CPU
-//!   execution tracks (default 1.1; 0 disables). Skipped automatically
+//!   execution tracks (default 1.25; 0 disables). Skipped automatically
 //!   when dispatch resolves to scalar (`PHI_SIMD=scalar` or a host
 //!   without AVX2/NEON).
 //! * `PHI_SIMD` — kernel dispatch override (see [`phi_core::simd`]); the
@@ -49,7 +46,7 @@ use phi_accel::{CpuBackend, ExecutionBackend, LayerWork, MetricsMode, ReadoutPla
 use phi_bench::{bench_runs, env_f64};
 use phi_core::{
     decompose, decompose_cached, simd, total_distance, CalibrationConfig, CalibrationEngine,
-    Calibrator, LayerMatchIndex, PwpTable, TileCache, TileCacheStats,
+    Calibrator, LayerMatchIndex, PwpTable, TileCache,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -94,7 +91,7 @@ fn time_runs(runs: usize, mut f: impl FnMut()) -> Duration {
 
 /// Times several variants round-robin — variant 0, 1, …, then variant 0
 /// again — taking each variant's fastest repetition. Variants whose
-/// *ratio* is floor-checked (warm vs cold, SIMD vs scalar) must sample
+/// *ratio* is floor-checked (cold vs linear, SIMD vs scalar) must sample
 /// the same interference epochs, or background-load drift between two
 /// separately-timed phases shows up as a phantom speedup or regression.
 fn time_interleaved(runs: usize, fs: &mut [&mut dyn FnMut()]) -> Vec<Duration> {
@@ -215,23 +212,19 @@ fn main() {
     let iterated = measure_config(&workload, 32, runs);
 
     // The decomposition tracks: the linear reference matcher, cold =
-    // every tile resolved through the popcount-bucketed match index on a
-    // disabled cache (what a first-ever batch pays), warm = tile decisions replayed from the
-    // shared memo (what every later batch pays, spiking activations being
-    // as repetitive as they are), and — when dispatch is non-scalar — the
-    // cold track again under forced-scalar kernels. All four are timed
-    // round-robin so the floor-checked ratios between them sample the
-    // same background-load epochs.
+    // the production sweep on a disabled cache (what every batch pays:
+    // the packed layers of this workload never consult a cache), and —
+    // when dispatch is non-scalar — the cold track again under
+    // forced-scalar kernels. All three are timed round-robin so the
+    // floor-checked ratios between them sample the same background-load
+    // epochs.
     let patterns = calibrate_workload(&workload, 128, CalibrationEngine::Weighted);
     let indexes: Vec<LayerMatchIndex> = patterns.iter().map(LayerMatchIndex::new).collect();
-    let cache_capacity = phi_runtime::default_tile_cache_capacity();
-    let caches: Vec<TileCache> = patterns.iter().map(|_| TileCache::new(cache_capacity)).collect();
     let uncached = TileCache::disabled();
     let simd_level = simd::level();
     let scalar_ab = simd_level != simd::SimdLevel::Scalar;
     println!(
-        "timing decomposition, interleaved (linear / uncached cold / cached warm, capacity \
-         {cache_capacity}/layer{})...",
+        "timing decomposition, interleaved (linear / cold{})...",
         if scalar_ab { " / cold at forced scalar" } else { "" }
     );
     let mut run_linear = || {
@@ -244,15 +237,6 @@ fn main() {
             std::hint::black_box(decompose_cached(&layer.activations, lp, idx, &uncached));
         }
     };
-    // time_interleaved's warm-up call doubles as the cache-filling pass;
-    // the measured iterations then run against a hot cache.
-    let mut run_warm = || {
-        for (layer, ((lp, idx), cache)) in
-            workload.layers.iter().zip(patterns.iter().zip(&indexes).zip(&caches))
-        {
-            std::hint::black_box(decompose_cached(&layer.activations, lp, idx, cache));
-        }
-    };
     let mut run_cold_scalar = || {
         let prev = simd::force(simd::SimdLevel::Scalar);
         for (layer, (lp, idx)) in workload.layers.iter().zip(patterns.iter().zip(&indexes)) {
@@ -260,39 +244,24 @@ fn main() {
         }
         simd::force(prev);
     };
-    let mut variants: Vec<&mut dyn FnMut()> = vec![&mut run_linear, &mut run_cold, &mut run_warm];
+    let mut variants: Vec<&mut dyn FnMut()> = vec![&mut run_linear, &mut run_cold];
     if scalar_ab {
         variants.push(&mut run_cold_scalar);
     }
     let times = time_interleaved(runs, &mut variants);
-    let (decompose_time, cold_time, warm_time) = (times[0], times[1], times[2]);
-    let scalar_cold = scalar_ab.then(|| times[3]);
+    let (decompose_time, cold_time) = (times[0], times[1]);
+    let scalar_cold = scalar_ab.then(|| times[2]);
     println!("decomposition (linear): {decompose_time:?}");
-    println!("decomposition (uncached, cold): {cold_time:?}");
-    let mut cache_stats = TileCacheStats::default();
-    for cache in &caches {
-        cache_stats.merge(&cache.stats());
-    }
-    println!(
-        "decomposition (cached, warm): {warm_time:?} (hit rate {:.4}, {} entries, {} evictions)",
-        cache_stats.hit_rate(),
-        cache_stats.entries,
-        cache_stats.evictions
-    );
-    let warm_speedup = cold_time.as_secs_f64() / warm_time.as_secs_f64();
-    println!("warm vs cold: {warm_speedup:.2}x");
+    println!("decomposition (cold): {cold_time:?}");
 
-    // Bit-identity across all three matcher paths, per layer, warm cache
-    // included — the correctness invariant of the whole accelerator.
+    // Bit-identity of the two paths, per layer — the correctness
+    // invariant of the whole accelerator.
     let paths_identical =
-        workload.layers.iter().zip(patterns.iter().zip(&indexes).zip(&caches)).all(
-            |(layer, ((lp, idx), cache))| {
-                let linear = decompose(&layer.activations, lp);
-                linear == decompose_cached(&layer.activations, lp, idx, &uncached)
-                    && linear == decompose_cached(&layer.activations, lp, idx, cache)
-            },
-        );
-    println!("linear == uncached == cached decompositions: {paths_identical}");
+        workload.layers.iter().zip(patterns.iter().zip(&indexes)).all(|(layer, (lp, idx))| {
+            decompose(&layer.activations, lp)
+                == decompose_cached(&layer.activations, lp, idx, &uncached)
+        });
+    println!("linear == cold decompositions: {paths_identical}");
 
     // Functional execution through the CPU backend: every layer's
     // precomputed decomposition runs the rayon-parallel PWP sparse matmul
@@ -457,16 +426,6 @@ fn main() {
   "iterated_q32": {iterated},
   "decompose_ms": {dec_ms:.3},
   "decompose_cold_ms": {cold_ms:.3},
-  "decompose_cached_warm_ms": {warm_ms:.3},
-  "decompose_warm_speedup": {warm_speedup:.3},
-  "tile_cache": {{
-    "capacity": {cache_capacity},
-    "hits": {cache_hits},
-    "misses": {cache_misses},
-    "evictions": {cache_evictions},
-    "entries": {cache_entries},
-    "hit_rate": {cache_hit_rate:.6}
-  }},
   "decompose_paths_bit_identical": {paths_identical},
   "cpu_execute_ms": {cpu_ms:.3},
   "simd_dispatch": "{simd_level}",
@@ -478,12 +437,6 @@ fn main() {
         iterated = iterated.json(),
         dec_ms = decompose_time.as_secs_f64() * 1e3,
         cold_ms = cold_time.as_secs_f64() * 1e3,
-        warm_ms = warm_time.as_secs_f64() * 1e3,
-        cache_hits = cache_stats.hits,
-        cache_misses = cache_stats.misses,
-        cache_evictions = cache_stats.evictions,
-        cache_entries = cache_stats.entries,
-        cache_hit_rate = cache_stats.hit_rate(),
         cpu_ms = cpu_execute_time.as_secs_f64() * 1e3,
     );
 
@@ -505,51 +458,35 @@ fn main() {
     // tiles: a zero objective would mean the iterated Lloyd path was never
     // exercised and the objective check above was vacuous.
     assert!(iterated.objective_reference > 0, "q = 32 run must exercise the iterated path");
-    assert!(paths_identical, "uncached and cached decompositions must equal the linear reference");
+    assert!(paths_identical, "the cold decompositions must equal the linear reference");
     // Wall-clock ratios on shared machines are noisy; CI smoke runs lower
     // the bars via the env knobs (0 disables).
-    // The cold (uncached) path must stay within 1.3x of the
-    // linear reference scan. Since the match index gained its own
-    // sorted exact-match layer, both paths answer the dominant
-    // distance-0 probes identically and cold measures ~1.05-1.1x linear
-    // on the reference container; a large gap would mean the bucket
-    // probe (the inexact fallback) regressed.
+    // The production sweep must stay within 1.3x of the linear reference
+    // scan; a large gap would mean the sweep regressed below the oracle
+    // it replaces.
     let max_cold_ratio = env_f64("PHI_PIPELINE_MAX_COLD_RATIO", 1.3);
     if max_cold_ratio > 0.0 {
         let ratio = cold_time.as_secs_f64() / decompose_time.as_secs_f64();
         assert!(
             ratio <= max_cold_ratio,
-            "uncached cold decompose ({cold_time:?}) must not be slower than {max_cold_ratio}x \
-             the linear reference ({decompose_time:?}), got {ratio:.2}x"
+            "cold decompose ({cold_time:?}) must not be slower than {max_cold_ratio}x the \
+             linear reference ({decompose_time:?}), got {ratio:.2}x"
         );
-    }
-    // The warm floor guards that the tile cache still pays for itself,
-    // not a fixed historical ratio: the cold denominator gained the
-    // exact-match binary search (and the per-partition repeat memo), so
-    // the headroom a cache hit can recover shrank from ~2x to ~1.3-1.5x
-    // structurally. 1.25 keeps noise margin while still failing if cache
-    // probes ever cost more than they save.
-    let min_warm_speedup = env_f64("PHI_PIPELINE_MIN_WARM_SPEEDUP", 1.25);
-    if cache_capacity > 0 {
-        assert!(
-            warm_speedup >= min_warm_speedup,
-            "warm cached decompose ({warm_time:?}) must be at least {min_warm_speedup}x faster \
-             than cold ({cold_time:?}), got {warm_speedup:.2}x"
-        );
-    } else {
-        println!("PHI_TILE_CACHE=0: warm-speedup floor skipped (cache disabled)");
     }
     // The SIMD kernels must actually pay for their dispatch: dispatched
     // vs forced-scalar, on both tracks. Bit-identity is unconditional —
     // a vectorized kernel that disagrees with scalar is a bug at any
-    // speed.
+    // speed. At 1.1 the floor let a sweep running the portable matcher
+    // at every level pass (1.15x, carried by the vector popcounts
+    // alone); 1.25 fails it while the real kernels clear it (about 2x
+    // on decompose, 1.4-1.5x on execute, 2-core AVX-512 host).
     match &simd_ab {
         Some((_, _, dec_speedup, exe_speedup, identical)) => {
             assert!(
                 identical,
                 "forced-scalar and dispatched ({simd_level}) runs must be bit-identical"
             );
-            let min_simd = env_f64("PHI_PIPELINE_MIN_SIMD_SPEEDUP", 1.1);
+            let min_simd = env_f64("PHI_PIPELINE_MIN_SIMD_SPEEDUP", 1.25);
             if min_simd > 0.0 {
                 assert!(
                     *dec_speedup >= min_simd,

@@ -148,10 +148,18 @@ impl Calibrator {
     ///
     /// # Panics
     ///
-    /// Panics if `k` is not within `1..=64` or `q == 0`.
+    /// Panics if `k` is not within `1..=64`, if `q == 0`, or if `q`
+    /// exceeds [`PatternSet::MAX_PATTERNS`] (65534, the most a set's
+    /// `u16` Level-1 indices can address).
     pub fn new(config: CalibrationConfig) -> Self {
         assert!(config.k >= 1 && config.k <= 64, "k must be within 1..=64");
         assert!(config.q > 0, "q must be nonzero");
+        assert!(
+            config.q <= PatternSet::MAX_PATTERNS,
+            "q = {} exceeds the {} patterns a set can index",
+            config.q,
+            PatternSet::MAX_PATTERNS
+        );
         Calibrator { config }
     }
 
@@ -409,6 +417,15 @@ mod tests {
         let cal = Calibrator::new(CalibrationConfig { q: 8, ..Default::default() });
         let lp = cal.calibrate_many(&[a, b], &mut r);
         assert_eq!(lp.num_partitions(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "q = 65535 exceeds the 65534 patterns a set can index")]
+    fn calibrator_refuses_more_patterns_than_l1_indices() {
+        Calibrator::new(CalibrationConfig {
+            q: PatternSet::MAX_PATTERNS + 1,
+            ..Default::default()
+        });
     }
 
     #[test]

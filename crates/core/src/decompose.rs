@@ -4,9 +4,9 @@
 //!
 //! For every row and every width-`k` partition, the *pattern matcher* rule
 //! is applied (this paragraph is the authoritative statement of the rule;
-//! every matcher in the workspace — the linear reference scan, the
-//! [`MatchIndex`], and the [`TileCache`] memo — implements or memoizes
-//! exactly it):
+//! every matcher in the workspace — the linear reference scan, the packed
+//! brute-force probe, the [`MatchIndex`], and the [`TileCache`] memo —
+//! implements or memoizes exactly it):
 //!
 //! * find the calibrated pattern with minimum Hamming distance to the
 //!   tile, ties resolving to the lowest pattern index;
@@ -24,25 +24,35 @@
 //! Four functions produce bit-identical [`Decomposition`]s:
 //!
 //! * [`decompose`] — the linear reference (§3.1 oracle): every tile probes
-//!   [`crate::PatternSet::best_match`].
-//! * [`decompose_cached`] — probes a precomputed [`MatchIndex`] per
-//!   partition instead of scanning all `q` patterns (popcount buckets are
-//!   visited in best-first order of the Hamming lower bound
-//!   `|popcount(pattern) − popcount(tile)|` and the scan stops once that
-//!   bound exceeds the best distance found), and memoizes whole tile
-//!   decisions in a shared, bounded [`TileCache`], so repeated tiles
-//!   (ubiquitous in spiking activations) skip the matcher entirely. On
+//!   [`crate::PatternSet::best_match`] (at scalar dispatch: an exact
+//!   lookup, then the pruned scan).
+//! * [`decompose_cached`] — the production sweep. A *packed* layer (every
+//!   partition's set of width ≤ 16 with at most
+//!   [`simd::PLANE16_MAX_LEN`] patterns — every served layer) is walked
+//!   row by row over its nonzero 16-bit lanes only, and each nonzero tile
+//!   is decided by one brute-force [`simd::min_hamming16`] probe over its
+//!   partition's `u16` plane, the way Phi's systolic matcher compares a
+//!   tile with all q patterns. The loop runs under one
+//!   [`simd::sweep16`] dispatch with the kernel inlined, and never
+//!   consults the cache or the index. Any other layer probes a
+//!   precomputed [`MatchIndex`] per partition (popcount buckets visited
+//!   in best-first order of the Hamming lower bound
+//!   `|popcount(pattern) − popcount(tile)|`, the scan stopping once that
+//!   bound exceeds the best distance found) and memoizes whole tile
+//!   decisions in a shared, bounded [`TileCache`]; on
 //!   [`TileCache::disabled`] it is the pure indexed path.
 //! * [`decompose_delta`] / [`decompose_delta_sparse`] — one frame of a
 //!   stream, diffed against the previous frame's [`FrameMemo`] so only
 //!   changed tiles are re-decided (the sparse variant emits changed rows
-//!   only).
+//!   only); re-decided tiles take the same packed probe, or the same
+//!   cache and index, as [`decompose_cached`].
 
 use crate::calibrate::LayerPatterns;
 use crate::pattern::PatternSet;
 use crate::stats::SparsityStats;
 use rayon::prelude::*;
-use snn_core::{simd, SpikeMatrix};
+use snn_core::simd::{self, Hamming16, Hamming16Sweep};
+use snn_core::SpikeMatrix;
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -149,7 +159,16 @@ pub fn decompose(activations: &SpikeMatrix, patterns: &LayerPatterns) -> Decompo
 /// commit merge).
 type ChunkOutcome = (ChunkDecomposition, u64, u64, TileMap);
 
-/// [`decompose`] resolving every nontrivial tile through a precomputed
+/// The production sweep: [`decompose`] with a faster matcher, bit-identical
+/// to it.
+///
+/// A packed layer (k ≤ 16 and at most [`simd::PLANE16_MAX_LEN`] patterns
+/// per partition) decides each nonzero tile with one brute-force
+/// [`simd::min_hamming16`] probe, walking only the nonzero lanes of each
+/// row under one [`simd::sweep16`] dispatch; `index` and `cache` are not
+/// consulted and no cache counter moves.
+///
+/// Any other layer resolves every nontrivial tile through a precomputed
 /// [`MatchIndex`] per partition — the popcount-bucketed best-first probe —
 /// instead of the linear reference scan, with a shared [`TileCache`]
 /// memoizing whole tile decisions across calls: a hit skips the matcher
@@ -173,8 +192,8 @@ type ChunkOutcome = (ChunkDecomposition, u64, u64, TileMap);
 ///
 /// Panics if the pattern partition count does not match the activation
 /// width, if `index` does not cover `patterns`' partitioning, or if an
-/// enabled cache sees a partition count beyond the key encoding's
-/// [`MAX_CACHE_PARTITIONS`].
+/// enabled cache on an unpacked layer sees a partition count beyond the
+/// key encoding's [`MAX_CACHE_PARTITIONS`].
 pub fn decompose_cached(
     activations: &SpikeMatrix,
     patterns: &LayerPatterns,
@@ -183,6 +202,13 @@ pub fn decompose_cached(
 ) -> Decomposition {
     check_partitioning(activations, patterns);
     check_index(patterns, index);
+    if let Some(layer) = PackedLayer::new(activations, patterns) {
+        let chunks = chunk_bounds(activations.rows())
+            .into_par_iter()
+            .map(|(lo, hi)| simd::sweep16(PackedChunk { activations, layer: &layer, lo, hi }))
+            .collect();
+        return combine(activations, patterns, chunks);
+    }
     let parts = patterns.num_partitions();
     let k = patterns.k();
     // Only the final partition can be narrower than k; every probe below
@@ -295,9 +321,9 @@ pub struct DeltaStats {
     /// previous frame's tile: decision replayed from the memo, no
     /// matcher, no cache counter movement.
     pub tiles_reused: u64,
-    /// Nonzero tiles decided afresh (single-bit inline or through the
-    /// cache/index matcher — exactly the tiles that move cache
-    /// counters, when nontrivial).
+    /// Nonzero tiles decided afresh (single-bit inline, or through the
+    /// packed probe or the cache/index matcher — on an unpacked layer,
+    /// exactly the tiles that move cache counters, when nontrivial).
     pub tiles_rematched: u64,
 }
 
@@ -383,10 +409,11 @@ impl FrameMemo {
 /// or cache state) plus the sweep's [`DeltaStats`].
 ///
 /// The fast paths move no cache counters: a skipped row or reused tile
-/// is pure memo replay. Re-decided nontrivial tiles probe and commit
-/// the [`TileCache`] with exactly the accounting of
-/// [`decompose_cached`]; on a disabled cache they resolve through the
-/// index directly, as [`decompose_cached`] does.
+/// is pure memo replay. Re-decided tiles are decided as
+/// [`decompose_cached`] decides them: on a packed layer by one
+/// brute-force probe (no cache counter moves), otherwise by probing and
+/// committing the [`TileCache`] with exactly its accounting — or, on a
+/// disabled cache, through the index directly.
 ///
 /// The sweep is sequential — streaming frames are a handful of rows, and
 /// batch-level parallelism belongs to the caller fanning out sessions.
@@ -468,25 +495,81 @@ fn delta_sweep(
         memo.changed.clear();
         memo.changed.resize(rows, true);
     }
-    // Only the final partition can be narrower than k (see
-    // `decompose_cached`).
-    let last_part = parts.wrapping_sub(1);
-    let last_width = if parts == 0 { 0 } else { k.min(cols - last_part * k) as u32 };
-    let snapshot = if cache.is_enabled() { Some(cache.snapshot()) } else { None };
-    let mut hits = 0u64;
-    let mut miss_probes = 0u64;
-    let mut resolved = TileMap::default();
-    let mut stats = DeltaStats { rows_total: rows as u64, ..DeltaStats::default() };
-    let nnz: usize = (0..rows).map(|r| activations.row_nnz(r)).sum();
-    let mut out = ChunkDecomposition {
-        l1: vec![NO_PATTERN; rows * parts],
-        l2: Vec::with_capacity(nnz),
-        l2_ends: Vec::with_capacity(rows),
-        l1_ones: 0,
-        l2_pos: 0,
-        l2_neg: 0,
+    let swept = match PackedLayer::new(activations, patterns) {
+        Some(layer) => {
+            simd::sweep16(PackedDelta { activations, layer: &layer, memo, emit_unchanged })
+        }
+        None => {
+            let mut decider = CachedDecider::new(activations, patterns, index, cache);
+            let swept = delta_rows(activations, k, parts, memo, emit_unchanged, &mut decider);
+            decider.commit();
+            swept
+        }
     };
-    let mut tiles = vec![0u64; parts];
+    memo.valid = true;
+    let DeltaRows { mut out, stats, emitted, bit_nnz } = swept;
+    // Assembled directly rather than via `combine`, which sizes the
+    // result to the full activation row count: the sparse sweep's row
+    // count is whatever survived the skip check.
+    out.l1.truncate(emitted * parts);
+    let mut l2_offsets = Vec::with_capacity(emitted + 1);
+    l2_offsets.push(0u32);
+    l2_offsets.extend(out.l2_ends);
+    (
+        Decomposition {
+            rows: emitted,
+            cols,
+            patterns: patterns.clone(),
+            l1: out.l1,
+            l2: out.l2,
+            l2_offsets,
+            l1_ones: out.l1_ones,
+            l2_pos: out.l2_pos,
+            l2_neg: out.l2_neg,
+            bit_nnz,
+        },
+        stats,
+    )
+}
+
+/// What one delta sweep's row walk produced: the emitted rows, the
+/// sweep's counters, how many rows were emitted, and their bit count.
+struct DeltaRows {
+    out: ChunkDecomposition,
+    stats: DeltaStats,
+    emitted: usize,
+    bit_nnz: u64,
+}
+
+/// Decides the nonzero tiles a delta sweep re-matches.
+trait TileDecider {
+    /// The matcher rule's decision for a nonzero `tile` of partition
+    /// `part`.
+    fn decide(&mut self, part: usize, tile: u64) -> TileDecision;
+}
+
+/// The delta sweep's row walk, shared by packed and unpacked layers
+/// (only `decider` differs). Rows bit-identical to the memo's frame
+/// replay wholesale (emitted only with `emit_unchanged`); other rows walk
+/// their nonzero tiles, replaying each tile whose bits match the memo and
+/// re-deciding the rest. Memo bookkeeping always covers every row.
+#[inline(always)]
+fn delta_rows<D: TileDecider>(
+    activations: &SpikeMatrix,
+    k: usize,
+    parts: usize,
+    memo: &mut FrameMemo,
+    emit_unchanged: bool,
+    decider: &mut D,
+) -> DeltaRows {
+    let rows = activations.rows();
+    let words_per_row = memo.words_per_row;
+    let mut stats = DeltaStats { rows_total: rows as u64, ..DeltaStats::default() };
+    let mut out = ChunkDecomposition::new(activations, 0, rows, parts);
+    // The changed row's previous tiles, and the unpack buffer of widths
+    // that do not divide 64.
+    let mut prev = vec![0u64; parts];
+    let mut scratch = vec![0u64; parts];
     // Output rows are written at `emitted * parts`, which tracks
     // `r * parts` exactly when every row is emitted and compacts the
     // changed rows together in the sparse sweep.
@@ -518,54 +601,22 @@ fn delta_sweep(
             continue;
         }
         memo.changed[r] = true;
-        activations.row_partition_tiles_into(r, k, &mut tiles);
+        let memo_row = &mut memo.tiles[row_base..row_base + parts];
+        prev.copy_from_slice(memo_row);
+        memo_row.fill(0);
         let out_base = emitted * parts;
-        for (part, &tile) in tiles.iter().enumerate() {
+        for (part, tile) in nonzero_tiles(activations, r, k, &mut scratch) {
             let slot = row_base + part;
-            if tile == 0 {
-                memo.tiles[slot] = 0;
-                continue;
-            }
-            let decision = if memo.valid && memo.tiles[slot] == tile {
+            let decision = if memo.valid && prev[part] == tile {
                 stats.tiles_reused += 1;
                 memo.decisions[slot]
             } else {
                 stats.tiles_rematched += 1;
-                let decision = match tile.count_ones() {
-                    // Trivial tiles are decided inline, off the cache —
-                    // the same split the full sweeps make.
-                    1 => single_bit_tile(patterns.set(part), tile),
-                    baseline => match &snapshot {
-                        Some(snap) => {
-                            let width = if part == last_part { last_width } else { k as u32 };
-                            let key = tile_key(part as u32, width, tile);
-                            match snap.get(&key) {
-                                Some(&decision) => {
-                                    hits += 1;
-                                    decision
-                                }
-                                None => {
-                                    miss_probes += 1;
-                                    *resolved.entry(key).or_insert_with(|| {
-                                        resolve_tile(
-                                            activations,
-                                            patterns,
-                                            index,
-                                            part,
-                                            tile,
-                                            baseline,
-                                        )
-                                    })
-                                }
-                            }
-                        }
-                        None => resolve_tile(activations, patterns, index, part, tile, baseline),
-                    },
-                };
-                memo.tiles[slot] = tile;
+                let decision = decider.decide(part, tile);
                 memo.decisions[slot] = decision;
                 decision
             };
+            memo.tiles[slot] = tile;
             emit_tile(&mut out, decision, tile, out_base + part, part, k);
         }
         memo.words[r * words_per_row..(r + 1) * words_per_row].copy_from_slice(words);
@@ -573,33 +624,265 @@ fn delta_sweep(
         emitted += 1;
         bit_nnz += activations.row_nnz(r) as u64;
     }
-    memo.valid = true;
-    drop(snapshot);
-    if cache.is_enabled() {
-        cache.commit(hits, miss_probes, resolved.into_iter().collect());
+    DeltaRows { out, stats, emitted, bit_nnz }
+}
+
+/// The delta sweep of a packed layer, run under one [`simd::sweep16`]
+/// dispatch.
+struct PackedDelta<'a> {
+    activations: &'a SpikeMatrix,
+    layer: &'a PackedLayer<'a>,
+    memo: &'a mut FrameMemo,
+    emit_unchanged: bool,
+}
+
+impl Hamming16Sweep for PackedDelta<'_> {
+    type Output = DeltaRows;
+
+    #[inline(always)]
+    fn run<H: Hamming16>(self, kernel: H) -> DeltaRows {
+        let PackedDelta { activations, layer, memo, emit_unchanged } = self;
+        let parts = layer.planes.len();
+        let mut decider = PackedDecider { layer, kernel };
+        delta_rows(activations, layer.k, parts, memo, emit_unchanged, &mut decider)
     }
-    // Assembled directly rather than via `combine`, which sizes the
-    // result to the full activation row count: the sparse sweep's row
-    // count is whatever survived the skip check.
-    out.l1.truncate(emitted * parts);
-    let mut l2_offsets = Vec::with_capacity(emitted + 1);
-    l2_offsets.push(0u32);
-    l2_offsets.extend(out.l2_ends);
-    (
-        Decomposition {
-            rows: emitted,
-            cols,
-            patterns: patterns.clone(),
-            l1: out.l1,
-            l2: out.l2,
-            l2_offsets,
-            l1_ones: out.l1_ones,
-            l2_pos: out.l2_pos,
-            l2_neg: out.l2_neg,
-            bit_nnz,
-        },
-        stats,
-    )
+}
+
+/// Re-matches a packed layer's tiles with one kernel probe each.
+struct PackedDecider<'a, H> {
+    layer: &'a PackedLayer<'a>,
+    kernel: H,
+}
+
+impl<H: Hamming16> TileDecider for PackedDecider<'_, H> {
+    #[inline(always)]
+    fn decide(&mut self, part: usize, tile: u64) -> TileDecision {
+        self.layer.decide(self.kernel, part, tile)
+    }
+}
+
+/// Re-matches an unpacked layer's tiles through the [`TileCache`] (its
+/// snapshot, with the sweep's misses resolved once each through the
+/// [`MatchIndex`] and committed at the end), or straight through the
+/// index on a disabled cache. Single-bit tiles are decided inline, off
+/// the cache — the same split the full sweeps make.
+struct CachedDecider<'a> {
+    activations: &'a SpikeMatrix,
+    patterns: &'a LayerPatterns,
+    index: &'a LayerMatchIndex,
+    cache: &'a TileCache,
+    snapshot: Option<Arc<TileMap>>,
+    last_part: usize,
+    last_width: u32,
+    hits: u64,
+    miss_probes: u64,
+    resolved: TileMap,
+}
+
+impl<'a> CachedDecider<'a> {
+    fn new(
+        activations: &'a SpikeMatrix,
+        patterns: &'a LayerPatterns,
+        index: &'a LayerMatchIndex,
+        cache: &'a TileCache,
+    ) -> Self {
+        let parts = patterns.num_partitions();
+        // Only the final partition can be narrower than k (see
+        // `decompose_cached`).
+        let last_part = parts.wrapping_sub(1);
+        let last_width = if parts == 0 {
+            0
+        } else {
+            patterns.k().min(activations.cols() - last_part * patterns.k())
+        };
+        CachedDecider {
+            activations,
+            patterns,
+            index,
+            cache,
+            snapshot: cache.is_enabled().then(|| cache.snapshot()),
+            last_part,
+            last_width: last_width as u32,
+            hits: 0,
+            miss_probes: 0,
+            resolved: TileMap::default(),
+        }
+    }
+
+    /// Releases the snapshot and commits the sweep's counters and
+    /// resolved misses.
+    fn commit(self) {
+        drop(self.snapshot);
+        if self.cache.is_enabled() {
+            self.cache.commit(self.hits, self.miss_probes, self.resolved.into_iter().collect());
+        }
+    }
+}
+
+impl TileDecider for CachedDecider<'_> {
+    #[inline(always)]
+    fn decide(&mut self, part: usize, tile: u64) -> TileDecision {
+        let (activations, patterns, index) = (self.activations, self.patterns, self.index);
+        let baseline = match tile.count_ones() {
+            1 => return single_bit_tile(patterns.set(part), tile),
+            baseline => baseline,
+        };
+        let Some(snap) = &self.snapshot else {
+            return resolve_tile(activations, patterns, index, part, tile, baseline);
+        };
+        let width = if part == self.last_part { self.last_width } else { patterns.k() as u32 };
+        let key = tile_key(part as u32, width, tile);
+        match snap.get(&key) {
+            Some(&decision) => {
+                self.hits += 1;
+                decision
+            }
+            None => {
+                self.miss_probes += 1;
+                *self.resolved.entry(key).or_insert_with(|| {
+                    resolve_tile(activations, patterns, index, part, tile, baseline)
+                })
+            }
+        }
+    }
+}
+
+/// A layer every partition of which is packed (k ≤ 16 and q ≤
+/// [`simd::PLANE16_MAX_LEN`]): each nonzero tile is decided by one
+/// brute-force [`simd::min_hamming16`] probe over its partition's `u16`
+/// plane, so neither the [`TileCache`] nor the [`MatchIndex`] is
+/// consulted.
+struct PackedLayer<'a> {
+    sets: &'a [PatternSet],
+    planes: Vec<&'a [u16]>,
+    k: usize,
+    last_part: usize,
+    /// Column mask of the final partition, which may be narrower than k:
+    /// pattern bits beyond it must not generate corrections.
+    last_mask: u64,
+}
+
+impl<'a> PackedLayer<'a> {
+    /// The packed view of `patterns`, or `None` when some partition is
+    /// not packed.
+    fn new(activations: &SpikeMatrix, patterns: &'a LayerPatterns) -> Option<Self> {
+        let k = patterns.k();
+        if k > 16 {
+            return None;
+        }
+        let planes: Vec<&[u16]> =
+            patterns.sets().iter().map(PatternSet::plane16).collect::<Option<_>>()?;
+        let last_part = planes.len().wrapping_sub(1);
+        let last_mask =
+            if planes.is_empty() { 0 } else { partition_mask(activations.cols(), last_part, k) };
+        Some(PackedLayer { sets: patterns.sets(), planes, k, last_part, last_mask })
+    }
+
+    /// The matcher rule for a nonzero tile: single-bit tiles through the
+    /// one-hot shortcut, the rest through one kernel probe, assigned only
+    /// when the distance strictly beats the tile's own bit count.
+    #[inline(always)]
+    fn decide<H: Hamming16>(&self, kernel: H, part: usize, tile: u64) -> TileDecision {
+        let baseline = tile.count_ones();
+        if baseline == 1 {
+            return single_bit_tile(&self.sets[part], tile);
+        }
+        let plane = self.planes[part];
+        match kernel.min_hamming16(plane, tile as u16) {
+            Some((idx, dist)) if dist < baseline => {
+                let mask = if part == self.last_part { self.last_mask } else { u64::MAX };
+                let diff = (u64::from(plane[idx]) & mask) ^ tile;
+                TileDecision { pattern: Some(idx as u16), diff }
+            }
+            _ => TileDecision { pattern: None, diff: tile },
+        }
+    }
+}
+
+/// Rows `lo..hi` of a packed layer's [`decompose_cached`] sweep, run
+/// under one [`simd::sweep16`] dispatch.
+struct PackedChunk<'a> {
+    activations: &'a SpikeMatrix,
+    layer: &'a PackedLayer<'a>,
+    lo: usize,
+    hi: usize,
+}
+
+impl Hamming16Sweep for PackedChunk<'_> {
+    type Output = ChunkDecomposition;
+
+    #[inline(always)]
+    fn run<H: Hamming16>(self, kernel: H) -> ChunkDecomposition {
+        let PackedChunk { activations, layer, lo, hi } = self;
+        let parts = layer.planes.len();
+        let mut out = ChunkDecomposition::new(activations, lo, hi, parts);
+        let mut scratch = vec![0u64; parts];
+        for r in lo..hi {
+            let row_base = (r - lo) * parts;
+            for (part, tile) in nonzero_tiles(activations, r, layer.k, &mut scratch) {
+                let decision = layer.decide(kernel, part, tile);
+                emit_tile(&mut out, decision, tile, row_base + part, part, layer.k);
+            }
+            out.l2_ends.push(out.l2.len() as u32);
+        }
+        out
+    }
+}
+
+/// The nonzero width-`k` tiles of row `r` as `(partition, tile)`, in
+/// partition order. A width dividing 64 walks the row's words lane by
+/// lane, skipping zero words and zero lanes; any other width unpacks the
+/// row into `scratch` (one tile per word) and walks that.
+#[inline(always)]
+fn nonzero_tiles<'a>(
+    activations: &'a SpikeMatrix,
+    r: usize,
+    k: usize,
+    scratch: &'a mut [u64],
+) -> NonzeroTiles<'a> {
+    if 64 % k == 0 {
+        // Padding bits beyond the column count are zero, so the final
+        // (narrower) partition's lane is already masked.
+        NonzeroTiles::new(activations.row_words(r), k.trailing_zeros())
+    } else {
+        activations.row_partition_tiles_into(r, k, scratch);
+        NonzeroTiles::new(scratch, 6)
+    }
+}
+
+/// Iterates the nonzero `2^shift`-bit lanes of a word slice as
+/// `(lane index, lane bits)`, lowest lane first.
+struct NonzeroTiles<'a> {
+    words: &'a [u64],
+    /// Index of the word `rest` came from.
+    word: usize,
+    /// The current word with its visited lanes cleared.
+    rest: u64,
+    shift: u32,
+    mask: u64,
+}
+
+impl<'a> NonzeroTiles<'a> {
+    fn new(words: &'a [u64], shift: u32) -> Self {
+        let rest = words.first().copied().unwrap_or(0);
+        NonzeroTiles { words, word: 0, rest, shift, mask: u64::MAX >> (64 - (1u32 << shift)) }
+    }
+}
+
+impl Iterator for NonzeroTiles<'_> {
+    type Item = (usize, u64);
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<(usize, u64)> {
+        while self.rest == 0 {
+            self.word += 1;
+            self.rest = *self.words.get(self.word)?;
+        }
+        let at = self.rest.trailing_zeros() >> self.shift << self.shift;
+        let tile = (self.rest >> at) & self.mask;
+        self.rest &= !(self.mask << at);
+        Some(((self.word << (6 - self.shift)) + (at >> self.shift) as usize, tile))
+    }
 }
 
 /// Panics unless the pattern partitioning tiles the activation width.
@@ -637,6 +920,29 @@ struct ChunkDecomposition {
     l2_neg: u64,
 }
 
+impl ChunkDecomposition {
+    /// Empty buffers for rows `lo..hi` of `parts` partitions each.
+    fn new(activations: &SpikeMatrix, lo: usize, hi: usize, parts: usize) -> Self {
+        let rows = hi - lo;
+        // The chunk never emits more corrections than its rows hold bits
+        // (an assigned pattern must strictly beat the tile's own bit
+        // count), so one reservation covers the whole chunk.
+        let nnz: usize = (lo..hi).map(|r| activations.row_nnz(r)).sum();
+        ChunkDecomposition {
+            // L1 is bulk-filled with the sentinel up front, so the sweep
+            // writes an index only for the tiles that actually assign a
+            // pattern — empty tiles (the common case in sparse spiking
+            // data) never touch it.
+            l1: vec![NO_PATTERN; rows * parts],
+            l2: Vec::with_capacity(nnz),
+            l2_ends: Vec::with_capacity(rows),
+            l1_ones: 0,
+            l2_pos: 0,
+            l2_neg: 0,
+        }
+    }
+}
+
 /// The row ranges the parallel sweep splits into: one chunk per thread
 /// the `rayon` pool runs a map on. Rows cost about the same, so equal
 /// chunks already balance, and each extra chunk would cost its own
@@ -663,23 +969,7 @@ fn run_chunk(
 ) -> ChunkDecomposition {
     let k = patterns.k();
     let parts = patterns.num_partitions();
-    let rows = hi - lo;
-    // The chunk never emits more corrections than its rows hold bits (an
-    // assigned pattern must strictly beat the tile's own bit count), so
-    // one reservation covers the whole chunk.
-    let nnz: usize = (lo..hi).map(|r| activations.row_nnz(r)).sum();
-    let mut out = ChunkDecomposition {
-        // L1 is bulk-filled with the sentinel up front, so the sweep
-        // writes an index only for the tiles that actually assign a
-        // pattern — empty tiles (the common case in sparse spiking
-        // data) never touch it.
-        l1: vec![NO_PATTERN; rows * parts],
-        l2: Vec::with_capacity(nnz),
-        l2_ends: Vec::with_capacity(rows),
-        l1_ones: 0,
-        l2_pos: 0,
-        l2_neg: 0,
-    };
+    let mut out = ChunkDecomposition::new(activations, lo, hi, parts);
     // One reusable tile buffer per chunk: each row's tiles are unpacked
     // in one pass (the SIMD shear kernel for word-aligned `k`, the
     // incremental scalar scan otherwise), then decided tile by tile.
@@ -726,18 +1016,14 @@ fn emit_tile(
         // The masked pattern bits are `tile ^ diff` by construction.
         out.l1_ones += u64::from(simd::hamming64(tile, diff));
     }
+    out.l2_pos += u64::from((diff & tile).count_ones());
+    out.l2_neg += u64::from((diff & !tile).count_ones());
     let mut bits = diff;
     while bits != 0 {
         let b = bits.trailing_zeros() as usize;
         bits &= bits - 1;
         let col = (part * k + b) as u32;
-        let value = if (tile >> b) & 1 == 1 {
-            out.l2_pos += 1;
-            1
-        } else {
-            out.l2_neg += 1;
-            -1
-        };
+        let value = if (tile >> b) & 1 == 1 { 1 } else { -1 };
         out.l2.push(L2Entry { col, value });
     }
 }
@@ -1514,13 +1800,15 @@ impl std::hash::Hasher for TileKeyHasher {
 /// use phi_core::{LayerPatterns, Pattern, PatternSet};
 /// use snn_core::SpikeMatrix;
 ///
-/// let patterns = LayerPatterns::new(4, vec![PatternSet::new(4, vec![Pattern::new(0b0110, 4)])]);
+/// // Width 20 is unpacked (packed layers, k ≤ 16, never consult a cache).
+/// let patterns =
+///     LayerPatterns::new(20, vec![PatternSet::new(20, vec![Pattern::new(0b0110, 20)])]);
 /// let index = LayerMatchIndex::new(&patterns);
 /// let cache = TileCache::new(1024);
-/// let mut acts = SpikeMatrix::zeros(2, 4);
-/// acts.set_tile(0, 0, 4, 0b0111);
-/// acts.set_tile(1, 0, 4, 0b0111); // the tile repeats, but this sweep's
-///                                 // snapshot predates it: two misses
+/// let mut acts = SpikeMatrix::zeros(2, 20);
+/// acts.set_tile(0, 0, 20, 0b0111);
+/// acts.set_tile(1, 0, 20, 0b0111); // the tile repeats, but this sweep's
+///                                  // snapshot predates it: two misses
 /// let cold = decompose_cached(&acts, &patterns, &index, &cache);
 /// assert_eq!(cold, decompose(&acts, &patterns));
 /// assert_eq!(cache.stats().misses, 2);
@@ -1821,10 +2109,11 @@ mod tests {
 
     #[test]
     fn indexed_and_cached_paths_match_the_linear_reference() {
+        // k = 20 is unpacked, so the index and the cache serve this layer.
         let mut rng = StdRng::seed_from_u64(21);
         for density in [0.1, 0.3] {
             let acts = SpikeMatrix::random(80, 50, density, &mut rng);
-            let cal = Calibrator::new(CalibrationConfig { q: 16, ..Default::default() });
+            let cal = Calibrator::new(CalibrationConfig { k: 20, q: 16, ..Default::default() });
             let patterns = cal.calibrate(&acts, &mut rng);
             let index = LayerMatchIndex::new(&patterns);
             let linear = decompose(&acts, &patterns);
@@ -1838,6 +2127,24 @@ mod tests {
             assert!(cache.stats().hits > 0, "second sweep must hit the cache");
             assert!(linear.verify_lossless(&acts));
         }
+    }
+
+    #[test]
+    fn packed_layers_leave_the_tile_cache_untouched() {
+        // k = 16, q = 16: packed, so neither sweep consults the cache.
+        let mut rng = StdRng::seed_from_u64(23);
+        let acts = SpikeMatrix::random(40, 50, 0.3, &mut rng);
+        let cal = Calibrator::new(CalibrationConfig { q: 16, ..Default::default() });
+        let patterns = cal.calibrate(&acts, &mut rng);
+        let index = LayerMatchIndex::new(&patterns);
+        let cache = TileCache::new(256);
+        let linear = decompose(&acts, &patterns);
+        for _ in 0..2 {
+            assert_eq!(decompose_cached(&acts, &patterns, &index, &cache), linear);
+        }
+        let mut memo = FrameMemo::new();
+        assert_eq!(decompose_delta(&acts, &patterns, &index, &cache, &mut memo).0, linear);
+        assert_eq!(cache.stats(), TileCacheStats { capacity: 256, ..TileCacheStats::default() });
     }
 
     #[test]
@@ -1909,29 +2216,30 @@ mod tests {
     #[test]
     fn shared_cache_across_different_widths_stays_exact() {
         // Two activation sets with the same partition COUNT but different
-        // final-partition widths (cols 8 vs 7 at k = 4). The cached tile
-        // decision for the final partition masks its corrections by that
-        // width, so the key must distinguish them — a regression test for
-        // the width-blind key that replayed a col-7 correction into a
-        // 7-column matrix.
+        // final-partition widths (cols 40 vs 39 at k = 20, an unpacked
+        // width the cache serves). The cached tile decision for the final
+        // partition masks its corrections by that width, so the key must
+        // distinguish them — a regression test for the width-blind key
+        // that replayed a col-39 correction into a 39-column matrix.
         let patterns = LayerPatterns::new(
-            4,
+            20,
             vec![
-                PatternSet::new(4, vec![Pattern::new(0b0110, 4)]),
-                PatternSet::new(4, vec![Pattern::new(0b1110, 4)]),
+                PatternSet::new(20, vec![Pattern::new(0b0110, 20)]),
+                PatternSet::new(20, vec![Pattern::new(1 << 19 | 0b0110, 20)]),
             ],
         );
         let index = LayerMatchIndex::new(&patterns);
         let cache = TileCache::new(64);
-        let mut wide = SpikeMatrix::zeros(1, 8);
-        wide.set_tile(0, 4, 4, 0b0110); // final partition width 4
-        let mut narrow = SpikeMatrix::zeros(1, 7);
-        narrow.set_tile(0, 4, 3, 0b110); // same tile bits, width 3
+        let mut wide = SpikeMatrix::zeros(1, 40);
+        wide.set_tile(0, 20, 20, 0b0110); // final partition width 20
+        let mut narrow = SpikeMatrix::zeros(1, 39);
+        narrow.set_tile(0, 20, 19, 0b0110); // same tile bits, width 19
         for acts in [&wide, &narrow, &wide, &narrow] {
             let cached = decompose_cached(acts, &patterns, &index, &cache);
             assert_eq!(cached, decompose(acts, &patterns));
             assert!(cached.verify_lossless(acts));
         }
+        assert!(cache.stats().hits > 0, "the replays must come from the cache");
     }
 
     #[test]

@@ -5,7 +5,16 @@
 //! quantities the whole framework is built on — Hamming distance to an
 //! activation row-tile, and the set of mismatching bit positions — are a
 //! `popcount(xor)` and the xor word itself.
+//!
+//! A [`PatternSet`] of width ≤ 16 with at most
+//! [`snn_core::simd::PLANE16_MAX_LEN`] patterns is *packed*: it also keeps
+//! its patterns as one `u16` plane, which a single brute-force
+//! [`snn_core::simd::min_hamming16`] probe decides a tile against — the
+//! shape of Phi's systolic matcher, which compares every tile with all q
+//! patterns of its partition. Every served layer is packed (k = 16,
+//! q ≤ 128).
 
+use snn_core::simd;
 use std::fmt;
 
 /// A binary pattern of width `len ≤ 64`, stored in the low bits of a `u64`.
@@ -75,7 +84,7 @@ impl Pattern {
     /// [`snn_core::simd::hamming64`]).
     #[inline]
     pub fn hamming(&self, tile: u64) -> u32 {
-        snn_core::simd::hamming64(self.bits, tile)
+        simd::hamming64(self.bits, tile)
     }
 
     /// Whether this is the all-zero pattern.
@@ -160,19 +169,33 @@ pub struct PatternSet {
     /// in the constructor.
     one_hot: u64,
     /// The patterns' raw bits as one contiguous, index-ordered plane —
-    /// the layout the [`snn_core::simd`] kernels batch-probe 4–8
-    /// patterns per vector iteration. Derived from `patterns` in the
-    /// constructor.
+    /// the layout the [`simd`] kernels batch-probe 4–8 patterns per
+    /// vector iteration. Derived from `patterns` in the constructor.
     bits: Vec<u64>,
+    /// The same bits as `u16` lanes when the set is packed (width ≤ 16,
+    /// at most [`simd::PLANE16_MAX_LEN`] patterns), `None` otherwise.
+    /// Derived from `patterns` in the constructor.
+    plane16: Option<Vec<u16>>,
 }
 
 impl PatternSet {
+    /// The most patterns one set may hold: Level-1 indices are `u16`, and
+    /// `u16::MAX` is the decomposition's reserved "no pattern" index.
+    pub const MAX_PATTERNS: usize = u16::MAX as usize - 1;
+
     /// Creates a set from patterns of uniform width.
     ///
     /// # Panics
     ///
-    /// Panics if patterns disagree on width.
+    /// Panics if patterns disagree on width, or if there are more than
+    /// [`Self::MAX_PATTERNS`] (65534) of them.
     pub fn new(width: usize, patterns: Vec<Pattern>) -> Self {
+        assert!(
+            patterns.len() <= Self::MAX_PATTERNS,
+            "a pattern set holds at most {} patterns, got {}",
+            Self::MAX_PATTERNS,
+            patterns.len()
+        );
         for p in &patterns {
             assert_eq!(p.len(), width, "pattern width mismatch");
         }
@@ -185,7 +208,9 @@ impl PatternSet {
         let popcounts = patterns.iter().map(Pattern::popcount).collect();
         let one_hot = patterns.iter().filter(|p| p.is_one_hot()).fold(0, |m, p| m | p.bits());
         let bits = patterns.iter().map(Pattern::bits).collect();
-        PatternSet { width, patterns, exact, popcounts, one_hot, bits }
+        let plane16 = packed(width, patterns.len())
+            .then(|| patterns.iter().map(|p| p.bits() as u16).collect());
+        PatternSet { width, patterns, exact, popcounts, one_hot, bits, plane16 }
     }
 
     /// An empty set (every row falls back to bit sparsity).
@@ -197,6 +222,7 @@ impl PatternSet {
             popcounts: Vec::new(),
             one_hot: 0,
             bits: Vec::new(),
+            plane16: packed(width, 0).then(Vec::new),
         }
     }
 
@@ -256,10 +282,18 @@ impl PatternSet {
     }
 
     /// The patterns' raw bits as one contiguous, index-ordered plane —
-    /// the layout the [`snn_core::simd`] distance kernels consume.
+    /// the layout the [`simd`] distance kernels consume.
     #[inline]
     pub fn pattern_bits(&self) -> &[u64] {
         &self.bits
+    }
+
+    /// The patterns as `u16` lanes, index-ordered — `Some` exactly when
+    /// the set is packed (width ≤ 16 and at most
+    /// [`simd::PLANE16_MAX_LEN`] patterns).
+    #[inline]
+    pub(crate) fn plane16(&self) -> Option<&[u16]> {
+        self.plane16.as_deref()
     }
 
     /// Finds the pattern minimizing Hamming distance to `tile`, returning
@@ -267,30 +301,35 @@ impl PatternSet {
     /// the lowest index (deterministic, matching the hardware matcher's
     /// minimum-selection tree).
     ///
-    /// Calibrated SNN tiles overwhelmingly hit a pattern exactly, so an
-    /// exact match is answered from a sorted lookup in O(log q). The
-    /// distance scan runs only on misses. At a vector
-    /// [`snn_core::simd::level`] it is one batched
-    /// [`snn_core::simd::min_hamming`] probe over the contiguous pattern
-    /// bit-plane (4–8 XOR+popcounts per iteration); the first-minimum
-    /// lane rule is exactly this function's lowest-index tie rule, so
-    /// the answer is bit-identical. The scalar path keeps the pruned
-    /// scan: it skips any pattern whose precomputed popcount puts the
-    /// Hamming lower bound `|popcount(p) − popcount(tile)|` at or above
-    /// the best distance so far (such a pattern can never strictly
-    /// improve, so the skip is bit-identical), and stops outright at
-    /// distance 1 (the minimum still attainable once distance 0 is ruled
-    /// out — which the exact-match probe just did).
+    /// At a vector [`simd::level`], a packed set answers with one
+    /// brute-force [`simd::min_hamming16`] call over its `u16` plane,
+    /// exact and inexact hits alike; its lane key
+    /// `(distance << 11) | index` makes the unsigned minimum this
+    /// function's tie rule. Other sets answer an exact match from a
+    /// sorted lookup in O(log q) and otherwise run one batched
+    /// [`simd::min_hamming`] probe over the contiguous pattern bit-plane,
+    /// whose first-minimum lane rule is the same tie rule.
     ///
-    /// This scan is the *linear reference matcher*: the sub-linear
-    /// [`crate::decompose::MatchIndex`] is property-tested to agree with
-    /// it bit for bit.
+    /// At scalar level every set takes the exact lookup and then the
+    /// pruned scan — the *linear reference matcher* the faster paths are
+    /// tested against. The scan skips any pattern whose precomputed
+    /// popcount puts the Hamming lower bound
+    /// `|popcount(p) − popcount(tile)|` at or above the best distance so
+    /// far (such a pattern can never strictly improve, so the skip is
+    /// bit-identical), and stops outright at distance 1 (the minimum
+    /// still attainable once the exact lookup ruled out distance 0). The
+    /// sub-linear [`crate::decompose::MatchIndex`] is property-tested to
+    /// agree with it bit for bit.
     pub fn best_match(&self, tile: u64) -> Option<(usize, u32)> {
+        let vector = simd::level() != simd::SimdLevel::Scalar;
+        if let (true, Some(plane), Ok(tile16)) = (vector, self.plane16(), u16::try_from(tile)) {
+            return simd::min_hamming16(plane, tile16);
+        }
         if let Some(idx) = self.exact_match(tile) {
             return Some((idx, 0));
         }
-        if snn_core::simd::level() != snn_core::simd::SimdLevel::Scalar {
-            return snn_core::simd::min_hamming(&self.bits, tile);
+        if vector {
+            return simd::min_hamming(&self.bits, tile);
         }
         let tp = tile.count_ones();
         let mut best: Option<(usize, u32)> = None;
@@ -321,6 +360,12 @@ impl PatternSet {
             .ok()
             .map(|pos| self.exact[pos].1 as usize)
     }
+}
+
+/// Whether a set of `len` width-`width` patterns fits a `u16` plane that
+/// one [`simd::min_hamming16`] probe covers.
+fn packed(width: usize, len: usize) -> bool {
+    width <= 16 && len <= simd::PLANE16_MAX_LEN
 }
 
 #[cfg(test)]
@@ -382,6 +427,24 @@ mod tests {
     #[should_panic(expected = "pattern width mismatch")]
     fn set_rejects_mixed_widths() {
         PatternSet::new(4, vec![Pattern::new(0b1, 4), Pattern::new(0b1, 5)]);
+    }
+
+    #[test]
+    fn sets_pack_up_to_width_16_and_2048_patterns() {
+        let ones = |width, n| PatternSet::new(width, vec![Pattern::new(0b11, width); n]);
+        assert!(ones(16, simd::PLANE16_MAX_LEN).plane16().is_some());
+        assert!(ones(16, simd::PLANE16_MAX_LEN + 1).plane16().is_none());
+        assert!(ones(17, 4).plane16().is_none());
+        assert_eq!(PatternSet::empty(16).plane16(), Some(&[][..]));
+        assert!(PatternSet::empty(20).plane16().is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 65534 patterns, got 65535")]
+    fn set_rejects_more_patterns_than_l1_indices() {
+        // Level-1 indices are u16 with u16::MAX reserved for "no
+        // pattern": a larger set would alias or wrap its indices.
+        PatternSet::new(20, vec![Pattern::new(0b1, 20); PatternSet::MAX_PATTERNS + 1]);
     }
 
     #[test]

@@ -234,14 +234,21 @@ pub fn write_pattern_set(set: &PatternSet, out: &mut Vec<u8>) {
 ///
 /// # Errors
 ///
-/// Returns [`WireError`] on truncation, an out-of-range width, or pattern
-/// bits set beyond the declared width.
+/// Returns [`WireError`] on truncation, an out-of-range width, more than
+/// [`PatternSet::MAX_PATTERNS`] patterns, or pattern bits set beyond the
+/// declared width.
 pub fn read_pattern_set(r: &mut Reader<'_>) -> Result<PatternSet> {
     let width = r.u32()? as usize;
     if !(1..=64).contains(&width) {
         return Err(r.corrupt(format!("pattern width {width} outside 1..=64")));
     }
     let count = r.count(8)?;
+    if count > PatternSet::MAX_PATTERNS {
+        return Err(r.corrupt(format!(
+            "pattern count {count} exceeds the {} a set can index",
+            PatternSet::MAX_PATTERNS
+        )));
+    }
     let mut patterns = Vec::with_capacity(count);
     for _ in 0..count {
         let bits = r.u64()?;
@@ -687,6 +694,25 @@ mod tests {
             read_pattern_set(&mut Reader::new(&bytes)),
             Err(WireError::Truncated { .. })
         ));
+    }
+
+    #[test]
+    fn pattern_counts_beyond_the_l1_index_space_are_corrupt() {
+        // 65535 well-formed width-20 patterns: structurally complete, but
+        // one more than u16 Level-1 indices can address next to the
+        // reserved "no pattern" index. The loader must return a typed
+        // error instead of reaching the constructor's panic.
+        let mut bytes = Vec::new();
+        put_u32(&mut bytes, 20);
+        put_u32(&mut bytes, (PatternSet::MAX_PATTERNS + 1) as u32);
+        for i in 0..=PatternSet::MAX_PATTERNS as u64 {
+            put_u64(&mut bytes, i & 0xF_FFFF);
+        }
+        let err = read_pattern_set(&mut Reader::new(&bytes)).expect_err("count over the limit");
+        assert!(
+            matches!(&err, WireError::Corrupt { reason, .. } if reason.contains("65535")),
+            "{err}"
+        );
     }
 
     #[test]

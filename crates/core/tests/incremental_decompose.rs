@@ -4,9 +4,13 @@
 //!
 //! * A streamed sequence of frames decomposed incrementally equals the
 //!   full [`decompose`] of each raw frame, bit for bit, at every delta
-//!   rate and cache capacity (0 / 1 / ample).
+//!   rate, for packed layers (k = 16, decided by the brute-force kernel)
+//!   and unpacked ones (k = 20) at every cache capacity (0 / 1 / ample).
 //! * An identical frame re-decides zero tiles (every row takes the
 //!   whole-row skip) and moves no cache counter.
+//!
+//! The cache-accounting tests run at k = 20: a packed layer never
+//! consults the [`TileCache`], so its counters stay at zero.
 //! * Flipping a bit in exactly one tile re-decides exactly that tile.
 //! * [`Decomposition::concat`] of per-frame decompositions equals the
 //!   fused decomposition of the vstacked frames.
@@ -23,11 +27,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use snn_core::SpikeMatrix;
 
-/// A calibrated pattern/index pair for frames of the given width.
-fn calibrated(cols: usize, q: usize, seed: u64) -> (LayerPatterns, LayerMatchIndex) {
+/// A calibrated pattern/index pair for frames of the given width, at
+/// partition width `k`.
+fn calibrated(cols: usize, k: usize, q: usize, seed: u64) -> (LayerPatterns, LayerMatchIndex) {
     let mut rng = StdRng::seed_from_u64(seed);
     let cal_acts = SpikeMatrix::random(96, cols, 0.25, &mut rng);
-    let cal = Calibrator::new(CalibrationConfig { q, ..Default::default() });
+    let cal = Calibrator::new(CalibrationConfig { k, q, ..Default::default() });
     let patterns = cal.calibrate(&cal_acts, &mut rng);
     let index = LayerMatchIndex::new(&patterns);
     (patterns, index)
@@ -50,7 +55,7 @@ fn next_frame(prev: &SpikeMatrix, delta: f64, rng: &mut StdRng) -> SpikeMatrix {
 
 #[test]
 fn identical_frame_skips_every_row_and_rematches_nothing() {
-    let (patterns, index) = calibrated(50, 32, 11);
+    let (patterns, index) = calibrated(50, 20, 32, 11);
     let mut rng = StdRng::seed_from_u64(12);
     let frame = SpikeMatrix::random(8, 50, 0.3, &mut rng);
     let cache = TileCache::new(1 << 12);
@@ -80,7 +85,7 @@ fn identical_frame_skips_every_row_and_rematches_nothing() {
 
 #[test]
 fn single_tile_flip_rematches_exactly_that_tile() {
-    let (patterns, index) = calibrated(50, 32, 21);
+    let (patterns, index) = calibrated(50, 16, 32, 21);
     let k = patterns.k();
     let parts = patterns.num_partitions();
     let mut rng = StdRng::seed_from_u64(22);
@@ -109,7 +114,7 @@ fn single_tile_flip_rematches_exactly_that_tile() {
 
 #[test]
 fn cache_counters_stay_exact_under_the_row_skip_fast_path() {
-    let (patterns, index) = calibrated(48, 32, 31);
+    let (patterns, index) = calibrated(48, 20, 32, 31);
     let mut rng = StdRng::seed_from_u64(32);
     let frame_a = SpikeMatrix::random(5, 48, 0.3, &mut rng);
     let frame_b = next_frame(&frame_a, 0.5, &mut rng);
@@ -142,7 +147,7 @@ fn cache_counters_stay_exact_under_the_row_skip_fast_path() {
 
 #[test]
 fn shape_change_resets_the_memo_instead_of_corrupting_it() {
-    let (patterns, index) = calibrated(48, 32, 41);
+    let (patterns, index) = calibrated(48, 16, 32, 41);
     let cache = TileCache::new(1 << 12);
     let mut rng = StdRng::seed_from_u64(42);
     let mut memo = FrameMemo::new();
@@ -162,7 +167,7 @@ fn shape_change_resets_the_memo_instead_of_corrupting_it() {
 
 #[test]
 fn concat_equals_the_fused_decomposition() {
-    let (patterns, index) = calibrated(50, 32, 51);
+    let (patterns, index) = calibrated(50, 16, 32, 51);
     let cache = TileCache::disabled();
     let mut rng = StdRng::seed_from_u64(52);
     let frames: Vec<SpikeMatrix> =
@@ -181,18 +186,20 @@ proptest! {
 
     /// A streamed window of frames decomposed incrementally equals the
     /// full decomposition of each raw frame, bit for bit, across delta
-    /// rates, cache capacities (disabled / thrashing / ample), q, and
-    /// frame shapes — and the per-sweep accounting always balances.
+    /// rates, packed and unpacked widths, cache capacities (disabled /
+    /// thrashing / ample), q, and frame shapes — and the per-sweep
+    /// accounting always balances.
     #[test]
     fn delta_stream_is_bit_identical_to_full_decomposition(
         seed in 0u64..1_000,
         rows in 1usize..9,
         cols in 17usize..70,
+        k in prop::sample::select(vec![16usize, 20]),
         q in prop::sample::select(vec![32usize, 128]),
         delta in prop::sample::select(vec![0.0f64, 0.1, 0.5, 1.0]),
         capacity in prop::sample::select(vec![0usize, 1, 1 << 12]),
     ) {
-        let (patterns, index) = calibrated(cols, q, seed);
+        let (patterns, index) = calibrated(cols, k, q, seed);
         let cache = TileCache::new(capacity);
         let mut memo = FrameMemo::new();
         let mut rng = StdRng::seed_from_u64(seed ^ 0xDE17A);
@@ -216,9 +223,10 @@ proptest! {
         seed in 0u64..1_000,
         rows in 1usize..9,
         cols in 17usize..70,
+        k in prop::sample::select(vec![16usize, 20]),
         delta in prop::sample::select(vec![0.0f64, 0.1, 0.5, 1.0]),
     ) {
-        let (patterns, index) = calibrated(cols, 32, seed);
+        let (patterns, index) = calibrated(cols, k, 32, seed);
         let cache = TileCache::disabled();
         let mut full_memo = FrameMemo::new();
         let mut sparse_memo = FrameMemo::new();

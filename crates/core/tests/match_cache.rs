@@ -9,6 +9,11 @@
 //!   workloads at q ∈ {32, 128}, for cache capacities including 0
 //!   (disabled, the pure indexed path) and 1 (pure thrash), warm replays
 //!   included, with eviction under pressure observed by its counter.
+//!
+//! The decomposition properties run at unpacked widths (k ∈ {20, 32}),
+//! the only layers the cache and index still serve: a packed layer
+//! (k ≤ 16) is decided by the brute-force kernel instead, which
+//! `packed_sweep.rs` covers.
 
 use phi_core::{
     decompose, decompose_cached, CalibrationConfig, Calibrator, LayerMatchIndex, MatchIndex,
@@ -88,13 +93,14 @@ proptest! {
     fn cached_decompositions_equal_the_linear_reference(
         rows in 4usize..48,
         cols in 8usize..72,
+        k in prop::sample::select(vec![20usize, 32]),
         q in prop::sample::select(vec![32usize, 128]),
         capacity in prop::sample::select(vec![0usize, 1, 64, 4096]),
         seed in any::<u64>(),
     ) {
         let acts = repetitive_activations(rows, cols, seed);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xCA11);
-        let patterns = Calibrator::new(CalibrationConfig { q, ..Default::default() })
+        let patterns = Calibrator::new(CalibrationConfig { k, q, ..Default::default() })
             .calibrate(&acts, &mut rng);
         let index = LayerMatchIndex::new(&patterns);
 
@@ -141,7 +147,7 @@ proptest! {
     ) {
         let calibration = repetitive_activations(rows * 4, cols, seed);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xBA7);
-        let patterns = Calibrator::new(CalibrationConfig { q: 32, ..Default::default() })
+        let patterns = Calibrator::new(CalibrationConfig { k: 20, q: 32, ..Default::default() })
             .calibrate(&calibration, &mut rng);
         let index = LayerMatchIndex::new(&patterns);
         let cache = TileCache::new(256);

@@ -1,7 +1,7 @@
 //! SIMD == scalar, property-tested: every dispatched kernel in
 //! [`phi_core::simd`] must be bit-identical to its scalar twin on random
-//! inputs — random widths, ragged tails (lengths straddling the 4- and
-//! 8-lane vector strides), tie-heavy pattern pools, and the full
+//! inputs — random widths, ragged tails (lengths straddling the 4-, 8-,
+//! 16- and 32-lane vector strides), tie-heavy pattern pools, and the full
 //! decompose → matmul pipeline at q ∈ {32, 128}.
 //!
 //! The dispatched side runs at whatever level the host (or `PHI_SIMD`)
@@ -103,6 +103,32 @@ proptest! {
         // A second copy later never changes the answer.
         patterns.push(tile);
         prop_assert_eq!(simd::min_hamming(&patterns, tile), Some((expect, 0)));
+    }
+
+    /// The packed width-16 probe returns what the scalar twin returns,
+    /// and both return the first-minimum answer of the `u64` scan over
+    /// the same values. Lengths straddle the 16- and 32-lane strides up
+    /// to the plane's 2048-entry limit; tie-heavy pools keep the
+    /// lowest-position rule load-bearing, and dense far-away tiles make
+    /// a tail lane that read past the plane win if it were not masked.
+    #[test]
+    fn min_hamming16_matches_scalar(
+        len in prop::sample::select(vec![0usize, 1, 2, 15, 16, 17, 31, 32, 33, 63, 100, 2047, 2048]),
+        width in prop::sample::select(vec![4usize, 9, 16]),
+        far in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let plane: Vec<u16> = tie_heavy_words(len, width, seed).iter().map(|&w| w as u16).collect();
+        let tile = if far {
+            // The complement of a pattern: distance `width` from it.
+            plane.first().map_or(0, |&p| !p & ((1u32 << width) - 1) as u16)
+        } else {
+            tie_heavy_words(1, width, seed ^ 0x16).pop().unwrap_or(0) as u16
+        };
+        let wide: Vec<u64> = plane.iter().map(|&p| u64::from(p)).collect();
+        let want = scalar::min_hamming(&wide, u64::from(tile));
+        prop_assert_eq!(scalar::min_hamming16(&plane, tile), want);
+        prop_assert_eq!(simd::min_hamming16(&plane, tile), want);
     }
 
     /// Elementwise f32 accumulation is bit-identical (compared through

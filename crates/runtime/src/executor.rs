@@ -273,7 +273,11 @@ pub fn readouts_identical(a: &BatchReport, b: &BatchReport) -> bool {
 /// its clones (and therefore across every batch and serving worker on
 /// the same executor lineage): spiking activations repeat tiles heavily,
 /// so decompositions after the first replay memoized decisions instead
-/// of re-matching. Capacity comes from [`default_tile_cache_capacity`]
+/// of re-matching. Only unpacked layers (k > 16, or more than 2048
+/// patterns in a partition) use their cache; a packed layer — every
+/// layer of the served models — decides each tile with one brute-force
+/// SIMD probe ([`decompose_cached`]), faster than a cache hit, and
+/// leaves its cache's counters at 0. Capacity comes from [`default_tile_cache_capacity`]
 /// (the [`PHI_TILE_CACHE_ENV`] knob) unless
 /// [`BatchExecutor::with_tile_cache_capacity`] overrides it; outputs are
 /// bit-identical with the cache enabled, disabled, or thrashing.
@@ -640,8 +644,10 @@ impl<B: ExecutionBackend> BatchExecutor<B> {
     /// stream rows replayed from their session's previous readout.
     ///
     /// Only the decomposition branches. A stateless batch stacks its rows
-    /// into a recycled buffer and decomposes them through the artifact's
-    /// match index and this executor's persistent tile cache; a stream
+    /// into a recycled buffer and decomposes them with
+    /// [`decompose_cached`] (the packed brute-force sweep, or the
+    /// artifact's match index and this executor's persistent tile cache
+    /// for an unpacked layer); a stream
     /// batch diffs each frame against its session's memo
     /// ([`BatchExecutor::decompose_frames`]).
     #[allow(clippy::too_many_arguments)]
@@ -1079,10 +1085,37 @@ mod tests {
         ));
     }
 
+    /// `w` compiled at k = 20: unpacked layers, the only ones whose
+    /// tiles go through the tile cache.
+    fn unpacked_model(w: &Workload) -> Arc<CompiledModel> {
+        let mut options = CompileOptions::fast();
+        options.calibration.k = 20;
+        Arc::new(ModelCompiler::new(options).compile(w))
+    }
+
+    #[test]
+    fn packed_models_never_touch_the_tile_caches() {
+        // CompileOptions::fast() calibrates k = 16, q = 16: every layer is
+        // packed and decided by the brute-force kernel.
+        let w = tiny_workload();
+        let model = Arc::new(ModelCompiler::new(CompileOptions::fast()).compile(&w));
+        let cached = BatchExecutor::cpu(Arc::clone(&model)).with_tile_cache_capacity(1 << 12);
+        let batch = requests(&w, 6, 41);
+        for _ in 0..2 {
+            cached.execute(&batch).unwrap();
+        }
+        let capacity = cached.tile_cache_stats().capacity;
+        assert_eq!(capacity, (1 << 12) * model.layers().len() as u64);
+        assert_eq!(
+            cached.tile_cache_stats(),
+            phi_core::TileCacheStats { capacity, ..Default::default() }
+        );
+    }
+
     #[test]
     fn tile_cache_persists_across_batches_and_never_changes_outputs() {
         let w = tiny_workload();
-        let model = Arc::new(ModelCompiler::new(CompileOptions::fast()).compile(&w));
+        let model = unpacked_model(&w);
         let cached = BatchExecutor::cpu(Arc::clone(&model)).with_tile_cache_capacity(1 << 12);
         let uncached = BatchExecutor::cpu(Arc::clone(&model)).with_tile_cache_capacity(0);
         assert_eq!(uncached.tile_cache_stats(), phi_core::TileCacheStats::default());
@@ -1110,7 +1143,7 @@ mod tests {
     #[test]
     fn tiny_tile_caches_evict_under_pressure_without_output_drift() {
         let w = tiny_workload();
-        let model = Arc::new(ModelCompiler::new(CompileOptions::fast()).compile(&w));
+        let model = unpacked_model(&w);
         let thrashing = BatchExecutor::cpu(Arc::clone(&model)).with_tile_cache_capacity(1);
         let reference = BatchExecutor::cpu(model).with_tile_cache_capacity(0);
         let batch = requests(&w, 8, 43);

@@ -15,9 +15,11 @@
 //!   read-only across any number of executors, accept batches of encoded
 //!   spike inputs ([`InferenceRequest`]), fuse each layer's batch rows into
 //!   a single decomposition (amortizing the fixed per-layer costs), and
-//!   fan layers across rayon workers. Zero per-request calibration; tile
-//!   decisions are memoized in per-layer [`TileCache`]s that persist
-//!   across batches, so repeated spiking activations skip the matcher.
+//!   fan layers across rayon workers. Zero per-request calibration. A
+//!   packed layer (k ≤ 16, every layer of the served models) decides its
+//!   tiles with one brute-force SIMD probe each; other layers memoize
+//!   tile decisions in per-layer [`TileCache`]s that persist across
+//!   batches, so repeated spiking activations skip the matcher.
 //!
 //! The executor is generic over a pluggable [`ExecutionBackend`] — *what*
 //! to compute is fixed by the decomposition, *how* it runs is the

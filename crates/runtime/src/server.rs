@@ -63,7 +63,8 @@
 //! * **One tile-cache lineage per model.** Each model version gets one
 //!   executor whose per-layer [`TileCache`](phi_core::TileCache)s every
 //!   worker shares, so a tile resolved by any worker is a hit for all of
-//!   them. Readouts are bit-identical with caching disabled.
+//!   them (unpacked, k > 16 layers only: a packed layer never consults
+//!   its cache). Readouts are bit-identical with caching disabled.
 //! * **Execution is bit-identical to calling [`BatchExecutor`] directly.**
 //!   The server adds queueing and coalescing, never arithmetic: readouts
 //!   are the same bits a direct `execute` of the same requests produces,
@@ -429,7 +430,9 @@ pub struct ModelStatsSnapshot {
     pub p99_exec_us: f64,
     /// Decomposition tile-cache counters of this model's executor,
     /// aggregated over every layer (all zeros when the cache is disabled
-    /// via [`ServerConfig::tile_cache`]).
+    /// via [`ServerConfig::tile_cache`]; only the capacity is nonzero when
+    /// every layer is packed, k ≤ 16, since such layers never consult the
+    /// cache).
     pub tile_cache: TileCacheStats,
     /// Term-row work of every readout this model's executor computed
     /// (see [`BatchExecutor::reuse_stats`](crate::BatchExecutor::reuse_stats)).
@@ -2262,9 +2265,14 @@ mod tests {
 
     #[test]
     fn server_stats_expose_tile_cache_hit_rates() {
+        // k = 20: unpacked layers, whose tiles go through the cache (a
+        // packed k ≤ 16 layer never consults it).
         let w = tiny_workload();
+        let mut options = CompileOptions::fast();
+        options.calibration.k = 20;
+        let unpacked = Arc::new(ModelCompiler::new(options).compile(&w));
         let mut registry = ModelRegistry::new();
-        registry.register("m", model(&w));
+        registry.register("m", Arc::clone(&unpacked));
         let config = ServerConfig::default().with_workers(1).with_tile_cache(1 << 12);
         let server = PhiServer::start(registry, config);
         assert_eq!(server.config().tile_cache, 1 << 12);
@@ -2282,7 +2290,7 @@ mod tests {
 
         // A cache-disabled server serves identical readouts.
         let mut registry = ModelRegistry::new();
-        registry.register("m", model(&w));
+        registry.register("m", unpacked);
         let off = PhiServer::start(registry, config.with_tile_cache(0));
         for (request, cached) in requests(&w, 3, 4, 13).into_iter().zip(requests(&w, 3, 4, 13)) {
             let a = off.submit("m", request).unwrap().wait().unwrap();

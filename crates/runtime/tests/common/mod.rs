@@ -63,9 +63,17 @@ pub fn compiled(seed: u64) -> (Workload, Arc<CompiledModel>) {
 /// deterministic in `seed`.
 #[allow(dead_code)]
 pub fn compiled_q(layers: usize, seed: u64, q: usize) -> (Workload, Arc<CompiledModel>) {
+    compiled_kq(layers, seed, 16, q)
+}
+
+/// Compiles a `layers`-deep tiny workload at pattern width `k` and
+/// budget `q`, deterministic in `seed`. Widths above 16 give unpacked
+/// layers, the only ones whose tiles go through the tile cache.
+#[allow(dead_code)]
+pub fn compiled_kq(layers: usize, seed: u64, k: usize, q: usize) -> (Workload, Arc<CompiledModel>) {
     let workload = tiny_workload(layers, seed);
     let options = CompileOptions {
-        calibration: CalibrationConfig { q, max_rows: 512, ..Default::default() },
+        calibration: CalibrationConfig { k, q, max_rows: 512, ..Default::default() },
         ..Default::default()
     };
     let model = ModelCompiler::new(options).compile(&workload);

@@ -6,6 +6,9 @@
 //! model, a cache-disabled server, and a direct uncached
 //! [`BatchExecutor`] must all produce the same readout bits for the same
 //! requests.
+//!
+//! The fixture is compiled at k = 20: a packed layer (k ≤ 16) is decided
+//! by the brute-force kernel and never consults the cache.
 
 mod common;
 
@@ -21,7 +24,7 @@ use std::time::Duration;
 /// the per-case cost otherwise).
 fn fixture() -> &'static (snn_workloads::Workload, Arc<CompiledModel>) {
     static FIXTURE: OnceLock<(snn_workloads::Workload, Arc<CompiledModel>)> = OnceLock::new();
-    FIXTURE.get_or_init(|| common::compiled(0xCACE))
+    FIXTURE.get_or_init(|| common::compiled_kq(3, 0xCACE, 20, 16))
 }
 
 /// Serves `traffic` through a fresh server with the given tile-cache

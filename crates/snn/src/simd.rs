@@ -21,12 +21,30 @@
 //!   left-to-right scan — which is what the pattern matcher's
 //!   "min distance, then min index" tie rule reduces to over
 //!   index-ascending pattern arrays;
+//! * [`min_hamming16`] reaches the same answer by a different route: each
+//!   lane packs `(distance << 11) | index` into one `u16` key and an
+//!   unsigned minimum over the keys is the lexicographic
+//!   `(distance, index)` minimum;
 //! * [`add_assign`] / [`sub_assign`] are elementwise (`out[i] ± src[i]`,
 //!   one operation per element, no reassociation), so `f32` rounding is
 //!   unchanged lane for lane.
 //!
 //! The `simd_equivalence` property suite in `phi-core` pins all of this
 //! against the [`scalar`] twins.
+//!
+//! # Packed width-16 matching
+//!
+//! Pattern sets of width ≤ 16 and at most [`PLANE16_MAX_LEN`] patterns
+//! fit one `u16` lane per pattern, so the whole set is decided by one
+//! brute-force pass — the algorithm of Phi's systolic matcher, which
+//! compares a tile against every pattern of its partition. The AVX-512
+//! tier needs `BW` and `BITALG` (16-bit lane popcount and minimum) on
+//! top of the `F` + `VPOPCNTDQ` that [`SimdLevel::Avx512`] requires; an
+//! AVX-512 host without them runs the AVX2 tier. A caller deciding many
+//! tiles wraps its loop in a [`Hamming16Sweep`] and hands it to
+//! [`sweep16`]: the tier is chosen once, and the loop body is compiled
+//! inside the tier's `#[target_feature]` context, so the kernel inlines
+//! into it.
 //!
 //! # Dispatch
 //!
@@ -250,6 +268,118 @@ pub fn min_hamming(patterns: &[u64], tile: u64) -> Option<(usize, u32)> {
     }
 }
 
+/// The most patterns [`min_hamming16`] takes: a lane key keeps the
+/// pattern index in its low 11 bits.
+pub const PLANE16_MAX_LEN: usize = 1 << 11;
+
+/// The position and distance of the nearest entry of a `u16` pattern
+/// plane to `tile`, with ties resolving to the lowest position (the
+/// answer [`scalar::min_hamming`] gives over the same values as `u64`);
+/// `None` for an empty plane.
+///
+/// One brute-force pass with no early exit: each lane computes the key
+/// `(popcount(p ^ tile) << 11) | position` and the smallest key wins, so
+/// exact and inexact hits come out of the same pass.
+///
+/// # Panics
+///
+/// Panics if `plane.len() > PLANE16_MAX_LEN`.
+pub fn min_hamming16(plane: &[u16], tile: u16) -> Option<(usize, u32)> {
+    match tier16() {
+        #[cfg(target_arch = "x86_64")]
+        Tier16::Avx512 => unsafe { x86::min_hamming16_avx512(plane, tile) },
+        #[cfg(target_arch = "x86_64")]
+        Tier16::Avx2 => unsafe { x86::min_hamming16_avx2(plane, tile) },
+        Tier16::Scalar => scalar::min_hamming16(plane, tile),
+    }
+}
+
+/// One tier of the [`min_hamming16`] kernel, handed to a
+/// [`Hamming16Sweep`] by [`sweep16`]. The vector tiers can only be
+/// obtained from [`sweep16`], after the host has been checked for them.
+pub trait Hamming16: Copy {
+    /// [`min_hamming16`] at this tier.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `plane.len() > PLANE16_MAX_LEN`.
+    fn min_hamming16(self, plane: &[u16], tile: u16) -> Option<(usize, u32)>;
+}
+
+/// A loop over many [`min_hamming16`] probes, run under one dispatch by
+/// [`sweep16`].
+///
+/// Implementations should mark [`Hamming16Sweep::run`]
+/// `#[inline(always)]`: it is then compiled inside the tier's
+/// `#[target_feature]` wrapper, and the kernel inlines into the loop
+/// instead of being called per probe.
+pub trait Hamming16Sweep {
+    /// What the sweep produces.
+    type Output;
+
+    /// Runs the sweep with `kernel` as its matcher.
+    fn run<H: Hamming16>(self, kernel: H) -> Self::Output;
+}
+
+/// Runs `sweep` with the best [`min_hamming16`] tier the active
+/// [`level`] allows, chosen once for the whole sweep. Every tier gives
+/// the same answers, so the output never depends on the level.
+pub fn sweep16<S: Hamming16Sweep>(sweep: S) -> S::Output {
+    match tier16() {
+        #[cfg(target_arch = "x86_64")]
+        Tier16::Avx512 => unsafe { x86::sweep16_avx512(sweep) },
+        #[cfg(target_arch = "x86_64")]
+        Tier16::Avx2 => unsafe { x86::sweep16_avx2(sweep) },
+        Tier16::Scalar => sweep.run(Scalar16),
+    }
+}
+
+/// The [`min_hamming16`] tiers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tier16 {
+    Scalar,
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+}
+
+/// The [`min_hamming16`] tier at the active [`level`]: AVX-512 needs
+/// `BW` and `BITALG` besides what [`SimdLevel::Avx512`] checks, and
+/// falls back to AVX2 without them.
+#[inline]
+fn tier16() -> Tier16 {
+    match level() {
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx512
+            if std::arch::is_x86_feature_detected!("avx512bw")
+                && std::arch::is_x86_feature_detected!("avx512bitalg") =>
+        {
+            Tier16::Avx512
+        }
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx512 | SimdLevel::Avx2 => Tier16::Avx2,
+        _ => Tier16::Scalar,
+    }
+}
+
+/// The portable [`Hamming16`] tier.
+#[derive(Debug, Clone, Copy)]
+struct Scalar16;
+
+impl Hamming16 for Scalar16 {
+    #[inline(always)]
+    fn min_hamming16(self, plane: &[u16], tile: u16) -> Option<(usize, u32)> {
+        scalar::min_hamming16(plane, tile)
+    }
+}
+
+/// Splits a [`min_hamming16`] lane key into `(position, distance)`.
+#[inline(always)]
+fn unkey16(key: u32) -> (usize, u32) {
+    ((key & 0x7FF) as usize, key >> 11)
+}
+
 /// Elementwise `out[i] += src[i]` — the PWP / correction row
 /// accumulation. One addition per element in lane order, so the `f32`
 /// result is bit-identical to the scalar loop.
@@ -388,6 +518,22 @@ pub mod scalar {
             }
         }
         best
+    }
+
+    /// Scalar twin of [`super::min_hamming16`]: the minimum lane key
+    /// `(distance << 11) | position` over the plane.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `plane.len() > PLANE16_MAX_LEN`.
+    pub fn min_hamming16(plane: &[u16], tile: u16) -> Option<(usize, u32)> {
+        assert!(plane.len() <= super::PLANE16_MAX_LEN, "a u16 plane holds at most 2048 patterns");
+        plane
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| ((p ^ tile).count_ones() << 11) | i as u32)
+            .min()
+            .map(super::unkey16)
     }
 
     /// Scalar twin of [`super::add_assign`].
@@ -672,6 +818,181 @@ mod x86 {
             }
         }
         Some((best_i, best_d))
+    }
+
+    /// Lane positions `0..32`, the starting index vector of the
+    /// [`super::min_hamming16`] kernels.
+    #[rustfmt::skip]
+    static LANES16: [u16; 32] = [
+        0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15,
+        16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31,
+    ];
+
+    /// Brute-force `u16` plane probe, 32 lanes per iteration: `vpopcntw`
+    /// distances shifted over the lane positions, an unsigned `vpminuw`
+    /// running minimum (the tail's missing lanes masked out of both the
+    /// load and the minimum), then a 512 → 256 → 128 fold and
+    /// `phminposuw`.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX-512F, AVX-512BW and AVX-512BITALG are
+    /// available.
+    #[target_feature(enable = "avx512f,avx512bw,avx512bitalg")]
+    #[inline]
+    pub unsafe fn min_hamming16_avx512(plane: &[u16], tile: u16) -> Option<(usize, u32)> {
+        assert!(plane.len() <= super::PLANE16_MAX_LEN, "a u16 plane holds at most 2048 patterns");
+        if plane.is_empty() {
+            return None;
+        }
+        let t = _mm512_set1_epi16(tile as i16);
+        let step = _mm512_set1_epi16(32);
+        // SAFETY: `LANES16` is 64 readable bytes; unaligned load.
+        let mut idx = _mm512_loadu_si512(LANES16.as_ptr().cast());
+        let mut best = _mm512_set1_epi16(-1);
+        let n = plane.len();
+        let mut i = 0;
+        while i + 32 <= n {
+            // SAFETY: `i + 32 <= n`; unaligned load.
+            let p = _mm512_loadu_si512(plane.as_ptr().add(i).cast());
+            let d = _mm512_popcnt_epi16(_mm512_xor_si512(p, t));
+            best = _mm512_min_epu16(best, _mm512_or_si512(_mm512_slli_epi16::<11>(d), idx));
+            idx = _mm512_add_epi16(idx, step);
+            i += 32;
+        }
+        if i < n {
+            let live: __mmask32 = (1u32 << (n - i)) - 1;
+            // SAFETY: masked-off lanes are neither read nor faulted on.
+            let p = _mm512_maskz_loadu_epi16(live, plane.as_ptr().add(i).cast());
+            let d = _mm512_popcnt_epi16(_mm512_xor_si512(p, t));
+            let key = _mm512_or_si512(_mm512_slli_epi16::<11>(d), idx);
+            best = _mm512_mask_min_epu16(best, live, best, key);
+        }
+        let half =
+            _mm256_min_epu16(_mm512_castsi512_si256(best), _mm512_extracti64x4_epi64::<1>(best));
+        let quarter =
+            _mm_min_epu16(_mm256_castsi256_si128(half), _mm256_extracti128_si256::<1>(half));
+        let key = _mm_cvtsi128_si32(_mm_minpos_epu16(quarter)) as u32 & 0xFFFF;
+        Some(super::unkey16(key))
+    }
+
+    /// The 16 lane keys `(popcount(p ^ t) << 11) | idx` of one AVX2
+    /// vector: nibble-LUT byte popcounts, summed pairwise into 16-bit
+    /// lanes by `vpmaddubsw`.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 is available.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn keys16_avx2(p: __m256i, t: __m256i, idx: __m256i) -> __m256i {
+        #[rustfmt::skip]
+        let lut = _mm256_setr_epi8(
+            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
+            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
+        );
+        let low_mask = _mm256_set1_epi8(0x0f);
+        let x = _mm256_xor_si256(p, t);
+        let lo = _mm256_and_si256(x, low_mask);
+        let hi = _mm256_and_si256(_mm256_srli_epi16::<4>(x), low_mask);
+        let bytes = _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo), _mm256_shuffle_epi8(lut, hi));
+        let d = _mm256_maddubs_epi16(bytes, _mm256_set1_epi8(1));
+        _mm256_or_si256(_mm256_slli_epi16::<11>(d), idx)
+    }
+
+    /// [`min_hamming16_avx512`] on 16-lane AVX2 vectors. The tail is
+    /// copied into a zeroed buffer and its missing lanes forced to the
+    /// all-ones key, which never wins the minimum.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 is available.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    pub unsafe fn min_hamming16_avx2(plane: &[u16], tile: u16) -> Option<(usize, u32)> {
+        assert!(plane.len() <= super::PLANE16_MAX_LEN, "a u16 plane holds at most 2048 patterns");
+        if plane.is_empty() {
+            return None;
+        }
+        let t = _mm256_set1_epi16(tile as i16);
+        let step = _mm256_set1_epi16(16);
+        // SAFETY: `LANES16` holds at least 32 readable bytes.
+        let mut idx = _mm256_loadu_si256(LANES16.as_ptr().cast());
+        let mut best = _mm256_set1_epi16(-1);
+        let n = plane.len();
+        let mut i = 0;
+        while i + 16 <= n {
+            // SAFETY: `i + 16 <= n`; unaligned load.
+            let p = _mm256_loadu_si256(plane.as_ptr().add(i).cast());
+            best = _mm256_min_epu16(best, keys16_avx2(p, t, idx));
+            idx = _mm256_add_epi16(idx, step);
+            i += 16;
+        }
+        if i < n {
+            let mut tail = [0u16; 16];
+            tail[..n - i].copy_from_slice(&plane[i..]);
+            // SAFETY: `tail` is 32 readable bytes.
+            let p = _mm256_loadu_si256(tail.as_ptr().cast());
+            // Positions fit i16 (n <= 2048), so the signed compare is exact.
+            let live = _mm256_cmpgt_epi16(_mm256_set1_epi16(n as i16), idx);
+            let dead = _mm256_andnot_si256(live, _mm256_set1_epi16(-1));
+            let key = _mm256_or_si256(keys16_avx2(p, t, idx), dead);
+            best = _mm256_min_epu16(best, key);
+        }
+        let quarter =
+            _mm_min_epu16(_mm256_castsi256_si128(best), _mm256_extracti128_si256::<1>(best));
+        let key = _mm_cvtsi128_si32(_mm_minpos_epu16(quarter)) as u32 & 0xFFFF;
+        Some(super::unkey16(key))
+    }
+
+    /// The AVX-512 [`super::Hamming16`] tier; only [`sweep16_avx512`]
+    /// constructs it, after the dispatcher checked the features.
+    #[derive(Clone, Copy)]
+    struct Avx512Tier(());
+
+    impl super::Hamming16 for Avx512Tier {
+        #[inline(always)]
+        fn min_hamming16(self, plane: &[u16], tile: u16) -> Option<(usize, u32)> {
+            // SAFETY: an `Avx512Tier` exists only inside
+            // `sweep16_avx512`, which the dispatcher enters after
+            // detecting AVX-512F/BW/BITALG.
+            unsafe { min_hamming16_avx512(plane, tile) }
+        }
+    }
+
+    /// The AVX2 [`super::Hamming16`] tier; only [`sweep16_avx2`]
+    /// constructs it.
+    #[derive(Clone, Copy)]
+    struct Avx2Tier(());
+
+    impl super::Hamming16 for Avx2Tier {
+        #[inline(always)]
+        fn min_hamming16(self, plane: &[u16], tile: u16) -> Option<(usize, u32)> {
+            // SAFETY: an `Avx2Tier` exists only inside `sweep16_avx2`,
+            // which the dispatcher enters after detecting AVX2.
+            unsafe { min_hamming16_avx2(plane, tile) }
+        }
+    }
+
+    /// Runs a sweep compiled for AVX-512F/BW/BITALG.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX-512F, AVX-512BW and AVX-512BITALG are
+    /// available.
+    #[target_feature(enable = "avx512f,avx512bw,avx512bitalg")]
+    pub unsafe fn sweep16_avx512<S: super::Hamming16Sweep>(sweep: S) -> S::Output {
+        sweep.run(Avx512Tier(()))
+    }
+
+    /// Runs a sweep compiled for AVX2.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 is available.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn sweep16_avx2<S: super::Hamming16Sweep>(sweep: S) -> S::Output {
+        sweep.run(Avx2Tier(()))
     }
 
     /// # Safety
@@ -1024,6 +1345,33 @@ mod tests {
         assert_eq!(min_hamming(&pats, 0b0100), Some((1, 1)));
         assert_eq!(min_hamming(&pats, 0b0110), Some((1, 0)));
         assert_eq!(min_hamming(&[], 0b1), None);
+    }
+
+    #[test]
+    fn min_hamming16_matches_the_first_minimum_scan() {
+        // Lengths straddle both vector strides (16 and 32 lanes); folding
+        // the words onto 3 bits makes ties at the minimum common.
+        for n in [0usize, 1, 15, 16, 17, 31, 32, 33, 100, PLANE16_MAX_LEN] {
+            let plane: Vec<u16> =
+                words(n as u64 + 7, n).iter().map(|&w| (w & 0x7) as u16).collect();
+            let wide: Vec<u64> = plane.iter().map(|&p| u64::from(p)).collect();
+            for tile in [0u16, 0x5, 0xFFFF] {
+                let want = scalar::min_hamming(&wide, u64::from(tile));
+                assert_eq!(scalar::min_hamming16(&plane, tile), want, "n = {n}");
+                assert_eq!(min_hamming16(&plane, tile), want, "n = {n}");
+            }
+            // Every pattern is 16 bits from tile 0: a tail lane past the
+            // plane (a zero pattern at distance 0) must never win.
+            let far = vec![u16::MAX; n];
+            let want = (n > 0).then_some((0, 16));
+            assert_eq!(min_hamming16(&far, 0), want, "n = {n}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 2048 patterns")]
+    fn min_hamming16_refuses_an_oversized_plane() {
+        min_hamming16(&[0; PLANE16_MAX_LEN + 1], 1);
     }
 
     #[test]
