@@ -16,8 +16,18 @@
 //! * [`PackCounter`] is the timing model's packer — it sees only each
 //!   row's correction count and records the pack count, the occupied units
 //!   and the oversize rows, which is all the cycle and traffic models read.
+//!
+//! Every partition of an m-tile runs its own state machine, so the cycle
+//! simulator steps sixteen of them in lockstep, one SSE2 lane each, on
+//! x86-64 (`lanes`, which restates the rule branch-free over lane masks);
+//! one [`PackCounter`] per partition remains the scalar tier and the
+//! lanes' oracle.
 
+use phi_core::L2Entry;
 use std::ops::Range;
+
+#[cfg(target_arch = "x86_64")]
+mod lanes;
 
 /// One unit inside a pack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -341,6 +351,80 @@ impl PackCounter {
         self.counts.oversize_rows = std::mem::take(&mut self.windows.oversize_rows);
         self.windows.forced_flushes = 0;
         std::mem::take(&mut self.counts)
+    }
+}
+
+/// The pack counters of every partition of a layer, one m-tile at a time:
+/// the [`PackCounts`] of each partition's stream, summed over the
+/// partitions. On x86-64 sixteen partitions step in lockstep in SSE2 lanes
+/// (`lanes`); other targets, `PHI_SIMD=scalar` and configurations with
+/// more than four windows run one [`PackCounter`] per partition, which is
+/// also the lanes' oracle.
+#[derive(Debug)]
+pub(crate) enum TilePackCounter {
+    Scalar {
+        k: usize,
+        counters: Vec<PackCounter>,
+    },
+    #[cfg(target_arch = "x86_64")]
+    Lanes(lanes::LaneCounter),
+}
+
+impl TilePackCounter {
+    /// Counters for `parts` partitions of width `k` and m-tiles of up to
+    /// `tile_rows` rows, under a `config` that passed
+    /// [`crate::PhiSimulator::new`]'s checks (the lanes hold a window's
+    /// units in a `u8`, so `pack_units <= 254`).
+    pub(crate) fn new(config: &PackerConfig, k: usize, parts: usize, tile_rows: usize) -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if config.windows <= lanes::MAX_WINDOWS
+            && snn_core::simd::level() != snn_core::simd::SimdLevel::Scalar
+        {
+            return TilePackCounter::Lanes(lanes::LaneCounter::new(config, k, parts, tile_rows));
+        }
+        let _ = tile_rows;
+        TilePackCounter::Scalar { k, counters: vec![PackCounter::new(config); parts] }
+    }
+
+    /// Records tile row `row`'s Level-2 corrections, sorted by column;
+    /// rows arrive in ascending order.
+    #[inline]
+    pub(crate) fn push_row(&mut self, row: usize, corrections: &[L2Entry]) {
+        match self {
+            TilePackCounter::Scalar { k, counters } => {
+                // A partition's corrections form one contiguous run; its
+                // counter needs only the run's length.
+                let mut rest = corrections;
+                while let Some(first) = rest.first() {
+                    let part = first.col as usize / *k;
+                    let run = rest.partition_point(|e| (e.col as usize) < (part + 1) * *k);
+                    counters[part].push_row(row as u32, run);
+                    rest = &rest[run..];
+                }
+            }
+            #[cfg(target_arch = "x86_64")]
+            TilePackCounter::Lanes(lanes) => lanes.push_row(row, corrections),
+        }
+    }
+
+    /// Packs the m-tile's `rows` rows and returns its counts summed over
+    /// the partitions, leaving every counter empty for the next m-tile.
+    pub(crate) fn finish(&mut self, rows: usize) -> PackCounts {
+        match self {
+            TilePackCounter::Scalar { counters, .. } => {
+                let _ = rows;
+                counters.iter_mut().fold(PackCounts::default(), |sum, counter| {
+                    let counts = counter.finish();
+                    PackCounts {
+                        packs: sum.packs + counts.packs,
+                        occupied_units: sum.occupied_units + counts.occupied_units,
+                        oversize_rows: sum.oversize_rows + counts.oversize_rows,
+                    }
+                })
+            }
+            #[cfg(target_arch = "x86_64")]
+            TilePackCounter::Lanes(lanes) => lanes.finish(rows),
+        }
     }
 }
 

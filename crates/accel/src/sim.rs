@@ -11,11 +11,13 @@
 //! * DRAM transfers are double-buffered against compute: the layer takes
 //!   `max(compute, preprocessing, DRAM, LIF)` cycles.
 //!
-//! The walk counts; it builds nothing. A [`PackCounter`] per partition
-//! turns each row's per-partition correction count into pack counts (the
-//! functional [`crate::packer::pack_rows`], which records every unit, is
-//! what [`crate::datapath`] executes), the L1 model scans the index rows,
-//! and the PWP prefetch sets are bitsets.
+//! The walk counts; it builds nothing. Each m-tile's Level-2 corrections
+//! become per-partition counts, and the packer's window state machine
+//! turns them into pack counts sixteen partitions at a time, one SIMD lane
+//! each (a [`crate::packer::PackCounter`] per partition at
+//! `PHI_SIMD=scalar`; the functional [`crate::packer::pack_rows`], which
+//! records every unit, is what [`crate::datapath`] executes). The L1 model
+//! scans the index rows, and the PWP prefetch sets are bitsets.
 
 use crate::config::PhiConfig;
 use crate::energy::{BusyCycles, EnergyModel};
@@ -23,7 +25,7 @@ use crate::l1::L1Model;
 use crate::l2::L2Model;
 use crate::matcher::MatcherModel;
 use crate::neuron::NeuronArrayModel;
-use crate::packer::{PackCounter, PackerConfig};
+use crate::packer::{PackerConfig, TilePackCounter};
 use crate::report::{CycleBreakdown, LayerReport, ModelReport};
 use crate::tiling::TileSchedule;
 use crate::traffic::layer_traffic;
@@ -48,12 +50,29 @@ impl PhiSimulator {
     ///
     /// # Panics
     ///
-    /// Panics if `config.pack_units < 2` (a pack must hold a correction
-    /// next to its partial-sum unit), `config.packer_windows == 0`, or
-    /// `config.psum_banks` is outside `1..=64` (the packer's bank-conflict
-    /// mask is a `u64`).
+    /// Panics if `config.tile_m`, `config.tile_n`, `config.channels`,
+    /// `config.l1_window` or `config.matcher_lanes` is 0, if
+    /// `config.pack_units` is outside `2..=254` (a pack must hold a
+    /// correction next to its partial-sum unit, and the lane-parallel pack
+    /// counter keeps a window's units in a `u8`), if
+    /// `config.packer_windows == 0`, or if `config.psum_banks` is outside
+    /// `1..=64` (the packer's bank-conflict mask is a `u64`).
     pub fn new(config: PhiConfig) -> Self {
+        for (field, value) in [
+            ("tile_m", config.tile_m),
+            ("tile_n", config.tile_n),
+            ("channels", config.channels),
+            ("l1_window", config.l1_window),
+            ("matcher_lanes", config.matcher_lanes),
+        ] {
+            assert!(value >= 1, "{field} must be at least 1, got {value}");
+        }
         assert!(config.pack_units >= 2, "pack_units must be at least 2, got {}", config.pack_units);
+        assert!(
+            config.pack_units <= 254,
+            "pack_units must be at most 254, got {}",
+            config.pack_units
+        );
         assert!(
             config.packer_windows >= 1,
             "packer_windows must be at least 1, got {}",
@@ -165,9 +184,10 @@ impl PhiSimulator {
             psum_banks: self.config.psum_banks,
         };
 
-        // One counter per partition, allocated once and emptied by
+        // Every partition's pack counter, allocated once and emptied by
         // `finish` at the end of every m-tile.
-        let mut counters = vec![PackCounter::new(&packer_config); parts];
+        let mut packer =
+            TilePackCounter::new(&packer_config, k, parts, self.config.tile_m.min(rows));
         let mut l1_cycles = 0.0f64;
         let mut l2_cycles = 0.0f64;
         let mut compute_cycles = 0.0f64;
@@ -178,25 +198,13 @@ impl PhiSimulator {
         for mt in 0..schedule.m_tiles() {
             let (lo, hi) = schedule.m_range(mt);
             let l1_mt = l1_model.tile_cycles(decomp, lo, hi) as f64;
-            // Count each partition's packs. Each row's corrections are
-            // sorted by column, so they form one contiguous run per
-            // partition; the packer needs only each run's length.
-            for r in lo..hi.min(rows) {
-                let mut rest = decomp.l2_row(r);
-                while let Some(first) = rest.first() {
-                    let part = first.col as usize / k;
-                    let run = rest.partition_point(|e| (e.col as usize) < (part + 1) * k);
-                    counters[part].push_row((r - lo) as u32, run);
-                    rest = &rest[run..];
-                }
+            for r in lo..hi {
+                packer.push_row(r - lo, decomp.l2_row(r));
             }
-            let mut packs_mt = 0u64;
-            for counter in &mut counters {
-                let counts = counter.finish();
-                packs_mt += counts.packs;
-                occupied_units += counts.occupied_units;
-                oversize_rows += counts.oversize_rows;
-            }
+            let counts = packer.finish(hi - lo);
+            let packs_mt = counts.packs;
+            occupied_units += counts.occupied_units;
+            oversize_rows += counts.oversize_rows;
             let l2_mt = l2_model.cycles(packs_mt) as f64;
             total_packs += packs_mt;
             l1_cycles += l1_mt * n_tiles;
@@ -381,6 +389,42 @@ mod tests {
     #[should_panic(expected = "pack_units must be at least 2")]
     fn one_unit_packs_are_rejected() {
         PhiSimulator::new(PhiConfig { pack_units: 1, ..Default::default() });
+    }
+
+    #[test]
+    #[should_panic(expected = "pack_units must be at most 254, got 255")]
+    fn packs_beyond_a_u8_lane_are_rejected() {
+        PhiSimulator::new(PhiConfig { pack_units: 255, ..Default::default() });
+    }
+
+    #[test]
+    #[should_panic(expected = "tile_m must be at least 1, got 0")]
+    fn zero_tile_m_is_rejected() {
+        PhiSimulator::new(PhiConfig { tile_m: 0, ..Default::default() });
+    }
+
+    #[test]
+    #[should_panic(expected = "tile_n must be at least 1, got 0")]
+    fn zero_tile_n_is_rejected() {
+        PhiSimulator::new(PhiConfig { tile_n: 0, ..Default::default() });
+    }
+
+    #[test]
+    #[should_panic(expected = "channels must be at least 1, got 0")]
+    fn zero_channels_are_rejected() {
+        PhiSimulator::new(PhiConfig { channels: 0, ..Default::default() });
+    }
+
+    #[test]
+    #[should_panic(expected = "l1_window must be at least 1, got 0")]
+    fn zero_l1_window_is_rejected() {
+        PhiSimulator::new(PhiConfig { l1_window: 0, ..Default::default() });
+    }
+
+    #[test]
+    #[should_panic(expected = "matcher_lanes must be at least 1, got 0")]
+    fn zero_matcher_lanes_are_rejected() {
+        PhiSimulator::new(PhiConfig { matcher_lanes: 0, ..Default::default() });
     }
 
     #[test]

@@ -1,14 +1,19 @@
 //! The counting simulator == the building simulator, property-tested.
 //!
-//! [`PhiSimulator::run_decomposition`] counts packs with a
-//! [`PackCounter`] per partition, scans Level-1 index rows and keeps the
-//! PWP prefetch sets as bitsets. The oracle here is the walk it replaced:
-//! L1 cycles from one `l1_index` call per tile, every partition's Level-2
-//! rows collected into `Vec`s and packed by [`pack_rows`], and one
-//! `HashSet` of prefetched patterns per (m-tile, partition). Every
-//! `LayerReport` field must agree to the bit, across several m-tiles,
-//! oversize rows, 1–4 packer windows, 1–64 psum banks, pattern sets larger
-//! than 64, the per-tile prefetch branch and `row_scale != 1`.
+//! [`PhiSimulator::run_decomposition`] counts packs sixteen partitions at
+//! a time in SIMD lanes (a [`PackCounter`] per partition at
+//! `PHI_SIMD=scalar`, off x86-64 and past four packer windows), scans
+//! Level-1 index rows and keeps the PWP prefetch sets as bitsets. The
+//! oracle here is the walk it replaced: L1 cycles from one `l1_index`
+//! call per tile, every partition's Level-2 rows collected into `Vec`s
+//! and packed by [`pack_rows`], and one `HashSet` of prefetched patterns
+//! per (m-tile, partition). Every `LayerReport` field must agree to the
+//! bit, across several m-tiles, 1 to 288 partitions (up to 18 lane
+//! groups, the last one ragged), dense k = 64 tiles whose oversize rows
+//! split into many chunks, 2–9 and 254 pack units, 1–6 packer windows,
+//! 1–64 psum banks, pattern sets larger than 64, the per-tile prefetch
+//! branch and `row_scale != 1` — and on the `phibench fullsim` batches of
+//! VGG-16, layer by layer.
 //!
 //! A second copy, of the packer's placement rule, pins [`pack_rows`] and
 //! [`PackCounter`] to the rule itself on random row streams.
@@ -22,11 +27,14 @@ use phi_accel::packer::{pack_rows, Pack, PackCounter, PackUnit, PackerConfig};
 use phi_accel::report::CycleBreakdown;
 use phi_accel::tiling::TileSchedule;
 use phi_accel::{LayerReport, PhiConfig, PhiSimulator, TrafficReport};
-use phi_core::{decompose, Decomposition, LayerPatterns, Pattern, PatternSet};
+use phi_core::{
+    decompose, CalibrationConfig, Calibrator, Decomposition, LayerPatterns, Pattern, PatternSet,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use snn_core::{GemmShape, SpikeMatrix};
+use snn_workloads::{DatasetId, ModelId, WorkloadConfig};
 use std::collections::HashSet;
 
 /// One row's Level-2 corrections for one partition, in the packer's input
@@ -257,10 +265,19 @@ fn report_bits(r: &LayerReport) -> Vec<u64> {
 }
 
 /// A decomposition whose tiles mostly copy one of `q` random patterns
-/// (so high pattern indices are really assigned), with noise bits and a
-/// share of unstructured tiles. The last partition is ragged when
-/// `cols % k != 0`; some partitions get an empty set.
-fn random_decomposition(rows: usize, k: usize, cols: usize, q: usize, seed: u64) -> Decomposition {
+/// (so high pattern indices are really assigned), with noise bits, a
+/// share of unstructured tiles and a `dense` share of all-ones tiles
+/// (every bit a correction in a partition with an empty set). The last
+/// partition is ragged when `cols % k != 0`; some partitions get an empty
+/// set.
+fn random_decomposition(
+    rows: usize,
+    k: usize,
+    cols: usize,
+    q: usize,
+    dense: f64,
+    seed: u64,
+) -> Decomposition {
     let mut rng = StdRng::seed_from_u64(seed);
     let parts = cols.div_ceil(k);
     let mask = if k == 64 { u64::MAX } else { (1u64 << k) - 1 };
@@ -275,7 +292,9 @@ fn random_decomposition(rows: usize, k: usize, cols: usize, q: usize, seed: u64)
             let set = &sets[i % parts];
             let noise =
                 |rng: &mut StdRng| (0..k).fold(0u64, |w, b| w | ((rng.gen_bool(0.05) as u64) << b));
-            if !set.is_empty() && rng.gen_bool(0.7) {
+            if rng.gen_bool(dense) {
+                mask
+            } else if !set.is_empty() && rng.gen_bool(0.7) {
                 set.pattern(rng.gen_range(0..set.len())).bits() ^ noise(&mut rng)
             } else {
                 (0..k).fold(0u64, |w, b| w | ((rng.gen_bool(0.3) as u64) << b))
@@ -338,6 +357,42 @@ fn rule_pack(rows: &[PackerRow], config: &PackerConfig) -> (Vec<Pack>, u64, u64)
     (packs, oversize, forced)
 }
 
+/// The `phibench fullsim` shape: VGG-16 calibrated as
+/// `CompileOptions::default()` does (layer `i` with seed `7 + i`), eight
+/// pool batches of 32 four-row requests, every layer decomposed fused and
+/// simulated at the executor's row scale. `phibench` derives its expected
+/// cycles from this same simulator, so only this suite can catch a
+/// counting error on that workload.
+#[test]
+fn vgg16_fullsim_batches_match_the_building_walk() {
+    let workload = WorkloadConfig::new(ModelId::Vgg16, DatasetId::Cifar10).generate();
+    let calibrator = Calibrator::new(CalibrationConfig::default());
+    let patterns: Vec<LayerPatterns> = workload
+        .layers
+        .iter()
+        .enumerate()
+        .map(|(i, l)| {
+            calibrator.calibrate(&l.calibration, &mut StdRng::seed_from_u64(7 + i as u64))
+        })
+        .collect();
+    let sim = PhiSimulator::new(PhiConfig::default());
+    let requests = workload.sample_client_requests(1 << 20, 8 * 32, 4, 1);
+    for batch in requests.chunks(32) {
+        for (l, layer) in workload.layers.iter().enumerate() {
+            let frames: Vec<&SpikeMatrix> = batch.iter().map(|r| &r[l]).collect();
+            let decomp =
+                decompose(&SpikeMatrix::vstack(&frames).expect("one layer width"), &patterns[l]);
+            let row_scale = workload.request_row_scale(l, decomp.rows());
+            let got = sim.run_decomposition(&decomp, layer.spec.shape, row_scale, "layer");
+            let want = oracle_report(&sim, &decomp, layer.spec.shape, row_scale);
+            let name = &layer.spec.name;
+            assert_eq!(report_bits(&got), report_bits(&want), "{name}");
+            assert_eq!(got.oversize_rows, want.oversize_rows, "{name}");
+            assert_eq!(got.stats, want.stats, "{name}");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -346,12 +401,14 @@ proptest! {
     fn run_decomposition_matches_the_building_walk(
         rows in 1usize..300,
         k in prop::sample::select(vec![4usize, 8, 16, 64]),
-        parts in 1usize..7,
+        // One to three lane groups, and 18 full ones one case in six.
+        parts in prop::sample::select((1usize..40).chain([288; 8]).collect::<Vec<_>>()),
         ragged in 0usize..4,
         q in prop::sample::select(vec![1usize, 7, 64, 65, 130, 200]),
+        dense in prop::sample::select(vec![0.0f64, 0.5]),
         tile_m in prop::sample::select(vec![1usize, 3, 16, 64, 256]),
-        pack_units in 2usize..10,
-        packer_windows in 1usize..5,
+        pack_units in prop::sample::select((2usize..10).chain([254]).collect::<Vec<_>>()),
+        packer_windows in 1usize..7,
         psum_banks in 1usize..65,
         pwp_buffer_bytes in prop::sample::select(vec![0usize, 96, 4096, 64 << 10]),
         n in 1usize..100,
@@ -360,7 +417,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let cols = (parts * k).saturating_sub(ragged.min(k - 1));
-        let decomp = random_decomposition(rows, k, cols, q, seed);
+        let decomp = random_decomposition(rows, k, cols, q, dense, seed);
         let config = PhiConfig {
             tile_m,
             pack_units,

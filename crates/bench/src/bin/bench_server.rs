@@ -214,32 +214,33 @@ fn client_traffic(workload: &Workload, clients: usize, count: usize) -> Vec<Traf
 
 /// Runs `client` closures concurrently in closed loop (each submits its
 /// next request only after the previous resolved), returning the
-/// wall-clock time of the whole wave and each client's readouts.
+/// wall-clock time of the whole wave and each client's readouts. Each
+/// client times itself, and the wave runs from the earliest start to the
+/// last end: a clock started by the spawning thread would start late
+/// whenever the clients outnumber the cores and run first.
 fn closed_loop<F>(clients: usize, f: F) -> (Duration, Vec<Vec<Option<Matrix>>>)
 where
     F: Fn(usize) -> Vec<Option<Matrix>> + Sync,
 {
-    let barrier = Barrier::new(clients + 1);
-    let mut start = Instant::now();
-    let mut elapsed = Duration::ZERO;
-    let mut outputs = Vec::new();
-    std::thread::scope(|scope| {
+    let barrier = Barrier::new(clients);
+    let runs: Vec<(Instant, Instant, Vec<Option<Matrix>>)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..clients)
             .map(|c| {
                 let barrier = &barrier;
                 let f = &f;
                 scope.spawn(move || {
                     barrier.wait();
-                    f(c)
+                    let start = Instant::now();
+                    let outputs = f(c);
+                    (start, Instant::now(), outputs)
                 })
             })
             .collect();
-        barrier.wait();
-        start = Instant::now();
-        outputs = handles.into_iter().map(|h| h.join().expect("client thread")).collect();
-        elapsed = start.elapsed();
+        handles.into_iter().map(|h| h.join().expect("client thread")).collect()
     });
-    (elapsed, outputs)
+    let start = runs.iter().map(|run| run.0).min().expect("at least one client");
+    let end = runs.iter().map(|run| run.1).max().expect("at least one client");
+    (end - start, runs.into_iter().map(|run| run.2).collect())
 }
 
 /// The per-request status quo: direct batch-1 execution, no coalescing.
