@@ -364,6 +364,9 @@ impl PackCounter {
 pub(crate) enum TilePackCounter {
     Scalar {
         k: usize,
+        /// `log2(k)` when `k` is a power of two: a shift in place of the
+        /// division.
+        shift: Option<u32>,
         counters: Vec<PackCounter>,
     },
     #[cfg(target_arch = "x86_64")]
@@ -383,7 +386,11 @@ impl TilePackCounter {
             return TilePackCounter::Lanes(lanes::LaneCounter::new(config, k, parts, tile_rows));
         }
         let _ = tile_rows;
-        TilePackCounter::Scalar { k, counters: vec![PackCounter::new(config); parts] }
+        TilePackCounter::Scalar {
+            k,
+            shift: k.is_power_of_two().then(|| k.trailing_zeros()),
+            counters: vec![PackCounter::new(config); parts],
+        }
     }
 
     /// Records tile row `row`'s Level-2 corrections, sorted by column;
@@ -391,16 +398,28 @@ impl TilePackCounter {
     #[inline]
     pub(crate) fn push_row(&mut self, row: usize, corrections: &[L2Entry]) {
         match self {
-            TilePackCounter::Scalar { k, counters } => {
+            TilePackCounter::Scalar { k, shift, counters } => {
                 // A partition's corrections form one contiguous run; its
-                // counter needs only the run's length.
-                let mut rest = corrections;
-                while let Some(first) = rest.first() {
-                    let part = first.col as usize / *k;
-                    let run = rest.partition_point(|e| (e.col as usize) < (part + 1) * *k);
-                    counters[part].push_row(row as u32, run);
-                    rest = &rest[run..];
+                // counter needs only the run's length. One pass that
+                // flushes a run when the partition changes.
+                let (k, shift) = (*k, *shift);
+                let part_of = |col: u32| match shift {
+                    Some(s) => (col >> s) as usize,
+                    None => col as usize / k,
+                };
+                let Some((first, rest)) = corrections.split_first() else { return };
+                let mut part = part_of(first.col);
+                let mut run = 1;
+                for e in rest {
+                    let next = part_of(e.col);
+                    if next != part {
+                        counters[part].push_row(row as u32, run);
+                        part = next;
+                        run = 0;
+                    }
+                    run += 1;
                 }
+                counters[part].push_row(row as u32, run);
             }
             #[cfg(target_arch = "x86_64")]
             TilePackCounter::Lanes(lanes) => lanes.push_row(row, corrections),

@@ -15,7 +15,7 @@ use phi_core::{
     PwpTable,
 };
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use snn_core::{Matrix, SpikeMatrix};
 use snn_workloads::{DatasetId, ModelId, Workload, WorkloadConfig};
 use std::hint::black_box;
@@ -102,33 +102,6 @@ fn ab_levels() -> Vec<simd::SimdLevel> {
     }
 }
 
-/// Scalar-vs-SIMD A/B on the batched Hamming probe kernel, at the two
-/// pattern-set sizes the paper uses (q = 32 and the default q = 128).
-/// The forced level is restored after each measurement, so the groups are
-/// order-independent.
-fn bench_hamming_batch(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(41);
-    for q in [32usize, 128] {
-        let patterns: Vec<u64> = (0..q).map(|_| rng.gen::<u64>() & 0xFFFF).collect();
-        let tiles: Vec<u64> = (0..1024).map(|_| rng.gen::<u64>() & 0xFFFF).collect();
-        let mut out = vec![0u32; q];
-        let mut group = c.benchmark_group(format!("hamming_batch_q{q}"));
-        for level in ab_levels() {
-            group.bench_with_input(BenchmarkId::from_parameter(level), &level, |b, &level| {
-                let prev = simd::force(level);
-                b.iter(|| {
-                    for &tile in &tiles {
-                        simd::hamming_batch(black_box(&patterns), black_box(tile), &mut out);
-                        black_box(simd::min_hamming(black_box(&patterns), black_box(tile)));
-                    }
-                });
-                simd::force(prev);
-            });
-        }
-        group.finish();
-    }
-}
-
 /// Scalar-vs-SIMD A/B on the PWP sparse-matmul row kernel — the CPU
 /// execution backend's inner loop.
 fn bench_phi_matmul_row(c: &mut Criterion) {
@@ -162,11 +135,5 @@ fn bench_phi_matmul_row(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_engines,
-    bench_kmeans_compression,
-    bench_hamming_batch,
-    bench_phi_matmul_row
-);
+criterion_group!(benches, bench_engines, bench_kmeans_compression, bench_phi_matmul_row);
 criterion_main!(benches);

@@ -219,7 +219,6 @@ fn main() {
     // floor-checked ratios between them sample the same background-load
     // epochs.
     let patterns = calibrate_workload(&workload, 128, CalibrationEngine::Weighted);
-    let indexes: Vec<LayerMatchIndex> = patterns.iter().map(LayerMatchIndex::new).collect();
     let uncached = TileCache::disabled();
     let simd_level = simd::level();
     let scalar_ab = simd_level != simd::SimdLevel::Scalar;
@@ -233,14 +232,24 @@ fn main() {
         }
     };
     let mut run_cold = || {
-        for (layer, (lp, idx)) in workload.layers.iter().zip(patterns.iter().zip(&indexes)) {
-            std::hint::black_box(decompose_cached(&layer.activations, lp, idx, &uncached));
+        for (layer, lp) in workload.layers.iter().zip(&patterns) {
+            std::hint::black_box(decompose_cached(
+                &layer.activations,
+                lp,
+                &LayerMatchIndex,
+                &uncached,
+            ));
         }
     };
     let mut run_cold_scalar = || {
         let prev = simd::force(simd::SimdLevel::Scalar);
-        for (layer, (lp, idx)) in workload.layers.iter().zip(patterns.iter().zip(&indexes)) {
-            std::hint::black_box(decompose_cached(&layer.activations, lp, idx, &uncached));
+        for (layer, lp) in workload.layers.iter().zip(&patterns) {
+            std::hint::black_box(decompose_cached(
+                &layer.activations,
+                lp,
+                &LayerMatchIndex,
+                &uncached,
+            ));
         }
         simd::force(prev);
     };
@@ -256,11 +265,10 @@ fn main() {
 
     // Bit-identity of the two paths, per layer — the correctness
     // invariant of the whole accelerator.
-    let paths_identical =
-        workload.layers.iter().zip(patterns.iter().zip(&indexes)).all(|(layer, (lp, idx))| {
-            decompose(&layer.activations, lp)
-                == decompose_cached(&layer.activations, lp, idx, &uncached)
-        });
+    let paths_identical = workload.layers.iter().zip(&patterns).all(|(layer, lp)| {
+        decompose(&layer.activations, lp)
+            == decompose_cached(&layer.activations, lp, &LayerMatchIndex, &uncached)
+    });
     println!("linear == cold decompositions: {paths_identical}");
 
     // Functional execution through the CPU backend: every layer's
@@ -343,8 +351,8 @@ fn main() {
         let scalar_decomps: Vec<_> = workload
             .layers
             .iter()
-            .zip(patterns.iter().zip(&indexes))
-            .map(|(l, (lp, idx))| decompose_cached(&l.activations, lp, idx, &uncached))
+            .zip(&patterns)
+            .map(|(l, lp)| decompose_cached(&l.activations, lp, &LayerMatchIndex, &uncached))
             .collect();
         let scalar_readouts: Vec<_> = workload
             .layers
@@ -370,8 +378,8 @@ fn main() {
         let simd_decomps: Vec<_> = workload
             .layers
             .iter()
-            .zip(patterns.iter().zip(&indexes))
-            .map(|(l, (lp, idx))| decompose_cached(&l.activations, lp, idx, &uncached))
+            .zip(&patterns)
+            .map(|(l, lp)| decompose_cached(&l.activations, lp, &LayerMatchIndex, &uncached))
             .collect();
         let simd_readouts: Vec<_> = workload
             .layers

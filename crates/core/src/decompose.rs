@@ -4,9 +4,9 @@
 //!
 //! For every row and every width-`k` partition, the *pattern matcher* rule
 //! is applied (this paragraph is the authoritative statement of the rule;
-//! every matcher in the workspace — the linear reference scan, the packed
-//! brute-force probe, the [`MatchIndex`], and the [`TileCache`] memo —
-//! implements or memoizes exactly it):
+//! both matchers in the workspace — [`crate::PatternSet::best_match`] and
+//! the packed brute-force probe — implement it, and the [`TileCache`]
+//! memoizes their decisions):
 //!
 //! * find the calibrated pattern with minimum Hamming distance to the
 //!   tile, ties resolving to the lowest pattern index;
@@ -34,18 +34,19 @@
 //!   partition's `u16` plane, the way Phi's systolic matcher compares a
 //!   tile with all q patterns. The loop runs under one
 //!   [`simd::sweep16`] dispatch with the kernel inlined, and never
-//!   consults the cache or the index. Any other layer probes a
-//!   precomputed [`MatchIndex`] per partition (popcount buckets visited
-//!   in best-first order of the Hamming lower bound
-//!   `|popcount(pattern) − popcount(tile)|`, the scan stopping once that
-//!   bound exceeds the best distance found) and memoizes whole tile
-//!   decisions in a shared, bounded [`TileCache`]; on
-//!   [`TileCache::disabled`] it is the pure indexed path.
+//!   consults the cache. Any other layer (k > 16, or a partition with
+//!   more patterns than one plane holds) decides each tile with
+//!   [`crate::PatternSet::best_match`], the matcher [`decompose`] runs,
+//!   and memoizes whole tile decisions in a shared, bounded
+//!   [`TileCache`]; on [`TileCache::disabled`] it is the linear matcher
+//!   alone.
 //! * [`decompose_delta`] / [`decompose_delta_sparse`] — one frame of a
 //!   stream, diffed against the previous frame's [`FrameMemo`] so only
 //!   changed tiles are re-decided (the sparse variant emits changed rows
 //!   only); re-decided tiles take the same packed probe, or the same
-//!   cache and index, as [`decompose_cached`].
+//!   cache and matcher, as [`decompose_cached`].
+//!
+//! The [`LayerMatchIndex`] these entry points take carries no data.
 
 use crate::calibrate::LayerPatterns;
 use crate::pattern::PatternSet;
@@ -165,13 +166,12 @@ type ChunkOutcome = (ChunkDecomposition, u64, u64, TileMap);
 /// A packed layer (k ≤ 16 and at most [`simd::PLANE16_MAX_LEN`] patterns
 /// per partition) decides each nonzero tile with one brute-force
 /// [`simd::min_hamming16`] probe, walking only the nonzero lanes of each
-/// row under one [`simd::sweep16`] dispatch; `index` and `cache` are not
-/// consulted and no cache counter moves.
+/// row under one [`simd::sweep16`] dispatch; `cache` is not consulted
+/// and no cache counter moves.
 ///
-/// Any other layer resolves every nontrivial tile through a precomputed
-/// [`MatchIndex`] per partition — the popcount-bucketed best-first probe —
-/// instead of the linear reference scan, with a shared [`TileCache`]
-/// memoizing whole tile decisions across calls: a hit skips the matcher
+/// Any other layer resolves every nontrivial tile with
+/// [`PatternSet::best_match`], with a shared [`TileCache`] memoizing
+/// whole tile decisions across calls: a hit skips the matcher
 /// entirely and replays the stored decision. The cache is keyed by
 /// `(partition, partition width, tile bits)` — the width matters because
 /// the final partition of a narrower activation masks its corrections
@@ -179,11 +179,11 @@ type ChunkOutcome = (ChunkDecomposition, u64, u64, TileMap);
 /// key, so the output is bit-identical to [`decompose`] regardless of
 /// cache state, capacity, or eviction history (even when one cache is
 /// shared across activations of different column counts), including a
-/// disabled (capacity-0) cache, which is the pure indexed path: no probe,
+/// disabled (capacity-0) cache, which is the matcher alone: no probe,
 /// no commit, no counter movement.
 ///
 /// An enabled sweep reads one immutable snapshot of the cache (lock-free
-/// probes), resolves each distinct missed key through the index exactly
+/// probes), resolves each distinct missed key through the matcher exactly
 /// once (repeats within the sweep replay the in-flight decision), and
 /// commits the resolved keys — with the sweep's hit/miss counts — in one
 /// merge at the end.
@@ -191,17 +191,15 @@ type ChunkOutcome = (ChunkDecomposition, u64, u64, TileMap);
 /// # Panics
 ///
 /// Panics if the pattern partition count does not match the activation
-/// width, if `index` does not cover `patterns`' partitioning, or if an
-/// enabled cache on an unpacked layer sees a partition count beyond the
-/// key encoding's [`MAX_CACHE_PARTITIONS`].
+/// width, or if an enabled cache on an unpacked layer sees a partition
+/// count beyond the key encoding's [`MAX_CACHE_PARTITIONS`].
 pub fn decompose_cached(
     activations: &SpikeMatrix,
     patterns: &LayerPatterns,
-    index: &LayerMatchIndex,
+    _index: &LayerMatchIndex,
     cache: &TileCache,
 ) -> Decomposition {
     check_partitioning(activations, patterns);
-    check_index(patterns, index);
     if let Some(layer) = PackedLayer::new(activations, patterns) {
         let chunks = chunk_bounds(activations.rows())
             .into_par_iter()
@@ -234,7 +232,7 @@ pub fn decompose_cached(
             // function of `(partition, tile)`, and the snapshot is
             // immutable for the whole sweep, so a repeat replays the
             // decision — and the same hit/miss accounting — without
-            // walking the index or touching the map. (The linear
+            // running the matcher or touching the map. (The linear
             // [`decompose`] path deliberately stays memo-free: it is the
             // reference this path is benchmarked against.) Tile 0 never
             // reaches the closure (trivial tiles are decided inline), so
@@ -252,8 +250,8 @@ pub fn decompose_cached(
                     return memo_dec[part];
                 }
                 let decision = match &snapshot {
-                    // Disabled cache: the pure indexed path.
-                    None => resolve_tile(activations, patterns, index, part, tile, baseline),
+                    // Disabled cache: the matcher alone.
+                    None => resolve_tile(activations, patterns, part, tile, baseline),
                     Some(snapshot) => {
                         let width = if part == last_part { last_width } else { k as u32 };
                         let key = tile_key(part as u32, width, tile);
@@ -270,7 +268,7 @@ pub fn decompose_cached(
                                 // one sweep: resolve each distinct key once
                                 // and replay it for the repeats.
                                 *resolved.entry(key).or_insert_with(|| {
-                                    resolve_tile(activations, patterns, index, part, tile, baseline)
+                                    resolve_tile(activations, patterns, part, tile, baseline)
                                 })
                             }
                         }
@@ -322,7 +320,7 @@ pub struct DeltaStats {
     /// matcher, no cache counter movement.
     pub tiles_reused: u64,
     /// Nonzero tiles decided afresh (single-bit inline, or through the
-    /// packed probe or the cache/index matcher — on an unpacked layer,
+    /// packed probe or the cached linear matcher — on an unpacked layer,
     /// exactly the tiles that move cache counters, when nontrivial).
     pub tiles_rematched: u64,
 }
@@ -343,7 +341,7 @@ impl DeltaStats {
 /// skip), its unpacked tiles, and the [`TileDecision`] each tile
 /// received.
 ///
-/// A memo is tied to one `(patterns, index)` pair: decisions are pure
+/// A memo is tied to one layer's patterns: decisions are pure
 /// functions of `(partition, width, tile)` *within one layer's pattern
 /// sets*, so replaying a memo built against different patterns would
 /// produce garbage. Frame shape (`rows × cols` at partition width `k`)
@@ -413,7 +411,7 @@ impl FrameMemo {
 /// [`decompose_cached`] decides them: on a packed layer by one
 /// brute-force probe (no cache counter moves), otherwise by probing and
 /// committing the [`TileCache`] with exactly its accounting — or, on a
-/// disabled cache, through the index directly.
+/// disabled cache, by the matcher directly.
 ///
 /// The sweep is sequential — streaming frames are a handful of rows, and
 /// batch-level parallelism belongs to the caller fanning out sessions.
@@ -421,16 +419,15 @@ impl FrameMemo {
 /// # Panics
 ///
 /// Panics if the pattern partition count does not match the activation
-/// width, if `index` does not cover `patterns`' partitioning, or if the
-/// partition count exceeds [`MAX_CACHE_PARTITIONS`].
+/// width, or if the partition count exceeds [`MAX_CACHE_PARTITIONS`].
 pub fn decompose_delta(
     activations: &SpikeMatrix,
     patterns: &LayerPatterns,
-    index: &LayerMatchIndex,
+    _index: &LayerMatchIndex,
     cache: &TileCache,
     memo: &mut FrameMemo,
 ) -> (Decomposition, DeltaStats) {
-    delta_sweep(activations, patterns, index, cache, memo, true)
+    delta_sweep(activations, patterns, cache, memo, true)
 }
 
 /// [`decompose_delta`] that emits only the rows whose activations changed
@@ -453,11 +450,11 @@ pub fn decompose_delta(
 pub fn decompose_delta_sparse(
     activations: &SpikeMatrix,
     patterns: &LayerPatterns,
-    index: &LayerMatchIndex,
+    _index: &LayerMatchIndex,
     cache: &TileCache,
     memo: &mut FrameMemo,
 ) -> (Decomposition, DeltaStats) {
-    delta_sweep(activations, patterns, index, cache, memo, false)
+    delta_sweep(activations, patterns, cache, memo, false)
 }
 
 /// The shared incremental sweep behind [`decompose_delta`]
@@ -467,13 +464,11 @@ pub fn decompose_delta_sparse(
 fn delta_sweep(
     activations: &SpikeMatrix,
     patterns: &LayerPatterns,
-    index: &LayerMatchIndex,
     cache: &TileCache,
     memo: &mut FrameMemo,
     emit_unchanged: bool,
 ) -> (Decomposition, DeltaStats) {
     check_partitioning(activations, patterns);
-    check_index(patterns, index);
     let parts = patterns.num_partitions();
     assert!(parts <= MAX_CACHE_PARTITIONS, "partition count {parts} exceeds the cache key space");
     let k = patterns.k();
@@ -500,7 +495,7 @@ fn delta_sweep(
             simd::sweep16(PackedDelta { activations, layer: &layer, memo, emit_unchanged })
         }
         None => {
-            let mut decider = CachedDecider::new(activations, patterns, index, cache);
+            let mut decider = CachedDecider::new(activations, patterns, cache);
             let swept = delta_rows(activations, k, parts, memo, emit_unchanged, &mut decider);
             decider.commit();
             swept
@@ -662,14 +657,13 @@ impl<H: Hamming16> TileDecider for PackedDecider<'_, H> {
 }
 
 /// Re-matches an unpacked layer's tiles through the [`TileCache`] (its
-/// snapshot, with the sweep's misses resolved once each through the
-/// [`MatchIndex`] and committed at the end), or straight through the
-/// index on a disabled cache. Single-bit tiles are decided inline, off
-/// the cache — the same split the full sweeps make.
+/// snapshot, with the sweep's misses resolved once each by
+/// [`PatternSet::best_match`] and committed at the end), or straight
+/// through the matcher on a disabled cache. Single-bit tiles are decided
+/// inline, off the cache — the same split the full sweeps make.
 struct CachedDecider<'a> {
     activations: &'a SpikeMatrix,
     patterns: &'a LayerPatterns,
-    index: &'a LayerMatchIndex,
     cache: &'a TileCache,
     snapshot: Option<Arc<TileMap>>,
     last_part: usize,
@@ -683,7 +677,6 @@ impl<'a> CachedDecider<'a> {
     fn new(
         activations: &'a SpikeMatrix,
         patterns: &'a LayerPatterns,
-        index: &'a LayerMatchIndex,
         cache: &'a TileCache,
     ) -> Self {
         let parts = patterns.num_partitions();
@@ -698,7 +691,6 @@ impl<'a> CachedDecider<'a> {
         CachedDecider {
             activations,
             patterns,
-            index,
             cache,
             snapshot: cache.is_enabled().then(|| cache.snapshot()),
             last_part,
@@ -722,13 +714,13 @@ impl<'a> CachedDecider<'a> {
 impl TileDecider for CachedDecider<'_> {
     #[inline(always)]
     fn decide(&mut self, part: usize, tile: u64) -> TileDecision {
-        let (activations, patterns, index) = (self.activations, self.patterns, self.index);
+        let (activations, patterns) = (self.activations, self.patterns);
         let baseline = match tile.count_ones() {
             1 => return single_bit_tile(patterns.set(part), tile),
             baseline => baseline,
         };
         let Some(snap) = &self.snapshot else {
-            return resolve_tile(activations, patterns, index, part, tile, baseline);
+            return resolve_tile(activations, patterns, part, tile, baseline);
         };
         let width = if part == self.last_part { self.last_width } else { patterns.k() as u32 };
         let key = tile_key(part as u32, width, tile);
@@ -739,9 +731,10 @@ impl TileDecider for CachedDecider<'_> {
             }
             None => {
                 self.miss_probes += 1;
-                *self.resolved.entry(key).or_insert_with(|| {
-                    resolve_tile(activations, patterns, index, part, tile, baseline)
-                })
+                *self
+                    .resolved
+                    .entry(key)
+                    .or_insert_with(|| resolve_tile(activations, patterns, part, tile, baseline))
             }
         }
     }
@@ -750,8 +743,7 @@ impl TileDecider for CachedDecider<'_> {
 /// A layer every partition of which is packed (k ≤ 16 and q ≤
 /// [`simd::PLANE16_MAX_LEN`]): each nonzero tile is decided by one
 /// brute-force [`simd::min_hamming16`] probe over its partition's `u16`
-/// plane, so neither the [`TileCache`] nor the [`MatchIndex`] is
-/// consulted.
+/// plane, so the [`TileCache`] is not consulted.
 struct PackedLayer<'a> {
     sets: &'a [PatternSet],
     planes: Vec<&'a [u16]>,
@@ -891,15 +883,6 @@ fn check_partitioning(activations: &SpikeMatrix, patterns: &LayerPatterns) {
         activations.num_partitions(patterns.k()),
         patterns.num_partitions(),
         "pattern partition count must match activation width"
-    );
-}
-
-/// Panics unless the match index covers the pattern partitioning.
-fn check_index(patterns: &LayerPatterns, index: &LayerMatchIndex) {
-    assert_eq!(
-        index.num_partitions(),
-        patterns.num_partitions(),
-        "match index partition count must match the pattern sets"
     );
 }
 
@@ -1094,20 +1077,19 @@ fn single_bit_tile(set: &PatternSet, tile: u64) -> TileDecision {
     TileDecision { pattern, diff: if pattern.is_some() { 0 } else { tile } }
 }
 
-/// The matcher rule for one nontrivial tile (popcount ≥ 2), resolved
-/// through the partition's [`MatchIndex`] — the cache-miss path of
-/// [`decompose_cached`]. Returns the decision in the memoizable
-/// [`TileDecision`] form.
+/// The matcher rule for one nontrivial tile (popcount ≥ 2) of an
+/// unpacked layer, resolved by [`PatternSet::best_match`] — the
+/// cache-miss path of [`decompose_cached`]. Returns the decision in the
+/// memoizable [`TileDecision`] form.
 fn resolve_tile(
     activations: &SpikeMatrix,
     patterns: &LayerPatterns,
-    index: &LayerMatchIndex,
     part: usize,
     tile: u64,
     baseline: u32,
 ) -> TileDecision {
     finish_decision(activations, patterns, part, tile, baseline, {
-        index.partition(part).best_match(tile)
+        patterns.set(part).best_match(tile)
     })
 }
 
@@ -1409,248 +1391,16 @@ impl Decomposition {
     }
 }
 
-/// A sub-linear matcher over one partition's [`PatternSet`]: patterns
-/// bucketed by popcount, probed in best-first order of the Hamming lower
-/// bound `|popcount(pattern) − popcount(tile)|` (an XOR can never erase
-/// the popcount difference), with early termination once that bound
-/// exceeds the best distance found.
+/// The third parameter of [`decompose_cached`], [`decompose_delta`] and
+/// [`decompose_delta_sparse`]. It carries no data: every non-packed tile
+/// is decided by [`PatternSet::best_match`], the matcher the linear
+/// [`decompose`] runs.
 ///
-/// [`MatchIndex::best_match`] is bit-identical to
-/// [`PatternSet::best_match`] — same `(min distance, then min index)` tie
-/// rule — which the `match_cache` property suite pins down. Construction
-/// reuses the popcounts precomputed by the [`PatternSet`] constructor.
-///
-/// # Example
-///
-/// ```
-/// use phi_core::{MatchIndex, Pattern, PatternSet};
-///
-/// let set = PatternSet::new(4, vec![Pattern::new(0b1100, 4), Pattern::new(0b0011, 4)]);
-/// let index = MatchIndex::new(&set);
-/// assert_eq!(index.best_match(0b1101), set.best_match(0b1101));
-/// assert_eq!(index.best_match(0b1101), Some((0, 1)));
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MatchIndex {
-    /// Bucket boundaries: the entries of popcount `pc` live at
-    /// `bits[offsets[pc]..offsets[pc + 1]]` /
-    /// `idx[offsets[pc]..offsets[pc + 1]]` (CSR layout — one contiguous
-    /// allocation per plane keeps the best-first scan on hot cache
-    /// lines). `offsets` has `width + 2` elements.
-    offsets: Vec<u32>,
-    /// Every pattern's bits, grouped by popcount, ascending by pattern
-    /// index within each bucket — a padded-free contiguous bit-plane the
-    /// [`snn_core::simd`] kernels batch-probe 4–8 patterns per vector
-    /// iteration (structure-of-arrays twin of `idx`).
-    bits: Vec<u64>,
-    /// The pattern index of each `bits` entry, same grouping and order
-    /// (ascending within a bucket — the order the tie rule needs).
-    idx: Vec<u32>,
-    /// Every pattern's bits in *pattern-index* order — the same plane
-    /// [`PatternSet`] keeps. At a vector dispatch level one batched
-    /// [`simd::min_hamming`] over this plane answers a probe outright:
-    /// the kernel's first-minimum position is the lowest pattern index at
-    /// the minimum distance, exactly the tie rule. The bucketed planes
-    /// above stay authoritative for serialization and the scalar-level
-    /// pruned walk.
-    plane: Vec<u64>,
-    /// Distinct pattern bits, sorted — the binary-searched exact-match
-    /// shortcut. Calibration budgets that cover every distinct tile (the
-    /// q = 128 headline config) make exact hits the overwhelmingly common
-    /// probe, and a `log q` search beats any scan.
-    exact: Vec<u64>,
-    /// The lowest pattern index holding each `exact` entry (duplicates
-    /// collapse to the lowest — the tie rule at distance 0).
-    exact_idx: Vec<u32>,
-}
-
-impl MatchIndex {
-    /// Builds the index for one pattern set.
-    pub fn new(set: &PatternSet) -> Self {
-        let mut buckets = vec![Vec::new(); set.width() + 1];
-        for (i, p) in set.patterns().iter().enumerate() {
-            buckets[set.popcount(i) as usize].push((p.bits(), i as u32));
-        }
-        MatchIndex::from_buckets(buckets)
-    }
-
-    /// Pattern width the index was built at.
-    pub fn width(&self) -> usize {
-        self.offsets.len() - 2
-    }
-
-    /// Number of indexed patterns.
-    pub fn len(&self) -> usize {
-        self.idx.len()
-    }
-
-    /// Whether the index holds no patterns.
-    pub fn is_empty(&self) -> bool {
-        self.idx.is_empty()
-    }
-
-    /// The pattern indices of one popcount bucket, ascending (the
-    /// serialization order of [`crate::wire`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `popcount > width`.
-    pub fn bucket_indices(&self, popcount: usize) -> &[u32] {
-        &self.idx[self.offsets[popcount] as usize..self.offsets[popcount + 1] as usize]
-    }
-
-    /// The pattern bits of one popcount bucket, position-aligned with
-    /// [`Self::bucket_indices`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `popcount > width`.
-    pub fn bucket_bits(&self, popcount: usize) -> &[u64] {
-        &self.bits[self.offsets[popcount] as usize..self.offsets[popcount + 1] as usize]
-    }
-
-    /// Reassembles an index from its buckets (the deserialization path in
-    /// [`crate::wire`] — compiled artifacts rebuild the SoA probe layout
-    /// here on load); callers must have validated the entries.
-    pub(crate) fn from_buckets(buckets: Vec<Vec<(u64, u32)>>) -> Self {
-        let total: usize = buckets.iter().map(Vec::len).sum();
-        let mut offsets = Vec::with_capacity(buckets.len() + 1);
-        let mut bits = Vec::with_capacity(total);
-        let mut idx = Vec::with_capacity(total);
-        // Validated buckets partition the pattern indices 0..total, so
-        // scattering by index rebuilds the index-ordered plane exactly.
-        let mut plane = vec![0u64; total];
-        offsets.push(0);
-        for bucket in buckets {
-            for (b, i) in bucket {
-                bits.push(b);
-                idx.push(i);
-                plane[i as usize] = b;
-            }
-            offsets.push(bits.len() as u32);
-        }
-        // The exact-match shortcut: sort (bits, index) so duplicates sit
-        // adjacent with their lowest index first, then keep one entry per
-        // distinct bits value.
-        let mut pairs: Vec<(u64, u32)> = bits.iter().copied().zip(idx.iter().copied()).collect();
-        pairs.sort_unstable();
-        let mut exact = Vec::with_capacity(pairs.len());
-        let mut exact_idx = Vec::with_capacity(pairs.len());
-        for (b, i) in pairs {
-            if exact.last() != Some(&b) {
-                exact.push(b);
-                exact_idx.push(i);
-            }
-        }
-        MatchIndex { offsets, bits, idx, plane, exact, exact_idx }
-    }
-
-    /// The pattern minimizing Hamming distance to `tile`, as
-    /// `(index, distance)`; `None` for an empty set. Bit-identical to
-    /// [`PatternSet::best_match`], including the lowest-index tie rule.
-    ///
-    /// At a vector dispatch level the probe is a single batched
-    /// [`simd::min_hamming`] over the index-ordered plane (8
-    /// XOR+popcounts per AVX-512 iteration, branch-free): the kernel's
-    /// first minimum *is* the global `(min distance, min index)` answer.
-    /// That beats the bucketed best-first walk for the pattern budgets
-    /// this repo runs (q ≤ 128 — a handful of unrolled vector
-    /// iterations), which pays a dispatch call per visited bucket. At
-    /// scalar level the pruned walk below wins instead, and both
-    /// compute the same lexicographic minimum over `(distance, index)`.
-    pub fn best_match(&self, tile: u64) -> Option<(usize, u32)> {
-        // Exact hits first, at every dispatch level: a distance-0 match
-        // with the lowest pattern index is the final answer under the tie
-        // rule, and the binary search answers the overwhelmingly common
-        // probe (calibration budgets usually cover every distinct tile)
-        // in `log q` steps without scanning anything.
-        if let Ok(pos) = self.exact.binary_search(&tile) {
-            return Some((self.exact_idx[pos] as usize, 0));
-        }
-        if simd::level() != simd::SimdLevel::Scalar {
-            return simd::min_hamming(&self.plane, tile);
-        }
-        let tp = tile.count_ones() as i64;
-        let width = self.width() as i64;
-        let mut best: Option<(u32, u32)> = None; // (distance, index), lexicographic min
-        for delta in 0..=width {
-            if let Some((bd, _)) = best {
-                // Every unvisited bucket bounds its distances by delta:
-                // strictly beyond the best distance, nothing can win (a
-                // tie at the bound loses on distance, not index, because
-                // d >= delta > bd).
-                if delta as u32 > bd {
-                    break;
-                }
-            }
-            for (side, pc) in [tp - delta, tp + delta].into_iter().enumerate() {
-                // At delta 0 both sides name the same bucket; visit once.
-                if pc < 0 || pc > width || (side == 1 && delta == 0) {
-                    continue;
-                }
-                let lo = self.offsets[pc as usize] as usize;
-                let hi = self.offsets[pc as usize + 1] as usize;
-                let Some((pos, d)) = simd::min_hamming(&self.bits[lo..hi], tile) else {
-                    continue; // empty bucket
-                };
-                let idx = self.idx[lo + pos];
-                let better = match best {
-                    None => true,
-                    Some((bd, bi)) => d < bd || (d == bd && idx < bi),
-                };
-                if better {
-                    if d == 0 {
-                        // Exact hits all share this bucket and ascend
-                        // by index: the first is the final answer.
-                        return Some((idx as usize, 0));
-                    }
-                    best = Some((d, idx));
-                }
-            }
-        }
-        best.map(|(d, i)| (i as usize, d))
-    }
-}
-
-/// One [`MatchIndex`] per partition of a layer — the unit
-/// [`decompose_cached`] and the delta sweeps consume, and the record
-/// `phi-runtime` serializes into compiled-model artifacts.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LayerMatchIndex {
-    indexes: Vec<MatchIndex>,
-}
-
-impl LayerMatchIndex {
-    /// Builds the per-partition indexes for a layer's pattern sets.
-    pub fn new(patterns: &LayerPatterns) -> Self {
-        LayerMatchIndex { indexes: patterns.sets().iter().map(MatchIndex::new).collect() }
-    }
-
-    /// Reassembles a layer index from per-partition parts (the
-    /// deserialization path in [`crate::wire`]).
-    pub(crate) fn from_indexes(indexes: Vec<MatchIndex>) -> Self {
-        LayerMatchIndex { indexes }
-    }
-
-    /// Number of partitions covered.
-    pub fn num_partitions(&self) -> usize {
-        self.indexes.len()
-    }
-
-    /// The index of partition `part`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `part` is out of bounds.
-    pub fn partition(&self, part: usize) -> &MatchIndex {
-        &self.indexes[part]
-    }
-
-    /// All per-partition indexes, in partition order.
-    pub fn indexes(&self) -> &[MatchIndex] {
-        &self.indexes
-    }
-}
+/// It is kept only because the repository benchmark (`phibench/`) passes
+/// it through `phi_runtime::CompiledLayer::match_index`; it goes, with
+/// [`TileCache`], when that benchmark is next revised.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LayerMatchIndex;
 
 /// The memoizable outcome of the matcher rule for one `(partition, tile)`
 /// key: the assigned pattern (or `None` for bit sparsity) and the Level-2
@@ -1787,7 +1537,7 @@ impl std::hash::Hasher for TileKeyHasher {
 /// nothing else. Inserting past `capacity` evicts arbitrary earlier
 /// entries (the eviction counter tracks this pressure); capacity 0
 /// disables the cache entirely, degrading [`decompose_cached`] to the
-/// pure indexed path.
+/// matcher alone.
 ///
 /// Because a stored decision is a pure function of its key (within one
 /// layer's pattern sets), cache state can never change a decomposition
@@ -1803,17 +1553,16 @@ impl std::hash::Hasher for TileKeyHasher {
 /// // Width 20 is unpacked (packed layers, k ≤ 16, never consult a cache).
 /// let patterns =
 ///     LayerPatterns::new(20, vec![PatternSet::new(20, vec![Pattern::new(0b0110, 20)])]);
-/// let index = LayerMatchIndex::new(&patterns);
 /// let cache = TileCache::new(1024);
 /// let mut acts = SpikeMatrix::zeros(2, 20);
 /// acts.set_tile(0, 0, 20, 0b0111);
 /// acts.set_tile(1, 0, 20, 0b0111); // the tile repeats, but this sweep's
 ///                                  // snapshot predates it: two misses
-/// let cold = decompose_cached(&acts, &patterns, &index, &cache);
+/// let cold = decompose_cached(&acts, &patterns, &LayerMatchIndex, &cache);
 /// assert_eq!(cold, decompose(&acts, &patterns));
 /// assert_eq!(cache.stats().misses, 2);
 /// // The next sweep replays the committed decision.
-/// let warm = decompose_cached(&acts, &patterns, &index, &cache);
+/// let warm = decompose_cached(&acts, &patterns, &LayerMatchIndex, &cache);
 /// assert_eq!(warm, cold);
 /// assert_eq!(cache.stats().hits, 2);
 /// ```
@@ -1839,7 +1588,7 @@ impl TileCache {
     }
 
     /// A disabled cache: every lookup misses, inserts are dropped, and no
-    /// counter moves. [`decompose_cached`] on one is the pure indexed path.
+    /// counter moves. [`decompose_cached`] on one is the matcher alone.
     pub fn disabled() -> Self {
         TileCache::new(0)
     }
@@ -2108,20 +1857,21 @@ mod tests {
     }
 
     #[test]
-    fn indexed_and_cached_paths_match_the_linear_reference() {
-        // k = 20 is unpacked, so the index and the cache serve this layer.
+    fn unpacked_cached_paths_match_the_linear_reference() {
+        // k = 20 is unpacked, so the linear matcher and the cache serve
+        // this layer.
         let mut rng = StdRng::seed_from_u64(21);
         for density in [0.1, 0.3] {
             let acts = SpikeMatrix::random(80, 50, density, &mut rng);
             let cal = Calibrator::new(CalibrationConfig { k: 20, q: 16, ..Default::default() });
             let patterns = cal.calibrate(&acts, &mut rng);
-            let index = LayerMatchIndex::new(&patterns);
             let linear = decompose(&acts, &patterns);
-            let indexed = decompose_cached(&acts, &patterns, &index, &TileCache::disabled());
-            assert_eq!(indexed, linear);
+            let uncached =
+                decompose_cached(&acts, &patterns, &LayerMatchIndex, &TileCache::disabled());
+            assert_eq!(uncached, linear);
             let cache = TileCache::new(256);
-            let cold = decompose_cached(&acts, &patterns, &index, &cache);
-            let warm = decompose_cached(&acts, &patterns, &index, &cache);
+            let cold = decompose_cached(&acts, &patterns, &LayerMatchIndex, &cache);
+            let warm = decompose_cached(&acts, &patterns, &LayerMatchIndex, &cache);
             assert_eq!(cold, linear);
             assert_eq!(warm, linear);
             assert!(cache.stats().hits > 0, "second sweep must hit the cache");
@@ -2136,23 +1886,25 @@ mod tests {
         let acts = SpikeMatrix::random(40, 50, 0.3, &mut rng);
         let cal = Calibrator::new(CalibrationConfig { q: 16, ..Default::default() });
         let patterns = cal.calibrate(&acts, &mut rng);
-        let index = LayerMatchIndex::new(&patterns);
         let cache = TileCache::new(256);
         let linear = decompose(&acts, &patterns);
         for _ in 0..2 {
-            assert_eq!(decompose_cached(&acts, &patterns, &index, &cache), linear);
+            assert_eq!(decompose_cached(&acts, &patterns, &LayerMatchIndex, &cache), linear);
         }
         let mut memo = FrameMemo::new();
-        assert_eq!(decompose_delta(&acts, &patterns, &index, &cache, &mut memo).0, linear);
+        assert_eq!(
+            decompose_delta(&acts, &patterns, &LayerMatchIndex, &cache, &mut memo).0,
+            linear
+        );
         assert_eq!(cache.stats(), TileCacheStats { capacity: 256, ..TileCacheStats::default() });
     }
 
     #[test]
-    fn match_index_keeps_the_lowest_index_tie_rule() {
-        // Duplicate patterns and a cross-bucket tie: tile 0b1101 is
+    fn best_match_keeps_the_lowest_index_tie_rule() {
+        // Duplicate patterns and a tie across popcounts: tile 0b1101 is
         // distance 1 from 0b1100 (index 0, popcount 2) and from 0b1111
-        // (index 3, popcount 4). The lower index must win even though the
-        // popcount-4 bucket is visited at the same bound.
+        // (index 3, popcount 4). The lower index must win, and the
+        // duplicate 0b1100 at index 2 must never be reported.
         let set = PatternSet::new(
             4,
             vec![
@@ -2162,15 +1914,13 @@ mod tests {
                 Pattern::new(0b1111, 4),
             ],
         );
-        let index = MatchIndex::new(&set);
         for tile in 0..16u64 {
-            assert_eq!(index.best_match(tile), set.best_match(tile), "tile {tile:04b}");
+            let first_minimum = simd::scalar::min_hamming(set.pattern_bits(), tile);
+            assert_eq!(set.best_match(tile), first_minimum, "tile {tile:04b}");
         }
-        assert_eq!(index.best_match(0b1101), Some((0, 1)));
-        assert!(MatchIndex::new(&PatternSet::empty(16)).best_match(5).is_none());
-        assert_eq!(index.len(), 4);
-        assert!(!index.is_empty());
-        assert_eq!(index.width(), 4);
+        assert_eq!(set.best_match(0b1101), Some((0, 1)));
+        assert_eq!(set.best_match(0b1100), Some((0, 0)));
+        assert!(PatternSet::empty(16).best_match(5).is_none());
     }
 
     #[test]
@@ -2204,13 +1954,15 @@ mod tests {
         cache.insert(0, 4, 7, TileDecision { pattern: None, diff: 7 });
         assert_eq!(cache.lookup(0, 4, 7), None);
         assert_eq!(cache.stats(), TileCacheStats::default());
-        // And the cached decompose path degrades to the indexed path.
+        // And the cached decompose path degrades to the matcher alone.
         let mut rng = StdRng::seed_from_u64(22);
         let acts = SpikeMatrix::random(20, 32, 0.25, &mut rng);
         let cal = Calibrator::new(CalibrationConfig { q: 8, ..Default::default() });
         let patterns = cal.calibrate(&acts, &mut rng);
-        let index = LayerMatchIndex::new(&patterns);
-        assert_eq!(decompose_cached(&acts, &patterns, &index, &cache), decompose(&acts, &patterns));
+        assert_eq!(
+            decompose_cached(&acts, &patterns, &LayerMatchIndex, &cache),
+            decompose(&acts, &patterns)
+        );
     }
 
     #[test]
@@ -2228,14 +1980,13 @@ mod tests {
                 PatternSet::new(20, vec![Pattern::new(1 << 19 | 0b0110, 20)]),
             ],
         );
-        let index = LayerMatchIndex::new(&patterns);
         let cache = TileCache::new(64);
         let mut wide = SpikeMatrix::zeros(1, 40);
         wide.set_tile(0, 20, 20, 0b0110); // final partition width 20
         let mut narrow = SpikeMatrix::zeros(1, 39);
         narrow.set_tile(0, 20, 19, 0b0110); // same tile bits, width 19
         for acts in [&wide, &narrow, &wide, &narrow] {
-            let cached = decompose_cached(acts, &patterns, &index, &cache);
+            let cached = decompose_cached(acts, &patterns, &LayerMatchIndex, &cache);
             assert_eq!(cached, decompose(acts, &patterns));
             assert!(cached.verify_lossless(acts));
         }

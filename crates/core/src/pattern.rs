@@ -158,9 +158,9 @@ pub struct PatternSet {
     /// `(bits, lowest index)` sorted by bits — the matcher's exact-match
     /// shortcut. Derived from `patterns` in the constructor.
     exact: Vec<(u64, u32)>,
-    /// Per-pattern popcounts, precomputed once so neither the linear scan
-    /// nor [`crate::decompose::MatchIndex`] recounts bits per probe.
-    /// Derived from `patterns` in the constructor.
+    /// Per-pattern popcounts, precomputed once so the pruned scan of
+    /// [`Self::best_match`] does not recount bits per probe. Derived from
+    /// `patterns` in the constructor.
     popcounts: Vec<u32>,
     /// Union of all single-bit patterns: bit `b` is set iff some pattern
     /// equals `1 << b`. Calibration filters one-hot patterns (§3.2), so
@@ -255,22 +255,6 @@ impl PatternSet {
         self.patterns[idx]
     }
 
-    /// Precomputed popcount of the pattern at `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of bounds.
-    #[inline]
-    pub fn popcount(&self, idx: usize) -> u32 {
-        self.popcounts[idx]
-    }
-
-    /// Precomputed per-pattern popcounts, index-aligned with
-    /// [`Self::patterns`].
-    pub fn popcounts(&self) -> &[u32] {
-        &self.popcounts
-    }
-
     /// Union of all single-bit (one-hot) patterns in the set: bit `b` is
     /// set iff some pattern equals `1 << b`. A single-bit tile with
     /// `tile & one_hot_mask() == 0` therefore cannot have an exact match,
@@ -318,8 +302,8 @@ impl PatternSet {
     /// far (such a pattern can never strictly improve, so the skip is
     /// bit-identical), and stops outright at distance 1 (the minimum
     /// still attainable once the exact lookup ruled out distance 0). The
-    /// sub-linear [`crate::decompose::MatchIndex`] is property-tested to
-    /// agree with it bit for bit.
+    /// `match_cache` suite property-tests every level against the
+    /// first-minimum [`simd::scalar::min_hamming`] scan.
     pub fn best_match(&self, tile: u64) -> Option<(usize, u32)> {
         let vector = simd::level() != simd::SimdLevel::Scalar;
         if let (true, Some(plane), Ok(tile16)) = (vector, self.plane16(), u16::try_from(tile)) {

@@ -27,7 +27,7 @@
 //! ```
 
 use crate::calibrate::LayerPatterns;
-use crate::decompose::{Decomposition, L2Entry, LayerMatchIndex, MatchIndex};
+use crate::decompose::{Decomposition, L2Entry};
 use crate::pattern::{Pattern, PatternSet};
 use std::fmt;
 
@@ -296,109 +296,6 @@ pub fn read_layer_patterns(r: &mut Reader<'_>) -> Result<LayerPatterns> {
     Ok(LayerPatterns::new(k, sets))
 }
 
-/// Serializes a [`MatchIndex`]: `width u32`, then per popcount bucket
-/// (`0..=width` buckets): `count u32, pattern index u32 × count`.
-///
-/// Pattern bits are not stored — the index is derived state over a
-/// [`PatternSet`] that is always serialized alongside it, so
-/// [`read_match_index`] resolves the bits from (and validates the record
-/// against) that set.
-pub fn write_match_index(index: &MatchIndex, out: &mut Vec<u8>) {
-    put_u32(out, index.width() as u32);
-    for pc in 0..=index.width() {
-        let bucket = index.bucket_indices(pc);
-        put_u32(out, bucket.len() as u32);
-        for &idx in bucket {
-            put_u32(out, idx);
-        }
-    }
-}
-
-/// Deserializes a [`MatchIndex`] written by [`write_match_index`],
-/// resolving pattern bits from `set`.
-///
-/// The validation is complete: every index must be in range, sit in the
-/// bucket of its pattern's popcount, ascend within its bucket, and the
-/// buckets must cover the whole set — which together pin the record to
-/// exactly [`MatchIndex::new`]\(`set`\). Corrupted bytes can therefore
-/// never smuggle in an index that disagrees with its pattern set.
-///
-/// # Errors
-///
-/// Returns [`WireError`] on truncation or any of the violations above.
-pub fn read_match_index(r: &mut Reader<'_>, set: &PatternSet) -> Result<MatchIndex> {
-    let width = r.u32()? as usize;
-    if width != set.width() {
-        return Err(r.corrupt(format!("match index width {width} != set width {}", set.width())));
-    }
-    let mut buckets = Vec::with_capacity(width + 1);
-    let mut total = 0usize;
-    for pc in 0..=width {
-        let count = r.count(4)?;
-        let mut bucket = Vec::with_capacity(count);
-        let mut prev: Option<u32> = None;
-        for _ in 0..count {
-            let idx = r.u32()?;
-            if idx as usize >= set.len() {
-                return Err(r.corrupt(format!("pattern index {idx} >= set size {}", set.len())));
-            }
-            if set.popcount(idx as usize) != pc as u32 {
-                return Err(r.corrupt(format!(
-                    "pattern {idx} (popcount {}) filed under bucket {pc}",
-                    set.popcount(idx as usize)
-                )));
-            }
-            if prev.is_some_and(|p| p >= idx) {
-                return Err(r.corrupt("bucket indices not strictly ascending"));
-            }
-            prev = Some(idx);
-            bucket.push((set.pattern(idx as usize).bits(), idx));
-        }
-        total += count;
-        buckets.push(bucket);
-    }
-    if total != set.len() {
-        return Err(r.corrupt(format!("index covers {total} of {} patterns", set.len())));
-    }
-    Ok(MatchIndex::from_buckets(buckets))
-}
-
-/// Serializes a [`LayerMatchIndex`]: `partitions u32`, then each
-/// partition's [`write_match_index`] record.
-pub fn write_layer_match_index(index: &LayerMatchIndex, out: &mut Vec<u8>) {
-    put_u32(out, index.num_partitions() as u32);
-    for midx in index.indexes() {
-        write_match_index(midx, out);
-    }
-}
-
-/// Deserializes a [`LayerMatchIndex`] written by
-/// [`write_layer_match_index`], resolving and validating each partition
-/// against `patterns` (see [`read_match_index`]).
-///
-/// # Errors
-///
-/// Returns [`WireError`] on truncation, a partition-count mismatch, or
-/// any per-partition violation.
-pub fn read_layer_match_index(
-    r: &mut Reader<'_>,
-    patterns: &LayerPatterns,
-) -> Result<LayerMatchIndex> {
-    // A match-index record is at least 8 bytes (width + one bucket count).
-    let parts = r.count(8)?;
-    if parts != patterns.num_partitions() {
-        return Err(r.corrupt(format!(
-            "match index covers {parts} partitions, patterns have {}",
-            patterns.num_partitions()
-        )));
-    }
-    let mut indexes = Vec::with_capacity(parts);
-    for part in 0..parts {
-        indexes.push(read_match_index(r, patterns.set(part))?);
-    }
-    Ok(LayerMatchIndex::from_indexes(indexes))
-}
-
 /// Serializes a [`Decomposition`]: shape, its [`LayerPatterns`], the
 /// Level-1 index matrix (`u16` per tile, `0xFFFF` = no pattern), and the
 /// per-row Level-2 runs (`count u32`, then `col u32, sign u8` per entry).
@@ -554,77 +451,6 @@ mod tests {
         let back = read_layer_patterns(&mut r).unwrap();
         assert_eq!(back, patterns);
         assert!(r.is_exhausted());
-    }
-
-    #[test]
-    fn match_index_roundtrips_and_equals_the_rebuilt_index() {
-        let (_, patterns) = calibrated(11, 250, 60, 16);
-        let index = LayerMatchIndex::new(&patterns);
-        let mut bytes = Vec::new();
-        write_layer_match_index(&index, &mut bytes);
-        let mut r = Reader::new(&bytes);
-        let back = read_layer_match_index(&mut r, &patterns).unwrap();
-        assert!(r.is_exhausted());
-        assert_eq!(back, index);
-        let mut again = Vec::new();
-        write_layer_match_index(&back, &mut again);
-        assert_eq!(again, bytes);
-        // Truncation at every length is rejected.
-        for len in 0..bytes.len() {
-            assert!(
-                read_layer_match_index(&mut Reader::new(&bytes[..len]), &patterns).is_err(),
-                "truncation to {len} bytes went undetected"
-            );
-        }
-    }
-
-    #[test]
-    fn corrupt_match_index_records_are_rejected() {
-        let set = PatternSet::new(
-            4,
-            vec![Pattern::new(0b0110, 4), Pattern::new(0b1000, 4), Pattern::new(0b0111, 4)],
-        );
-        let index = MatchIndex::new(&set);
-        let mut good = Vec::new();
-        write_match_index(&index, &mut good);
-
-        // Width disagreeing with the set.
-        let mut bytes = good.clone();
-        bytes[0..4].copy_from_slice(&5u32.to_le_bytes());
-        assert!(read_match_index(&mut Reader::new(&bytes), &set).is_err());
-
-        // An index filed under the wrong popcount bucket: swap the
-        // single-entry buckets of popcounts 1 and 2 by rewriting their
-        // counts. Layout: width, c0, c1, idx(pc1), c2, idx(pc2), ...
-        let mut bytes = Vec::new();
-        put_u32(&mut bytes, 4); // width
-        put_u32(&mut bytes, 0); // popcount-0 bucket
-        put_u32(&mut bytes, 1);
-        put_u32(&mut bytes, 0); // pattern 0 has popcount 2: wrong bucket
-        put_u32(&mut bytes, 1);
-        put_u32(&mut bytes, 1);
-        put_u32(&mut bytes, 1);
-        put_u32(&mut bytes, 2);
-        put_u32(&mut bytes, 0);
-        assert!(matches!(
-            read_match_index(&mut Reader::new(&bytes), &set),
-            Err(WireError::Corrupt { .. })
-        ));
-
-        // A record that silently drops a pattern fails the coverage check.
-        let mut bytes = Vec::new();
-        put_u32(&mut bytes, 4);
-        put_u32(&mut bytes, 0); // pc 0
-        put_u32(&mut bytes, 1); // pc 1: pattern 1
-        put_u32(&mut bytes, 1);
-        put_u32(&mut bytes, 1); // pc 2: pattern 0 only (pattern 2's pc-3 slot empty)
-        put_u32(&mut bytes, 0);
-        put_u32(&mut bytes, 0); // pc 3: empty — pattern 2 missing
-        put_u32(&mut bytes, 0); // pc 4
-        assert!(matches!(
-            read_match_index(&mut Reader::new(&bytes), &set),
-            Err(WireError::Corrupt { .. })
-        ));
     }
 
     #[test]

@@ -27,15 +27,13 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use snn_core::SpikeMatrix;
 
-/// A calibrated pattern/index pair for frames of the given width, at
-/// partition width `k`.
-fn calibrated(cols: usize, k: usize, q: usize, seed: u64) -> (LayerPatterns, LayerMatchIndex) {
+/// Calibrated patterns for frames of the given width, at partition
+/// width `k`.
+fn calibrated(cols: usize, k: usize, q: usize, seed: u64) -> LayerPatterns {
     let mut rng = StdRng::seed_from_u64(seed);
     let cal_acts = SpikeMatrix::random(96, cols, 0.25, &mut rng);
     let cal = Calibrator::new(CalibrationConfig { k, q, ..Default::default() });
-    let patterns = cal.calibrate(&cal_acts, &mut rng);
-    let index = LayerMatchIndex::new(&patterns);
-    (patterns, index)
+    cal.calibrate(&cal_acts, &mut rng)
 }
 
 /// The next timestep frame: each row of `prev` is resampled with
@@ -55,14 +53,14 @@ fn next_frame(prev: &SpikeMatrix, delta: f64, rng: &mut StdRng) -> SpikeMatrix {
 
 #[test]
 fn identical_frame_skips_every_row_and_rematches_nothing() {
-    let (patterns, index) = calibrated(50, 20, 32, 11);
+    let patterns = calibrated(50, 20, 32, 11);
     let mut rng = StdRng::seed_from_u64(12);
     let frame = SpikeMatrix::random(8, 50, 0.3, &mut rng);
     let cache = TileCache::new(1 << 12);
     let mut memo = FrameMemo::new();
     assert!(!memo.is_warm());
 
-    let (first, cold) = decompose_delta(&frame, &patterns, &index, &cache, &mut memo);
+    let (first, cold) = decompose_delta(&frame, &patterns, &LayerMatchIndex, &cache, &mut memo);
     assert_eq!(first, decompose(&frame, &patterns));
     assert!(memo.is_warm());
     assert_eq!(cold.rows_total, 8);
@@ -71,7 +69,7 @@ fn identical_frame_skips_every_row_and_rematches_nothing() {
     assert!(cold.tiles_rematched > 0, "a cold memo must re-decide its nonzero tiles");
 
     let counters_before = cache.stats();
-    let (second, warm) = decompose_delta(&frame, &patterns, &index, &cache, &mut memo);
+    let (second, warm) = decompose_delta(&frame, &patterns, &LayerMatchIndex, &cache, &mut memo);
     assert_eq!(second, first);
     assert_eq!(warm.rows_skipped, 8, "every identical row must take the whole-row skip");
     assert_eq!(warm.tiles_rematched, 0);
@@ -85,14 +83,14 @@ fn identical_frame_skips_every_row_and_rematches_nothing() {
 
 #[test]
 fn single_tile_flip_rematches_exactly_that_tile() {
-    let (patterns, index) = calibrated(50, 16, 32, 21);
+    let patterns = calibrated(50, 16, 32, 21);
     let k = patterns.k();
     let parts = patterns.num_partitions();
     let mut rng = StdRng::seed_from_u64(22);
     let frame = SpikeMatrix::random(6, 50, 0.3, &mut rng);
     let cache = TileCache::new(1 << 12);
     let mut memo = FrameMemo::new();
-    decompose_delta(&frame, &patterns, &index, &cache, &mut memo);
+    decompose_delta(&frame, &patterns, &LayerMatchIndex, &cache, &mut memo);
 
     // Flip one bit in the tile at (row 3, partition 1); every other row
     // stays identical and every other tile of row 3 keeps its bits.
@@ -101,7 +99,7 @@ fn single_tile_flip_rematches_exactly_that_tile() {
     let col = part * k + 2;
     flipped.set(row, col, !flipped.get(row, col));
 
-    let (d, stats) = decompose_delta(&flipped, &patterns, &index, &cache, &mut memo);
+    let (d, stats) = decompose_delta(&flipped, &patterns, &LayerMatchIndex, &cache, &mut memo);
     assert_eq!(d, decompose(&flipped, &patterns));
     assert_eq!(stats.rows_skipped, 5, "only the flipped row may re-unpack");
     assert_eq!(stats.tiles_rematched, 1, "exactly the flipped tile re-decides");
@@ -114,15 +112,15 @@ fn single_tile_flip_rematches_exactly_that_tile() {
 
 #[test]
 fn cache_counters_stay_exact_under_the_row_skip_fast_path() {
-    let (patterns, index) = calibrated(48, 20, 32, 31);
+    let patterns = calibrated(48, 20, 32, 31);
     let mut rng = StdRng::seed_from_u64(32);
     let frame_a = SpikeMatrix::random(5, 48, 0.3, &mut rng);
     let frame_b = next_frame(&frame_a, 0.5, &mut rng);
     let cache = TileCache::new(1 << 12);
     let mut memo = FrameMemo::new();
 
-    decompose_delta(&frame_a, &patterns, &index, &cache, &mut memo);
-    decompose_delta(&frame_a, &patterns, &index, &cache, &mut memo);
+    decompose_delta(&frame_a, &patterns, &LayerMatchIndex, &cache, &mut memo);
+    decompose_delta(&frame_a, &patterns, &LayerMatchIndex, &cache, &mut memo);
     let before = cache.stats();
     // The replays above must not have counted: only the cold sweep's
     // nontrivial tiles probed the cache.
@@ -139,7 +137,7 @@ fn cache_counters_stay_exact_under_the_row_skip_fast_path() {
 
     // A changed frame probes the cache for exactly its re-decided
     // nontrivial tiles — the reused tiles stay silent.
-    let (_, stats) = decompose_delta(&frame_b, &patterns, &index, &cache, &mut memo);
+    let (_, stats) = decompose_delta(&frame_b, &patterns, &LayerMatchIndex, &cache, &mut memo);
     let after = cache.stats();
     let probes = (after.hits + after.misses) - (before.hits + before.misses);
     assert!(probes <= stats.tiles_rematched, "only re-decided tiles may probe the cache");
@@ -147,34 +145,36 @@ fn cache_counters_stay_exact_under_the_row_skip_fast_path() {
 
 #[test]
 fn shape_change_resets_the_memo_instead_of_corrupting_it() {
-    let (patterns, index) = calibrated(48, 16, 32, 41);
+    let patterns = calibrated(48, 16, 32, 41);
     let cache = TileCache::new(1 << 12);
     let mut rng = StdRng::seed_from_u64(42);
     let mut memo = FrameMemo::new();
     let tall = SpikeMatrix::random(8, 48, 0.3, &mut rng);
     let short = SpikeMatrix::random(3, 48, 0.3, &mut rng);
     for frame in [&tall, &short, &tall] {
-        let (d, _) = decompose_delta(frame, &patterns, &index, &cache, &mut memo);
+        let (d, _) = decompose_delta(frame, &patterns, &LayerMatchIndex, &cache, &mut memo);
         assert_eq!(d, decompose(frame, &patterns));
         assert!(d.verify_lossless(frame));
     }
     memo.reset();
     assert!(!memo.is_warm());
-    let (d, stats) = decompose_delta(&tall, &patterns, &index, &cache, &mut memo);
+    let (d, stats) = decompose_delta(&tall, &patterns, &LayerMatchIndex, &cache, &mut memo);
     assert_eq!(d, decompose(&tall, &patterns));
     assert_eq!(stats.rows_skipped, 0, "a reset memo must run cold");
 }
 
 #[test]
 fn concat_equals_the_fused_decomposition() {
-    let (patterns, index) = calibrated(50, 16, 32, 51);
+    let patterns = calibrated(50, 16, 32, 51);
     let cache = TileCache::disabled();
     let mut rng = StdRng::seed_from_u64(52);
     let frames: Vec<SpikeMatrix> =
         (0..4).map(|_| SpikeMatrix::random(4, 50, 0.3, &mut rng)).collect();
     let mut memo = FrameMemo::new();
-    let decomps: Vec<Decomposition> =
-        frames.iter().map(|f| decompose_delta(f, &patterns, &index, &cache, &mut memo).0).collect();
+    let decomps: Vec<Decomposition> = frames
+        .iter()
+        .map(|f| decompose_delta(f, &patterns, &LayerMatchIndex, &cache, &mut memo).0)
+        .collect();
     let refs: Vec<&Decomposition> = decomps.iter().collect();
     let fused_acts = SpikeMatrix::vstack(&frames.iter().collect::<Vec<_>>()).unwrap();
     assert_eq!(Decomposition::concat(&refs), decompose(&fused_acts, &patterns));
@@ -199,13 +199,13 @@ proptest! {
         delta in prop::sample::select(vec![0.0f64, 0.1, 0.5, 1.0]),
         capacity in prop::sample::select(vec![0usize, 1, 1 << 12]),
     ) {
-        let (patterns, index) = calibrated(cols, k, q, seed);
+        let patterns = calibrated(cols, k, q, seed);
         let cache = TileCache::new(capacity);
         let mut memo = FrameMemo::new();
         let mut rng = StdRng::seed_from_u64(seed ^ 0xDE17A);
         let mut frame = SpikeMatrix::random(rows, cols, 0.25, &mut rng);
         for _ in 0..5 {
-            let (d, stats) = decompose_delta(&frame, &patterns, &index, &cache, &mut memo);
+            let (d, stats) = decompose_delta(&frame, &patterns, &LayerMatchIndex, &cache, &mut memo);
             prop_assert_eq!(&d, &decompose(&frame, &patterns));
             prop_assert!(d.verify_lossless(&frame));
             prop_assert_eq!(stats.rows_total, rows as u64);
@@ -226,7 +226,7 @@ proptest! {
         k in prop::sample::select(vec![16usize, 20]),
         delta in prop::sample::select(vec![0.0f64, 0.1, 0.5, 1.0]),
     ) {
-        let (patterns, index) = calibrated(cols, k, 32, seed);
+        let patterns = calibrated(cols, k, 32, seed);
         let cache = TileCache::disabled();
         let mut full_memo = FrameMemo::new();
         let mut sparse_memo = FrameMemo::new();
@@ -234,9 +234,9 @@ proptest! {
         let mut frame = SpikeMatrix::random(rows, cols, 0.25, &mut rng);
         for _ in 0..5 {
             let (_, full_stats) =
-                decompose_delta(&frame, &patterns, &index, &cache, &mut full_memo);
+                decompose_delta(&frame, &patterns, &LayerMatchIndex, &cache, &mut full_memo);
             let (sparse, sparse_stats) =
-                decompose_delta_sparse(&frame, &patterns, &index, &cache, &mut sparse_memo);
+                decompose_delta_sparse(&frame, &patterns, &LayerMatchIndex, &cache, &mut sparse_memo);
             prop_assert_eq!(sparse_stats, full_stats);
             prop_assert_eq!(sparse_memo.row_changed(), full_memo.row_changed());
             let kept: Vec<usize> = sparse_memo

@@ -1,31 +1,32 @@
-//! Property tests for the decomposition accelerators: the sub-linear
-//! [`MatchIndex`] and the memoizing [`TileCache`] must be invisible in
-//! the results.
+//! Property tests for the one matcher, [`PatternSet::best_match`], and
+//! the memoizing [`TileCache`], which must be invisible in the results.
 //!
-//! * [`MatchIndex::best_match`] equals [`PatternSet::best_match`] (the
-//!   linear reference scan) bit for bit, including the lowest-index tie
-//!   rule, over randomized pattern sets with duplicates.
+//! * [`PatternSet::best_match`] equals the first-minimum scan
+//!   [`simd::scalar::min_hamming`] bit for bit at the active SIMD level,
+//!   including the lowest-index tie rule, over randomized pattern sets
+//!   with duplicates.
 //! * [`decompose_cached`] == [`decompose`] over randomized calibrated
 //!   workloads at q ∈ {32, 128}, for cache capacities including 0
-//!   (disabled, the pure indexed path) and 1 (pure thrash), warm replays
+//!   (disabled, the matcher alone) and 1 (pure thrash), warm replays
 //!   included, with eviction under pressure observed by its counter.
 //!
 //! The decomposition properties run at unpacked widths (k ∈ {20, 32}),
-//! the only layers the cache and index still serve: a packed layer
-//! (k ≤ 16) is decided by the brute-force kernel instead, which
-//! `packed_sweep.rs` covers.
+//! the only layers the cache still serves: a packed layer (k ≤ 16) is
+//! decided by the brute-force kernel instead, which `packed_sweep.rs`
+//! covers. Run the suite under each `PHI_SIMD` tier to cover every
+//! matcher path.
 
 use phi_core::{
-    decompose, decompose_cached, CalibrationConfig, Calibrator, LayerMatchIndex, MatchIndex,
-    Pattern, PatternSet, TileCache,
+    decompose, decompose_cached, CalibrationConfig, Calibrator, LayerMatchIndex, Pattern,
+    PatternSet, TileCache,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use snn_core::SpikeMatrix;
+use snn_core::{simd, SpikeMatrix};
 
 /// A pattern set with deliberate duplication and popcount clustering, so
-/// ties (same distance, different index) and crowded buckets are common.
+/// ties (same distance, different index) are common.
 fn pattern_set(width: usize, count: usize, prototypes: usize, seed: u64) -> PatternSet {
     let mut rng = StdRng::seed_from_u64(seed);
     let mask = if width == 64 { u64::MAX } else { (1u64 << width) - 1 };
@@ -59,18 +60,17 @@ fn repetitive_activations(rows: usize, cols: usize, seed: u64) -> SpikeMatrix {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The popcount-bucketed index answers every probe exactly like the
-    /// linear scan, tiles of every popcount included.
+    /// The matcher answers every probe exactly like the first-minimum
+    /// scan over the index-ordered pattern plane, tiles of every popcount
+    /// included.
     #[test]
-    fn match_index_equals_linear_best_match(
+    fn best_match_equals_first_minimum_scan(
         width in prop::sample::select(vec![4usize, 8, 16, 64]),
         count in 0usize..48,
         prototypes in 1usize..6,
         seed in any::<u64>(),
     ) {
         let set = pattern_set(width, count, prototypes, seed);
-        let index = MatchIndex::new(&set);
-        prop_assert_eq!(index.len(), set.len());
         let mask = if width == 64 { u64::MAX } else { (1u64 << width) - 1 };
         let mut rng = StdRng::seed_from_u64(seed ^ 0xD15C);
         for _ in 0..64 {
@@ -82,11 +82,12 @@ proptest! {
                 let p = set.pattern(rng.gen_range(0..set.len())).bits();
                 p ^ (1u64 << rng.gen_range(0..width))
             };
-            prop_assert_eq!(index.best_match(tile), set.best_match(tile), "tile {:#b}", tile);
+            let first_minimum = simd::scalar::min_hamming(set.pattern_bits(), tile);
+            prop_assert_eq!(set.best_match(tile), first_minimum, "tile {:#b}", tile);
         }
     }
 
-    /// Indexed and cached decompositions are bit-identical to the linear
+    /// Cached decompositions are bit-identical to the linear
     /// reference across cache capacities, including warm replays, and the
     /// capacity-1 cache actually evicts.
     #[test]
@@ -102,18 +103,17 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xCA11);
         let patterns = Calibrator::new(CalibrationConfig { k, q, ..Default::default() })
             .calibrate(&acts, &mut rng);
-        let index = LayerMatchIndex::new(&patterns);
 
         let reference = decompose(&acts, &patterns);
         prop_assert!(reference.verify_lossless(&acts));
         let disabled = TileCache::disabled();
-        prop_assert_eq!(&decompose_cached(&acts, &patterns, &index, &disabled), &reference);
+        prop_assert_eq!(&decompose_cached(&acts, &patterns, &LayerMatchIndex, &disabled), &reference);
         prop_assert_eq!(disabled.stats(), phi_core::TileCacheStats::default());
 
         let cache = TileCache::new(capacity);
-        let cold = decompose_cached(&acts, &patterns, &index, &cache);
+        let cold = decompose_cached(&acts, &patterns, &LayerMatchIndex, &cache);
         prop_assert_eq!(&cold, &reference);
-        let warm = decompose_cached(&acts, &patterns, &index, &cache);
+        let warm = decompose_cached(&acts, &patterns, &LayerMatchIndex, &cache);
         prop_assert_eq!(&warm, &reference);
 
         let stats = cache.stats();
@@ -149,11 +149,10 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xBA7);
         let patterns = Calibrator::new(CalibrationConfig { k: 20, q: 32, ..Default::default() })
             .calibrate(&calibration, &mut rng);
-        let index = LayerMatchIndex::new(&patterns);
         let cache = TileCache::new(256);
         for b in 0..batches {
             let acts = repetitive_activations(rows * (b + 1), cols, seed ^ b as u64);
-            let cached = decompose_cached(&acts, &patterns, &index, &cache);
+            let cached = decompose_cached(&acts, &patterns, &LayerMatchIndex, &cache);
             prop_assert_eq!(&cached, &decompose(&acts, &patterns));
             prop_assert!(cached.verify_lossless(&acts));
         }

@@ -134,25 +134,24 @@ proptest! {
         let _guard = force_lock();
         let mut rng = StdRng::seed_from_u64(seed);
         let patterns = layer(k, q, cols, &mut rng);
-        let index = LayerMatchIndex::new(&patterns);
         let mut frame = activations(rows, cols, &patterns, &mut rng);
         let want = reference(&frame, &patterns);
         prop_assert!(want.verify_lossless(&frame));
 
         let cache = TileCache::new(1 << 12);
         for _ in 0..2 {
-            prop_assert_eq!(&decompose_cached(&frame, &patterns, &index, &cache), &want);
+            prop_assert_eq!(&decompose_cached(&frame, &patterns, &LayerMatchIndex, &cache), &want);
         }
-        prop_assert_eq!(&decompose_cached(&frame, &patterns, &index, &TileCache::disabled()), &want);
+        prop_assert_eq!(&decompose_cached(&frame, &patterns, &LayerMatchIndex, &TileCache::disabled()), &want);
 
         let mut full = FrameMemo::new();
         let mut sparse = FrameMemo::new();
         for _ in 0..4 {
             let want = reference(&frame, &patterns);
-            let (d, full_stats) = decompose_delta(&frame, &patterns, &index, &cache, &mut full);
+            let (d, full_stats) = decompose_delta(&frame, &patterns, &LayerMatchIndex, &cache, &mut full);
             prop_assert_eq!(&d, &want);
             let (s, sparse_stats) =
-                decompose_delta_sparse(&frame, &patterns, &index, &cache, &mut sparse);
+                decompose_delta_sparse(&frame, &patterns, &LayerMatchIndex, &cache, &mut sparse);
             prop_assert_eq!(sparse_stats, full_stats);
             let subset = changed_rows(&frame, sparse.row_changed());
             prop_assert_eq!(&s, &reference(&subset, &patterns));
@@ -182,28 +181,29 @@ fn vgg16_fullsim_batches_equal_the_scalar_reference() {
     let _guard = force_lock();
     let workload = WorkloadConfig::new(ModelId::Vgg16, DatasetId::Cifar10).generate();
     let calibrator = Calibrator::new(CalibrationConfig::default());
-    let layers: Vec<(LayerPatterns, LayerMatchIndex)> = workload
+    let layers: Vec<LayerPatterns> = workload
         .layers
         .iter()
         .enumerate()
         .map(|(i, l)| {
-            let patterns =
-                calibrator.calibrate(&l.calibration, &mut StdRng::seed_from_u64(7 + i as u64));
-            let index = LayerMatchIndex::new(&patterns);
-            (patterns, index)
+            calibrator.calibrate(&l.calibration, &mut StdRng::seed_from_u64(7 + i as u64))
         })
         .collect();
     let requests = workload.sample_client_requests(1 << 20, 8 * 32, 4, 1);
     let cache = TileCache::new(1 << 15);
     for batch in requests.chunks(32) {
-        for (l, (patterns, index)) in layers.iter().enumerate() {
+        for (l, patterns) in layers.iter().enumerate() {
             let frames: Vec<&SpikeMatrix> = batch.iter().map(|r| &r[l]).collect();
             let stacked = SpikeMatrix::vstack(&frames).expect("one layer width");
             let want = reference(&stacked, patterns);
             let name = &workload.layers[l].spec.name;
-            assert_eq!(decompose_cached(&stacked, patterns, index, &cache), want, "{name}");
+            assert_eq!(
+                decompose_cached(&stacked, patterns, &LayerMatchIndex, &cache),
+                want,
+                "{name}"
+            );
             let mut memo = FrameMemo::new();
-            let (d, _) = decompose_delta(&stacked, patterns, index, &cache, &mut memo);
+            let (d, _) = decompose_delta(&stacked, patterns, &LayerMatchIndex, &cache, &mut memo);
             assert_eq!(d, want, "{name} (delta)");
         }
     }

@@ -56,23 +56,6 @@ proptest! {
         prop_assert_eq!(simd::popcount_words(&words), scalar::popcount_words(&words));
     }
 
-    /// The batched Hamming kernel fills the exact distances the per-word
-    /// scalar loop computes.
-    #[test]
-    fn hamming_batch_matches_scalar(
-        len in prop::sample::select(vec![0usize, 1, 2, 3, 4, 5, 7, 8, 9, 13, 32, 33, 100]),
-        width in prop::sample::select(vec![8usize, 16, 31, 64]),
-        seed in any::<u64>(),
-    ) {
-        let patterns = tie_heavy_words(len, width, seed);
-        let tile = tie_heavy_words(1, width, seed ^ 0xABCD).pop().unwrap_or(0);
-        let mut got = vec![0u32; len];
-        let mut want = vec![u32::MAX; len];
-        simd::hamming_batch(&patterns, tile, &mut got);
-        scalar::hamming_batch(&patterns, tile, &mut want);
-        prop_assert_eq!(got, want);
-    }
-
     /// The batched probe returns the scalar first-minimum — min distance,
     /// then min position — on tie-heavy pools where many entries share
     /// the winning distance.
@@ -134,23 +117,16 @@ proptest! {
     /// Elementwise f32 accumulation is bit-identical (compared through
     /// `to_bits`, so `-0.0` vs `0.0` and NaN payloads would be caught).
     #[test]
-    fn add_sub_assign_match_scalar(
+    fn add_assign_matches_scalar(
         len in prop::sample::select(vec![0usize, 1, 3, 7, 8, 9, 15, 16, 17, 63, 100]),
         seed in any::<u64>(),
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let src: Vec<f32> = (0..len).map(|_| rng.gen_range(-8.0..8.0)).collect();
         let base: Vec<f32> = (0..len).map(|_| rng.gen_range(-8.0..8.0)).collect();
-        let (mut a, mut b) = (base.clone(), base.clone());
+        let (mut a, mut b) = (base.clone(), base);
         simd::add_assign(&mut a, &src);
         scalar::add_assign(&mut b, &src);
-        prop_assert_eq!(
-            a.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            b.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
-        let (mut a, mut b) = (base.clone(), base);
-        simd::sub_assign(&mut a, &src);
-        scalar::sub_assign(&mut b, &src);
         prop_assert_eq!(
             a.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             b.iter().map(|v| v.to_bits()).collect::<Vec<_>>()

@@ -1,14 +1,14 @@
 //! The compiled-model artifact: an immutable, serializable snapshot of
 //! everything the offline stage produces.
 //!
-//! # Binary format (version 2)
+//! # Binary format (version 3)
 //!
 //! All integers little-endian; strings are `u32`-length-prefixed UTF-8;
 //! floats are stored as their IEEE-754 bit patterns (bit-exact roundtrip).
 //!
 //! ```text
 //! magic      b"PHIC"
-//! version    u32                      (currently 2)
+//! version    u32                      (currently 3)
 //! label      str                      e.g. "VGG16/CIFAR10"
 //! k, q       u32, u32                 calibration geometry
 //! seed       u64                      compile seed (provenance)
@@ -18,22 +18,28 @@
 //!   m, k, n    u64 × 3                GEMM shape
 //!   timesteps  u32
 //!   patterns   phi_core::wire layer-patterns record
-//!   index      phi_core::wire layer-match-index record   (version ≥ 2)
 //!   weights?   u8 flag; if 1: rows u32, cols u32, f32 × rows·cols
 //! checksum   u64                      FNV-1a over every preceding byte
 //! ```
 //!
-//! Pattern–weight products are *derived* state: they are recomputed from
-//! the stored weights on construction and load rather than serialized, so
-//! an artifact cannot carry PWPs that disagree with its weights. The
-//! per-layer [`phi_core::LayerMatchIndex`] added in version 2 is derived
-//! state too, but it *is* serialized (it is part of what the compile
-//! stage precomputes for the online hot path); its wire record is fully
-//! validated against the pattern sets on load, so it can never disagree
-//! with them either. Version-1 artifacts still load — the index is
-//! rebuilt from their patterns ([`CompiledLayer::new`] always derives
-//! it), and [`CompiledModel::to_bytes_version`] can still write the old
-//! layout for downgrade tests.
+//! The artifact stores only what cannot be derived. Pattern–weight
+//! products and every matcher structure (the exact-match table, the
+//! `u16` planes of packed sets) are recomputed from the stored patterns
+//! and weights on construction and load, so an artifact cannot carry
+//! state that disagrees with them.
+//!
+//! Versions 1 and 3 share this layout. Version 2 adds, after each
+//! layer's patterns, a popcount-bucketed match-index record:
+//!
+//! ```text
+//!   partitions u32                    (= the layer's partition count)
+//!   per partition:
+//!     width    u32                    (= the partition's pattern width)
+//!     width + 1 buckets of: count u32, pattern index u32 × count
+//! ```
+//!
+//! That record was derived from the patterns, so the loader checks its
+//! framing and skips it; it never trusts its contents.
 
 use crate::error::{Result, RuntimeError};
 use phi_core::wire::{self, Reader};
@@ -45,10 +51,11 @@ use std::path::Path;
 pub const MAGIC: [u8; 4] = *b"PHIC";
 
 /// The artifact format version this build writes.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
-/// The oldest artifact format version this build still reads (version 1
-/// predates the serialized match index, which is rebuilt on load).
+/// The oldest artifact format version this build still reads. Versions 1
+/// and 3 share a layout; version 2's extra match-index records are
+/// skipped on load.
 pub const OLDEST_SUPPORTED_VERSION: u32 = 1;
 
 /// One layer of a compiled model: calibrated patterns plus (optionally)
@@ -63,13 +70,10 @@ pub struct CompiledLayer {
     pub timesteps: usize,
     /// Calibrated pattern sets, one per width-`k` partition.
     pub patterns: LayerPatterns,
-    /// Per-partition popcount-bucketed match indexes derived from
-    /// `patterns` — the serve-time decomposition probes these instead of
-    /// scanning every pattern. The wire record stores only bucket
-    /// membership; deserialization rebuilds each index's contiguous
-    /// bit-plane layout (see [`phi_core::MatchIndex::from_buckets`]), so
-    /// loaded artifacts probe through the batched SIMD Hamming kernels
-    /// exactly like freshly compiled ones.
+    /// A data-free placeholder, kept only because the repository
+    /// benchmark (`phibench/`) passes it to the decompose entry points;
+    /// it goes with [`phi_core::TileCache`] when that benchmark is next
+    /// revised. See [`LayerMatchIndex`].
     pub match_index: LayerMatchIndex,
     /// Layer weights (`K × N`), when compiled with them.
     pub weights: Option<Matrix>,
@@ -78,8 +82,8 @@ pub struct CompiledLayer {
 }
 
 impl CompiledLayer {
-    /// Assembles a layer, deriving the match index and (when weights are
-    /// present) the PWP table.
+    /// Assembles a layer, deriving the PWP table when weights are
+    /// present.
     ///
     /// # Panics
     ///
@@ -93,27 +97,18 @@ impl CompiledLayer {
         patterns: LayerPatterns,
         weights: Option<Matrix>,
     ) -> Self {
-        let match_index = LayerMatchIndex::new(&patterns);
-        CompiledLayer::with_index(name, shape, timesteps, patterns, match_index, weights)
-    }
-
-    /// [`CompiledLayer::new`] with a ready-made match index — the
-    /// format-v2 load path, which already parsed (and exhaustively
-    /// validated, see [`phi_core::wire::read_match_index`]) the index
-    /// record instead of rebuilding it.
-    fn with_index(
-        name: String,
-        shape: GemmShape,
-        timesteps: usize,
-        patterns: LayerPatterns,
-        match_index: LayerMatchIndex,
-        weights: Option<Matrix>,
-    ) -> Self {
-        debug_assert_eq!(match_index, LayerMatchIndex::new(&patterns));
         let pwp = weights
             .as_ref()
             .map(|w| PwpTable::new(&patterns, w).expect("weights must match patterns"));
-        CompiledLayer { name, shape, timesteps, patterns, match_index, weights, pwp }
+        CompiledLayer {
+            name,
+            shape,
+            timesteps,
+            patterns,
+            match_index: LayerMatchIndex,
+            weights,
+            pwp,
+        }
     }
 
     /// Total activation rows of one full inference (`M × timesteps`).
@@ -185,28 +180,9 @@ impl CompiledModel {
     /// Serializes the artifact to the current binary format
     /// ([`FORMAT_VERSION`]).
     pub fn to_bytes(&self) -> Vec<u8> {
-        self.to_bytes_version(FORMAT_VERSION).expect("current format version is writable")
-    }
-
-    /// Serializes the artifact in an explicit format version — the
-    /// current one, or an older still-supported layout (compatibility
-    /// testing, serving fleets mid-upgrade). Version 1 simply omits the
-    /// per-layer match-index records; loading it rebuilds them.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::UnsupportedVersion`] for a version outside
-    /// [`OLDEST_SUPPORTED_VERSION`]`..=`[`FORMAT_VERSION`].
-    pub fn to_bytes_version(&self, version: u32) -> Result<Vec<u8>> {
-        if !(OLDEST_SUPPORTED_VERSION..=FORMAT_VERSION).contains(&version) {
-            return Err(RuntimeError::UnsupportedVersion {
-                found: version,
-                supported: FORMAT_VERSION,
-            });
-        }
         let mut out = Vec::new();
         out.extend_from_slice(&MAGIC);
-        wire::put_u32(&mut out, version);
+        wire::put_u32(&mut out, FORMAT_VERSION);
         wire::put_str(&mut out, &self.label);
         wire::put_u32(&mut out, self.k as u32);
         wire::put_u32(&mut out, self.q as u32);
@@ -219,9 +195,6 @@ impl CompiledModel {
             wire::put_u64(&mut out, layer.shape.n as u64);
             wire::put_u32(&mut out, layer.timesteps as u32);
             wire::write_layer_patterns(&layer.patterns, &mut out);
-            if version >= 2 {
-                wire::write_layer_match_index(&layer.match_index, &mut out);
-            }
             match &layer.weights {
                 Some(w) => {
                     out.push(1);
@@ -236,7 +209,7 @@ impl CompiledModel {
         }
         let checksum = fnv1a(&out);
         wire::put_u64(&mut out, checksum);
-        Ok(out)
+        out
     }
 
     /// Deserializes an artifact, verifying magic, version, checksum, and
@@ -322,16 +295,9 @@ impl CompiledModel {
                     actual: patterns.num_partitions(),
                 });
             }
-            // A version-2 artifact carries the index; its wire record is
-            // fully validated against the pattern sets (range, bucketing,
-            // ordering, coverage), which pins it to exactly the index a
-            // rebuild would produce. A version-1 artifact has no record,
-            // so the index is rebuilt from the patterns.
-            let match_index = if version >= 2 {
-                wire::read_layer_match_index(&mut r, &patterns)?
-            } else {
-                LayerMatchIndex::new(&patterns)
-            };
+            if version == 2 {
+                skip_match_index(&mut r, &patterns)?;
+            }
             let weights = match r.u8()? {
                 0 => None,
                 1 => {
@@ -364,12 +330,11 @@ impl CompiledModel {
                     }))
                 }
             };
-            layers.push(CompiledLayer::with_index(
+            layers.push(CompiledLayer::new(
                 name,
                 GemmShape::new(m, kk, n),
                 timesteps,
                 patterns,
-                match_index,
                 weights,
             ));
         }
@@ -400,6 +365,42 @@ impl CompiledModel {
             .map_err(|e| RuntimeError::Io(format!("read {}: {e}", path.as_ref().display())))?;
         Self::from_bytes(&bytes)
     }
+}
+
+/// Steps over one layer's version-2 match-index record (see the module
+/// docs). The record was derived from `patterns`, so only its framing is
+/// checked: the partition count and each width must agree with the
+/// patterns, and every bucket count must fit the remaining bytes.
+fn skip_match_index(r: &mut Reader<'_>, patterns: &LayerPatterns) -> Result<()> {
+    let corrupt = |r: &Reader<'_>, reason: String| {
+        RuntimeError::Wire(wire::WireError::Corrupt { at: r.position(), reason })
+    };
+    let parts = r.u32()? as usize;
+    if parts != patterns.num_partitions() {
+        return Err(corrupt(
+            r,
+            format!(
+                "match index covers {parts} partitions, patterns have {}",
+                patterns.num_partitions()
+            ),
+        ));
+    }
+    for set in patterns.sets() {
+        let width = r.u32()? as usize;
+        if width != set.width() {
+            return Err(corrupt(
+                r,
+                format!("match index width {width} != set width {}", set.width()),
+            ));
+        }
+        for _ in 0..=width {
+            // `count` rejects any count whose payload exceeds the
+            // remaining bytes, so `count * 4` cannot overflow.
+            let count = r.count(4)?;
+            r.bytes(count * 4)?;
+        }
+    }
+    Ok(())
 }
 
 /// FNV-1a 64-bit hash — the artifact's integrity checksum (corruption
@@ -445,44 +446,25 @@ mod tests {
         }
     }
 
+    /// Patches the version field and re-stamps the checksum, so the
+    /// loader's version handling (not the checksum) decides.
+    fn with_version(mut bytes: Vec<u8>, version: u32) -> Vec<u8> {
+        bytes[4..8].copy_from_slice(&version.to_le_bytes());
+        let body_len = bytes.len() - 8;
+        let checksum = fnv1a(&bytes[..body_len]);
+        bytes[body_len..].copy_from_slice(&checksum.to_le_bytes());
+        bytes
+    }
+
     #[test]
-    fn version_1_artifacts_still_load_with_a_rebuilt_index() {
+    fn version_1_shares_the_current_layout() {
         for weights in [false, true] {
-            let m = tiny_model(weights);
-            let v1 = m.to_bytes_version(1).unwrap();
-            let v2 = m.to_bytes();
-            assert_ne!(v1, v2, "v2 must carry the extra index records");
-            assert!(v1.len() < v2.len());
-            assert_eq!(v1[4..8], 1u32.to_le_bytes());
-            let back = CompiledModel::from_bytes(&v1).expect("v1 artifact must load");
-            // The rebuilt index equals what the v2 artifact carries, so
-            // re-serializing the loaded model upgrades it byte-identically.
-            assert_eq!(back.to_bytes(), v2);
-            for (a, b) in back.layers().iter().zip(m.layers()) {
-                assert_eq!(a.match_index, b.match_index);
-            }
-        }
-    }
-
-    #[test]
-    fn unwritable_versions_are_refused() {
-        let m = tiny_model(false);
-        for v in [0, FORMAT_VERSION + 1] {
-            assert!(matches!(
-                m.to_bytes_version(v),
-                Err(RuntimeError::UnsupportedVersion { found, supported: FORMAT_VERSION })
-                    if found == v
-            ));
-        }
-    }
-
-    #[test]
-    fn loaded_layers_carry_indexes_matching_their_patterns() {
-        let m = tiny_model(true);
-        let back = CompiledModel::from_bytes(&m.to_bytes()).unwrap();
-        for layer in back.layers() {
-            assert_eq!(layer.match_index, phi_core::LayerMatchIndex::new(&layer.patterns));
-            assert_eq!(layer.match_index.num_partitions(), layer.patterns.num_partitions());
+            let v3 = tiny_model(weights).to_bytes();
+            assert_eq!(v3[4..8], 3u32.to_le_bytes());
+            let back = CompiledModel::from_bytes(&with_version(v3.clone(), 1))
+                .expect("v1 artifact must load");
+            // Re-serializing upgrades it byte-identically.
+            assert_eq!(back.to_bytes(), v3);
         }
     }
 
@@ -495,18 +477,13 @@ mod tests {
 
     #[test]
     fn unsupported_version_is_rejected() {
-        let m = tiny_model(false);
-        let mut bytes = m.to_bytes();
-        // Patch the version field and re-stamp the checksum so the version
-        // check (not the checksum) fires.
-        bytes[4..8].copy_from_slice(&99u32.to_le_bytes());
-        let body_len = bytes.len() - 8;
-        let checksum = fnv1a(&bytes[..body_len]);
-        bytes[body_len..].copy_from_slice(&checksum.to_le_bytes());
-        assert!(matches!(
-            CompiledModel::from_bytes(&bytes),
-            Err(RuntimeError::UnsupportedVersion { found: 99, supported: FORMAT_VERSION })
-        ));
+        let bytes = tiny_model(false).to_bytes();
+        for v in [0, FORMAT_VERSION + 1, 99] {
+            assert!(matches!(
+                CompiledModel::from_bytes(&with_version(bytes.clone(), v)),
+                Err(RuntimeError::UnsupportedVersion { found, supported: 3 }) if found == v
+            ));
+        }
     }
 
     #[test]

@@ -266,19 +266,6 @@ mod tests {
     }
 
     #[test]
-    fn compile_builds_a_match_index_per_layer() {
-        let w = tiny_workload();
-        let m = ModelCompiler::new(CompileOptions::fast()).compile(&w);
-        for layer in m.layers() {
-            assert_eq!(layer.match_index, phi_core::LayerMatchIndex::new(&layer.patterns));
-            assert_eq!(layer.match_index.num_partitions(), layer.patterns.num_partitions());
-            // The index is complete: every calibrated pattern is filed.
-            let indexed: usize = layer.match_index.indexes().iter().map(|i| i.len()).sum();
-            assert_eq!(indexed, layer.patterns.total_patterns());
-        }
-    }
-
-    #[test]
     fn recompile_from_the_calibration_split_reproduces_the_artifact() {
         // Feeding the original per-layer calibration dumps back through
         // `recompile_from_samples` must reproduce the incumbent byte for

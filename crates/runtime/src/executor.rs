@@ -39,7 +39,7 @@ use phi_accel::{
 };
 use phi_core::{
     decompose_cached, decompose_delta, decompose_delta_sparse, Decomposition, DeltaStats,
-    FrameMemo, ReuseStats, TileCache, TileCacheStats,
+    FrameMemo, LayerMatchIndex, ReuseStats, TileCache, TileCacheStats,
 };
 use rayon::prelude::*;
 use snn_core::{Matrix, SpikeMatrix};
@@ -52,7 +52,8 @@ pub const DEFAULT_TILE_CACHE_CAPACITY: usize = 1 << 15;
 
 /// Environment variable overriding the per-layer tile-cache capacity for
 /// every executor that is not explicitly configured; `0` disables the
-/// cache (every batch re-resolves its tiles through the match index).
+/// cache (every batch re-resolves an unpacked layer's tiles through
+/// `PatternSet::best_match`).
 pub const PHI_TILE_CACHE_ENV: &str = "PHI_TILE_CACHE";
 
 /// The per-layer tile-cache capacity executors default to:
@@ -646,8 +647,8 @@ impl<B: ExecutionBackend> BatchExecutor<B> {
     /// Only the decomposition branches. A stateless batch stacks its rows
     /// into a recycled buffer and decomposes them with
     /// [`decompose_cached`] (the packed brute-force sweep, or the
-    /// artifact's match index and this executor's persistent tile cache
-    /// for an unpacked layer); a stream
+    /// linear matcher and this executor's persistent tile cache for an
+    /// unpacked layer); a stream
     /// batch diffs each frame against its session's memo
     /// ([`BatchExecutor::decompose_frames`]).
     #[allow(clippy::too_many_arguments)]
@@ -672,12 +673,8 @@ impl<B: ExecutionBackend> BatchExecutor<B> {
                 // per concurrently fused layer.
                 let buffer = crate::sync::lock(&self.scratch).pop().unwrap_or_default();
                 let stacked = SpikeMatrix::vstack_into(&mats, buffer).expect("widths validated");
-                let decomp = decompose_cached(
-                    &stacked,
-                    &layer.patterns,
-                    &layer.match_index,
-                    &self.caches[l],
-                );
+                let decomp =
+                    decompose_cached(&stacked, &layer.patterns, &LayerMatchIndex, &self.caches[l]);
                 crate::sync::lock(&self.scratch).push(stacked.into_bits());
                 (decomp, Vec::new(), None)
             }
@@ -752,7 +749,7 @@ impl<B: ExecutionBackend> BatchExecutor<B> {
             let (decomp, stats) = sweep(
                 &frame.layers[l],
                 &layer.patterns,
-                &layer.match_index,
+                &LayerMatchIndex,
                 &self.caches[l],
                 &mut memo,
             );

@@ -6,20 +6,20 @@
 //!
 //! * **Compile time** ([`ModelCompiler`]) — run the offline work once:
 //!   calibrate patterns per layer (§3.2 of the paper), fold weights
-//!   into pattern–weight products (§4.4), and build each layer's
-//!   popcount-bucketed [`LayerMatchIndex`] for the serve-time matcher,
-//!   producing an immutable [`CompiledModel`] with a compact, versioned,
-//!   checksummed binary format ([`CompiledModel::to_bytes`] /
-//!   [`CompiledModel::from_bytes`]).
+//!   into pattern–weight products (§4.4), producing an immutable
+//!   [`CompiledModel`] with a compact, versioned, checksummed binary
+//!   format ([`CompiledModel::to_bytes`] / [`CompiledModel::from_bytes`])
+//!   that stores only the patterns and weights.
 //! * **Serve time** ([`BatchExecutor`]) — share one `Arc`'d artifact
 //!   read-only across any number of executors, accept batches of encoded
 //!   spike inputs ([`InferenceRequest`]), fuse each layer's batch rows into
 //!   a single decomposition (amortizing the fixed per-layer costs), and
 //!   fan layers across rayon workers. Zero per-request calibration. A
 //!   packed layer (k ≤ 16, every layer of the served models) decides its
-//!   tiles with one brute-force SIMD probe each; other layers memoize
-//!   tile decisions in per-layer [`TileCache`]s that persist across
-//!   batches, so repeated spiking activations skip the matcher.
+//!   tiles with one brute-force SIMD probe each; other layers run the
+//!   linear matcher and memoize tile decisions in per-layer
+//!   [`TileCache`]s that persist across batches, so repeated spiking
+//!   activations skip the matcher.
 //!
 //! The executor is generic over a pluggable [`ExecutionBackend`] — *what*
 //! to compute is fixed by the decomposition, *how* it runs is the
@@ -147,10 +147,9 @@ pub use phi_accel::{
     BackendKind, CpuBackend, ExecutionBackend, LayerOutput, LayerReport, LayerWork, MetricsMode,
     ReadoutPlan, SimBackend,
 };
-// The decomposition-accelerator vocabulary of the online hot path (the
-// artifact's per-layer match indexes and the executor's tile caches),
-// likewise re-exported.
-pub use phi_core::{DeltaStats, FrameMemo, LayerMatchIndex, MatchIndex, TileCache, TileCacheStats};
+// The decomposition vocabulary of the online hot path (the executor's
+// tile caches and stream memos), likewise re-exported.
+pub use phi_core::{DeltaStats, FrameMemo, LayerMatchIndex, TileCache, TileCacheStats};
 // The readout term-row counters executors surface and servers embed in
 // [`ModelStatsSnapshot`].
 pub use phi_core::ReuseStats;

@@ -25,9 +25,9 @@
 //!   lane packs `(distance << 11) | index` into one `u16` key and an
 //!   unsigned minimum over the keys is the lexicographic
 //!   `(distance, index)` minimum;
-//! * [`add_assign`] / [`sub_assign`] are elementwise (`out[i] ± src[i]`,
-//!   one operation per element, no reassociation), so `f32` rounding is
-//!   unchanged lane for lane.
+//! * [`add_assign`] and [`accumulate_signed`] are elementwise
+//!   (`out[i] ± src[i]`, one operation per element in term order, no
+//!   reassociation), so `f32` rounding is unchanged lane for lane.
 //!
 //! The `simd_equivalence` property suite in `phi-core` pins all of this
 //! against the [`scalar`] twins.
@@ -230,26 +230,6 @@ pub fn popcount_words(words: &[u64]) -> u64 {
     }
 }
 
-/// Writes the Hamming distance from `tile` to every word of `patterns`
-/// into `out` (a contiguous pattern bit-plane probe, 4–8 patterns per
-/// vector iteration).
-///
-/// # Panics
-///
-/// Panics if `out.len() != patterns.len()`.
-pub fn hamming_batch(patterns: &[u64], tile: u64, out: &mut [u32]) {
-    assert_eq!(patterns.len(), out.len(), "distance buffer must match the pattern count");
-    match level() {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx512 => unsafe { x86::hamming_batch_avx512(patterns, tile, out) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { x86::hamming_batch_avx2(patterns, tile, out) },
-        #[cfg(target_arch = "aarch64")]
-        SimdLevel::Neon => unsafe { neon::hamming_batch_neon(patterns, tile, out) },
-        _ => scalar::hamming_batch(patterns, tile, out),
-    }
-}
-
 /// The position and value of the minimum Hamming distance from `tile`
 /// over a contiguous pattern bit-plane; `None` for an empty slice.
 ///
@@ -400,30 +380,12 @@ pub fn add_assign(out: &mut [f32], src: &[f32]) {
     }
 }
 
-/// Elementwise `out[i] -= src[i]` — the `−1` correction accumulation.
-/// Same bit-identity argument as [`add_assign`].
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn sub_assign(out: &mut [f32], src: &[f32]) {
-    assert_eq!(out.len(), src.len(), "accumulation rows must match in width");
-    match level() {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx512 => unsafe { x86::sub_assign_avx512(out, src) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { x86::sub_assign_avx2(out, src) },
-        #[cfg(target_arch = "aarch64")]
-        SimdLevel::Neon => unsafe { neon::sub_assign_neon(out, src) },
-        _ => scalar::sub_assign(out, src),
-    }
-}
-
 /// Accumulates a batch of signed rows into `out` in one pass:
 /// `out[i] += terms[0].0[i] ± … ± terms[T-1].0[i]` with `true` marking a
 /// subtracted term, applied in term order per element.
 ///
-/// This is the fused form of a [`add_assign`]/[`sub_assign`] sequence:
+/// This is the fused form of a sequence of [`add_assign`] and
+/// elementwise subtract calls:
 /// one dispatch for the whole chain, and the x86 kernels prefetch the
 /// next terms' rows while the current one streams — each term row is a
 /// fresh cache-cold stream, and the hardware prefetcher needs several
@@ -491,18 +453,6 @@ pub mod scalar {
         words.iter().map(|w| u64::from(w.count_ones())).sum()
     }
 
-    /// Scalar twin of [`super::hamming_batch`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != patterns.len()`.
-    pub fn hamming_batch(patterns: &[u64], tile: u64, out: &mut [u32]) {
-        assert_eq!(patterns.len(), out.len(), "distance buffer must match the pattern count");
-        for (d, &p) in out.iter_mut().zip(patterns) {
-            *d = (p ^ tile).count_ones();
-        }
-    }
-
     /// Scalar twin of [`super::min_hamming`]: left-to-right
     /// strict-improvement scan (lowest position wins ties), stopping on
     /// an exact hit.
@@ -548,7 +498,8 @@ pub mod scalar {
         }
     }
 
-    /// Scalar twin of [`super::sub_assign`].
+    /// Elementwise `out[i] -= src[i]`, the subtracted terms of
+    /// [`accumulate_signed`].
     ///
     /// # Panics
     ///
@@ -561,7 +512,7 @@ pub mod scalar {
     }
 
     /// Scalar twin of [`super::accumulate_signed`]: the plain term-major
-    /// sweep (one [`add_assign`]/[`sub_assign`] pass per term).
+    /// sweep (one [`add_assign`] / [`sub_assign`] pass per term).
     ///
     /// # Panics
     ///
@@ -668,56 +619,6 @@ mod x86 {
             acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(v));
         }
         _mm512_reduce_add_epi64(acc) as u64 + super::scalar::popcount_words(tail)
-    }
-
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 is available, and `out.len() ==
-    /// patterns.len()` (the dispatcher asserts it).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn hamming_batch_avx2(patterns: &[u64], tile: u64, out: &mut [u32]) {
-        let t = _mm256_set1_epi64x(tile as i64);
-        let chunks = patterns.chunks_exact(4);
-        let tail_at = patterns.len() - chunks.remainder().len();
-        for (ci, chunk) in chunks.enumerate() {
-            // SAFETY: `chunk` is 4 contiguous u64s; unaligned load.
-            let v = _mm256_loadu_si256(chunk.as_ptr().cast());
-            let d = popcount_epi64_avx2(_mm256_xor_si256(v, t));
-            let mut lanes = [0u64; 4];
-            // SAFETY: `lanes` is 32 writable bytes; unaligned store.
-            _mm256_storeu_si256(lanes.as_mut_ptr().cast(), d);
-            for (li, &dl) in lanes.iter().enumerate() {
-                out[ci * 4 + li] = dl as u32;
-            }
-        }
-        for i in tail_at..patterns.len() {
-            out[i] = (patterns[i] ^ tile).count_ones();
-        }
-    }
-
-    /// # Safety
-    ///
-    /// Caller must ensure AVX-512F and AVX-512VPOPCNTDQ are available,
-    /// and `out.len() == patterns.len()` (the dispatcher asserts it).
-    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
-    pub unsafe fn hamming_batch_avx512(patterns: &[u64], tile: u64, out: &mut [u32]) {
-        let t = _mm512_set1_epi64(tile as i64);
-        let chunks = patterns.chunks_exact(8);
-        let tail_at = patterns.len() - chunks.remainder().len();
-        for (ci, chunk) in chunks.enumerate() {
-            // SAFETY: `chunk` is 8 contiguous u64s; unaligned load.
-            let v = _mm512_loadu_si512(chunk.as_ptr().cast());
-            let d = _mm512_popcnt_epi64(_mm512_xor_si512(v, t));
-            let mut lanes = [0u64; 8];
-            // SAFETY: `lanes` is 64 writable bytes; unaligned store.
-            _mm512_storeu_si512(lanes.as_mut_ptr().cast(), d);
-            for (li, &dl) in lanes.iter().enumerate() {
-                out[ci * 8 + li] = dl as u32;
-            }
-        }
-        for i in tail_at..patterns.len() {
-            out[i] = (patterns[i] ^ tile).count_ones();
-        }
     }
 
     /// First-minimum scan, 4 distances per iteration. Lanes are checked
@@ -1019,7 +920,7 @@ mod x86 {
     /// # Safety
     ///
     /// Caller must ensure AVX2 is available and the slices are equal in
-    /// length (the dispatcher asserts it).
+    /// length (`accumulate_signed` asserts it).
     #[target_feature(enable = "avx2")]
     pub unsafe fn sub_assign_avx2(out: &mut [f32], src: &[f32]) {
         let n = out.len();
@@ -1061,7 +962,7 @@ mod x86 {
     /// # Safety
     ///
     /// Caller must ensure AVX-512F is available and the slices are equal
-    /// in length (the dispatcher asserts it).
+    /// in length (`accumulate_signed` asserts it).
     #[target_feature(enable = "avx512f")]
     pub unsafe fn sub_assign_avx512(out: &mut [f32], src: &[f32]) {
         let n = out.len();
@@ -1215,28 +1116,6 @@ mod neon {
 
     /// # Safety
     ///
-    /// NEON must be available (guaranteed on aarch64); `out.len() ==
-    /// patterns.len()` (the dispatcher asserts it).
-    #[target_feature(enable = "neon")]
-    pub unsafe fn hamming_batch_neon(patterns: &[u64], tile: u64, out: &mut [u32]) {
-        let t = vdupq_n_u64(tile);
-        let chunks = patterns.chunks_exact(2);
-        let tail_at = patterns.len() - chunks.remainder().len();
-        for (ci, chunk) in chunks.enumerate() {
-            // SAFETY: `chunk` is 2 contiguous u64s.
-            let v = veorq_u64(vld1q_u64(chunk.as_ptr()), t);
-            let counts = vcntq_u8(vreinterpretq_u8_u64(v));
-            let sums = vpaddlq_u32(vpaddlq_u16(vpaddlq_u8(counts)));
-            out[ci * 2] = vgetq_lane_u64::<0>(sums) as u32;
-            out[ci * 2 + 1] = vgetq_lane_u64::<1>(sums) as u32;
-        }
-        for i in tail_at..patterns.len() {
-            out[i] = (patterns[i] ^ tile).count_ones();
-        }
-    }
-
-    /// # Safety
-    ///
     /// NEON must be available (guaranteed on aarch64); slices equal in
     /// length (the dispatcher asserts it).
     #[target_feature(enable = "neon")]
@@ -1259,7 +1138,7 @@ mod neon {
     /// # Safety
     ///
     /// NEON must be available (guaranteed on aarch64); slices equal in
-    /// length (the dispatcher asserts it).
+    /// length (`accumulate_signed` asserts it).
     #[target_feature(enable = "neon")]
     pub unsafe fn sub_assign_neon(out: &mut [f32], src: &[f32]) {
         let n = out.len();
@@ -1328,11 +1207,6 @@ mod tests {
             let ws = words(n as u64, n);
             assert_eq!(popcount_words(&ws), scalar::popcount_words(&ws), "n = {n}");
             let tile = 0xDEAD_BEEF_F00D_u64;
-            let mut got = vec![0u32; n];
-            let mut want = vec![0u32; n];
-            hamming_batch(&ws, tile, &mut got);
-            scalar::hamming_batch(&ws, tile, &mut want);
-            assert_eq!(got, want, "n = {n}");
             assert_eq!(min_hamming(&ws, tile), scalar::min_hamming(&ws, tile), "n = {n}");
         }
     }
@@ -1388,8 +1262,8 @@ mod tests {
                 b.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 "add n = {n}"
             );
-            sub_assign(&mut a, &src);
-            scalar::sub_assign(&mut b, &src);
+            accumulate_signed(&mut a, &[(&src, true)]);
+            scalar::accumulate_signed(&mut b, &[(&src, true)]);
             assert_eq!(
                 a.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 b.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
