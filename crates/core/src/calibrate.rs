@@ -16,7 +16,10 @@ use crate::pattern::{Pattern, PatternSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
+use snn_core::simd::LanePlanes16;
 use snn_core::SpikeMatrix;
+use std::fmt;
+use std::sync::Arc;
 
 /// Which k-means kernel calibrates each partition.
 ///
@@ -73,10 +76,31 @@ impl Default for CalibrationConfig {
 /// The sets live behind an `Arc`, so cloning layer patterns — which every
 /// [`crate::Decomposition`] does to stay self-contained — is a reference
 /// bump, not a deep copy of `q × partitions` patterns.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// When every set is packed (width ≤ 16, at most
+/// [`snn_core::simd::PLANE16_MAX_LEN`] patterns), construction also
+/// regroups the sets' planes pattern-major for the lane matcher
+/// ([`LanePlanes16`]). That is derived state: it is never serialized and
+/// takes no part in equality.
+#[derive(Clone)]
 pub struct LayerPatterns {
     k: usize,
-    sets: std::sync::Arc<[PatternSet]>,
+    sets: Arc<[PatternSet]>,
+    lanes: Option<Arc<LanePlanes16>>,
+}
+
+impl PartialEq for LayerPatterns {
+    fn eq(&self, other: &Self) -> bool {
+        self.k == other.k && self.sets == other.sets
+    }
+}
+
+impl Eq for LayerPatterns {}
+
+impl fmt::Debug for LayerPatterns {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("LayerPatterns").field("k", &self.k).field("sets", &self.sets).finish()
+    }
 }
 
 impl LayerPatterns {
@@ -89,7 +113,10 @@ impl LayerPatterns {
         for s in &sets {
             assert_eq!(s.width(), k, "pattern set width mismatch");
         }
-        LayerPatterns { k, sets: sets.into() }
+        let planes: Option<Vec<&[u16]>> =
+            if k <= 16 { sets.iter().map(PatternSet::plane16).collect() } else { None };
+        let lanes = planes.map(|planes| Arc::new(LanePlanes16::new(&planes)));
+        LayerPatterns { k, sets: sets.into(), lanes }
     }
 
     /// Partition width.
@@ -114,6 +141,12 @@ impl LayerPatterns {
     /// All per-partition sets.
     pub fn sets(&self) -> &[PatternSet] {
         &self.sets
+    }
+
+    /// The sets' planes regrouped for the lane matcher, when every set
+    /// is packed.
+    pub(crate) fn lanes(&self) -> Option<&LanePlanes16> {
+        self.lanes.as_deref()
     }
 
     /// Total number of stored patterns across partitions.

@@ -4,9 +4,9 @@
 //!
 //! For every row and every width-`k` partition, the *pattern matcher* rule
 //! is applied (this paragraph is the authoritative statement of the rule;
-//! both matchers in the workspace — [`crate::PatternSet::best_match`] and
-//! the packed brute-force probe — implement it, and the [`TileCache`]
-//! memoizes their decisions):
+//! every matcher in the workspace — [`crate::PatternSet::best_match`],
+//! the packed per-tile probe and the 32-partition lane matcher —
+//! implements it, and the [`TileCache`] memoizes their decisions):
 //!
 //! * find the calibrated pattern with minimum Hamming distance to the
 //!   tile, ties resolving to the lowest pattern index;
@@ -28,23 +28,27 @@
 //!   lookup, then the pruned scan).
 //! * [`decompose_cached`] — the production sweep. A *packed* layer (every
 //!   partition's set of width ≤ 16 with at most
-//!   [`simd::PLANE16_MAX_LEN`] patterns — every served layer) is walked
-//!   row by row over its nonzero 16-bit lanes only, and each nonzero tile
-//!   is decided by one brute-force [`simd::min_hamming16`] probe over its
-//!   partition's `u16` plane, the way Phi's systolic matcher compares a
-//!   tile with all q patterns. The loop runs under one
-//!   [`simd::sweep16`] dispatch with the kernel inlined, and never
-//!   consults the cache. Any other layer (k > 16, or a partition with
-//!   more patterns than one plane holds) decides each tile with
-//!   [`crate::PatternSet::best_match`], the matcher [`decompose`] runs,
-//!   and memoizes whole tile decisions in a shared, bounded
-//!   [`TileCache`]; on [`TileCache::disabled`] it is the linear matcher
-//!   alone.
+//!   [`simd::PLANE16_MAX_LEN`] patterns — every served layer) is swept
+//!   row-major, 32 partitions at a time: each row's tiles are gathered
+//!   into `u16` lanes and [`Hamming16::match_lanes16`] compares all 32
+//!   with one pattern each per step, against the pattern-major
+//!   [`LanePlanes16`] the layer's patterns derive at construction — the
+//!   way Phi's systolic matcher streams many tiles past its pattern
+//!   registers. The Level-2 entries are expanded from the correction
+//!   words. The loop runs under one [`simd::sweep16`] dispatch with the
+//!   kernel inlined, and never consults the cache. Any other layer
+//!   (k > 16, or a partition with more patterns than one plane holds)
+//!   decides each tile with [`crate::PatternSet::best_match`], the
+//!   matcher [`decompose`] runs, and memoizes whole tile decisions in a
+//!   shared, bounded [`TileCache`]; on [`TileCache::disabled`] it is the
+//!   linear matcher alone.
 //! * [`decompose_delta`] / [`decompose_delta_sparse`] — one frame of a
 //!   stream, diffed against the previous frame's [`FrameMemo`] so only
 //!   changed tiles are re-decided (the sparse variant emits changed rows
-//!   only); re-decided tiles take the same packed probe, or the same
-//!   cache and matcher, as [`decompose_cached`].
+//!   only). On a packed layer a re-decided tile takes one brute-force
+//!   [`simd::min_hamming16`] probe over its partition's `u16` plane;
+//!   otherwise it takes the same cache and matcher as
+//!   [`decompose_cached`].
 //!
 //! The [`LayerMatchIndex`] these entry points take carries no data.
 
@@ -52,7 +56,7 @@ use crate::calibrate::LayerPatterns;
 use crate::pattern::PatternSet;
 use crate::stats::SparsityStats;
 use rayon::prelude::*;
-use snn_core::simd::{self, Hamming16, Hamming16Sweep};
+use snn_core::simd::{self, Hamming16, Hamming16Sweep, LanePlanes16, LANE_GROUP, LANE_WORDS};
 use snn_core::SpikeMatrix;
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
@@ -164,9 +168,9 @@ type ChunkOutcome = (ChunkDecomposition, u64, u64, TileMap);
 /// to it.
 ///
 /// A packed layer (k ≤ 16 and at most [`simd::PLANE16_MAX_LEN`] patterns
-/// per partition) decides each nonzero tile with one brute-force
-/// [`simd::min_hamming16`] probe, walking only the nonzero lanes of each
-/// row under one [`simd::sweep16`] dispatch; `cache` is not consulted
+/// per partition) decides each row 32 partitions at a time with
+/// [`Hamming16::match_lanes16`] under one [`simd::sweep16`] dispatch,
+/// skipping groups whose tiles are all empty; `cache` is not consulted
 /// and no cache counter moves.
 ///
 /// Any other layer resolves every nontrivial tile with
@@ -200,10 +204,20 @@ pub fn decompose_cached(
     cache: &TileCache,
 ) -> Decomposition {
     check_partitioning(activations, patterns);
-    if let Some(layer) = PackedLayer::new(activations, patterns) {
+    if let Some(lanes) = patterns.lanes() {
+        let last_masks = lane_masks(activations.cols(), patterns.k(), lanes.partitions());
         let chunks = chunk_bounds(activations.rows())
             .into_par_iter()
-            .map(|(lo, hi)| simd::sweep16(PackedChunk { activations, layer: &layer, lo, hi }))
+            .map(|(lo, hi)| {
+                simd::sweep16(LaneSweep {
+                    activations,
+                    lanes,
+                    k: patterns.k(),
+                    last_masks: &last_masks,
+                    lo,
+                    hi,
+                })
+            })
             .collect();
         return combine(activations, patterns, chunks);
     }
@@ -792,33 +806,152 @@ impl<'a> PackedLayer<'a> {
 }
 
 /// Rows `lo..hi` of a packed layer's [`decompose_cached`] sweep, run
-/// under one [`simd::sweep16`] dispatch.
-struct PackedChunk<'a> {
+/// under one [`simd::sweep16`] dispatch: each row's tiles are gathered
+/// into `u16` lanes and decided 32 partitions at a time by
+/// [`Hamming16::match_lanes16`] against the layer's [`LanePlanes16`],
+/// then expanded into Level-2 entries from the correction words.
+struct LaneSweep<'a> {
     activations: &'a SpikeMatrix,
-    layer: &'a PackedLayer<'a>,
+    lanes: &'a LanePlanes16,
+    k: usize,
+    /// The lane masks of the final group (see [`lane_masks`]).
+    last_masks: &'a [u64; LANE_WORDS],
     lo: usize,
     hi: usize,
 }
 
-impl Hamming16Sweep for PackedChunk<'_> {
+impl Hamming16Sweep for LaneSweep<'_> {
     type Output = ChunkDecomposition;
 
     #[inline(always)]
     fn run<H: Hamming16>(self, kernel: H) -> ChunkDecomposition {
-        let PackedChunk { activations, layer, lo, hi } = self;
-        let parts = layer.planes.len();
+        let LaneSweep { activations, lanes, k, last_masks, lo, hi } = self;
+        let parts = lanes.partitions();
+        let groups = lanes.groups();
         let mut out = ChunkDecomposition::new(activations, lo, hi, parts);
-        let mut scratch = vec![0u64; parts];
+        // The row's tiles and corrections as lane words, padded to whole
+        // groups with empty lanes.
+        let mut tiles = vec![0u64; groups * LANE_WORDS];
+        let mut diff = vec![0u64; groups * LANE_WORDS];
+        let mut unpacked = vec![0u64; if k == 16 { 0 } else { parts }];
+        // The lane words that hold partitions; the rest are padding.
+        let words = parts.div_ceil(4);
+        let full = [u64::MAX; LANE_WORDS];
         for r in lo..hi {
-            let row_base = (r - lo) * parts;
-            for (part, tile) in nonzero_tiles(activations, r, layer.k, &mut scratch) {
-                let decision = layer.decide(kernel, part, tile);
-                emit_tile(&mut out, decision, tile, row_base + part, part, layer.k);
+            gather_lanes(activations, r, k, &mut tiles, &mut unpacked);
+            let l1_row = &mut out.l1[(r - lo) * parts..(r - lo + 1) * parts];
+            for (g, (t, d)) in
+                tiles.chunks_exact(LANE_WORDS).zip(diff.chunks_exact_mut(LANE_WORDS)).enumerate()
+            {
+                let t: &[u64; LANE_WORDS] = t.try_into().expect("one group of lane words");
+                let d: &mut [u64; LANE_WORDS] = d.try_into().expect("one group of lane words");
+                if t.iter().all(|&w| w == 0) {
+                    // An empty group assigns nothing and corrects nothing;
+                    // its L1 slots already hold the sentinel.
+                    *d = [0; LANE_WORDS];
+                    continue;
+                }
+                let masks = if g + 1 == groups { last_masks } else { &full };
+                let first = g * LANE_GROUP;
+                match l1_row.get_mut(first..first + LANE_GROUP) {
+                    Some(l1) => {
+                        let l1 = l1.try_into().expect("one group of L1 slots");
+                        kernel.match_lanes16(lanes.group(g), t, masks, l1, d);
+                    }
+                    None => {
+                        // The final, partial group.
+                        let mut l1 = [NO_PATTERN; LANE_GROUP];
+                        kernel.match_lanes16(lanes.group(g), t, masks, &mut l1, d);
+                        l1_row[first..].copy_from_slice(&l1[..parts - first]);
+                    }
+                }
             }
+            emit_lanes(&mut out, &tiles[..words], &diff[..words], k);
             out.l2_ends.push(out.l2.len() as u32);
         }
         out
     }
+}
+
+/// Fills `tiles` with row `r`'s width-`k` tiles as `u16` lanes. At
+/// k = 16 the row's words already are the lane words; other widths
+/// unpack the row into `unpacked` (one tile per word) and pack it four
+/// lanes to a word. Lanes past the last partition stay empty.
+#[inline(always)]
+fn gather_lanes(
+    activations: &SpikeMatrix,
+    r: usize,
+    k: usize,
+    tiles: &mut [u64],
+    unpacked: &mut [u64],
+) {
+    if k == 16 {
+        let words = activations.row_words(r);
+        tiles[..words.len()].copy_from_slice(words);
+    } else {
+        activations.row_partition_tiles_into(r, k, unpacked);
+        tiles.fill(0);
+        for (part, &tile) in unpacked.iter().enumerate() {
+            tiles[part / 4] |= tile << (16 * (part % 4));
+        }
+    }
+}
+
+/// The lane masks of a packed layer's final group: all ones, except the
+/// final partition's lane when it is narrower than `k` — pattern bits
+/// beyond it must not generate corrections.
+fn lane_masks(cols: usize, k: usize, parts: usize) -> [u64; LANE_WORDS] {
+    let mut masks = [u64::MAX; LANE_WORDS];
+    if let Some(last) = parts.checked_sub(1) {
+        let lane = last % LANE_GROUP;
+        let narrow = partition_mask(cols, last, k) | !0xFFFF;
+        masks[lane / 4] &= narrow.rotate_left(16 * (lane % 4) as u32);
+    }
+    masks
+}
+
+/// Expands one row's lane words into its counters and Level-2 entries.
+/// `tile ^ diff` is the assigned pattern bits (0 where none is), so the
+/// counters are word popcounts; each set bit `b` of diff word `i` is one
+/// correction at column `(4i + b / 16)·k + b % 16`, `+1` where the tile
+/// holds the bit. Entries come out column-sorted because words and bits
+/// ascend.
+#[inline(always)]
+fn emit_lanes(out: &mut ChunkDecomposition, tiles: &[u64], diff: &[u64], k: usize) {
+    let mut corrections = 0u64;
+    for (&t, &d) in tiles.iter().zip(diff) {
+        let (all, pos) = (u64::from(d.count_ones()), u64::from((d & t).count_ones()));
+        out.l1_ones += u64::from((t ^ d).count_ones());
+        out.l2_pos += pos;
+        out.l2_neg += all - pos;
+        corrections += all;
+    }
+    // Most words hold no correction or one: each word writes its first
+    // entry unconditionally (a word with none leaves a slot the next word
+    // overwrites, or the truncation cuts), so only the rarer longer words
+    // take a data-dependent branch.
+    let base = out.l2.len();
+    out.l2.resize(base + corrections as usize + 1, L2Entry { col: 0, value: 0 });
+    let slots = &mut out.l2[base..];
+    let mut at = 0usize;
+    for (i, (&t, &d)) in tiles.iter().zip(diff).enumerate() {
+        let entry = |b: u32| L2Entry {
+            col: ((4 * i as u32 + (b >> 4)) * k as u32) + (b & 15),
+            value: ((t.wrapping_shr(b) & 1) as i8) * 2 - 1,
+        };
+        slots[at] = entry(d.trailing_zeros());
+        let mut rest = d & d.wrapping_sub(1);
+        let mut next = at + 1;
+        while rest != 0 {
+            slots[next] = entry(rest.trailing_zeros());
+            rest &= rest - 1;
+            next += 1;
+        }
+        // `next` is one past the last entry, or past the spare slot of a
+        // word with none.
+        at = next - usize::from(d == 0);
+    }
+    out.l2.truncate(base + at);
 }
 
 /// The nonzero width-`k` tiles of row `r` as `(partition, tile)`, in
@@ -917,7 +1050,9 @@ impl ChunkDecomposition {
             // pattern — empty tiles (the common case in sparse spiking
             // data) never touch it.
             l1: vec![NO_PATTERN; rows * parts],
-            l2: Vec::with_capacity(nnz),
+            // One more for the spare slot the lane sweep's emission
+            // writes past a row's last entry.
+            l2: Vec::with_capacity(nnz + 1),
             l2_ends: Vec::with_capacity(rows),
             l1_ones: 0,
             l2_pos: 0,

@@ -12,7 +12,10 @@
 //! [`snn_core::simd::min_hamming16`] probe decides a tile against — the
 //! shape of Phi's systolic matcher, which compares every tile with all q
 //! patterns of its partition. Every served layer is packed (k = 16,
-//! q ≤ 128).
+//! q ≤ 128). When every set of a layer is packed,
+//! [`crate::LayerPatterns`] also regroups the planes pattern-major,
+//! 32 partitions to a group ([`snn_core::simd::LanePlanes16`]), so the
+//! full decomposition sweep decides 32 tiles per vector step.
 
 use snn_core::simd;
 use std::fmt;

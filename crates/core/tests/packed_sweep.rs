@@ -14,7 +14,10 @@
 //! counts with a narrow final partition, empty sets, one-hot and
 //! duplicate patterns, pattern bits beyond the final partition's width,
 //! q ∈ {1, 31, 32, 33, 2048} plus the unpacked q = 2049 fallback, and
-//! all-zero, dense, near-pattern and random rows. The served shape is
+//! all-zero, dense, near-pattern and random rows. Wider layers cross the
+//! lane matcher's 32-partition groups (k = 16 at 496, 512, 513 and 1040
+//! columns; k ∈ {5, 8, 12} past 32 partitions) with a different pattern
+//! count in every partition and up to 300 rows. The served shape is
 //! covered too: VGG-16 calibrated as the default compile does, with 8
 //! batches of 32 four-row requests, every layer.
 
@@ -110,6 +113,24 @@ fn activations(
     m
 }
 
+/// One set per partition of a `cols`-wide layer, each with its own
+/// pattern count: empty, small, straddling a vector stride, a few
+/// hundred, or (rarely) the packed limit.
+fn mixed_layer(k: usize, cols: usize, rng: &mut StdRng) -> LayerPatterns {
+    let counts = [0usize, 1, 7, 31, 32, 33, 128];
+    let sets = (0..cols.div_ceil(k))
+        .map(|_| {
+            let q = if rng.gen_bool(0.02) {
+                simd::PLANE16_MAX_LEN
+            } else {
+                counts[rng.gen_range(0..counts.len())]
+            };
+            pattern_set(k, q, rng)
+        })
+        .collect();
+    LayerPatterns::new(k, sets)
+}
+
 /// The activation rows `row_changed` marks, in order — what a sparse
 /// delta sweep emits.
 fn changed_rows(frame: &SpikeMatrix, row_changed: &[bool]) -> SpikeMatrix {
@@ -170,6 +191,35 @@ proptest! {
         if q <= simd::PLANE16_MAX_LEN {
             prop_assert_eq!(stats, TileCacheStats { capacity: 1 << 12, ..Default::default() });
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Layers wider than one 32-partition group — k = 16 at column
+    /// counts around group and word boundaries, and k ∈ {5, 8, 12}, whose
+    /// tiles are repacked into lanes — with a different pattern count in
+    /// every partition and up to 300 rows, so the sweep splits into
+    /// several row chunks: the cached sweep and a delta frame equal the
+    /// scalar reference.
+    #[test]
+    fn multi_group_layers_equal_the_scalar_reference(
+        k in prop::sample::select(vec![5usize, 8, 12, 16]),
+        cols in prop::sample::select(vec![496usize, 512, 513, 1040]),
+        rows in 1usize..=300,
+        seed in any::<u64>(),
+    ) {
+        let _guard = force_lock();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let patterns = mixed_layer(k, cols, &mut rng);
+        let frame = activations(rows, cols, &patterns, &mut rng);
+        let want = reference(&frame, &patterns);
+        prop_assert!(want.verify_lossless(&frame));
+        let cache = TileCache::disabled();
+        prop_assert_eq!(&decompose_cached(&frame, &patterns, &LayerMatchIndex, &cache), &want);
+        let (d, _) = decompose_delta(&frame, &patterns, &LayerMatchIndex, &cache, &mut FrameMemo::new());
+        prop_assert_eq!(&d, &want);
     }
 }
 

@@ -7,9 +7,13 @@
 //! The dispatched side runs at whatever level the host (or `PHI_SIMD`)
 //! resolves to; on a scalar-only host these properties still hold
 //! trivially, and the end-to-end case forces levels explicitly so the
-//! dispatch plumbing itself is exercised everywhere.
+//! dispatch plumbing itself is exercised everywhere. The lane matcher
+//! (`Hamming16::match_lanes16`) is checked at every tier the host has,
+//! each forced in turn through [`simd::sweep16`].
 
-use phi_core::simd::{self, scalar, SimdLevel};
+use phi_core::simd::{
+    self, scalar, Hamming16, Hamming16Sweep, LanePlanes16, SimdLevel, LANE_GROUP, LANE_WORDS,
+};
 use phi_core::{decompose, phi_matmul, CalibrationConfig, Calibrator, PwpTable};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -177,6 +181,189 @@ proptest! {
             let mut scalar_out = vec![0u64; got.len()];
             scalar::extract_aligned_tiles(m.row_words(r), k, &mut scalar_out);
             prop_assert_eq!(&got, &scalar_out);
+        }
+    }
+}
+
+/// One lane-matcher case: `lanes` planes, and per group of lanes the
+/// tiles and masks to decide.
+struct LaneCase {
+    planes: Vec<Vec<u16>>,
+    tiles: [u64; LANE_WORDS],
+    masks: [u64; LANE_WORDS],
+}
+
+/// What deciding a case produces: the L1 slots and the correction words.
+type LaneOutcome = ([u16; LANE_GROUP], [u64; LANE_WORDS]);
+
+/// Lane `lane` of a lane-word array.
+fn lane16(words: &[u64; LANE_WORDS], lane: usize) -> u16 {
+    (words[lane / 4] >> (16 * (lane % 4))) as u16
+}
+
+/// Decides a case at whatever tier [`simd::sweep16`] picks.
+struct DecideLanes<'a>(&'a LaneCase);
+
+impl Hamming16Sweep for DecideLanes<'_> {
+    type Output = LaneOutcome;
+
+    fn run<H: Hamming16>(self, kernel: H) -> LaneOutcome {
+        let case = self.0;
+        let refs: Vec<&[u16]> = case.planes.iter().map(Vec::as_slice).collect();
+        let planes = LanePlanes16::new(&refs);
+        let (mut l1, mut diff) = ([0u16; LANE_GROUP], [0u64; LANE_WORDS]);
+        kernel.match_lanes16(planes.group(0), &case.tiles, &case.masks, &mut l1, &mut diff);
+        (l1, diff)
+    }
+}
+
+/// The twin's answer.
+fn twin(case: &LaneCase) -> LaneOutcome {
+    let refs: Vec<&[u16]> = case.planes.iter().map(Vec::as_slice).collect();
+    let planes = LanePlanes16::new(&refs);
+    let (mut l1, mut diff) = ([0u16; LANE_GROUP], [0u64; LANE_WORDS]);
+    scalar::match_lanes16(planes.group(0), &case.tiles, &case.masks, &mut l1, &mut diff);
+    (l1, diff)
+}
+
+/// The rule itself, lane by lane: the first-minimum scan over the lane's
+/// own plane, assigned only below the tile's bit count.
+fn rule(case: &LaneCase) -> LaneOutcome {
+    let (mut l1, mut diff) = ([u16::MAX; LANE_GROUP], [0u64; LANE_WORDS]);
+    for lane in 0..LANE_GROUP {
+        let tile = lane16(&case.tiles, lane);
+        let plane: Vec<u64> =
+            case.planes.get(lane).map_or(Vec::new(), |p| p.iter().map(|&x| u64::from(x)).collect());
+        let mut bits = tile;
+        if let Some((j, d)) = scalar::min_hamming(&plane, u64::from(tile)) {
+            if d < tile.count_ones() {
+                l1[lane] = j as u16;
+                bits = (plane[j] as u16 & lane16(&case.masks, lane)) ^ tile;
+            }
+        }
+        diff[lane / 4] |= u64::from(bits) << (16 * (lane % 4));
+    }
+    (l1, diff)
+}
+
+/// A random case: `lanes` planes of mixed lengths drawn from
+/// {0, 1, 7, 31, 32, 33, 2048}, holding random, one-hot and duplicate
+/// patterns; tiles that are empty, single-bit, dense or one bit from a
+/// pattern of their lane; and, sometimes, a narrow mask on the last
+/// lane.
+fn lane_case(lanes: usize, seed: u64) -> LaneCase {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let lengths = [0usize, 1, 7, 31, 32, 33, 2048];
+    let planes: Vec<Vec<u16>> = (0..lanes)
+        .map(|_| {
+            let len = lengths[rng.gen_range(0..lengths.len())];
+            let mut plane: Vec<u16> = Vec::with_capacity(len);
+            for i in 0..len {
+                let p = match rng.gen_range(0..4) {
+                    0 if i > 0 => plane[rng.gen_range(0..i)],
+                    1 => 1u16 << rng.gen_range(0..16u32),
+                    _ => rng.gen::<u32>() as u16,
+                };
+                plane.push(p);
+            }
+            plane
+        })
+        .collect();
+    let mut tiles = [0u64; LANE_WORDS];
+    for (lane, plane) in planes.iter().enumerate() {
+        let tile: u16 = match rng.gen_range(0..5) {
+            0 => 0,
+            1 => 1u16 << rng.gen_range(0..16u32),
+            2 => u16::MAX,
+            3 if !plane.is_empty() => {
+                plane[rng.gen_range(0..plane.len())] ^ (1u16 << rng.gen_range(0..16u32))
+            }
+            _ => rng.gen::<u32>() as u16,
+        };
+        tiles[lane / 4] |= u64::from(tile) << (16 * (lane % 4));
+    }
+    let mut masks = [u64::MAX; LANE_WORDS];
+    if rng.gen_bool(0.5) {
+        let last = lanes - 1;
+        let narrow = (1u64 << rng.gen_range(1..16u32)) - 1;
+        masks[last / 4] &= !(0xFFFF << (16 * (last % 4))) | narrow << (16 * (last % 4));
+    }
+    LaneCase { planes, tiles, masks }
+}
+
+/// Runs `case` at every tier the host has, returning each tier's
+/// answer.
+fn every_tier(case: &LaneCase) -> Vec<(SimdLevel, LaneOutcome)> {
+    let _guard = FORCE_LOCK.lock().unwrap();
+    let original = simd::level();
+    let answers = [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512]
+        .into_iter()
+        .map(|level| {
+            simd::force(level);
+            (simd::level(), simd::sweep16(DecideLanes(case)))
+        })
+        .collect();
+    simd::force(original);
+    answers
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The lane matcher at every tier equals its scalar twin, and the
+    /// twin equals the rule, on groups of 1 to 32 lanes (the narrow ones
+    /// folded) with per-lane pattern counts mixed inside the group.
+    #[test]
+    fn lane_matcher_matches_the_twin_and_the_rule(
+        lanes in 1usize..=LANE_GROUP,
+        seed in any::<u64>(),
+    ) {
+        let case = lane_case(lanes, seed);
+        let want = rule(&case);
+        prop_assert_eq!(twin(&case), want);
+        for (level, got) in every_tier(&case) {
+            prop_assert!(got == want, "tier {} differs from the rule", level);
+        }
+    }
+}
+
+/// Ties go to the lowest index at every tier: duplicates, equal-distance
+/// patterns on both sides of a fold's replica boundary, and an exact hit
+/// behind an earlier near miss.
+#[test]
+fn lane_matcher_keeps_the_lowest_index_tie_rule() {
+    for lanes in [1usize, 2, 5, 16, 17, 32] {
+        let planes: Vec<Vec<u16>> = (0..lanes)
+            .map(|lane| match lane % 3 {
+                // Two patterns one bit from 0b0111, then an exact copy.
+                0 => vec![0b0011, 0b0110, 0b0111, 0b0111],
+                // Duplicates of the same pattern.
+                1 => vec![0b1100; 40],
+                // Equal distances 1 everywhere; index 0 must win.
+                _ => (0..33).map(|i| 0b1110 ^ (1 << (i % 4))).collect(),
+            })
+            .collect();
+        let mut tiles = [0u64; LANE_WORDS];
+        for lane in 0..lanes {
+            let tile: u16 = match lane % 3 {
+                0 => 0b0111,
+                1 => 0b1101,
+                _ => 0b1110,
+            };
+            tiles[lane / 4] |= u64::from(tile) << (16 * (lane % 4));
+        }
+        let case = LaneCase { planes, tiles, masks: [u64::MAX; LANE_WORDS] };
+        let want = rule(&case);
+        for lane in 0..lanes {
+            let index = match lane % 3 {
+                0 => 2,
+                _ => 0,
+            };
+            assert_eq!(want.0[lane], index, "lane {lane} of {lanes}");
+        }
+        assert_eq!(twin(&case), want, "{lanes} lanes");
+        for (level, got) in every_tier(&case) {
+            assert_eq!(got, want, "{lanes} lanes at {level}");
         }
     }
 }

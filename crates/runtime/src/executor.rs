@@ -276,9 +276,9 @@ pub fn readouts_identical(a: &BatchReport, b: &BatchReport) -> bool {
 /// so decompositions after the first replay memoized decisions instead
 /// of re-matching. Only unpacked layers (k > 16, or more than 2048
 /// patterns in a partition) use their cache; a packed layer — every
-/// layer of the served models — decides each tile with one brute-force
-/// SIMD probe ([`decompose_cached`]), faster than a cache hit, and
-/// leaves its cache's counters at 0. Capacity comes from [`default_tile_cache_capacity`]
+/// layer of the served models — is swept 32 partitions per SIMD step
+/// by the brute-force lane matcher ([`decompose_cached`]), faster than a
+/// cache hit, and leaves its cache's counters at 0. Capacity comes from [`default_tile_cache_capacity`]
 /// (the [`PHI_TILE_CACHE_ENV`] knob) unless
 /// [`BatchExecutor::with_tile_cache_capacity`] overrides it; outputs are
 /// bit-identical with the cache enabled, disabled, or thrashing.
@@ -646,7 +646,7 @@ impl<B: ExecutionBackend> BatchExecutor<B> {
     ///
     /// Only the decomposition branches. A stateless batch stacks its rows
     /// into a recycled buffer and decomposes them with
-    /// [`decompose_cached`] (the packed brute-force sweep, or the
+    /// [`decompose_cached`] (the packed lane sweep, or the
     /// linear matcher and this executor's persistent tile cache for an
     /// unpacked layer); a stream
     /// batch diffs each frame against its session's memo
@@ -1093,7 +1093,7 @@ mod tests {
     #[test]
     fn packed_models_never_touch_the_tile_caches() {
         // CompileOptions::fast() calibrates k = 16, q = 16: every layer is
-        // packed and decided by the brute-force kernel.
+        // packed and decided by the brute-force lane matcher.
         let w = tiny_workload();
         let model = Arc::new(ModelCompiler::new(CompileOptions::fast()).compile(&w));
         let cached = BatchExecutor::cpu(Arc::clone(&model)).with_tile_cache_capacity(1 << 12);

@@ -16,7 +16,7 @@
 //!   a single decomposition (amortizing the fixed per-layer costs), and
 //!   fan layers across rayon workers. Zero per-request calibration. A
 //!   packed layer (k ≤ 16, every layer of the served models) decides its
-//!   tiles with one brute-force SIMD probe each; other layers run the
+//!   tiles 32 partitions per brute-force SIMD step; other layers run the
 //!   linear matcher and memoize tile decisions in per-layer
 //!   [`TileCache`]s that persist across batches, so repeated spiking
 //!   activations skip the matcher.

@@ -24,7 +24,8 @@
 //! * [`min_hamming16`] reaches the same answer by a different route: each
 //!   lane packs `(distance << 11) | index` into one `u16` key and an
 //!   unsigned minimum over the keys is the lexicographic
-//!   `(distance, index)` minimum;
+//!   `(distance, index)` minimum; [`Hamming16::match_lanes16`] keeps one
+//!   such minimum per lane;
 //! * [`add_assign`] and [`accumulate_signed`] are elementwise
 //!   (`out[i] ± src[i]`, one operation per element in term order, no
 //!   reassociation), so `f32` rounding is unchanged lane for lane.
@@ -37,13 +38,18 @@
 //! Pattern sets of width ≤ 16 and at most [`PLANE16_MAX_LEN`] patterns
 //! fit one `u16` lane per pattern, so the whole set is decided by one
 //! brute-force pass — the algorithm of Phi's systolic matcher, which
-//! compares a tile against every pattern of its partition. The AVX-512
+//! compares a tile against every pattern of its partition. Two kernels
+//! share that rule: [`min_hamming16`] decides one tile against one
+//! plane, 32 patterns per vector step, and
+//! [`Hamming16::match_lanes16`] decides 32 partitions' tiles at once
+//! against a [`LanePlanes16`] group, one pattern each per vector step —
+//! the row-major sweep a whole activation matrix takes. The AVX-512
 //! tier needs `BW` and `BITALG` (16-bit lane popcount and minimum) on
 //! top of the `F` + `VPOPCNTDQ` that [`SimdLevel::Avx512`] requires; an
 //! AVX-512 host without them runs the AVX2 tier. A caller deciding many
 //! tiles wraps its loop in a [`Hamming16Sweep`] and hands it to
 //! [`sweep16`]: the tier is chosen once, and the loop body is compiled
-//! inside the tier's `#[target_feature]` context, so the kernel inlines
+//! inside the tier's `#[target_feature]` context, so the kernels inline
 //! into it.
 //!
 //! # Dispatch
@@ -274,9 +280,157 @@ pub fn min_hamming16(plane: &[u16], tile: u16) -> Option<(usize, u32)> {
     }
 }
 
-/// One tier of the [`min_hamming16`] kernel, handed to a
-/// [`Hamming16Sweep`] by [`sweep16`]. The vector tiers can only be
-/// obtained from [`sweep16`], after the host has been checked for them.
+/// Partitions one lane-matcher step decides together: one `u16` lane
+/// each, a 512-bit vector (two 256-bit halves at AVX2).
+pub const LANE_GROUP: usize = 32;
+
+/// The `u64` words holding one group's `u16` lanes, four to a word: lane
+/// `l` is bits `16·(l % 4) .. 16·(l % 4) + 16` of word `l / 4`, the
+/// order in which a `k = 16` bit-row already holds its tiles.
+pub const LANE_WORDS: usize = LANE_GROUP / 4;
+
+/// The [`LANE_GROUP`] lanes' patterns at one index, one cache line.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[repr(C, align(64))]
+struct LaneStep([u16; LANE_GROUP]);
+
+/// Where one group's steps live in [`LanePlanes16`], how far it folds,
+/// and the union of each lane's one-hot patterns.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct GroupSpan {
+    start: usize,
+    depth: usize,
+    fold: u32,
+    one_hot: [u16; LANE_GROUP],
+}
+
+/// The `u16` pattern planes of many packed partitions regrouped
+/// pattern-major for [`Hamming16::match_lanes16`]: partitions
+/// `32g .. 32g + 32` form group `g`, and step `j` of a group holds the
+/// 32 lanes' `j`-th patterns side by side, so one vector compares 32
+/// tiles with one pattern each — the way Phi's systolic matcher streams
+/// many tiles past its pattern registers.
+///
+/// A group is as deep as its largest plane. A lane with fewer patterns
+/// is padded with the zero pattern, which never changes a decision: its
+/// distance to a tile is the tile's own bit count, which the rule
+/// requires an assigned pattern to beat, so it can only win where no
+/// pattern is assigned anyway.
+///
+/// A final group of at most 16 partitions *folds*: rounded up to a power
+/// of two `w`, its lanes repeat `2^f = 32 / w` times across the vector,
+/// and replica `r` holds the patterns `j ≡ r (mod 2^f)`. The group is
+/// then `2^f` times shallower, and the kernel merges the replicas at the
+/// end, so a layer with few partitions and many patterns per partition
+/// does not sweep mostly empty lanes.
+///
+/// The planes are also kept back to back in partition order, for the
+/// [`scalar::match_lanes16`] twin, which scans each lane's own plane.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LanePlanes16 {
+    groups: Vec<GroupSpan>,
+    steps: Vec<LaneStep>,
+    planes: Vec<u16>,
+    /// Plane `p` is `planes[bounds[p]..bounds[p + 1]]`.
+    bounds: Vec<usize>,
+}
+
+impl LanePlanes16 {
+    /// Regroups one plane per partition, in partition order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a plane holds more than [`PLANE16_MAX_LEN`] patterns.
+    pub fn new(planes: &[&[u16]]) -> Self {
+        let mut groups = Vec::with_capacity(planes.len().div_ceil(LANE_GROUP));
+        let mut steps = Vec::new();
+        for chunk in planes.chunks(LANE_GROUP) {
+            let longest = chunk.iter().map(|p| p.len()).max().unwrap_or(0);
+            assert!(longest <= PLANE16_MAX_LEN, "a u16 plane holds at most 2048 patterns");
+            let width = chunk.len().next_power_of_two();
+            let fold = (LANE_GROUP / width).trailing_zeros();
+            let depth = longest.div_ceil(1 << fold);
+            let start = steps.len();
+            steps.resize(start + depth, LaneStep::default());
+            let mut one_hot = [0u16; LANE_GROUP];
+            for (lane, plane) in chunk.iter().enumerate() {
+                for (j, &p) in plane.iter().enumerate() {
+                    let (step, replica) = (j >> fold, j & ((1 << fold) - 1));
+                    steps[start + step].0[replica * width + lane] = p;
+                    if p.is_power_of_two() {
+                        one_hot[lane] |= p;
+                    }
+                }
+            }
+            groups.push(GroupSpan { start, depth, fold, one_hot });
+        }
+        let mut bounds = Vec::with_capacity(planes.len() + 1);
+        bounds.push(0);
+        bounds.extend(planes.iter().scan(0, |end, p| {
+            *end += p.len();
+            Some(*end)
+        }));
+        LanePlanes16 { groups, steps, planes: planes.concat(), bounds }
+    }
+
+    /// Partitions covered.
+    pub fn partitions(&self) -> usize {
+        self.bounds.len() - 1
+    }
+
+    /// Groups of [`LANE_GROUP`] partitions (the last may be partial).
+    pub fn groups(&self) -> usize {
+        self.groups.len()
+    }
+
+    /// Group `g`, partitions `32g .. min(32g + 32, partitions)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` is out of bounds.
+    #[inline]
+    pub fn group(&self, g: usize) -> LaneGroup<'_> {
+        let span = &self.groups[g];
+        let first = g * LANE_GROUP;
+        let last = (first + LANE_GROUP).min(self.partitions());
+        LaneGroup {
+            steps: &self.steps[span.start..span.start + span.depth],
+            fold: span.fold,
+            planes: &self.planes,
+            bounds: &self.bounds[first..=last],
+            one_hot: &span.one_hot,
+        }
+    }
+}
+
+/// One group of a [`LanePlanes16`]: its steps, pattern-major, and its
+/// fold; and, for the scalar twin, its lanes' own planes and one-hot
+/// unions.
+#[derive(Debug, Clone, Copy)]
+pub struct LaneGroup<'a> {
+    steps: &'a [LaneStep],
+    fold: u32,
+    planes: &'a [u16],
+    bounds: &'a [usize],
+    one_hot: &'a [u16; LANE_GROUP],
+}
+
+impl<'a> LaneGroup<'a> {
+    /// Lane `lane`'s own patterns, index order (empty past the group's
+    /// partitions).
+    #[inline]
+    fn plane(&self, lane: usize) -> &'a [u16] {
+        match self.bounds.get(lane..lane + 2) {
+            Some(&[lo, hi]) => &self.planes[lo..hi],
+            _ => &[],
+        }
+    }
+}
+
+/// One tier of the [`min_hamming16`] kernel and its lane-parallel twin,
+/// handed to a [`Hamming16Sweep`] by [`sweep16`]. The vector tiers can
+/// only be obtained from [`sweep16`], after the host has been checked for
+/// them.
 pub trait Hamming16: Copy {
     /// [`min_hamming16`] at this tier.
     ///
@@ -284,6 +438,28 @@ pub trait Hamming16: Copy {
     ///
     /// Panics if `plane.len() > PLANE16_MAX_LEN`.
     fn min_hamming16(self, plane: &[u16], tile: u16) -> Option<(usize, u32)>;
+
+    /// Decides the [`LANE_GROUP`] tiles in `tiles` against `group`, lane
+    /// `l` against lane `l`'s patterns, by the decomposition's matcher
+    /// rule: the nearest pattern, lowest index on ties, is assigned iff
+    /// its distance is below the tile's bit count. Writes the assigned
+    /// index, or `u16::MAX` for none, to `l1[l]`, and the lane's
+    /// correction bits to lane `l` of `diff`: `(pattern & mask) ^ tile`
+    /// when assigned, the tile itself otherwise, with `mask` lane `l` of
+    /// `masks` (all ones except where a partition is narrower than its
+    /// patterns).
+    ///
+    /// Every step's key `(distance << 11) | index` is taken for all 32
+    /// lanes at once and the smallest key per lane wins, so empty and
+    /// single-bit tiles need no case of their own.
+    fn match_lanes16(
+        self,
+        group: LaneGroup<'_>,
+        tiles: &[u64; LANE_WORDS],
+        masks: &[u64; LANE_WORDS],
+        l1: &mut [u16; LANE_GROUP],
+        diff: &mut [u64; LANE_WORDS],
+    );
 }
 
 /// A loop over many [`min_hamming16`] probes, run under one dispatch by
@@ -351,6 +527,18 @@ impl Hamming16 for Scalar16 {
     #[inline(always)]
     fn min_hamming16(self, plane: &[u16], tile: u16) -> Option<(usize, u32)> {
         scalar::min_hamming16(plane, tile)
+    }
+
+    #[inline(always)]
+    fn match_lanes16(
+        self,
+        group: LaneGroup<'_>,
+        tiles: &[u64; LANE_WORDS],
+        masks: &[u64; LANE_WORDS],
+        l1: &mut [u16; LANE_GROUP],
+        diff: &mut [u64; LANE_WORDS],
+    ) {
+        scalar::match_lanes16(group, tiles, masks, l1, diff);
     }
 }
 
@@ -484,6 +672,41 @@ pub mod scalar {
             .map(|(i, &p)| ((p ^ tile).count_ones() << 11) | i as u32)
             .min()
             .map(super::unkey16)
+    }
+
+    /// Scalar twin of [`super::Hamming16::match_lanes16`]: each lane on
+    /// its own, over its own plane only (no padding, no fold), by the
+    /// [`min_hamming16`] twin and the assignment rule, starting from
+    /// "unassigned, corrections = the tile". Two tiles keep that without
+    /// a probe: an empty one has no bit count to beat, and a single-bit
+    /// one can only be assigned an exact copy, which the lane's one-hot
+    /// union rules out (calibration filters one-hot patterns, so this is
+    /// the common case).
+    pub fn match_lanes16(
+        group: super::LaneGroup<'_>,
+        tiles: &[u64; super::LANE_WORDS],
+        masks: &[u64; super::LANE_WORDS],
+        l1: &mut [u16; super::LANE_GROUP],
+        diff: &mut [u64; super::LANE_WORDS],
+    ) {
+        *diff = *tiles;
+        l1.fill(u16::MAX);
+        for (lane, slot) in l1.iter_mut().enumerate() {
+            let (word, shift) = (lane / 4, 16 * (lane % 4));
+            let tile = (tiles[word] >> shift) as u16;
+            if tile == 0 || (tile.is_power_of_two() && tile & group.one_hot[lane] == 0) {
+                continue;
+            }
+            let plane = group.plane(lane);
+            match min_hamming16(plane, tile) {
+                Some((j, d)) if d < tile.count_ones() => {
+                    *slot = j as u16;
+                    let bits = (plane[j] & (masks[word] >> shift) as u16) ^ tile;
+                    diff[word] = diff[word] & !(0xFFFF << shift) | u64::from(bits) << shift;
+                }
+                _ => {}
+            }
+        }
     }
 
     /// Scalar twin of [`super::add_assign`].
@@ -777,9 +1000,29 @@ mod x86 {
         Some(super::unkey16(key))
     }
 
+    /// Per-lane popcount of 16 `u16` lanes: nibble-LUT byte popcounts
+    /// summed pairwise by `vpmaddubsw`.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 is available.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn popcount_epi16_avx2(x: __m256i) -> __m256i {
+        #[rustfmt::skip]
+        let lut = _mm256_setr_epi8(
+            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
+            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
+        );
+        let low_mask = _mm256_set1_epi8(0x0f);
+        let lo = _mm256_and_si256(x, low_mask);
+        let hi = _mm256_and_si256(_mm256_srli_epi16::<4>(x), low_mask);
+        let bytes = _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo), _mm256_shuffle_epi8(lut, hi));
+        _mm256_maddubs_epi16(bytes, _mm256_set1_epi8(1))
+    }
+
     /// The 16 lane keys `(popcount(p ^ t) << 11) | idx` of one AVX2
-    /// vector: nibble-LUT byte popcounts, summed pairwise into 16-bit
-    /// lanes by `vpmaddubsw`.
+    /// vector.
     ///
     /// # Safety
     ///
@@ -787,18 +1030,7 @@ mod x86 {
     #[target_feature(enable = "avx2")]
     #[inline]
     unsafe fn keys16_avx2(p: __m256i, t: __m256i, idx: __m256i) -> __m256i {
-        #[rustfmt::skip]
-        let lut = _mm256_setr_epi8(
-            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
-            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
-        );
-        let low_mask = _mm256_set1_epi8(0x0f);
-        let x = _mm256_xor_si256(p, t);
-        let lo = _mm256_and_si256(x, low_mask);
-        let hi = _mm256_and_si256(_mm256_srli_epi16::<4>(x), low_mask);
-        let bytes = _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo), _mm256_shuffle_epi8(lut, hi));
-        let d = _mm256_maddubs_epi16(bytes, _mm256_set1_epi8(1));
-        _mm256_or_si256(_mm256_slli_epi16::<11>(d), idx)
+        _mm256_or_si256(_mm256_slli_epi16::<11>(popcount_epi16_avx2(_mm256_xor_si256(p, t))), idx)
     }
 
     /// [`min_hamming16_avx512`] on 16-lane AVX2 vectors. The tail is
@@ -846,6 +1078,229 @@ mod x86 {
         Some(super::unkey16(key))
     }
 
+    /// One lane-matcher step at AVX-512: the 32 keys
+    /// `(popcount(p ^ t) << 11) | j` of step `j`, folded into the running
+    /// best key and, where the key won, the pattern bits.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX-512F, AVX-512BW and AVX-512BITALG are
+    /// available.
+    #[target_feature(enable = "avx512f,avx512bw,avx512bitalg")]
+    #[inline]
+    unsafe fn lane_step_avx512(
+        step: &super::LaneStep,
+        t: __m512i,
+        j: __m512i,
+        best: &mut __m512i,
+        bits: &mut __m512i,
+    ) {
+        // SAFETY: a `LaneStep` is 64 bytes aligned to 64.
+        let p = _mm512_load_si512(step.0.as_ptr().cast());
+        let key = _mm512_or_si512(
+            _mm512_slli_epi16::<11>(_mm512_popcnt_epi16(_mm512_xor_si512(p, t))),
+            j,
+        );
+        // Keys carry their step, so they never tie: `key < best` is
+        // exactly where the minimum moves.
+        let won = _mm512_cmplt_epu16_mask(key, *best);
+        *best = _mm512_min_epu16(*best, key);
+        *bits = _mm512_mask_mov_epi16(*bits, won, p);
+    }
+
+    /// [`super::Hamming16::match_lanes16`] on one 512-bit vector of 32
+    /// lanes, sweeping every step of the group (padding included).
+    /// Even and odd steps run in two accumulators, merged at the end, so
+    /// consecutive steps do not wait on each other's minimum. A folded
+    /// group repeats its tiles across the replicas, and the replicas'
+    /// keys are merged pairwise by lane permutes after the sweep.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX-512F, AVX-512BW and AVX-512BITALG are
+    /// available.
+    #[target_feature(enable = "avx512f,avx512bw,avx512bitalg")]
+    #[inline]
+    pub unsafe fn match_lanes16_avx512(
+        group: super::LaneGroup<'_>,
+        tiles: &[u64; super::LANE_WORDS],
+        masks: &[u64; super::LANE_WORDS],
+        l1: &mut [u16; super::LANE_GROUP],
+        diff: &mut [u64; super::LANE_WORDS],
+    ) {
+        // SAFETY (loads and stores below): every array is 64 bytes;
+        // unaligned access.
+        let t = _mm512_loadu_si512(tiles.as_ptr().cast());
+        let lanes = _mm512_loadu_si512(LANES16.as_ptr().cast());
+        let fold = group.fold;
+        let width = (super::LANE_GROUP >> fold) as i16;
+        // Lane `v` sweeps tile `v mod width`, starting at pattern
+        // `v / width` (its replica) and advancing by the replica count.
+        let swept =
+            _mm512_permutexvar_epi16(_mm512_and_si512(lanes, _mm512_set1_epi16(width - 1)), t);
+        let replica_shift = super::LANE_GROUP.trailing_zeros() - fold;
+        let j0 = _mm512_srl_epi16(lanes, _mm_cvtsi32_si128(replica_shift as i32));
+        let stride = _mm512_set1_epi16(1 << fold);
+        let (mut best0, mut best1) = (_mm512_set1_epi16(-1), _mm512_set1_epi16(-1));
+        let (mut bits0, mut bits1) = (_mm512_setzero_si512(), _mm512_setzero_si512());
+        let (mut j0, mut j1) = (j0, _mm512_add_epi16(j0, stride));
+        let pair_stride = _mm512_add_epi16(stride, stride);
+        let mut pairs = group.steps.chunks_exact(2);
+        for pair in pairs.by_ref() {
+            lane_step_avx512(&pair[0], swept, j0, &mut best0, &mut bits0);
+            lane_step_avx512(&pair[1], swept, j1, &mut best1, &mut bits1);
+            j0 = _mm512_add_epi16(j0, pair_stride);
+            j1 = _mm512_add_epi16(j1, pair_stride);
+        }
+        if let [last] = pairs.remainder() {
+            lane_step_avx512(last, swept, j0, &mut best0, &mut bits0);
+        }
+        let odd_won = _mm512_cmplt_epu16_mask(best1, best0);
+        let mut best = _mm512_min_epu16(best0, best1);
+        let mut bits = _mm512_mask_mov_epi16(bits0, odd_won, bits1);
+        // Merge the replicas: halve their count until lanes `0..width`
+        // hold every pattern's verdict. Keys still never tie.
+        let mut shift = super::LANE_GROUP as i16 / 2;
+        while shift >= width {
+            let from = _mm512_add_epi16(lanes, _mm512_set1_epi16(shift));
+            let (other, other_bits) =
+                (_mm512_permutexvar_epi16(from, best), _mm512_permutexvar_epi16(from, bits));
+            let won = _mm512_cmplt_epu16_mask(other, best);
+            best = _mm512_min_epu16(best, other);
+            bits = _mm512_mask_mov_epi16(bits, won, other_bits);
+            shift /= 2;
+        }
+        // Lanes from `width` on hold replicas, but their tiles are the
+        // group's empty padding, which is never assigned.
+        // distance < popcount(tile)  <=>  key < popcount(tile) << 11.
+        let assigned =
+            _mm512_cmplt_epu16_mask(best, _mm512_slli_epi16::<11>(_mm512_popcnt_epi16(t)));
+        let index = _mm512_and_si512(best, _mm512_set1_epi16(0x7FF));
+        let m = _mm512_loadu_si512(masks.as_ptr().cast());
+        let corrected = _mm512_xor_si512(_mm512_and_si512(bits, m), t);
+        _mm512_storeu_si512(
+            l1.as_mut_ptr().cast(),
+            _mm512_mask_mov_epi16(_mm512_set1_epi16(-1), assigned, index),
+        );
+        _mm512_storeu_si512(
+            diff.as_mut_ptr().cast(),
+            _mm512_mask_mov_epi16(t, assigned, corrected),
+        );
+    }
+
+    /// One lane-matcher step at AVX2 for one 16-lane half: the
+    /// [`lane_step_avx512`] update, with the unsigned compare AVX2 lacks
+    /// read off the new minimum (keys never tie, so the minimum equals
+    /// the key exactly where the key won).
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 is available.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn lane_step_avx2(
+        p: __m256i,
+        t: __m256i,
+        j: __m256i,
+        best: &mut __m256i,
+        bits: &mut __m256i,
+    ) {
+        let key = keys16_avx2(p, t, j);
+        *best = _mm256_min_epu16(*best, key);
+        *bits = _mm256_blendv_epi8(*bits, p, _mm256_cmpeq_epi16(*best, key));
+    }
+
+    /// [`match_lanes16_avx512`] on two 256-bit halves of 16 lanes, which
+    /// are the two independent accumulators. A folded group's replicas
+    /// are laid out and merged in scalar code, once per call.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 is available.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    pub unsafe fn match_lanes16_avx2(
+        group: super::LaneGroup<'_>,
+        tiles: &[u64; super::LANE_WORDS],
+        masks: &[u64; super::LANE_WORDS],
+        l1: &mut [u16; super::LANE_GROUP],
+        diff: &mut [u64; super::LANE_WORDS],
+    ) {
+        // SAFETY (loads and stores below): every array and step is 64
+        // bytes, read and written as two unaligned 32-byte halves.
+        let t = [
+            _mm256_loadu_si256(tiles.as_ptr().cast()),
+            _mm256_loadu_si256(tiles.as_ptr().add(4).cast()),
+        ];
+        let fold = group.fold;
+        let width = super::LANE_GROUP >> fold;
+        let (mut swept, mut j) = (t, [_mm256_setzero_si256(); 2]);
+        if fold > 0 {
+            let (mut rep, mut start) = ([0u16; super::LANE_GROUP], [0u16; super::LANE_GROUP]);
+            for (v, (r, s)) in rep.iter_mut().zip(&mut start).enumerate() {
+                let lane = v % width;
+                *r = (tiles[lane / 4] >> (16 * (lane % 4))) as u16;
+                *s = (v / width) as u16;
+            }
+            for h in 0..2 {
+                swept[h] = _mm256_loadu_si256(rep.as_ptr().add(16 * h).cast());
+                j[h] = _mm256_loadu_si256(start.as_ptr().add(16 * h).cast());
+            }
+        }
+        let mut best = [_mm256_set1_epi16(-1); 2];
+        let mut bits = [_mm256_setzero_si256(); 2];
+        let stride = _mm256_set1_epi16(1 << fold);
+        for step in group.steps {
+            let p = step.0.as_ptr();
+            let (p0, p1) = (_mm256_loadu_si256(p.cast()), _mm256_loadu_si256(p.add(16).cast()));
+            let [best0, best1] = &mut best;
+            let [bits0, bits1] = &mut bits;
+            lane_step_avx2(p0, swept[0], j[0], best0, bits0);
+            lane_step_avx2(p1, swept[1], j[1], best1, bits1);
+            j = [_mm256_add_epi16(j[0], stride), _mm256_add_epi16(j[1], stride)];
+        }
+        if fold > 0 {
+            let (mut keys, mut pats) = ([0u16; super::LANE_GROUP], [0u16; super::LANE_GROUP]);
+            for h in 0..2 {
+                _mm256_storeu_si256(keys.as_mut_ptr().add(16 * h).cast(), best[h]);
+                _mm256_storeu_si256(pats.as_mut_ptr().add(16 * h).cast(), bits[h]);
+            }
+            let mut shift = super::LANE_GROUP / 2;
+            while shift >= width {
+                for v in 0..shift {
+                    if keys[v + shift] < keys[v] {
+                        keys[v] = keys[v + shift];
+                        pats[v] = pats[v + shift];
+                    }
+                }
+                shift /= 2;
+            }
+            for h in 0..2 {
+                best[h] = _mm256_loadu_si256(keys.as_ptr().add(16 * h).cast());
+                bits[h] = _mm256_loadu_si256(pats.as_ptr().add(16 * h).cast());
+            }
+        }
+        let index_mask = _mm256_set1_epi16(0x7FF);
+        let none = _mm256_set1_epi16(-1);
+        for h in 0..2 {
+            // Distances (<= 31) and popcounts (<= 16) fit i16, so the
+            // signed compare is exact.
+            let distance = _mm256_srli_epi16::<11>(best[h]);
+            let assigned = _mm256_cmpgt_epi16(popcount_epi16_avx2(t[h]), distance);
+            let index = _mm256_and_si256(best[h], index_mask);
+            let m = _mm256_loadu_si256(masks.as_ptr().add(4 * h).cast());
+            let corrected = _mm256_xor_si256(_mm256_and_si256(bits[h], m), t[h]);
+            _mm256_storeu_si256(
+                l1.as_mut_ptr().add(16 * h).cast(),
+                _mm256_blendv_epi8(none, index, assigned),
+            );
+            _mm256_storeu_si256(
+                diff.as_mut_ptr().add(4 * h).cast(),
+                _mm256_blendv_epi8(t[h], corrected, assigned),
+            );
+        }
+    }
+
     /// The AVX-512 [`super::Hamming16`] tier; only [`sweep16_avx512`]
     /// constructs it, after the dispatcher checked the features.
     #[derive(Clone, Copy)]
@@ -858,6 +1313,19 @@ mod x86 {
             // `sweep16_avx512`, which the dispatcher enters after
             // detecting AVX-512F/BW/BITALG.
             unsafe { min_hamming16_avx512(plane, tile) }
+        }
+
+        #[inline(always)]
+        fn match_lanes16(
+            self,
+            group: super::LaneGroup<'_>,
+            tiles: &[u64; super::LANE_WORDS],
+            masks: &[u64; super::LANE_WORDS],
+            l1: &mut [u16; super::LANE_GROUP],
+            diff: &mut [u64; super::LANE_WORDS],
+        ) {
+            // SAFETY: as for `min_hamming16` above.
+            unsafe { match_lanes16_avx512(group, tiles, masks, l1, diff) }
         }
     }
 
@@ -872,6 +1340,19 @@ mod x86 {
             // SAFETY: an `Avx2Tier` exists only inside `sweep16_avx2`,
             // which the dispatcher enters after detecting AVX2.
             unsafe { min_hamming16_avx2(plane, tile) }
+        }
+
+        #[inline(always)]
+        fn match_lanes16(
+            self,
+            group: super::LaneGroup<'_>,
+            tiles: &[u64; super::LANE_WORDS],
+            masks: &[u64; super::LANE_WORDS],
+            l1: &mut [u16; super::LANE_GROUP],
+            diff: &mut [u64; super::LANE_WORDS],
+        ) {
+            // SAFETY: as for `min_hamming16` above.
+            unsafe { match_lanes16_avx2(group, tiles, masks, l1, diff) }
         }
     }
 
