@@ -25,20 +25,17 @@
 //!   *disabled*, so the per-run bit-identity assert below also pins
 //!   cached == uncached == direct readouts.
 //! * **server** — every client thread submits to one [`PhiServer`]
-//!   (CPU backend, `max_batch` = client count, 200 µs batching deadline)
-//!   and blocks on its [`ResponseHandle`]: the collector coalesces the
-//!   concurrent requests into fused executor batches automatically.
+//!   (CPU backend, `max_batch` = client count) and blocks on its
+//!   [`ResponseHandle`]: a client that finds no batch in flight executes
+//!   one on its own thread, fusing every request that queued behind the
+//!   previous batch.
 //!
-//! On top of the closed-loop sweep, the run measures how the server
-//! scales:
+//! The 16-client track also prints the server's rate over the direct
+//! multi-client rate (reported, not gated).
 //!
-//! * **multi-worker** — the 16-client track at `workers = 1` vs
-//!   `workers = N` (the core count, or `PHI_SERVER_WORKERS`). On a
-//!   multi-core host the multi-worker rate must beat the single-worker
-//!   rate by `PHI_SERVER_MIN_WORKER_SPEEDUP` (default 1.5; 0 disables);
-//!   on a single-core host the comparison still runs (scaling past the
-//!   core count cannot help, but must not corrupt) and the floor is
-//!   skipped.
+//! On top of the closed-loop sweep, the run measures the server under
+//! traffic closed-loop clients cannot produce:
+//!
 //! * **open loop** — a deterministic seeded Poisson arrival schedule
 //!   ([`ArrivalSchedule::poisson`]) replayed at offered loads of 0.5×,
 //!   0.8×, 0.95×, and 1.1× the measured closed-loop capacity. Closed-loop
@@ -93,12 +90,6 @@
 //! * `PHI_SERVER_MIN_SPEEDUP` — floor for the headline server-vs-batch-1
 //!   speedup, taken at the best track with ≥ 8 clients (default 3;
 //!   0 disables).
-//! * `PHI_SERVER_MIN_WORKER_SPEEDUP` — floor for the multi-worker vs
-//!   1-worker throughput ratio, enforced only on multi-core hosts
-//!   (default 1.5; 0 disables).
-//! * `PHI_SERVER_WORKERS` — worker count of the multi-worker comparison
-//!   (default: the core count, floored at 2; a set value below 2 stops
-//!   the run).
 //! * `PHI_SERVER_MIN_STREAM_SPEEDUP` — floor for the incremental-vs-full
 //!   streaming throughput ratio at δ = 0.1 (default 1.2; 0 disables).
 //! * `PHI_SERVER_MIN_DRIFT_RECOVERY` — floor for the post-recalibration
@@ -133,7 +124,7 @@ use phi_runtime::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use snn_core::env::{read_env, read_flag};
+use snn_core::env::read_flag;
 use snn_core::Matrix;
 use snn_workloads::{DatasetId, ModelId, Workload, WorkloadConfig};
 use std::path::PathBuf;
@@ -176,10 +167,6 @@ const STREAM_ROWS: usize = 64;
 const STREAM_DELTAS: [f64; 3] = [0.0, 0.1, 0.5];
 /// The delta whose incremental-vs-full ratio is gated.
 const STREAM_GATED_DELTA: f64 = 0.1;
-/// The batching deadline: long enough for a closed-loop wave of clients
-/// to coalesce, short enough that a straggler-truncated batch costs
-/// little.
-const MAX_WAIT: Duration = Duration::from_micros(200);
 /// The model key used for the registry.
 const MODEL_KEY: &str = "vgg16-cifar10";
 /// Concurrent clients of the drift track.
@@ -257,10 +244,10 @@ fn run_direct(
 }
 
 /// The server configuration every track derives from (tracks override
-/// `max_batch`, and the multi-worker comparison overrides `workers`). Also the source of the config block recorded in
+/// `max_batch`). Also the source of the config block recorded in
 /// `BENCH_server.json`.
 fn base_config() -> ServerConfig {
-    ServerConfig::default().with_max_wait(MAX_WAIT)
+    ServerConfig::default()
 }
 
 /// One closed-loop wave of the given traffic against an already-running
@@ -729,19 +716,6 @@ fn run_drift_track(
     }
 }
 
-/// Checks the multi-worker comparison's worker count.
-///
-/// # Panics
-///
-/// Panics below 2 workers: the comparison is N workers against 1.
-fn multi_workers(workers: usize) -> usize {
-    assert!(
-        workers >= 2,
-        "PHI_SERVER_WORKERS={workers} is below 2; the comparison is against 1 worker"
-    );
-    workers
-}
-
 fn main() {
     let runs = bench_runs();
     let smoke = read_flag("PHI_SERVER_SMOKE");
@@ -759,7 +733,6 @@ fn main() {
 
     let mut tracks = Vec::new();
     let mut all_match = true;
-    let mut widest: Option<(Vec<Traffic>, Expected)> = None;
     for clients in CLIENT_TRACKS {
         let traffic = client_traffic(&workload, clients, per_client);
         let total = (clients * per_client) as f64;
@@ -793,48 +766,19 @@ fn main() {
             stats.mean_batch, stats.p50_queue_wait_us,
         );
         tracks.push(TrackResult { clients, direct_concurrent_inf_s, server_inf_s, stats });
-        widest = Some((traffic, expected));
     }
-    let (wide_traffic, wide_expected) = widest.expect("at least one track");
-    let wide_clients = wide_traffic.len();
-
-    let wide_cfg = base_config().with_max_batch(wide_clients);
-
-    // ---- Multi-worker: 1 worker vs the core count (or override) ----
-    let workers_multi = multi_workers(read_env("PHI_SERVER_WORKERS", cores.max(2)));
-    let (single_inf_s, _) =
-        measure_server(&model, &wide_traffic, &wide_expected, wide_cfg.with_workers(1), runs);
-    let (multi_inf_s, _) = measure_server(
-        &model,
-        &wide_traffic,
-        &wide_expected,
-        wide_cfg.with_workers(workers_multi),
-        runs,
-    );
-    let worker_speedup = multi_inf_s / single_inf_s;
-    // The scaling floor is only meaningful where extra workers have
-    // somewhere to run: on a single-core host the comparison still
-    // executes (oversubscribed workers must not corrupt anything — the
-    // bit-identity asserts above cover that), but the throughput gate is
-    // skipped, matching the "on a multi-core host" acceptance wording.
-    let worker_floor = env_f64("PHI_SERVER_MIN_WORKER_SPEEDUP", 1.5);
-    let worker_floor_checked = cores >= 2 && worker_floor > 0.0;
+    let widest = tracks.last().expect("at least one track");
     println!(
-        "  workers @ {wide_clients} clients: 1 -> {single_inf_s:>9.1} inf/s | {workers_multi} -> \
-         {multi_inf_s:>9.1} inf/s ({worker_speedup:.2}x{})",
-        match (worker_floor_checked, cores >= 2) {
-            (true, _) => "",
-            (false, true) => ", floor disabled",
-            (false, false) => ", floor skipped: single-core host",
-        }
+        "  server / direct at {} clients: {:.2}x (reported, not gated)",
+        widest.clients,
+        widest.server_inf_s / widest.direct_concurrent_inf_s,
     );
 
     // ---- Open loop: Poisson arrivals at fractions of capacity ----
     // Capacity is estimated from the best closed-loop server rate; the
     // open-loop tracks then offer fixed fractions of it, which makes the
     // 1.1x track a genuine overload no closed-loop client can produce.
-    let capacity =
-        tracks.iter().map(|t| t.server_inf_s).fold(f64::NEG_INFINITY, f64::max).max(multi_inf_s);
+    let capacity = tracks.iter().map(|t| t.server_inf_s).fold(f64::NEG_INFINITY, f64::max);
     let open_traffic: Vec<InferenceRequest> = workload
         .sample_client_requests(0xA5, open_loop_n, ROWS_PER_REQUEST, 0x5EED)
         .into_iter()
@@ -1151,10 +1095,8 @@ fn main() {
   "config": {{
     "rows_per_request": {ROWS_PER_REQUEST},
     "requests_per_client": {per_client},
-    "max_wait_us": {max_wait_us},
     "queue_capacity": {queue_capacity},
     "backend": "{backend}",
-    "workers": {workers},
     "tile_cache": {tile_cache}
   }},
   "runs": {runs},
@@ -1164,15 +1106,6 @@ fn main() {
   ],
   "direct_batch1_inf_per_s": {batch1_inf_s:.3},
   "headline": {{ "clients": {headline_clients}, "speedup_vs_direct_batch1": {speedup:.3} }},
-  "multi_worker": {{
-    "workers_single": 1,
-    "workers_multi": {workers_multi},
-    "single_inf_per_s": {single_inf_s:.3},
-    "multi_inf_per_s": {multi_inf_s:.3},
-    "speedup": {worker_speedup:.3},
-    "floor": {worker_floor},
-    "floor_checked": {worker_floor_checked}
-  }},
   "open_loop": {{
     "requests": {open_loop_n},
     "seed": {OPEN_LOOP_SEED},
@@ -1204,10 +1137,8 @@ fn main() {
 }}
 "#,
         headline_clients = headline.clients,
-        max_wait_us = base_config().max_wait.as_micros(),
         queue_capacity = base_config().queue_capacity,
         backend = base_config().backend,
-        workers = base_config().workers,
         tile_cache = base_config().tile_cache,
         threads = cores,
         tracks = track_json.join(",\n"),
@@ -1230,14 +1161,6 @@ fn main() {
         headline.clients,
         headline.server_inf_s,
     );
-    if worker_floor_checked {
-        assert!(
-            worker_speedup >= worker_floor,
-            "{workers_multi} workers ({multi_inf_s:.1} inf/s) must be at least \
-             {worker_floor}x one worker ({single_inf_s:.1} inf/s) on a {cores}-core host, \
-             got {worker_speedup:.2}x"
-        );
-    }
     // The recovery floor holds on full runs; smoke volumes are too small
     // for a stable wall-clock ratio (the bit-identity, swap, and rollback
     // asserts inside the track stay hard either way).
@@ -1267,28 +1190,4 @@ fn main() {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_server.json");
     std::fs::write(&path, json).expect("write BENCH_server.json");
     println!("wrote {}", path.display());
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use snn_core::env::parse_env;
-
-    #[test]
-    fn worker_count_defaults_and_parses() {
-        assert_eq!(multi_workers(parse_env("PHI_SERVER_WORKERS", None, 2)), 2);
-        assert_eq!(multi_workers(parse_env("PHI_SERVER_WORKERS", Some("3"), 2)), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "PHI_SERVER_WORKERS=\"two\" does not parse")]
-    fn worker_count_in_words_is_refused() {
-        multi_workers(parse_env("PHI_SERVER_WORKERS", Some("two"), 2));
-    }
-
-    #[test]
-    #[should_panic(expected = "PHI_SERVER_WORKERS=1 is below 2")]
-    fn one_worker_is_refused() {
-        multi_workers(parse_env("PHI_SERVER_WORKERS", Some("1"), 2));
-    }
 }

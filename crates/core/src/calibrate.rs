@@ -91,7 +91,10 @@ pub struct LayerPatterns {
 
 impl PartialEq for LayerPatterns {
     fn eq(&self, other: &Self) -> bool {
-        self.k == other.k && self.sets == other.sets
+        // Clones share their sets, and `Decomposition::concat` compares
+        // every part's patterns with the first part's: the pointer check
+        // settles those without walking every pattern of every set.
+        self.k == other.k && (Arc::ptr_eq(&self.sets, &other.sets) || self.sets == other.sets)
     }
 }
 
@@ -391,6 +394,26 @@ mod tests {
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(7)
+    }
+
+    #[test]
+    fn equality_compares_sets_by_value_behind_the_shared_pointer() {
+        let sets = vec![
+            PatternSet::new(16, vec![Pattern::new(0b1011, 16), Pattern::new(0b0110, 16)]),
+            PatternSet::new(16, vec![Pattern::new(0b1100, 16)]),
+        ];
+        let lp = LayerPatterns::new(16, sets.clone());
+        // A clone shares the sets: equal through the pointer check.
+        assert_eq!(lp, lp.clone());
+        // Equal but distinct sets still compare equal by value.
+        let twin = LayerPatterns::new(16, sets.clone());
+        assert!(!Arc::ptr_eq(&lp.sets, &twin.sets));
+        assert_eq!(lp, twin);
+        // One differing pattern, or a missing set, makes them unequal.
+        let mut other = sets.clone();
+        other[1] = PatternSet::new(16, vec![Pattern::new(0b1101, 16)]);
+        assert_ne!(lp, LayerPatterns::new(16, other));
+        assert_ne!(lp, LayerPatterns::new(16, sets[..1].to_vec()));
     }
 
     #[test]

@@ -198,8 +198,8 @@ pub enum ServerError {
     /// The server is shutting down; queued requests are resolved with
     /// this error instead of silently vanishing.
     ShuttingDown,
-    /// The worker resolving this request disappeared without answering
-    /// (a panic on the worker thread).
+    /// No response will come: the batch carrying this request panicked,
+    /// or an earlier wait already took the response.
     Disconnected,
 }
 
@@ -228,7 +228,7 @@ impl fmt::Display for ServerError {
             ServerError::Rejected(e) => write!(f, "request rejected at enqueue: {e}"),
             ServerError::Execution(e) => write!(f, "batch execution failed: {e}"),
             ServerError::ShuttingDown => write!(f, "server is shutting down"),
-            ServerError::Disconnected => write!(f, "worker dropped the response channel"),
+            ServerError::Disconnected => write!(f, "no response: the batch panicked or was taken"),
         }
     }
 }

@@ -271,8 +271,8 @@ pub fn readouts_identical(a: &BatchReport, b: &BatchReport) -> bool {
 /// any other implementation.
 ///
 /// Each executor owns one [`TileCache`] per model layer, shared across
-/// its clones (and therefore across every batch and serving worker on
-/// the same executor lineage): spiking activations repeat tiles heavily,
+/// its clones (and therefore across every batch served on the same
+/// executor lineage): spiking activations repeat tiles heavily,
 /// so decompositions after the first replay memoized decisions instead
 /// of re-matching. Only unpacked layers (k > 16, or more than 2048
 /// patterns in a partition) use their cache; a packed layer — every

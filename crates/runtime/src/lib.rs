@@ -39,14 +39,13 @@
 //! and the sequential single-input path.
 //!
 //! On top of the executor sits the **serving front-end** ([`PhiServer`],
-//! [`server`] module): requests enqueue one at a time, a dynamic batcher
-//! runs them at once on an idle server and otherwise coalesces them into
-//! executor batches bounded by [`ServerConfig::max_batch`] /
-//! [`ServerConfig::max_wait`] (requests linger only while a batch
-//! executes), a
-//! [`ModelRegistry`] lets one server host several compiled models, and
-//! admission control sheds or rejects bad traffic with typed
-//! [`ServerError`]s before it can reach a batch.
+//! [`server`] module): requests enqueue one at a time, and the batcher
+//! runs on the callers' own threads — a caller that finds no batch in
+//! flight executes one, so an idle server runs a request at once and a
+//! busy one fuses what queued behind the running batch, up to
+//! [`ServerConfig::max_batch`]. A [`ModelRegistry`] lets one server host
+//! several compiled models, and admission control sheds or rejects bad
+//! traffic with typed [`ServerError`]s before it can reach a batch.
 //!
 //! The registry is *live* ([`lifecycle`] module): each model key is a
 //! versioned slot whose active artifact can be hot-swapped atomically

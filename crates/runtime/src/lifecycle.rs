@@ -89,7 +89,7 @@ pub enum RollbackReason {
     /// A shadow readout violated the candidate's [`TolerancePolicy`].
     CanaryDivergence,
     /// Shadow execution on the candidate panicked; the panic was contained
-    /// on the worker and the incumbent kept serving.
+    /// on the leader's thread and the incumbent kept serving.
     CanaryPanicked,
     /// Shadow execution on the candidate returned a typed error.
     CanaryExecutionFailed,

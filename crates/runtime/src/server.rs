@@ -1,5 +1,5 @@
-//! Async serving front-end: request-level admission, dynamic batching,
-//! and multi-model hosting over [`BatchExecutor`].
+//! Serving front-end: request-level admission, dynamic batching, and
+//! multi-model hosting over [`BatchExecutor`].
 //!
 //! Everything below this module thinks in *batches* — callers of
 //! [`BatchExecutor::execute`] must hand-assemble a row-uniform
@@ -9,20 +9,22 @@
 //! of batching (PR 3 measured 19k → 218k inf/s from batch 1 to 64 on the
 //! CPU backend) is only real if it happens automatically.
 //!
-//! [`PhiServer`] is that someone else. The request lifecycle:
+//! [`PhiServer`] is that someone else, and it owns no thread: batches
+//! run on the threads of the callers themselves. The request lifecycle:
 //!
 //! ```text
-//!  submit(key, request)               collector thread               worker pool
-//!  ───────────────────┐          ┌────────────────────────┐     ┌──────────────────┐
-//!  admission control  │ ┌──────┐ │ drain the queue FIFO,  │batch│ BatchExecutor<B> │
-//!  · unknown model    ├─┤intake├▶│ coalesce (model, rows) ├────▶│ execute(&batch)  │
-//!  · ragged/oversized │ └──────┘ │ groups ≤ max_batch     │mpsc │ resolve handles  │
-//!  · queue-full shed  │          └────────────────────────┘     │ record stats     │
-//!  ───────────────────┘                                         └──────────────────┘
-//!          │ Err(ServerError)                                          │
-//!          ▼                                                           ▼
-//!   caller keeps the rejected            ResponseHandle::wait() ⇒ ServedResponse
-//!   request out of everyone's batch      (readout + queue-wait/exec latency)
+//!  submit(key, request)                 on the submitting thread
+//!  ───────────────────┐          ┌──────────────────────────────────────┐
+//!  admission control  │ ┌──────┐ │ no batch in flight? lead:            │
+//!  · unknown model    ├─┤intake├▶│  cut ≤ max_batch of the oldest       │
+//!  · ragged/oversized │ └──────┘ │  (model, rows) group, execute it on  │
+//!  · queue-full shed  │    │     │  BatchExecutor<B>, resolve riders,   │
+//!  ───────────────────┘    │     │  then drain or hand over and return  │
+//!          │               │     └──────────────────────────────────────┘
+//!          │ Err           │ a batch is in flight: return the handle
+//!          ▼               ▼
+//!   caller keeps the   ResponseHandle::wait() ⇒ ServedResponse (a parked
+//!   rejected request   waiter may be handed the leadership and lead)
 //! ```
 //!
 //! Design points:
@@ -34,43 +36,44 @@
 //!   it. When the admitted-but-undispatched count reaches
 //!   [`ServerConfig::queue_capacity`] the request is *shed*
 //!   ([`ServerError::QueueFull`]) instead of blocking the submitter.
-//! * **The submit path holds one short lock.** Submitters push onto one
-//!   mutex-guarded intake deque; admission capacity and per-group
-//!   occupancy are plain atomics, and the collector's condition variable
-//!   is touched only on an idle→traffic transition or when an arrival
-//!   completes a full batch.
+//! * **Run to completion, one batch in flight (flat combining).** A
+//!   submitter that finds no batch in flight becomes the *leader*: it
+//!   cuts one batch from the intake queue, executes it on its own thread
+//!   (the persistent `rayon` pool still fans the layer work out across
+//!   cores), and resolves every rider through a one-shot slot. Requests
+//!   that arrive meanwhile queue behind the running batch, and the next
+//!   batch takes them all (up to [`ServerConfig::max_batch`]). So an idle
+//!   server runs a request at once, a busy one coalesces, and no request
+//!   waits for a timer. A request crosses no thread hand-off on the way
+//!   to its executor: there is no collector, no dispatch channel and no
+//!   worker pool.
+//! * **Leadership never strands the queue.** The `leading` flag lives
+//!   under the intake mutex: a submitter enqueues and reads it under that
+//!   lock, and a leader clears it only under the same lock, when it sees
+//!   the queue empty. After each batch the leader hands the leadership to
+//!   a caller parked in [`ResponseHandle::wait`] (if one exists) and
+//!   returns, which bounds any caller's tenure; otherwise it leads the
+//!   next batch itself. A waiter that is handed the leadership leads
+//!   before it honours its own timeout.
 //! * **Batches are coalesced by `(model, rows)`.** The executor requires
-//!   row-uniform batches (one extrapolation factor per fused matrix). The
-//!   collector drains the intake queue in arrival order and buffers
-//!   requests per group. Batching is work-conserving: when no batch is
-//!   executing anywhere on the server, the group with the oldest head
-//!   dispatches at once, whatever its size. Requests linger only while a
-//!   batch executes: then a group dispatches as soon as it holds
-//!   [`ServerConfig::max_batch`] requests, and no later than
-//!   [`ServerConfig::max_wait`] after its oldest request enqueued.
-//!   Groups dispatch independently — a slow-filling group never
-//!   head-of-line-blocks a full one.
-//! * **One collector, many workers — by design.** Coalescing is the
-//!   batching policy's serialization point and stays on a single thread
-//!   (its work per request is a few pointer moves; execution is what
-//!   scales). The worker pool ([`ServerConfig::workers`], defaulting to
-//!   one per available core) executes dispatched batches concurrently.
-//!   Because an idle server dispatches only when *no* batch executes,
-//!   a second worker runs only full or expired batches that formed
-//!   behind a running one. Per-model stats are maintained so that
-//!   concurrent batch completions can never over-count a batch's mean
-//!   size.
+//!   row-uniform batches (one extrapolation factor per fused matrix). A
+//!   leader cuts the group of the oldest queued request and leaves the
+//!   other groups queued in arrival order for the next batch.
+//! * **A panicking batch is contained.** The leader runs each batch under
+//!   `catch_unwind`: a backend panic resolves the batch's riders with
+//!   [`ServerError::Disconnected`], never unwinds into the caller's
+//!   `submit`, and the server keeps serving.
 //! * **One tile-cache lineage per model.** Each model version gets one
 //!   executor whose per-layer [`TileCache`](phi_core::TileCache)s every
-//!   worker shares, so a tile resolved by any worker is a hit for all of
-//!   them (unpacked, k > 16 layers only: a packed layer never consults
-//!   its cache). Readouts are bit-identical with caching disabled.
+//!   batch shares (unpacked, k > 16 layers only: a packed layer never
+//!   consults its cache). Readouts are bit-identical with caching
+//!   disabled.
 //! * **Execution is bit-identical to calling [`BatchExecutor`] directly.**
 //!   The server adds queueing and coalescing, never arithmetic: readouts
 //!   are the same bits a direct `execute` of the same requests produces,
-//!   regardless of how traffic interleaves or how many workers race
-//!   (pinned by the `server_admission` and `server_concurrency`
-//!   integration suites).
+//!   regardless of how traffic interleaves or which caller leads (pinned
+//!   by the `server_admission` and `server_concurrency` integration
+//!   suites).
 //! * **One server hosts many models.** A [`ModelRegistry`] maps string
 //!   keys to `Arc`'d [`CompiledModel`] artifacts; registering a model is
 //!   zero-copy, and per-model [`ModelStatsSnapshot`] counters (served /
@@ -91,11 +94,11 @@
 //!   hot-swaps a model key to a new artifact; [`PhiServer::propose`]
 //!   installs a canary candidate (typically the output of
 //!   [`ModelCompiler::recompile_from_samples`](crate::ModelCompiler::recompile_from_samples))
-//!   that the workers shadow-execute on live stateless batches, after the
+//!   that leaders shadow-execute on live stateless batches, after the
 //!   riders resolved, and then promote or roll back.
-//! * **No async runtime.** The workspace vendors its dependencies, so the
-//!   collector and workers are `std::thread`s coordinated with mutexes,
-//!   atomics, and `mpsc` channels — the only threads a server spawns;
+//! * **No async runtime and no server threads.** The workspace vendors
+//!   its dependencies, so callers coordinate through one intake mutex,
+//!   atomics and a `Mutex` + `Condvar` slot per request;
 //!   [`ResponseHandle`] is the blocking future equivalent.
 //!
 //! # Example: start a server, submit, wait
@@ -129,19 +132,19 @@
 
 use crate::artifact::CompiledModel;
 use crate::error::ServerError;
-use crate::executor::{BatchExecutor, InferenceRequest};
+use crate::executor::{BatchExecutor, InferenceRequest, RequestResult};
 use crate::lifecycle::{LifecycleEvent, LifecycleStatsSnapshot, RollbackReason, TolerancePolicy};
 use crate::stream::StreamSession;
-use crate::sync::{lock, read, write};
+use crate::sync::lock;
 use phi_accel::{BackendKind, ExecutionBackend};
 use phi_core::{DeltaStats, ReuseStats, TileCacheStats};
 use snn_core::Matrix;
+use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
+use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock, Weak};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
 use std::time::{Duration, Instant};
 
 /// Outcome alias for server calls.
@@ -150,18 +153,12 @@ pub type ServerResult<T> = std::result::Result<T, ServerError>;
 /// Tuning knobs of the dynamic batcher. Start from
 /// [`ServerConfig::default`] and override with the `with_*` builders.
 ///
-/// The two policy bounds interact with one rule: an idle server (no
-/// batch executing) dispatches the oldest waiting group at once, so
-/// requests linger only while a batch executes. Then a batch for one
-/// `(model, rows)` group is dispatched as soon as `max_batch` requests
-/// have coalesced, and no later than `max_wait` after its oldest request
-/// enqueued. So `max_wait` bounds the batching latency a request is
-/// charged behind a busy executor, and `max_batch` caps how much traffic
-/// one execution fuses. Closed-loop deployments get the best throughput
-/// when `max_batch` is near the expected concurrency (a full batch
-/// dispatches immediately, with `max_wait` only catching stragglers);
-/// open-loop traffic near saturation is dominated by `queue_capacity`
-/// (how much burst is absorbed before shedding).
+/// One batch is in flight at a time, and requests wait only behind it:
+/// an idle server runs a request at once, and the next batch fuses
+/// everything of one `(model, rows)` group that queued meanwhile, up to
+/// `max_batch`. So `max_batch` caps how much traffic one execution fuses,
+/// and `queue_capacity` bounds how much burst is absorbed before
+/// shedding.
 ///
 /// The model lifecycle adds one knob, `canary_target`: how many clean
 /// shadow comparisons a [`PhiServer::propose`]d candidate needs before it
@@ -169,12 +166,8 @@ pub type ServerResult<T> = std::result::Result<T, ServerError>;
 /// ([`ModelCompiler::recompile_from_samples`](crate::ModelCompiler::recompile_from_samples)).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerConfig {
-    /// Largest batch the collector will fuse (default 64).
+    /// Largest batch a leader will fuse (default 64).
     pub max_batch: usize,
-    /// Longest a queued request lingers behind an executing batch for
-    /// its own batch to fill before the collector dispatches the partial
-    /// batch; an idle server never lingers (default 1 ms).
-    pub max_wait: Duration,
     /// Bounded admission capacity — admitted-but-not-yet-dispatched
     /// requests; submissions beyond it are shed with
     /// [`ServerError::QueueFull`] (default 1024).
@@ -182,11 +175,6 @@ pub struct ServerConfig {
     /// Largest per-layer row count a request may carry; anything larger
     /// is refused with [`ServerError::Oversized`] (default 256).
     pub max_request_rows: usize,
-    /// Worker threads executing dispatched batches (default: one per
-    /// available core — execution, not coalescing, is the scalable part
-    /// of the pipeline, so workers track the CPU count while the
-    /// collector stays a single thread).
-    pub workers: usize,
     /// Which [`ExecutionBackend`] every hosted model executes on
     /// (default [`BackendKind::Cpu`] — serving wants throughput; pick
     /// [`BackendKind::Sim`] to get simulated cycles/energy per response).
@@ -216,10 +204,8 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             max_batch: 64,
-            max_wait: Duration::from_millis(1),
             queue_capacity: 1024,
             max_request_rows: 256,
-            workers: available_cores(),
             backend: BackendKind::default(),
             tile_cache: crate::executor::default_tile_cache_capacity(),
             max_sessions: 256,
@@ -230,8 +216,8 @@ impl Default for ServerConfig {
 }
 
 /// The host's available core count (1 when undetectable), probed once
-/// per process — the default for [`ServerConfig::workers`]. It is the
-/// same count the `rayon` pool sizes itself by.
+/// per process. It is the count the `rayon` pool sizes itself by, so it
+/// is how wide one batch's layer work fans out.
 pub fn available_cores() -> usize {
     rayon::current_num_threads()
 }
@@ -240,12 +226,6 @@ impl ServerConfig {
     /// Overrides the maximum batch size.
     pub fn with_max_batch(mut self, max_batch: usize) -> Self {
         self.max_batch = max_batch;
-        self
-    }
-
-    /// Overrides the batching deadline.
-    pub fn with_max_wait(mut self, max_wait: Duration) -> Self {
-        self.max_wait = max_wait;
         self
     }
 
@@ -258,12 +238,6 @@ impl ServerConfig {
     /// Overrides the per-request row ceiling.
     pub fn with_max_request_rows(mut self, max_request_rows: usize) -> Self {
         self.max_request_rows = max_request_rows;
-        self
-    }
-
-    /// Overrides the worker-thread count.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
         self
     }
 
@@ -368,34 +342,196 @@ pub struct ServedResponse {
     pub batch_size: usize,
 }
 
+/// One request's one-shot result cell: the leader that serves the
+/// request writes it once, the request's [`ResponseHandle`] reads it.
+/// It doubles as the handle's parking spot, where a leader can hand the
+/// leadership over.
+#[derive(Default)]
+struct Slot {
+    state: Mutex<SlotState>,
+    cond: Condvar,
+}
+
+#[derive(Default)]
+struct SlotState {
+    /// The result, until a wait takes it.
+    result: Option<ServerResult<ServedResponse>>,
+    /// Set once the request resolved (and kept after a wait took it).
+    resolved: bool,
+    /// Set by a leader that handed this slot's waiter the leadership.
+    lead: bool,
+    /// Whether the waiter is blocked on `cond`.
+    parked: bool,
+    /// The served frame of a stream, released with the slot (see
+    /// [`resolve_riders`]).
+    spent: Option<InferenceRequest>,
+}
+
+impl Slot {
+    fn resolve(&self, result: ServerResult<ServedResponse>, spent: Option<InferenceRequest>) {
+        let mut state = lock(&self.state);
+        state.result = Some(result);
+        state.resolved = true;
+        state.spent = spent;
+        self.wake(state);
+    }
+
+    /// Hands this slot's waiter the leadership.
+    fn hand_lead(&self) {
+        let mut state = lock(&self.state);
+        state.lead = true;
+        self.wake(state);
+    }
+
+    /// Releases `state`, notifying the waiter only when it is blocked: a
+    /// notify costs a syscall even with nobody waiting, and most results
+    /// resolve before anyone waits for them.
+    fn wake(&self, state: MutexGuard<'_, SlotState>) {
+        let parked = state.parked;
+        drop(state);
+        if parked {
+            self.cond.notify_all();
+        }
+    }
+
+    /// The result once resolved: the served outcome the first time, then
+    /// [`ServerError::Disconnected`] (it was already taken).
+    fn take(&self) -> Option<ServerResult<ServedResponse>> {
+        let mut state = lock(&self.state);
+        state.resolved.then(|| state.result.take().unwrap_or(Err(ServerError::Disconnected)))
+    }
+}
+
+/// The resolving end of a request's [`Slot`], carried by the queued
+/// request. Dropping it unresolved — a batch that panicked, a request
+/// lost on an unwinding thread — resolves the handle with
+/// [`ServerError::Disconnected`], so no handle blocks on a request that
+/// nobody will serve.
+struct Responder(Option<Arc<Slot>>);
+
+impl Responder {
+    fn send(self, result: ServerResult<ServedResponse>) {
+        self.resolve(result, None);
+    }
+
+    fn resolve(mut self, result: ServerResult<ServedResponse>, spent: Option<InferenceRequest>) {
+        if let Some(slot) = self.0.take() {
+            slot.resolve(result, spent);
+        }
+    }
+}
+
+impl Drop for Responder {
+    fn drop(&mut self) {
+        if let Some(slot) = self.0.take() {
+            slot.resolve(Err(ServerError::Disconnected), None);
+        }
+    }
+}
+
 /// The per-request future of the `std::thread` world: blocks until the
-/// collector/worker pipeline resolves the request.
-#[derive(Debug)]
+/// request's batch has executed. A caller blocked in [`wait`] or
+/// [`wait_timeout`] is also where the server finds its next leader: when
+/// a batch finishes with more traffic queued, its leader hands the
+/// leadership to the longest-parked waiter, which then executes the next
+/// batch on its own thread before it returns.
+///
+/// A handle is `Send` but not `Sync`: one thread waits on it at a time.
+///
+/// [`wait`]: ResponseHandle::wait
+/// [`wait_timeout`]: ResponseHandle::wait_timeout
 pub struct ResponseHandle {
-    rx: mpsc::Receiver<ServerResult<ServedResponse>>,
+    slot: Arc<Slot>,
+    shared: Arc<Shared>,
+    /// The parking protocol identifies a waiter by its slot, so two
+    /// threads waiting on one handle could swallow each other's hand-over.
+    _not_sync: PhantomData<Cell<()>>,
 }
 
 impl ResponseHandle {
-    /// Blocks until the request resolves.
+    fn new(slot: Arc<Slot>, shared: &Arc<Shared>) -> Self {
+        ResponseHandle { slot, shared: Arc::clone(shared), _not_sync: PhantomData }
+    }
+
+    /// Blocks until the request resolves, leading batches meanwhile when
+    /// the leadership is handed to this caller.
     ///
     /// # Errors
     ///
     /// [`ServerError::Execution`] when the batch failed,
     /// [`ServerError::ShuttingDown`] when the server stopped before
-    /// serving it, and [`ServerError::Disconnected`] when the resolving
-    /// worker vanished.
+    /// serving it, and [`ServerError::Disconnected`] when the batch
+    /// panicked or the result was already taken by
+    /// [`ResponseHandle::wait_timeout`].
     pub fn wait(self) -> ServerResult<ServedResponse> {
-        self.rx.recv().unwrap_or(Err(ServerError::Disconnected))
+        self.wait_until(None).unwrap_or(Err(ServerError::Disconnected))
     }
 
     /// Like [`ResponseHandle::wait`] with an upper bound; `None` means
-    /// the request is still in flight and the handle stays usable.
+    /// the request is still in flight and the handle stays usable. A
+    /// caller handed the leadership leads first, so it may return after
+    /// `timeout`.
     pub fn wait_timeout(&self, timeout: Duration) -> Option<ServerResult<ServedResponse>> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(result) => Some(result),
-            Err(mpsc::RecvTimeoutError::Timeout) => None,
-            Err(mpsc::RecvTimeoutError::Disconnected) => Some(Err(ServerError::Disconnected)),
+        self.wait_until(Instant::now().checked_add(timeout))
+    }
+
+    fn wait_until(&self, deadline: Option<Instant>) -> Option<ServerResult<ServedResponse>> {
+        loop {
+            if let Some(result) = self.slot.take() {
+                return Some(result);
+            }
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                return None;
+            }
+            if self.park(deadline) {
+                lead(&self.shared);
+            }
         }
+    }
+
+    /// Parks as a waiter until the request resolves, `deadline` passes,
+    /// or a leader hands this caller the leadership; returns whether it
+    /// did. A leader hands over by removing the waiter from the intake's
+    /// list under the intake lock, so a waiter that finds itself no
+    /// longer listed holds the leadership — even if the hand-over landed
+    /// after its timeout.
+    fn park(&self, deadline: Option<Instant>) -> bool {
+        let slot = &self.slot;
+        // Not listed yet, so no leader can be setting the flag.
+        lock(&slot.state).lead = false;
+        lock(&self.shared.intake).waiters.push_back(Arc::clone(slot));
+        let mut state = lock(&slot.state);
+        state.parked = true;
+        while !state.resolved && !state.lead {
+            state = match deadline {
+                None => slot.cond.wait(state).unwrap_or_else(PoisonError::into_inner),
+                Some(d) => {
+                    let now = Instant::now();
+                    if now >= d {
+                        break;
+                    }
+                    slot.cond.wait_timeout(state, d - now).unwrap_or_else(PoisonError::into_inner).0
+                }
+            };
+        }
+        state.parked = false;
+        drop(state);
+        let mut intake = lock(&self.shared.intake);
+        match intake.waiters.iter().position(|w| Arc::ptr_eq(w, slot)) {
+            Some(i) => {
+                intake.waiters.remove(i);
+                false
+            }
+            None => true,
+        }
+    }
+}
+
+impl std::fmt::Debug for ResponseHandle {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ResponseHandle")
+            .field("resolved", &lock(&self.slot.state).resolved)
+            .finish_non_exhaustive()
     }
 }
 
@@ -414,7 +550,7 @@ pub struct ModelStatsSnapshot {
     /// Requests refused at admission as malformed (ragged, mis-shaped,
     /// zero-row, oversized).
     pub rejected: u64,
-    /// Requests that reached a batch whose execution failed.
+    /// Requests that reached a batch whose execution failed or panicked.
     pub failed: u64,
     /// Batches executed.
     pub batches: u64,
@@ -500,15 +636,15 @@ struct ModelStats {
 impl ModelStats {
     fn record_batch(&self, queue_waits: &[Duration], exec: Duration) {
         let batch = queue_waits.len() as u64;
-        // Attribution order matters once several workers record batches
-        // concurrently: `batches` is incremented *before* `served` (with
-        // a release store), and `snapshot` reads `served` first (with an
-        // acquire load). Any rider visible in `served` therefore has its
-        // batch visible in `batches`, so `mean_batch` can never
-        // transiently exceed the true mean or `max_batch`. The reverse
-        // order had exactly that race: a snapshot taken between the two
-        // increments of another worker could divide a newer `served` by
-        // an older `batches`.
+        // Attribution order matters to snapshots taken on other threads
+        // while a batch records: `batches` is incremented *before*
+        // `served` (with a release store), and `snapshot` reads `served`
+        // first (with an acquire load). Any rider visible in `served`
+        // therefore has its batch visible in `batches`, so `mean_batch`
+        // can never transiently exceed the true mean or `max_batch`. The
+        // reverse order had exactly that race: a snapshot taken between
+        // the two increments could divide a newer `served` by an older
+        // `batches`.
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.served.fetch_add(batch, Ordering::Release);
         let mut ring = lock(&self.queue_wait_us);
@@ -556,43 +692,31 @@ impl ModelStats {
 }
 
 /// One *version* of a hosted model: the immutable artifact plus its
-/// executor and per-group occupancy. Coalescing groups identify entries
-/// by `Arc` pointer, so a batch is homogeneous in version by construction
-/// — an in-flight batch finishes on the entry it was admitted against
-/// even if the slot swaps mid-execution.
+/// executor. Coalescing groups identify entries by `Arc` pointer, so a
+/// batch is homogeneous in version by construction — an in-flight batch
+/// finishes on the entry it was admitted against even if the slot swaps
+/// mid-execution.
 struct ModelEntry {
     /// Monotonic version tag within the slot (1 = the registration).
     version: u64,
     /// The compiled artifact this version serves.
     model: Arc<CompiledModel>,
     /// The version's executor over the shared `Arc`'d artifact; every
-    /// worker serves through it and shares its per-layer tile caches.
+    /// batch on this version runs through it and shares its per-layer
+    /// tile caches.
     executor: BatchExecutor<Box<dyn ExecutionBackend>>,
     /// The slot's counters, shared across every version (a swap must not
     /// reset a model's served/shed history).
     stats: Arc<ModelStats>,
-    /// Admitted-but-undispatched occupancy per row-count group, so a
-    /// submitter can tell in O(1) whether its arrival completed a batch
-    /// without touching the intake locks. Counters are registered once
-    /// per distinct row count and then only touched atomically.
-    group_counts: RwLock<HashMap<usize, Arc<AtomicUsize>>>,
     /// Back-reference to the owning slot (weak: the slot owns its entries
     /// via `history`, so a strong pointer here would leak the pair).
-    /// Workers upgrade it to find the pending canary, if any.
+    /// Leaders upgrade it to find the pending canary, if any.
     slot: Weak<ModelSlot>,
 }
 
 impl ModelEntry {
     fn model(&self) -> &CompiledModel {
         &self.model
-    }
-
-    /// The occupancy counter for `rows`, registering it on first use.
-    fn group_counter(&self, rows: usize) -> Arc<AtomicUsize> {
-        if let Some(counter) = read(&self.group_counts).get(&rows) {
-            return Arc::clone(counter);
-        }
-        Arc::clone(write(&self.group_counts).entry(rows).or_default())
     }
 }
 
@@ -606,7 +730,7 @@ fn build_entry(
 ) -> ModelEntry {
     let executor = BatchExecutor::with_backend(Arc::clone(&model), config.backend.create())
         .with_tile_cache_capacity(config.tile_cache);
-    ModelEntry { version, model, executor, stats, group_counts: RwLock::new(HashMap::new()), slot }
+    ModelEntry { version, model, executor, stats, slot }
 }
 
 /// How many lifecycle events a slot retains for its snapshot (older
@@ -626,8 +750,8 @@ struct LifecycleCounters {
 /// A candidate version in its canary stage: shadow-executes every
 /// stateless batch served on the active version until `target`
 /// comparisons pass (promote) or one fails (rollback). `decided` is the
-/// single-decision gate — racing workers and shutdown agree on exactly
-/// one outcome.
+/// single-decision gate — a leader and shutdown racing each other agree
+/// on exactly one outcome.
 struct CandidateState {
     entry: Arc<ModelEntry>,
     tolerance: TolerancePolicy,
@@ -644,7 +768,7 @@ struct CandidateState {
 /// always backed by a live allocation, and in-flight batches plus pinned
 /// sessions can keep serving on superseded versions). A version arrives
 /// either directly ([`PhiServer::deploy`]) or as the one pending canary
-/// candidate of [`PhiServer::propose`], which the workers decide.
+/// candidate of [`PhiServer::propose`], which the leaders decide.
 struct ModelSlot {
     /// Points at the entry new admissions serve on. Always one of the
     /// `history` elements.
@@ -670,9 +794,8 @@ struct ModelSlot {
     session_seq: AtomicU64,
     /// The pending canary candidate, if any (at most one per slot).
     candidate: Mutex<Option<Arc<CandidateState>>>,
-    /// Fast-path mirror of `candidate.is_some()`, so workers serving
-    /// traffic with no canary pending pay one relaxed-ish load, not a
-    /// lock.
+    /// Fast-path mirror of `candidate.is_some()`, so leaders serving
+    /// traffic with no canary pending pay one load, not a lock.
     canary_active: AtomicBool,
     lifecycle: LifecycleCounters,
     /// The most recent lifecycle events, oldest first (bounded by
@@ -758,12 +881,12 @@ struct SessionEntry {
 }
 
 /// The ordering queue of one session. Invariant: at most one of the
-/// session's frames is ever past this queue (in the intake queue, a
-/// collector buffer, or an executing batch) — `in_flight` guards the
-/// slot, later frames park here in arrival order, and the worker that
-/// resolves the in-flight frame promotes the next parked one. That is
-/// both what serializes the session's timesteps and what lets frames of
-/// *different* sessions coalesce freely.
+/// session's frames is ever past this queue (in the intake queue or an
+/// executing batch) — `in_flight` guards the slot, later frames park
+/// here in arrival order, and the leader that resolves the in-flight
+/// frame promotes the next parked one into the intake queue it drains.
+/// That is both what serializes the session's timesteps and what lets
+/// frames of *different* sessions coalesce freely.
 struct SessionQueue {
     parked: VecDeque<Pending>,
     in_flight: bool,
@@ -797,56 +920,55 @@ struct Pending {
     request: InferenceRequest,
     rows: usize,
     enqueued: Instant,
-    tx: mpsc::Sender<ServerResult<ServedResponse>>,
+    responder: Responder,
     /// `Some` for a streamed frame: the session whose in-flight slot the
-    /// frame occupies (the resolving worker releases it). `None` for
+    /// frame occupies (the resolving leader releases it). `None` for
     /// plain stateless traffic.
     session: Option<Arc<SessionEntry>>,
 }
 
-/// A coalesced batch on its way to a worker.
-struct Batch {
-    entry: Arc<ModelEntry>,
-    pending: Vec<Pending>,
+impl Pending {
+    /// Whether the request waited out its own deadline by `now`.
+    fn expired(&self, now: Instant) -> bool {
+        self.request.deadline.is_some_and(|d| now.duration_since(self.enqueued) >= d)
+    }
 }
 
-/// The intake queue: a short-held mutex around a deque. `closed` is set
-/// (under the lock) during shutdown *before* the final drain, so a
-/// racing submitter either lands its request in the drained deque or
-/// observes the closure — a request can never be stranded.
+/// The intake queue and the leadership, under one short-held mutex.
+///
+/// Invariant: whenever `items` is non-empty, `leading` is set — some
+/// caller is executing a batch, is about to cut one, or holds a hand-over
+/// it has not yet acted on. A submitter pushes and takes a clear flag in
+/// one critical section, and a leader clears the flag only in the
+/// critical section in which it sees `items` empty, so no request is ever
+/// queued with nobody to run it.
 struct IntakeQueue {
     items: VecDeque<Pending>,
+    leading: bool,
+    /// Slots of callers parked in [`ResponseHandle::wait`], oldest first:
+    /// whom a leader can hand the leadership to.
+    waiters: VecDeque<Arc<Slot>>,
+    /// Set (under the lock) during shutdown *before* the final drain, so
+    /// a racing submitter either lands its request in the drained deque
+    /// or observes the closure — a request can never be stranded.
     closed: bool,
 }
 
-/// State shared between submitters and the collector.
+/// State shared between the server and every outstanding handle.
 struct Shared {
     config: ServerConfig,
     intake: Mutex<IntakeQueue>,
     /// Admitted-but-not-yet-dispatched requests (the queue-capacity
-    /// accounting; includes requests the collector has drained but not
-    /// dispatched).
+    /// accounting; includes frames parked on their session).
     queued: AtomicUsize,
-    /// True when the intake queue holds undrained traffic. Written with `swap`
-    /// on both sides so the RMW chain orders a submitter's push before
-    /// the collector's next drain.
-    dirty: AtomicBool,
-    /// Batches dispatched and not yet finished anywhere on the server
-    /// (a batch finishes when its worker is done with it, canary shadow
-    /// included — the shadow occupies the cores too). While it is 0 the
-    /// server is idle and the collector dispatches at once.
-    executing: AtomicUsize,
-    /// Held by a test to stall every worker between receiving a batch
-    /// and executing it, so the server stays busy and later traffic
-    /// lingers under the full / expired rule.
+    /// Held by a test to stall the leader between cutting a batch and
+    /// executing it, so the server stays busy and later traffic queues.
     #[cfg(test)]
     gate: Mutex<()>,
+    /// Set by a test to make the next batch panic before it executes.
+    #[cfg(test)]
+    panic_next: AtomicBool,
     shutdown: AtomicBool,
-    /// Anchor mutex for `cond`; holds no data — the predicates are the
-    /// atomics above, and wakers lock/unlock it to order flag updates
-    /// against the collector's check-then-wait.
-    ctrl: Mutex<()>,
-    cond: Condvar,
     unknown_model: AtomicU64,
 }
 
@@ -859,60 +981,43 @@ struct Shared {
 /// at the same row count.
 type GroupKey = (usize, usize, bool);
 
-/// The collector's private per-group buffers (drained from the intake
-/// queue, in arrival order).
-type Groups = HashMap<GroupKey, VecDeque<Pending>>;
-
 fn group_of(pending: &Pending) -> GroupKey {
     (Arc::as_ptr(&pending.entry) as usize, pending.rows, pending.session.is_some())
 }
 
-impl Shared {
-    /// Wakes the collector. Locking (and immediately releasing) the ctrl
-    /// mutex orders this wake against the collector's predicate check:
-    /// the collector holds `ctrl` from predicate read to `Condvar::wait`,
-    /// so a waker either updates the flags before the read, or blocks
-    /// here until the collector is parked and then wakes it — no lost
-    /// wakeups.
-    fn wake_collector(&self) {
-        drop(lock(&self.ctrl));
-        self.cond.notify_all();
-    }
-}
-
 /// The serving front-end: hosts every model of a [`ModelRegistry`] behind
-/// request-level admission control, a dynamic batcher, and a worker pool.
-/// See the [module docs](crate::server) for the request lifecycle.
+/// request-level admission control and a dynamic batcher that runs on
+/// the callers' threads. See the [module docs](crate::server) for the
+/// request lifecycle.
 ///
-/// The server owns its threads: dropping it (or calling
-/// [`PhiServer::shutdown`]) stops the collector, resolves still-queued
-/// requests with [`ServerError::ShuttingDown`], and joins every thread.
+/// The server owns no thread. Dropping it (or calling
+/// [`PhiServer::shutdown`]) refuses new requests and resolves
+/// still-queued ones with [`ServerError::ShuttingDown`]; a batch already
+/// executing finishes on its leader's thread.
 pub struct PhiServer {
     shared: Arc<Shared>,
     slots: HashMap<String, Arc<ModelSlot>>,
-    collector: Mutex<Option<JoinHandle<()>>>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl PhiServer {
-    /// Spawns the collector and worker threads and starts serving.
+    /// Builds the hosted models' executors and starts serving. Spawns no
+    /// thread: batches execute on the threads that submit or wait.
     ///
     /// Every registered model gets one executor over a fresh instance of
-    /// the configured backend, whose tile caches all workers share;
-    /// artifacts stay shared (`Arc`-cloned from the
-    /// registry, never copied).
+    /// the configured backend; artifacts stay shared (`Arc`-cloned from
+    /// the registry, never copied).
     ///
     /// # Panics
     ///
     /// Panics when the registry is empty or the config is degenerate
-    /// (`max_batch`, `queue_capacity`, `max_request_rows`, or `workers`
-    /// of zero) — these are deployment bugs, not runtime conditions.
+    /// (`max_batch`, `queue_capacity`, `max_request_rows` or
+    /// `max_sessions` of zero) — these are deployment bugs, not runtime
+    /// conditions.
     pub fn start(registry: ModelRegistry, config: ServerConfig) -> Self {
         assert!(!registry.is_empty(), "a server needs at least one registered model");
         assert!(config.max_batch > 0, "max_batch must be at least 1");
         assert!(config.queue_capacity > 0, "queue_capacity must be at least 1");
         assert!(config.max_request_rows > 0, "max_request_rows must be at least 1");
-        assert!(config.workers > 0, "workers must be at least 1");
         assert!(config.max_sessions > 0, "max_sessions must be at least 1");
 
         let slots: HashMap<String, Arc<ModelSlot>> = registry
@@ -923,44 +1028,21 @@ impl PhiServer {
 
         let shared = Arc::new(Shared {
             config,
-            intake: Mutex::new(IntakeQueue { items: VecDeque::new(), closed: false }),
+            intake: Mutex::new(IntakeQueue {
+                items: VecDeque::new(),
+                leading: false,
+                waiters: VecDeque::new(),
+                closed: false,
+            }),
             queued: AtomicUsize::new(0),
-            dirty: AtomicBool::new(false),
-            executing: AtomicUsize::new(0),
             #[cfg(test)]
             gate: Mutex::new(()),
+            #[cfg(test)]
+            panic_next: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
-            ctrl: Mutex::new(()),
-            cond: Condvar::new(),
             unknown_model: AtomicU64::new(0),
         });
-
-        let (dispatch_tx, dispatch_rx) = mpsc::channel::<Batch>();
-        let dispatch_rx = Arc::new(Mutex::new(dispatch_rx));
-        let workers: Vec<JoinHandle<()>> = (0..config.workers)
-            .map(|w| {
-                let rx = Arc::clone(&dispatch_rx);
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("phi-server-worker-{w}"))
-                    .spawn(move || worker_loop(&rx, &shared))
-                    .expect("spawn worker thread")
-            })
-            .collect();
-        let collector = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("phi-server-collector".into())
-                .spawn(move || collector_loop(&shared, &dispatch_tx))
-                .expect("spawn collector thread")
-        };
-
-        PhiServer {
-            shared,
-            slots,
-            collector: Mutex::new(Some(collector)),
-            workers: Mutex::new(workers),
-        }
+        PhiServer { shared, slots }
     }
 
     /// The active configuration.
@@ -1083,6 +1165,30 @@ impl PhiServer {
         })
     }
 
+    /// Reserves one unit of admission capacity, or sheds. The CAS loop
+    /// keeps the bound strict under concurrent submitters (a plain
+    /// check-then-add could admit one extra request per racing thread).
+    fn reserve(&self, entry: &ModelEntry) -> ServerResult<()> {
+        let shared = &self.shared;
+        let capacity = shared.config.queue_capacity;
+        let mut queued = shared.queued.load(Ordering::SeqCst);
+        loop {
+            if queued >= capacity {
+                entry.stats.shed.fetch_add(1, Ordering::Relaxed);
+                return Err(ServerError::QueueFull { capacity });
+            }
+            match shared.queued.compare_exchange_weak(
+                queued,
+                queued + 1,
+                Ordering::SeqCst,
+                Ordering::SeqCst,
+            ) {
+                Ok(_) => return Ok(()),
+                Err(actual) => queued = actual,
+            }
+        }
+    }
+
     /// Submits one request for the model registered under `key`,
     /// returning a handle that resolves once a batch containing the
     /// request has executed.
@@ -1091,10 +1197,14 @@ impl PhiServer {
     /// resolved, the request is shape-validated against that model
     /// (including the ragged check), the row ceiling is enforced, and the
     /// admission capacity is reserved — so every error below is returned
-    /// before the request can influence any other request's batch. The
-    /// hot path then touches the intake-queue lock plus a handful of
-    /// atomics; the collector's condition variable is involved only when
-    /// this arrival is the first after idle or completes a full batch.
+    /// before the request can influence any other request's batch.
+    ///
+    /// When no batch is in flight, this call leads: it executes the
+    /// request's batch on the calling thread (and any traffic that queued
+    /// meanwhile, until the queue drains or a waiter takes over) before
+    /// it returns, so the returned handle is usually already resolved.
+    /// Otherwise it only enqueues, and the handle resolves once the batch
+    /// in flight and the request's own batch have run.
     ///
     /// # Errors
     ///
@@ -1119,46 +1229,28 @@ impl PhiServer {
         if shared.shutdown.load(Ordering::SeqCst) {
             return Err(ServerError::ShuttingDown);
         }
+        self.reserve(&entry)?;
 
-        // Reserve admission capacity. The CAS loop keeps the bound strict
-        // under concurrent submitters (a plain check-then-add could admit
-        // one extra request per racing thread).
-        let capacity = shared.config.queue_capacity;
-        let mut queued = shared.queued.load(Ordering::SeqCst);
-        loop {
-            if queued >= capacity {
-                entry.stats.shed.fetch_add(1, Ordering::Relaxed);
-                return Err(ServerError::QueueFull { capacity });
-            }
-            match shared.queued.compare_exchange_weak(
-                queued,
-                queued + 1,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            ) {
-                Ok(_) => break,
-                Err(actual) => queued = actual,
+        let slot = Arc::new(Slot::default());
+        let pending = Pending {
+            entry,
+            request,
+            rows,
+            enqueued: Instant::now(),
+            responder: Responder(Some(Arc::clone(&slot))),
+            session: None,
+        };
+        match enqueue(shared, pending) {
+            Ok(true) => lead(shared),
+            Ok(false) => {}
+            Err(_pending) => {
+                // Shutdown closed the intake between the fast check above
+                // and the push: roll back the reservation and refuse.
+                shared.queued.fetch_sub(1, Ordering::SeqCst);
+                return Err(ServerError::ShuttingDown);
             }
         }
-
-        // Count into the coalescing group *before* the push: the counter
-        // must never under-run when the collector dispatches this request
-        // and decrements. A premature full-group wake (counter full, push
-        // still in flight) is harmless — the collector dispatches on its
-        // buffered length, not the counter.
-        let counter = entry.group_counter(rows);
-        let matching = counter.fetch_add(1, Ordering::SeqCst) + 1;
-
-        let (tx, rx) = mpsc::channel();
-        let pending = Pending { entry, request, rows, enqueued: Instant::now(), tx, session: None };
-        if let Err(_pending) = push_admitted(shared, pending, matching) {
-            // Shutdown closed the intake between the fast check above and
-            // the push: roll back the reservation and refuse.
-            counter.fetch_sub(1, Ordering::SeqCst);
-            shared.queued.fetch_sub(1, Ordering::SeqCst);
-            return Err(ServerError::ShuttingDown);
-        }
-        Ok(ResponseHandle { rx })
+        Ok(ResponseHandle::new(slot, shared))
     }
 
     /// Opens a streaming session on the model registered under `key` and
@@ -1219,12 +1311,14 @@ impl PhiServer {
     /// validation, row ceiling, capacity reservation), plus the session
     /// checks: the id must resolve, and the frame's row count must match
     /// the one the session was locked to by its first admitted frame.
-    /// After admission the frame either enters the batcher directly or —
-    /// when the session already has a frame in flight — parks on the
-    /// session and is promoted (in arrival order) by the worker that
-    /// resolves the earlier frame. Frames of the *same* session therefore
-    /// execute strictly in submission order, one at a time, while frames
-    /// of different sessions coalesce into fused batches.
+    /// After admission the frame either enters the batcher directly — and
+    /// this call leads when no batch is in flight, exactly like
+    /// [`PhiServer::submit`] — or, when the session already has a frame
+    /// in flight, parks on the session and is promoted (in arrival order)
+    /// by the leader that resolves the earlier frame. Frames of the
+    /// *same* session therefore execute strictly in submission order, one
+    /// at a time, while frames of different sessions coalesce into fused
+    /// batches.
     ///
     /// The resolved [`ServedResponse::readout`] is the frame's own
     /// per-timestep readout, bit-identical to stateless serving of the
@@ -1271,64 +1365,51 @@ impl PhiServer {
         if shared.shutdown.load(Ordering::SeqCst) {
             return Err(ServerError::ShuttingDown);
         }
+        // Parked frames hold a reservation too, so a slow session cannot
+        // buffer unbounded frames.
+        self.reserve(&entry)?;
 
-        // Reserve admission capacity — parked frames hold a reservation
-        // too, so a slow session cannot buffer unbounded frames.
-        let capacity = shared.config.queue_capacity;
-        let mut queued = shared.queued.load(Ordering::SeqCst);
-        loop {
-            if queued >= capacity {
-                entry.stats.shed.fetch_add(1, Ordering::Relaxed);
-                return Err(ServerError::QueueFull { capacity });
-            }
-            match shared.queued.compare_exchange_weak(
-                queued,
-                queued + 1,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            ) {
-                Ok(_) => break,
-                Err(actual) => queued = actual,
-            }
-        }
-        let counter = entry.group_counter(rows);
-        let matching = counter.fetch_add(1, Ordering::SeqCst) + 1;
-
-        let (tx, rx) = mpsc::channel();
+        let handle_slot = Arc::new(Slot::default());
         let pending = Pending {
             entry,
             request: frame,
             rows,
             enqueued: Instant::now(),
-            tx,
+            responder: Responder(Some(Arc::clone(&handle_slot))),
             session: Some(Arc::clone(&session)),
         };
 
         // Claim the session's in-flight slot or park behind it. The queue
         // lock is held across the intake push so a concurrent release
         // can never observe the slot claimed with the frame not yet
-        // visible anywhere.
+        // visible anywhere — and released before leading, because the
+        // batch this caller leads releases the session again.
         let mut queue = lock(&session.queue);
         queue.last_active = pending.enqueued;
         if queue.closed {
             drop(queue);
-            counter.fetch_sub(1, Ordering::SeqCst);
             shared.queued.fetch_sub(1, Ordering::SeqCst);
             return Err(ServerError::ShuttingDown);
         }
         if queue.in_flight {
             queue.parked.push_back(pending);
-            return Ok(ResponseHandle { rx });
+            return Ok(ResponseHandle::new(handle_slot, shared));
         }
         queue.in_flight = true;
-        if let Err(_pending) = push_admitted(shared, pending, matching) {
+        let pushed = enqueue(shared, pending);
+        if pushed.is_err() {
             queue.in_flight = false;
-            drop(queue);
-            counter.fetch_sub(1, Ordering::SeqCst);
-            shared.queued.fetch_sub(1, Ordering::SeqCst);
-            return Err(ServerError::ShuttingDown);
         }
-        Ok(ResponseHandle { rx })
+        drop(queue);
+        match pushed {
+            Ok(true) => lead(shared),
+            Ok(false) => {}
+            Err(_pending) => {
+                shared.queued.fetch_sub(1, Ordering::SeqCst);
+                return Err(ServerError::ShuttingDown);
+            }
+        }
+        Ok(ResponseHandle::new(handle_slot, shared))
     }
 
     /// Point-in-time view of one streaming session: its rate-coded
@@ -1394,33 +1475,20 @@ impl PhiServer {
         self.shared.unknown_model.load(Ordering::Relaxed)
     }
 
-    /// Stops accepting requests, resolves everything still queued with
-    /// [`ServerError::ShuttingDown`], and joins the collector and worker
-    /// threads. Batches already dispatched still complete and resolve
-    /// normally. Called automatically on drop; takes `&self` so a
-    /// shutdown can race in-flight submitters on other threads (repeated
-    /// and concurrent calls are safe — the first claims the join
-    /// handles, the rest only re-run the idempotent resolve sweep).
-    ///
-    /// A worker that panicked earlier (e.g. a panicking custom backend)
-    /// is joined tolerantly: its requests already resolved with
-    /// [`ServerError::Disconnected`], and re-raising the panic here would
-    /// turn a served error into an abort when the server is dropped
-    /// during unwinding.
+    /// Stops accepting requests and resolves everything still queued —
+    /// in the intake queue or parked on a session — with
+    /// [`ServerError::ShuttingDown`]. A batch already executing finishes
+    /// on its leader's thread and resolves normally. Called automatically
+    /// on drop; takes `&self` so a shutdown can race in-flight submitters
+    /// on other threads (repeated and concurrent calls are safe — every
+    /// step is idempotent).
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.wake_collector();
-        if let Some(collector) = lock(&self.collector).take() {
-            let _ = collector.join();
-        }
-        // The collector's shutdown sweep already closed and drained the
-        // intake; repeat it here in case the collector died early (a
-        // panicked collector must not strand submitted requests).
         close_and_resolve_intake(&self.shared);
         // Frames parked on sessions never reached the intake — close each
         // session queue (so racing submitters can no longer park) and
         // resolve the parked frames with the same typed error. In-flight
-        // streamed frames are already dispatched and resolve normally.
+        // streamed frames are already in a batch and resolve normally.
         for slot in self.slots.values() {
             let sessions = lock(&slot.sessions);
             let mut resolved = 0usize;
@@ -1428,8 +1496,7 @@ impl PhiServer {
                 let mut queue = lock(&session.queue);
                 queue.closed = true;
                 for pending in queue.parked.drain(..) {
-                    pending.entry.group_counter(pending.rows).fetch_sub(1, Ordering::SeqCst);
-                    let _ = pending.tx.send(Err(ServerError::ShuttingDown));
+                    pending.responder.send(Err(ServerError::ShuttingDown));
                     resolved += 1;
                 }
             }
@@ -1438,13 +1505,10 @@ impl PhiServer {
                 self.shared.queued.fetch_sub(resolved, Ordering::SeqCst);
             }
         }
-        for worker in lock(&self.workers).drain(..) {
-            let _ = worker.join();
-        }
-        // Resolve any still-undecided canary: workers are gone, so nothing
-        // will ever finish its comparisons. Rolling back (never promoting)
-        // keeps an unvetted candidate out of the history a restart might
-        // inspect.
+        // Resolve any still-undecided canary: no new batch will ever
+        // finish its comparisons. Rolling back (never promoting) keeps an
+        // unvetted candidate out of the history a restart might inspect;
+        // `decided` keeps a batch still executing from deciding it again.
         for slot in self.slots.values() {
             let candidate = lock(&slot.candidate).clone();
             if let Some(candidate) = candidate {
@@ -1469,331 +1533,171 @@ impl std::fmt::Debug for PhiServer {
     }
 }
 
-/// The dynamic batcher: sleeps until traffic (or a group deadline, an
-/// idle server, or shutdown), drains the intake queue into private
-/// per-group buffers in arrival order, and dispatches each group that
-/// [`batch_due`] calls due to the worker pool. Coalescing is
-/// intentionally a single thread — it is the batching policy's
-/// serialization point and does a few pointer moves per request, while
-/// execution (the scalable part) fans out across the worker pool.
-fn collector_loop(shared: &Shared, dispatch: &mpsc::Sender<Batch>) {
-    let max_wait = shared.config.max_wait;
-    let mut groups: Groups = HashMap::new();
-    loop {
-        // Sleep phase: hold ctrl from predicate check to wait so wakers
-        // can never slip a flag update between the two (see
-        // `Shared::wake_collector`). A finishing worker decrements
-        // `executing` *before* its `wake_collector` takes ctrl, so the
-        // idle check below either reads the decrement or the worker's
-        // wake blocks until this thread waits — the same no-lost-wakeup
-        // argument as for `dirty`.
-        {
-            let mut guard = lock(&shared.ctrl);
-            loop {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    drop(guard);
-                    resolve_shutdown(shared, &mut groups);
-                    return;
-                }
-                if shared.dirty.load(Ordering::SeqCst) {
-                    break;
-                }
-                let now = Instant::now();
-                let executing = shared.executing.load(Ordering::SeqCst);
-                if groups.values().any(|buf| group_due(&shared.config, buf, now, executing)) {
-                    break;
-                }
-                match earliest_deadline(&groups, max_wait) {
-                    Some(deadline) => {
-                        if now >= deadline {
-                            break;
-                        }
-                        let (g, _) = shared
-                            .cond
-                            .wait_timeout(guard, deadline - now)
-                            .unwrap_or_else(PoisonError::into_inner);
-                        guard = g;
-                    }
-                    None => {
-                        guard = shared.cond.wait(guard).unwrap_or_else(PoisonError::into_inner);
-                    }
-                }
-            }
-        }
+/// Pushes an admitted request onto the intake queue. Returns whether the
+/// caller must now lead: it found no batch in flight and took the
+/// leadership in the same critical section. On a closed intake (a
+/// shutdown race) the pending is handed back so the caller can unwind
+/// its reservations and resolve or refuse it.
+fn enqueue(shared: &Shared, pending: Pending) -> Result<bool, Pending> {
+    let mut intake = lock(&shared.intake);
+    if intake.closed {
+        return Err(pending);
+    }
+    intake.items.push_back(pending);
+    Ok(!std::mem::replace(&mut intake.leading, true))
+}
 
-        drain_intake(shared, &mut groups);
-        if dispatch_due(shared, &mut groups, dispatch).is_err() {
-            // Every worker is gone (the pool panicked); nothing can
-            // execute batches, so resolve what is left instead of
-            // stranding the handles.
-            resolve_all(shared, &mut groups, &ServerError::Disconnected);
+/// The leader's loop; the caller holds the leadership. Cuts and executes
+/// one batch at a time until the queue is empty — then clears `leading`
+/// in the same critical section that saw it empty — or until a batch
+/// finishes with a waiter parked, which inherits the leadership while
+/// this caller returns.
+fn lead(shared: &Shared) {
+    loop {
+        let (batch, expired) = cut_batch(shared);
+        // Shed outside the intake lock: releasing a shed frame's session
+        // takes the session lock, which submitters hold across a push.
+        for pending in expired {
+            shed_deadline(shared, pending);
+        }
+        if !batch.is_empty() {
+            run_batch(shared, batch);
+        }
+        let mut intake = lock(&shared.intake);
+        if intake.items.is_empty() {
+            intake.leading = false;
+            return;
+        }
+        if let Some(waiter) = intake.waiters.pop_front() {
+            // `leading` stays set: the popped waiter inherits it, since
+            // it finds itself unlisted whenever it wakes.
+            drop(intake);
+            waiter.hand_lead();
             return;
         }
     }
 }
 
-/// The next instant some buffered work forces the collector awake: the
-/// oldest request of each group plus `max_wait` (the dispatch deadline),
-/// and every per-request [`InferenceRequest::deadline`] (the shed
-/// deadline — without these a lone deadlined request under a generous
-/// `max_wait` would outwait its own expiry). `None` with no buffered
-/// work.
-fn earliest_deadline(groups: &Groups, max_wait: Duration) -> Option<Instant> {
-    groups
-        .values()
-        .flat_map(|buf| {
-            let group = buf.front().map(|p| p.enqueued + max_wait);
-            let per_request =
-                buf.iter().filter_map(|p| p.request.deadline.map(|d| p.enqueued + d)).min();
-            group.into_iter().chain(per_request)
-        })
-        .min()
-}
-
-/// Moves everything the intake queue holds into the collector's
-/// per-group buffers, in arrival order. The intake lock is held only for
-/// the O(1) deque handoff.
-fn drain_intake(shared: &Shared, groups: &mut Groups) {
-    // Clear the flag *before* draining (with a swap, pairing with the
-    // submitters' swap): a push that lands after this drain re-raises the
-    // flag, so the next loop iteration drains it.
-    shared.dirty.swap(false, Ordering::SeqCst);
-    let drained = std::mem::take(&mut lock(&shared.intake).items);
-    for pending in drained {
-        groups.entry(group_of(&pending)).or_default().push_back(pending);
-    }
-}
-
-/// The batching rule. A group of `len` buffered requests, whose oldest
-/// has waited `oldest_waited`, is due when it holds `max_batch`
-/// requests, when that oldest request has waited out `max_wait`, or when
-/// no batch is executing anywhere on the server. So an idle server runs
-/// a request at once, and `max_wait` bounds only how long a request
-/// lingers behind a busy executor. An empty group is never due.
-fn batch_due(
-    len: usize,
-    oldest_waited: Duration,
-    executing: usize,
-    max_batch: usize,
-    max_wait: Duration,
-) -> bool {
-    len > 0 && (len >= max_batch || oldest_waited >= max_wait || executing == 0)
-}
-
-/// [`batch_due`] for one buffered group at `now`.
-fn group_due(
-    config: &ServerConfig,
-    buf: &VecDeque<Pending>,
-    now: Instant,
-    executing: usize,
-) -> bool {
-    let waited = buf.front().map_or(Duration::ZERO, |p| now.saturating_duration_since(p.enqueued));
-    batch_due(buf.len(), waited, executing, config.max_batch, config.max_wait)
-}
-
-/// Sheds deadline-expired requests, then dispatches every group that
-/// [`batch_due`] calls due, in `max_batch` cuts. Groups are visited
-/// oldest head first, so on an idle server the longest-waiting group
-/// gets the executor and every other group keeps the full / expired
-/// rule until that batch finishes. Empty groups are dropped. Errors
-/// when the worker pool has hung up the dispatch channel.
-fn dispatch_due(
-    shared: &Shared,
-    groups: &mut Groups,
-    dispatch: &mpsc::Sender<Batch>,
-) -> std::result::Result<(), ()> {
+/// Takes the next batch off the intake queue: up to `max_batch` requests
+/// of the oldest queued request's group, in arrival order. Every other
+/// request stays queued in order, except the ones past their own
+/// deadline, which come back separately to be shed.
+fn cut_batch(shared: &Shared) -> (Vec<Pending>, Vec<Pending>) {
     let max_batch = shared.config.max_batch;
     let now = Instant::now();
-    for buf in groups.values_mut() {
-        // Shed requests that waited out their own deadline before cutting
-        // batches — an expired request must resolve with the typed shed
-        // error, not ride into a batch it asked not to wait for.
-        let mut idx = 0;
-        while idx < buf.len() {
-            let expired = buf[idx]
-                .request
-                .deadline
-                .is_some_and(|d| now.duration_since(buf[idx].enqueued) >= d);
-            if expired {
-                let pending = buf.remove(idx).expect("index in bounds");
-                shed_deadline(shared, pending);
-            } else {
-                idx += 1;
-            }
+    let mut batch = Vec::new();
+    let mut expired = Vec::new();
+    let mut intake = lock(&shared.intake);
+    let mut group = None;
+    // One rotation of the deque: every request is popped once and either
+    // taken or pushed back behind the unvisited ones, keeping the order.
+    for _ in 0..intake.items.len() {
+        let pending = intake.items.pop_front().expect("rotating within the length");
+        if pending.expired(now) {
+            expired.push(pending);
+        } else if batch.len() < max_batch
+            && *group.get_or_insert(group_of(&pending)) == group_of(&pending)
+        {
+            batch.push(pending);
+        } else {
+            intake.items.push_back(pending);
         }
     }
-    let mut heads: Vec<(Instant, GroupKey)> =
-        groups.iter().filter_map(|(key, buf)| buf.front().map(|p| (p.enqueued, *key))).collect();
-    heads.sort_unstable();
-    for (_, key) in heads {
-        let buf = groups.get_mut(&key).expect("group just listed");
-        while group_due(&shared.config, buf, now, shared.executing.load(Ordering::SeqCst)) {
-            let take = buf.len().min(max_batch);
-            let pending: Vec<Pending> = buf.drain(..take).collect();
-            let entry = Arc::clone(&pending[0].entry);
-            // Release the admission capacity and group occupancy these
-            // requests held; they are the workers' problem now.
-            shared.queued.fetch_sub(pending.len(), Ordering::SeqCst);
-            entry.group_counter(key.1).fetch_sub(pending.len(), Ordering::SeqCst);
-            shared.executing.fetch_add(1, Ordering::SeqCst);
-            if dispatch.send(Batch { entry, pending }).is_err() {
-                return Err(());
+    drop(intake);
+    // The batch's admission capacity frees now; shed requests free
+    // theirs in `shed_deadline`.
+    shared.queued.fetch_sub(batch.len(), Ordering::SeqCst);
+    (batch, expired)
+}
+
+/// Executes one batch under `catch_unwind`. A panic never reaches the
+/// leader's caller: unwinding drops the riders' responders, which resolve
+/// them with [`ServerError::Disconnected`], and the riders count as
+/// failed. Each streamed rider's session is released either way, so its
+/// next parked frame is promoted instead of stranded.
+fn run_batch(shared: &Shared, batch: Vec<Pending>) {
+    let entry = Arc::clone(&batch[0].entry);
+    let riders = batch.len();
+    let sessions: Vec<Arc<SessionEntry>> = batch.iter().filter_map(|p| p.session.clone()).collect();
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        #[cfg(test)]
+        {
+            drop(lock(&shared.gate));
+            if shared.panic_next.swap(false, Ordering::SeqCst) {
+                panic!("injected batch panic");
             }
         }
+        serve_batch(&entry, batch);
+    }));
+    if outcome.is_err() {
+        entry.stats.failed.fetch_add(riders as u64, Ordering::Relaxed);
     }
-    groups.retain(|_, buf| !buf.is_empty());
-    Ok(())
+    for session in &sessions {
+        release_session(shared, session);
+    }
 }
 
 /// Resolves one deadline-expired request with
 /// [`ServerError::DeadlineExceeded`], releasing every reservation it held
-/// (admission capacity, group occupancy, and — for a streamed frame — its
-/// session's in-flight slot, promoting the next parked frame).
+/// (admission capacity and — for a streamed frame — its session's
+/// in-flight slot, promoting the next parked frame).
 fn shed_deadline(shared: &Shared, pending: Pending) {
     shared.queued.fetch_sub(1, Ordering::SeqCst);
-    pending.entry.group_counter(pending.rows).fetch_sub(1, Ordering::SeqCst);
     pending.entry.stats.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
     let deadline = pending.request.deadline.expect("only deadlined requests are shed here");
-    let _ = pending.tx.send(Err(ServerError::DeadlineExceeded { deadline }));
+    pending.responder.send(Err(ServerError::DeadlineExceeded { deadline }));
     if let Some(session) = pending.session {
         release_session(shared, &session);
     }
 }
 
-/// The collector's shutdown sweep: close the intake (so racing
-/// submitters observe the closure instead of stranding a request), then
-/// resolve everything undispatched with [`ServerError::ShuttingDown`].
-fn resolve_shutdown(shared: &Shared, groups: &mut Groups) {
-    resolve_all(shared, groups, &ServerError::ShuttingDown);
-}
-
 /// Closes and drains the intake queue, resolving the drained requests
 /// with [`ServerError::ShuttingDown`]; idempotent.
 fn close_and_resolve_intake(shared: &Shared) {
-    let mut resolved = 0usize;
-    let mut intake = lock(&shared.intake);
-    intake.closed = true;
-    for pending in intake.items.drain(..) {
-        let _ = pending.tx.send(Err(ServerError::ShuttingDown));
-        resolved += 1;
-    }
-    drop(intake);
-    if resolved > 0 {
-        shared.queued.fetch_sub(resolved, Ordering::SeqCst);
-    }
-}
-
-/// Resolves every undispatched request — intake queue and private
-/// buffers — with `error`; nothing vanishes silently.
-fn resolve_all(shared: &Shared, groups: &mut Groups, error: &ServerError) {
-    close_and_resolve_intake(shared);
-    let mut resolved = 0usize;
-    for (_, buf) in groups.drain() {
-        for pending in buf {
-            let _ = pending.tx.send(Err(error.clone()));
-            resolved += 1;
-        }
-    }
-    if resolved > 0 {
-        shared.queued.fetch_sub(resolved, Ordering::SeqCst);
-    }
-}
-
-/// Pushes an admitted request onto the intake queue and wakes the
-/// collector when the arrival changes its decision: traffic after idle
-/// starts a batch, and a full group dispatches immediately. Intermediate
-/// arrivals just set `dirty`, which the collector reads at its next
-/// deadline — skipping their wakeups keeps the submit path (and the
-/// whole box, on small hosts) off the context-switch treadmill. Both
-/// sides `swap` the dirty flag, so the collector's drain is ordered
-/// after this push.
-///
-/// On a closed intake (a shutdown race) the pending is handed back so the
-/// caller can unwind its reservations and resolve or refuse it.
-fn push_admitted(shared: &Shared, pending: Pending, matching: usize) -> Result<(), Pending> {
-    {
+    let drained = {
         let mut intake = lock(&shared.intake);
-        if intake.closed {
-            return Err(pending);
-        }
-        intake.items.push_back(pending);
+        intake.closed = true;
+        std::mem::take(&mut intake.items)
+    };
+    if drained.is_empty() {
+        return;
     }
-    let first_after_idle = !shared.dirty.swap(true, Ordering::SeqCst);
-    if first_after_idle || matching >= shared.config.max_batch {
-        shared.wake_collector();
+    shared.queued.fetch_sub(drained.len(), Ordering::SeqCst);
+    for pending in drained {
+        pending.responder.send(Err(ServerError::ShuttingDown));
     }
-    Ok(())
 }
 
 /// Releases a session's in-flight slot after its frame resolved: the
-/// next parked frame (if any) takes the slot over and enters the
-/// batcher; otherwise the slot frees. Called by the worker that served
-/// (or failed) the session's frame — this hand-off is what keeps a
+/// next parked frame (if any) takes the slot over and enters the intake
+/// queue; otherwise the slot frees. Called by the leader that served,
+/// failed or shed the session's frame — so the promoted frame lands in
+/// the queue that leader drains next, and this hand-off is what keeps a
 /// session's frames in strict timestep order.
 fn release_session(shared: &Shared, session: &Arc<SessionEntry>) {
-    let next = {
-        let mut queue = lock(&session.queue);
-        match queue.parked.pop_front() {
-            // The slot stays claimed: the promoted frame occupies it.
-            Some(pending) => Some(pending),
-            None => {
-                queue.in_flight = false;
-                None
-            }
-        }
+    let mut queue = lock(&session.queue);
+    let Some(pending) = queue.parked.pop_front() else {
+        queue.in_flight = false;
+        return;
     };
-    if let Some(pending) = next {
-        let counter = pending.entry.group_counter(pending.rows);
-        let matching = counter.load(Ordering::SeqCst);
-        if let Err(pending) = push_admitted(shared, pending, matching) {
+    // The slot stays claimed: the promoted frame occupies it.
+    match enqueue(shared, pending) {
+        Ok(leads) => debug_assert!(!leads, "only a leader releases sessions"),
+        Err(pending) => {
             // Shutdown closed the intake; resolve the promoted frame the
             // same way the intake drain would have.
-            counter.fetch_sub(1, Ordering::SeqCst);
+            queue.in_flight = false;
+            drop(queue);
             shared.queued.fetch_sub(1, Ordering::SeqCst);
-            let _ = pending.tx.send(Err(ServerError::ShuttingDown));
-            lock(&session.queue).in_flight = false;
+            pending.responder.send(Err(ServerError::ShuttingDown));
         }
     }
 }
 
-/// A worker: pull a batch, execute it on the model version's executor,
-/// resolve every rider with its share of the report plus wall-clock
-/// latency, and record stats. Exits when the collector hangs up the
-/// channel.
-fn worker_loop(rx: &Mutex<mpsc::Receiver<Batch>>, shared: &Shared) {
-    loop {
-        // Hold the receiver lock only while waiting; execution happens
-        // after it is released so other workers can pick up batches.
-        let batch = match lock(rx).recv() {
-            Ok(batch) => batch,
-            Err(_) => return,
-        };
-        let _finished = FinishedBatch(shared);
-        #[cfg(test)]
-        drop(lock(&shared.gate));
-        serve_batch(batch, shared);
-    }
-}
-
-/// Marks one dispatched batch finished when dropped — after
-/// `serve_batch` returns, canary shadow included, or while a panicking
-/// worker unwinds — so a crashed batch can never leave the server busy
-/// forever. The decrement comes first and the wake second: the collector
-/// either reads the decrement at its idle check or is woken by it (see
-/// `collector_loop`). A server with nothing queued needs no wake.
-struct FinishedBatch<'a>(&'a Shared);
-
-impl Drop for FinishedBatch<'_> {
-    fn drop(&mut self) {
-        self.0.executing.fetch_sub(1, Ordering::SeqCst);
-        if self.0.queued.load(Ordering::SeqCst) > 0 {
-            self.0.wake_collector();
-        }
-    }
-}
-
-fn serve_batch(batch: Batch, shared: &Shared) {
-    let Batch { entry, pending } = batch;
+/// Executes one cut batch on its model version's executor, resolves every
+/// rider with its share of the report plus wall-clock latency, records
+/// stats, and then — after the riders resolved — shadows a pending canary.
+fn serve_batch(entry: &Arc<ModelEntry>, pending: Vec<Pending>) {
     let executor = &entry.executor;
     let exec_start = Instant::now();
     let queue_waits: Vec<Duration> =
@@ -1801,34 +1705,24 @@ fn serve_batch(batch: Batch, shared: &Shared) {
     // The group key carries the stream discriminant, so a batch is
     // homogeneous: all streamed frames or all plain requests.
     if pending[0].session.is_some() {
-        serve_stream_batch(shared, &entry, executor, pending, exec_start, &queue_waits);
+        serve_stream_batch(entry, executor, pending, exec_start, &queue_waits);
         return;
     }
     let (requests, resolvers): (Vec<InferenceRequest>, Vec<_>) =
-        pending.into_iter().map(|p| (p.request, (p.tx, p.enqueued))).unzip();
+        pending.into_iter().map(|p| (p.request, (p.responder, p.enqueued))).unzip();
 
     match executor.execute(&requests) {
         Ok(report) => {
             let exec = exec_start.elapsed();
             entry.stats.record_batch(&queue_waits, exec);
-            let batch_size = requests.len();
             // Snapshot the served readouts for the canary comparison
             // *before* rider resolution consumes the report — but only
             // when a canary is actually pending on this entry's slot.
-            let shadow = canary_candidate(&entry);
+            let shadow = canary_candidate(entry);
             let served: Option<Vec<Option<Matrix>>> = shadow
                 .as_ref()
                 .map(|_| report.requests.iter().map(|r| r.readout.clone()).collect());
-            for ((tx, enqueued), result) in resolvers.into_iter().zip(report.requests) {
-                let _ = tx.send(Ok(ServedResponse {
-                    readout: result.readout,
-                    cycles: result.cycles,
-                    energy_j: result.energy_j,
-                    queue_wait: exec_start.duration_since(enqueued),
-                    exec,
-                    batch_size,
-                }));
-            }
+            resolve_riders(resolvers, report.requests, None, exec_start, exec);
             // Shadow execution runs after every rider resolved: the
             // canary costs candidate-side throughput, never served
             // latency.
@@ -1840,8 +1734,8 @@ fn serve_batch(batch: Batch, shared: &Shared) {
             // Admission validated shapes, so this is unexpected — but it
             // must still resolve every rider, with the same typed error.
             entry.stats.failed.fetch_add(requests.len() as u64, Ordering::Relaxed);
-            for (tx, _) in resolvers {
-                let _ = tx.send(Err(ServerError::Execution(e.clone())));
+            for (responder, _) in resolvers {
+                responder.send(Err(ServerError::Execution(e.clone())));
             }
         }
     }
@@ -1849,10 +1743,9 @@ fn serve_batch(batch: Batch, shared: &Shared) {
 
 /// Executes one coalesced batch of streamed frames — one frame per
 /// distinct session — through the incremental streaming path, resolves
-/// every rider, records the stream counters, and releases each session's
-/// in-flight slot (promoting its next parked frame, if any).
+/// every rider and records the stream counters. The caller releases each
+/// session's in-flight slot afterwards.
 fn serve_stream_batch(
-    shared: &Shared,
     entry: &Arc<ModelEntry>,
     executor: &BatchExecutor<Box<dyn ExecutionBackend>>,
     pending: Vec<Pending>,
@@ -1864,7 +1757,7 @@ fn serve_stream_batch(
     let mut sessions = Vec::with_capacity(pending.len());
     for p in pending {
         frames.push(p.request);
-        resolvers.push((p.tx, p.enqueued));
+        resolvers.push((p.responder, p.enqueued));
         sessions.push(p.session.expect("stream batch carries sessions"));
     }
     let session_refs: Vec<&StreamSession> = sessions.iter().map(|s| &s.state).collect();
@@ -1888,27 +1781,47 @@ fn serve_stream_batch(
                 });
             }
             lock(&entry.stats.stream_delta).merge(&batch_delta);
-            let batch_size = frames.len();
-            for ((tx, enqueued), result) in resolvers.into_iter().zip(report.requests) {
-                let _ = tx.send(Ok(ServedResponse {
-                    readout: result.readout,
-                    cycles: result.cycles,
-                    energy_j: result.energy_j,
-                    queue_wait: exec_start.duration_since(enqueued),
-                    exec,
-                    batch_size,
-                }));
-            }
+            resolve_riders(resolvers, report.requests, Some(frames), exec_start, exec);
         }
         Err(e) => {
             entry.stats.failed.fetch_add(frames.len() as u64, Ordering::Relaxed);
-            for (tx, _) in resolvers {
-                let _ = tx.send(Err(ServerError::Execution(e.clone())));
+            for (responder, _) in resolvers {
+                responder.send(Err(ServerError::Execution(e.clone())));
             }
         }
     }
-    for session in &sessions {
-        release_session(shared, session);
+}
+
+/// Resolves every rider of an executed batch with its share of the
+/// report. With `spent` (streamed frames), each frame retires into its
+/// rider's slot and is released with the handle — on the caller's
+/// thread, once it took the result — instead of on the leader's. A
+/// streaming client builds its next frames while the current ones are in
+/// flight; freeing them on the leader just before that let the allocator
+/// trim the heap top and re-fault it on every step (about 10⁶ minor
+/// faults in a 10 s phibench `stream` run on a 2-core x86-64 host with
+/// glibc, against 3·10⁴). Stateless requests are freed by the leader at
+/// once, which keeps their memory hot for the next request: retiring
+/// them too cost `serve` 15–20 % in p50 on that host.
+fn resolve_riders(
+    resolvers: Vec<(Responder, Instant)>,
+    results: Vec<RequestResult>,
+    spent: Option<Vec<InferenceRequest>>,
+    exec_start: Instant,
+    exec: Duration,
+) {
+    let batch_size = resolvers.len();
+    let mut spent = spent.map(Vec::into_iter);
+    for ((responder, enqueued), result) in resolvers.into_iter().zip(results) {
+        let response = ServedResponse {
+            readout: result.readout,
+            cycles: result.cycles,
+            energy_j: result.energy_j,
+            queue_wait: exec_start.duration_since(enqueued),
+            exec,
+            batch_size,
+        };
+        responder.resolve(Ok(response), spent.as_mut().and_then(Iterator::next));
     }
 }
 
@@ -2043,7 +1956,7 @@ fn readout_divergence(shadow: Option<&Matrix>, served: Option<&Matrix>) -> Optio
 
 /// Promotes the canary candidate: installs its entry as the slot's active
 /// version. The `decided` swap makes the decision exactly-once against
-/// racing workers and shutdown.
+/// a racing shutdown.
 fn promote_candidate(slot: &Arc<ModelSlot>, candidate: &Arc<CandidateState>) {
     if candidate.decided.swap(true, Ordering::AcqRel) {
         return;
@@ -2094,6 +2007,8 @@ mod tests {
     use super::*;
     use crate::compile::{CompileOptions, ModelCompiler};
     use snn_workloads::{DatasetId, ModelId, Workload, WorkloadConfig};
+    use std::sync::MutexGuard;
+    use std::thread::{Scope, ScopedJoinHandle};
 
     fn tiny_workload() -> Workload {
         let mut w = WorkloadConfig::new(ModelId::ResNet18, DatasetId::Cifar10)
@@ -2135,7 +2050,7 @@ mod tests {
         let w = tiny_workload();
         let mut registry = ModelRegistry::new();
         registry.register("m", model(&w));
-        let server = PhiServer::start(registry, ServerConfig::default().with_workers(1));
+        let server = PhiServer::start(registry, ServerConfig::default());
         assert_eq!(server.model_keys(), ["m"]);
 
         let batch = requests(&w, 4, 4, 3);
@@ -2156,68 +2071,145 @@ mod tests {
         assert!(server.stats("nope").is_none());
     }
 
-    #[test]
-    fn server_coalesces_a_full_batch_without_waiting_for_the_deadline() {
-        let w = tiny_workload();
-        let m = model(&w);
-        // A deadline far beyond the test timeout on a busy server: only
-        // the max_batch bound can dispatch, so a second executing batch
-        // proves full-batch dispatch.
-        let config = ServerConfig::default()
-            .with_max_batch(4)
-            .with_max_wait(Duration::from_secs(3600))
-            .with_workers(1);
-        let server = PhiServer::start(gated_registry(&m), config);
-        let (gate, blocker) = hold_busy(&server, requests(&w, 1, 4, 4).remove(0));
-        let handles: Vec<ResponseHandle> =
-            requests(&w, 4, 4, 5).into_iter().map(|r| server.submit("m", r).unwrap()).collect();
-        wait_until("the full batch to dispatch", || executing(&server) == 2);
-        drop(gate);
-        assert!(blocker.wait().is_ok());
-        for handle in handles {
-            assert_eq!(handle.wait().unwrap().batch_size, 4);
+    /// Direct (unserved) readouts of `batch` on `model`, for comparing
+    /// served responses against ground truth.
+    fn direct_readouts(model: &Arc<CompiledModel>, batch: &[InferenceRequest]) -> Vec<Matrix> {
+        let executor = BatchExecutor::new(Arc::clone(model));
+        let report = executor.execute(batch).unwrap();
+        report.requests.into_iter().map(|r| r.readout.unwrap()).collect()
+    }
+
+    /// Polls `predicate` every millisecond for up to ~5s; panics with
+    /// `what` on timeout.
+    fn wait_until(what: &str, mut predicate: impl FnMut() -> bool) {
+        for _ in 0..5000 {
+            if predicate() {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(1));
         }
-        let stats = server.stats("m").unwrap();
-        assert_eq!((stats.served, stats.batches), (4, 1));
-        assert!((stats.mean_batch - 4.0).abs() < 1e-12);
+        panic!("timed out waiting for {what}");
+    }
+
+    /// A registry hosting `m` under `"m"` and again under `"gate"`, the
+    /// key [`hold_busy`]'s blocker rides — so the blocker's batch never
+    /// shows in `"m"`'s stats.
+    fn gated_registry(m: &Arc<CompiledModel>) -> ModelRegistry {
+        let mut registry = ModelRegistry::new();
+        registry.register("m", Arc::clone(m));
+        registry.register("gate", Arc::clone(m));
+        registry
+    }
+
+    /// Requests queued behind the batch in flight.
+    fn queued(server: &PhiServer) -> usize {
+        lock(&server.shared.intake).items.len()
+    }
+
+    /// Makes `server` busy: takes the leader gate, then submits `blocker`
+    /// on the `"gate"` key from a scoped thread. That submitter becomes
+    /// the leader, cuts the blocker's batch and stalls at the gate, so
+    /// until the returned guard drops everything submitted next queues
+    /// behind it. The join handle yields the blocker's outcome.
+    fn hold_busy<'scope, 'env>(
+        scope: &'scope Scope<'scope, 'env>,
+        server: &'env PhiServer,
+        blocker: InferenceRequest,
+    ) -> (MutexGuard<'env, ()>, ScopedJoinHandle<'scope, ServerResult<ServedResponse>>) {
+        let gate = lock(&server.shared.gate);
+        let leader =
+            scope.spawn(move || server.submit("gate", blocker).and_then(ResponseHandle::wait));
+        wait_until("the blocker's batch to be cut", || {
+            let intake = lock(&server.shared.intake);
+            intake.leading && intake.items.is_empty()
+        });
+        (gate, leader)
     }
 
     #[test]
-    fn deadline_dispatches_partial_batches() {
+    fn an_idle_server_runs_a_request_on_the_submitting_thread() {
+        let w = tiny_workload();
+        let mut registry = ModelRegistry::new();
+        registry.register("m", model(&w));
+        let server = PhiServer::start(registry, ServerConfig::default());
+        let handle = server.submit("m", requests(&w, 1, 4, 19).remove(0)).unwrap();
+        // The submitter led its own batch: resolved before submit returned,
+        // with the leadership released.
+        let response = handle
+            .wait_timeout(Duration::ZERO)
+            .expect("submit returned before its batch executed")
+            .unwrap();
+        assert_eq!(response.batch_size, 1);
+        assert!(!lock(&server.shared.intake).leading);
+    }
+
+    #[test]
+    fn busy_server_coalesces() {
         let w = tiny_workload();
         let m = model(&w);
-        let config = ServerConfig::default()
-            .with_max_batch(64)
-            .with_max_wait(Duration::from_millis(5))
-            .with_workers(1);
+        let server = PhiServer::start(gated_registry(&m), ServerConfig::default());
+        let batch = requests(&w, 5, 4, 23);
+        std::thread::scope(|scope| {
+            let (gate, blocker) = hold_busy(scope, &server, requests(&w, 1, 4, 22).remove(0));
+            let handles: Vec<ResponseHandle> =
+                batch.iter().map(|r| server.submit("m", r.clone()).unwrap()).collect();
+            // Behind the batch in flight all five queue: no submitter led.
+            assert_eq!(queued(&server), 5);
+            assert_eq!(server.shared.queued.load(Ordering::SeqCst), 5);
+            // Releasing the gate finishes the blocker; its leader then runs
+            // everything that queued as one batch.
+            drop(gate);
+            assert!(blocker.join().unwrap().is_ok());
+            for (handle, want) in handles.into_iter().zip(direct_readouts(&m, &batch)) {
+                let response = handle.wait().unwrap();
+                assert_eq!(response.batch_size, 5);
+                assert_eq!(response.readout, Some(want));
+            }
+        });
+        let stats = server.stats("m").unwrap();
+        assert_eq!((stats.served, stats.batches), (5, 1));
+    }
+
+    #[test]
+    fn busy_server_cuts_batches_at_max_batch() {
+        let w = tiny_workload();
+        let m = model(&w);
+        let config = ServerConfig::default().with_max_batch(4);
         let server = PhiServer::start(gated_registry(&m), config);
-        let (gate, blocker) = hold_busy(&server, requests(&w, 1, 4, 6).remove(0));
-        // One lone request behind a busy executor can never fill
-        // max_batch; only the deadline can dispatch it.
-        let handle = server.submit("m", requests(&w, 1, 4, 7).remove(0)).unwrap();
-        wait_until("the partial batch to dispatch", || executing(&server) == 2);
-        drop(gate);
-        assert!(blocker.wait().is_ok());
-        let response = handle.wait().unwrap();
-        assert_eq!(response.batch_size, 1);
-        // The lone request waited out (approximately) the full deadline.
-        assert!(response.queue_wait >= Duration::from_millis(4));
+        std::thread::scope(|scope| {
+            let (gate, blocker) = hold_busy(scope, &server, requests(&w, 1, 4, 4).remove(0));
+            let handles: Vec<ResponseHandle> =
+                requests(&w, 6, 4, 5).into_iter().map(|r| server.submit("m", r).unwrap()).collect();
+            drop(gate);
+            assert!(blocker.join().unwrap().is_ok());
+            let sizes: Vec<usize> =
+                handles.into_iter().map(|h| h.wait().unwrap().batch_size).collect();
+            // Arrival order survives the cut: the first four fuse, then the rest.
+            assert_eq!(sizes, [4, 4, 4, 4, 2, 2]);
+        });
+        let stats = server.stats("m").unwrap();
+        assert_eq!((stats.served, stats.batches), (6, 2));
     }
 
     #[test]
     fn requests_with_different_rows_batch_separately() {
         let w = tiny_workload();
-        let mut registry = ModelRegistry::new();
-        registry.register("m", model(&w));
-        let config =
-            ServerConfig::default().with_max_wait(Duration::from_millis(10)).with_workers(1);
-        let server = PhiServer::start(registry, config);
-        let four = server.submit("m", requests(&w, 1, 4, 1).remove(0)).unwrap();
-        let eight = server.submit("m", requests(&w, 1, 8, 1).remove(0)).unwrap();
-        // Different row counts can never fuse (the executor would reject
-        // the ragged batch); each resolves in its own batch.
-        assert_eq!(four.wait().unwrap().batch_size, 1);
-        assert_eq!(eight.wait().unwrap().batch_size, 1);
+        let m = model(&w);
+        let server = PhiServer::start(gated_registry(&m), ServerConfig::default());
+        std::thread::scope(|scope| {
+            let (gate, blocker) = hold_busy(scope, &server, requests(&w, 1, 4, 2).remove(0));
+            let four = server.submit("m", requests(&w, 1, 4, 1).remove(0)).unwrap();
+            let eight = server.submit("m", requests(&w, 1, 8, 1).remove(0)).unwrap();
+            let four_again = server.submit("m", requests(&w, 1, 4, 3).remove(0)).unwrap();
+            drop(gate);
+            assert!(blocker.join().unwrap().is_ok());
+            // Different row counts can never fuse (the executor would
+            // reject the ragged batch): the oldest group's batch takes
+            // both 4-row requests past the 8-row one, which runs next.
+            assert_eq!(four.wait().unwrap().batch_size, 2);
+            assert_eq!(four_again.wait().unwrap().batch_size, 2);
+            assert_eq!(eight.wait().unwrap().batch_size, 1);
+        });
         assert_eq!(server.stats("m").unwrap().batches, 2);
     }
 
@@ -2226,7 +2218,7 @@ mod tests {
         let w = tiny_workload();
         let mut registry = ModelRegistry::new();
         registry.register("m", model(&w));
-        let config = ServerConfig::default().with_backend(BackendKind::Sim).with_workers(1);
+        let config = ServerConfig::default().with_backend(BackendKind::Sim);
         let server = PhiServer::start(registry, config);
         let response = server.submit("m", requests(&w, 1, 4, 9).remove(0)).unwrap();
         let response = response.wait().unwrap();
@@ -2239,22 +2231,20 @@ mod tests {
     fn shutdown_resolves_queued_requests_and_refuses_new_ones() {
         let w = tiny_workload();
         let m = model(&w);
-        // max_batch larger than what we submit, an hour-long deadline and
-        // a busy server: the collector holds the batch open, so the
-        // request is still queued when shutdown lands and must resolve
-        // with ShuttingDown.
-        let config = ServerConfig::default()
-            .with_max_batch(64)
-            .with_max_wait(Duration::from_secs(3600))
-            .with_workers(1);
-        let server = PhiServer::start(gated_registry(&m), config);
-        let (gate, blocker) = hold_busy(&server, requests(&w, 1, 4, 10).remove(0));
-        let held = server.submit("m", requests(&w, 1, 4, 11).remove(0)).unwrap();
-        shutdown_while_gated(&server, gate, || {
+        let server = PhiServer::start(gated_registry(&m), ServerConfig::default());
+        std::thread::scope(|scope| {
+            let (gate, blocker) = hold_busy(scope, &server, requests(&w, 1, 4, 10).remove(0));
+            // Queued behind the stalled batch when shutdown lands: it must
+            // resolve with ShuttingDown, before the gate opens.
+            let held = server.submit("m", requests(&w, 1, 4, 11).remove(0)).unwrap();
+            server.shutdown();
             assert!(matches!(held.wait(), Err(ServerError::ShuttingDown)));
+            assert_eq!(server.shared.queued.load(Ordering::SeqCst), 0);
+            // The batch already executing still completes.
+            drop(gate);
+            assert!(blocker.join().unwrap().is_ok());
         });
-        // The batch already dispatched still completed.
-        assert!(blocker.wait().is_ok());
+        assert!(!lock(&server.shared.intake).leading);
         assert_eq!(
             server.submit("m", requests(&w, 1, 4, 12).remove(0)).unwrap_err(),
             ServerError::ShuttingDown
@@ -2273,7 +2263,7 @@ mod tests {
         let unpacked = Arc::new(ModelCompiler::new(options).compile(&w));
         let mut registry = ModelRegistry::new();
         registry.register("m", Arc::clone(&unpacked));
-        let config = ServerConfig::default().with_workers(1).with_tile_cache(1 << 12);
+        let config = ServerConfig::default().with_tile_cache(1 << 12);
         let server = PhiServer::start(registry, config);
         assert_eq!(server.config().tile_cache, 1 << 12);
         // Two waves of identical traffic: the second replays the first's
@@ -2307,13 +2297,12 @@ mod tests {
         let m = model(&w);
         let mut registry = ModelRegistry::new();
         registry.register("m", Arc::clone(&m));
-        let server = PhiServer::start(registry, ServerConfig::default().with_workers(2));
+        let server = PhiServer::start(registry, ServerConfig::default());
         let direct = BatchExecutor::cpu(Arc::clone(&m)).with_tile_cache_capacity(0);
 
         let session = server.open_session("m").unwrap();
         let frames = requests(&w, 5, 4, 71);
-        // Submit the whole stream before waiting: later frames park on
-        // the session while the first is in flight.
+        // Submit the whole stream before waiting.
         let handles: Vec<ResponseHandle> =
             frames.iter().map(|f| server.submit_stream("m", session, f.clone()).unwrap()).collect();
         for (frame, handle) in frames.iter().zip(handles) {
@@ -2345,11 +2334,40 @@ mod tests {
     }
 
     #[test]
+    fn streamed_frames_park_behind_their_session_and_promote_in_order() {
+        let w = tiny_workload();
+        let m = model(&w);
+        let server = PhiServer::start(gated_registry(&m), ServerConfig::default());
+        let direct = BatchExecutor::cpu(Arc::clone(&m)).with_tile_cache_capacity(0);
+        let session = server.open_session("m").unwrap();
+        let frames = requests(&w, 3, 4, 73);
+        std::thread::scope(|scope| {
+            let (gate, blocker) = hold_busy(scope, &server, requests(&w, 1, 4, 72).remove(0));
+            let handles: Vec<ResponseHandle> = frames
+                .iter()
+                .map(|f| server.submit_stream("m", session, f.clone()).unwrap())
+                .collect();
+            // One frame queues; the other two park on the session.
+            assert_eq!(queued(&server), 1);
+            assert_eq!(server.shared.queued.load(Ordering::SeqCst), 3);
+            drop(gate);
+            assert!(blocker.join().unwrap().is_ok());
+            for (frame, handle) in frames.iter().zip(handles) {
+                let response = handle.wait().unwrap();
+                assert_eq!(response.batch_size, 1);
+                assert_eq!(response.readout, direct.execute_one(frame).unwrap().readout);
+            }
+        });
+        assert_eq!(server.session_snapshot("m", session).unwrap().timesteps, 3);
+        assert_eq!(server.shared.queued.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
     fn session_limit_refuses_and_ttl_sweeps_idle_sessions() {
         let w = tiny_workload();
         let mut registry = ModelRegistry::new();
         registry.register("m", model(&w));
-        let config = ServerConfig::default().with_workers(1).with_max_sessions(2);
+        let config = ServerConfig::default().with_max_sessions(2);
         let server = PhiServer::start(registry, config);
         let a = server.open_session("m").unwrap();
         let b = server.open_session("m").unwrap();
@@ -2362,10 +2380,7 @@ mod tests {
         registry.register("m", model(&w));
         let ttl_server = PhiServer::start(
             registry,
-            ServerConfig::default()
-                .with_workers(1)
-                .with_max_sessions(1)
-                .with_session_ttl(Duration::ZERO),
+            ServerConfig::default().with_max_sessions(1).with_session_ttl(Duration::ZERO),
         );
         let old = ttl_server.open_session("m").unwrap();
         std::thread::sleep(Duration::from_millis(1));
@@ -2382,7 +2397,7 @@ mod tests {
         let w = tiny_workload();
         let mut registry = ModelRegistry::new();
         registry.register("m", model(&w));
-        let server = PhiServer::start(registry, ServerConfig::default().with_workers(1));
+        let server = PhiServer::start(registry, ServerConfig::default());
         let session = server.open_session("m").unwrap();
         server
             .submit_stream("m", session, requests(&w, 1, 4, 3).remove(0))
@@ -2415,226 +2430,77 @@ mod tests {
         assert_eq!(SampleRing::default().percentile(50.0), 0.0);
     }
 
-    /// Direct (unserved) readouts of `batch` on `model`, for comparing
-    /// served responses against ground truth.
-    fn direct_readouts(model: &Arc<CompiledModel>, batch: &[InferenceRequest]) -> Vec<Matrix> {
-        let executor = BatchExecutor::new(Arc::clone(model));
-        let report = executor.execute(batch).unwrap();
-        report.requests.into_iter().map(|r| r.readout.unwrap()).collect()
-    }
-
-    /// Polls `predicate` every millisecond for up to ~5s; panics with
-    /// `what` on timeout.
-    fn wait_until(what: &str, mut predicate: impl FnMut() -> bool) {
-        for _ in 0..5000 {
-            if predicate() {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        panic!("timed out waiting for {what}");
-    }
-
-    /// A registry hosting `m` under `"m"` and again under `"gate"`, the
-    /// key [`hold_busy`]'s blocker rides — so the blocker's batch never
-    /// shows in `"m"`'s stats.
-    fn gated_registry(m: &Arc<CompiledModel>) -> ModelRegistry {
-        let mut registry = ModelRegistry::new();
-        registry.register("m", Arc::clone(m));
-        registry.register("gate", Arc::clone(m));
-        registry
-    }
-
-    fn executing(server: &PhiServer) -> usize {
-        server.shared.executing.load(Ordering::SeqCst)
-    }
-
-    /// Makes `server` busy: takes the worker gate, submits `blocker` on
-    /// the `"gate"` key and waits until its batch counts as executing.
-    /// Until the returned guard drops, everything submitted next lingers
-    /// under the full / expired rule, as it never would on an idle
-    /// server.
-    fn hold_busy(
-        server: &PhiServer,
-        blocker: InferenceRequest,
-    ) -> (std::sync::MutexGuard<'_, ()>, ResponseHandle) {
-        let gate = lock(&server.shared.gate);
-        let handle = server.submit("gate", blocker).unwrap();
-        wait_until("the blocker to execute", || executing(server) == 1);
-        (gate, handle)
-    }
-
-    /// Shuts `server` down while `gate` stalls its workers. Shutdown
-    /// joins the workers, so it runs on a scoped thread; `resolved`
-    /// checks the queued requests on this one, and only then is the gate
-    /// released so the dispatched blocker can finish.
-    fn shutdown_while_gated(
-        server: &PhiServer,
-        gate: std::sync::MutexGuard<'_, ()>,
-        resolved: impl FnOnce(),
-    ) {
-        std::thread::scope(|scope| {
-            let shutdown = scope.spawn(|| server.shutdown());
-            resolved();
-            drop(gate);
-            shutdown.join().unwrap();
-        });
-    }
-
-    #[test]
-    fn batch_due_is_full_or_expired_or_idle() {
-        let (max_batch, max_wait) = (4, Duration::from_millis(1));
-        let fresh = Duration::ZERO;
-        let almost = max_wait - Duration::from_micros(1);
-        // (len, oldest_waited, executing, due)
-        let table = [
-            // Full: due whether or not a batch executes.
-            (4, fresh, 0, true),
-            (4, fresh, 1, true),
-            (9, fresh, 1, true),
-            // Expired: due whether or not a batch executes.
-            (1, max_wait, 0, true),
-            (1, max_wait, 1, true),
-            // Idle: a partial, unexpired group goes at once on an idle
-            // server and lingers behind any executing batch.
-            (1, fresh, 0, true),
-            (3, almost, 0, true),
-            (1, fresh, 1, false),
-            (3, almost, 2, false),
-            // Empty: never due, so no batch is cut without a head.
-            (0, fresh, 0, false),
-            (0, max_wait, 0, false),
-            (0, max_wait, 1, false),
-        ];
-        for (len, waited, executing, due) in table {
-            assert_eq!(
-                batch_due(len, waited, executing, max_batch, max_wait),
-                due,
-                "len {len}, waited {waited:?}, executing {executing}"
-            );
-        }
-    }
-
-    #[test]
-    fn idle_server_never_lingers() {
-        let w = tiny_workload();
-        let mut registry = ModelRegistry::new();
-        registry.register("m", model(&w));
-        let config =
-            ServerConfig::default().with_max_wait(Duration::from_secs(3600)).with_workers(1);
-        let server = PhiServer::start(registry, config);
-        let handle = server.submit("m", requests(&w, 1, 4, 19).remove(0)).unwrap();
-        let response = handle
-            .wait_timeout(Duration::from_secs(5))
-            .expect("a lone request on an idle server lingered")
-            .unwrap();
-        assert_eq!(response.batch_size, 1);
-    }
-
-    #[test]
-    fn busy_server_coalesces() {
-        let w = tiny_workload();
-        let m = model(&w);
-        let config =
-            ServerConfig::default().with_max_wait(Duration::from_secs(3600)).with_workers(1);
-        let server = PhiServer::start(gated_registry(&m), config);
-        let (gate, blocker) = hold_busy(&server, requests(&w, 1, 4, 22).remove(0));
-        let batch = requests(&w, 5, 4, 23);
-        let handles: Vec<ResponseHandle> =
-            batch.iter().map(|r| server.submit("m", r.clone()).unwrap()).collect();
-        // Neither full nor expired behind the blocker: once drained, all
-        // five linger with the collector asleep on an hour-long deadline.
-        wait_until("the collector to drain", || !server.shared.dirty.load(Ordering::SeqCst));
-        assert_eq!(executing(&server), 1);
-        assert_eq!(server.shared.queued.load(Ordering::SeqCst), 5);
-        // Releasing the gate finishes the blocker, whose worker wakes the
-        // collector; the idle server then runs everything that lingered
-        // as one batch.
-        drop(gate);
-        assert!(blocker.wait().is_ok());
-        for (handle, want) in handles.into_iter().zip(direct_readouts(&m, &batch)) {
-            let response = handle
-                .wait_timeout(Duration::from_secs(5))
-                .expect("the finished batch never woke the collector")
-                .unwrap();
-            assert_eq!(response.batch_size, 5);
-            assert_eq!(response.readout, Some(want));
-        }
-        let stats = server.stats("m").unwrap();
-        assert_eq!((stats.served, stats.batches), (5, 1));
-    }
-
     #[test]
     fn queue_full_sheds_instead_of_blocking() {
         let w = tiny_workload();
         let m = model(&w);
-        // Capacity 3, and a batcher that cannot dispatch (batch of 64, an
-        // hour-long deadline, a busy server): requests accumulate in the
-        // queue so the 4th submission must be shed synchronously.
-        let config = ServerConfig::default()
-            .with_queue_capacity(3)
-            .with_max_batch(64)
-            .with_max_wait(Duration::from_secs(3600));
+        // Capacity 3 behind a stalled batch: requests accumulate in the
+        // queue, so the 4th submission must be shed synchronously.
+        let config = ServerConfig::default().with_queue_capacity(3);
         let server = PhiServer::start(gated_registry(&m), config);
-        let (gate, blocker) = hold_busy(&server, requests(&w, 1, 4, 4).remove(0));
-        let held: Vec<ResponseHandle> =
-            requests(&w, 3, 4, 5).into_iter().map(|r| server.submit("m", r).unwrap()).collect();
-        assert!(matches!(
-            server.submit("m", requests(&w, 1, 4, 6).remove(0)),
-            Err(ServerError::QueueFull { capacity: 3 })
-        ));
-        let stats = server.stats("m").unwrap();
-        assert_eq!((stats.shed, stats.served), (1, 0));
-        // Shutdown resolves the held requests instead of leaking them.
-        shutdown_while_gated(&server, gate, || {
+        std::thread::scope(|scope| {
+            let (gate, blocker) = hold_busy(scope, &server, requests(&w, 1, 4, 4).remove(0));
+            let held: Vec<ResponseHandle> =
+                requests(&w, 3, 4, 5).into_iter().map(|r| server.submit("m", r).unwrap()).collect();
+            assert!(matches!(
+                server.submit("m", requests(&w, 1, 4, 6).remove(0)),
+                Err(ServerError::QueueFull { capacity: 3 })
+            ));
+            let stats = server.stats("m").unwrap();
+            assert_eq!((stats.shed, stats.served), (1, 0));
+            // Shutdown resolves the held requests instead of leaking them.
+            server.shutdown();
             for handle in held {
                 assert!(matches!(handle.wait(), Err(ServerError::ShuttingDown)));
             }
+            drop(gate);
+            assert!(blocker.join().unwrap().is_ok());
         });
-        assert!(blocker.wait().is_ok());
     }
 
     #[test]
     fn ragged_request_is_rejected_at_enqueue_not_mid_batch() {
         let w = tiny_workload();
         let m = model(&w);
-        // A patient batcher sized to the 7 good requests below, behind a
-        // busy executor: if the ragged request were admitted it WOULD be
+        // Behind a stalled batch, every good request below queues for the
+        // same next batch: if the ragged request were admitted it WOULD be
         // coalesced with the good traffic submitted around it (and the
         // batch would misfuse).
-        let config =
-            ServerConfig::default().with_max_batch(7).with_max_wait(Duration::from_secs(3600));
+        let config = ServerConfig::default().with_max_batch(7);
         let server = PhiServer::start(gated_registry(&m), config);
-        let (gate, blocker) = hold_busy(&server, requests(&w, 1, 4, 1).remove(0));
         let mut batch = requests(&w, 8, 4, 2);
         let victim = batch.remove(0);
         let mut ragged = batch.remove(0);
         let wide = ragged.layers[1].cols();
         ragged.layers[1] = snn_core::SpikeMatrix::zeros(5, wide);
 
-        // Good request enqueues and waits for its batch to fill...
-        let good = server.submit("m", victim).unwrap();
-        // ...the ragged one is refused synchronously, with the typed cause.
-        assert!(matches!(
-            server.submit("m", ragged),
-            Err(ServerError::Rejected(crate::error::RuntimeError::Ragged {
-                layer: 1,
-                expected: 4,
-                actual: 5
-            }))
-        ));
-        assert_eq!(server.stats("m").unwrap().rejected, 1);
+        std::thread::scope(|scope| {
+            let (gate, blocker) = hold_busy(scope, &server, requests(&w, 1, 4, 1).remove(0));
+            // Good request enqueues behind the stalled batch...
+            let good = server.submit("m", victim).unwrap();
+            // ...the ragged one is refused synchronously, with the typed
+            // cause.
+            assert!(matches!(
+                server.submit("m", ragged),
+                Err(ServerError::Rejected(crate::error::RuntimeError::Ragged {
+                    layer: 1,
+                    expected: 4,
+                    actual: 5
+                }))
+            ));
+            assert_eq!(server.stats("m").unwrap().rejected, 1);
 
-        // The good traffic batches and serves untouched by the rejection.
-        for request in batch {
-            server.submit("m", request).unwrap();
-        }
-        wait_until("the full batch to dispatch", || executing(&server) == 2);
-        drop(gate);
-        assert!(blocker.wait().is_ok());
-        let response = good.wait().unwrap();
-        assert_eq!(response.batch_size, 7);
-        assert!(response.readout.is_some());
+            // The good traffic batches and serves untouched by the
+            // rejection.
+            for request in batch {
+                server.submit("m", request).unwrap();
+            }
+            drop(gate);
+            assert!(blocker.join().unwrap().is_ok());
+            let response = good.wait().unwrap();
+            assert_eq!(response.batch_size, 7);
+            assert!(response.readout.is_some());
+        });
         let stats = server.stats("m").unwrap();
         assert_eq!((stats.served, stats.failed), (7, 0));
     }
@@ -2643,74 +2509,123 @@ mod tests {
     fn deadline_expired_requests_shed_with_typed_error() {
         let w = tiny_workload();
         let m = model(&w);
-        // max_batch and max_wait both out of reach on a busy server: only
-        // the request's own deadline can resolve it.
-        let config = ServerConfig::default()
-            .with_max_batch(64)
-            .with_max_wait(Duration::from_secs(3600))
-            .with_workers(1);
-        let server = PhiServer::start(gated_registry(&m), config);
-        let (gate, blocker) = hold_busy(&server, requests(&w, 1, 4, 2).remove(0));
-        let request = requests(&w, 1, 4, 3).remove(0).with_deadline(Duration::from_millis(1));
-        let handle = server.submit("m", request).unwrap();
-        assert!(matches!(
-            handle.wait(),
-            Err(ServerError::DeadlineExceeded { deadline }) if deadline == Duration::from_millis(1)
-        ));
+        let server = PhiServer::start(gated_registry(&m), ServerConfig::default());
+        std::thread::scope(|scope| {
+            let (gate, blocker) = hold_busy(scope, &server, requests(&w, 1, 4, 2).remove(0));
+            let request = requests(&w, 1, 4, 3).remove(0).with_deadline(Duration::from_millis(1));
+            let handle = server.submit("m", request).unwrap();
+            // Expire it behind the stalled batch; the next leader's cut
+            // sheds it instead of executing it.
+            std::thread::sleep(Duration::from_millis(2));
+            drop(gate);
+            assert!(blocker.join().unwrap().is_ok());
+            assert!(matches!(
+                handle.wait(),
+                Err(ServerError::DeadlineExceeded { deadline }) if deadline == Duration::from_millis(1)
+            ));
+        });
         let stats = server.stats("m").unwrap();
         assert_eq!((stats.deadline_exceeded, stats.served, stats.shed), (1, 0, 0));
-        drop(gate);
-        assert!(blocker.wait().is_ok());
+        assert_eq!(server.shared.queued.load(Ordering::SeqCst), 0);
 
         // A generous deadline rides along without ever triggering.
-        let mut registry = ModelRegistry::new();
-        registry.register("m", model(&w));
-        let server = PhiServer::start(registry, ServerConfig::default().with_workers(1));
         let request = requests(&w, 1, 4, 3).remove(0).with_deadline(Duration::from_secs(30));
         let response = server.submit("m", request).unwrap().wait().unwrap();
         assert!(response.readout.is_some());
-        assert_eq!(server.stats("m").unwrap().deadline_exceeded, 0);
+        assert_eq!(server.stats("m").unwrap().deadline_exceeded, 1);
     }
 
     #[test]
     fn deadline_shed_stream_frame_promotes_its_successor() {
         let w = tiny_workload();
         let m = model(&w);
-        let config = ServerConfig::default()
-            .with_max_batch(64)
-            .with_max_wait(Duration::from_millis(20))
-            .with_workers(1);
-        let server = PhiServer::start(gated_registry(&m), config);
+        let server = PhiServer::start(gated_registry(&m), ServerConfig::default());
         let session = server.open_session("m").unwrap();
         let frames = requests(&w, 2, 4, 17);
-        let (gate, blocker) = hold_busy(&server, frames[0].clone());
-        // Frame 1 expires in the collector (behind the busy executor) long
-        // before max_wait; frame 2 parks behind it and must be promoted by
-        // the shed, not stranded.
-        let first = frames[0].clone().with_deadline(Duration::from_millis(1));
-        let first = server.submit_stream("m", session, first).unwrap();
-        let second = server.submit_stream("m", session, frames[1].clone()).unwrap();
-        assert!(matches!(
-            first.wait(),
-            Err(ServerError::DeadlineExceeded { deadline }) if deadline == Duration::from_millis(1)
-        ));
-        drop(gate);
-        assert!(blocker.wait().is_ok());
-        let response = second
-            .wait_timeout(Duration::from_secs(5))
-            .expect("the parked frame was never promoted")
-            .unwrap();
-        // The shed frame never touched the session, so frame 2 is the
-        // first timestep of a fresh stream.
-        let direct = BatchExecutor::cpu(Arc::clone(&m)).with_tile_cache_capacity(0);
-        let fresh = StreamSession::new(&m);
-        assert_eq!(
-            response.readout,
-            direct.execute_stream_one(&frames[1], &fresh).unwrap().readout
-        );
+        std::thread::scope(|scope| {
+            let (gate, blocker) = hold_busy(scope, &server, frames[0].clone());
+            // Frame 1 expires behind the stalled batch; frame 2 parks
+            // behind it and must be promoted by the shed, not stranded.
+            let first = frames[0].clone().with_deadline(Duration::from_millis(1));
+            let first = server.submit_stream("m", session, first).unwrap();
+            let second = server.submit_stream("m", session, frames[1].clone()).unwrap();
+            std::thread::sleep(Duration::from_millis(2));
+            drop(gate);
+            assert!(blocker.join().unwrap().is_ok());
+            assert!(matches!(
+                first.wait(),
+                Err(ServerError::DeadlineExceeded { deadline }) if deadline == Duration::from_millis(1)
+            ));
+            let response = second
+                .wait_timeout(Duration::from_secs(5))
+                .expect("the parked frame was never promoted")
+                .unwrap();
+            // The shed frame never touched the session, so frame 2 is the
+            // first timestep of a fresh stream.
+            let direct = BatchExecutor::cpu(Arc::clone(&m)).with_tile_cache_capacity(0);
+            let fresh = StreamSession::new(&m);
+            assert_eq!(
+                response.readout,
+                direct.execute_stream_one(&frames[1], &fresh).unwrap().readout
+            );
+        });
         assert_eq!(server.session_snapshot("m", session).unwrap().timesteps, 1);
         let stats = server.stats("m").unwrap();
         assert_eq!((stats.deadline_exceeded, stats.served, stats.failed), (1, 1, 0));
+    }
+
+    #[test]
+    fn a_panicking_batch_resolves_its_riders_and_serving_continues() {
+        let w = tiny_workload();
+        let m = model(&w);
+        let mut registry = ModelRegistry::new();
+        registry.register("m", Arc::clone(&m));
+        let server = PhiServer::start(registry, ServerConfig::default());
+        let batch = requests(&w, 2, 4, 41);
+
+        // The submitter leads the panicking batch; its submit still
+        // returns normally, and the rider resolves with Disconnected.
+        server.shared.panic_next.store(true, Ordering::SeqCst);
+        let handle = server.submit("m", batch[0].clone()).unwrap();
+        assert!(matches!(handle.wait(), Err(ServerError::Disconnected)));
+        assert!(!lock(&server.shared.intake).leading, "the panicked leader kept the leadership");
+        // The next request serves bit-identically.
+        let response = server.submit("m", batch[1].clone()).unwrap().wait().unwrap();
+        assert_eq!(response.readout.as_ref(), Some(&direct_readouts(&m, &batch[1..])[0]));
+
+        // A panicking stream batch releases its session's in-flight slot,
+        // so the session's next frame serves instead of stranding.
+        let session = server.open_session("m").unwrap();
+        let frames = requests(&w, 2, 4, 43);
+        server.shared.panic_next.store(true, Ordering::SeqCst);
+        let first = server.submit_stream("m", session, frames[0].clone()).unwrap();
+        let second = server.submit_stream("m", session, frames[1].clone()).unwrap();
+        assert!(matches!(first.wait(), Err(ServerError::Disconnected)));
+        let response = second
+            .wait_timeout(Duration::from_secs(5))
+            .expect("the frame after a panicked batch was stranded")
+            .unwrap();
+        // The panic struck before execution, so frame 2 is the first
+        // timestep of a fresh stream.
+        let direct = BatchExecutor::cpu(Arc::clone(&m)).with_tile_cache_capacity(0);
+        assert_eq!(
+            response.readout,
+            direct.execute_stream_one(&frames[1], &StreamSession::new(&m)).unwrap().readout
+        );
+        let stats = server.stats("m").unwrap();
+        assert_eq!((stats.failed, stats.served), (2, 2));
+        assert_eq!(server.shared.queued.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn a_handle_yields_its_result_once() {
+        let w = tiny_workload();
+        let mut registry = ModelRegistry::new();
+        registry.register("m", model(&w));
+        let server = PhiServer::start(registry, ServerConfig::default());
+        let handle = server.submit("m", requests(&w, 1, 4, 5).remove(0)).unwrap();
+        assert!(handle.wait_timeout(Duration::from_secs(5)).unwrap().is_ok());
+        assert!(matches!(handle.wait(), Err(ServerError::Disconnected)));
     }
 
     #[test]
@@ -2720,7 +2635,7 @@ mod tests {
         let b = Arc::new(ModelCompiler::new(CompileOptions::fast().with_seed(8)).compile(&w));
         let mut registry = ModelRegistry::new();
         registry.register("m", Arc::clone(&a));
-        let server = PhiServer::start(registry, ServerConfig::default().with_workers(1));
+        let server = PhiServer::start(registry, ServerConfig::default());
         assert_eq!(server.model_version("m"), Some(1));
 
         let batch = requests(&w, 2, 4, 3);
@@ -2747,10 +2662,8 @@ mod tests {
         let a = model(&w);
         let mut registry = ModelRegistry::new();
         registry.register("m", Arc::clone(&a));
-        let server = PhiServer::start(
-            registry,
-            ServerConfig::default().with_workers(1).with_canary_target(1_000_000),
-        );
+        let server =
+            PhiServer::start(registry, ServerConfig::default().with_canary_target(1_000_000));
         server.propose("m", Arc::clone(&a), TolerancePolicy::BitIdentical).unwrap();
         assert!(server.lifecycle_stats("m").unwrap().canary_pending);
         assert!(matches!(
@@ -2777,10 +2690,7 @@ mod tests {
         let a = model(&w);
         let mut registry = ModelRegistry::new();
         registry.register("m", Arc::clone(&a));
-        let server = PhiServer::start(
-            registry,
-            ServerConfig::default().with_workers(1).with_canary_target(2),
-        );
+        let server = PhiServer::start(registry, ServerConfig::default().with_canary_target(2));
         // Proposing the identical artifact: every shadow must match bit
         // for bit, so the canary passes on live traffic alone.
         let version = server.propose("m", Arc::clone(&a), TolerancePolicy::BitIdentical).unwrap();
@@ -2810,10 +2720,7 @@ mod tests {
         let b = Arc::new(ModelCompiler::new(CompileOptions::fast().with_seed(8)).compile(&w));
         let mut registry = ModelRegistry::new();
         registry.register("m", Arc::clone(&a));
-        let server = PhiServer::start(
-            registry,
-            ServerConfig::default().with_workers(1).with_canary_target(4),
-        );
+        let server = PhiServer::start(registry, ServerConfig::default().with_canary_target(4));
         server.propose("m", Arc::clone(&b), TolerancePolicy::BitIdentical).unwrap();
         let batch = requests(&w, 4, 4, 3);
         let expected = direct_readouts(&a, &batch);
@@ -2838,20 +2745,20 @@ mod tests {
     }
 
     #[test]
-    fn poisoned_stats_and_group_locks_never_take_down_serving() {
+    fn poisoned_intake_and_stats_locks_never_take_down_serving() {
         let w = tiny_workload();
         let mut registry = ModelRegistry::new();
         registry.register("m", model(&w));
-        let server = PhiServer::start(registry, ServerConfig::default().with_workers(1));
+        let server = PhiServer::start(registry, ServerConfig::default());
         let slot = Arc::clone(server.slots.get("m").unwrap());
 
-        // Poison the latency-sample mutex and the group-counts RwLock by
+        // Poison the latency-sample mutex and the intake mutex by
         // panicking while holding them.
         let stats = Arc::clone(&slot.stats);
-        let entry = slot.active_entry();
+        let shared = Arc::clone(&server.shared);
         std::thread::spawn(move || {
             let _stats_guard = stats.queue_wait_us.lock().unwrap();
-            let _group_guard = entry.group_counts.write().unwrap();
+            let _intake_guard = shared.intake.lock().unwrap();
             panic!("deliberate poison");
         })
         .join()
@@ -2872,7 +2779,7 @@ mod tests {
         let m = model(&w);
         let mut registry = ModelRegistry::new();
         registry.register("m", Arc::clone(&m));
-        let server = PhiServer::start(registry, ServerConfig::default().with_workers(1));
+        let server = PhiServer::start(registry, ServerConfig::default());
         let session_id = server.open_session("m").unwrap();
         let session =
             Arc::clone(lock(&server.slots.get("m").unwrap().sessions).get(&session_id).unwrap());

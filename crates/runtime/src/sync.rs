@@ -2,7 +2,7 @@
 //!
 //! `std` mutexes poison when a holder panics, and `lock().unwrap()` turns
 //! that one panic into a cascade: every later acquisition panics too, so a
-//! single crashed worker bricks the session, the collector, or the whole
+//! single crashed batch bricks the session, the intake queue, or the whole
 //! server. None of the state these locks guard is left unrecoverable by an
 //! unwinding holder — counters and sample rings tolerate a lost update,
 //! queues are drained defensively, and frame memos are caches that can be
@@ -14,21 +14,11 @@
 //! update could leave internally inconsistent) handle the `PoisonError`
 //! explicitly instead of using these helpers.
 
-use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Locks `mutex`, recovering the guard if a previous holder panicked.
 pub(crate) fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Read-locks `lock`, recovering the guard if a writer panicked.
-pub(crate) fn read<T: ?Sized>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    lock.read().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Write-locks `lock`, recovering the guard if a holder panicked.
-pub(crate) fn write<T: ?Sized>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
-    lock.write().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -39,18 +29,15 @@ mod tests {
     #[test]
     fn poisoned_locks_still_yield_guards() {
         let mutex = Arc::new(Mutex::new(7u32));
-        let rw = Arc::new(RwLock::new(9u32));
-        let (m, r) = (Arc::clone(&mutex), Arc::clone(&rw));
+        let m = Arc::clone(&mutex);
         let _ = std::thread::spawn(move || {
             let _a = m.lock().unwrap();
-            let _b = r.write().unwrap();
-            panic!("poison both");
+            panic!("poison");
         })
         .join();
         assert!(mutex.is_poisoned());
         assert_eq!(*lock(&mutex), 7);
-        assert_eq!(*read(&rw), 9);
-        *write(&rw) = 10;
-        assert_eq!(*read(&rw), 10);
+        *lock(&mutex) = 10;
+        assert_eq!(*lock(&mutex), 10);
     }
 }

@@ -45,23 +45,18 @@ fn direct(model: &Arc<CompiledModel>, traffic: &[InferenceRequest]) -> Vec<Matri
     report.requests.into_iter().map(|r| r.readout.expect("readout weights")).collect()
 }
 
-fn serving_config(workers: usize, max_batch: usize) -> ServerConfig {
-    ServerConfig::default()
-        .with_workers(workers)
-        .with_max_batch(max_batch)
-        .with_max_wait(Duration::from_micros(200))
+fn serving_config(max_batch: usize) -> ServerConfig {
+    ServerConfig::default().with_max_batch(max_batch)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Hot swap under open traffic: across worker counts, batch bounds,
-    /// and swap points, every response is bit-identical to direct
+    /// Hot swap under open traffic: across batch bounds and swap points, every response is bit-identical to direct
     /// execution on version A or version B (never a blend), and traffic
     /// admitted after the swap serves exactly B.
     #[test]
     fn hot_swap_under_traffic_never_tears_readouts(
-        workers in 1usize..4,
         max_batch in prop::sample::select(vec![1usize, 3, 8]),
         swap_after in 0usize..32,
     ) {
@@ -71,7 +66,7 @@ proptest! {
         let under_b = direct(b, &pool);
         let mut registry = ModelRegistry::new();
         registry.register("model", Arc::clone(a));
-        let server = PhiServer::start(registry, serving_config(workers, max_batch));
+        let server = PhiServer::start(registry, serving_config(max_batch));
 
         let mut handles = Vec::new();
         for i in 0..32 {
@@ -101,7 +96,7 @@ proptest! {
 #[test]
 fn sessions_stay_pinned_to_their_version_across_swap() {
     let (workload, a, b) = fixture();
-    let server = common::server_with(Arc::clone(a), serving_config(1, 4));
+    let server = common::server_with(Arc::clone(a), serving_config(4));
     let session_id = server.open_session("model").unwrap();
     let frames = common::requests(workload, 2, 4, 0x5E55);
 
@@ -141,7 +136,7 @@ fn sessions_stay_pinned_to_their_version_across_swap() {
 #[test]
 fn promotion_after_matching_canary_swaps_without_disturbing_traffic() {
     let (workload, a, _) = fixture();
-    let config = serving_config(2, 4).with_canary_target(4);
+    let config = serving_config(4).with_canary_target(4);
     let server = common::server_with(Arc::clone(a), config);
     let pool = common::requests(workload, 8, 4, 0xCAFE);
     let expected = direct(a, &pool);
@@ -171,7 +166,7 @@ fn promotion_after_matching_canary_swaps_without_disturbing_traffic() {
 #[test]
 fn rejected_canary_rolls_back_and_serving_stays_bit_identical() {
     let (workload, a, b) = fixture();
-    let config = serving_config(2, 4).with_canary_target(1_000);
+    let config = serving_config(4).with_canary_target(1_000);
     let server = common::server_with(Arc::clone(a), config);
     let pool = common::requests(workload, 8, 4, 0xDEAD);
     let expected = direct(a, &pool);
@@ -206,7 +201,7 @@ fn rejected_canary_rolls_back_and_serving_stays_bit_identical() {
 #[test]
 fn recompiled_candidate_promotes_through_propose() {
     let (workload, a, _) = fixture();
-    let config = serving_config(2, 4).with_canary_target(2);
+    let config = serving_config(4).with_canary_target(2);
     let server = common::server_with(Arc::clone(a), config);
     let pool = common::requests(workload, 8, 4, 0xF00D);
 

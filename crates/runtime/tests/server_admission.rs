@@ -11,7 +11,7 @@
 //! Two admission edges live with the server's unit tests instead:
 //! queue-full shedding and the ragged-request-never-joins-a-batch check
 //! both need requests held in the batcher, and an idle server never
-//! holds one — only the worker gate those unit tests can reach keeps the
+//! holds one — only the leader gate those unit tests can reach keeps the
 //! server busy long enough.
 
 mod common;
@@ -20,7 +20,6 @@ use common::{compiled, requests, server_with};
 use phi_runtime::{BatchExecutor, InferenceRequest, RuntimeError, ServerConfig, ServerError};
 use snn_core::SpikeMatrix;
 use std::sync::Arc;
-use std::time::Duration;
 
 #[test]
 fn unknown_model_key_is_rejected_at_enqueue() {
@@ -83,10 +82,7 @@ fn oversized_request_is_rejected_at_enqueue() {
 fn server_readouts_are_bit_identical_to_direct_execution_under_interleaving() {
     let (w, model) = compiled(6);
     let direct = BatchExecutor::cpu(Arc::clone(&model));
-    let server = server_with(
-        Arc::clone(&model),
-        ServerConfig::default().with_max_batch(8).with_max_wait(Duration::from_micros(200)),
-    );
+    let server = server_with(Arc::clone(&model), ServerConfig::default().with_max_batch(8));
 
     let clients = 6;
     let per_client = 12;

@@ -1,36 +1,38 @@
-//! Multi-worker stress suite for the serving front-end.
+//! Concurrency stress suite for the serving front-end.
 //!
-//! The contract under test: however many workers race over the intake
-//! queue, the server stays pure plumbing — every admitted
+//! The contract under test: however many callers race for the
+//! leadership — submitting, waiting, and executing each other's batches
+//! on their own threads — the server stays pure plumbing. Every admitted
 //! request resolves with a readout bit-identical to direct execution,
-//! every refused request gets its typed error synchronously, shutdown
-//! under a live submit storm strands nothing, and the stats counters
-//! never tell an impossible story (a snapshot's `mean_batch` can never
-//! exceed `max_batch`, no matter how it interleaves with recording
-//! workers).
+//! every refused request gets its typed error synchronously, the queue
+//! never strands (no request waits with nobody leading), shutdown under a
+//! live submit storm strands nothing, and the stats counters never tell
+//! an impossible story (a snapshot's `mean_batch` can never exceed
+//! `max_batch`, no matter how it interleaves with a recording leader).
 
 mod common;
 
 use common::{compiled, requests};
 use phi_runtime::{
-    available_cores, BatchExecutor, ModelRegistry, PhiServer, RuntimeError, ServerConfig,
+    BatchExecutor, ModelRegistry, PhiServer, ResponseHandle, RuntimeError, ServerConfig,
     ServerError,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use snn_core::SpikeMatrix;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
-/// The randomized stress body: two hosted models, 12 submitter threads,
+/// The randomized stress: two hosted models, 12 submitter threads,
 /// and per-thread seeded traffic that interleaves well-formed requests
 /// (mixed row counts, so several coalescing groups stay live) with
 /// ragged, oversized, and unknown-key submissions. Every well-formed
 /// response is asserted bit-identical to direct execution; every
 /// malformed submission must fail synchronously with its typed error and
 /// never disturb the traffic batched around it.
-fn stress_bit_identity(workers: usize) {
+#[test]
+fn stress_bit_identity() {
     const THREADS: u64 = 12;
     const ITERS: usize = 24;
     let (wa, ma) = compiled(30);
@@ -40,11 +42,7 @@ fn stress_bit_identity(workers: usize) {
     let mut registry = ModelRegistry::new();
     registry.register("alpha", Arc::clone(&ma));
     registry.register("beta", Arc::clone(&mb));
-    let config = ServerConfig::default()
-        .with_workers(workers)
-        .with_max_batch(6)
-        .with_max_wait(Duration::from_micros(100))
-        .with_max_request_rows(6);
+    let config = ServerConfig::default().with_max_batch(6).with_max_request_rows(6);
     let server = PhiServer::start(registry, config);
 
     let served = AtomicU64::new(0);
@@ -102,7 +100,7 @@ fn stress_bit_identity(workers: usize) {
                                     let response = handle.wait().unwrap();
                                     assert_eq!(
                                         response.readout, expected,
-                                        "thread {t} iter {i} diverged at {workers} workers"
+                                        "thread {t} iter {i} diverged"
                                     );
                                     served.fetch_add(1, Ordering::Relaxed);
                                 }
@@ -130,26 +128,11 @@ fn stress_bit_identity(workers: usize) {
     }
 }
 
-#[test]
-fn stress_bit_identity_one_worker() {
-    stress_bit_identity(1);
-}
-
-#[test]
-fn stress_bit_identity_two_workers() {
-    stress_bit_identity(2);
-}
-
-#[test]
-fn stress_bit_identity_available_workers() {
-    stress_bit_identity(available_cores());
-}
-
 /// Shutdown racing a live submit storm: every handle a submitter managed
 /// to obtain must resolve — with a served readout or the typed
 /// [`ServerError::ShuttingDown`] — no submitter may see any other error,
-/// nothing may deadlock, and after the scope every thread (storm and
-/// server) has joined.
+/// nothing may deadlock, and after the scope every storm thread has
+/// joined (the server owns none).
 #[test]
 fn shutdown_under_submit_storm_resolves_every_handle() {
     const THREADS: u64 = 8;
@@ -157,11 +140,7 @@ fn shutdown_under_submit_storm_resolves_every_handle() {
     let (w, model) = compiled(40);
     let mut registry = ModelRegistry::new();
     registry.register("model", Arc::clone(&model));
-    let config = ServerConfig::default()
-        .with_workers(2)
-        .with_max_batch(4)
-        .with_max_wait(Duration::from_micros(50))
-        .with_queue_capacity(128);
+    let config = ServerConfig::default().with_max_batch(4).with_queue_capacity(128);
     let server = PhiServer::start(registry, config);
 
     std::thread::scope(|scope| {
@@ -212,7 +191,7 @@ fn shutdown_under_submit_storm_resolves_every_handle() {
 /// two could divide a newer `served` by an older `batches` and report an
 /// impossible `mean_batch` (e.g. 4 requests over 0.5 batches). A
 /// snapshot hammering thread must never observe `mean_batch` above
-/// `max_batch` while multi-worker traffic flows.
+/// `max_batch` while concurrent traffic flows.
 #[test]
 fn stats_snapshots_never_report_impossible_mean_batch() {
     const CLIENTS: u64 = 4;
@@ -221,10 +200,7 @@ fn stats_snapshots_never_report_impossible_mean_batch() {
     let (w, model) = compiled(50);
     let mut registry = ModelRegistry::new();
     registry.register("model", Arc::clone(&model));
-    let config = ServerConfig::default()
-        .with_workers(2)
-        .with_max_batch(MAX_BATCH)
-        .with_max_wait(Duration::from_micros(50));
+    let config = ServerConfig::default().with_max_batch(MAX_BATCH);
     let server = PhiServer::start(registry, config);
 
     let done = AtomicBool::new(false);
@@ -266,4 +242,96 @@ fn stats_snapshots_never_report_impossible_mean_batch() {
     let stats = server.stats("model").unwrap();
     assert_eq!(stats.served, CLIENTS * PER_CLIENT as u64);
     assert!(stats.mean_batch <= MAX_BATCH as f64 + 1e-9);
+}
+
+/// The progress invariant under mixed traffic: however callers submit,
+/// wait and hand the leadership around, no admitted request is ever left
+/// queued with nobody to run it. One open-loop submitter fires bursts
+/// without ever waiting and passes its handles to one reaper; beside
+/// them, 8 closed-loop clients alternate two row groups with the frames
+/// of their own streaming sessions. Once the open loop is done, the
+/// clients submit their last request together, so most of them queue
+/// behind one batch with nobody submitting after them: only a hand-over
+/// or a drain can serve them. Nothing may be shed — the traffic in
+/// flight stays far below the queue capacity, so a shed would mean a
+/// stranded queue filled up — every handle must resolve within 5 s, and
+/// `served` must equal the number of admitted requests.
+#[test]
+fn no_admitted_request_strands_under_mixed_traffic() {
+    const CLIENTS: u64 = 8;
+    const PER_CLIENT: usize = 40;
+    const BURSTS: u64 = 60;
+    const RESOLVE: Duration = Duration::from_secs(5);
+    let (w, model) = compiled(60);
+    let mut registry = ModelRegistry::new();
+    registry.register("model", Arc::clone(&model));
+    let server = PhiServer::start(registry, ServerConfig::default().with_max_batch(8));
+    let direct = BatchExecutor::cpu(Arc::clone(&model)).with_tile_cache_capacity(0);
+    let admitted = AtomicU64::new(0);
+    // Threads that reached the finale. A count with a deadline rather
+    // than a `Barrier`: a stranded client panics before it arrives, and
+    // the others must then still finish and report.
+    let finale = AtomicU64::new(0);
+    let arrive = |finale: &AtomicU64| {
+        finale.fetch_add(1, Ordering::SeqCst);
+        let until = Instant::now() + RESOLVE;
+        while finale.load(Ordering::SeqCst) <= CLIENTS && Instant::now() < until {
+            std::thread::sleep(Duration::from_micros(50));
+        }
+    };
+
+    std::thread::scope(|scope| {
+        let (server, w, direct, admitted, finale) = (&server, &w, &direct, &admitted, &finale);
+        let (tx, rx) = mpsc::channel::<(Instant, ResponseHandle)>();
+        scope.spawn(move || {
+            for (sent, handle) in rx {
+                let left = RESOLVE.saturating_sub(sent.elapsed());
+                let response = handle.wait_timeout(left).expect("an open-loop request stranded");
+                assert!(response.expect("served").readout.is_some());
+            }
+        });
+        scope.spawn(move || {
+            let mut rng = StdRng::seed_from_u64(0x0BE7);
+            for b in 0..BURSTS {
+                let burst = rng.gen_range(1..=8usize);
+                for request in requests(w, burst, 3 + (b as usize % 2), 0x0B00 ^ b) {
+                    let handle = server.submit("model", request).expect("admitted");
+                    admitted.fetch_add(1, Ordering::Relaxed);
+                    tx.send((Instant::now(), handle)).unwrap();
+                }
+                std::thread::sleep(Duration::from_micros(rng.gen_range(0..400)));
+            }
+            arrive(finale);
+        });
+        for c in 0..CLIENTS {
+            scope.spawn(move || {
+                let session = server.open_session("model").unwrap();
+                let frames = requests(w, PER_CLIENT, 5, 0xF0 ^ c);
+                let plain = requests(w, PER_CLIENT, 3 + (c as usize % 2), 0xC0 ^ c);
+                for (i, (frame, request)) in frames.into_iter().zip(plain).enumerate() {
+                    if i + 1 == PER_CLIENT {
+                        arrive(finale);
+                    }
+                    let (request, handle) = if i % 2 == 0 {
+                        (request.clone(), server.submit("model", request))
+                    } else {
+                        (frame.clone(), server.submit_stream("model", session, frame))
+                    };
+                    let handle = handle.expect("admitted");
+                    admitted.fetch_add(1, Ordering::Relaxed);
+                    let response = handle
+                        .wait_timeout(RESOLVE)
+                        .unwrap_or_else(|| panic!("client {c} request {i} stranded"))
+                        .expect("served");
+                    // Streamed readouts equal stateless ones, so one
+                    // direct reference covers both kinds.
+                    assert_eq!(response.readout, direct.execute_one(&request).unwrap().readout);
+                }
+                server.close_session("model", session).unwrap();
+            });
+        }
+    });
+    let stats = server.stats("model").unwrap();
+    assert_eq!((stats.shed, stats.failed, stats.deadline_exceeded), (0, 0, 0));
+    assert_eq!(stats.served, admitted.load(Ordering::Relaxed));
 }

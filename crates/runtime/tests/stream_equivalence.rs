@@ -3,8 +3,8 @@
 //! the executor's fused stream batches or the server's session router —
 //! must produce, frame for frame, exactly the readout bits of `T`
 //! independent full-decompose executions, across pattern budgets, delta
-//! rates (identical frames through fully resampled frames), worker
-//! counts, and concurrent session counts. On top of the per-frame bits,
+//! rates (identical frames through fully resampled frames), and
+//! concurrent session counts. On top of the per-frame bits,
 //! the session's rate-coded readout must equal an independent LIF
 //! accumulation over those same readouts in timestep order — which is
 //! also the observable proof that the server never reorders a session's
@@ -233,14 +233,12 @@ proptest! {
     /// interleaved by timestep (so frames of different sessions coalesce
     /// into fused batches while each session's stay ordered) must be
     /// bit-identical, frame for frame, to stateless direct execution —
-    /// across pattern budgets, delta rates, worker counts, and session
-    /// counts — and each session's closing rate readout must equal the
+    /// across pattern budgets, delta rates, and session counts — and each session's closing rate readout must equal the
     /// reference LIF accumulation.
     #[test]
     fn streamed_sessions_match_stateless_serving(
         q in prop::sample::select(vec![32usize, 128]),
         delta in prop::sample::select(vec![0.0f64, 0.1, 0.5, 1.0]),
-        workers in 1usize..=3,
         sessions in 1usize..=8,
         rows in 3usize..=5,
         seed in any::<u64>(),
@@ -248,10 +246,7 @@ proptest! {
         const T: usize = 4;
         let (w, model) = fixture(q);
         let direct = BatchExecutor::cpu(Arc::clone(model)).with_tile_cache_capacity(0);
-        let config = ServerConfig::default()
-            .with_workers(workers)
-            .with_max_batch(4)
-            .with_max_wait(Duration::from_micros(100));
+        let config = ServerConfig::default().with_max_batch(4);
         let server = common::server_with(Arc::clone(model), config);
 
         let streams: Vec<Vec<InferenceRequest>> = (0..sessions)
@@ -314,10 +309,7 @@ fn concurrent_session_storms_stay_ordered_and_isolated() {
     const T: usize = 24;
     let (w, model) = fixture(32);
     let direct = BatchExecutor::cpu(Arc::clone(model)).with_tile_cache_capacity(0);
-    let config = ServerConfig::default()
-        .with_workers(3)
-        .with_max_batch(4)
-        .with_max_wait(Duration::from_micros(50));
+    let config = ServerConfig::default().with_max_batch(4);
     let server = common::server_with(Arc::clone(model), config);
     let ids: Vec<u64> = (0..SESSIONS).map(|_| server.open_session("model").unwrap()).collect();
 
@@ -364,11 +356,7 @@ fn shutdown_mid_stream_resolves_every_streamed_handle() {
     const SESSIONS: usize = 6;
     const T: usize = 80;
     let (w, model) = fixture(32);
-    let config = ServerConfig::default()
-        .with_workers(2)
-        .with_max_batch(4)
-        .with_max_wait(Duration::from_micros(50))
-        .with_queue_capacity(64);
+    let config = ServerConfig::default().with_max_batch(4).with_queue_capacity(64);
     let server = common::server_with(Arc::clone(model), config);
     let ids: Vec<u64> = (0..SESSIONS).map(|_| server.open_session("model").unwrap()).collect();
 

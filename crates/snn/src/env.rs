@@ -1,10 +1,10 @@
 //! Strict environment knobs.
 //!
-//! The workspace's `PHI_*` knobs (bench floors, run counts and worker
-//! counts, `PHI_TILE_CACHE`, `PHI_SIMD`, the smoke and track switches)
-//! read through [`read_env`]: an unset variable means the knob's default,
-//! and a set value that does not parse stops the process with the
-//! variable's name and value. A typo must never quietly run the default
+//! The workspace's `PHI_*` knobs (bench floors, run counts,
+//! `PHI_TILE_CACHE`, `PHI_SIMD`, the smoke and track switches) read
+//! through [`read_env`]: an unset variable means the knob's default, and
+//! a set value that does not parse stops the process with the variable's
+//! name and value. A typo must never quietly run the default
 //! instead of what was asked for — in the value or in the name: the
 //! first knob read also checks every set `PHI_*` variable against
 //! [`KNOBS`], and an unregistered one (`PHI_TILE_CAHCE=0`) stops the
@@ -23,9 +23,7 @@ pub const KNOBS: &[&str] = &[
     "PHI_SERVER_MIN_DRIFT_RECOVERY",
     "PHI_SERVER_MIN_SPEEDUP",
     "PHI_SERVER_MIN_STREAM_SPEEDUP",
-    "PHI_SERVER_MIN_WORKER_SPEEDUP",
     "PHI_SERVER_SMOKE",
-    "PHI_SERVER_WORKERS",
     "PHI_SERVING_MIN_CPU_SPEEDUP",
     "PHI_SERVING_MIN_SPEEDUP",
     "PHI_SERVING_TRACKS",

@@ -1,7 +1,7 @@
 //! Serving front-end: host two compiled models behind one `PhiServer`,
 //! let concurrent closed-loop clients submit single requests, and watch
-//! the dynamic batcher coalesce them — plus what admission control does
-//! to bad traffic.
+//! the dynamic batcher coalesce them on the clients' own threads — plus
+//! what admission control does to bad traffic.
 //!
 //! Run: `cargo run --release --example server`
 
@@ -26,11 +26,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     registry.register("resnet18", Arc::clone(&resnet_model));
     registry.register("vgg16", Arc::clone(&vgg_model));
 
-    // 2. Start the server: requests enqueue one at a time; an idle
-    //    server runs them at once, and while a batch executes the
-    //    collector coalesces them into executor batches of up to
-    //    `max_batch`, dispatching a partial batch after `max_wait` at the
-    //    latest — requests linger only while a batch executes.
+    // 2. Start the server (it spawns no thread): requests enqueue one at
+    //    a time; a client that finds no batch in flight executes one
+    //    itself, so an idle server runs a request at once, and requests
+    //    that arrive while a batch executes fuse into the next one, up to
+    //    `max_batch`.
     let clients = 8;
     let per_client = 32;
     let config = ServerConfig::default().with_max_batch(clients);
