@@ -19,12 +19,12 @@
 //!  · unknown model    ├─┤intake├▶│  cut ≤ max_batch of the oldest       │
 //!  · ragged/oversized │ └──────┘ │  (model, rows) group, execute it on  │
 //!  · queue-full shed  │    │     │  BatchExecutor<B>, resolve riders,   │
-//!  ───────────────────┘    │     │  then drain or hand over and return  │
+//!  ───────────────────┘    │     │  repeat until the queue is empty     │
 //!          │               │     └──────────────────────────────────────┘
 //!          │ Err           │ a batch is in flight: return the handle
 //!          ▼               ▼
-//!   caller keeps the   ResponseHandle::wait() ⇒ ServedResponse (a parked
-//!   rejected request   waiter may be handed the leadership and lead)
+//!   caller keeps the   ResponseHandle::wait() ⇒ ServedResponse
+//!   rejected request
 //! ```
 //!
 //! Design points:
@@ -50,11 +50,10 @@
 //! * **Leadership never strands the queue.** The `leading` flag lives
 //!   under the intake mutex: a submitter enqueues and reads it under that
 //!   lock, and a leader clears it only under the same lock, when it sees
-//!   the queue empty. After each batch the leader hands the leadership to
-//!   a caller parked in [`ResponseHandle::wait`] (if one exists) and
-//!   returns, which bounds any caller's tenure; otherwise it leads the
-//!   next batch itself. A waiter that is handed the leadership leads
-//!   before it honours its own timeout.
+//!   the queue empty. So a leader keeps cutting batches until the queue
+//!   drains, and its `submit` may execute other callers' batches for as
+//!   long as traffic keeps the queue non-empty. Waiting executes
+//!   nothing: [`ResponseHandle::wait`] only blocks.
 //! * **Batches are coalesced by `(model, rows)`.** The executor requires
 //!   row-uniform batches (one extrapolation factor per fused matrix). A
 //!   leader cuts the group of the oldest queued request and leaves the
@@ -344,8 +343,6 @@ pub struct ServedResponse {
 
 /// One request's one-shot result cell: the leader that serves the
 /// request writes it once, the request's [`ResponseHandle`] reads it.
-/// It doubles as the handle's parking spot, where a leader can hand the
-/// leadership over.
 #[derive(Default)]
 struct Slot {
     state: Mutex<SlotState>,
@@ -358,8 +355,6 @@ struct SlotState {
     result: Option<ServerResult<ServedResponse>>,
     /// Set once the request resolved (and kept after a wait took it).
     resolved: bool,
-    /// Set by a leader that handed this slot's waiter the leadership.
-    lead: bool,
     /// Whether the waiter is blocked on `cond`.
     parked: bool,
     /// The served frame of a stream, released with the slot (see
@@ -376,13 +371,6 @@ impl Slot {
         self.wake(state);
     }
 
-    /// Hands this slot's waiter the leadership.
-    fn hand_lead(&self) {
-        let mut state = lock(&self.state);
-        state.lead = true;
-        self.wake(state);
-    }
-
     /// Releases `state`, notifying the waiter only when it is blocked: a
     /// notify costs a syscall even with nobody waiting, and most results
     /// resolve before anyone waits for them.
@@ -394,10 +382,25 @@ impl Slot {
         }
     }
 
-    /// The result once resolved: the served outcome the first time, then
+    /// Blocks until the request resolves or `deadline` passes; returns
+    /// the result once resolved: the served outcome the first time, then
     /// [`ServerError::Disconnected`] (it was already taken).
-    fn take(&self) -> Option<ServerResult<ServedResponse>> {
+    fn take(&self, deadline: Option<Instant>) -> Option<ServerResult<ServedResponse>> {
         let mut state = lock(&self.state);
+        state.parked = true;
+        while !state.resolved {
+            state = match deadline {
+                None => self.cond.wait(state).unwrap_or_else(PoisonError::into_inner),
+                Some(d) => {
+                    let now = Instant::now();
+                    if now >= d {
+                        break;
+                    }
+                    self.cond.wait_timeout(state, d - now).unwrap_or_else(PoisonError::into_inner).0
+                }
+            };
+        }
+        state.parked = false;
         state.resolved.then(|| state.result.take().unwrap_or(Err(ServerError::Disconnected)))
     }
 }
@@ -430,31 +433,23 @@ impl Drop for Responder {
 }
 
 /// The per-request future of the `std::thread` world: blocks until the
-/// request's batch has executed. A caller blocked in [`wait`] or
-/// [`wait_timeout`] is also where the server finds its next leader: when
-/// a batch finishes with more traffic queued, its leader hands the
-/// leadership to the longest-parked waiter, which then executes the next
-/// batch on its own thread before it returns.
+/// request's batch has executed. Waiting executes nothing: the caller
+/// leading when the request was queued runs it.
 ///
 /// A handle is `Send` but not `Sync`: one thread waits on it at a time.
-///
-/// [`wait`]: ResponseHandle::wait
-/// [`wait_timeout`]: ResponseHandle::wait_timeout
 pub struct ResponseHandle {
     slot: Arc<Slot>,
-    shared: Arc<Shared>,
-    /// The parking protocol identifies a waiter by its slot, so two
-    /// threads waiting on one handle could swallow each other's hand-over.
+    /// A slot records one parked waiter, so a second thread waiting on
+    /// the same handle could miss its wake-up.
     _not_sync: PhantomData<Cell<()>>,
 }
 
 impl ResponseHandle {
-    fn new(slot: Arc<Slot>, shared: &Arc<Shared>) -> Self {
-        ResponseHandle { slot, shared: Arc::clone(shared), _not_sync: PhantomData }
+    fn new(slot: Arc<Slot>) -> Self {
+        ResponseHandle { slot, _not_sync: PhantomData }
     }
 
-    /// Blocks until the request resolves, leading batches meanwhile when
-    /// the leadership is handed to this caller.
+    /// Blocks until the request resolves.
     ///
     /// # Errors
     ///
@@ -464,66 +459,13 @@ impl ResponseHandle {
     /// panicked or the result was already taken by
     /// [`ResponseHandle::wait_timeout`].
     pub fn wait(self) -> ServerResult<ServedResponse> {
-        self.wait_until(None).unwrap_or(Err(ServerError::Disconnected))
+        self.slot.take(None).unwrap_or(Err(ServerError::Disconnected))
     }
 
     /// Like [`ResponseHandle::wait`] with an upper bound; `None` means
-    /// the request is still in flight and the handle stays usable. A
-    /// caller handed the leadership leads first, so it may return after
-    /// `timeout`.
+    /// the request is still in flight and the handle stays usable.
     pub fn wait_timeout(&self, timeout: Duration) -> Option<ServerResult<ServedResponse>> {
-        self.wait_until(Instant::now().checked_add(timeout))
-    }
-
-    fn wait_until(&self, deadline: Option<Instant>) -> Option<ServerResult<ServedResponse>> {
-        loop {
-            if let Some(result) = self.slot.take() {
-                return Some(result);
-            }
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                return None;
-            }
-            if self.park(deadline) {
-                lead(&self.shared);
-            }
-        }
-    }
-
-    /// Parks as a waiter until the request resolves, `deadline` passes,
-    /// or a leader hands this caller the leadership; returns whether it
-    /// did. A leader hands over by removing the waiter from the intake's
-    /// list under the intake lock, so a waiter that finds itself no
-    /// longer listed holds the leadership — even if the hand-over landed
-    /// after its timeout.
-    fn park(&self, deadline: Option<Instant>) -> bool {
-        let slot = &self.slot;
-        // Not listed yet, so no leader can be setting the flag.
-        lock(&slot.state).lead = false;
-        lock(&self.shared.intake).waiters.push_back(Arc::clone(slot));
-        let mut state = lock(&slot.state);
-        state.parked = true;
-        while !state.resolved && !state.lead {
-            state = match deadline {
-                None => slot.cond.wait(state).unwrap_or_else(PoisonError::into_inner),
-                Some(d) => {
-                    let now = Instant::now();
-                    if now >= d {
-                        break;
-                    }
-                    slot.cond.wait_timeout(state, d - now).unwrap_or_else(PoisonError::into_inner).0
-                }
-            };
-        }
-        state.parked = false;
-        drop(state);
-        let mut intake = lock(&self.shared.intake);
-        match intake.waiters.iter().position(|w| Arc::ptr_eq(w, slot)) {
-            Some(i) => {
-                intake.waiters.remove(i);
-                false
-            }
-            None => true,
-        }
+        self.slot.take(Instant::now().checked_add(timeout))
     }
 }
 
@@ -937,17 +879,13 @@ impl Pending {
 /// The intake queue and the leadership, under one short-held mutex.
 ///
 /// Invariant: whenever `items` is non-empty, `leading` is set — some
-/// caller is executing a batch, is about to cut one, or holds a hand-over
-/// it has not yet acted on. A submitter pushes and takes a clear flag in
-/// one critical section, and a leader clears the flag only in the
-/// critical section in which it sees `items` empty, so no request is ever
-/// queued with nobody to run it.
+/// caller is executing a batch or is about to cut one. A submitter
+/// pushes and takes a clear flag in one critical section, and a leader
+/// clears the flag only in the critical section in which it sees `items`
+/// empty, so no request is ever queued with nobody to run it.
 struct IntakeQueue {
     items: VecDeque<Pending>,
     leading: bool,
-    /// Slots of callers parked in [`ResponseHandle::wait`], oldest first:
-    /// whom a leader can hand the leadership to.
-    waiters: VecDeque<Arc<Slot>>,
     /// Set (under the lock) during shutdown *before* the final drain, so
     /// a racing submitter either lands its request in the drained deque
     /// or observes the closure — a request can never be stranded.
@@ -1031,7 +969,6 @@ impl PhiServer {
             intake: Mutex::new(IntakeQueue {
                 items: VecDeque::new(),
                 leading: false,
-                waiters: VecDeque::new(),
                 closed: false,
             }),
             queued: AtomicUsize::new(0),
@@ -1200,11 +1137,12 @@ impl PhiServer {
     /// before the request can influence any other request's batch.
     ///
     /// When no batch is in flight, this call leads: it executes the
-    /// request's batch on the calling thread (and any traffic that queued
-    /// meanwhile, until the queue drains or a waiter takes over) before
-    /// it returns, so the returned handle is usually already resolved.
-    /// Otherwise it only enqueues, and the handle resolves once the batch
-    /// in flight and the request's own batch have run.
+    /// request's batch on the calling thread, and then every batch that
+    /// queued meanwhile, until the queue is empty, before it returns. So
+    /// the returned handle is already resolved, but under sustained
+    /// traffic from other threads the call runs their batches too and
+    /// returns only once the queue drains. When a batch is in flight it
+    /// only enqueues, and the current leader runs the request.
     ///
     /// # Errors
     ///
@@ -1250,7 +1188,7 @@ impl PhiServer {
                 return Err(ServerError::ShuttingDown);
             }
         }
-        Ok(ResponseHandle::new(slot, shared))
+        Ok(ResponseHandle::new(slot))
     }
 
     /// Opens a streaming session on the model registered under `key` and
@@ -1393,7 +1331,7 @@ impl PhiServer {
         }
         if queue.in_flight {
             queue.parked.push_back(pending);
-            return Ok(ResponseHandle::new(handle_slot, shared));
+            return Ok(ResponseHandle::new(handle_slot));
         }
         queue.in_flight = true;
         let pushed = enqueue(shared, pending);
@@ -1409,7 +1347,7 @@ impl PhiServer {
                 return Err(ServerError::ShuttingDown);
             }
         }
-        Ok(ResponseHandle::new(handle_slot, shared))
+        Ok(ResponseHandle::new(handle_slot))
     }
 
     /// Point-in-time view of one streaming session: its rate-coded
@@ -1548,10 +1486,9 @@ fn enqueue(shared: &Shared, pending: Pending) -> Result<bool, Pending> {
 }
 
 /// The leader's loop; the caller holds the leadership. Cuts and executes
-/// one batch at a time until the queue is empty — then clears `leading`
-/// in the same critical section that saw it empty — or until a batch
-/// finishes with a waiter parked, which inherits the leadership while
-/// this caller returns.
+/// one batch at a time until the queue is empty, then clears `leading`
+/// in the same critical section that saw it empty. Traffic that keeps
+/// the queue non-empty keeps this caller leading.
 fn lead(shared: &Shared) {
     loop {
         let (batch, expired) = cut_batch(shared);
@@ -1566,13 +1503,6 @@ fn lead(shared: &Shared) {
         let mut intake = lock(&shared.intake);
         if intake.items.is_empty() {
             intake.leading = false;
-            return;
-        }
-        if let Some(waiter) = intake.waiters.pop_front() {
-            // `leading` stays set: the popped waiter inherits it, since
-            // it finds itself unlisted whenever it wakes.
-            drop(intake);
-            waiter.hand_lead();
             return;
         }
     }
@@ -1800,9 +1730,13 @@ fn serve_stream_batch(
 /// flight; freeing them on the leader just before that let the allocator
 /// trim the heap top and re-fault it on every step (about 10⁶ minor
 /// faults in a 10 s phibench `stream` run on a 2-core x86-64 host with
-/// glibc, against 3·10⁴). Stateless requests are freed by the leader at
-/// once, which keeps their memory hot for the next request: retiring
-/// them too cost `serve` 15–20 % in p50 on that host.
+/// glibc, against 3·10⁴). It shows end to end as unstable runs: freed
+/// on the leader, 3 of 15 `stream` runs on that host read 10.2–11.3k
+/// frames/s and the runs' p50 latencies spread over an interquartile
+/// range of 0.10–0.12 ms; retired, none of 20 read below 12k and the
+/// range was 0.02 ms, at the same medians. Stateless requests are freed
+/// by the leader at once, which keeps their memory hot for the next
+/// request: retiring them too cost `serve` 15–20 % in p50 on that host.
 fn resolve_riders(
     resolvers: Vec<(Responder, Instant)>,
     results: Vec<RequestResult>,
@@ -2009,6 +1943,8 @@ mod tests {
     use snn_workloads::{DatasetId, ModelId, Workload, WorkloadConfig};
     use std::sync::MutexGuard;
     use std::thread::{Scope, ScopedJoinHandle};
+
+    mod fused;
 
     fn tiny_workload() -> Workload {
         let mut w = WorkloadConfig::new(ModelId::ResNet18, DatasetId::Cifar10)

@@ -52,21 +52,22 @@ fn serving_config(max_batch: usize) -> ServerConfig {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Hot swap under open traffic: across batch bounds and swap points, every response is bit-identical to direct
-    /// execution on version A or version B (never a blend), and traffic
-    /// admitted after the swap serves exactly B.
+    /// Hot swap between requests: across swap points, every response
+    /// is bit-identical to direct execution on the version active when
+    /// it was admitted — A before the swap, B after it, never a blend.
+    /// Each request here runs on its submitting thread before the next
+    /// is admitted; requests still queued under A when the swap lands
+    /// are pinned by the server's unit test
+    /// `requests_queued_across_a_swap_keep_their_admission_version`.
     #[test]
-    fn hot_swap_under_traffic_never_tears_readouts(
-        max_batch in prop::sample::select(vec![1usize, 3, 8]),
-        swap_after in 0usize..32,
-    ) {
+    fn hot_swap_under_traffic_never_tears_readouts(swap_after in 0usize..32) {
         let (workload, a, b) = fixture();
         let pool = common::requests(workload, 6, 4, 0xA11CE);
         let under_a = direct(a, &pool);
         let under_b = direct(b, &pool);
         let mut registry = ModelRegistry::new();
         registry.register("model", Arc::clone(a));
-        let server = PhiServer::start(registry, serving_config(max_batch));
+        let server = PhiServer::start(registry, serving_config(8));
 
         let mut handles = Vec::new();
         for i in 0..32 {
@@ -76,12 +77,10 @@ proptest! {
             let idx = i % pool.len();
             handles.push((idx, server.submit("model", pool[idx].clone()).unwrap()));
         }
-        for (idx, handle) in handles {
+        for (i, (idx, handle)) in handles.into_iter().enumerate() {
             let readout = handle.wait().unwrap().readout.unwrap();
-            prop_assert!(
-                readout == under_a[idx] || readout == under_b[idx],
-                "readout matches neither registered version (request {idx})"
-            );
+            let want = if i < swap_after { &under_a[idx] } else { &under_b[idx] };
+            prop_assert!(&readout == want, "request {i} did not serve its admission version");
         }
         // The swap settled: post-storm admissions serve exactly B.
         prop_assert_eq!(server.model_version("model"), Some(2));

@@ -1,8 +1,8 @@
 //! Concurrency stress suite for the serving front-end.
 //!
 //! The contract under test: however many callers race for the
-//! leadership — submitting, waiting, and executing each other's batches
-//! on their own threads — the server stays pure plumbing. Every admitted
+//! leadership — submitting, and executing each other's batches on their
+//! own threads — the server stays pure plumbing. Every admitted
 //! request resolves with a readout bit-identical to direct execution,
 //! every refused request gets its typed error synchronously, the queue
 //! never strands (no request waits with nobody leading), shutdown under a
@@ -244,15 +244,30 @@ fn stats_snapshots_never_report_impossible_mean_batch() {
     assert!(stats.mean_batch <= MAX_BATCH as f64 + 1e-9);
 }
 
-/// The progress invariant under mixed traffic: however callers submit,
-/// wait and hand the leadership around, no admitted request is ever left
-/// queued with nobody to run it. One open-loop submitter fires bursts
+/// How long any admitted request may take to resolve.
+const RESOLVE: Duration = Duration::from_secs(5);
+
+/// Counts the calling thread into `arrivals` and waits until the count
+/// reaches `until_count`, or `RESOLVE` passes. A count with a deadline
+/// rather than a `Barrier`: a stranded thread panics before it arrives,
+/// and the others must then still finish and report.
+fn arrive(arrivals: &AtomicU64, until_count: u64) {
+    arrivals.fetch_add(1, Ordering::SeqCst);
+    let until = Instant::now() + RESOLVE;
+    while arrivals.load(Ordering::SeqCst) < until_count && Instant::now() < until {
+        std::thread::sleep(Duration::from_micros(50));
+    }
+}
+
+/// The progress invariant under mixed traffic: however callers submit
+/// and wait, no admitted request is ever left queued with nobody to run
+/// it. One open-loop submitter fires bursts
 /// without ever waiting and passes its handles to one reaper; beside
 /// them, 8 closed-loop clients alternate two row groups with the frames
 /// of their own streaming sessions. Once the open loop is done, the
 /// clients submit their last request together, so most of them queue
-/// behind one batch with nobody submitting after them: only a hand-over
-/// or a drain can serve them. Nothing may be shed — the traffic in
+/// behind one batch with nobody submitting after them: only a leader
+/// that drains the queue before it returns can serve them. Nothing may be shed — the traffic in
 /// flight stays far below the queue capacity, so a shed would mean a
 /// stranded queue filled up — every handle must resolve within 5 s, and
 /// `served` must equal the number of admitted requests.
@@ -261,24 +276,13 @@ fn no_admitted_request_strands_under_mixed_traffic() {
     const CLIENTS: u64 = 8;
     const PER_CLIENT: usize = 40;
     const BURSTS: u64 = 60;
-    const RESOLVE: Duration = Duration::from_secs(5);
     let (w, model) = compiled(60);
     let mut registry = ModelRegistry::new();
     registry.register("model", Arc::clone(&model));
     let server = PhiServer::start(registry, ServerConfig::default().with_max_batch(8));
     let direct = BatchExecutor::cpu(Arc::clone(&model)).with_tile_cache_capacity(0);
     let admitted = AtomicU64::new(0);
-    // Threads that reached the finale. A count with a deadline rather
-    // than a `Barrier`: a stranded client panics before it arrives, and
-    // the others must then still finish and report.
     let finale = AtomicU64::new(0);
-    let arrive = |finale: &AtomicU64| {
-        finale.fetch_add(1, Ordering::SeqCst);
-        let until = Instant::now() + RESOLVE;
-        while finale.load(Ordering::SeqCst) <= CLIENTS && Instant::now() < until {
-            std::thread::sleep(Duration::from_micros(50));
-        }
-    };
 
     std::thread::scope(|scope| {
         let (server, w, direct, admitted, finale) = (&server, &w, &direct, &admitted, &finale);
@@ -301,7 +305,7 @@ fn no_admitted_request_strands_under_mixed_traffic() {
                 }
                 std::thread::sleep(Duration::from_micros(rng.gen_range(0..400)));
             }
-            arrive(finale);
+            arrive(finale, CLIENTS + 1);
         });
         for c in 0..CLIENTS {
             scope.spawn(move || {
@@ -310,7 +314,7 @@ fn no_admitted_request_strands_under_mixed_traffic() {
                 let plain = requests(w, PER_CLIENT, 3 + (c as usize % 2), 0xC0 ^ c);
                 for (i, (frame, request)) in frames.into_iter().zip(plain).enumerate() {
                     if i + 1 == PER_CLIENT {
-                        arrive(finale);
+                        arrive(finale, CLIENTS + 1);
                     }
                     let (request, handle) = if i % 2 == 0 {
                         (request.clone(), server.submit("model", request))
@@ -334,4 +338,89 @@ fn no_admitted_request_strands_under_mixed_traffic() {
     let stats = server.stats("model").unwrap();
     assert_eq!((stats.shed, stats.failed, stats.deadline_exceeded), (0, 0, 0));
     assert_eq!(stats.served, admitted.load(Ordering::Relaxed));
+}
+
+/// Leaders drain: callers that never block in `wait` still get every
+/// request served. Six clients submit and then only poll their handle
+/// with a zero timeout, and one open-loop submitter fires bursts and
+/// never waits at all, so only leaders that keep cutting batches until
+/// the queue is empty can serve them. Every eighth step all seven
+/// threads meet, submit together (the open-loop one a burst of both row
+/// groups), and meet again once every client's request resolved and
+/// every submit returned: nobody submits in between, so a request left
+/// queued has nobody to rescue it. Every polled request must resolve
+/// within 5 s with the direct readout, and at each second meeting every
+/// open-loop handle must already be resolved.
+#[test]
+fn polling_and_open_loop_callers_are_served_by_draining_leaders() {
+    const CLIENTS: u64 = 6;
+    const ROUNDS: u64 = 10;
+    const ROUND: u64 = 8;
+    let (w, model) = compiled(61);
+    let mut registry = ModelRegistry::new();
+    registry.register("model", Arc::clone(&model));
+    let server = PhiServer::start(registry, ServerConfig::default().with_max_batch(8));
+    let direct = BatchExecutor::cpu(Arc::clone(&model)).with_tile_cache_capacity(0);
+    let arrivals = AtomicU64::new(0);
+    // Step `i` is a meeting step when it ends a round; `second` picks the
+    // meeting after the submissions.
+    let meet = |arrivals: &AtomicU64, i: u64, second: bool| {
+        if i % ROUND == ROUND - 1 {
+            arrive(arrivals, (CLIENTS + 1) * (2 * (i / ROUND) + 1 + u64::from(second)));
+        }
+    };
+
+    let open_loop = std::thread::scope(|scope| {
+        let (server, w, direct, arrivals) = (&server, &w, &direct, &arrivals);
+        for c in 0..CLIENTS {
+            scope.spawn(move || {
+                let traffic = requests(w, (ROUNDS * ROUND) as usize, 3 + c as usize % 2, 0x90 ^ c);
+                for (i, request) in traffic.into_iter().enumerate() {
+                    meet(arrivals, i as u64, false);
+                    let handle = server.submit("model", request.clone()).expect("admitted");
+                    let until = Instant::now() + RESOLVE;
+                    let response = loop {
+                        if let Some(result) = handle.wait_timeout(Duration::ZERO) {
+                            break result.expect("served");
+                        }
+                        assert!(Instant::now() < until, "client {c} request {i} stranded");
+                        std::thread::yield_now();
+                    };
+                    assert_eq!(response.readout, direct.execute_one(&request).unwrap().readout);
+                    meet(arrivals, i as u64, true);
+                }
+            });
+        }
+        let submitter = scope.spawn(move || {
+            let mut rng = StdRng::seed_from_u64(0x0FF);
+            let (mut handles, mut submitted) = (Vec::new(), 0u64);
+            for b in 0..ROUNDS * ROUND {
+                meet(arrivals, b, false);
+                let meeting = b % ROUND == ROUND - 1;
+                let burst = if meeting { 8 } else { rng.gen_range(1..=8) };
+                for i in 0..burst {
+                    // Alternate the two row groups within a burst.
+                    let request = requests(w, 1, 3 + i % 2, (b << 8) ^ i as u64).remove(0);
+                    handles.push(server.submit("model", request).expect("admitted"));
+                }
+                submitted += burst as u64;
+                meet(arrivals, b, true);
+                if meeting {
+                    for (i, handle) in handles.drain(..).enumerate() {
+                        let response = handle
+                            .wait_timeout(Duration::ZERO)
+                            .unwrap_or_else(|| panic!("burst {b} request {i} left queued"));
+                        assert!(response.expect("served").readout.is_some());
+                    }
+                }
+                std::thread::sleep(Duration::from_micros(rng.gen_range(0..400)));
+            }
+            assert!(handles.is_empty(), "the last step meets");
+            submitted
+        });
+        submitter.join().unwrap()
+    });
+    let stats = server.stats("model").unwrap();
+    assert_eq!((stats.shed, stats.failed, stats.deadline_exceeded), (0, 0, 0));
+    assert_eq!(stats.served, CLIENTS * ROUNDS * ROUND + open_loop);
 }

@@ -4,8 +4,8 @@
 //! must produce, frame for frame, exactly the readout bits of `T`
 //! independent full-decompose executions, across pattern budgets, delta
 //! rates (identical frames through fully resampled frames), and
-//! concurrent session counts. On top of the per-frame bits,
-//! the session's rate-coded readout must equal an independent LIF
+//! concurrent session counts. On top of the per-frame bits, the
+//! session's rate-coded readout must equal an independent LIF
 //! accumulation over those same readouts in timestep order — which is
 //! also the observable proof that the server never reorders a session's
 //! frames, since LIF membrane dynamics are order-sensitive.
@@ -229,12 +229,15 @@ fn frame_session_count_mismatch_is_a_typed_error() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Server-routed streams: N concurrent sessions submitted
-    /// interleaved by timestep (so frames of different sessions coalesce
-    /// into fused batches while each session's stay ordered) must be
-    /// bit-identical, frame for frame, to stateless direct execution —
-    /// across pattern budgets, delta rates, and session counts — and each session's closing rate readout must equal the
-    /// reference LIF accumulation.
+    /// Server-routed streams: N sessions submitted interleaved by
+    /// timestep must be bit-identical, frame for frame, to stateless
+    /// direct execution — across pattern budgets, delta rates, and
+    /// session counts — and each session's closing rate readout must
+    /// equal the reference LIF accumulation. From one thread each frame
+    /// runs as it is submitted; frames of several sessions fused into
+    /// one stream batch are pinned by the server's unit test
+    /// `queued_sessions_serve_as_fused_stream_batches`, and by
+    /// `concurrent_session_storms_stay_ordered_and_isolated` below.
     #[test]
     fn streamed_sessions_match_stateless_serving(
         q in prop::sample::select(vec![32usize, 128]),

@@ -53,8 +53,9 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let (w, model) = fixture();
-        // Mixed row counts per case force several coalescing groups
-        // sharing one cache.
+        // Mixed row counts put tiles of several batch shapes in one
+        // cache. Fused batches of mixed row groups are pinned by the
+        // server's unit test `fused_mixed_row_batches_share_one_tile_cache`.
         let traffic: Vec<InferenceRequest> = row_choices
             .iter()
             .enumerate()
