@@ -21,9 +21,10 @@
 //! simulator steps sixteen of them in lockstep, one SSE2 lane each, on
 //! x86-64 (`lanes`, which restates the rule branch-free over lane masks);
 //! one [`PackCounter`] per partition remains the scalar tier and the
-//! lanes' oracle.
+//! lanes' oracle. Both read a row's correction counts straight from its
+//! Level-2 plane words ([`phi_core::Decomposition::l2_words`]): a
+//! partition's count is the popcount of its `k` bits.
 
-use phi_core::L2Entry;
 use std::ops::Range;
 
 #[cfg(target_arch = "x86_64")]
@@ -364,9 +365,6 @@ impl PackCounter {
 pub(crate) enum TilePackCounter {
     Scalar {
         k: usize,
-        /// `log2(k)` when `k` is a power of two: a shift in place of the
-        /// division.
-        shift: Option<u32>,
         counters: Vec<PackCounter>,
     },
     #[cfg(target_arch = "x86_64")]
@@ -386,43 +384,23 @@ impl TilePackCounter {
             return TilePackCounter::Lanes(lanes::LaneCounter::new(config, k, parts, tile_rows));
         }
         let _ = tile_rows;
-        TilePackCounter::Scalar {
-            k,
-            shift: k.is_power_of_two().then(|| k.trailing_zeros()),
-            counters: vec![PackCounter::new(config); parts],
-        }
+        TilePackCounter::Scalar { k, counters: vec![PackCounter::new(config); parts] }
     }
 
-    /// Records tile row `row`'s Level-2 corrections, sorted by column;
-    /// rows arrive in ascending order.
+    /// Records tile row `row`'s Level-2 corrections from its plane words
+    /// ([`phi_core::Decomposition::l2_words`]); rows arrive in ascending
+    /// order.
     #[inline]
-    pub(crate) fn push_row(&mut self, row: usize, corrections: &[L2Entry]) {
+    pub(crate) fn push_row(&mut self, row: usize, words: &[u64]) {
         match self {
-            TilePackCounter::Scalar { k, shift, counters } => {
-                // A partition's corrections form one contiguous run; its
-                // counter needs only the run's length. One pass that
-                // flushes a run when the partition changes.
-                let (k, shift) = (*k, *shift);
-                let part_of = |col: u32| match shift {
-                    Some(s) => (col >> s) as usize,
-                    None => col as usize / k,
-                };
-                let Some((first, rest)) = corrections.split_first() else { return };
-                let mut part = part_of(first.col);
-                let mut run = 1;
-                for e in rest {
-                    let next = part_of(e.col);
-                    if next != part {
-                        counters[part].push_row(row as u32, run);
-                        part = next;
-                        run = 0;
-                    }
-                    run += 1;
-                }
-                counters[part].push_row(row as u32, run);
+            TilePackCounter::Scalar { k, counters } => {
+                let parts = counters.len();
+                for_each_tile_count(words, *k, parts, |part, nnz| {
+                    counters[part].push_row(row as u32, nnz);
+                });
             }
             #[cfg(target_arch = "x86_64")]
-            TilePackCounter::Lanes(lanes) => lanes.push_row(row, corrections),
+            TilePackCounter::Lanes(lanes) => lanes.push_row(row, words),
         }
     }
 
@@ -443,6 +421,38 @@ impl TilePackCounter {
             }
             #[cfg(target_arch = "x86_64")]
             TilePackCounter::Lanes(lanes) => lanes.finish(rows),
+        }
+    }
+}
+
+/// Calls `f(part, nnz)` for every partition of width `k` (of `parts`)
+/// whose correction count `nnz` in one row's plane `words` is nonzero, in
+/// partition order. A width dividing 64 walks the nonzero words lane by
+/// lane; any other width reads each partition's bits, which may straddle
+/// two words.
+#[inline]
+fn for_each_tile_count(words: &[u64], k: usize, parts: usize, mut f: impl FnMut(usize, usize)) {
+    let lane = if k == 64 { u64::MAX } else { (1u64 << k) - 1 };
+    if 64 % k == 0 {
+        for (w, &word) in words.iter().enumerate() {
+            let mut rest = word;
+            while rest != 0 {
+                let at = rest.trailing_zeros() as usize / k * k;
+                f((64 * w + at) / k, ((rest >> at) & lane).count_ones() as usize);
+                rest &= !(lane << at);
+            }
+        }
+    } else {
+        for part in 0..parts {
+            let (w, bit) = (part * k / 64, part * k % 64);
+            let mut bits = words[w] >> bit;
+            if bit + k > 64 {
+                bits |= words.get(w + 1).map_or(0, |&next| next << (64 - bit));
+            }
+            let nnz = (bits & lane).count_ones() as usize;
+            if nnz > 0 {
+                f(part, nnz);
+            }
         }
     }
 }

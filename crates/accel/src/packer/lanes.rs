@@ -4,8 +4,10 @@
 //! The partitions of an m-tile never share a window, so their state
 //! machines are independent; each is latency-bound, and a row of them
 //! fills a vector register. Each m-tile's corrections are first counted
-//! into a `rows × partitions` count matrix (a count is at most 64: a
-//! partition is at most 64 columns wide); the kernel then walks one lane
+//! into a `rows × partitions` count matrix from the rows' Level-2 plane
+//! words (a count is at most 64: a partition is at most 64 columns wide;
+//! at k = 16 a word holds four partitions, and their counts are its four
+//! 16-bit lane popcounts, taken at once); the kernel then walks one lane
 //! group down the rows, keeping every rule of [`super::Windows`] per lane
 //! without a data-dependent branch:
 //!
@@ -34,8 +36,7 @@
 //! pack), so they are summed per step; packs are the forced flushes plus
 //! the windows still open at the end of the m-tile.
 
-use super::{PackCounts, PackerConfig};
-use phi_core::L2Entry;
+use super::{for_each_tile_count, PackCounts, PackerConfig};
 use std::arch::x86_64::{
     __m128i, _mm_add_epi64, _mm_add_epi8, _mm_adds_epu8, _mm_and_si128, _mm_andnot_si128,
     _mm_cmpeq_epi8, _mm_cvtsi128_si64, _mm_loadu_si128, _mm_max_epu8, _mm_min_epu8,
@@ -56,10 +57,8 @@ pub(super) const MAX_WINDOWS: usize = 4;
 pub(crate) struct LaneCounter {
     config: PackerConfig,
     /// Partition width: correction column `c` belongs to partition `c / k`.
-    k: u32,
-    /// `log2(k)` when `k` is a power of two: a shift in place of the
-    /// division.
-    shift: Option<u32>,
+    k: usize,
+    parts: usize,
     /// Row capacity of `counts`.
     tile_rows: usize,
     /// Bytes per row of `counts`: the partitions padded to whole groups.
@@ -80,22 +79,37 @@ impl LaneCounter {
         let stride = parts.div_ceil(LANES) * LANES;
         LaneCounter {
             config: *config,
-            k: u32::try_from(k).expect("partition width fits u32"),
-            shift: k.is_power_of_two().then(|| k.trailing_zeros()),
+            k,
+            parts,
             tile_rows,
             stride,
             counts: vec![0; tile_rows * stride],
         }
     }
 
-    /// Records tile row `row`'s Level-2 corrections (at most 64 per
-    /// partition: a partition is at most 64 columns wide).
+    /// Records tile row `row`'s Level-2 corrections from its plane words
+    /// (at most 64 per partition: a partition is at most 64 columns wide).
     #[inline]
-    pub(crate) fn push_row(&mut self, row: usize, corrections: &[L2Entry]) {
+    pub(crate) fn push_row(&mut self, row: usize, words: &[u64]) {
         let counts = &mut self.counts[row * self.stride..(row + 1) * self.stride];
-        match self.shift {
-            Some(shift) => corrections.iter().for_each(|e| counts[(e.col >> shift) as usize] += 1),
-            None => corrections.iter().for_each(|e| counts[(e.col / self.k) as usize] += 1),
+        if self.k == 16 {
+            // Four partitions per word (the stride covers `4 × words`
+            // lanes): each 16-bit lane's popcount, SWAR, then its low
+            // bytes packed into four count bytes.
+            for (lanes, &word) in counts.chunks_exact_mut(4).zip(words) {
+                let mut x = word - ((word >> 1) & 0x5555_5555_5555_5555);
+                x = (x & 0x3333_3333_3333_3333) + ((x >> 2) & 0x3333_3333_3333_3333);
+                x = (x + (x >> 4)) & 0x0F0F_0F0F_0F0F_0F0F;
+                x = (x + (x >> 8)) & 0x00FF_00FF_00FF_00FF;
+                x = (x | (x >> 8)) & 0x0000_FFFF_0000_FFFF;
+                x |= x >> 16;
+                // A fixed-size store: a range-indexed slice copy here
+                // made the row about three times as slow.
+                let lanes: &mut [u8; 4] = lanes.try_into().expect("four lanes");
+                *lanes = (x as u32).to_le_bytes();
+            }
+        } else {
+            for_each_tile_count(words, self.k, self.parts, |part, nnz| counts[part] = nnz as u8);
         }
     }
 
@@ -285,14 +299,15 @@ mod tests {
                     })
                     .collect();
                 for (row, counts) in matrix.iter().enumerate() {
-                    let corrections: Vec<L2Entry> = counts
-                        .iter()
-                        .enumerate()
-                        .flat_map(|(part, &nnz)| {
-                            (0..nnz).map(move |i| L2Entry { col: (part * k) as u32 + u32::from(i), value: 1 })
-                        })
-                        .collect();
-                    lanes.push_row(row, &corrections);
+                    // The row's plane: the first `nnz` columns of each
+                    // partition carry a correction.
+                    let mut words = vec![0u64; (parts * k).div_ceil(64)];
+                    for (part, &nnz) in counts.iter().enumerate() {
+                        for col in part * k..part * k + usize::from(nnz) {
+                            words[col / 64] |= 1 << (col % 64);
+                        }
+                    }
+                    lanes.push_row(row, &words);
                 }
                 prop_assert_eq!(lanes.finish(rows), oracle(&matrix, &config));
             }

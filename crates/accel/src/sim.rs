@@ -199,7 +199,7 @@ impl PhiSimulator {
             let (lo, hi) = schedule.m_range(mt);
             let l1_mt = l1_model.tile_cycles(decomp, lo, hi) as f64;
             for r in lo..hi {
-                packer.push_row(r - lo, decomp.l2_row(r));
+                packer.push_row(r - lo, decomp.l2_words(r));
             }
             let counts = packer.finish(hi - lo);
             let packs_mt = counts.packs;

@@ -162,7 +162,7 @@ fn oracle_report(
         let l1_mt = oracle_l1_cycles(&l1_model, decomp, lo, hi) as f64;
         let mut per_part: Vec<Vec<PackerRow>> = vec![Vec::new(); parts];
         for r in lo..hi.min(rows) {
-            let row = decomp.l2_row(r);
+            let row: Vec<_> = decomp.l2_row(r).collect();
             let mut i = 0;
             while i < row.len() {
                 let part = row[i].col as usize / k;

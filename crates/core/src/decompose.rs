@@ -19,6 +19,20 @@
 //! The decomposition is lossless by construction: summing the assigned
 //! pattern row and the corrections reproduces the activation tile exactly.
 //!
+//! # Layout
+//!
+//! Level 1 is a `rows × partitions` matrix of `u16` pattern indices.
+//! Level 2 is stored as one *correction bit plane* per row, in the
+//! activation's word layout: bit `c % 64` of word `c / 64` is set when
+//! column `c` carries a correction. Every correction equals
+//! `activation XOR assigned pattern bits`, so its sign is derived, not
+//! stored: `−1` where the assigned pattern's bit is 1, `+1` elsewhere
+//! (every correction of an unassigned tile is a `+1`). [`L2Entry`] is the
+//! signed view the iterators [`Decomposition::l2_row`] and
+//! [`Decomposition::l2_tile`] yield; the counters ([`Decomposition::stats`],
+//! [`Decomposition::l2_tile_nnz`]) are popcounts of plane words, and
+//! [`Decomposition::reconstruct`] is a word XOR per row.
+//!
 //! # Entry points
 //!
 //! Four functions produce bit-identical [`Decomposition`]s:
@@ -34,9 +48,10 @@
 //!   with one pattern each per step, against the pattern-major
 //!   [`LanePlanes16`] the layer's patterns derive at construction — the
 //!   way Phi's systolic matcher streams many tiles past its pattern
-//!   registers. The Level-2 entries are expanded from the correction
-//!   words. The loop runs under one [`simd::sweep16`] dispatch with the
-//!   kernel inlined, and never consults the cache. Any other layer
+//!   registers. At k = 16 the matcher's correction words are the row's
+//!   plane words as they stand; other widths place each lane's bits at
+//!   its columns. The loop runs under one [`simd::sweep16`] dispatch with
+//!   the kernel inlined, and never consults the cache. Any other layer
 //!   (k > 16, or a partition with more patterns than one plane holds)
 //!   decides each tile with [`crate::PatternSet::best_match`], the
 //!   matcher [`decompose`] runs, and memoizes whole tile decisions in a
@@ -63,7 +78,9 @@ use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// One signed Level-2 correction element.
+/// One signed Level-2 correction element, as [`Decomposition::l2_row`]
+/// and [`Decomposition::l2_tile`] yield it. The decomposition stores only
+/// the correction bit plane; the sign follows from the assigned pattern.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct L2Entry {
     /// Global column index in the activation matrix.
@@ -84,10 +101,11 @@ pub struct TileAssignment {
 
 /// A complete Phi decomposition of one activation matrix.
 ///
-/// Holds the Level-1 index matrix (`rows × partitions`), the Level-2 sparse
-/// rows, and a copy of the pattern sets so the decomposition is
-/// self-contained (reconstruction and functional GEMM need the pattern
-/// bits).
+/// Holds the Level-1 index matrix (`rows × partitions`), the Level-2
+/// correction bit plane (one row of `ceil(cols / 64)` words per activation
+/// row, in the activation's word layout), and a copy of the pattern sets so
+/// the decomposition is self-contained (the correction signs,
+/// reconstruction and functional GEMM need the pattern bits).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Decomposition {
     rows: usize,
@@ -97,12 +115,10 @@ pub struct Decomposition {
     /// unassigned tile (the hardware's reserved index, half the width of
     /// `Option<u16>` on the sweep's hottest write path).
     l1: Vec<u16>,
-    /// All Level-2 corrections, row-major and sorted by column within
-    /// each row; row `r` owns `l2[l2_offsets[r]..l2_offsets[r + 1]]`
-    /// (CSR layout — one allocation per sweep instead of one per row).
-    l2: Vec<L2Entry>,
-    /// Row boundaries into `l2`; `rows + 1` elements.
-    l2_offsets: Vec<u32>,
+    /// The Level-2 correction plane, row-major `rows × ceil(cols / 64)`
+    /// words: bit `c % 64` of a row's word `c / 64` is set when column `c`
+    /// carries a correction. Bits past `cols` are zero.
+    l2: Vec<u64>,
     /// Total popcount of all assigned patterns (Table 4's "L1 density"
     /// numerator).
     l1_ones: u64,
@@ -141,28 +157,20 @@ impl Decomposition {
 /// acts.set_tile(0, 0, 4, 0b0111); // differs from the pattern in bit 0
 /// let phi = decompose(&acts, &patterns);
 /// assert_eq!(phi.assignment(0, 0).pattern, Some(0));
-/// assert_eq!(phi.l2_row(0), &[phi_core::L2Entry { col: 0, value: 1 }]);
+/// assert_eq!(phi.l2_row(0).collect::<Vec<_>>(), [phi_core::L2Entry { col: 0, value: 1 }]);
 /// assert!(phi.verify_lossless(&acts));
 /// ```
 pub fn decompose(activations: &SpikeMatrix, patterns: &LayerPatterns) -> Decomposition {
     check_partitioning(activations, patterns);
-    let chunks = chunk_bounds(activations.rows())
-        .into_par_iter()
-        .map(|(lo, hi)| {
-            run_chunk(activations, patterns, lo, hi, |part, tile, baseline| {
-                finish_decision(activations, patterns, part, tile, baseline, {
-                    patterns.set(part).best_match(tile)
-                })
+    sweep_chunks(activations, patterns, |lo, hi, out| {
+        run_chunk(activations, patterns, lo, hi, out, |part, tile, baseline| {
+            finish_decision(activations, patterns, part, tile, baseline, {
+                patterns.set(part).best_match(tile)
             })
         })
-        .collect();
-    combine(activations, patterns, chunks)
+    })
+    .0
 }
-
-/// One worker's share of a cached sweep: its chunk, its snapshot
-/// hit/miss-probe counts, and the distinct misses it resolved (for the
-/// commit merge).
-type ChunkOutcome = (ChunkDecomposition, u64, u64, TileMap);
 
 /// The production sweep: [`decompose`] with a faster matcher, bit-identical
 /// to it.
@@ -206,20 +214,18 @@ pub fn decompose_cached(
     check_partitioning(activations, patterns);
     if let Some(lanes) = patterns.lanes() {
         let last_masks = lane_masks(activations.cols(), patterns.k(), lanes.partitions());
-        let chunks = chunk_bounds(activations.rows())
-            .into_par_iter()
-            .map(|(lo, hi)| {
-                simd::sweep16(LaneSweep {
-                    activations,
-                    lanes,
-                    k: patterns.k(),
-                    last_masks: &last_masks,
-                    lo,
-                    hi,
-                })
+        return sweep_chunks(activations, patterns, |lo, hi, out| {
+            simd::sweep16(LaneSweep {
+                activations,
+                lanes,
+                k: patterns.k(),
+                last_masks: &last_masks,
+                lo,
+                hi,
+                out,
             })
-            .collect();
-        return combine(activations, patterns, chunks);
+        })
+        .0;
     }
     let parts = patterns.num_partitions();
     let k = patterns.k();
@@ -234,84 +240,78 @@ pub fn decompose_cached(
         );
         cache.snapshot()
     });
-    let bounds = chunk_bounds(activations.rows());
-    let outcomes: Vec<ChunkOutcome> = bounds
-        .into_par_iter()
-        .map(|(lo, hi)| {
-            let mut hits = 0u64;
-            let mut miss_probes = 0u64;
-            let mut resolved = TileMap::default();
-            // Last decision per partition: spiking rows repeat the
-            // previous row's tile ~30% of the time, the decision is a pure
-            // function of `(partition, tile)`, and the snapshot is
-            // immutable for the whole sweep, so a repeat replays the
-            // decision — and the same hit/miss accounting — without
-            // running the matcher or touching the map. (The linear
-            // [`decompose`] path deliberately stays memo-free: it is the
-            // reference this path is benchmarked against.) Tile 0 never
-            // reaches the closure (trivial tiles are decided inline), so
-            // it is a free "empty" sentinel.
-            let mut memo_tile = vec![0u64; parts];
-            let mut memo_was_hit = vec![false; parts];
-            let mut memo_dec = vec![TileDecision { pattern: None, diff: 0 }; parts];
-            let chunk = run_chunk(activations, patterns, lo, hi, |part, tile, baseline| {
-                if memo_tile[part] == tile {
-                    if memo_was_hit[part] {
-                        hits += 1;
-                    } else {
-                        miss_probes += 1;
-                    }
-                    return memo_dec[part];
+    let (decomp, outcomes) = sweep_chunks(activations, patterns, |lo, hi, out| {
+        let mut hits = 0u64;
+        let mut miss_probes = 0u64;
+        let mut resolved = TileMap::default();
+        // Last decision per partition: spiking rows repeat the
+        // previous row's tile ~30% of the time, the decision is a pure
+        // function of `(partition, tile)`, and the snapshot is
+        // immutable for the whole sweep, so a repeat replays the
+        // decision — and the same hit/miss accounting — without
+        // running the matcher or touching the map. (The linear
+        // [`decompose`] path deliberately stays memo-free: it is the
+        // reference this path is benchmarked against.) Tile 0 never
+        // reaches the closure (trivial tiles are decided inline), so
+        // it is a free "empty" sentinel.
+        let mut memo_tile = vec![0u64; parts];
+        let mut memo_was_hit = vec![false; parts];
+        let mut memo_dec = vec![TileDecision { pattern: None, diff: 0 }; parts];
+        run_chunk(activations, patterns, lo, hi, out, |part, tile, baseline| {
+            if memo_tile[part] == tile {
+                if memo_was_hit[part] {
+                    hits += 1;
+                } else {
+                    miss_probes += 1;
                 }
-                let decision = match &snapshot {
-                    // Disabled cache: the matcher alone.
-                    None => resolve_tile(activations, patterns, part, tile, baseline),
-                    Some(snapshot) => {
-                        let width = if part == last_part { last_width } else { k as u32 };
-                        let key = tile_key(part as u32, width, tile);
-                        match snapshot.get(&key) {
-                            Some(&decision) => {
-                                hits += 1;
-                                memo_was_hit[part] = true;
-                                decision
-                            }
-                            None => {
-                                miss_probes += 1;
-                                memo_was_hit[part] = false;
-                                // Spiking tiles repeat heavily even within
-                                // one sweep: resolve each distinct key once
-                                // and replay it for the repeats.
-                                *resolved.entry(key).or_insert_with(|| {
-                                    resolve_tile(activations, patterns, part, tile, baseline)
-                                })
-                            }
+                return memo_dec[part];
+            }
+            let decision = match &snapshot {
+                // Disabled cache: the matcher alone.
+                None => resolve_tile(activations, patterns, part, tile, baseline),
+                Some(snapshot) => {
+                    let width = if part == last_part { last_width } else { k as u32 };
+                    let key = tile_key(part as u32, width, tile);
+                    match snapshot.get(&key) {
+                        Some(&decision) => {
+                            hits += 1;
+                            memo_was_hit[part] = true;
+                            decision
+                        }
+                        None => {
+                            miss_probes += 1;
+                            memo_was_hit[part] = false;
+                            // Spiking tiles repeat heavily even within
+                            // one sweep: resolve each distinct key once
+                            // and replay it for the repeats.
+                            *resolved.entry(key).or_insert_with(|| {
+                                resolve_tile(activations, patterns, part, tile, baseline)
+                            })
                         }
                     }
-                };
-                memo_tile[part] = tile;
-                memo_dec[part] = decision;
-                decision
-            });
-            (chunk, hits, miss_probes, resolved)
-        })
-        .collect();
+                }
+            };
+            memo_tile[part] = tile;
+            memo_dec[part] = decision;
+            decision
+        });
+        (hits, miss_probes, resolved)
+    });
     // Release the snapshot before committing so the merge can usually
     // mutate the map in place instead of cloning it.
     drop(snapshot);
-    let mut chunks = Vec::with_capacity(outcomes.len());
     let mut hits = 0u64;
     let mut miss_probes = 0u64;
     let mut resolved: Vec<(TileKey, TileDecision)> = Vec::new();
-    for (chunk, chunk_hits, chunk_probes, chunk_resolved) in outcomes {
+    for (chunk_hits, chunk_probes, chunk_resolved) in outcomes {
         hits += chunk_hits;
         miss_probes += chunk_probes;
         resolved.extend(chunk_resolved);
-        chunks.push(chunk);
     }
     if cache.is_enabled() {
         cache.commit(hits, miss_probes, resolved);
     }
-    combine(activations, patterns, chunks)
+    decomp
 }
 
 /// Counters describing how much matcher work one [`decompose_delta`]
@@ -504,47 +504,51 @@ fn delta_sweep(
         memo.changed.clear();
         memo.changed.resize(rows, true);
     }
+    let words = plane_words(cols);
+    let mut l1 = vec![NO_PATTERN; rows * parts];
+    let mut l2 = vec![0u64; rows * words];
+    let mut out = ChunkDecomposition::new(parts, words, &mut l1, &mut l2);
     let swept = match PackedLayer::new(activations, patterns) {
-        Some(layer) => {
-            simd::sweep16(PackedDelta { activations, layer: &layer, memo, emit_unchanged })
-        }
+        Some(layer) => simd::sweep16(PackedDelta {
+            activations,
+            layer: &layer,
+            memo,
+            emit_unchanged,
+            out: &mut out,
+        }),
         None => {
             let mut decider = CachedDecider::new(activations, patterns, cache);
-            let swept = delta_rows(activations, k, parts, memo, emit_unchanged, &mut decider);
+            let swept =
+                delta_rows(activations, k, parts, memo, emit_unchanged, &mut out, &mut decider);
             decider.commit();
             swept
         }
     };
     memo.valid = true;
-    let DeltaRows { mut out, stats, emitted, bit_nnz } = swept;
-    // Assembled directly rather than via `combine`, which sizes the
-    // result to the full activation row count: the sparse sweep's row
-    // count is whatever survived the skip check.
-    out.l1.truncate(emitted * parts);
-    let mut l2_offsets = Vec::with_capacity(emitted + 1);
-    l2_offsets.push(0u32);
-    l2_offsets.extend(out.l2_ends);
+    let ChunkDecomposition { l1_ones, l2_pos, l2_neg, .. } = out;
+    let DeltaRows { stats, emitted, bit_nnz } = swept;
+    // The sparse sweep's row count is whatever survived the skip check.
+    l1.truncate(emitted * parts);
+    l2.truncate(emitted * words);
     (
         Decomposition {
             rows: emitted,
             cols,
             patterns: patterns.clone(),
-            l1: out.l1,
-            l2: out.l2,
-            l2_offsets,
-            l1_ones: out.l1_ones,
-            l2_pos: out.l2_pos,
-            l2_neg: out.l2_neg,
+            l1,
+            l2,
+            l1_ones,
+            l2_pos,
+            l2_neg,
             bit_nnz,
         },
         stats,
     )
 }
 
-/// What one delta sweep's row walk produced: the emitted rows, the
+/// What one delta sweep's row walk produced besides its rows: the
 /// sweep's counters, how many rows were emitted, and their bit count.
 struct DeltaRows {
-    out: ChunkDecomposition,
     stats: DeltaStats,
     emitted: usize,
     bit_nnz: u64,
@@ -569,19 +573,19 @@ fn delta_rows<D: TileDecider>(
     parts: usize,
     memo: &mut FrameMemo,
     emit_unchanged: bool,
+    out: &mut ChunkDecomposition<'_>,
     decider: &mut D,
 ) -> DeltaRows {
     let rows = activations.rows();
     let words_per_row = memo.words_per_row;
     let mut stats = DeltaStats { rows_total: rows as u64, ..DeltaStats::default() };
-    let mut out = ChunkDecomposition::new(activations, 0, rows, parts);
     // The changed row's previous tiles, and the unpack buffer of widths
     // that do not divide 64.
     let mut prev = vec![0u64; parts];
     let mut scratch = vec![0u64; parts];
-    // Output rows are written at `emitted * parts`, which tracks
-    // `r * parts` exactly when every row is emitted and compacts the
-    // changed rows together in the sparse sweep.
+    // Output rows are written at row `emitted`, which tracks `r` exactly
+    // when every row is emitted and compacts the changed rows together in
+    // the sparse sweep.
     let mut emitted = 0usize;
     let mut bit_nnz = 0u64;
     for r in 0..rows {
@@ -594,16 +598,14 @@ fn delta_rows<D: TileDecider>(
             if emit_unchanged {
                 // Replay its tiles and decisions without unpacking
                 // anything.
-                let out_base = emitted * parts;
                 for part in 0..parts {
                     let tile = memo.tiles[row_base + part];
                     if tile == 0 {
                         continue;
                     }
                     let decision = memo.decisions[row_base + part];
-                    emit_tile(&mut out, decision, tile, out_base + part, part, k);
+                    emit_tile(out, decision, tile, emitted, part, k);
                 }
-                out.l2_ends.push(out.l2.len() as u32);
                 emitted += 1;
                 bit_nnz += activations.row_nnz(r) as u64;
             }
@@ -613,7 +615,6 @@ fn delta_rows<D: TileDecider>(
         let memo_row = &mut memo.tiles[row_base..row_base + parts];
         prev.copy_from_slice(memo_row);
         memo_row.fill(0);
-        let out_base = emitted * parts;
         for (part, tile) in nonzero_tiles(activations, r, k, &mut scratch) {
             let slot = row_base + part;
             let decision = if memo.valid && prev[part] == tile {
@@ -626,34 +627,34 @@ fn delta_rows<D: TileDecider>(
                 decision
             };
             memo.tiles[slot] = tile;
-            emit_tile(&mut out, decision, tile, out_base + part, part, k);
+            emit_tile(out, decision, tile, emitted, part, k);
         }
         memo.words[r * words_per_row..(r + 1) * words_per_row].copy_from_slice(words);
-        out.l2_ends.push(out.l2.len() as u32);
         emitted += 1;
         bit_nnz += activations.row_nnz(r) as u64;
     }
-    DeltaRows { out, stats, emitted, bit_nnz }
+    DeltaRows { stats, emitted, bit_nnz }
 }
 
 /// The delta sweep of a packed layer, run under one [`simd::sweep16`]
 /// dispatch.
-struct PackedDelta<'a> {
+struct PackedDelta<'a, 'b> {
     activations: &'a SpikeMatrix,
     layer: &'a PackedLayer<'a>,
     memo: &'a mut FrameMemo,
     emit_unchanged: bool,
+    out: &'a mut ChunkDecomposition<'b>,
 }
 
-impl Hamming16Sweep for PackedDelta<'_> {
+impl Hamming16Sweep for PackedDelta<'_, '_> {
     type Output = DeltaRows;
 
     #[inline(always)]
     fn run<H: Hamming16>(self, kernel: H) -> DeltaRows {
-        let PackedDelta { activations, layer, memo, emit_unchanged } = self;
+        let PackedDelta { activations, layer, memo, emit_unchanged, out } = self;
         let parts = layer.planes.len();
         let mut decider = PackedDecider { layer, kernel };
-        delta_rows(activations, layer.k, parts, memo, emit_unchanged, &mut decider)
+        delta_rows(activations, layer.k, parts, memo, emit_unchanged, out, &mut decider)
     }
 }
 
@@ -809,8 +810,8 @@ impl<'a> PackedLayer<'a> {
 /// under one [`simd::sweep16`] dispatch: each row's tiles are gathered
 /// into `u16` lanes and decided 32 partitions at a time by
 /// [`Hamming16::match_lanes16`] against the layer's [`LanePlanes16`],
-/// then expanded into Level-2 entries from the correction words.
-struct LaneSweep<'a> {
+/// whose correction words become the row's Level-2 plane.
+struct LaneSweep<'a, 'b> {
     activations: &'a SpikeMatrix,
     lanes: &'a LanePlanes16,
     k: usize,
@@ -818,24 +819,25 @@ struct LaneSweep<'a> {
     last_masks: &'a [u64; LANE_WORDS],
     lo: usize,
     hi: usize,
+    out: &'a mut ChunkDecomposition<'b>,
 }
 
-impl Hamming16Sweep for LaneSweep<'_> {
-    type Output = ChunkDecomposition;
+impl Hamming16Sweep for LaneSweep<'_, '_> {
+    type Output = ();
 
     #[inline(always)]
-    fn run<H: Hamming16>(self, kernel: H) -> ChunkDecomposition {
-        let LaneSweep { activations, lanes, k, last_masks, lo, hi } = self;
+    fn run<H: Hamming16>(self, kernel: H) {
+        let LaneSweep { activations, lanes, k, last_masks, lo, hi, out } = self;
         let parts = lanes.partitions();
         let groups = lanes.groups();
-        let mut out = ChunkDecomposition::new(activations, lo, hi, parts);
         // The row's tiles and corrections as lane words, padded to whole
         // groups with empty lanes.
         let mut tiles = vec![0u64; groups * LANE_WORDS];
         let mut diff = vec![0u64; groups * LANE_WORDS];
         let mut unpacked = vec![0u64; if k == 16 { 0 } else { parts }];
         // The lane words that hold partitions; the rest are padding.
-        let words = parts.div_ceil(4);
+        let lane_words = parts.div_ceil(4);
+        let words = out.words;
         let full = [u64::MAX; LANE_WORDS];
         for r in lo..hi {
             gather_lanes(activations, r, k, &mut tiles, &mut unpacked);
@@ -866,10 +868,29 @@ impl Hamming16Sweep for LaneSweep<'_> {
                     }
                 }
             }
-            emit_lanes(&mut out, &tiles[..words], &diff[..words], k);
-            out.l2_ends.push(out.l2.len() as u32);
+            let (tiles, diff) = (&tiles[..lane_words], &diff[..lane_words]);
+            for (&t, &d) in tiles.iter().zip(diff) {
+                // `t ^ d` is the assigned pattern bits (0 where none is),
+                // and a correction is `+1` where the tile holds its bit.
+                let (all, pos) = (u64::from(d.count_ones()), u64::from((d & t).count_ones()));
+                out.l1_ones += u64::from((t ^ d).count_ones());
+                out.l2_pos += pos;
+                out.l2_neg += all - pos;
+            }
+            let plane = &mut out.l2[(r - lo) * words..(r - lo + 1) * words];
+            if k == 16 {
+                // The lanes are the row's words: the correction words are
+                // its plane words.
+                plane.copy_from_slice(diff);
+            } else {
+                for part in 0..parts {
+                    let d = (diff[part / 4] >> (16 * (part % 4))) & 0xFFFF;
+                    if d != 0 {
+                        or_bits(plane, part * k, d);
+                    }
+                }
+            }
         }
-        out
     }
 }
 
@@ -908,50 +929,6 @@ fn lane_masks(cols: usize, k: usize, parts: usize) -> [u64; LANE_WORDS] {
         masks[lane / 4] &= narrow.rotate_left(16 * (lane % 4) as u32);
     }
     masks
-}
-
-/// Expands one row's lane words into its counters and Level-2 entries.
-/// `tile ^ diff` is the assigned pattern bits (0 where none is), so the
-/// counters are word popcounts; each set bit `b` of diff word `i` is one
-/// correction at column `(4i + b / 16)·k + b % 16`, `+1` where the tile
-/// holds the bit. Entries come out column-sorted because words and bits
-/// ascend.
-#[inline(always)]
-fn emit_lanes(out: &mut ChunkDecomposition, tiles: &[u64], diff: &[u64], k: usize) {
-    let mut corrections = 0u64;
-    for (&t, &d) in tiles.iter().zip(diff) {
-        let (all, pos) = (u64::from(d.count_ones()), u64::from((d & t).count_ones()));
-        out.l1_ones += u64::from((t ^ d).count_ones());
-        out.l2_pos += pos;
-        out.l2_neg += all - pos;
-        corrections += all;
-    }
-    // Most words hold no correction or one: each word writes its first
-    // entry unconditionally (a word with none leaves a slot the next word
-    // overwrites, or the truncation cuts), so only the rarer longer words
-    // take a data-dependent branch.
-    let base = out.l2.len();
-    out.l2.resize(base + corrections as usize + 1, L2Entry { col: 0, value: 0 });
-    let slots = &mut out.l2[base..];
-    let mut at = 0usize;
-    for (i, (&t, &d)) in tiles.iter().zip(diff).enumerate() {
-        let entry = |b: u32| L2Entry {
-            col: ((4 * i as u32 + (b >> 4)) * k as u32) + (b & 15),
-            value: ((t.wrapping_shr(b) & 1) as i8) * 2 - 1,
-        };
-        slots[at] = entry(d.trailing_zeros());
-        let mut rest = d & d.wrapping_sub(1);
-        let mut next = at + 1;
-        while rest != 0 {
-            slots[next] = entry(rest.trailing_zeros());
-            rest &= rest - 1;
-            next += 1;
-        }
-        // `next` is one past the last entry, or past the spare slot of a
-        // word with none.
-        at = next - usize::from(d == 0);
-    }
-    out.l2.truncate(base + at);
 }
 
 /// The nonzero width-`k` tiles of row `r` as `(partition, tile)`, in
@@ -1019,45 +996,116 @@ fn check_partitioning(activations: &SpikeMatrix, patterns: &LayerPatterns) {
     );
 }
 
-/// One contiguous block of rows, decomposed by one worker. Buffers are
-/// allocated per chunk, not per row, so the sweep's allocation count is
-/// bounded by the worker count instead of the row count.
-struct ChunkDecomposition {
-    /// Row-major `chunk_rows × parts` pattern indices ([`NO_PATTERN`] =
-    /// unassigned).
-    l1: Vec<u16>,
-    /// The chunk's corrections, row-major (CSR within the chunk).
-    l2: Vec<L2Entry>,
-    /// Per-row end offsets into `l2` (`chunk_rows` elements, relative to
-    /// the chunk).
-    l2_ends: Vec<u32>,
+/// One contiguous block of rows, decomposed by one worker straight into
+/// its share of the output's buffers, and the block's counters.
+struct ChunkDecomposition<'a> {
+    parts: usize,
+    /// Plane words per row.
+    words: usize,
+    /// Row-major `chunk_rows × parts` pattern indices, pre-filled with
+    /// [`NO_PATTERN`].
+    l1: &'a mut [u16],
+    /// Row-major `chunk_rows × words` correction plane, pre-filled with
+    /// zeros.
+    l2: &'a mut [u64],
     l1_ones: u64,
     l2_pos: u64,
     l2_neg: u64,
 }
 
-impl ChunkDecomposition {
-    /// Empty buffers for rows `lo..hi` of `parts` partitions each.
-    fn new(activations: &SpikeMatrix, lo: usize, hi: usize, parts: usize) -> Self {
-        let rows = hi - lo;
-        // The chunk never emits more corrections than its rows hold bits
-        // (an assigned pattern must strictly beat the tile's own bit
-        // count), so one reservation covers the whole chunk.
-        let nnz: usize = (lo..hi).map(|r| activations.row_nnz(r)).sum();
-        ChunkDecomposition {
-            // L1 is bulk-filled with the sentinel up front, so the sweep
-            // writes an index only for the tiles that actually assign a
-            // pattern — empty tiles (the common case in sparse spiking
-            // data) never touch it.
-            l1: vec![NO_PATTERN; rows * parts],
-            // One more for the spare slot the lane sweep's emission
-            // writes past a row's last entry.
-            l2: Vec::with_capacity(nnz + 1),
-            l2_ends: Vec::with_capacity(rows),
-            l1_ones: 0,
-            l2_pos: 0,
-            l2_neg: 0,
-        }
+impl<'a> ChunkDecomposition<'a> {
+    /// A block over pre-filled buffers of `parts` indices and `words`
+    /// plane words per row.
+    fn new(parts: usize, words: usize, l1: &'a mut [u16], l2: &'a mut [u64]) -> Self {
+        ChunkDecomposition { parts, words, l1, l2, l1_ones: 0, l2_pos: 0, l2_neg: 0 }
+    }
+}
+
+/// Runs `sweep(lo, hi, block)` over the row chunks of [`chunk_bounds`] in
+/// parallel, each block a disjoint share of the output's buffers, and
+/// assembles the decomposition (the parallel collect preserves input
+/// order, keeping every output identical to a sequential sweep). Rows are
+/// independent, which is also why batch fusion and caching cannot change
+/// any output bit. L1 is bulk-filled with the sentinel and L2 with zeros
+/// up front, so a sweep writes only the tiles that assign a pattern or
+/// carry a correction — empty tiles (the common case in sparse spiking
+/// data) touch neither. Returns each chunk's `sweep` result too.
+fn sweep_chunks<T: Send>(
+    activations: &SpikeMatrix,
+    patterns: &LayerPatterns,
+    sweep: impl Fn(usize, usize, &mut ChunkDecomposition<'_>) -> T + Sync,
+) -> (Decomposition, Vec<T>) {
+    let (rows, cols) = (activations.rows(), activations.cols());
+    let (parts, words) = (patterns.num_partitions(), plane_words(cols));
+    let mut l1 = vec![NO_PATTERN; rows * parts];
+    let mut l2 = vec![0u64; rows * words];
+    let mut blocks = Vec::new();
+    let (mut l1_rest, mut l2_rest) = (&mut l1[..], &mut l2[..]);
+    for (lo, hi) in chunk_bounds(rows) {
+        let (l1_block, l1_next) = std::mem::take(&mut l1_rest).split_at_mut((hi - lo) * parts);
+        let (l2_block, l2_next) = std::mem::take(&mut l2_rest).split_at_mut((hi - lo) * words);
+        (l1_rest, l2_rest) = (l1_next, l2_next);
+        blocks.push((lo, hi, ChunkDecomposition::new(parts, words, l1_block, l2_block)));
+    }
+    let outcomes: Vec<_> = blocks
+        .into_par_iter()
+        .map(|(lo, hi, mut block)| {
+            let result = sweep(lo, hi, &mut block);
+            ([block.l1_ones, block.l2_pos, block.l2_neg], result)
+        })
+        .collect();
+    let (mut l1_ones, mut l2_pos, mut l2_neg) = (0u64, 0u64, 0u64);
+    let mut results = Vec::with_capacity(outcomes.len());
+    for ([ones, pos, neg], result) in outcomes {
+        l1_ones += ones;
+        l2_pos += pos;
+        l2_neg += neg;
+        results.push(result);
+    }
+    let decomp = Decomposition {
+        rows,
+        cols,
+        patterns: patterns.clone(),
+        l1,
+        l2,
+        l1_ones,
+        l2_pos,
+        l2_neg,
+        bit_nnz: activations.nnz() as u64,
+    };
+    (decomp, results)
+}
+
+/// Correction plane words per row of a `cols`-column activation: the
+/// activation's own word count.
+fn plane_words(cols: usize) -> usize {
+    cols.div_ceil(64)
+}
+
+/// The `width` bits of `words` from bit `start` (`width <= 64`; bits past
+/// the slice read as zero).
+#[inline]
+fn read_bits(words: &[u64], start: usize, width: usize) -> u64 {
+    let (word, bit) = (start / 64, start % 64);
+    let mut value = words.get(word).map_or(0, |&w| w >> bit);
+    if bit != 0 {
+        value |= words.get(word + 1).map_or(0, |&w| w << (64 - bit));
+    }
+    if width == 64 {
+        value
+    } else {
+        value & ((1u64 << width) - 1)
+    }
+}
+
+/// ORs `value` into `words` from bit `start`. Bits that would land past
+/// the slice must be zero.
+#[inline]
+fn or_bits(words: &mut [u64], start: usize, value: u64) {
+    let (word, bit) = (start / 64, start % 64);
+    words[word] |= value << bit;
+    if bit != 0 && value >> (64 - bit) != 0 {
+        words[word + 1] |= value >> (64 - bit);
     }
 }
 
@@ -1071,30 +1119,28 @@ fn chunk_bounds(rows: usize) -> Vec<(usize, usize)> {
     (0..rows.div_ceil(size)).map(|c| (c * size, ((c + 1) * size).min(rows))).collect()
 }
 
-/// Decomposes rows `lo..hi`: applies the matcher rule per partition tile
-/// and expands the decisions into L1 indices and column-sorted L2
-/// corrections (partitions ascend and bits ascend within a partition, so
-/// entries come out sorted without a sort). `decide` resolves nontrivial
-/// tiles; trivial ones — empty or single-bit — are decided inline: an
-/// empty tile emits nothing, and a single-bit tile can only win via an
-/// exact hit, which has no corrections.
+/// Decomposes rows `lo..hi` into `out`: applies the matcher rule per
+/// partition tile and writes each decision's L1 index and correction
+/// bits. `decide` resolves nontrivial tiles; trivial ones — empty or
+/// single-bit — are decided inline: an empty tile writes nothing, and a
+/// single-bit tile can only win via an exact hit, which has no
+/// corrections.
 fn run_chunk(
     activations: &SpikeMatrix,
     patterns: &LayerPatterns,
     lo: usize,
     hi: usize,
+    out: &mut ChunkDecomposition<'_>,
     mut decide: impl FnMut(usize, u64, u32) -> TileDecision,
-) -> ChunkDecomposition {
+) {
     let k = patterns.k();
     let parts = patterns.num_partitions();
-    let mut out = ChunkDecomposition::new(activations, lo, hi, parts);
     // One reusable tile buffer per chunk: each row's tiles are unpacked
     // in one pass (the SIMD shear kernel for word-aligned `k`, the
     // incremental scalar scan otherwise), then decided tile by tile.
     let mut tiles = vec![0u64; parts];
     for r in lo..hi {
         activations.row_partition_tiles_into(r, k, &mut tiles);
-        let row_base = (r - lo) * parts;
         for (part, &tile) in tiles.iter().enumerate() {
             if tile == 0 {
                 // Empty tiles need no decision, corrections, or
@@ -1106,95 +1152,37 @@ fn run_chunk(
                 1 => single_bit_tile(patterns.set(part), tile),
                 baseline => decide(part, tile, baseline),
             };
-            emit_tile(&mut out, decision, tile, row_base + part, part, k);
+            emit_tile(out, decision, tile, r - lo, part, k);
         }
-        out.l2_ends.push(out.l2.len() as u32);
     }
-    out
 }
 
-/// Expands one tile decision into its L1 index (written into the
-/// pre-filled slot) and L2 corrections. `diff` doubles as the correction
-/// set: each set bit is one correction, `+1` where the tile holds the 1
-/// and `−1` where the pattern does; for an unassigned tile
+/// Writes one tile decision of chunk row `row`: its L1 index (into the
+/// pre-filled slot) and its correction bits `diff` into the row's plane.
+/// Each set bit of `diff` is one correction, `+1` where the tile holds the
+/// 1 and `−1` where the pattern does; for an unassigned tile
 /// `diff == tile`, so every correction is a `+1` (the raw-bit-sparsity
 /// fallback).
 #[inline]
 fn emit_tile(
-    out: &mut ChunkDecomposition,
+    out: &mut ChunkDecomposition<'_>,
     decision: TileDecision,
     tile: u64,
-    slot: usize,
+    row: usize,
     part: usize,
     k: usize,
 ) {
     let TileDecision { pattern, diff } = decision;
     if let Some(idx) = pattern {
-        out.l1[slot] = idx;
+        out.l1[row * out.parts + part] = idx;
         // The masked pattern bits are `tile ^ diff` by construction.
         out.l1_ones += u64::from(simd::hamming64(tile, diff));
     }
     out.l2_pos += u64::from((diff & tile).count_ones());
     out.l2_neg += u64::from((diff & !tile).count_ones());
-    let mut bits = diff;
-    while bits != 0 {
-        let b = bits.trailing_zeros() as usize;
-        bits &= bits - 1;
-        let col = (part * k + b) as u32;
-        let value = if (tile >> b) & 1 == 1 { 1 } else { -1 };
-        out.l2.push(L2Entry { col, value });
-    }
-}
-
-/// Splices chunk results together in row order (the parallel collect
-/// preserves input order, keeping every output identical to a sequential
-/// sweep). Rows are independent, which is also why batch fusion and
-/// caching cannot change any output bit.
-fn combine(
-    activations: &SpikeMatrix,
-    patterns: &LayerPatterns,
-    mut chunk_results: Vec<ChunkDecomposition>,
-) -> Decomposition {
-    let rows = activations.rows();
-    let parts = patterns.num_partitions();
-    let (l1, l2, ends, l1_ones, l2_pos, l2_neg) = if chunk_results.len() == 1 {
-        // The single-worker sweep already produced the final buffers.
-        let c = chunk_results.pop().expect("one chunk");
-        (c.l1, c.l2, c.l2_ends, c.l1_ones, c.l2_pos, c.l2_neg)
-    } else {
-        let mut l1 = Vec::with_capacity(rows * parts);
-        let mut l2: Vec<L2Entry> =
-            Vec::with_capacity(chunk_results.iter().map(|c| c.l2.len()).sum());
-        let mut ends = Vec::with_capacity(rows);
-        let mut l1_ones = 0u64;
-        let mut l2_pos = 0u64;
-        let mut l2_neg = 0u64;
-        for mut chunk in chunk_results {
-            let base = l2.len() as u32;
-            l1.append(&mut chunk.l1);
-            l2.append(&mut chunk.l2);
-            ends.extend(chunk.l2_ends.iter().map(|&e| base + e));
-            l1_ones += chunk.l1_ones;
-            l2_pos += chunk.l2_pos;
-            l2_neg += chunk.l2_neg;
-        }
-        (l1, l2, ends, l1_ones, l2_pos, l2_neg)
-    };
-    let mut l2_offsets = Vec::with_capacity(rows + 1);
-    l2_offsets.push(0);
-    l2_offsets.extend(ends);
-
-    Decomposition {
-        rows,
-        cols: activations.cols(),
-        patterns: patterns.clone(),
-        l1,
-        l2,
-        l2_offsets,
-        l1_ones,
-        l2_pos,
-        l2_neg,
-        bit_nnz: activations.nnz() as u64,
+    if diff != 0 {
+        let words = out.words;
+        or_bits(&mut out.l2[row * words..(row + 1) * words], part * k, diff);
     }
 }
 
@@ -1272,42 +1260,25 @@ fn partition_mask(cols: usize, part: usize, k: usize) -> u64 {
 
 impl Decomposition {
     /// Reassembles a decomposition from its stored parts (the
-    /// deserialization path in [`crate::wire`]). Callers must have validated
-    /// the parts; only shape consistency is debug-asserted here.
+    /// deserialization path in [`crate::wire`]): `l1` row-major with
+    /// [`NO_PATTERN`] for unassigned tiles, `l2` the correction plane.
+    /// Callers must have validated the parts; only shape consistency is
+    /// debug-asserted here.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_raw_parts(
         rows: usize,
         cols: usize,
         patterns: LayerPatterns,
-        l1: Vec<Option<u16>>,
-        l2: Vec<Vec<L2Entry>>,
+        l1: Vec<u16>,
+        l2: Vec<u64>,
         l1_ones: u64,
         l2_pos: u64,
         l2_neg: u64,
         bit_nnz: u64,
     ) -> Self {
         debug_assert_eq!(l1.len(), rows * patterns.num_partitions());
-        debug_assert_eq!(l2.len(), rows);
-        let l1 = l1.into_iter().map(|p| p.unwrap_or(NO_PATTERN)).collect();
-        let mut l2_offsets = Vec::with_capacity(rows + 1);
-        l2_offsets.push(0u32);
-        let mut flat = Vec::with_capacity(l2.iter().map(Vec::len).sum());
-        for row in l2 {
-            flat.extend(row);
-            l2_offsets.push(flat.len() as u32);
-        }
-        Decomposition {
-            rows,
-            cols,
-            patterns,
-            l1,
-            l2: flat,
-            l2_offsets,
-            l1_ones,
-            l2_pos,
-            l2_neg,
-            bit_nnz,
-        }
+        debug_assert_eq!(l2.len(), rows * plane_words(cols));
+        Decomposition { rows, cols, patterns, l1, l2, l1_ones, l2_pos, l2_neg, bit_nnz }
     }
 
     /// Activation row count.
@@ -1348,9 +1319,8 @@ impl Decomposition {
 
     /// The raw Level-1 index row of `row` — one `u16` per partition, in
     /// partition order, with [`Decomposition::NO_PATTERN`] marking
-    /// unassigned tiles. This is the zero-cost per-row term view
-    /// [`crate::pwp::ReuseStats::of`] counts term rows through;
-    /// [`Decomposition::l1_index`] is the decoded single-tile accessor.
+    /// unassigned tiles. [`Decomposition::l1_index`] is the decoded
+    /// single-tile accessor.
     ///
     /// # Panics
     ///
@@ -1371,13 +1341,45 @@ impl Decomposition {
         TileAssignment { pattern, l2_nnz: self.l2_tile_nnz(row, part) }
     }
 
-    /// Level-2 corrections of `row`, sorted by column.
+    /// The Level-2 correction plane of `row`: `ceil(cols / 64)` words in
+    /// the activation's layout, bit `c % 64` of word `c / 64` set when
+    /// column `c` carries a correction (bits past `cols` are zero).
     ///
     /// # Panics
     ///
     /// Panics if `row` is out of bounds.
-    pub fn l2_row(&self, row: usize) -> &[L2Entry] {
-        &self.l2[self.l2_offsets[row] as usize..self.l2_offsets[row + 1] as usize]
+    pub fn l2_words(&self, row: usize) -> &[u64] {
+        assert!(row < self.rows, "row out of bounds");
+        let words = plane_words(self.cols);
+        &self.l2[row * words..(row + 1) * words]
+    }
+
+    /// Level-2 corrections of `row`, in ascending column order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of bounds.
+    pub fn l2_row(&self, row: usize) -> L2Row<'_> {
+        L2Row {
+            l1: self.l1_row(row),
+            patterns: &self.patterns,
+            words: self.l2_words(row),
+            next_word: 0,
+            rest: 0,
+            base: 0,
+        }
+    }
+
+    /// The correction bits of the `(row, part)` tile: bit `b` is set when
+    /// column `part · k + b` carries a correction.
+    ///
+    /// # Panics
+    ///
+    /// Panics if out of bounds.
+    pub fn l2_tile_bits(&self, row: usize, part: usize) -> u64 {
+        assert!(part < self.num_partitions(), "partition out of bounds");
+        let k = self.k();
+        read_bits(self.l2_words(row), part * k, k.min(self.cols - part * k))
     }
 
     /// Number of Level-2 corrections in the `(row, part)` tile.
@@ -1386,22 +1388,24 @@ impl Decomposition {
     ///
     /// Panics if out of bounds.
     pub fn l2_tile_nnz(&self, row: usize, part: usize) -> u32 {
-        let k = self.k() as u32;
-        let lo = (part as u32) * k;
-        let hi = lo + k;
-        self.l2_row(row).iter().filter(|e| e.col >= lo && e.col < hi).count() as u32
+        self.l2_tile_bits(row, part).count_ones()
     }
 
-    /// Level-2 corrections of the `(row, part)` tile, sorted by column.
+    /// Level-2 corrections of the `(row, part)` tile, in ascending column
+    /// order.
     ///
     /// # Panics
     ///
     /// Panics if out of bounds.
     pub fn l2_tile(&self, row: usize, part: usize) -> impl Iterator<Item = L2Entry> + '_ {
-        let k = self.k() as u32;
-        let lo = (part as u32) * k;
-        let hi = lo + k;
-        self.l2_row(row).iter().copied().filter(move |e| e.col >= lo && e.col < hi)
+        let mut rest = self.l2_tile_bits(row, part);
+        let negative = rest & self.tile_pattern_bits(row, part);
+        let base = (part * self.k()) as u32;
+        std::iter::from_fn(move || {
+            let b = (rest != 0).then(|| rest.trailing_zeros())?;
+            rest &= rest - 1;
+            Some(L2Entry { col: base + b, value: if (negative >> b) & 1 == 1 { -1 } else { 1 } })
+        })
     }
 
     /// Total Level-2 nonzeros.
@@ -1429,35 +1433,41 @@ impl Decomposition {
         }
     }
 
-    /// Rebuilds the dense activation matrix from `L1 + L2`.
+    /// The assigned pattern's bits of the `(row, part)` tile, masked to
+    /// the partition's width; 0 when the tile is unassigned.
+    fn tile_pattern_bits(&self, row: usize, part: usize) -> u64 {
+        match self.l1_index(row, part) {
+            Some(idx) => {
+                self.patterns.set(part).pattern_bits()[idx as usize]
+                    & partition_mask(self.cols, part, self.k())
+            }
+            None => 0,
+        }
+    }
+
+    /// The Level-1 bits of `row` over plane word `w`'s 64 columns: every
+    /// assigned pattern overlapping them, masked to its partition's width.
+    fn pattern_word(&self, row: usize, w: usize) -> u64 {
+        let k = self.k();
+        let lo = 64 * w;
+        let hi = (lo + 64).min(self.cols);
+        let mut word = 0u64;
+        for part in lo / k..hi.div_ceil(k) {
+            let bits = self.tile_pattern_bits(row, part);
+            let start = part * k;
+            word |= if start >= lo { bits << (start - lo) } else { bits >> (lo - start) };
+        }
+        word
+    }
+
+    /// Rebuilds the dense activation matrix from `L1 + L2`: per plane
+    /// word, the assigned pattern bits XOR the corrections.
     pub fn reconstruct(&self) -> SpikeMatrix {
         let mut out = SpikeMatrix::zeros(self.rows, self.cols);
-        let k = self.k();
         for r in 0..self.rows {
-            for part in 0..self.num_partitions() {
-                if let Some(idx) = self.l1_index(r, part) {
-                    let p = self.patterns.set(part).pattern(idx as usize);
-                    for b in p.ones() {
-                        let col = part * k + b;
-                        if col < self.cols {
-                            out.set(r, col, true);
-                        }
-                    }
-                }
-            }
-            for e in self.l2_row(r) {
-                let col = e.col as usize;
-                match e.value {
-                    1 => {
-                        debug_assert!(!out.get(r, col), "+1 correction on an already-set bit");
-                        out.set(r, col, true);
-                    }
-                    -1 => {
-                        debug_assert!(out.get(r, col), "-1 correction on a clear bit");
-                        out.set(r, col, false);
-                    }
-                    v => unreachable!("invalid L2 value {v}"),
-                }
+            for (w, &plane) in self.l2_words(r).iter().enumerate() {
+                let width = (self.cols - 64 * w).min(64);
+                out.set_tile(r, 64 * w, width, self.pattern_word(r, w) ^ plane);
             }
         }
         out
@@ -1465,7 +1475,12 @@ impl Decomposition {
 
     /// Whether `L1 + L2` reconstructs `original` exactly.
     pub fn verify_lossless(&self, original: &SpikeMatrix) -> bool {
-        self.reconstruct() == *original
+        original.rows() == self.rows
+            && original.cols() == self.cols
+            && (0..self.rows).all(|r| {
+                let (words, plane) = (original.row_words(r), self.l2_words(r));
+                (0..plane.len()).all(|w| self.pattern_word(r, w) ^ plane[w] == words[w])
+            })
     }
 
     /// Concatenates decompositions row-wise, as if their activation
@@ -1492,20 +1507,15 @@ impl Decomposition {
             );
         }
         let rows = parts.iter().map(|d| d.rows).sum();
-        let np = first.num_partitions();
-        let mut l1 = Vec::with_capacity(rows * np);
-        let mut l2: Vec<L2Entry> = Vec::with_capacity(parts.iter().map(|d| d.l2.len()).sum());
-        let mut l2_offsets = Vec::with_capacity(rows + 1);
-        l2_offsets.push(0u32);
+        let mut l1 = Vec::with_capacity(rows * first.num_partitions());
+        let mut l2 = Vec::with_capacity(rows * plane_words(first.cols));
         let mut l1_ones = 0u64;
         let mut l2_pos = 0u64;
         let mut l2_neg = 0u64;
         let mut bit_nnz = 0u64;
         for d in parts {
-            let base = l2.len() as u32;
             l1.extend_from_slice(&d.l1);
             l2.extend_from_slice(&d.l2);
-            l2_offsets.extend(d.l2_offsets[1..].iter().map(|&e| base + e));
             l1_ones += d.l1_ones;
             l2_pos += d.l2_pos;
             l2_neg += d.l2_neg;
@@ -1517,7 +1527,6 @@ impl Decomposition {
             patterns: first.patterns.clone(),
             l1,
             l2,
-            l2_offsets,
             l1_ones,
             l2_pos,
             l2_neg,
@@ -1525,6 +1534,56 @@ impl Decomposition {
         }
     }
 }
+
+/// The Level-2 corrections of one row in ascending column order
+/// ([`Decomposition::l2_row`]): the set bits of the row's plane words,
+/// each signed by the assigned pattern's bit at its column.
+#[derive(Debug, Clone)]
+pub struct L2Row<'a> {
+    /// The row's Level-1 indices.
+    l1: &'a [u16],
+    patterns: &'a LayerPatterns,
+    words: &'a [u64],
+    /// Index of the word after the one `rest` came from.
+    next_word: usize,
+    /// That word's corrections not yet yielded.
+    rest: u64,
+    /// Column of that word's bit 0.
+    base: u32,
+}
+
+impl Iterator for L2Row<'_> {
+    type Item = L2Entry;
+
+    #[inline]
+    fn next(&mut self) -> Option<L2Entry> {
+        while self.rest == 0 {
+            self.rest = *self.words.get(self.next_word)?;
+            self.base = 64 * self.next_word as u32;
+            self.next_word += 1;
+        }
+        let col = self.base + self.rest.trailing_zeros();
+        self.rest &= self.rest - 1;
+        let k = self.patterns.k() as u32;
+        let part = col / k;
+        let negative = match self.l1[part as usize] {
+            NO_PATTERN => false,
+            idx => {
+                let bits = self.patterns.set(part as usize).pattern_bits()[usize::from(idx)];
+                (bits >> (col - part * k)) & 1 == 1
+            }
+        };
+        Some(L2Entry { col, value: if negative { -1 } else { 1 } })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let rest = self.words.get(self.next_word..).unwrap_or(&[]);
+        let left = self.rest.count_ones() as usize + simd::popcount_words(rest) as usize;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for L2Row<'_> {}
 
 /// The third parameter of [`decompose_cached`], [`decompose_delta`] and
 /// [`decompose_delta_sparse`]. It carries no data: every non-packed tile
@@ -1890,7 +1949,7 @@ mod tests {
         let (acts, patterns) = paper_example();
         let d = decompose(&acts, &patterns);
         assert_eq!(d.l1_index(0, 0), Some(0));
-        assert!(d.l2_row(0).is_empty());
+        assert_eq!(d.l2_row(0).len(), 0);
     }
 
     #[test]
@@ -1898,7 +1957,7 @@ mod tests {
         let (acts, patterns) = paper_example();
         let d = decompose(&acts, &patterns);
         assert_eq!(d.l1_index(1, 0), Some(1)); // pattern 1101
-        assert_eq!(d.l2_row(1), &[L2Entry { col: 0, value: -1 }]);
+        assert_eq!(d.l2_row(1).collect::<Vec<_>>(), [L2Entry { col: 0, value: -1 }]);
     }
 
     #[test]
@@ -1906,7 +1965,7 @@ mod tests {
         let (acts, patterns) = paper_example();
         let d = decompose(&acts, &patterns);
         assert_eq!(d.l1_index(3, 0), None);
-        assert_eq!(d.l2_row(3), &[L2Entry { col: 2, value: 1 }]);
+        assert_eq!(d.l2_row(3).collect::<Vec<_>>(), [L2Entry { col: 2, value: 1 }]);
     }
 
     #[test]
@@ -1923,7 +1982,7 @@ mod tests {
         acts.set_tile(0, 0, 4, 0b1110);
         let d = decompose(&acts, &patterns);
         assert_eq!(d.l1_index(0, 0), Some(0));
-        assert_eq!(d.l2_row(0), &[L2Entry { col: 3, value: 1 }]);
+        assert_eq!(d.l2_row(0).collect::<Vec<_>>(), [L2Entry { col: 3, value: 1 }]);
         assert!(d.verify_lossless(&acts));
     }
 

@@ -66,8 +66,8 @@ pub use bitslice::{BitSlicedMatrix, BitSlicedPhi};
 pub use calibrate::{CalibrationConfig, CalibrationEngine, Calibrator, LayerPatterns};
 pub use decompose::{
     decompose, decompose_cached, decompose_delta, decompose_delta_sparse, Decomposition,
-    DeltaStats, FrameMemo, L2Entry, LayerMatchIndex, TileAssignment, TileCache, TileCacheStats,
-    TileDecision, MAX_CACHE_PARTITIONS,
+    DeltaStats, FrameMemo, L2Entry, L2Row, LayerMatchIndex, TileAssignment, TileCache,
+    TileCacheStats, TileDecision, MAX_CACHE_PARTITIONS,
 };
 pub use greedy::{greedy_frequent_patterns, greedy_pattern_set};
 pub use kmeans::{

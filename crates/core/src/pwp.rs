@@ -114,7 +114,7 @@ fn validate_matmul(decomp: &Decomposition, pwp: &PwpTable, weights: &Matrix) -> 
 
 /// Accumulates one decomposition row into `out` (width `N`): Level-1 PWP
 /// accumulations in partition order, then Level-2 signed weight-row
-/// corrections in stored order. Rows are independent, so any row
+/// corrections in column order. Rows are independent, so any row
 /// scheduling built on this kernel ([`phi_matmul`]'s sequential sweep,
 /// [`par_phi_matmul`]'s rayon sweep) produces bit-identical outputs.
 ///
@@ -146,19 +146,17 @@ fn phi_matmul_row_with<'a>(
 ) {
     assert_eq!(out.len(), weights.cols(), "output row width must match weights");
     // Gather the row's accumulation terms — Level-1 PWP rows in partition
-    // order, then Level-2 signed weight rows in stored order — and fuse
+    // order, then Level-2 signed weight rows in column order — and fuse
     // them into one SIMD pass. Per output element the additions still run
     // in exactly this term order, so the result is bit-identical to the
     // one-pass-per-term sweep at every dispatch level.
     terms.clear();
-    let l2 = decomp.l2_row(row);
-    terms.reserve(decomp.num_partitions() + l2.len());
-    for part in 0..decomp.num_partitions() {
-        if let Some(idx) = decomp.l1_index(row, part) {
+    for (part, &idx) in decomp.l1_row(row).iter().enumerate() {
+        if idx != Decomposition::NO_PATTERN {
             terms.push((pwp.row(part, idx as usize), false));
         }
     }
-    for e in l2 {
+    for e in decomp.l2_row(row) {
         terms.push((weights.row(e.col as usize), e.value != 1));
     }
     simd::accumulate_signed(out, terms);
@@ -271,12 +269,9 @@ impl ReuseStats {
     /// sweep: its rows, and one term row per assigned Level-1 tile and
     /// per Level-2 correction.
     pub fn of(decomp: &Decomposition) -> ReuseStats {
-        let mut refs = 0u64;
-        for r in 0..decomp.rows() {
-            let l1 =
-                decomp.l1_row(r).iter().filter(|&&idx| idx != Decomposition::NO_PATTERN).count();
-            refs += (l1 + decomp.l2_row(r).len()) as u64;
-        }
+        // Every assigned tile is one term row, and every correction (a set
+        // plane bit) is one more.
+        let refs = decomp.assigned_tiles() + decomp.l2_nnz();
         ReuseStats { rows: decomp.rows() as u64, term_rows_total: refs, term_rows_computed: refs }
     }
 

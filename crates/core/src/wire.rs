@@ -27,7 +27,7 @@
 //! ```
 
 use crate::calibrate::LayerPatterns;
-use crate::decompose::{Decomposition, L2Entry};
+use crate::decompose::Decomposition;
 use crate::pattern::{Pattern, PatternSet};
 use std::fmt;
 
@@ -298,7 +298,8 @@ pub fn read_layer_patterns(r: &mut Reader<'_>) -> Result<LayerPatterns> {
 
 /// Serializes a [`Decomposition`]: shape, its [`LayerPatterns`], the
 /// Level-1 index matrix (`u16` per tile, `0xFFFF` = no pattern), and the
-/// per-row Level-2 runs (`count u32`, then `col u32, sign u8` per entry).
+/// per-row Level-2 runs (`count u32`, then `col u32, sign u8` per entry,
+/// in ascending column order; sign 0 is `+1`, 1 is `−1`).
 pub fn write_decomposition(decomp: &Decomposition, out: &mut Vec<u8>) {
     put_u64(out, decomp.rows() as u64);
     put_u64(out, decomp.cols() as u64);
@@ -327,8 +328,10 @@ pub fn write_decomposition(decomp: &Decomposition, out: &mut Vec<u8>) {
 /// # Errors
 ///
 /// Returns [`WireError`] on truncation, a pattern index out of range for
-/// its partition, unsorted or out-of-bounds Level-2 columns, or an invalid
-/// sign byte.
+/// its partition, a repeated, descending or out-of-bounds Level-2 column,
+/// an invalid sign byte, or a sign that contradicts the assigned pattern's
+/// bit at its column (`−1` exactly where that bit is 1: the correction
+/// plane derives the sign, so no other sign can be represented).
 pub fn read_decomposition(r: &mut Reader<'_>) -> Result<Decomposition> {
     let rows = r.u64()? as usize;
     let cols = r.u64()? as usize;
@@ -356,7 +359,7 @@ pub fn read_decomposition(r: &mut Reader<'_>) -> Result<Decomposition> {
         let part = i % parts;
         let raw = u16::from_le_bytes(r.bytes(2)?.try_into().expect("2 bytes"));
         if raw == u16::MAX {
-            l1.push(None);
+            l1.push(raw);
             continue;
         }
         let set = patterns.set(part);
@@ -366,14 +369,16 @@ pub fn read_decomposition(r: &mut Reader<'_>) -> Result<Decomposition> {
         let width = k.min(cols - part * k);
         let width_mask = if width == 64 { u64::MAX } else { (1u64 << width) - 1 };
         l1_ones += u64::from((set.pattern(raw as usize).bits() & width_mask).count_ones());
-        l1.push(Some(raw));
+        l1.push(raw);
     }
-    let mut l2 = Vec::with_capacity(rows);
+    // At most one plane word per partition (k <= 64), so the plane is no
+    // larger than the L1 tiles the buffer already holds.
+    let words = cols.div_ceil(64);
+    let mut l2 = vec![0u64; rows * words];
     let mut l2_pos = 0u64;
     let mut l2_neg = 0u64;
-    for _ in 0..rows {
+    for row in 0..rows {
         let count = r.count(5)?;
-        let mut entries = Vec::with_capacity(count);
         let mut prev: Option<u32> = None;
         for _ in 0..count {
             let col = r.u32()?;
@@ -384,28 +389,37 @@ pub fn read_decomposition(r: &mut Reader<'_>) -> Result<Decomposition> {
                 return Err(r.corrupt("L2 columns not strictly ascending"));
             }
             prev = Some(col);
-            let value = match r.u8()? {
-                0 => {
-                    l2_pos += 1;
-                    1
-                }
-                1 => {
-                    l2_neg += 1;
-                    -1
-                }
+            let negative = match r.u8()? {
+                0 => false,
+                1 => true,
                 other => return Err(r.corrupt(format!("invalid L2 sign byte {other}"))),
             };
-            entries.push(L2Entry { col, value });
+            let (col, part) = (col as usize, col as usize / k);
+            let pattern_bit = match l1[row * parts + part] {
+                u16::MAX => false,
+                idx => {
+                    (patterns.set(part).pattern_bits()[idx as usize] >> (col - part * k)) & 1 == 1
+                }
+            };
+            if negative != pattern_bit {
+                let sign = if negative { "−1" } else { "+1" };
+                return Err(r.corrupt(format!(
+                    "L2 sign {sign} at column {col} contradicts its pattern bit {}",
+                    u8::from(pattern_bit)
+                )));
+            }
+            if negative {
+                l2_neg += 1;
+            } else {
+                l2_pos += 1;
+            }
+            l2[row * words + col / 64] |= 1 << (col % 64);
         }
-        l2.push(entries);
     }
     // bit_nnz is an identity of the lossless decomposition, not independent
-    // information — recompute it rather than trusting the wire. A negative
-    // correction needs a covering pattern one, so an underflow here means
-    // the bytes never came from a real decomposition.
-    let bit_nnz = (l1_ones + l2_pos).checked_sub(l2_neg).ok_or_else(|| {
-        r.corrupt(format!("{l2_neg} negative corrections exceed {l1_ones} pattern ones"))
-    })?;
+    // information — recompute it rather than trusting the wire. Every −1
+    // sits on its own pattern one (checked above), so it cannot underflow.
+    let bit_nnz = l1_ones + l2_pos - l2_neg;
     Ok(Decomposition::from_raw_parts(
         rows, cols, patterns, l1, l2, l1_ones, l2_pos, l2_neg, bit_nnz,
     ))
@@ -466,7 +480,7 @@ mod tests {
         assert_eq!(back.cols(), d.cols());
         assert_eq!(back.patterns(), d.patterns());
         for row in 0..d.rows() {
-            assert_eq!(back.l2_row(row), d.l2_row(row));
+            assert!(back.l2_row(row).eq(d.l2_row(row)));
             for part in 0..d.num_partitions() {
                 assert_eq!(back.l1_index(row, part), d.l1_index(row, part));
             }

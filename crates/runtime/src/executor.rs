@@ -788,7 +788,8 @@ fn attribution_shares(decomp: &Decomposition, batch: usize, rows: usize) -> Vec<
             let (lo, hi) = (b * rows, (b + 1) * rows);
             let mut proxy = rows as f64;
             for r in lo..hi {
-                proxy += decomp.l2_row(r).len() as f64;
+                // A set plane bit is one correction.
+                proxy += snn_core::simd::popcount_words(decomp.l2_words(r)) as f64;
                 let assigned =
                     decomp.l1_row(r).iter().filter(|&&i| i != Decomposition::NO_PATTERN).count();
                 proxy += assigned as f64;

@@ -502,21 +502,25 @@ enum Tier16 {
 
 /// The [`min_hamming16`] tier at the active [`level`]: AVX-512 needs
 /// `BW` and `BITALG` besides what [`SimdLevel::Avx512`] checks, and
-/// falls back to AVX2 without them.
+/// falls back to AVX2 without them. Both vector tiers also need `POPCNT`,
+/// which their wrappers enable so that the sweeps' word popcounts (the
+/// decomposition counters) compile to one instruction each.
 #[inline]
 fn tier16() -> Tier16 {
-    match level() {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx512
-            if std::arch::is_x86_feature_detected!("avx512bw")
-                && std::arch::is_x86_feature_detected!("avx512bitalg") =>
-        {
-            Tier16::Avx512
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("popcnt") {
+        match level() {
+            SimdLevel::Avx512
+                if std::arch::is_x86_feature_detected!("avx512bw")
+                    && std::arch::is_x86_feature_detected!("avx512bitalg") =>
+            {
+                return Tier16::Avx512;
+            }
+            SimdLevel::Avx512 | SimdLevel::Avx2 => return Tier16::Avx2,
+            _ => {}
         }
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx512 | SimdLevel::Avx2 => Tier16::Avx2,
-        _ => Tier16::Scalar,
     }
+    Tier16::Scalar
 }
 
 /// The portable [`Hamming16`] tier.
@@ -1356,23 +1360,23 @@ mod x86 {
         }
     }
 
-    /// Runs a sweep compiled for AVX-512F/BW/BITALG.
+    /// Runs a sweep compiled for AVX-512F/BW/BITALG and POPCNT.
     ///
     /// # Safety
     ///
-    /// Caller must ensure AVX-512F, AVX-512BW and AVX-512BITALG are
-    /// available.
-    #[target_feature(enable = "avx512f,avx512bw,avx512bitalg")]
+    /// Caller must ensure AVX-512F, AVX-512BW, AVX-512BITALG and POPCNT
+    /// are available.
+    #[target_feature(enable = "avx512f,avx512bw,avx512bitalg,popcnt")]
     pub unsafe fn sweep16_avx512<S: super::Hamming16Sweep>(sweep: S) -> S::Output {
         sweep.run(Avx512Tier(()))
     }
 
-    /// Runs a sweep compiled for AVX2.
+    /// Runs a sweep compiled for AVX2 and POPCNT.
     ///
     /// # Safety
     ///
-    /// Caller must ensure AVX2 is available.
-    #[target_feature(enable = "avx2")]
+    /// Caller must ensure AVX2 and POPCNT are available.
+    #[target_feature(enable = "avx2,popcnt")]
     pub unsafe fn sweep16_avx2<S: super::Hamming16Sweep>(sweep: S) -> S::Output {
         sweep.run(Avx2Tier(()))
     }

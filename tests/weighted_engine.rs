@@ -103,7 +103,7 @@ proptest! {
         prop_assert_eq!(a.l2_nnz(), b.l2_nnz());
         prop_assert_eq!(a.stats(), b.stats());
         for r in 0..rows {
-            prop_assert_eq!(a.l2_row(r), b.l2_row(r));
+            prop_assert_eq!(a.l2_row(r).collect::<Vec<_>>(), b.l2_row(r).collect::<Vec<_>>());
             for part in 0..a.num_partitions() {
                 prop_assert_eq!(a.l1_index(r, part), b.l1_index(r, part));
             }
