@@ -1399,7 +1399,10 @@ impl Decomposition {
     /// Panics if out of bounds.
     pub fn l2_tile(&self, row: usize, part: usize) -> impl Iterator<Item = L2Entry> + '_ {
         let mut rest = self.l2_tile_bits(row, part);
-        let negative = rest & self.tile_pattern_bits(row, part);
+        let negative = match self.l1_index(row, part) {
+            Some(idx) => rest & self.patterns.set(part).pattern_bits()[usize::from(idx)],
+            None => 0,
+        };
         let base = (part * self.k()) as u32;
         std::iter::from_fn(move || {
             let b = (rest != 0).then(|| rest.trailing_zeros())?;
@@ -1433,41 +1436,23 @@ impl Decomposition {
         }
     }
 
-    /// The assigned pattern's bits of the `(row, part)` tile, masked to
-    /// the partition's width; 0 when the tile is unassigned.
-    fn tile_pattern_bits(&self, row: usize, part: usize) -> u64 {
-        match self.l1_index(row, part) {
-            Some(idx) => {
-                self.patterns.set(part).pattern_bits()[idx as usize]
-                    & partition_mask(self.cols, part, self.k())
-            }
-            None => 0,
-        }
-    }
-
-    /// The Level-1 bits of `row` over plane word `w`'s 64 columns: every
-    /// assigned pattern overlapping them, masked to its partition's width.
-    fn pattern_word(&self, row: usize, w: usize) -> u64 {
-        let k = self.k();
-        let lo = 64 * w;
-        let hi = (lo + 64).min(self.cols);
-        let mut word = 0u64;
-        for part in lo / k..hi.div_ceil(k) {
-            let bits = self.tile_pattern_bits(row, part);
-            let start = part * k;
-            word |= if start >= lo { bits << (start - lo) } else { bits >> (lo - start) };
-        }
-        word
-    }
-
     /// Rebuilds the dense activation matrix from `L1 + L2`: per plane
     /// word, the assigned pattern bits XOR the corrections.
     pub fn reconstruct(&self) -> SpikeMatrix {
+        let k = self.k();
         let mut out = SpikeMatrix::zeros(self.rows, self.cols);
+        let mut level1 = vec![0u64; plane_words(self.cols)];
         for r in 0..self.rows {
-            for (w, &plane) in self.l2_words(r).iter().enumerate() {
+            level1.fill(0);
+            for (part, &idx) in self.l1_row(r).iter().enumerate() {
+                if idx != NO_PATTERN {
+                    let bits = self.patterns.set(part).pattern_bits()[usize::from(idx)];
+                    or_bits(&mut level1, part * k, bits & partition_mask(self.cols, part, k));
+                }
+            }
+            for (w, (&pattern, &plane)) in level1.iter().zip(self.l2_words(r)).enumerate() {
                 let width = (self.cols - 64 * w).min(64);
-                out.set_tile(r, 64 * w, width, self.pattern_word(r, w) ^ plane);
+                out.set_tile(r, 64 * w, width, pattern ^ plane);
             }
         }
         out
@@ -1475,12 +1460,7 @@ impl Decomposition {
 
     /// Whether `L1 + L2` reconstructs `original` exactly.
     pub fn verify_lossless(&self, original: &SpikeMatrix) -> bool {
-        original.rows() == self.rows
-            && original.cols() == self.cols
-            && (0..self.rows).all(|r| {
-                let (words, plane) = (original.row_words(r), self.l2_words(r));
-                (0..plane.len()).all(|w| self.pattern_word(r, w) ^ plane[w] == words[w])
-            })
+        self.reconstruct() == *original
     }
 
     /// Concatenates decompositions row-wise, as if their activation
@@ -1566,13 +1546,11 @@ impl Iterator for L2Row<'_> {
         self.rest &= self.rest - 1;
         let k = self.patterns.k() as u32;
         let part = col / k;
-        let negative = match self.l1[part as usize] {
-            NO_PATTERN => false,
-            idx => {
-                let bits = self.patterns.set(part as usize).pattern_bits()[usize::from(idx)];
-                (bits >> (col - part * k)) & 1 == 1
-            }
-        };
+        // An unassigned tile's index, `NO_PATTERN`, is past every set's
+        // last pattern, so it reads no pattern bits.
+        let idx = usize::from(self.l1[part as usize]);
+        let bits = self.patterns.set(part as usize).pattern_bits().get(idx).map_or(0, |&b| b);
+        let negative = (bits >> (col - part * k)) & 1 == 1;
         Some(L2Entry { col, value: if negative { -1 } else { 1 } })
     }
 
