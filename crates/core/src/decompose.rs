@@ -1371,12 +1371,9 @@ impl Decomposition {
     }
 
     /// The correction bits of the `(row, part)` tile: bit `b` is set when
-    /// column `part · k + b` carries a correction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if out of bounds.
-    pub fn l2_tile_bits(&self, row: usize, part: usize) -> u64 {
+    /// column `part · k + b` carries a correction. Panics if out of
+    /// bounds.
+    fn l2_tile_bits(&self, row: usize, part: usize) -> u64 {
         assert!(part < self.num_partitions(), "partition out of bounds");
         let k = self.k();
         read_bits(self.l2_words(row), part * k, k.min(self.cols - part * k))
