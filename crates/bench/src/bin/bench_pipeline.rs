@@ -17,9 +17,9 @@
 //! and once overall, the full-workload decomposition through two paths —
 //! the linear reference scan and the production sweep
 //! (`decompose_cached` on a disabled cache; every layer of this k = 16
-//! workload is packed, so the sweep decides each tile with one
-//! brute-force `simd::min_hamming16` probe and would not consult a cache
-//! anyway) — and the full-workload *functional execution* of those
+//! workload is packed, so the sweep decides each row 32 partitions per
+//! step with the lane matcher, `Hamming16::match_lanes16`, and would not
+//! consult a cache anyway) — and the full-workload *functional execution* of those
 //! decompositions through the CPU execution backend
 //! ([`phi_accel::CpuBackend`]) — the pure PWP sparse-matmul hot path a
 //! serving request pays after decomposition, with zero simulator

@@ -4,9 +4,9 @@
 //!
 //! For every row and every width-`k` partition, the *pattern matcher* rule
 //! is applied (this paragraph is the authoritative statement of the rule;
-//! every matcher in the workspace — [`crate::PatternSet::best_match`],
-//! the packed per-tile probe and the 32-partition lane matcher —
-//! implements it, and the [`TileCache`] memoizes their decisions):
+//! every matcher in the workspace — [`crate::PatternSet::best_match`]
+//! and the 32-partition lane matcher — implements it, and the
+//! [`TileCache`] memoizes the former's decisions):
 //!
 //! * find the calibrated pattern with minimum Hamming distance to the
 //!   tile, ties resolving to the lowest pattern index;
@@ -58,12 +58,12 @@
 //!   shared, bounded [`TileCache`]; on [`TileCache::disabled`] it is the
 //!   linear matcher alone.
 //! * [`decompose_delta`] / [`decompose_delta_sparse`] — one frame of a
-//!   stream, diffed against the previous frame's [`FrameMemo`] so only
-//!   changed tiles are re-decided (the sparse variant emits changed rows
-//!   only). On a packed layer a re-decided tile takes one brute-force
-//!   [`simd::min_hamming16`] probe over its partition's `u16` plane;
-//!   otherwise it takes the same cache and matcher as
-//!   [`decompose_cached`].
+//!   stream, diffed row by row against the previous frame's
+//!   [`FrameMemo`]. The rows that changed are re-swept, in place in the
+//!   memo, by the same row sweep [`decompose_cached`] runs (the lane
+//!   matcher, or the cache and [`crate::PatternSet::best_match`]); an
+//!   unchanged row is the memo's L1 slice and plane words as they stand.
+//!   The sparse variant emits the changed rows only.
 //!
 //! The [`LayerMatchIndex`] these entry points take carries no data.
 
@@ -163,7 +163,7 @@ impl Decomposition {
 pub fn decompose(activations: &SpikeMatrix, patterns: &LayerPatterns) -> Decomposition {
     check_partitioning(activations, patterns);
     sweep_chunks(activations, patterns, |lo, hi, out| {
-        run_chunk(activations, patterns, lo, hi, out, |part, tile, baseline| {
+        run_chunk(activations, patterns, lo..hi, out, |part, tile, baseline| {
             finish_decision(activations, patterns, part, tile, baseline, {
                 patterns.set(part).best_match(tile)
             })
@@ -211,53 +211,91 @@ pub fn decompose_cached(
     _index: &LayerMatchIndex,
     cache: &TileCache,
 ) -> Decomposition {
-    check_partitioning(activations, patterns);
-    if let Some(lanes) = patterns.lanes() {
-        let last_masks = lane_masks(activations.cols(), patterns.k(), lanes.partitions());
-        return sweep_chunks(activations, patterns, |lo, hi, out| {
-            simd::sweep16(LaneSweep {
-                activations,
-                lanes,
-                k: patterns.k(),
-                last_masks: &last_masks,
-                lo,
-                hi,
-                out,
-            })
-        })
-        .0;
+    let sweep = RowSweep::new(activations, patterns, cache);
+    let (decomp, outcomes) =
+        sweep_chunks(activations, patterns, |lo, hi, out| sweep.run(lo..hi, out));
+    sweep.commit(outcomes);
+    decomp
+}
+
+/// The row sweep of [`decompose_cached`], which the delta sweeps also run
+/// over a frame's changed rows: the lane matcher on a packed layer,
+/// otherwise [`PatternSet::best_match`] behind the [`TileCache`]
+/// snapshot taken at construction (none on a disabled cache).
+struct RowSweep<'a> {
+    activations: &'a SpikeMatrix,
+    patterns: &'a LayerPatterns,
+    /// A packed layer's lane planes and the lane masks of its final group
+    /// (see [`lane_masks`]).
+    lanes: Option<(&'a LanePlanes16, [u64; LANE_WORDS])>,
+    cache: &'a TileCache,
+    snapshot: Option<Arc<TileMap>>,
+}
+
+/// One unpacked sweep's cache accounting: snapshot hits, missed probes,
+/// and the decisions resolved for the misses.
+type CacheOutcome = (u64, u64, TileMap);
+
+impl<'a> RowSweep<'a> {
+    /// # Panics
+    ///
+    /// Panics if the pattern partition count does not match the activation
+    /// width, or if an enabled cache on an unpacked layer sees a partition
+    /// count beyond [`MAX_CACHE_PARTITIONS`].
+    fn new(
+        activations: &'a SpikeMatrix,
+        patterns: &'a LayerPatterns,
+        cache: &'a TileCache,
+    ) -> Self {
+        check_partitioning(activations, patterns);
+        let lanes = patterns
+            .lanes()
+            .map(|lanes| (lanes, lane_masks(activations.cols(), patterns.k(), lanes.partitions())));
+        let parts = patterns.num_partitions();
+        let snapshot = (lanes.is_none() && cache.is_enabled()).then(|| {
+            assert!(
+                parts <= MAX_CACHE_PARTITIONS,
+                "partition count {parts} exceeds the cache key space"
+            );
+            cache.snapshot()
+        });
+        RowSweep { activations, patterns, lanes, cache, snapshot }
     }
-    let parts = patterns.num_partitions();
-    let k = patterns.k();
-    // Only the final partition can be narrower than k; every probe below
-    // needs its width in the key.
-    let last_part = parts.wrapping_sub(1);
-    let last_width = if parts == 0 { 0 } else { k.min(activations.cols() - last_part * k) as u32 };
-    let snapshot = cache.is_enabled().then(|| {
-        assert!(
-            parts <= MAX_CACHE_PARTITIONS,
-            "partition count {parts} exceeds the cache key space"
-        );
-        cache.snapshot()
-    });
-    let (decomp, outcomes) = sweep_chunks(activations, patterns, |lo, hi, out| {
+
+    /// Decomposes `rows` into `out`, each row `r` at `out`'s row
+    /// `r - out.first_row`.
+    fn run(
+        &self,
+        rows: impl Iterator<Item = usize>,
+        out: &mut ChunkDecomposition<'_>,
+    ) -> CacheOutcome {
+        let (activations, patterns, k) = (self.activations, self.patterns, self.patterns.k());
+        if let Some((lanes, last_masks)) = &self.lanes {
+            simd::sweep16(LaneSweep { activations, lanes, k, last_masks, rows, out });
+            return CacheOutcome::default();
+        }
+        let parts = patterns.num_partitions();
         let mut hits = 0u64;
         let mut miss_probes = 0u64;
         let mut resolved = TileMap::default();
-        // Last decision per partition: spiking rows repeat the
-        // previous row's tile ~30% of the time, the decision is a pure
-        // function of `(partition, tile)`, and the snapshot is
-        // immutable for the whole sweep, so a repeat replays the
-        // decision — and the same hit/miss accounting — without
-        // running the matcher or touching the map. (The linear
-        // [`decompose`] path deliberately stays memo-free: it is the
-        // reference this path is benchmarked against.) Tile 0 never
-        // reaches the closure (trivial tiles are decided inline), so
-        // it is a free "empty" sentinel.
+        // Only the final partition can be narrower than k; every probe below
+        // needs its width in the key.
+        let last_part = parts.wrapping_sub(1);
+        let last_width =
+            if parts == 0 { 0 } else { k.min(activations.cols() - last_part * k) as u32 };
+        // Last decision per partition: spiking rows repeat the previous
+        // row's tile ~30% of the time, the decision is a pure function of
+        // `(partition, tile)`, and the snapshot is immutable for the whole
+        // sweep, so a repeat replays the decision — and the same hit/miss
+        // accounting — without running the matcher or touching the map.
+        // (The linear [`decompose`] path deliberately stays memo-free: it
+        // is the reference this path is benchmarked against.) Tile 0 never
+        // reaches the closure (trivial tiles are decided inline), so it is
+        // a free "empty" sentinel.
         let mut memo_tile = vec![0u64; parts];
         let mut memo_was_hit = vec![false; parts];
         let mut memo_dec = vec![TileDecision { pattern: None, diff: 0 }; parts];
-        run_chunk(activations, patterns, lo, hi, out, |part, tile, baseline| {
+        run_chunk(activations, patterns, rows, out, |part, tile, baseline| {
             if memo_tile[part] == tile {
                 if memo_was_hit[part] {
                     hits += 1;
@@ -266,7 +304,7 @@ pub fn decompose_cached(
                 }
                 return memo_dec[part];
             }
-            let decision = match &snapshot {
+            let decision = match &self.snapshot {
                 // Disabled cache: the matcher alone.
                 None => resolve_tile(activations, patterns, part, tile, baseline),
                 Some(snapshot) => {
@@ -296,46 +334,47 @@ pub fn decompose_cached(
             decision
         });
         (hits, miss_probes, resolved)
-    });
-    // Release the snapshot before committing so the merge can usually
-    // mutate the map in place instead of cloning it.
-    drop(snapshot);
-    let mut hits = 0u64;
-    let mut miss_probes = 0u64;
-    let mut resolved: Vec<(TileKey, TileDecision)> = Vec::new();
-    for (chunk_hits, chunk_probes, chunk_resolved) in outcomes {
-        hits += chunk_hits;
-        miss_probes += chunk_probes;
-        resolved.extend(chunk_resolved);
     }
-    if cache.is_enabled() {
+
+    /// Releases the snapshot and commits the sweep's cache outcomes, which
+    /// only an unpacked layer on an enabled cache has.
+    fn commit(self, outcomes: impl IntoIterator<Item = CacheOutcome>) {
+        let RowSweep { cache, snapshot, .. } = self;
+        let Some(snapshot) = snapshot else { return };
+        // Release the snapshot before committing so the merge can usually
+        // mutate the map in place instead of cloning it.
+        drop(snapshot);
+        let mut hits = 0u64;
+        let mut miss_probes = 0u64;
+        let mut resolved: Vec<(TileKey, TileDecision)> = Vec::new();
+        for (chunk_hits, chunk_probes, chunk_resolved) in outcomes {
+            hits += chunk_hits;
+            miss_probes += chunk_probes;
+            resolved.extend(chunk_resolved);
+        }
         cache.commit(hits, miss_probes, resolved);
     }
-    decomp
 }
 
 /// Counters describing how much matcher work one [`decompose_delta`]
 /// sweep avoided relative to a full decomposition of the same frame.
 ///
-/// Trivial tiles (empty, and the inline single-bit shortcut once a tile
-/// *is* re-decided) follow the same accounting as the full paths: empty
-/// tiles appear in no bucket, and every nonzero tile of a changed row
-/// lands in exactly one of `tiles_reused` / `tiles_rematched`.
+/// Empty tiles appear in no bucket, and every nonzero tile of a changed
+/// row lands in exactly one of `tiles_reused` / `tiles_rematched`. Both
+/// are counted from the raw words of this frame and the previous one; the
+/// changed row itself is re-swept whole either way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DeltaStats {
     /// Rows in the frame.
     pub rows_total: u64,
-    /// Rows bit-identical to the previous frame: replayed wholesale from
-    /// the memo without unpacking tiles or touching any matcher or cache
-    /// counter.
+    /// Rows bit-identical to the previous frame: taken from the memo
+    /// without running any matcher or touching any cache counter.
     pub rows_skipped: u64,
-    /// Nonzero tiles in *changed* rows whose bits still matched the
-    /// previous frame's tile: decision replayed from the memo, no
-    /// matcher, no cache counter movement.
+    /// Nonzero tiles in *changed* rows whose bits equal the previous
+    /// frame's tile at the same position.
     pub tiles_reused: u64,
-    /// Nonzero tiles decided afresh (single-bit inline, or through the
-    /// packed probe or the cached linear matcher — on an unpacked layer,
-    /// exactly the tiles that move cache counters, when nontrivial).
+    /// Nonzero tiles in changed rows whose bits differ from the previous
+    /// frame's tile (every nonzero tile of a cold sweep).
     pub tiles_rematched: u64,
 }
 
@@ -351,37 +390,33 @@ impl DeltaStats {
 }
 
 /// Per-stream memo of the previous frame consumed by
-/// [`decompose_delta`]: the prior frame's row words (for the whole-row
-/// skip), its unpacked tiles, and the [`TileDecision`] each tile
-/// received.
+/// [`decompose_delta`]: per row, the frame's raw words (for the whole-row
+/// diff), its Level-1 slice and its correction-plane words — the row's
+/// decomposition, ready to emit when the next frame leaves the row
+/// unchanged.
 ///
-/// A memo is tied to one layer's patterns: decisions are pure
-/// functions of `(partition, width, tile)` *within one layer's pattern
-/// sets*, so replaying a memo built against different patterns would
-/// produce garbage. Frame shape (`rows × cols` at partition width `k`)
-/// may change between calls — a mismatch resets the memo to cold, it
-/// never corrupts the output.
+/// A memo is tied to one layer's patterns: replaying a memo built against
+/// different patterns would produce garbage. Frame shape (`rows × cols`
+/// at partition width `k`) may change between calls — a mismatch resets
+/// the memo to cold, it never corrupts the output.
 #[derive(Debug, Default)]
 pub struct FrameMemo {
     rows: usize,
     cols: usize,
     k: usize,
     /// Whether the stored frame is trustworthy; false on a fresh or
-    /// shape-reset memo, so the first sweep re-decides every tile.
+    /// shape-reset memo (and while a sweep updates it), so the next sweep
+    /// re-decides every row.
     valid: bool,
-    words_per_row: usize,
-    /// The previous frame's raw row words, `rows × words_per_row`.
+    /// The previous frame's raw row words, `rows × ceil(cols / 64)`.
     words: Vec<u64>,
-    /// The previous frame's unpacked tiles, `rows × parts` (0 doubles as
-    /// the "empty" sentinel, exactly as in the cached sweep's memo).
-    tiles: Vec<u64>,
-    /// The decision each nonzero tile received, position-aligned with
-    /// `tiles`.
-    decisions: Vec<TileDecision>,
+    /// Its Level-1 indices, `rows × parts`.
+    l1: Vec<u16>,
+    /// Its correction plane, `rows × ceil(cols / 64)`.
+    plane: Vec<u64>,
     /// Per-row outcome of the most recent sweep: `false` where the row
-    /// was bit-identical to the previous frame and replayed wholesale,
-    /// `true` where it was (re)decided. Cold sweeps mark every row
-    /// changed.
+    /// was bit-identical to the previous frame and taken from the memo,
+    /// `true` where it was re-swept. Cold sweeps mark every row changed.
     changed: Vec<bool>,
 }
 
@@ -414,26 +449,26 @@ impl FrameMemo {
 }
 
 /// [`decompose_cached`] for one timestep frame of a stream: diffs
-/// `activations` against the previous frame stored in `memo`, replays
-/// the prior decisions for unchanged rows and unchanged tiles, and
-/// re-decides only what changed — returning the new [`Decomposition`]
+/// `activations` row by row against the previous frame stored in `memo`,
+/// re-sweeps only the changed rows, and takes every unchanged row's
+/// decomposition from the memo — returning the new [`Decomposition`]
 /// (bit-identical to [`decompose`] of the raw frame regardless of memo
 /// or cache state) plus the sweep's [`DeltaStats`].
 ///
-/// The fast paths move no cache counters: a skipped row or reused tile
-/// is pure memo replay. Re-decided tiles are decided as
-/// [`decompose_cached`] decides them: on a packed layer by one
-/// brute-force probe (no cache counter moves), otherwise by probing and
-/// committing the [`TileCache`] with exactly its accounting — or, on a
-/// disabled cache, by the matcher directly.
+/// A changed row goes through [`decompose_cached`]'s own row sweep, with
+/// its accounting: on a packed layer the lane matcher (no cache counter
+/// moves), otherwise a probe of the [`TileCache`] per nontrivial tile —
+/// or, on a disabled cache, the matcher directly. An unchanged row moves
+/// no cache counter.
 ///
 /// The sweep is sequential — streaming frames are a handful of rows, and
 /// batch-level parallelism belongs to the caller fanning out sessions.
 ///
 /// # Panics
 ///
-/// Panics if the pattern partition count does not match the activation
-/// width, or if the partition count exceeds [`MAX_CACHE_PARTITIONS`].
+/// Panics where [`decompose_cached`] does: if the pattern partition count
+/// does not match the activation width, or if an enabled cache on an
+/// unpacked layer sees a partition count beyond [`MAX_CACHE_PARTITIONS`].
 pub fn decompose_delta(
     activations: &SpikeMatrix,
     patterns: &LayerPatterns,
@@ -445,8 +480,7 @@ pub fn decompose_delta(
 }
 
 /// [`decompose_delta`] that emits only the rows whose activations changed
-/// since the previous frame, skipping unchanged rows' emission entirely
-/// (no L1/L2 writes, not even memo replay).
+/// since the previous frame.
 ///
 /// The returned decomposition has one row per changed activation row, in
 /// activation-row order; [`FrameMemo::row_changed`] maps them back to
@@ -473,8 +507,9 @@ pub fn decompose_delta_sparse(
 
 /// The shared incremental sweep behind [`decompose_delta`]
 /// (`emit_unchanged = true`) and [`decompose_delta_sparse`]
-/// (`emit_unchanged = false`). Memo bookkeeping always covers every row;
-/// only which rows reach the output differs.
+/// (`emit_unchanged = false`), in three steps: a whole-row diff against
+/// the memo, the production [`RowSweep`] over the changed rows straight
+/// into the memo, and the emitted rows copied out of it.
 fn delta_sweep(
     activations: &SpikeMatrix,
     patterns: &LayerPatterns,
@@ -482,352 +517,105 @@ fn delta_sweep(
     memo: &mut FrameMemo,
     emit_unchanged: bool,
 ) -> (Decomposition, DeltaStats) {
-    check_partitioning(activations, patterns);
-    let parts = patterns.num_partitions();
-    assert!(parts <= MAX_CACHE_PARTITIONS, "partition count {parts} exceeds the cache key space");
-    let k = patterns.k();
-    let rows = activations.rows();
-    let cols = activations.cols();
-    let words_per_row = if rows == 0 { 0 } else { activations.row_words(0).len() };
+    let sweep = RowSweep::new(activations, patterns, cache);
+    let (rows, cols, k) = (activations.rows(), activations.cols(), patterns.k());
+    let (parts, words) = (patterns.num_partitions(), plane_words(cols));
     if memo.rows != rows || memo.cols != cols || memo.k != k {
-        memo.rows = rows;
-        memo.cols = cols;
-        memo.k = k;
-        memo.valid = false;
-        memo.words_per_row = words_per_row;
-        memo.words.clear();
-        memo.words.resize(rows * words_per_row, 0);
-        memo.tiles.clear();
-        memo.tiles.resize(rows * parts, 0);
-        memo.decisions.clear();
-        memo.decisions.resize(rows * parts, TileDecision { pattern: None, diff: 0 });
-        memo.changed.clear();
-        memo.changed.resize(rows, true);
-    }
-    let words = plane_words(cols);
-    let mut l1 = vec![NO_PATTERN; rows * parts];
-    let mut l2 = vec![0u64; rows * words];
-    let mut out = ChunkDecomposition::new(parts, words, &mut l1, &mut l2);
-    let swept = match PackedLayer::new(activations, patterns) {
-        Some(layer) => simd::sweep16(PackedDelta {
-            activations,
-            layer: &layer,
-            memo,
-            emit_unchanged,
-            out: &mut out,
-        }),
-        None => {
-            let mut decider = CachedDecider::new(activations, patterns, cache);
-            let swept =
-                delta_rows(activations, k, parts, memo, emit_unchanged, &mut out, &mut decider);
-            decider.commit();
-            swept
-        }
-    };
-    memo.valid = true;
-    let ChunkDecomposition { l1_ones, l2_pos, l2_neg, .. } = out;
-    let DeltaRows { stats, emitted, bit_nnz } = swept;
-    // The sparse sweep's row count is whatever survived the skip check.
-    l1.truncate(emitted * parts);
-    l2.truncate(emitted * words);
-    (
-        Decomposition {
-            rows: emitted,
+        *memo = FrameMemo {
+            rows,
             cols,
-            patterns: patterns.clone(),
-            l1,
-            l2,
-            l1_ones,
-            l2_pos,
-            l2_neg,
-            bit_nnz,
-        },
-        stats,
-    )
-}
-
-/// What one delta sweep's row walk produced besides its rows: the
-/// sweep's counters, how many rows were emitted, and their bit count.
-struct DeltaRows {
-    stats: DeltaStats,
-    emitted: usize,
-    bit_nnz: u64,
-}
-
-/// Decides the nonzero tiles a delta sweep re-matches.
-trait TileDecider {
-    /// The matcher rule's decision for a nonzero `tile` of partition
-    /// `part`.
-    fn decide(&mut self, part: usize, tile: u64) -> TileDecision;
-}
-
-/// The delta sweep's row walk, shared by packed and unpacked layers
-/// (only `decider` differs). Rows bit-identical to the memo's frame
-/// replay wholesale (emitted only with `emit_unchanged`); other rows walk
-/// their nonzero tiles, replaying each tile whose bits match the memo and
-/// re-deciding the rest. Memo bookkeeping always covers every row.
-#[inline(always)]
-fn delta_rows<D: TileDecider>(
-    activations: &SpikeMatrix,
-    k: usize,
-    parts: usize,
-    memo: &mut FrameMemo,
-    emit_unchanged: bool,
-    out: &mut ChunkDecomposition<'_>,
-    decider: &mut D,
-) -> DeltaRows {
-    let rows = activations.rows();
-    let words_per_row = memo.words_per_row;
+            k,
+            valid: false,
+            words: vec![0; rows * words],
+            l1: vec![NO_PATTERN; rows * parts],
+            plane: vec![0; rows * words],
+            changed: vec![true; rows],
+        };
+    }
+    let warm = memo.valid;
+    memo.valid = false;
     let mut stats = DeltaStats { rows_total: rows as u64, ..DeltaStats::default() };
-    // The changed row's previous tiles, and the unpack buffer of widths
-    // that do not divide 64.
-    let mut prev = vec![0u64; parts];
+    // The unpack buffer of widths that do not divide 64.
     let mut scratch = vec![0u64; parts];
-    // Output rows are written at row `emitted`, which tracks `r` exactly
-    // when every row is emitted and compacts the changed rows together in
-    // the sparse sweep.
-    let mut emitted = 0usize;
-    let mut bit_nnz = 0u64;
     for r in 0..rows {
-        let row_base = r * parts;
-        let words = activations.row_words(r);
-        if memo.valid && words == &memo.words[r * words_per_row..(r + 1) * words_per_row] {
-            // The whole row is bit-identical to the previous frame.
+        let row = activations.row_words(r);
+        let prev = &mut memo.words[r * words..(r + 1) * words];
+        memo.changed[r] = !warm || row != prev;
+        if !memo.changed[r] {
             stats.rows_skipped += 1;
-            memo.changed[r] = false;
-            if emit_unchanged {
-                // Replay its tiles and decisions without unpacking
-                // anything.
-                for part in 0..parts {
-                    let tile = memo.tiles[row_base + part];
-                    if tile == 0 {
-                        continue;
-                    }
-                    let decision = memo.decisions[row_base + part];
-                    emit_tile(out, decision, tile, emitted, part, k);
-                }
-                emitted += 1;
-                bit_nnz += activations.row_nnz(r) as u64;
-            }
             continue;
         }
-        memo.changed[r] = true;
-        let memo_row = &mut memo.tiles[row_base..row_base + parts];
-        prev.copy_from_slice(memo_row);
-        memo_row.fill(0);
         for (part, tile) in nonzero_tiles(activations, r, k, &mut scratch) {
-            let slot = row_base + part;
-            let decision = if memo.valid && prev[part] == tile {
+            if warm && read_bits(prev, part * k, k) == tile {
                 stats.tiles_reused += 1;
-                memo.decisions[slot]
             } else {
                 stats.tiles_rematched += 1;
-                let decision = decider.decide(part, tile);
-                memo.decisions[slot] = decision;
-                decision
-            };
-            memo.tiles[slot] = tile;
-            emit_tile(out, decision, tile, emitted, part, k);
+            }
         }
-        memo.words[r * words_per_row..(r + 1) * words_per_row].copy_from_slice(words);
-        emitted += 1;
+        prev.copy_from_slice(row);
+        // The sweep writes only assigned tiles and corrections.
+        memo.l1[r * parts..(r + 1) * parts].fill(NO_PATTERN);
+        memo.plane[r * words..(r + 1) * words].fill(0);
+    }
+    let FrameMemo { l1, plane, changed, .. } = memo;
+    let changed_rows = (0..rows).filter(|&r| changed[r]);
+    let outcome = sweep.run(changed_rows, &mut ChunkDecomposition::new(0, parts, words, l1, plane));
+    sweep.commit([outcome]);
+    memo.valid = true;
+    // The emitted rows' counters are popcounts of their memo words: with
+    // `A` activation bits, `C` corrections and `P` of them `+1`s (the
+    // corrections where the activation holds its bit), the assigned
+    // pattern bits `words ^ plane` number `A + C − 2P`.
+    let emitted: Vec<usize> = (0..rows).filter(|&r| emit_unchanged || memo.changed[r]).collect();
+    let mut l1 = Vec::with_capacity(emitted.len() * parts);
+    let mut l2 = Vec::with_capacity(emitted.len() * words);
+    let (mut bit_nnz, mut l2_pos) = (0u64, 0u64);
+    for &r in &emitted {
+        let plane = &memo.plane[r * words..(r + 1) * words];
+        let row = &memo.words[r * words..(r + 1) * words];
+        l2_pos +=
+            row.iter().zip(plane).map(|(&a, &c)| u64::from((a & c).count_ones())).sum::<u64>();
         bit_nnz += activations.row_nnz(r) as u64;
+        l1.extend_from_slice(&memo.l1[r * parts..(r + 1) * parts]);
+        l2.extend_from_slice(plane);
     }
-    DeltaRows { stats, emitted, bit_nnz }
+    let corrections = simd::popcount_words(&l2);
+    let d = Decomposition {
+        rows: emitted.len(),
+        cols,
+        patterns: patterns.clone(),
+        l1,
+        l2,
+        l1_ones: bit_nnz + corrections - 2 * l2_pos,
+        l2_pos,
+        l2_neg: corrections - l2_pos,
+        bit_nnz,
+    };
+    (d, stats)
 }
 
-/// The delta sweep of a packed layer, run under one [`simd::sweep16`]
-/// dispatch.
-struct PackedDelta<'a, 'b> {
-    activations: &'a SpikeMatrix,
-    layer: &'a PackedLayer<'a>,
-    memo: &'a mut FrameMemo,
-    emit_unchanged: bool,
-    out: &'a mut ChunkDecomposition<'b>,
-}
-
-impl Hamming16Sweep for PackedDelta<'_, '_> {
-    type Output = DeltaRows;
-
-    #[inline(always)]
-    fn run<H: Hamming16>(self, kernel: H) -> DeltaRows {
-        let PackedDelta { activations, layer, memo, emit_unchanged, out } = self;
-        let parts = layer.planes.len();
-        let mut decider = PackedDecider { layer, kernel };
-        delta_rows(activations, layer.k, parts, memo, emit_unchanged, out, &mut decider)
-    }
-}
-
-/// Re-matches a packed layer's tiles with one kernel probe each.
-struct PackedDecider<'a, H> {
-    layer: &'a PackedLayer<'a>,
-    kernel: H,
-}
-
-impl<H: Hamming16> TileDecider for PackedDecider<'_, H> {
-    #[inline(always)]
-    fn decide(&mut self, part: usize, tile: u64) -> TileDecision {
-        self.layer.decide(self.kernel, part, tile)
-    }
-}
-
-/// Re-matches an unpacked layer's tiles through the [`TileCache`] (its
-/// snapshot, with the sweep's misses resolved once each by
-/// [`PatternSet::best_match`] and committed at the end), or straight
-/// through the matcher on a disabled cache. Single-bit tiles are decided
-/// inline, off the cache — the same split the full sweeps make.
-struct CachedDecider<'a> {
-    activations: &'a SpikeMatrix,
-    patterns: &'a LayerPatterns,
-    cache: &'a TileCache,
-    snapshot: Option<Arc<TileMap>>,
-    last_part: usize,
-    last_width: u32,
-    hits: u64,
-    miss_probes: u64,
-    resolved: TileMap,
-}
-
-impl<'a> CachedDecider<'a> {
-    fn new(
-        activations: &'a SpikeMatrix,
-        patterns: &'a LayerPatterns,
-        cache: &'a TileCache,
-    ) -> Self {
-        let parts = patterns.num_partitions();
-        // Only the final partition can be narrower than k (see
-        // `decompose_cached`).
-        let last_part = parts.wrapping_sub(1);
-        let last_width = if parts == 0 {
-            0
-        } else {
-            patterns.k().min(activations.cols() - last_part * patterns.k())
-        };
-        CachedDecider {
-            activations,
-            patterns,
-            cache,
-            snapshot: cache.is_enabled().then(|| cache.snapshot()),
-            last_part,
-            last_width: last_width as u32,
-            hits: 0,
-            miss_probes: 0,
-            resolved: TileMap::default(),
-        }
-    }
-
-    /// Releases the snapshot and commits the sweep's counters and
-    /// resolved misses.
-    fn commit(self) {
-        drop(self.snapshot);
-        if self.cache.is_enabled() {
-            self.cache.commit(self.hits, self.miss_probes, self.resolved.into_iter().collect());
-        }
-    }
-}
-
-impl TileDecider for CachedDecider<'_> {
-    #[inline(always)]
-    fn decide(&mut self, part: usize, tile: u64) -> TileDecision {
-        let (activations, patterns) = (self.activations, self.patterns);
-        let baseline = match tile.count_ones() {
-            1 => return single_bit_tile(patterns.set(part), tile),
-            baseline => baseline,
-        };
-        let Some(snap) = &self.snapshot else {
-            return resolve_tile(activations, patterns, part, tile, baseline);
-        };
-        let width = if part == self.last_part { self.last_width } else { patterns.k() as u32 };
-        let key = tile_key(part as u32, width, tile);
-        match snap.get(&key) {
-            Some(&decision) => {
-                self.hits += 1;
-                decision
-            }
-            None => {
-                self.miss_probes += 1;
-                *self
-                    .resolved
-                    .entry(key)
-                    .or_insert_with(|| resolve_tile(activations, patterns, part, tile, baseline))
-            }
-        }
-    }
-}
-
-/// A layer every partition of which is packed (k ≤ 16 and q ≤
-/// [`simd::PLANE16_MAX_LEN`]): each nonzero tile is decided by one
-/// brute-force [`simd::min_hamming16`] probe over its partition's `u16`
-/// plane, so the [`TileCache`] is not consulted.
-struct PackedLayer<'a> {
-    sets: &'a [PatternSet],
-    planes: Vec<&'a [u16]>,
-    k: usize,
-    last_part: usize,
-    /// Column mask of the final partition, which may be narrower than k:
-    /// pattern bits beyond it must not generate corrections.
-    last_mask: u64,
-}
-
-impl<'a> PackedLayer<'a> {
-    /// The packed view of `patterns`, or `None` when some partition is
-    /// not packed.
-    fn new(activations: &SpikeMatrix, patterns: &'a LayerPatterns) -> Option<Self> {
-        let k = patterns.k();
-        if k > 16 {
-            return None;
-        }
-        let planes: Vec<&[u16]> =
-            patterns.sets().iter().map(PatternSet::plane16).collect::<Option<_>>()?;
-        let last_part = planes.len().wrapping_sub(1);
-        let last_mask =
-            if planes.is_empty() { 0 } else { partition_mask(activations.cols(), last_part, k) };
-        Some(PackedLayer { sets: patterns.sets(), planes, k, last_part, last_mask })
-    }
-
-    /// The matcher rule for a nonzero tile: single-bit tiles through the
-    /// one-hot shortcut, the rest through one kernel probe, assigned only
-    /// when the distance strictly beats the tile's own bit count.
-    #[inline(always)]
-    fn decide<H: Hamming16>(&self, kernel: H, part: usize, tile: u64) -> TileDecision {
-        let baseline = tile.count_ones();
-        if baseline == 1 {
-            return single_bit_tile(&self.sets[part], tile);
-        }
-        let plane = self.planes[part];
-        match kernel.min_hamming16(plane, tile as u16) {
-            Some((idx, dist)) if dist < baseline => {
-                let mask = if part == self.last_part { self.last_mask } else { u64::MAX };
-                let diff = (u64::from(plane[idx]) & mask) ^ tile;
-                TileDecision { pattern: Some(idx as u16), diff }
-            }
-            _ => TileDecision { pattern: None, diff: tile },
-        }
-    }
-}
-
-/// Rows `lo..hi` of a packed layer's [`decompose_cached`] sweep, run
-/// under one [`simd::sweep16`] dispatch: each row's tiles are gathered
-/// into `u16` lanes and decided 32 partitions at a time by
+/// The rows `rows` of a packed layer's sweep, run under one
+/// [`simd::sweep16`] dispatch: each row's tiles are gathered into `u16`
+/// lanes and decided 32 partitions at a time by
 /// [`Hamming16::match_lanes16`] against the layer's [`LanePlanes16`],
-/// whose correction words become the row's Level-2 plane.
-struct LaneSweep<'a, 'b> {
+/// whose correction words become the row's Level-2 plane. Row `r` is
+/// written at `out`'s row `r - out.first_row`.
+struct LaneSweep<'a, 'b, R> {
     activations: &'a SpikeMatrix,
     lanes: &'a LanePlanes16,
     k: usize,
     /// The lane masks of the final group (see [`lane_masks`]).
     last_masks: &'a [u64; LANE_WORDS],
-    lo: usize,
-    hi: usize,
+    rows: R,
     out: &'a mut ChunkDecomposition<'b>,
 }
 
-impl Hamming16Sweep for LaneSweep<'_, '_> {
+impl<R: Iterator<Item = usize>> Hamming16Sweep for LaneSweep<'_, '_, R> {
     type Output = ();
 
     #[inline(always)]
     fn run<H: Hamming16>(self, kernel: H) {
-        let LaneSweep { activations, lanes, k, last_masks, lo, hi, out } = self;
+        let LaneSweep { activations, lanes, k, last_masks, rows, out } = self;
         let parts = lanes.partitions();
         let groups = lanes.groups();
         // The row's tiles and corrections as lane words, padded to whole
@@ -839,9 +627,10 @@ impl Hamming16Sweep for LaneSweep<'_, '_> {
         let lane_words = parts.div_ceil(4);
         let words = out.words;
         let full = [u64::MAX; LANE_WORDS];
-        for r in lo..hi {
+        for r in rows {
+            let at = r - out.first_row;
             gather_lanes(activations, r, k, &mut tiles, &mut unpacked);
-            let l1_row = &mut out.l1[(r - lo) * parts..(r - lo + 1) * parts];
+            let l1_row = &mut out.l1[at * parts..(at + 1) * parts];
             for (g, (t, d)) in
                 tiles.chunks_exact(LANE_WORDS).zip(diff.chunks_exact_mut(LANE_WORDS)).enumerate()
             {
@@ -877,7 +666,7 @@ impl Hamming16Sweep for LaneSweep<'_, '_> {
                 out.l2_pos += pos;
                 out.l2_neg += all - pos;
             }
-            let plane = &mut out.l2[(r - lo) * words..(r - lo + 1) * words];
+            let plane = &mut out.l2[at * words..(at + 1) * words];
             if k == 16 {
                 // The lanes are the row's words: the correction words are
                 // its plane words.
@@ -996,17 +785,19 @@ fn check_partitioning(activations: &SpikeMatrix, patterns: &LayerPatterns) {
     );
 }
 
-/// One contiguous block of rows, decomposed by one worker straight into
-/// its share of the output's buffers, and the block's counters.
+/// The buffers a row sweep writes into — one parallel worker's block of
+/// the output, or a delta sweep's memo — and the swept rows' counters.
 struct ChunkDecomposition<'a> {
+    /// The activation row the buffers' row 0 holds.
+    first_row: usize,
     parts: usize,
     /// Plane words per row.
     words: usize,
-    /// Row-major `chunk_rows × parts` pattern indices, pre-filled with
-    /// [`NO_PATTERN`].
+    /// Row-major `rows × parts` pattern indices, pre-filled with
+    /// [`NO_PATTERN`] in every row a sweep writes.
     l1: &'a mut [u16],
-    /// Row-major `chunk_rows × words` correction plane, pre-filled with
-    /// zeros.
+    /// Row-major `rows × words` correction plane, pre-filled with zeros in
+    /// every row a sweep writes.
     l2: &'a mut [u64],
     l1_ones: u64,
     l2_pos: u64,
@@ -1014,10 +805,16 @@ struct ChunkDecomposition<'a> {
 }
 
 impl<'a> ChunkDecomposition<'a> {
-    /// A block over pre-filled buffers of `parts` indices and `words`
-    /// plane words per row.
-    fn new(parts: usize, words: usize, l1: &'a mut [u16], l2: &'a mut [u64]) -> Self {
-        ChunkDecomposition { parts, words, l1, l2, l1_ones: 0, l2_pos: 0, l2_neg: 0 }
+    /// Buffers of `parts` indices and `words` plane words per row, from
+    /// activation row `first_row` on.
+    fn new(
+        first_row: usize,
+        parts: usize,
+        words: usize,
+        l1: &'a mut [u16],
+        l2: &'a mut [u64],
+    ) -> Self {
+        ChunkDecomposition { first_row, parts, words, l1, l2, l1_ones: 0, l2_pos: 0, l2_neg: 0 }
     }
 }
 
@@ -1045,7 +842,7 @@ fn sweep_chunks<T: Send>(
         let (l1_block, l1_next) = std::mem::take(&mut l1_rest).split_at_mut((hi - lo) * parts);
         let (l2_block, l2_next) = std::mem::take(&mut l2_rest).split_at_mut((hi - lo) * words);
         (l1_rest, l2_rest) = (l1_next, l2_next);
-        blocks.push((lo, hi, ChunkDecomposition::new(parts, words, l1_block, l2_block)));
+        blocks.push((lo, hi, ChunkDecomposition::new(lo, parts, words, l1_block, l2_block)));
     }
     let outcomes: Vec<_> = blocks
         .into_par_iter()
@@ -1119,27 +916,26 @@ fn chunk_bounds(rows: usize) -> Vec<(usize, usize)> {
     (0..rows.div_ceil(size)).map(|c| (c * size, ((c + 1) * size).min(rows))).collect()
 }
 
-/// Decomposes rows `lo..hi` into `out`: applies the matcher rule per
-/// partition tile and writes each decision's L1 index and correction
-/// bits. `decide` resolves nontrivial tiles; trivial ones — empty or
-/// single-bit — are decided inline: an empty tile writes nothing, and a
-/// single-bit tile can only win via an exact hit, which has no
-/// corrections.
+/// Decomposes `rows` into `out` (row `r` at `out`'s row
+/// `r - out.first_row`): applies the matcher rule per partition tile and
+/// writes each decision's L1 index and correction bits. `decide` resolves
+/// nontrivial tiles; trivial ones — empty or single-bit — are decided
+/// inline: an empty tile writes nothing, and a single-bit tile can only
+/// win via an exact hit, which has no corrections.
 fn run_chunk(
     activations: &SpikeMatrix,
     patterns: &LayerPatterns,
-    lo: usize,
-    hi: usize,
+    rows: impl Iterator<Item = usize>,
     out: &mut ChunkDecomposition<'_>,
     mut decide: impl FnMut(usize, u64, u32) -> TileDecision,
 ) {
     let k = patterns.k();
     let parts = patterns.num_partitions();
-    // One reusable tile buffer per chunk: each row's tiles are unpacked
+    // One reusable tile buffer per sweep: each row's tiles are unpacked
     // in one pass (the SIMD shear kernel for word-aligned `k`, the
     // incremental scalar scan otherwise), then decided tile by tile.
     let mut tiles = vec![0u64; parts];
-    for r in lo..hi {
+    for r in rows {
         activations.row_partition_tiles_into(r, k, &mut tiles);
         for (part, &tile) in tiles.iter().enumerate() {
             if tile == 0 {
@@ -1152,12 +948,12 @@ fn run_chunk(
                 1 => single_bit_tile(patterns.set(part), tile),
                 baseline => decide(part, tile, baseline),
             };
-            emit_tile(out, decision, tile, r - lo, part, k);
+            emit_tile(out, decision, tile, r - out.first_row, part, k);
         }
     }
 }
 
-/// Writes one tile decision of chunk row `row`: its L1 index (into the
+/// Writes one tile decision of `out`'s row `row`: its L1 index (into the
 /// pre-filled slot) and its correction bits `diff` into the row's plane.
 /// Each set bit of `diff` is one correction, `+1` where the tile holds the
 /// 1 and `−1` where the pattern does; for an unassigned tile

@@ -15,7 +15,8 @@
 //! q ≤ 128). When every set of a layer is packed,
 //! [`crate::LayerPatterns`] also regroups the planes pattern-major,
 //! 32 partitions to a group ([`snn_core::simd::LanePlanes16`]), so the
-//! full decomposition sweep decides 32 tiles per vector step.
+//! production sweep — of a whole matrix or of a stream frame's changed
+//! rows — decides 32 tiles per vector step.
 
 use snn_core::simd;
 use std::fmt;

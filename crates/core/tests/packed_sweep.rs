@@ -6,9 +6,10 @@
 //! `PatternSet::best_match` runs its exact lookup and pruned scan and no
 //! packed kernel is involved. [`decompose_cached`], [`decompose_delta`]
 //! and [`decompose_delta_sparse`] run at whatever level the host (or
-//! `PHI_SIMD`) resolves to, so running this suite under the default
-//! level, `PHI_SIMD=avx2` and `PHI_SIMD=scalar` covers every tier of
-//! `simd::min_hamming16`.
+//! `PHI_SIMD`) resolves to, all three through the lane matcher
+//! (`Hamming16::match_lanes16`; the delta sweeps over each frame's
+//! changed rows), so running this suite under the default level,
+//! `PHI_SIMD=avx2` and `PHI_SIMD=scalar` covers every tier of it.
 //!
 //! The random layers cover widths that do and do not divide 64, column
 //! counts with a narrow final partition, empty sets, one-hot and

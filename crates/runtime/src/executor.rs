@@ -483,14 +483,15 @@ impl<B: ExecutionBackend> BatchExecutor<B> {
     /// [`phi_core::FrameMemo`]s.
     ///
     /// `frames[i]` is the next timestep of `sessions[i]`. Per layer, each
-    /// frame is diffed against its session's previous timestep
-    /// ([`decompose_delta`]): unchanged rows are skipped whole, unchanged
-    /// tiles replay their memoized decisions, and only changed tiles
-    /// re-match — then the per-frame decompositions are spliced
-    /// ([`Decomposition::concat`]) into one fused layer for the backend,
-    /// exactly as [`BatchExecutor::execute_with`] fuses raw rows. Both
-    /// steps are bit-identical to full decomposition, so every streamed
-    /// readout equals serving the same frame statelessly.
+    /// frame is diffed row by row against its session's previous timestep
+    /// ([`decompose_delta`]): an unchanged row's decomposition comes from
+    /// the memo, and only the changed rows are re-swept, by the same row
+    /// sweep [`decompose_cached`] runs — then the per-frame
+    /// decompositions are spliced ([`Decomposition::concat`]) into one
+    /// fused layer for the backend, exactly as
+    /// [`BatchExecutor::execute_with`] fuses raw rows. Both steps are
+    /// bit-identical to full decomposition, so every streamed readout
+    /// equals serving the same frame statelessly.
     ///
     /// After the batch, each session absorbs its frame: its LIF readout
     /// bank advances one timestep (accumulating spike counts for the

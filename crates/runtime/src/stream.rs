@@ -6,9 +6,10 @@
 //! timesteps share most of their activity. A [`StreamSession`] holds both
 //! halves of that state between requests:
 //!
-//! * one [`FrameMemo`] per model layer, so
-//!   [`phi_core::decompose_delta`] can replay the previous timestep's
-//!   tile decisions and re-match only what changed, and
+//! * one [`FrameMemo`] per model layer — the previous timestep's row
+//!   words, Level-1 slices and correction planes — so
+//!   [`phi_core::decompose_delta`] can take every unchanged row's
+//!   decomposition from it and re-sweep only the rows that changed, and
 //! * a bank of LIF neurons over the readout (one per `(row, column)`
 //!   slot) plus a spike-count accumulator, so the window's rate-coded
 //!   readout falls out of the served per-timestep readouts.

@@ -40,17 +40,18 @@
 //! brute-force pass — the algorithm of Phi's systolic matcher, which
 //! compares a tile against every pattern of its partition. Two kernels
 //! share that rule: [`min_hamming16`] decides one tile against one
-//! plane, 32 patterns per vector step, and
-//! [`Hamming16::match_lanes16`] decides 32 partitions' tiles at once
-//! against a [`LanePlanes16`] group, one pattern each per vector step —
-//! the row-major sweep a whole activation matrix takes. The AVX-512
-//! tier needs `BW` and `BITALG` (16-bit lane popcount and minimum) on
-//! top of the `F` + `VPOPCNTDQ` that [`SimdLevel::Avx512`] requires; an
-//! AVX-512 host without them runs the AVX2 tier. A caller deciding many
-//! tiles wraps its loop in a [`Hamming16Sweep`] and hands it to
-//! [`sweep16`]: the tier is chosen once, and the loop body is compiled
-//! inside the tier's `#[target_feature]` context, so the kernels inline
-//! into it.
+//! plane, 32 patterns per vector step (the packed arm of
+//! `PatternSet::best_match`), and [`Hamming16::match_lanes16`] decides
+//! 32 partitions' tiles at once against a [`LanePlanes16`] group, one
+//! pattern each per vector step — the row-major sweep every production
+//! decomposition takes, of a whole activation matrix or of a stream
+//! frame's changed rows. The AVX-512 tier needs `BW` and `BITALG` (16-bit
+//! lane popcount and minimum) on top of the `F` + `VPOPCNTDQ` that
+//! [`SimdLevel::Avx512`] requires; an AVX-512 host without them runs the
+//! AVX2 tier. A row sweep wraps its loop in a [`Hamming16Sweep`] and
+//! hands it to [`sweep16`]: the tier is chosen once, and the loop body is
+//! compiled inside the tier's `#[target_feature]` context, so the lane
+//! matcher inlines into it.
 //!
 //! # Dispatch
 //!
@@ -427,18 +428,10 @@ impl<'a> LaneGroup<'a> {
     }
 }
 
-/// One tier of the [`min_hamming16`] kernel and its lane-parallel twin,
-/// handed to a [`Hamming16Sweep`] by [`sweep16`]. The vector tiers can
-/// only be obtained from [`sweep16`], after the host has been checked for
-/// them.
+/// One tier of the lane matcher, handed to a [`Hamming16Sweep`] by
+/// [`sweep16`]. The vector tiers can only be obtained from [`sweep16`],
+/// after the host has been checked for them.
 pub trait Hamming16: Copy {
-    /// [`min_hamming16`] at this tier.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `plane.len() > PLANE16_MAX_LEN`.
-    fn min_hamming16(self, plane: &[u16], tile: u16) -> Option<(usize, u32)>;
-
     /// Decides the [`LANE_GROUP`] tiles in `tiles` against `group`, lane
     /// `l` against lane `l`'s patterns, by the decomposition's matcher
     /// rule: the nearest pattern, lowest index on ties, is assigned iff
@@ -462,8 +455,8 @@ pub trait Hamming16: Copy {
     );
 }
 
-/// A loop over many [`min_hamming16`] probes, run under one dispatch by
-/// [`sweep16`].
+/// A row sweep over many [`Hamming16::match_lanes16`] steps, run under
+/// one dispatch by [`sweep16`].
 ///
 /// Implementations should mark [`Hamming16Sweep::run`]
 /// `#[inline(always)]`: it is then compiled inside the tier's
@@ -477,8 +470,8 @@ pub trait Hamming16Sweep {
     fn run<H: Hamming16>(self, kernel: H) -> Self::Output;
 }
 
-/// Runs `sweep` with the best [`min_hamming16`] tier the active
-/// [`level`] allows, chosen once for the whole sweep. Every tier gives
+/// Runs `sweep` with the best [`Hamming16`] tier the active [`level`]
+/// allows, chosen once for the whole sweep. Every tier gives
 /// the same answers, so the output never depends on the level.
 pub fn sweep16<S: Hamming16Sweep>(sweep: S) -> S::Output {
     match tier16() {
@@ -490,7 +483,7 @@ pub fn sweep16<S: Hamming16Sweep>(sweep: S) -> S::Output {
     }
 }
 
-/// The [`min_hamming16`] tiers.
+/// The [`min_hamming16`] and [`Hamming16`] tiers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Tier16 {
     Scalar,
@@ -528,11 +521,6 @@ fn tier16() -> Tier16 {
 struct Scalar16;
 
 impl Hamming16 for Scalar16 {
-    #[inline(always)]
-    fn min_hamming16(self, plane: &[u16], tile: u16) -> Option<(usize, u32)> {
-        scalar::min_hamming16(plane, tile)
-    }
-
     #[inline(always)]
     fn match_lanes16(
         self,
@@ -1312,14 +1300,6 @@ mod x86 {
 
     impl super::Hamming16 for Avx512Tier {
         #[inline(always)]
-        fn min_hamming16(self, plane: &[u16], tile: u16) -> Option<(usize, u32)> {
-            // SAFETY: an `Avx512Tier` exists only inside
-            // `sweep16_avx512`, which the dispatcher enters after
-            // detecting AVX-512F/BW/BITALG.
-            unsafe { min_hamming16_avx512(plane, tile) }
-        }
-
-        #[inline(always)]
         fn match_lanes16(
             self,
             group: super::LaneGroup<'_>,
@@ -1328,7 +1308,9 @@ mod x86 {
             l1: &mut [u16; super::LANE_GROUP],
             diff: &mut [u64; super::LANE_WORDS],
         ) {
-            // SAFETY: as for `min_hamming16` above.
+            // SAFETY: an `Avx512Tier` exists only inside
+            // `sweep16_avx512`, which the dispatcher enters after
+            // detecting AVX-512F/BW/BITALG.
             unsafe { match_lanes16_avx512(group, tiles, masks, l1, diff) }
         }
     }
@@ -1340,13 +1322,6 @@ mod x86 {
 
     impl super::Hamming16 for Avx2Tier {
         #[inline(always)]
-        fn min_hamming16(self, plane: &[u16], tile: u16) -> Option<(usize, u32)> {
-            // SAFETY: an `Avx2Tier` exists only inside `sweep16_avx2`,
-            // which the dispatcher enters after detecting AVX2.
-            unsafe { min_hamming16_avx2(plane, tile) }
-        }
-
-        #[inline(always)]
         fn match_lanes16(
             self,
             group: super::LaneGroup<'_>,
@@ -1355,7 +1330,8 @@ mod x86 {
             l1: &mut [u16; super::LANE_GROUP],
             diff: &mut [u64; super::LANE_WORDS],
         ) {
-            // SAFETY: as for `min_hamming16` above.
+            // SAFETY: an `Avx2Tier` exists only inside `sweep16_avx2`,
+            // which the dispatcher enters after detecting AVX2.
             unsafe { match_lanes16_avx2(group, tiles, masks, l1, diff) }
         }
     }
