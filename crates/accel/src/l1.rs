@@ -10,6 +10,11 @@
 //! (the paper's "straightforward zero-skipping mechanism with little
 //! compromise" — the index matrix is ~50% dense so perfect skipping would
 //! save little).
+//!
+//! The simulator reads each index row once, as an assignment bitmap
+//! ([`assignment_bitmap`]): a window's assigned entries are a popcount of
+//! its bits ([`L1Model::row_census`]), and the same bitmap tells the PWP
+//! prefetcher which tiles to visit ([`crate::traffic::PrefetchSets`]).
 
 use phi_core::Decomposition;
 
@@ -33,28 +38,90 @@ impl L1Model {
         L1Model { window, channels }
     }
 
-    /// Cycles to process rows `row_lo..row_hi` of the pattern-index matrix
-    /// for one `n`-tile.
-    pub fn tile_cycles(&self, decomp: &Decomposition, row_lo: usize, row_hi: usize) -> u64 {
-        let mut cycles = 0u64;
-        for r in row_lo..row_hi.min(decomp.rows()) {
-            for window in decomp.l1_row(r).chunks(self.window) {
-                let nnz = assigned(window);
-                cycles += (nnz.div_ceil(self.channels)).max(1) as u64;
-            }
-        }
-        cycles
+    /// The cycles of a window by its assigned entries, for every
+    /// occupancy `0..=window`: one per started group of `channels`
+    /// through the adder tree, and the scan cycle when there are none.
+    /// [`L1Model::row_census`] looks windows up in this table.
+    pub fn window_costs(&self) -> Vec<u64> {
+        (0..=self.window).map(|assigned| assigned.div_ceil(self.channels).max(1) as u64).collect()
     }
 
-    /// PWP accumulations performed in the same region (energy events).
-    pub fn accumulations(&self, decomp: &Decomposition, row_lo: usize, row_hi: usize) -> u64 {
-        (row_lo..row_hi.min(decomp.rows())).map(|r| assigned(decomp.l1_row(r)) as u64).sum()
+    /// One row of the pattern-index matrix, for one `n`-tile, from its
+    /// assignment bitmap ([`assignment_bitmap`] of the row's `parts`
+    /// indices): its cycles and its assigned tiles (the row's PWP
+    /// accumulations), one popcount per window. `costs` is
+    /// [`L1Model::window_costs`].
+    #[inline]
+    pub fn row_census(&self, bitmap: &[u64], parts: usize, costs: &[u64]) -> (u64, u32) {
+        let (mut cycles, mut assigned) = (0u64, 0u32);
+        for lo in (0..parts).step_by(self.window) {
+            let nnz = ones_in(bitmap, lo, (lo + self.window).min(parts));
+            cycles += costs[nnz as usize];
+            assigned += nnz;
+        }
+        (cycles, assigned)
     }
 }
 
-/// Assigned tiles among `indices` (a slice of a Level-1 index row).
-fn assigned(indices: &[u16]) -> usize {
-    indices.iter().filter(|&&i| i != Decomposition::NO_PATTERN).count()
+/// Set bits of `bitmap` in the bit range `lo..hi` (`lo < hi`).
+#[inline]
+fn ones_in(bitmap: &[u64], lo: usize, hi: usize) -> u32 {
+    let (first, last) = (lo / 64, (hi - 1) / 64);
+    let head = bitmap[first] >> (lo % 64);
+    if first == last {
+        return (head & (u64::MAX >> (63 - (hi - 1 - lo)))).count_ones();
+    }
+    let middle: u32 = bitmap[first + 1..last].iter().map(|w| w.count_ones()).sum();
+    head.count_ones() + middle + (bitmap[last] & (u64::MAX >> (63 - (hi - 1) % 64))).count_ones()
+}
+
+/// Writes the assignment bitmap of a Level-1 index row: bit `p % 64` of
+/// `bitmap[p / 64]` is set when partition `p` has a pattern. `bitmap`
+/// holds `indices.len().div_ceil(64)` words; bits past the row are
+/// cleared.
+#[inline]
+pub fn assignment_bitmap(indices: &[u16], bitmap: &mut [u64]) {
+    for (word, chunk) in bitmap.iter_mut().zip(indices.chunks(64)) {
+        *word = chunk
+            .iter()
+            .enumerate()
+            .fold(0, |word, (i, &idx)| word | u64::from(idx != Decomposition::NO_PATTERN) << i);
+    }
+}
+
+/// [`assignment_bitmap`] on AVX2: each 32 indices are compared against
+/// [`Decomposition::NO_PATTERN`] in two vectors, packed to bytes and read
+/// out with one `vpmovmskb`.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx2")]
+pub(crate) fn assignment_bitmap_avx2(indices: &[u16], bitmap: &mut [u64]) {
+    use std::arch::x86_64::{
+        _mm256_cmpeq_epi16, _mm256_loadu_si256, _mm256_movemask_epi8, _mm256_packs_epi16,
+        _mm256_permute4x64_epi64, _mm256_set1_epi16,
+    };
+    let none = _mm256_set1_epi16(Decomposition::NO_PATTERN as i16);
+    let unassigned = |half: &[u16]| {
+        // SAFETY: `half` is 32 contiguous indices, read unaligned as two
+        // 16-lane vectors.
+        let (a, b) = unsafe {
+            (
+                _mm256_loadu_si256(half.as_ptr().cast()),
+                _mm256_loadu_si256(half[16..].as_ptr().cast()),
+            )
+        };
+        // `vpacksswb` interleaves the two vectors' 128-bit halves;
+        // `vpermq` restores index order before the byte mask is read.
+        let packed = _mm256_packs_epi16(_mm256_cmpeq_epi16(a, none), _mm256_cmpeq_epi16(b, none));
+        _mm256_movemask_epi8(_mm256_permute4x64_epi64::<0b11_01_10_00>(packed)) as u32
+    };
+    let words = indices.chunks_exact(64);
+    let tail = words.remainder();
+    let full = indices.len() / 64;
+    for (word, chunk) in bitmap.iter_mut().zip(words) {
+        *word = !(u64::from(unassigned(&chunk[..32])) | u64::from(unassigned(&chunk[32..])) << 32);
+    }
+    assignment_bitmap(tail, &mut bitmap[full..]);
 }
 
 #[cfg(test)]
@@ -82,35 +149,79 @@ mod tests {
         decompose(&acts, &patterns)
     }
 
+    /// Cycles and assigned tiles of rows `lo..hi`.
+    fn census(m: &L1Model, d: &Decomposition, lo: usize, hi: usize) -> (u64, u32) {
+        let parts = d.num_partitions();
+        let mut bitmap = vec![0; parts.div_ceil(64)];
+        let costs = m.window_costs();
+        (lo..hi)
+            .map(|r| {
+                assignment_bitmap(d.l1_row(r), &mut bitmap);
+                m.row_census(&bitmap, parts, &costs)
+            })
+            .fold((0, 0), |(c, a), (rc, ra)| (c + rc, a + ra))
+    }
+
     #[test]
     fn dense_index_matrix_needs_two_cycles_per_window() {
         // 16 assigned entries per window, 8 channels: 2 cycles.
         let d = fully_assigned(4, 16);
         let m = L1Model::new(16, 8);
-        assert_eq!(m.tile_cycles(&d, 0, 4), 4 * 2);
+        assert_eq!(census(&m, &d, 0, 4), (4 * 2, 4 * 16));
     }
 
     #[test]
     fn empty_window_still_costs_a_scan_cycle() {
         let d = fully_unassigned(3, 16);
         let m = L1Model::new(16, 8);
-        assert_eq!(m.tile_cycles(&d, 0, 3), 3);
-        assert_eq!(m.accumulations(&d, 0, 3), 0);
+        assert_eq!(census(&m, &d, 0, 3), (3, 0));
     }
 
     #[test]
     fn partial_window_rounds_up() {
         // 20 partitions: windows of 16 + 4; fully assigned → 2 + 1 cycles.
         let d = fully_assigned(1, 20);
-        let m = L1Model::new(16, 8);
-        assert_eq!(m.tile_cycles(&d, 0, 1), 3);
-        assert_eq!(m.accumulations(&d, 0, 1), 20);
+        assert_eq!(census(&L1Model::new(16, 8), &d, 0, 1), (3, 20));
+        // Windows of 6 + 6 + 6 + 2: 1 + 1 + 1 + 1.
+        assert_eq!(census(&L1Model::new(6, 8), &d, 0, 1), (4, 20));
     }
 
     #[test]
-    fn row_range_is_clamped() {
-        let d = fully_assigned(2, 4);
-        let m = L1Model::new(16, 8);
-        assert_eq!(m.tile_cycles(&d, 0, 100), m.tile_cycles(&d, 0, 2));
+    fn windows_may_straddle_and_span_bitmap_words() {
+        // 150 partitions, every third assigned: 50 assigned tiles. Windows
+        // of 100 span two words (34 assigned → 5 cycles at 8 channels)
+        // and 50 (16 → 2); windows of 48 straddle words.
+        let k = 4;
+        let sets = vec![PatternSet::new(k, vec![Pattern::new(0b0110, k)]); 150];
+        let acts =
+            SpikeMatrix::from_fn(1, 150 * k, |_, c| c / k % 3 == 0 && (c % k == 1 || c % k == 2));
+        let d = decompose(&acts, &LayerPatterns::new(k, sets));
+        assert_eq!(census(&L1Model::new(100, 8), &d, 0, 1), (5 + 2, 50));
+        let per_window: u64 = (0..150)
+            .step_by(48)
+            .map(|lo| {
+                ((lo..(lo + 48).min(150)).filter(|p| p % 3 == 0).count().div_ceil(8)).max(1) as u64
+            })
+            .sum();
+        assert_eq!(census(&L1Model::new(48, 8), &d, 0, 1), (per_window, 50));
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn the_avx2_bitmap_matches_the_portable_one() {
+        if !std::arch::is_x86_feature_detected!("avx2") {
+            return;
+        }
+        for len in [0usize, 1, 31, 32, 63, 64, 65, 127, 128, 200, 288] {
+            let indices: Vec<u16> = (0..len)
+                .map(|i| if (i * 7 + len) % 3 == 0 { Decomposition::NO_PATTERN } else { i as u16 })
+                .collect();
+            let mut want = vec![u64::MAX; len.div_ceil(64)];
+            let mut got = vec![u64::MAX; len.div_ceil(64)];
+            assignment_bitmap(&indices, &mut want);
+            // SAFETY: AVX2 was detected above.
+            unsafe { assignment_bitmap_avx2(&indices, &mut got) };
+            assert_eq!(got, want, "{len} indices");
+        }
     }
 }

@@ -69,6 +69,6 @@ pub use backend::{
 pub use config::PhiConfig;
 pub use dram::DramModel;
 pub use energy::{AreaBreakdown, EnergyBreakdown, EnergyModel};
-pub use report::{LayerReport, ModelReport};
+pub use report::{LayerReport, ModelReport, RowWork};
 pub use sim::PhiSimulator;
 pub use traffic::TrafficReport;

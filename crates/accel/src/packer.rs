@@ -18,12 +18,15 @@
 //!   and the oversize rows, which is all the cycle and traffic models read.
 //!
 //! Every partition of an m-tile runs its own state machine, so the cycle
-//! simulator steps sixteen of them in lockstep, one SSE2 lane each, on
-//! x86-64 (`lanes`, which restates the rule branch-free over lane masks);
-//! one [`PackCounter`] per partition remains the scalar tier and the
-//! lanes' oracle. Both read a row's correction counts straight from its
-//! Level-2 plane words ([`phi_core::Decomposition::l2_words`]): a
-//! partition's count is the popcount of its `k` bits.
+//! simulator steps thirty-two of them in lockstep, one AVX2 lane each, on
+//! x86-64 hosts with AVX2, and sixty-four per AVX-512 vector at the
+//! AVX-512 tier (`lanes`, which restates the rule branch-free over lane
+//! masks); one [`PackCounter`] per partition remains the scalar tier and
+//! the lanes' oracle. Both read a row's correction counts
+//! straight from its Level-2 plane words
+//! ([`phi_core::Decomposition::l2_words`]): a partition's count is the
+//! popcount of its `k` bits, and the row's total, which the simulator's
+//! per-row census keeps, is their sum.
 
 use std::ops::Range;
 
@@ -357,10 +360,12 @@ impl PackCounter {
 
 /// The pack counters of every partition of a layer, one m-tile at a time:
 /// the [`PackCounts`] of each partition's stream, summed over the
-/// partitions. On x86-64 sixteen partitions step in lockstep in SSE2 lanes
-/// (`lanes`); other targets, `PHI_SIMD=scalar` and configurations with
-/// more than four windows run one [`PackCounter`] per partition, which is
-/// also the lanes' oracle.
+/// partitions. On an x86-64 host with AVX2 and POPCNT, at the
+/// [`snn_core::simd::SimdLevel::Avx2`] tier, thirty-two partitions step in
+/// lockstep in AVX2 lanes (`lanes`), and sixty-four in AVX-512 lanes at
+/// the `Avx512` tier when the host has AVX-512 BW; other targets,
+/// `PHI_SIMD=scalar` and configurations with more than four windows run
+/// one [`PackCounter`] per partition, which is also the lanes' oracle.
 #[derive(Debug)]
 pub(crate) enum TilePackCounter {
     Scalar {
@@ -378,29 +383,48 @@ impl TilePackCounter {
     /// units in a `u8`, so `pack_units <= 254`).
     pub(crate) fn new(config: &PackerConfig, k: usize, parts: usize, tile_rows: usize) -> Self {
         #[cfg(target_arch = "x86_64")]
-        if config.windows <= lanes::MAX_WINDOWS
-            && snn_core::simd::level() != snn_core::simd::SimdLevel::Scalar
         {
-            return TilePackCounter::Lanes(lanes::LaneCounter::new(config, k, parts, tile_rows));
+            use snn_core::simd::{level, SimdLevel};
+            if config.windows <= lanes::MAX_WINDOWS
+                && level() != SimdLevel::Scalar
+                && std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("popcnt")
+            {
+                let wide =
+                    level() == SimdLevel::Avx512 && std::arch::is_x86_feature_detected!("avx512bw");
+                let lanes = lanes::LaneCounter::new(config, k, parts, tile_rows, wide);
+                return TilePackCounter::Lanes(lanes);
+            }
         }
         let _ = tile_rows;
         TilePackCounter::Scalar { k, counters: vec![PackCounter::new(config); parts] }
     }
 
+    /// Whether the lanes run: the host has AVX2 and POPCNT, so callers
+    /// may compile their own row loop for them.
+    #[cfg(target_arch = "x86_64")]
+    pub(crate) fn is_lanes(&self) -> bool {
+        !matches!(self, TilePackCounter::Scalar { .. })
+    }
+
     /// Records tile row `row`'s Level-2 corrections from its plane words
-    /// ([`phi_core::Decomposition::l2_words`]); rows arrive in ascending
-    /// order.
+    /// ([`phi_core::Decomposition::l2_words`]) and returns the row's
+    /// correction count; rows arrive in ascending order.
     #[inline]
-    pub(crate) fn push_row(&mut self, row: usize, words: &[u64]) {
+    pub(crate) fn push_row(&mut self, row: usize, words: &[u64]) -> u32 {
         match self {
             TilePackCounter::Scalar { k, counters } => {
                 let parts = counters.len();
+                let mut total = 0;
                 for_each_tile_count(words, *k, parts, |part, nnz| {
                     counters[part].push_row(row as u32, nnz);
+                    total += nnz as u32;
                 });
+                total
             }
+            // SAFETY: `new` built the lanes on a host with AVX2 and POPCNT.
             #[cfg(target_arch = "x86_64")]
-            TilePackCounter::Lanes(lanes) => lanes.push_row(row, words),
+            TilePackCounter::Lanes(lanes) => unsafe { lanes.push_row(row, words) },
         }
     }
 
@@ -419,8 +443,9 @@ impl TilePackCounter {
                     }
                 })
             }
+            // SAFETY: `new` built the lanes on a host with AVX2 and POPCNT.
             #[cfg(target_arch = "x86_64")]
-            TilePackCounter::Lanes(lanes) => lanes.finish(rows),
+            TilePackCounter::Lanes(lanes) => unsafe { lanes.finish(rows) },
         }
     }
 }

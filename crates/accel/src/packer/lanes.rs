@@ -1,15 +1,18 @@
-//! The lane-parallel pack counter: sixteen partitions of one m-tile step
-//! the window state machine in lockstep, one SSE2 `u8` lane each.
+//! The lane-parallel pack counter: the partitions of one m-tile step the
+//! window state machine in lockstep, one `u8` lane each — thirty-two per
+//! AVX2 vector, or sixty-four per AVX-512 vector at the
+//! [`snn_core::simd::SimdLevel::Avx512`] tier on hosts with AVX-512 BW.
 //!
 //! The partitions of an m-tile never share a window, so their state
 //! machines are independent; each is latency-bound, and a row of them
 //! fills a vector register. Each m-tile's corrections are first counted
 //! into a `rows × partitions` count matrix from the rows' Level-2 plane
 //! words (a count is at most 64: a partition is at most 64 columns wide;
-//! at k = 16 a word holds four partitions, and their counts are its four
-//! 16-bit lane popcounts, taken at once); the kernel then walks one lane
-//! group down the rows, keeping every rule of [`super::Windows`] per lane
-//! without a data-dependent branch:
+//! at k = 16 four words hold sixteen partitions, and their counts are the
+//! vector's sixteen 16-bit lane popcounts, taken at once; other widths
+//! read each partition's bits with the `popcnt` instruction); the kernel
+//! then walks one lane group down the rows, keeping every rule of
+//! [`super::Windows`] per lane without a data-dependent branch:
 //!
 //! * a window's occupied units are one `u8` lane of a vector per window;
 //!   "room" is `units + need <= pack_units` on a saturating add, exact
@@ -32,20 +35,38 @@
 //! * an oversize row runs as lockstep chunks of at most `pack_units - 1`
 //!   corrections, each lane dropping out when its row is spent.
 //!
-//! Occupied units are the units placed (every placed unit leaves in some
-//! pack), so they are summed per step; packs are the forced flushes plus
-//! the windows still open at the end of the m-tile.
+//! The AVX2 kernel keeps its lane masks as byte vectors; the AVX-512 one
+//! keeps them in mask registers and merges under them. Occupied units are
+//! the units placed (every placed unit leaves in some pack), so they are
+//! summed per step; packs are the forced flushes plus the windows still
+//! open at the end of the m-tile.
+//!
+//! Every function here needs AVX2 and POPCNT, and the wide kernel AVX-512
+//! BW; [`super::TilePackCounter`] builds a [`LaneCounter`] only on a host
+//! with them.
 
 use super::{for_each_tile_count, PackCounts, PackerConfig};
 use std::arch::x86_64::{
-    __m128i, _mm_add_epi64, _mm_add_epi8, _mm_adds_epu8, _mm_and_si128, _mm_andnot_si128,
-    _mm_cmpeq_epi8, _mm_cvtsi128_si64, _mm_loadu_si128, _mm_max_epu8, _mm_min_epu8,
-    _mm_movemask_epi8, _mm_or_si128, _mm_sad_epu8, _mm_set1_epi8, _mm_setzero_si128,
-    _mm_srli_si128, _mm_storeu_si128, _mm_subs_epu8,
+    __m256i, __m512i, __mmask64, _mm256_add_epi64, _mm256_add_epi8, _mm256_adds_epu8,
+    _mm256_and_si256, _mm256_andnot_si256, _mm256_castsi256_si128, _mm256_cmpeq_epi8,
+    _mm256_extracti128_si256, _mm256_loadu_si256, _mm256_maddubs_epi16, _mm256_max_epu8,
+    _mm256_min_epu8, _mm256_movemask_epi8, _mm256_or_si256, _mm256_packus_epi16,
+    _mm256_permute4x64_epi64, _mm256_sad_epu8, _mm256_set1_epi8, _mm256_setr_epi8,
+    _mm256_setzero_si256, _mm256_shuffle_epi8, _mm256_srli_epi16, _mm256_storeu_si256,
+    _mm256_subs_epu8, _mm512_add_epi64, _mm512_adds_epu8, _mm512_cmpgt_epu8_mask,
+    _mm512_cmple_epu8_mask, _mm512_loadu_si512, _mm512_mask_add_epi8, _mm512_mask_blend_epi8,
+    _mm512_mask_cmpeq_epu8_mask, _mm512_maskz_add_epi8, _mm512_max_epu8, _mm512_min_epu8,
+    _mm512_or_si512, _mm512_reduce_add_epi64, _mm512_sad_epu8, _mm512_set1_epi8,
+    _mm512_setzero_si512, _mm512_storeu_si512, _mm512_subs_epu8, _mm512_test_epi8_mask,
+    _mm_add_epi64, _mm_cvtsi128_si64, _mm_srli_si128, _mm_storeu_si128,
 };
 
-/// Partitions per lane group: one `u8` lane of a 128-bit register each.
-const LANES: usize = 16;
+/// Partitions per lane group of the AVX2 kernel: one `u8` lane of a
+/// 256-bit register each.
+const LANES: usize = 32;
+
+/// Partitions per lane group of the AVX-512 kernel.
+const WIDE_LANES: usize = 64;
 
 /// Windows the kernel steps. A configuration with fewer windows blocks the
 /// rest; one with more runs the scalar [`super::PackCounter`] instead.
@@ -63,6 +84,8 @@ pub(crate) struct LaneCounter {
     tile_rows: usize,
     /// Bytes per row of `counts`: the partitions padded to whole groups.
     stride: usize,
+    /// Whether the 64-lane AVX-512 kernel runs.
+    wide: bool,
     /// `tile_rows × stride` correction counts, row-major; the padding
     /// lanes stay 0. The kernel zeroes what it reads, so the matrix is
     /// empty again after every m-tile.
@@ -71,74 +94,118 @@ pub(crate) struct LaneCounter {
 
 impl LaneCounter {
     /// A counter for `parts` partitions of width `k` and m-tiles of up to
-    /// `tile_rows` rows. The caller has checked `config`: `pack_units` in
-    /// `2..=254`, `1..=MAX_WINDOWS` windows, `psum_banks` in `1..=64`.
-    pub(crate) fn new(config: &PackerConfig, k: usize, parts: usize, tile_rows: usize) -> Self {
+    /// `tile_rows` rows, on the 64-lane AVX-512 kernel when `wide`. The
+    /// caller has checked `config` (`pack_units` in `2..=254`,
+    /// `1..=MAX_WINDOWS` windows, `psum_banks` in `1..=64`) and the host
+    /// (AVX2 and POPCNT, and AVX-512 BW when `wide`).
+    pub(crate) fn new(
+        config: &PackerConfig,
+        k: usize,
+        parts: usize,
+        tile_rows: usize,
+        wide: bool,
+    ) -> Self {
         debug_assert!((2..=254).contains(&config.pack_units));
         debug_assert!(config.windows <= MAX_WINDOWS && config.psum_banks <= 64);
-        let stride = parts.div_ceil(LANES) * LANES;
+        let lanes = if wide { WIDE_LANES } else { LANES };
+        let stride = parts.div_ceil(lanes) * lanes;
         LaneCounter {
             config: *config,
             k,
             parts,
             tile_rows,
             stride,
+            wide,
             counts: vec![0; tile_rows * stride],
         }
     }
 
     /// Records tile row `row`'s Level-2 corrections from its plane words
-    /// (at most 64 per partition: a partition is at most 64 columns wide).
+    /// (at most 64 per partition: a partition is at most 64 columns wide)
+    /// and returns the row's correction count.
     #[inline]
-    pub(crate) fn push_row(&mut self, row: usize, words: &[u64]) {
+    #[target_feature(enable = "avx2,popcnt")]
+    pub(crate) fn push_row(&mut self, row: usize, words: &[u64]) -> u32 {
         let counts = &mut self.counts[row * self.stride..(row + 1) * self.stride];
-        if self.k == 16 {
-            // Four partitions per word (the stride covers `4 × words`
-            // lanes): each 16-bit lane's popcount, SWAR, then its low
-            // bytes packed into four count bytes.
-            for (lanes, &word) in counts.chunks_exact_mut(4).zip(words) {
-                let mut x = word - ((word >> 1) & 0x5555_5555_5555_5555);
-                x = (x & 0x3333_3333_3333_3333) + ((x >> 2) & 0x3333_3333_3333_3333);
-                x = (x + (x >> 4)) & 0x0F0F_0F0F_0F0F_0F0F;
-                x = (x + (x >> 8)) & 0x00FF_00FF_00FF_00FF;
-                x = (x | (x >> 8)) & 0x0000_FFFF_0000_FFFF;
-                x |= x >> 16;
-                // A fixed-size store: a range-indexed slice copy here
-                // made the row about three times as slow.
-                let lanes: &mut [u8; 4] = lanes.try_into().expect("four lanes");
-                *lanes = (x as u32).to_le_bytes();
-            }
-        } else {
-            for_each_tile_count(words, self.k, self.parts, |part, nnz| counts[part] = nnz as u8);
+        if self.k != 16 {
+            let mut total = 0;
+            for_each_tile_count(words, self.k, self.parts, |part, nnz| {
+                counts[part] = nnz as u8;
+                total += nnz as u32;
+            });
+            return total;
         }
+        // Sixteen partitions per four words (the stride covers `4 × words`
+        // lanes): per-byte popcounts from a nibble table, summed per
+        // 16-bit lane, packed to bytes; the row's total is their sum.
+        #[rustfmt::skip]
+        let table = _mm256_setr_epi8(
+            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
+            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
+        );
+        let nibble = _mm256_set1_epi8(0x0F);
+        let mut total = _mm256_setzero_si256();
+        let quads = words.chunks_exact(4);
+        let tail = quads.remainder();
+        for (lanes, quad) in counts.chunks_exact_mut(16).zip(quads) {
+            // SAFETY: `quad` is four contiguous words, read unaligned.
+            let v = unsafe { _mm256_loadu_si256(quad.as_ptr().cast()) };
+            let bytes = _mm256_add_epi8(
+                _mm256_shuffle_epi8(table, _mm256_and_si256(v, nibble)),
+                _mm256_shuffle_epi8(table, _mm256_and_si256(_mm256_srli_epi16::<4>(v), nibble)),
+            );
+            total = _mm256_add_epi64(total, _mm256_sad_epu8(bytes, _mm256_setzero_si256()));
+            let lane_counts = _mm256_maddubs_epi16(bytes, _mm256_set1_epi8(1));
+            // Bytes 0–7 and 16–23 hold the sixteen counts in order.
+            let packed =
+                _mm256_permute4x64_epi64::<0b1000>(_mm256_packus_epi16(lane_counts, lane_counts));
+            // SAFETY: `lanes` is 16 contiguous bytes, written unaligned.
+            unsafe { _mm_storeu_si128(lanes.as_mut_ptr().cast(), _mm256_castsi256_si128(packed)) };
+        }
+        let mut sum = sum_lanes(total) as u32;
+        for (lanes, &word) in counts[16 * (words.len() / 4)..].chunks_exact_mut(4).zip(tail) {
+            for (i, lane) in lanes.iter_mut().enumerate() {
+                *lane = (word >> (16 * i) & 0xFFFF).count_ones() as u8;
+            }
+            sum += word.count_ones();
+        }
+        sum
     }
 
     /// Packs the recorded rows `0..rows` and returns the m-tile's counts
     /// summed over its partitions, leaving the matrix empty.
+    #[target_feature(enable = "avx2,popcnt")]
     pub(crate) fn finish(&mut self, rows: usize) -> PackCounts {
         assert!(rows <= self.tile_rows, "m-tile of {rows} rows exceeds {}", self.tile_rows);
-        // SAFETY: SSE2 is part of the x86-64 baseline.
-        unsafe {
-            if self.config.psum_banks <= 8 {
-                self.pack::<1>(rows)
-            } else {
-                self.pack::<8>(rows)
-            }
+        if self.wide {
+            // SAFETY: a wide counter is built only on hosts with AVX-512 BW.
+            return unsafe {
+                if self.config.psum_banks <= 8 {
+                    self.pack_wide::<1>(rows)
+                } else {
+                    self.pack_wide::<8>(rows)
+                }
+            };
+        }
+        if self.config.psum_banks <= 8 {
+            self.pack::<1>(rows)
+        } else {
+            self.pack::<8>(rows)
         }
     }
 
-    /// The SSE2 kernel: each lane group walks down the rows, a window's
+    /// The AVX2 kernel: each lane group walks down the rows, a window's
     /// banks in `PLANES` byte planes (one for up to 8 banks, else 8).
-    #[target_feature(enable = "sse2")]
+    #[target_feature(enable = "avx2,popcnt")]
     fn pack<const PLANES: usize>(&mut self, rows: usize) -> PackCounts {
-        let pack_units = _mm_set1_epi8(self.config.pack_units as i8);
-        let chunk = _mm_set1_epi8((self.config.pack_units - 1) as i8);
-        let one = _mm_set1_epi8(1);
-        let zero = _mm_setzero_si128();
-        let blocked: [[__m128i; PLANES]; MAX_WINDOWS] = std::array::from_fn(|w| {
-            [if w < self.config.windows { zero } else { _mm_cmpeq_epi8(zero, zero) }; PLANES]
+        let pack_units = _mm256_set1_epi8(self.config.pack_units as i8);
+        let chunk = _mm256_set1_epi8((self.config.pack_units - 1) as i8);
+        let one = _mm256_set1_epi8(1);
+        let zero = _mm256_setzero_si256();
+        let blocked: [[__m256i; PLANES]; MAX_WINDOWS] = std::array::from_fn(|w| {
+            [if w < self.config.windows { zero } else { _mm256_cmpeq_epi8(zero, zero) }; PLANES]
         });
-        // Per-lane tallies, summed into two u64 halves by `psadbw`.
+        // Per-lane tallies, summed into four u64 quarters by `vpsadbw`.
         let (mut placed, mut packs, mut oversize) = (zero, zero, zero);
         for group in (0..self.stride).step_by(LANES) {
             let mut units = [zero; MAX_WINDOWS];
@@ -146,26 +213,29 @@ impl LaneCounter {
             let mut bank = 0;
             for lanes in self.counts[..rows * self.stride].chunks_exact_mut(self.stride) {
                 let lanes = &mut lanes[group..group + LANES];
-                // SAFETY: `lanes` is 16 contiguous bytes, read and written
+                // SAFETY: `lanes` is 32 contiguous bytes, read and written
                 // unaligned.
-                let mut rest = unsafe { _mm_loadu_si128(lanes.as_ptr().cast()) };
+                let mut rest = unsafe { _mm256_loadu_si256(lanes.as_ptr().cast()) };
                 // SAFETY: as above.
-                unsafe { _mm_storeu_si128(lanes.as_mut_ptr().cast(), zero) };
-                oversize = tally(oversize, _mm_min_epu8(_mm_subs_epu8(rest, chunk), one));
-                let bit = _mm_set1_epi8((1u8 << (bank % 8)) as i8);
-                let row_bank: [__m128i; PLANES] =
+                unsafe { _mm256_storeu_si256(lanes.as_mut_ptr().cast(), zero) };
+                oversize = tally(oversize, _mm256_min_epu8(_mm256_subs_epu8(rest, chunk), one));
+                let bit = _mm256_set1_epi8((1u8 << (bank % 8)) as i8);
+                let row_bank: [__m256i; PLANES] =
                     std::array::from_fn(|p| if p == bank / 8 { bit } else { zero });
                 loop {
-                    let idle = _mm_cmpeq_epi8(rest, zero);
-                    if _mm_movemask_epi8(idle) == 0xFFFF {
+                    let idle = _mm256_cmpeq_epi8(rest, zero);
+                    if _mm256_movemask_epi8(idle) == -1 {
                         break;
                     }
-                    let need = _mm_andnot_si128(idle, _mm_add_epi8(_mm_min_epu8(rest, chunk), one));
+                    let need = _mm256_andnot_si256(
+                        idle,
+                        _mm256_add_epi8(_mm256_min_epu8(rest, chunk), one),
+                    );
                     placed = tally(placed, need);
-                    let open = _mm_cmpeq_epi8(idle, zero);
+                    let open = _mm256_cmpeq_epi8(idle, zero);
                     let flushed = place(&mut units, &mut banks, &row_bank, need, open, pack_units);
-                    packs = tally(packs, _mm_and_si128(flushed, one));
-                    rest = _mm_subs_epu8(rest, chunk);
+                    packs = tally(packs, _mm256_and_si256(flushed, one));
+                    rest = _mm256_subs_epu8(rest, chunk);
                 }
                 bank += 1;
                 if bank == self.config.psum_banks {
@@ -173,74 +243,175 @@ impl LaneCounter {
                 }
             }
             for units in units {
-                packs = tally(packs, _mm_min_epu8(units, one));
+                packs = tally(packs, _mm256_min_epu8(units, one));
             }
         }
         PackCounts {
-            packs: total(packs),
-            occupied_units: total(placed),
-            oversize_rows: total(oversize),
+            packs: sum_lanes(packs),
+            occupied_units: sum_lanes(placed),
+            oversize_rows: sum_lanes(oversize),
+        }
+    }
+
+    /// The AVX-512 kernel: [`LaneCounter::pack`] over sixty-four lanes,
+    /// its lane masks in mask registers.
+    #[target_feature(enable = "avx512f,avx512bw,popcnt")]
+    fn pack_wide<const PLANES: usize>(&mut self, rows: usize) -> PackCounts {
+        let pack_units = _mm512_set1_epi8(self.config.pack_units as i8);
+        let chunk = _mm512_set1_epi8((self.config.pack_units - 1) as i8);
+        let one = _mm512_set1_epi8(1);
+        let zero = _mm512_setzero_si512();
+        let blocked: [[__m512i; PLANES]; MAX_WINDOWS] = std::array::from_fn(|w| {
+            [if w < self.config.windows { zero } else { _mm512_set1_epi8(-1) }; PLANES]
+        });
+        // Units placed per lane, summed into eight u64 lanes by `vpsadbw`.
+        let mut placed = zero;
+        let (mut packs, mut oversize) = (0u64, 0u64);
+        for group in (0..self.stride).step_by(WIDE_LANES) {
+            let mut units = [zero; MAX_WINDOWS];
+            let mut banks = blocked;
+            let mut bank = 0;
+            for lanes in self.counts[..rows * self.stride].chunks_exact_mut(self.stride) {
+                let lanes = &mut lanes[group..group + WIDE_LANES];
+                // SAFETY: `lanes` is 64 contiguous bytes, read and written
+                // unaligned.
+                let mut rest = unsafe { _mm512_loadu_si512(lanes.as_ptr().cast()) };
+                // SAFETY: as above.
+                unsafe { _mm512_storeu_si512(lanes.as_mut_ptr().cast(), zero) };
+                oversize += u64::from(_mm512_cmpgt_epu8_mask(rest, chunk).count_ones());
+                let bit = _mm512_set1_epi8((1u8 << (bank % 8)) as i8);
+                let row_bank: [__m512i; PLANES] =
+                    std::array::from_fn(|p| if p == bank / 8 { bit } else { zero });
+                loop {
+                    let open = _mm512_test_epi8_mask(rest, rest);
+                    if open == 0 {
+                        break;
+                    }
+                    let need = _mm512_maskz_add_epi8(open, _mm512_min_epu8(rest, chunk), one);
+                    placed = _mm512_add_epi64(placed, _mm512_sad_epu8(need, zero));
+                    let flushed =
+                        place_wide(&mut units, &mut banks, &row_bank, need, open, pack_units);
+                    packs += u64::from(flushed.count_ones());
+                    rest = _mm512_subs_epu8(rest, chunk);
+                }
+                bank += 1;
+                if bank == self.config.psum_banks {
+                    bank = 0;
+                }
+            }
+            for units in units {
+                packs += u64::from(_mm512_test_epi8_mask(units, units).count_ones());
+            }
+        }
+        PackCounts {
+            packs,
+            occupied_units: _mm512_reduce_add_epi64(placed) as u64,
+            oversize_rows: oversize,
         }
     }
 }
 
-/// One step of sixteen state machines: every lane of `open` places a
+/// One step of thirty-two state machines: every lane of `open` places a
 /// chunk of `need` units (partial-sum unit included) of a row whose bank
 /// bit is `row_bank`. Returns the lanes that flushed a window to make
 /// room.
 #[inline]
-#[target_feature(enable = "sse2")]
+#[target_feature(enable = "avx2")]
 fn place<const PLANES: usize>(
-    units: &mut [__m128i; MAX_WINDOWS],
-    banks: &mut [[__m128i; PLANES]; MAX_WINDOWS],
-    row_bank: &[__m128i; PLANES],
-    need: __m128i,
-    mut open: __m128i,
-    pack_units: __m128i,
-) -> __m128i {
-    let zero = _mm_setzero_si128();
+    units: &mut [__m256i; MAX_WINDOWS],
+    banks: &mut [[__m256i; PLANES]; MAX_WINDOWS],
+    row_bank: &[__m256i; PLANES],
+    need: __m256i,
+    mut open: __m256i,
+    pack_units: __m256i,
+) -> __m256i {
+    let zero = _mm256_setzero_si256();
     // First fit.
     for (units, planes) in units.iter_mut().zip(banks.iter_mut()) {
-        let room =
-            _mm_cmpeq_epi8(_mm_max_epu8(_mm_adds_epu8(*units, need), pack_units), pack_units);
+        let room = _mm256_cmpeq_epi8(
+            _mm256_max_epu8(_mm256_adds_epu8(*units, need), pack_units),
+            pack_units,
+        );
         let taken = planes
             .iter()
             .zip(row_bank)
-            .fold(zero, |t, (&plane, &bit)| _mm_or_si128(t, _mm_and_si128(plane, bit)));
-        let take = _mm_and_si128(_mm_cmpeq_epi8(taken, zero), _mm_and_si128(room, open));
-        open = _mm_andnot_si128(take, open);
-        *units = _mm_add_epi8(*units, _mm_and_si128(need, take));
+            .fold(zero, |t, (&plane, &bit)| _mm256_or_si256(t, _mm256_and_si256(plane, bit)));
+        let take = _mm256_and_si256(_mm256_cmpeq_epi8(taken, zero), _mm256_and_si256(room, open));
+        open = _mm256_andnot_si256(take, open);
+        *units = _mm256_add_epi8(*units, _mm256_and_si256(need, take));
         for (plane, &bit) in planes.iter_mut().zip(row_bank) {
-            *plane = _mm_or_si128(*plane, _mm_and_si128(take, bit));
+            *plane = _mm256_or_si256(*plane, _mm256_and_si256(take, bit));
         }
     }
     // Flush the fullest window of every lane left open, the last on ties,
     // and place there.
     let flushed = open;
-    let fullest = units.iter().fold(zero, |m, &u| _mm_max_epu8(m, u));
+    let fullest = units.iter().fold(zero, |m, &u| _mm256_max_epu8(m, u));
     for (units, planes) in units.iter_mut().zip(banks.iter_mut()).rev() {
-        let flush = _mm_and_si128(_mm_cmpeq_epi8(*units, fullest), open);
-        open = _mm_andnot_si128(flush, open);
-        *units = _mm_or_si128(_mm_andnot_si128(flush, *units), _mm_and_si128(flush, need));
+        let flush = _mm256_and_si256(_mm256_cmpeq_epi8(*units, fullest), open);
+        open = _mm256_andnot_si256(flush, open);
+        *units = _mm256_or_si256(_mm256_andnot_si256(flush, *units), _mm256_and_si256(flush, need));
         for (plane, &bit) in planes.iter_mut().zip(row_bank) {
-            *plane = _mm_or_si128(_mm_andnot_si128(flush, *plane), _mm_and_si128(flush, bit));
+            *plane =
+                _mm256_or_si256(_mm256_andnot_si256(flush, *plane), _mm256_and_si256(flush, bit));
         }
     }
     flushed
 }
 
-/// `acc` plus the byte lanes of `v`, in two u64 halves.
+/// `acc` plus the byte lanes of `v`, in four u64 quarters.
 #[inline]
-#[target_feature(enable = "sse2")]
-fn tally(acc: __m128i, v: __m128i) -> __m128i {
-    _mm_add_epi64(acc, _mm_sad_epu8(v, _mm_setzero_si128()))
+#[target_feature(enable = "avx2")]
+fn tally(acc: __m256i, v: __m256i) -> __m256i {
+    _mm256_add_epi64(acc, _mm256_sad_epu8(v, _mm256_setzero_si256()))
 }
 
-/// The sum of a [`tally`].
+/// The sum of a vector's four u64 quarters (a [`tally`]).
 #[inline]
-#[target_feature(enable = "sse2")]
-fn total(acc: __m128i) -> u64 {
-    _mm_cvtsi128_si64(_mm_add_epi64(acc, _mm_srli_si128::<8>(acc))) as u64
+#[target_feature(enable = "avx2")]
+fn sum_lanes(acc: __m256i) -> u64 {
+    let half = _mm_add_epi64(_mm256_castsi256_si128(acc), _mm256_extracti128_si256::<1>(acc));
+    _mm_cvtsi128_si64(_mm_add_epi64(half, _mm_srli_si128::<8>(half))) as u64
+}
+
+/// [`place`] over sixty-four lanes, `open` and the result as lane masks.
+#[inline]
+#[target_feature(enable = "avx512f,avx512bw")]
+fn place_wide<const PLANES: usize>(
+    units: &mut [__m512i; MAX_WINDOWS],
+    banks: &mut [[__m512i; PLANES]; MAX_WINDOWS],
+    row_bank: &[__m512i; PLANES],
+    need: __m512i,
+    mut open: __mmask64,
+    pack_units: __m512i,
+) -> __mmask64 {
+    // First fit.
+    for (units, planes) in units.iter_mut().zip(banks.iter_mut()) {
+        let room = _mm512_cmple_epu8_mask(_mm512_adds_epu8(*units, need), pack_units);
+        let taken = planes
+            .iter()
+            .zip(row_bank)
+            .fold(0, |t, (&plane, &bit)| t | _mm512_test_epi8_mask(plane, bit));
+        let take = room & !taken & open;
+        open &= !take;
+        *units = _mm512_mask_add_epi8(*units, take, *units, need);
+        for (plane, &bit) in planes.iter_mut().zip(row_bank) {
+            *plane = _mm512_mask_blend_epi8(take, *plane, _mm512_or_si512(*plane, bit));
+        }
+    }
+    // Flush the fullest window of every lane left open, the last on ties,
+    // and place there.
+    let flushed = open;
+    let fullest = units.iter().fold(_mm512_setzero_si512(), |m, &u| _mm512_max_epu8(m, u));
+    for (units, planes) in units.iter_mut().zip(banks.iter_mut()).rev() {
+        let flush = _mm512_mask_cmpeq_epu8_mask(open, *units, fullest);
+        open &= !flush;
+        *units = _mm512_mask_blend_epi8(flush, *units, need);
+        for (plane, &bit) in planes.iter_mut().zip(row_bank) {
+            *plane = _mm512_mask_blend_epi8(flush, *plane, bit);
+        }
+    }
+    flushed
 }
 
 #[cfg(test)]
@@ -272,12 +443,13 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The lanes count what a `PackCounter` per partition counts, on
-        /// random count matrices spanning several lane groups, over
-        /// successive m-tiles of one counter.
+        /// Both kernels (the wide one where the host has AVX-512 BW) count
+        /// what a `PackCounter` per partition counts, on random count
+        /// matrices spanning several lane groups, over successive m-tiles
+        /// of one counter; every row's returned total is its count sum.
         #[test]
         fn lanes_match_a_pack_counter_per_partition(
-            parts in 1usize..50,
+            parts in 1usize..100,
             k in prop::sample::select(vec![1usize, 5, 16, 64]),
             tile_rows in 1usize..300,
             density in prop::sample::select(vec![0.05f64, 0.3, 1.0]),
@@ -285,11 +457,18 @@ mod tests {
             pack_units in prop::sample::select((2usize..10).chain([17, 253, 254]).collect::<Vec<_>>()),
             windows in 1usize..=MAX_WINDOWS,
             psum_banks in 1usize..65,
+            wide in any::<bool>(),
             seed in any::<u64>(),
         ) {
+            if !std::arch::is_x86_feature_detected!("avx2")
+                || !std::arch::is_x86_feature_detected!("popcnt")
+            {
+                return;
+            }
+            let wide = wide && std::arch::is_x86_feature_detected!("avx512bw");
             let mut rng = StdRng::seed_from_u64(seed);
             let config = PackerConfig { pack_units, windows, psum_banks };
-            let mut lanes = LaneCounter::new(&config, k, parts, tile_rows);
+            let mut lanes = LaneCounter::new(&config, k, parts, tile_rows, wide);
             for rows in [tile_rows, tile_rows.div_ceil(3)] {
                 let matrix: Vec<Vec<u8>> = (0..rows)
                     .map(|_| {
@@ -299,17 +478,23 @@ mod tests {
                     })
                     .collect();
                 for (row, counts) in matrix.iter().enumerate() {
-                    // The row's plane: the first `nnz` columns of each
+                    // The row's plane: `nnz` random columns of each
                     // partition carry a correction.
                     let mut words = vec![0u64; (parts * k).div_ceil(64)];
                     for (part, &nnz) in counts.iter().enumerate() {
-                        for col in part * k..part * k + usize::from(nnz) {
+                        let mut cols: Vec<usize> = (part * k..(part + 1) * k).collect();
+                        for _ in 0..nnz {
+                            let col = cols.swap_remove(rng.gen_range(0..cols.len()));
                             words[col / 64] |= 1 << (col % 64);
                         }
                     }
-                    lanes.push_row(row, &words);
+                    // SAFETY: AVX2 and POPCNT were detected above, and
+                    // AVX-512 BW for a wide counter.
+                    let total = unsafe { lanes.push_row(row, &words) };
+                    prop_assert_eq!(total, counts.iter().map(|&c| u32::from(c)).sum::<u32>());
                 }
-                prop_assert_eq!(lanes.finish(rows), oracle(&matrix, &config));
+                // SAFETY: as above.
+                prop_assert_eq!(unsafe { lanes.finish(rows) }, oracle(&matrix, &config));
             }
         }
     }

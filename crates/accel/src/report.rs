@@ -24,6 +24,16 @@ pub struct CycleBreakdown {
     pub dram: f64,
 }
 
+/// One activation row's work in the two processors, as the simulator's
+/// census counts it: what a batch attributes its cycles and energy by.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RowWork {
+    /// Tiles with an assigned pattern: the row's L1 PWP accumulations.
+    pub assigned: u32,
+    /// Level-2 corrections: the row's L2 weight-row accumulations.
+    pub corrections: u32,
+}
+
 /// Simulation report for one layer.
 #[derive(Debug, Clone)]
 pub struct LayerReport {
@@ -45,6 +55,8 @@ pub struct LayerReport {
     pub pack_occupancy: f64,
     /// Rows whose corrections exceeded one pack (expected ≈ 0).
     pub oversize_rows: u64,
+    /// Per activation row (the simulated rows, unscaled), its work.
+    pub row_work: Vec<RowWork>,
 }
 
 impl fmt::Display for LayerReport {
@@ -171,6 +183,7 @@ mod tests {
             },
             pack_occupancy: 0.5,
             oversize_rows: 0,
+            row_work: vec![RowWork { assigned: 0, corrections: 1 }],
         }
     }
 

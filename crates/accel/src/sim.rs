@@ -11,24 +11,33 @@
 //! * DRAM transfers are double-buffered against compute: the layer takes
 //!   `max(compute, preprocessing, DRAM, LIF)` cycles.
 //!
-//! The walk counts; it builds nothing. Each m-tile's Level-2 corrections
-//! become per-partition counts, and the packer's window state machine
-//! turns them into pack counts sixteen partitions at a time, one SIMD lane
-//! each (a [`crate::packer::PackCounter`] per partition at
-//! `PHI_SIMD=scalar`; the functional [`crate::packer::pack_rows`], which
-//! records every unit, is what [`crate::datapath`] executes). The L1 model
-//! scans the index rows, and the PWP prefetch sets are bitsets.
+//! The walk counts; it builds nothing, and it reads each row once. A
+//! per-row census turns the row's Level-1 index slice into an assignment
+//! bitmap, whose per-window popcounts are the L1 cycles and the row's
+//! assigned tiles and whose set bits are the tiles the PWP prefetcher's
+//! bitsets take; the row's Level-2 plane words become its per-partition
+//! correction counts and its correction total. The packer's window state
+//! machine turns each m-tile's counts into pack counts thirty-two
+//! partitions per AVX2 vector, or sixty-four per AVX-512 vector (a
+//! [`crate::packer::PackCounter`] per partition at `PHI_SIMD=scalar`; the
+//! functional [`crate::packer::pack_rows`], which records every unit, is
+//! what [`crate::datapath`] executes). The report keeps each row's
+//! assigned tiles and corrections ([`LayerReport::row_work`]), which a
+//! batch splits its cycles and energy by, and the layer's
+//! [`phi_core::SparsityStats`] take the census's assigned total.
 
 use crate::config::PhiConfig;
 use crate::energy::{BusyCycles, EnergyModel};
-use crate::l1::L1Model;
+#[cfg(target_arch = "x86_64")]
+use crate::l1::assignment_bitmap_avx2;
+use crate::l1::{assignment_bitmap, L1Model};
 use crate::l2::L2Model;
 use crate::matcher::MatcherModel;
 use crate::neuron::NeuronArrayModel;
-use crate::packer::{PackerConfig, TilePackCounter};
-use crate::report::{CycleBreakdown, LayerReport, ModelReport};
+use crate::packer::{PackCounts, PackerConfig, TilePackCounter};
+use crate::report::{CycleBreakdown, LayerReport, ModelReport, RowWork};
 use crate::tiling::TileSchedule;
-use crate::traffic::layer_traffic;
+use crate::traffic::{layer_traffic, PrefetchSets};
 use phi_core::{decompose, Decomposition, LayerPatterns};
 use snn_core::{GemmShape, SpikeMatrix};
 
@@ -176,18 +185,24 @@ impl PhiSimulator {
         );
         let n_tiles = schedule.n_tiles() as f64;
 
-        let l1_model = L1Model::new(self.config.l1_window, self.config.channels);
-        let l2_model = L2Model::new(self.config.channels);
         let packer_config = PackerConfig {
             pack_units: self.config.pack_units,
             windows: self.config.packer_windows,
             psum_banks: self.config.psum_banks,
         };
-
-        // Every partition's pack counter, allocated once and emptied by
-        // `finish` at the end of every m-tile.
-        let mut packer =
-            TilePackCounter::new(&packer_config, k, parts, self.config.tile_m.min(rows));
+        let l1 = L1Model::new(self.config.l1_window, self.config.channels);
+        let mut census = Census {
+            l1,
+            l1_costs: l1.window_costs(),
+            bitmap: vec![0; parts.div_ceil(64)],
+            // Every partition's pack counter, allocated once and emptied by
+            // `finish` at the end of every m-tile.
+            packer: TilePackCounter::new(&packer_config, k, parts, self.config.tile_m.min(rows)),
+            prefetch: PrefetchSets::new(decomp.patterns()),
+            rows: Vec::with_capacity(rows),
+            assigned: 0,
+        };
+        let l2_model = L2Model::new(self.config.channels);
         let mut l1_cycles = 0.0f64;
         let mut l2_cycles = 0.0f64;
         let mut compute_cycles = 0.0f64;
@@ -197,11 +212,8 @@ impl PhiSimulator {
 
         for mt in 0..schedule.m_tiles() {
             let (lo, hi) = schedule.m_range(mt);
-            let l1_mt = l1_model.tile_cycles(decomp, lo, hi) as f64;
-            for r in lo..hi {
-                packer.push_row(r - lo, decomp.l2_words(r));
-            }
-            let counts = packer.finish(hi - lo);
+            let (l1_mt, counts) = census.tile(decomp, lo, hi);
+            let l1_mt = l1_mt as f64;
             let packs_mt = counts.packs;
             occupied_units += counts.occupied_units;
             oversize_rows += counts.oversize_rows;
@@ -220,8 +232,15 @@ impl PhiSimulator {
         let lif = NeuronArrayModel::new(self.config.tile_n);
         let lif_cycles = lif.cycles(rows, shape.n) as f64;
 
-        let traffic =
-            layer_traffic(decomp, shape.n, total_packs, occupied_units, &self.config, row_scale);
+        let traffic = layer_traffic(
+            decomp,
+            shape.n,
+            total_packs,
+            occupied_units,
+            census.prefetch.counts(),
+            &self.config,
+            row_scale,
+        );
         let dram_cycles = self
             .energy
             .dram
@@ -253,7 +272,7 @@ impl PhiSimulator {
             occupied_units as f64 / (total_packs * self.config.pack_units as u64) as f64
         };
 
-        let stats = decomp.stats();
+        let stats = decomp.stats_with_assigned_tiles(census.assigned);
         LayerReport {
             name: name.to_owned(),
             cycles,
@@ -266,12 +285,82 @@ impl PhiSimulator {
             stats,
             pack_occupancy,
             oversize_rows,
+            row_work: census.rows,
         }
     }
 
     /// Aggregates layer reports into a model report.
     pub fn aggregate(layers: Vec<LayerReport>) -> ModelReport {
         ModelReport::from_layers(layers)
+    }
+}
+
+/// One pass over a layer's rows, one m-tile at a time. Each row's Level-1
+/// index slice becomes its assignment bitmap, which gives its per-window
+/// assigned counts (the L1 cycles and the row's assigned tiles) and the
+/// tiles whose patterns the prefetcher loads; its Level-2 plane words give
+/// the packer's per-partition counts and the row's correction count.
+struct Census {
+    l1: L1Model,
+    /// [`L1Model::window_costs`].
+    l1_costs: Vec<u64>,
+    /// The current row's assignment bitmap.
+    bitmap: Vec<u64>,
+    packer: TilePackCounter,
+    prefetch: PrefetchSets,
+    /// Every counted row's work, in row order.
+    rows: Vec<RowWork>,
+    /// Assigned tiles over the counted rows.
+    assigned: u64,
+}
+
+impl Census {
+    /// Counts the m-tile of rows `lo..hi`: returns its L1 cycles for one
+    /// `n`-tile and its pack counts.
+    fn tile(&mut self, decomp: &Decomposition, lo: usize, hi: usize) -> (u64, PackCounts) {
+        #[cfg(target_arch = "x86_64")]
+        if self.packer.is_lanes() {
+            // SAFETY: the lanes run only on hosts with AVX2 and POPCNT.
+            let cycles = unsafe { self.rows_avx2(decomp, lo, hi) };
+            return (cycles, self.packer.finish(hi - lo));
+        }
+        let cycles = self.rows::<false>(decomp, lo, hi);
+        (cycles, self.packer.finish(hi - lo))
+    }
+
+    /// [`Census::rows`] compiled for AVX2 and POPCNT, the lanes' tier.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2,popcnt")]
+    fn rows_avx2(&mut self, decomp: &Decomposition, lo: usize, hi: usize) -> u64 {
+        self.rows::<true>(decomp, lo, hi)
+    }
+
+    /// The row loop; `AVX2` builds the bitmaps with AVX2, which only
+    /// [`Census::rows_avx2`] asks for.
+    #[inline(always)]
+    fn rows<const AVX2: bool>(&mut self, decomp: &Decomposition, lo: usize, hi: usize) -> u64 {
+        let parts = decomp.num_partitions();
+        let mut cycles = 0u64;
+        for r in lo..hi {
+            let indices = decomp.l1_row(r);
+            #[cfg(target_arch = "x86_64")]
+            if AVX2 {
+                // SAFETY: instantiated only by `rows_avx2`, on AVX2 hosts.
+                unsafe { assignment_bitmap_avx2(indices, &mut self.bitmap) };
+            } else {
+                assignment_bitmap(indices, &mut self.bitmap);
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            assignment_bitmap(indices, &mut self.bitmap);
+            let (row_cycles, assigned) = self.l1.row_census(&self.bitmap, parts, &self.l1_costs);
+            cycles += row_cycles;
+            self.assigned += u64::from(assigned);
+            self.prefetch.add_row(indices, &self.bitmap);
+            let corrections = self.packer.push_row(r - lo, decomp.l2_words(r));
+            self.rows.push(RowWork { assigned, corrections });
+        }
+        self.prefetch.finish_tile();
+        cycles
     }
 }
 

@@ -20,9 +20,14 @@
 //! * **PWPs with prefetch** — only the PWPs a tile actually uses; if the
 //!   PWP buffer can hold the layer's union working set, each used pattern
 //!   is fetched once per layer, otherwise once per `m`-tile.
+//!
+//! The used patterns are per-partition bitsets ([`PrefetchSets`]) that the
+//! simulator's per-row census fills from the same assignment bitmap of
+//! each Level-1 index row that gives the row's L1 cycles, visiting only
+//! the assigned tiles; [`layer_traffic`] takes their [`PrefetchCounts`].
 
 use crate::config::PhiConfig;
-use phi_core::Decomposition;
+use phi_core::{Decomposition, LayerPatterns};
 
 /// Byte counts for one layer (already scaled to full layer size).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -66,13 +71,15 @@ impl TrafficReport {
 /// Computes the traffic report for one decomposed layer.
 ///
 /// `n` is the output width, `packs`/`occupied_units` come from the packer
-/// (packs built and units actually filled, for the sampled rows), and
-/// `row_scale` is the sampled-to-full-layer row factor.
+/// (packs built and units actually filled, for the sampled rows),
+/// `prefetch` from the layer's [`PrefetchSets`], and `row_scale` is the
+/// sampled-to-full-layer row factor.
 pub fn layer_traffic(
     decomp: &Decomposition,
     n: usize,
     packs: u64,
     occupied_units: u64,
+    prefetch: PrefetchCounts,
     config: &PhiConfig,
     row_scale: f64,
 ) -> TrafficReport {
@@ -96,14 +103,13 @@ pub fn layer_traffic(
     let pwp_no_prefetch =
         (parts * config.patterns_per_partition) as f64 * n as f64 * config.pwp_bytes as f64;
 
-    // Prefetch: count used patterns per m-tile per partition; dedupe across
+    // Prefetch: the used patterns per m-tile per partition, deduped across
     // tiles when the buffer can hold the union working set.
-    let (per_tile_used, union_count) = prefetch_counts(decomp, config.tile_m);
-    let union_bytes = union_count as f64 * n as f64 * config.pwp_bytes as f64;
+    let union_bytes = prefetch.union as f64 * n as f64 * config.pwp_bytes as f64;
     let pwp_prefetch = if union_bytes <= config.pwp_buffer_bytes as f64 {
         union_bytes
     } else {
-        per_tile_used as f64 * n as f64 * config.pwp_bytes as f64
+        prefetch.per_tile as f64 * n as f64 * config.pwp_bytes as f64
     };
 
     let act_out = rows * n as f64 / 8.0;
@@ -128,37 +134,75 @@ pub fn layer_traffic(
     .clamp_pwp()
 }
 
-/// The PWPs a layer's prefetcher loads: `(per-tile, union)`, where
-/// per-tile sums the patterns each (m-tile, partition) uses and union sums
-/// the patterns any tile of a partition uses. Counted over per-partition
-/// bitsets: bit `i` of partition `p`'s words is pattern `i` of set `p`.
-fn prefetch_counts(decomp: &Decomposition, tile_m: usize) -> (u64, u64) {
-    let parts = decomp.num_partitions();
-    // Partition `p` owns words `offsets[p]..offsets[p + 1]`, enough for
-    // every index its pattern set can hold.
-    let mut offsets = Vec::with_capacity(parts + 1);
-    offsets.push(0usize);
-    for p in 0..parts {
-        offsets.push(offsets[p] + decomp.patterns().set(p).len().div_ceil(64));
+/// The PWPs a layer's prefetcher loads.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PrefetchCounts {
+    /// The patterns each (m-tile, partition) uses, summed.
+    pub per_tile: u64,
+    /// The patterns any m-tile of a partition uses, summed.
+    pub union: u64,
+}
+
+/// The prefetcher's working sets, filled one Level-1 index row at a time:
+/// bit `i` of partition `p`'s words is pattern `i` of set `p`, one bitset
+/// for the current m-tile and one for their union. Allocates once, at
+/// construction.
+#[derive(Debug, Clone)]
+pub struct PrefetchSets {
+    /// Partition `p` owns words `offsets[p]..offsets[p + 1]`, enough for
+    /// every index its pattern set can hold.
+    offsets: Vec<usize>,
+    tile: Vec<u64>,
+    union: Vec<u64>,
+    per_tile: u64,
+}
+
+impl PrefetchSets {
+    /// Empty sets for the partitions of `patterns`.
+    pub fn new(patterns: &LayerPatterns) -> Self {
+        let parts = patterns.num_partitions();
+        let mut offsets = Vec::with_capacity(parts + 1);
+        offsets.push(0usize);
+        for p in 0..parts {
+            offsets.push(offsets[p] + patterns.set(p).len().div_ceil(64));
+        }
+        let words = offsets[parts];
+        PrefetchSets { offsets, tile: vec![0; words], union: vec![0; words], per_tile: 0 }
     }
-    let mut tile = vec![0u64; offsets[parts]];
-    let mut union = tile.clone();
-    let mut per_tile = 0u64;
-    let rows = decomp.rows();
-    for row_lo in (0..rows).step_by(tile_m) {
-        for r in row_lo..(row_lo + tile_m).min(rows) {
-            for (&offset, &idx) in offsets.iter().zip(decomp.l1_row(r)) {
-                if idx != Decomposition::NO_PATTERN {
-                    tile[offset + idx as usize / 64] |= 1 << (idx % 64);
-                }
+
+    /// Adds the patterns one index row of the current m-tile uses,
+    /// visiting only the assigned tiles: the set bits of the row's
+    /// assignment bitmap ([`crate::l1::assignment_bitmap`]).
+    #[inline]
+    pub fn add_row(&mut self, indices: &[u16], bitmap: &[u64]) {
+        debug_assert_eq!(indices.len() + 1, self.offsets.len());
+        for (w, &word) in bitmap.iter().enumerate() {
+            let mut assigned = word;
+            while assigned != 0 {
+                let part = 64 * w + assigned.trailing_zeros() as usize;
+                assigned &= assigned - 1;
+                let idx = indices[part];
+                self.tile[self.offsets[part] + usize::from(idx / 64)] |= 1 << (idx % 64);
             }
         }
-        for (t, u) in tile.iter_mut().zip(&mut union) {
-            per_tile += u64::from(t.count_ones());
+    }
+
+    /// Closes the current m-tile: counts its sets into the per-tile total
+    /// and folds them into the union.
+    pub fn finish_tile(&mut self) {
+        for (t, u) in self.tile.iter_mut().zip(&mut self.union) {
+            self.per_tile += u64::from(t.count_ones());
             *u |= std::mem::take(t);
         }
     }
-    (per_tile, union.iter().map(|u| u64::from(u.count_ones())).sum())
+
+    /// The counts over the m-tiles closed so far.
+    pub fn counts(&self) -> PrefetchCounts {
+        PrefetchCounts {
+            per_tile: self.per_tile,
+            union: self.union.iter().map(|u| u64::from(u.count_ones())).sum(),
+        }
+    }
 }
 
 impl TrafficReport {
@@ -190,6 +234,20 @@ mod tests {
     use rand::SeedableRng;
     use snn_core::SpikeMatrix;
 
+    /// The prefetch counts of `d` in m-tiles of `tile_m` rows.
+    fn prefetch(d: &Decomposition, tile_m: usize) -> PrefetchCounts {
+        let mut sets = PrefetchSets::new(d.patterns());
+        let mut bitmap = vec![0; d.num_partitions().div_ceil(64)];
+        for lo in (0..d.rows()).step_by(tile_m) {
+            for r in lo..(lo + tile_m).min(d.rows()) {
+                crate::l1::assignment_bitmap(d.l1_row(r), &mut bitmap);
+                sets.add_row(d.l1_row(r), &bitmap);
+            }
+            sets.finish_tile();
+        }
+        sets.counts()
+    }
+
     fn sample_decomp(rows: usize, cols: usize, density: f64, q: usize) -> Decomposition {
         let mut rng = StdRng::seed_from_u64(77);
         let acts = SpikeMatrix::random(rows, cols, density, &mut rng);
@@ -201,14 +259,14 @@ mod tests {
     #[test]
     fn compressed_activations_beat_uncompressed() {
         let d = sample_decomp(256, 128, 0.1, 32);
-        let t = layer_traffic(&d, 64, 100, 600, &PhiConfig::default(), 1.0);
+        let t = layer_traffic(&d, 64, 100, 600, prefetch(&d, 256), &PhiConfig::default(), 1.0);
         assert!(t.act_compressed < t.act_uncompressed);
     }
 
     #[test]
     fn prefetch_never_exceeds_full_load() {
         let d = sample_decomp(512, 256, 0.15, 128);
-        let t = layer_traffic(&d, 64, 200, 1200, &PhiConfig::default(), 4.0);
+        let t = layer_traffic(&d, 64, 200, 1200, prefetch(&d, 256), &PhiConfig::default(), 4.0);
         assert!(t.pwp_prefetch <= t.pwp_no_prefetch + 1e-9);
         assert!(t.pwp_utilization() <= 1.0);
     }
@@ -219,7 +277,7 @@ mod tests {
         // dense weights when every partition holds the full q (the paper's
         // 8× for q=128, k=16, on top of 1× raw weights = 9×).
         let d = sample_decomp(2048, 256, 0.2, 128);
-        let t = layer_traffic(&d, 32, 100, 700, &PhiConfig::default(), 1.0);
+        let t = layer_traffic(&d, 32, 100, 700, prefetch(&d, 256), &PhiConfig::default(), 1.0);
         let full_sets = (0..d.num_partitions()).all(|p| d.patterns().set(p).len() == 128);
         if full_sets {
             let ratio = t.pwp_no_prefetch / t.weight_dense;
@@ -230,7 +288,7 @@ mod tests {
     #[test]
     fn total_bytes_respects_switches() {
         let d = sample_decomp(128, 64, 0.1, 16);
-        let t = layer_traffic(&d, 32, 50, 300, &PhiConfig::default(), 1.0);
+        let t = layer_traffic(&d, 32, 50, 300, prefetch(&d, 256), &PhiConfig::default(), 1.0);
         let base = PhiConfig::default();
         let no_comp = PhiConfig { compress: false, ..base.clone() };
         let no_pref = PhiConfig { prefetch: false, ..base.clone() };
@@ -241,8 +299,8 @@ mod tests {
     #[test]
     fn row_scale_scales_row_traffic_only() {
         let d = sample_decomp(128, 64, 0.1, 16);
-        let t1 = layer_traffic(&d, 32, 50, 300, &PhiConfig::default(), 1.0);
-        let t2 = layer_traffic(&d, 32, 50, 300, &PhiConfig::default(), 2.0);
+        let t1 = layer_traffic(&d, 32, 50, 300, prefetch(&d, 256), &PhiConfig::default(), 1.0);
+        let t2 = layer_traffic(&d, 32, 50, 300, prefetch(&d, 256), &PhiConfig::default(), 2.0);
         assert!((t2.act_dense - 2.0 * t1.act_dense).abs() < 1e-9);
         assert!((t2.weight_dense - t1.weight_dense).abs() < 1e-9);
     }

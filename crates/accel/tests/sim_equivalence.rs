@@ -1,19 +1,25 @@
 //! The counting simulator == the building simulator, property-tested.
 //!
-//! [`PhiSimulator::run_decomposition`] counts packs sixteen partitions at
-//! a time in SIMD lanes (a [`PackCounter`] per partition at
-//! `PHI_SIMD=scalar`, off x86-64 and past four packer windows), scans
-//! Level-1 index rows and keeps the PWP prefetch sets as bitsets. The
-//! oracle here is the walk it replaced: L1 cycles from one `l1_index`
-//! call per tile, every partition's Level-2 rows collected into `Vec`s
-//! and packed by [`pack_rows`], and one `HashSet` of prefetched patterns
-//! per (m-tile, partition). Every `LayerReport` field must agree to the
-//! bit, across several m-tiles, 1 to 288 partitions (up to 18 lane
-//! groups, the last one ragged), dense k = 64 tiles whose oversize rows
-//! split into many chunks, 2–9 and 254 pack units, 1–6 packer windows,
-//! 1–64 psum banks, pattern sets larger than 64, the per-tile prefetch
-//! branch and `row_scale != 1` — and on the `phibench fullsim` batches of
-//! VGG-16, layer by layer.
+//! [`PhiSimulator::run_decomposition`] reads each row once: its Level-1
+//! index slice gives the window counts (L1 cycles and the row's assigned
+//! tiles) and the PWP prefetch bitsets, its Level-2 plane words the
+//! packer's per-partition counts and the row's correction count; the
+//! packer steps thirty-two partitions at a time in AVX2 lanes (a
+//! [`PackCounter`] per partition at `PHI_SIMD=scalar`, off x86-64 and past
+//! four packer windows). The oracle here is the walk it replaced: L1
+//! cycles and assigned tiles from one `l1_index` call per tile, every
+//! partition's Level-2 rows collected into `Vec`s and packed by
+//! [`pack_rows`], and one `HashSet` of prefetched patterns per (m-tile,
+//! partition). Every `LayerReport` field must agree to the bit, the
+//! per-row work included, across several m-tiles, 1 to 288 partitions (up
+//! to 9 lane groups, the last one ragged), widths that divide 64 and
+//! widths whose partitions straddle plane words (k = 5, 12, 20), L1
+//! windows of 1 to 100 indices (past one bitmap word) and 1–8 adder
+//! channels, dense
+//! k = 64 tiles whose oversize rows split into many chunks, 2–9 and 254
+//! pack units, 1–6 packer windows, 1–64 psum banks, pattern sets larger
+//! than 64, the per-tile prefetch branch and `row_scale != 1` — and on the
+//! `phibench fullsim` batches of VGG-16, layer by layer.
 //!
 //! A second copy, of the packer's placement rule, pins [`pack_rows`] and
 //! [`PackCounter`] to the rule itself on random row streams.
@@ -26,7 +32,7 @@ use phi_accel::neuron::NeuronArrayModel;
 use phi_accel::packer::{pack_rows, Pack, PackCounter, PackUnit, PackerConfig};
 use phi_accel::report::CycleBreakdown;
 use phi_accel::tiling::TileSchedule;
-use phi_accel::{LayerReport, PhiConfig, PhiSimulator, TrafficReport};
+use phi_accel::{LayerReport, PhiConfig, PhiSimulator, RowWork, TrafficReport};
 use phi_core::{
     decompose, CalibrationConfig, Calibrator, Decomposition, LayerPatterns, Pattern, PatternSet,
 };
@@ -157,12 +163,17 @@ fn oracle_report(
     let mut total_packs = 0u64;
     let mut occupied_units = 0u64;
     let mut oversize_rows = 0u64;
+    let mut row_work = Vec::new();
     for mt in 0..schedule.m_tiles() {
         let (lo, hi) = schedule.m_range(mt);
         let l1_mt = oracle_l1_cycles(&l1_model, decomp, lo, hi) as f64;
         let mut per_part: Vec<Vec<PackerRow>> = vec![Vec::new(); parts];
         for r in lo..hi.min(rows) {
             let row: Vec<_> = decomp.l2_row(r).collect();
+            row_work.push(RowWork {
+                assigned: oracle_l1_accumulations(decomp, r, r + 1) as u32,
+                corrections: row.len() as u32,
+            });
             let mut i = 0;
             while i < row.len() {
                 let part = row[i].col as usize / k;
@@ -230,6 +241,7 @@ fn oracle_report(
         stats,
         pack_occupancy,
         oversize_rows,
+        row_work,
     }
 }
 
@@ -389,6 +401,7 @@ fn vgg16_fullsim_batches_match_the_building_walk() {
             assert_eq!(report_bits(&got), report_bits(&want), "{name}");
             assert_eq!(got.oversize_rows, want.oversize_rows, "{name}");
             assert_eq!(got.stats, want.stats, "{name}");
+            assert_eq!(got.row_work, want.row_work, "{name}");
         }
     }
 }
@@ -400,13 +413,15 @@ proptest! {
     #[test]
     fn run_decomposition_matches_the_building_walk(
         rows in 1usize..300,
-        k in prop::sample::select(vec![4usize, 8, 16, 64]),
-        // One to three lane groups, and 18 full ones one case in six.
+        k in prop::sample::select(vec![4usize, 5, 8, 12, 16, 20, 64]),
+        // One or two lane groups, and nine full ones one case in six.
         parts in prop::sample::select((1usize..40).chain([288; 8]).collect::<Vec<_>>()),
         ragged in 0usize..4,
         q in prop::sample::select(vec![1usize, 7, 64, 65, 130, 200]),
         dense in prop::sample::select(vec![0.0f64, 0.5]),
         tile_m in prop::sample::select(vec![1usize, 3, 16, 64, 256]),
+        l1_window in prop::sample::select(vec![1usize, 5, 16, 16, 48, 100]),
+        channels in prop::sample::select(vec![1usize, 3, 8, 8]),
         pack_units in prop::sample::select((2usize..10).chain([254]).collect::<Vec<_>>()),
         packer_windows in 1usize..7,
         psum_banks in 1usize..65,
@@ -420,6 +435,8 @@ proptest! {
         let decomp = random_decomposition(rows, k, cols, q, dense, seed);
         let config = PhiConfig {
             tile_m,
+            l1_window,
+            channels,
             pack_units,
             packer_windows,
             psum_banks,
@@ -436,11 +453,7 @@ proptest! {
         prop_assert_eq!(got.stats, want.stats);
         prop_assert_eq!(got.oversize_rows, want.oversize_rows);
         prop_assert_eq!(&got.name, &want.name);
-
-        let l1 = L1Model::new(sim.config().l1_window, sim.config().channels);
-        for lo in (0..rows).step_by(tile_m) {
-            prop_assert_eq!(l1.accumulations(&decomp, lo, lo + tile_m), oracle_l1_accumulations(&decomp, lo, lo + tile_m));
-        }
+        prop_assert_eq!(&got.row_work, &want.row_work);
     }
 
     /// `PackCounter` counts what `pack_rows` builds, and `pack_rows`

@@ -1,17 +1,18 @@
 //! Criterion benchmarks for the architecture simulator components:
-//! pattern matcher + packer throughput (Fig. 4), L1/L2 cycle models, and
-//! full per-layer simulation (the engine behind Table 2 and Fig. 8), and
-//! `run_decomposition` at the serving benchmark's `fullsim` shape.
+//! pattern matcher + packer throughput (Fig. 4), the per-layer cycle
+//! simulation from a decomposition and from raw activations (the engine
+//! behind Table 2 and Fig. 8), and, at the serving benchmark's `fullsim`
+//! shape, `run_decomposition` per layer and a whole FullSim executor
+//! batch (decomposition, simulation and per-request attribution).
 //!
 //! Also includes the **ablation** groups DESIGN.md calls out: packer window
 //! count and psum banking, which quantify the design choices of §4.2.2.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use phi_accel::l1::L1Model;
 use phi_accel::packer::{pack_rows, PackerConfig};
 use phi_accel::{PhiConfig, PhiSimulator};
 use phi_core::{decompose, CalibrationConfig, Calibrator, Decomposition, LayerPatterns};
-use phi_runtime::{CompileOptions, ModelCompiler};
+use phi_runtime::{BatchExecutor, CompileOptions, InferenceRequest, MetricsMode, ModelCompiler};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use snn_core::GemmShape;
@@ -57,11 +58,14 @@ fn bench_packer(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_l1_model(c: &mut Criterion) {
+fn bench_run_decomposition_1024_rows(c: &mut Criterion) {
+    // The simulator alone (L1 windows, packer, prefetch sets and traffic)
+    // over four 256-row m-tiles.
     let (_, _, decomp) = setup();
-    let model = L1Model::new(16, 8);
-    c.bench_function("l1_tile_cycles_1024_rows", |b| {
-        b.iter(|| model.tile_cycles(black_box(&decomp), 0, 1024))
+    let sim = PhiSimulator::new(PhiConfig::default());
+    let shape = GemmShape::new(1024, 512, 256);
+    c.bench_function("run_decomposition_1024_rows", |b| {
+        b.iter(|| sim.run_decomposition(black_box(&decomp), shape, 1.0, "layer"))
     });
 }
 
@@ -108,6 +112,26 @@ fn bench_run_decomposition(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_fullsim_batch(c: &mut Criterion) {
+    // One `fullsim` call: 32 four-row VGG-16 requests through the
+    // executor's FullSim path, every layer decomposed (tile caches warm
+    // after the first call) and simulated, and each request's cycles and
+    // energy attributed.
+    let workload = WorkloadConfig::new(ModelId::Vgg16, DatasetId::Cifar10).generate();
+    let model = ModelCompiler::new(CompileOptions::default()).compile(&workload);
+    let batch: Vec<InferenceRequest> = workload
+        .sample_requests(FULLSIM_BATCH, FULLSIM_ROWS, 1)
+        .into_iter()
+        .map(InferenceRequest::new)
+        .collect();
+    let executor = BatchExecutor::new(std::sync::Arc::new(model));
+    let mut group = c.benchmark_group("fullsim_batch_vgg16_32x4");
+    group.bench_function("execute_with_fullsim", |b| {
+        b.iter(|| executor.execute_with(black_box(&batch), MetricsMode::FullSim).expect("batch"))
+    });
+    group.finish();
+}
+
 fn bench_ablation_cycles(c: &mut Criterion) {
     // Not a speed benchmark per se: quantifies the modeled hardware cycles
     // across ablated configs so `cargo bench` output records the design
@@ -140,9 +164,10 @@ fn patterns_ref(p: &LayerPatterns) -> &LayerPatterns {
 criterion_group!(
     benches,
     bench_packer,
-    bench_l1_model,
+    bench_run_decomposition_1024_rows,
     bench_run_layer,
     bench_run_decomposition,
+    bench_fullsim_batch,
     bench_ablation_cycles
 );
 criterion_main!(benches);

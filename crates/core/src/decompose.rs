@@ -1216,13 +1216,22 @@ impl Decomposition {
 
     /// Sparsity statistics (Table 4 / Fig. 7 quantities).
     pub fn stats(&self) -> SparsityStats {
+        self.stats_with_assigned_tiles(self.assigned_tiles())
+    }
+
+    /// [`Decomposition::stats`] from an assigned-tile count the caller has
+    /// already taken (the cycle simulator counts them in its own pass over
+    /// the index rows), instead of a second scan of the index matrix.
+    /// Debug builds check the count.
+    pub fn stats_with_assigned_tiles(&self, assigned_tiles: u64) -> SparsityStats {
+        debug_assert_eq!(assigned_tiles, self.assigned_tiles(), "assigned-tile count");
         SparsityStats {
             rows: self.rows,
             cols: self.cols,
             k: self.k(),
             partitions: self.num_partitions(),
             bit_nnz: self.bit_nnz,
-            assigned_tiles: self.assigned_tiles(),
+            assigned_tiles,
             l1_ones: self.l1_ones,
             l2_pos: self.l2_pos,
             l2_neg: self.l2_neg,

@@ -138,27 +138,44 @@ proptest! {
     }
 
     /// The fused signed-accumulation kernel applies its whole term chain
-    /// bit-identically to the scalar twin, across term counts from empty
-    /// to deeper than the prefetch lookahead and mixed add/subtract flags.
+    /// bit-identically to the scalar twin at every tier the host has, each
+    /// forced in turn: term counts from empty to deeper than the prefetch
+    /// lookahead, random per-term signs (none, half or all negated), rows
+    /// that mix signed zeros, tiny and huge magnitudes, and widths that
+    /// straddle the 8- and 16-float vectors and their scalar tails.
     #[test]
     fn accumulate_signed_matches_scalar(
-        len in prop::sample::select(vec![0usize, 1, 7, 8, 16, 17, 100]),
-        nterms in 0usize..10,
+        len in prop::sample::select(vec![0usize, 1, 7, 8, 9, 10, 15, 16, 17, 31, 33, 100]),
+        nterms in 0usize..40,
+        negative_share in prop::sample::select(vec![0.0f64, 0.5, 1.0]),
         seed in any::<u64>(),
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
+        let value = |rng: &mut StdRng| match rng.gen_range(0..6) {
+            0 => 0.0f32,
+            1 => -0.0,
+            2 => rng.gen_range(-1e-30f32..1e-30),
+            3 => rng.gen_range(-1e30f32..1e30),
+            _ => rng.gen_range(-8.0f32..8.0),
+        };
         let rows: Vec<(Vec<f32>, bool)> = (0..nterms)
-            .map(|_| ((0..len).map(|_| rng.gen_range(-8.0..8.0)).collect(), rng.gen_bool(0.5)))
+            .map(|_| ((0..len).map(|_| value(&mut rng)).collect(), rng.gen_bool(negative_share)))
             .collect();
         let terms: Vec<(&[f32], bool)> = rows.iter().map(|(r, neg)| (r.as_slice(), *neg)).collect();
-        let base: Vec<f32> = (0..len).map(|_| rng.gen_range(-8.0..8.0)).collect();
-        let (mut a, mut b) = (base.clone(), base);
-        simd::accumulate_signed(&mut a, &terms);
-        scalar::accumulate_signed(&mut b, &terms);
-        prop_assert_eq!(
-            a.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            b.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
+        let base: Vec<f32> = (0..len).map(|_| value(&mut rng)).collect();
+        let mut want = base.clone();
+        scalar::accumulate_signed(&mut want, &terms);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let _guard = FORCE_LOCK.lock().unwrap();
+        let original = simd::level();
+        for level in [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512, SimdLevel::Neon] {
+            simd::force(level);
+            let mut got = base.clone();
+            simd::accumulate_signed(&mut got, &terms);
+            let ok = bits(&got) == bits(&want);
+            simd::force(original);
+            prop_assert!(ok, "tier {:?}", level);
+        }
     }
 
     /// Word-aligned tile extraction shears out exactly the tiles the

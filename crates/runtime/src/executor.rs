@@ -35,7 +35,7 @@ use crate::error::{Result, RuntimeError};
 use crate::stream::StreamSession;
 use phi_accel::{
     CpuBackend, ExecutionBackend, LayerReport, LayerWork, MetricsMode, PhiConfig, ReadoutPlan,
-    SimBackend,
+    RowWork, SimBackend,
 };
 use phi_core::{
     decompose_cached, decompose_delta, decompose_delta_sparse, Decomposition, DeltaStats,
@@ -704,7 +704,10 @@ impl<B: ExecutionBackend> BatchExecutor<B> {
         if computed.is_some() {
             crate::sync::lock(&self.reuse).merge(&ReuseStats::of(&decomp));
         }
-        let shares = report.is_some().then(|| attribution_shares(&decomp, batch.len(), rows));
+        let shares = report.as_ref().map(|report| {
+            debug_assert_eq!(report.row_work.len(), batch.len() * rows);
+            attribution_shares(&report.row_work, rows)
+        });
         let readout = match replay {
             Some(replay) => Some(replay.scatter(computed.as_ref(), layer.shape.n)),
             None => computed,
@@ -779,23 +782,18 @@ fn build_caches(model: &CompiledModel, capacity: usize) -> Arc<Vec<TileCache>> {
 
 /// Attribution proxy per request: scanned rows plus Level-1 accumulations
 /// plus Level-2 corrections — the quantities the processors' cycle counts
-/// grow with. Shares split the exact batch totals; they are an
-/// attribution, not an independent simulation. Only computed when the
-/// backend produced a report (the proxy walk is itself simulator-grade
-/// bookkeeping and stays off the outputs-only hot path).
-fn attribution_shares(decomp: &Decomposition, batch: usize, rows: usize) -> Vec<f64> {
-    (0..batch)
-        .map(|b| {
-            let (lo, hi) = (b * rows, (b + 1) * rows);
-            let mut proxy = rows as f64;
-            for r in lo..hi {
-                // A set plane bit is one correction.
-                proxy += snn_core::simd::popcount_words(decomp.l2_words(r)) as f64;
-                let assigned =
-                    decomp.l1_row(r).iter().filter(|&&i| i != Decomposition::NO_PATTERN).count();
-                proxy += assigned as f64;
-            }
-            proxy
+/// grow with — summed from the simulator's per-row census
+/// ([`LayerReport::row_work`], `batch · rows` entries in batch order).
+/// Shares split the exact batch totals; they are an attribution, not an
+/// independent simulation. Only computed when the backend produced a
+/// report, so the outputs-only hot path never sees it.
+fn attribution_shares(row_work: &[RowWork], rows: usize) -> Vec<f64> {
+    row_work
+        .chunks(rows)
+        .map(|request| {
+            request.iter().fold(rows as f64, |proxy, row| {
+                proxy + f64::from(row.corrections) + f64::from(row.assigned)
+            })
         })
         .collect()
 }
@@ -990,32 +988,54 @@ mod tests {
 
     #[test]
     fn attribution_shares_match_the_per_tile_formula() {
-        // Reference: assigned tiles counted one `l1_index` lookup per
-        // partition, in the same per-row f64 order, bit for bit.
+        // Reference: corrections and assigned tiles counted one
+        // `l2_row` / `l1_index` walk per tile, in the same per-row f64
+        // order, bit for bit; each request's cycles and energy are then
+        // the layers' totals split by those shares, in layer order. The
+        // second executor's 5-row m-tiles split the 24-row batch across
+        // five m-tiles, the last one ragged.
         let w = tiny_workload();
-        let exec = executor(&w);
+        let model = Arc::new(ModelCompiler::new(CompileOptions::fast()).compile(&w));
         let batch = requests(&w, 6, 41);
-        let report = exec.execute_with(&batch, MetricsMode::FullSim).unwrap();
-        assert_eq!(report.layer_reports.len(), w.layers.len());
-        for (l, layer) in exec.model().layers().iter().enumerate() {
-            let mats: Vec<&SpikeMatrix> = batch.iter().map(|r| &r.layers[l]).collect();
-            let stacked = SpikeMatrix::vstack(&mats).unwrap();
-            let decomp = phi_core::decompose(&stacked, &layer.patterns);
-            let parts = decomp.num_partitions();
-            let per_tile: Vec<f64> = (0..batch.len())
-                .map(|b| {
-                    let mut proxy = 4.0;
-                    for r in b * 4..(b + 1) * 4 {
-                        proxy += decomp.l2_row(r).len() as f64;
-                        proxy +=
-                            (0..parts).filter(|&p| decomp.l1_index(r, p).is_some()).count() as f64;
-                    }
-                    proxy
-                })
-                .collect();
-            let shares = attribution_shares(&decomp, batch.len(), 4);
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&shares), bits(&per_tile), "layer {l}");
+        let small_tiles = SimBackend::new(PhiConfig { tile_m: 5, ..PhiConfig::default() });
+        for exec in [
+            BatchExecutor::new(Arc::clone(&model)),
+            BatchExecutor::with_backend(Arc::clone(&model), small_tiles),
+        ] {
+            let report = exec.execute_with(&batch, MetricsMode::FullSim).unwrap();
+            assert_eq!(report.layer_reports.len(), w.layers.len());
+            let mut cycles = vec![0.0f64; batch.len()];
+            let mut energy_j = vec![0.0f64; batch.len()];
+            for (l, layer) in exec.model().layers().iter().enumerate() {
+                let mats: Vec<&SpikeMatrix> = batch.iter().map(|r| &r.layers[l]).collect();
+                let stacked = SpikeMatrix::vstack(&mats).unwrap();
+                let decomp = phi_core::decompose(&stacked, &layer.patterns);
+                let parts = decomp.num_partitions();
+                let per_tile: Vec<f64> = (0..batch.len())
+                    .map(|b| {
+                        let mut proxy = 4.0;
+                        for r in b * 4..(b + 1) * 4 {
+                            proxy += decomp.l2_row(r).len() as f64;
+                            proxy += (0..parts).filter(|&p| decomp.l1_index(r, p).is_some()).count()
+                                as f64;
+                        }
+                        proxy
+                    })
+                    .collect();
+                let layer_report = &report.layer_reports[l];
+                let shares = attribution_shares(&layer_report.row_work, 4);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&shares), bits(&per_tile), "layer {l}");
+                let total: f64 = per_tile.iter().sum();
+                for (b, share) in per_tile.iter().enumerate() {
+                    cycles[b] += layer_report.cycles * (share / total);
+                    energy_j[b] += layer_report.energy.total_j() * (share / total);
+                }
+            }
+            for (b, result) in report.requests.iter().enumerate() {
+                assert_eq!(result.cycles.to_bits(), cycles[b].to_bits(), "request {b}");
+                assert_eq!(result.energy_j.to_bits(), energy_j[b].to_bits(), "request {b}");
+            }
         }
     }
 

@@ -144,7 +144,7 @@ pub use stream::StreamSession;
 // callers can stay on `phi_runtime` alone.
 pub use phi_accel::{
     BackendKind, CpuBackend, ExecutionBackend, LayerOutput, LayerReport, LayerWork, MetricsMode,
-    ReadoutPlan, SimBackend,
+    ReadoutPlan, RowWork, SimBackend,
 };
 // The decomposition vocabulary of the online hot path (the executor's
 // tile caches and stream memos), likewise re-exported.
