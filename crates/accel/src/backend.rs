@@ -126,7 +126,9 @@ pub struct LayerWork<'a> {
 #[derive(Debug)]
 pub struct LayerOutput {
     /// Hardware accounting — `Some` only under [`MetricsMode::FullSim`]
-    /// on a backend that models hardware.
+    /// on a backend that models hardware. Its [`LayerReport::row_work`]
+    /// holds one entry per row of [`LayerWork::decomp`], in row order (a
+    /// fused batch's rows are in batch order).
     pub report: Option<LayerReport>,
     /// Functional output rows, when a [`ReadoutPlan`] was supplied.
     pub readout: Option<Matrix>,
@@ -162,6 +164,11 @@ pub trait ExecutionBackend: Send + Sync {
     /// regardless of `metrics`; callers wanting a hard failure instead
     /// should check [`ExecutionBackend::models_hardware`] up front (the
     /// serving executor does).
+    ///
+    /// A report's [`LayerReport::row_work`] must hold exactly one entry
+    /// per decomposed row, in row order: the serving executor splits the
+    /// layer's cycles and energy among a batch's requests by it, and
+    /// panics on a report of any other length.
     fn run_layer(&self, work: &LayerWork<'_>, metrics: MetricsMode) -> LayerOutput;
 }
 

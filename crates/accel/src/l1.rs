@@ -39,18 +39,21 @@ impl L1Model {
     }
 
     /// The cycles of a window by its assigned entries, for every
-    /// occupancy `0..=window`: one per started group of `channels`
-    /// through the adder tree, and the scan cycle when there are none.
+    /// occupancy a row of `parts` partitions can reach (`0..=window`,
+    /// capped at `parts`): one per started group of `channels` through
+    /// the adder tree, and the scan cycle when there are none.
     /// [`L1Model::row_census`] looks windows up in this table.
-    pub fn window_costs(&self) -> Vec<u64> {
-        (0..=self.window).map(|assigned| assigned.div_ceil(self.channels).max(1) as u64).collect()
+    pub fn window_costs(&self, parts: usize) -> Vec<u64> {
+        (0..=self.window.min(parts))
+            .map(|assigned| assigned.div_ceil(self.channels).max(1) as u64)
+            .collect()
     }
 
     /// One row of the pattern-index matrix, for one `n`-tile, from its
     /// assignment bitmap ([`assignment_bitmap`] of the row's `parts`
     /// indices): its cycles and its assigned tiles (the row's PWP
     /// accumulations), one popcount per window. `costs` is
-    /// [`L1Model::window_costs`].
+    /// [`L1Model::window_costs`] of `parts`.
     #[inline]
     pub fn row_census(&self, bitmap: &[u64], parts: usize, costs: &[u64]) -> (u64, u32) {
         let (mut cycles, mut assigned) = (0u64, 0u32);
@@ -89,41 +92,6 @@ pub fn assignment_bitmap(indices: &[u16], bitmap: &mut [u64]) {
     }
 }
 
-/// [`assignment_bitmap`] on AVX2: each 32 indices are compared against
-/// [`Decomposition::NO_PATTERN`] in two vectors, packed to bytes and read
-/// out with one `vpmovmskb`.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-#[target_feature(enable = "avx2")]
-pub(crate) fn assignment_bitmap_avx2(indices: &[u16], bitmap: &mut [u64]) {
-    use std::arch::x86_64::{
-        _mm256_cmpeq_epi16, _mm256_loadu_si256, _mm256_movemask_epi8, _mm256_packs_epi16,
-        _mm256_permute4x64_epi64, _mm256_set1_epi16,
-    };
-    let none = _mm256_set1_epi16(Decomposition::NO_PATTERN as i16);
-    let unassigned = |half: &[u16]| {
-        // SAFETY: `half` is 32 contiguous indices, read unaligned as two
-        // 16-lane vectors.
-        let (a, b) = unsafe {
-            (
-                _mm256_loadu_si256(half.as_ptr().cast()),
-                _mm256_loadu_si256(half[16..].as_ptr().cast()),
-            )
-        };
-        // `vpacksswb` interleaves the two vectors' 128-bit halves;
-        // `vpermq` restores index order before the byte mask is read.
-        let packed = _mm256_packs_epi16(_mm256_cmpeq_epi16(a, none), _mm256_cmpeq_epi16(b, none));
-        _mm256_movemask_epi8(_mm256_permute4x64_epi64::<0b11_01_10_00>(packed)) as u32
-    };
-    let words = indices.chunks_exact(64);
-    let tail = words.remainder();
-    let full = indices.len() / 64;
-    for (word, chunk) in bitmap.iter_mut().zip(words) {
-        *word = !(u64::from(unassigned(&chunk[..32])) | u64::from(unassigned(&chunk[32..])) << 32);
-    }
-    assignment_bitmap(tail, &mut bitmap[full..]);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,7 +121,7 @@ mod tests {
     fn census(m: &L1Model, d: &Decomposition, lo: usize, hi: usize) -> (u64, u32) {
         let parts = d.num_partitions();
         let mut bitmap = vec![0; parts.div_ceil(64)];
-        let costs = m.window_costs();
+        let costs = m.window_costs(parts);
         (lo..hi)
             .map(|r| {
                 assignment_bitmap(d.l1_row(r), &mut bitmap);
@@ -204,24 +172,5 @@ mod tests {
             })
             .sum();
         assert_eq!(census(&L1Model::new(48, 8), &d, 0, 1), (per_window, 50));
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn the_avx2_bitmap_matches_the_portable_one() {
-        if !std::arch::is_x86_feature_detected!("avx2") {
-            return;
-        }
-        for len in [0usize, 1, 31, 32, 63, 64, 65, 127, 128, 200, 288] {
-            let indices: Vec<u16> = (0..len)
-                .map(|i| if (i * 7 + len) % 3 == 0 { Decomposition::NO_PATTERN } else { i as u16 })
-                .collect();
-            let mut want = vec![u64::MAX; len.div_ceil(64)];
-            let mut got = vec![u64::MAX; len.div_ceil(64)];
-            assignment_bitmap(&indices, &mut want);
-            // SAFETY: AVX2 was detected above.
-            unsafe { assignment_bitmap_avx2(&indices, &mut got) };
-            assert_eq!(got, want, "{len} indices");
-        }
     }
 }

@@ -19,9 +19,8 @@
 //!
 //! Every partition of an m-tile runs its own state machine, so the cycle
 //! simulator steps thirty-two of them in lockstep, one AVX2 lane each, on
-//! x86-64 hosts with AVX2, and sixty-four per AVX-512 vector at the
-//! AVX-512 tier (`lanes`, which restates the rule branch-free over lane
-//! masks); one [`PackCounter`] per partition remains the scalar tier and
+//! x86-64 hosts with AVX2 (`lanes`, which restates the rule branch-free
+//! over lane masks); one [`PackCounter`] per partition remains the scalar tier and
 //! the lanes' oracle. Both read a row's correction counts
 //! straight from its Level-2 plane words
 //! ([`phi_core::Decomposition::l2_words`]): a partition's count is the
@@ -361,9 +360,8 @@ impl PackCounter {
 /// The pack counters of every partition of a layer, one m-tile at a time:
 /// the [`PackCounts`] of each partition's stream, summed over the
 /// partitions. On an x86-64 host with AVX2 and POPCNT, at the
-/// [`snn_core::simd::SimdLevel::Avx2`] tier, thirty-two partitions step in
-/// lockstep in AVX2 lanes (`lanes`), and sixty-four in AVX-512 lanes at
-/// the `Avx512` tier when the host has AVX-512 BW; other targets,
+/// [`snn_core::simd::SimdLevel::Avx2`] and `Avx512` tiers, thirty-two
+/// partitions step in lockstep in AVX2 lanes (`lanes`); other targets,
 /// `PHI_SIMD=scalar` and configurations with more than four windows run
 /// one [`PackCounter`] per partition, which is also the lanes' oracle.
 #[derive(Debug)]
@@ -390,21 +388,12 @@ impl TilePackCounter {
                 && std::arch::is_x86_feature_detected!("avx2")
                 && std::arch::is_x86_feature_detected!("popcnt")
             {
-                let wide =
-                    level() == SimdLevel::Avx512 && std::arch::is_x86_feature_detected!("avx512bw");
-                let lanes = lanes::LaneCounter::new(config, k, parts, tile_rows, wide);
+                let lanes = lanes::LaneCounter::new(config, k, parts, tile_rows);
                 return TilePackCounter::Lanes(lanes);
             }
         }
         let _ = tile_rows;
         TilePackCounter::Scalar { k, counters: vec![PackCounter::new(config); parts] }
-    }
-
-    /// Whether the lanes run: the host has AVX2 and POPCNT, so callers
-    /// may compile their own row loop for them.
-    #[cfg(target_arch = "x86_64")]
-    pub(crate) fn is_lanes(&self) -> bool {
-        !matches!(self, TilePackCounter::Scalar { .. })
     }
 
     /// Records tile row `row`'s Level-2 corrections from its plane words

@@ -1,7 +1,6 @@
 //! The lane-parallel pack counter: the partitions of one m-tile step the
-//! window state machine in lockstep, one `u8` lane each — thirty-two per
-//! AVX2 vector, or sixty-four per AVX-512 vector at the
-//! [`snn_core::simd::SimdLevel::Avx512`] tier on hosts with AVX-512 BW.
+//! window state machine in lockstep, one `u8` lane each, thirty-two per
+//! AVX2 vector.
 //!
 //! The partitions of an m-tile never share a window, so their state
 //! machines are independent; each is latency-bound, and a row of them
@@ -35,38 +34,27 @@
 //! * an oversize row runs as lockstep chunks of at most `pack_units - 1`
 //!   corrections, each lane dropping out when its row is spent.
 //!
-//! The AVX2 kernel keeps its lane masks as byte vectors; the AVX-512 one
-//! keeps them in mask registers and merges under them. Occupied units are
+//! The kernel keeps its lane masks as byte vectors. Occupied units are
 //! the units placed (every placed unit leaves in some pack), so they are
 //! summed per step; packs are the forced flushes plus the windows still
 //! open at the end of the m-tile.
 //!
-//! Every function here needs AVX2 and POPCNT, and the wide kernel AVX-512
-//! BW; [`super::TilePackCounter`] builds a [`LaneCounter`] only on a host
-//! with them.
+//! Every function here needs AVX2 and POPCNT; [`super::TilePackCounter`]
+//! builds a [`LaneCounter`] only on a host with them.
 
 use super::{for_each_tile_count, PackCounts, PackerConfig};
 use std::arch::x86_64::{
-    __m256i, __m512i, __mmask64, _mm256_add_epi64, _mm256_add_epi8, _mm256_adds_epu8,
-    _mm256_and_si256, _mm256_andnot_si256, _mm256_castsi256_si128, _mm256_cmpeq_epi8,
-    _mm256_extracti128_si256, _mm256_loadu_si256, _mm256_maddubs_epi16, _mm256_max_epu8,
-    _mm256_min_epu8, _mm256_movemask_epi8, _mm256_or_si256, _mm256_packus_epi16,
-    _mm256_permute4x64_epi64, _mm256_sad_epu8, _mm256_set1_epi8, _mm256_setr_epi8,
-    _mm256_setzero_si256, _mm256_shuffle_epi8, _mm256_srli_epi16, _mm256_storeu_si256,
-    _mm256_subs_epu8, _mm512_add_epi64, _mm512_adds_epu8, _mm512_cmpgt_epu8_mask,
-    _mm512_cmple_epu8_mask, _mm512_loadu_si512, _mm512_mask_add_epi8, _mm512_mask_blend_epi8,
-    _mm512_mask_cmpeq_epu8_mask, _mm512_maskz_add_epi8, _mm512_max_epu8, _mm512_min_epu8,
-    _mm512_or_si512, _mm512_reduce_add_epi64, _mm512_sad_epu8, _mm512_set1_epi8,
-    _mm512_setzero_si512, _mm512_storeu_si512, _mm512_subs_epu8, _mm512_test_epi8_mask,
-    _mm_add_epi64, _mm_cvtsi128_si64, _mm_srli_si128, _mm_storeu_si128,
+    __m256i, _mm256_add_epi64, _mm256_add_epi8, _mm256_adds_epu8, _mm256_and_si256,
+    _mm256_andnot_si256, _mm256_castsi256_si128, _mm256_cmpeq_epi8, _mm256_extracti128_si256,
+    _mm256_loadu_si256, _mm256_maddubs_epi16, _mm256_max_epu8, _mm256_min_epu8,
+    _mm256_movemask_epi8, _mm256_or_si256, _mm256_packus_epi16, _mm256_permute4x64_epi64,
+    _mm256_sad_epu8, _mm256_set1_epi8, _mm256_setr_epi8, _mm256_setzero_si256, _mm256_shuffle_epi8,
+    _mm256_srli_epi16, _mm256_storeu_si256, _mm256_subs_epu8, _mm_add_epi64, _mm_cvtsi128_si64,
+    _mm_srli_si128, _mm_storeu_si128,
 };
 
-/// Partitions per lane group of the AVX2 kernel: one `u8` lane of a
-/// 256-bit register each.
+/// Partitions per lane group: one `u8` lane of a 256-bit register each.
 const LANES: usize = 32;
-
-/// Partitions per lane group of the AVX-512 kernel.
-const WIDE_LANES: usize = 64;
 
 /// Windows the kernel steps. A configuration with fewer windows blocks the
 /// rest; one with more runs the scalar [`super::PackCounter`] instead.
@@ -84,8 +72,6 @@ pub(crate) struct LaneCounter {
     tile_rows: usize,
     /// Bytes per row of `counts`: the partitions padded to whole groups.
     stride: usize,
-    /// Whether the 64-lane AVX-512 kernel runs.
-    wide: bool,
     /// `tile_rows × stride` correction counts, row-major; the padding
     /// lanes stay 0. The kernel zeroes what it reads, so the matrix is
     /// empty again after every m-tile.
@@ -94,28 +80,19 @@ pub(crate) struct LaneCounter {
 
 impl LaneCounter {
     /// A counter for `parts` partitions of width `k` and m-tiles of up to
-    /// `tile_rows` rows, on the 64-lane AVX-512 kernel when `wide`. The
-    /// caller has checked `config` (`pack_units` in `2..=254`,
-    /// `1..=MAX_WINDOWS` windows, `psum_banks` in `1..=64`) and the host
-    /// (AVX2 and POPCNT, and AVX-512 BW when `wide`).
-    pub(crate) fn new(
-        config: &PackerConfig,
-        k: usize,
-        parts: usize,
-        tile_rows: usize,
-        wide: bool,
-    ) -> Self {
+    /// `tile_rows` rows. The caller has checked `config` (`pack_units` in
+    /// `2..=254`, `1..=MAX_WINDOWS` windows, `psum_banks` in `1..=64`) and
+    /// the host (AVX2 and POPCNT).
+    pub(crate) fn new(config: &PackerConfig, k: usize, parts: usize, tile_rows: usize) -> Self {
         debug_assert!((2..=254).contains(&config.pack_units));
         debug_assert!(config.windows <= MAX_WINDOWS && config.psum_banks <= 64);
-        let lanes = if wide { WIDE_LANES } else { LANES };
-        let stride = parts.div_ceil(lanes) * lanes;
+        let stride = parts.div_ceil(LANES) * LANES;
         LaneCounter {
             config: *config,
             k,
             parts,
             tile_rows,
             stride,
-            wide,
             counts: vec![0; tile_rows * stride],
         }
     }
@@ -177,16 +154,6 @@ impl LaneCounter {
     #[target_feature(enable = "avx2,popcnt")]
     pub(crate) fn finish(&mut self, rows: usize) -> PackCounts {
         assert!(rows <= self.tile_rows, "m-tile of {rows} rows exceeds {}", self.tile_rows);
-        if self.wide {
-            // SAFETY: a wide counter is built only on hosts with AVX-512 BW.
-            return unsafe {
-                if self.config.psum_banks <= 8 {
-                    self.pack_wide::<1>(rows)
-                } else {
-                    self.pack_wide::<8>(rows)
-                }
-            };
-        }
         if self.config.psum_banks <= 8 {
             self.pack::<1>(rows)
         } else {
@@ -194,8 +161,8 @@ impl LaneCounter {
         }
     }
 
-    /// The AVX2 kernel: each lane group walks down the rows, a window's
-    /// banks in `PLANES` byte planes (one for up to 8 banks, else 8).
+    /// The kernel: each lane group walks down the rows, a window's banks
+    /// in `PLANES` byte planes (one for up to 8 banks, else 8).
     #[target_feature(enable = "avx2,popcnt")]
     fn pack<const PLANES: usize>(&mut self, rows: usize) -> PackCounts {
         let pack_units = _mm256_set1_epi8(self.config.pack_units as i8);
@@ -250,63 +217,6 @@ impl LaneCounter {
             packs: sum_lanes(packs),
             occupied_units: sum_lanes(placed),
             oversize_rows: sum_lanes(oversize),
-        }
-    }
-
-    /// The AVX-512 kernel: [`LaneCounter::pack`] over sixty-four lanes,
-    /// its lane masks in mask registers.
-    #[target_feature(enable = "avx512f,avx512bw,popcnt")]
-    fn pack_wide<const PLANES: usize>(&mut self, rows: usize) -> PackCounts {
-        let pack_units = _mm512_set1_epi8(self.config.pack_units as i8);
-        let chunk = _mm512_set1_epi8((self.config.pack_units - 1) as i8);
-        let one = _mm512_set1_epi8(1);
-        let zero = _mm512_setzero_si512();
-        let blocked: [[__m512i; PLANES]; MAX_WINDOWS] = std::array::from_fn(|w| {
-            [if w < self.config.windows { zero } else { _mm512_set1_epi8(-1) }; PLANES]
-        });
-        // Units placed per lane, summed into eight u64 lanes by `vpsadbw`.
-        let mut placed = zero;
-        let (mut packs, mut oversize) = (0u64, 0u64);
-        for group in (0..self.stride).step_by(WIDE_LANES) {
-            let mut units = [zero; MAX_WINDOWS];
-            let mut banks = blocked;
-            let mut bank = 0;
-            for lanes in self.counts[..rows * self.stride].chunks_exact_mut(self.stride) {
-                let lanes = &mut lanes[group..group + WIDE_LANES];
-                // SAFETY: `lanes` is 64 contiguous bytes, read and written
-                // unaligned.
-                let mut rest = unsafe { _mm512_loadu_si512(lanes.as_ptr().cast()) };
-                // SAFETY: as above.
-                unsafe { _mm512_storeu_si512(lanes.as_mut_ptr().cast(), zero) };
-                oversize += u64::from(_mm512_cmpgt_epu8_mask(rest, chunk).count_ones());
-                let bit = _mm512_set1_epi8((1u8 << (bank % 8)) as i8);
-                let row_bank: [__m512i; PLANES] =
-                    std::array::from_fn(|p| if p == bank / 8 { bit } else { zero });
-                loop {
-                    let open = _mm512_test_epi8_mask(rest, rest);
-                    if open == 0 {
-                        break;
-                    }
-                    let need = _mm512_maskz_add_epi8(open, _mm512_min_epu8(rest, chunk), one);
-                    placed = _mm512_add_epi64(placed, _mm512_sad_epu8(need, zero));
-                    let flushed =
-                        place_wide(&mut units, &mut banks, &row_bank, need, open, pack_units);
-                    packs += u64::from(flushed.count_ones());
-                    rest = _mm512_subs_epu8(rest, chunk);
-                }
-                bank += 1;
-                if bank == self.config.psum_banks {
-                    bank = 0;
-                }
-            }
-            for units in units {
-                packs += u64::from(_mm512_test_epi8_mask(units, units).count_ones());
-            }
-        }
-        PackCounts {
-            packs,
-            occupied_units: _mm512_reduce_add_epi64(placed) as u64,
-            oversize_rows: oversize,
         }
     }
 }
@@ -374,46 +284,6 @@ fn sum_lanes(acc: __m256i) -> u64 {
     _mm_cvtsi128_si64(_mm_add_epi64(half, _mm_srli_si128::<8>(half))) as u64
 }
 
-/// [`place`] over sixty-four lanes, `open` and the result as lane masks.
-#[inline]
-#[target_feature(enable = "avx512f,avx512bw")]
-fn place_wide<const PLANES: usize>(
-    units: &mut [__m512i; MAX_WINDOWS],
-    banks: &mut [[__m512i; PLANES]; MAX_WINDOWS],
-    row_bank: &[__m512i; PLANES],
-    need: __m512i,
-    mut open: __mmask64,
-    pack_units: __m512i,
-) -> __mmask64 {
-    // First fit.
-    for (units, planes) in units.iter_mut().zip(banks.iter_mut()) {
-        let room = _mm512_cmple_epu8_mask(_mm512_adds_epu8(*units, need), pack_units);
-        let taken = planes
-            .iter()
-            .zip(row_bank)
-            .fold(0, |t, (&plane, &bit)| t | _mm512_test_epi8_mask(plane, bit));
-        let take = room & !taken & open;
-        open &= !take;
-        *units = _mm512_mask_add_epi8(*units, take, *units, need);
-        for (plane, &bit) in planes.iter_mut().zip(row_bank) {
-            *plane = _mm512_mask_blend_epi8(take, *plane, _mm512_or_si512(*plane, bit));
-        }
-    }
-    // Flush the fullest window of every lane left open, the last on ties,
-    // and place there.
-    let flushed = open;
-    let fullest = units.iter().fold(_mm512_setzero_si512(), |m, &u| _mm512_max_epu8(m, u));
-    for (units, planes) in units.iter_mut().zip(banks.iter_mut()).rev() {
-        let flush = _mm512_mask_cmpeq_epu8_mask(open, *units, fullest);
-        open &= !flush;
-        *units = _mm512_mask_blend_epi8(flush, *units, need);
-        for (plane, &bit) in planes.iter_mut().zip(row_bank) {
-            *plane = _mm512_mask_blend_epi8(flush, *plane, bit);
-        }
-    }
-    flushed
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -443,8 +313,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Both kernels (the wide one where the host has AVX-512 BW) count
-        /// what a `PackCounter` per partition counts, on random count
+        /// The kernel counts what a `PackCounter` per partition counts, on random count
         /// matrices spanning several lane groups, over successive m-tiles
         /// of one counter; every row's returned total is its count sum.
         #[test]
@@ -457,7 +326,6 @@ mod tests {
             pack_units in prop::sample::select((2usize..10).chain([17, 253, 254]).collect::<Vec<_>>()),
             windows in 1usize..=MAX_WINDOWS,
             psum_banks in 1usize..65,
-            wide in any::<bool>(),
             seed in any::<u64>(),
         ) {
             if !std::arch::is_x86_feature_detected!("avx2")
@@ -465,10 +333,9 @@ mod tests {
             {
                 return;
             }
-            let wide = wide && std::arch::is_x86_feature_detected!("avx512bw");
             let mut rng = StdRng::seed_from_u64(seed);
             let config = PackerConfig { pack_units, windows, psum_banks };
-            let mut lanes = LaneCounter::new(&config, k, parts, tile_rows, wide);
+            let mut lanes = LaneCounter::new(&config, k, parts, tile_rows);
             for rows in [tile_rows, tile_rows.div_ceil(3)] {
                 let matrix: Vec<Vec<u8>> = (0..rows)
                     .map(|_| {
@@ -488,8 +355,7 @@ mod tests {
                             words[col / 64] |= 1 << (col % 64);
                         }
                     }
-                    // SAFETY: AVX2 and POPCNT were detected above, and
-                    // AVX-512 BW for a wide counter.
+                    // SAFETY: AVX2 and POPCNT were detected above.
                     let total = unsafe { lanes.push_row(row, &words) };
                     prop_assert_eq!(total, counts.iter().map(|&c| u32::from(c)).sum::<u32>());
                 }

@@ -18,18 +18,16 @@
 //! bitsets take; the row's Level-2 plane words become its per-partition
 //! correction counts and its correction total. The packer's window state
 //! machine turns each m-tile's counts into pack counts thirty-two
-//! partitions per AVX2 vector, or sixty-four per AVX-512 vector (a
-//! [`crate::packer::PackCounter`] per partition at `PHI_SIMD=scalar`; the
-//! functional [`crate::packer::pack_rows`], which records every unit, is
-//! what [`crate::datapath`] executes). The report keeps each row's
+//! partitions per AVX2 vector (a [`crate::packer::PackCounter`] per
+//! partition at `PHI_SIMD=scalar`; the functional
+//! [`crate::packer::pack_rows`], which records every unit, is what
+//! [`crate::datapath`] executes). The report keeps each row's
 //! assigned tiles and corrections ([`LayerReport::row_work`]), which a
 //! batch splits its cycles and energy by, and the layer's
 //! [`phi_core::SparsityStats`] take the census's assigned total.
 
 use crate::config::PhiConfig;
 use crate::energy::{BusyCycles, EnergyModel};
-#[cfg(target_arch = "x86_64")]
-use crate::l1::assignment_bitmap_avx2;
 use crate::l1::{assignment_bitmap, L1Model};
 use crate::l2::L2Model;
 use crate::matcher::MatcherModel;
@@ -192,8 +190,12 @@ impl PhiSimulator {
         };
         let l1 = L1Model::new(self.config.l1_window, self.config.channels);
         let mut census = Census {
+            #[cfg(target_arch = "x86_64")]
+            avx2: snn_core::simd::level() != snn_core::simd::SimdLevel::Scalar
+                && std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("popcnt"),
             l1,
-            l1_costs: l1.window_costs(),
+            l1_costs: l1.window_costs(parts),
             bitmap: vec![0; parts.div_ceil(64)],
             // Every partition's pack counter, allocated once and emptied by
             // `finish` at the end of every m-tile.
@@ -301,6 +303,10 @@ impl PhiSimulator {
 /// tiles whose patterns the prefetcher loads; its Level-2 plane words give
 /// the packer's per-partition counts and the row's correction count.
 struct Census {
+    /// Whether the row loop runs compiled for AVX2 and POPCNT: an x86-64
+    /// vector tier on a host with both.
+    #[cfg(target_arch = "x86_64")]
+    avx2: bool,
     l1: L1Model,
     /// [`L1Model::window_costs`].
     l1_costs: Vec<u64>,
@@ -319,38 +325,29 @@ impl Census {
     /// `n`-tile and its pack counts.
     fn tile(&mut self, decomp: &Decomposition, lo: usize, hi: usize) -> (u64, PackCounts) {
         #[cfg(target_arch = "x86_64")]
-        if self.packer.is_lanes() {
-            // SAFETY: the lanes run only on hosts with AVX2 and POPCNT.
+        if self.avx2 {
+            // SAFETY: `avx2` is set only on hosts with AVX2 and POPCNT.
             let cycles = unsafe { self.rows_avx2(decomp, lo, hi) };
             return (cycles, self.packer.finish(hi - lo));
         }
-        let cycles = self.rows::<false>(decomp, lo, hi);
+        let cycles = self.rows(decomp, lo, hi);
         (cycles, self.packer.finish(hi - lo))
     }
 
-    /// [`Census::rows`] compiled for AVX2 and POPCNT, the lanes' tier.
+    /// [`Census::rows`] compiled for AVX2 and POPCNT.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2,popcnt")]
     fn rows_avx2(&mut self, decomp: &Decomposition, lo: usize, hi: usize) -> u64 {
-        self.rows::<true>(decomp, lo, hi)
+        self.rows(decomp, lo, hi)
     }
 
-    /// The row loop; `AVX2` builds the bitmaps with AVX2, which only
-    /// [`Census::rows_avx2`] asks for.
+    /// The row loop.
     #[inline(always)]
-    fn rows<const AVX2: bool>(&mut self, decomp: &Decomposition, lo: usize, hi: usize) -> u64 {
+    fn rows(&mut self, decomp: &Decomposition, lo: usize, hi: usize) -> u64 {
         let parts = decomp.num_partitions();
         let mut cycles = 0u64;
         for r in lo..hi {
             let indices = decomp.l1_row(r);
-            #[cfg(target_arch = "x86_64")]
-            if AVX2 {
-                // SAFETY: instantiated only by `rows_avx2`, on AVX2 hosts.
-                unsafe { assignment_bitmap_avx2(indices, &mut self.bitmap) };
-            } else {
-                assignment_bitmap(indices, &mut self.bitmap);
-            }
-            #[cfg(not(target_arch = "x86_64"))]
             assignment_bitmap(indices, &mut self.bitmap);
             let (row_cycles, assigned) = self.l1.row_census(&self.bitmap, parts, &self.l1_costs);
             cycles += row_cycles;
@@ -508,6 +505,30 @@ mod tests {
     #[should_panic(expected = "l1_window must be at least 1, got 0")]
     fn zero_l1_window_is_rejected() {
         PhiSimulator::new(PhiConfig { l1_window: 0, ..Default::default() });
+    }
+
+    #[test]
+    fn an_l1_window_wider_than_the_row_is_one_window() {
+        // `usize::MAX` (no windowing) scans each row as one window, as a
+        // window of exactly the row's partitions does.
+        let mut rng = StdRng::seed_from_u64(7);
+        let acts = SpikeMatrix::random(64, 64, 0.2, &mut rng);
+        let patterns = Calibrator::new(CalibrationConfig { q: 16, ..Default::default() })
+            .calibrate(&acts, &mut rng);
+        let decomp = decompose(&acts, &patterns);
+        let shape = GemmShape::new(64, 64, 128);
+        let run = |l1_window| {
+            PhiSimulator::new(PhiConfig { l1_window, ..Default::default() }).run_decomposition(
+                &decomp,
+                shape,
+                1.0,
+                "unwindowed",
+            )
+        };
+        let (unbounded, whole_row) = (run(usize::MAX), run(decomp.num_partitions()));
+        assert_eq!(unbounded.breakdown, whole_row.breakdown);
+        assert_eq!(unbounded.row_work, whole_row.row_work);
+        assert!(unbounded.breakdown.l1 > 0.0);
     }
 
     #[test]

@@ -705,7 +705,12 @@ impl<B: ExecutionBackend> BatchExecutor<B> {
             crate::sync::lock(&self.reuse).merge(&ReuseStats::of(&decomp));
         }
         let shares = report.as_ref().map(|report| {
-            debug_assert_eq!(report.row_work.len(), batch.len() * rows);
+            assert_eq!(
+                report.row_work.len(),
+                batch.len() * rows,
+                "backend '{}' reported row work for layer {l} that is not one entry per row",
+                self.backend.name()
+            );
             attribution_shares(&report.row_work, rows)
         });
         let readout = match replay {
@@ -1036,6 +1041,46 @@ mod tests {
                 assert_eq!(result.cycles.to_bits(), cycles[b].to_bits(), "request {b}");
                 assert_eq!(result.energy_j.to_bits(), energy_j[b].to_bits(), "request {b}");
             }
+        }
+    }
+
+    /// The simulator backend with its reports' row work rewritten.
+    struct MisreportedRowWork(fn(&mut Vec<RowWork>));
+
+    impl ExecutionBackend for MisreportedRowWork {
+        fn name(&self) -> &'static str {
+            "misreported"
+        }
+
+        fn models_hardware(&self) -> bool {
+            true
+        }
+
+        fn run_layer(&self, work: &LayerWork<'_>, metrics: MetricsMode) -> phi_accel::LayerOutput {
+            let mut output = SimBackend::default().run_layer(work, metrics);
+            if let Some(report) = output.report.as_mut() {
+                (self.0)(&mut report.row_work);
+            }
+            output
+        }
+    }
+
+    #[test]
+    fn reports_without_one_row_work_entry_per_row_are_refused() {
+        let w = tiny_workload();
+        let model = Arc::new(ModelCompiler::new(CompileOptions::fast()).compile(&w));
+        let batch = requests(&w, 3, 43);
+        let empty: fn(&mut Vec<RowWork>) = Vec::clear;
+        let extra: fn(&mut Vec<RowWork>) =
+            |rows| rows.push(RowWork { assigned: 0, corrections: 0 });
+        for rewrite in [empty, extra] {
+            let exec = BatchExecutor::with_backend(Arc::clone(&model), MisreportedRowWork(rewrite));
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                exec.execute_with(&batch, MetricsMode::FullSim)
+            }))
+            .expect_err("a misreported row work must not be attributed");
+            let message = panic.downcast_ref::<String>().expect("a formatted panic message");
+            assert!(message.contains("backend 'misreported' reported row work"), "{message}");
         }
     }
 
