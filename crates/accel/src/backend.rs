@@ -10,7 +10,8 @@
 //!   the Phi accelerator, bit-identical to calling the simulator directly.
 //!   Used when a batch asks for [`MetricsMode::FullSim`].
 //! * [`CpuBackend`] executes the decomposition directly on the host: the
-//!   rayon-parallel PWP sparse matmul ([`phi_core::par_phi_matmul`]),
+//!   PWP sparse matmul ([`phi_core::par_phi_matmul`], on the calling
+//!   thread below a work grain and across the rayon pool above it),
 //!   with no tile scheduler, packer walk, or traffic/energy bookkeeping
 //!   on the hot path. It cannot model hardware; it exists to produce
 //!   outputs as fast as the host allows.

@@ -1,13 +1,15 @@
 //! Criterion benchmarks for the Phi decomposition and the functional GEMM
 //! paths — the online side of Table 4: dense spike GEMM (bit sparsity)
-//! versus the decomposed PWP + L2 evaluation.
+//! versus the decomposed PWP + L2 evaluation — and the CPU readout
+//! (`par_phi_matmul`) at the serving benchmark's shapes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use phi_core::{decompose, phi_matmul, CalibrationConfig, Calibrator, PwpTable};
+use phi_core::{decompose, par_phi_matmul, phi_matmul, CalibrationConfig, Calibrator, PwpTable};
+use phi_runtime::{CompileOptions, ModelCompiler};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use snn_core::{Matrix, SpikeMatrix};
-use snn_workloads::{activation_profile, generate_clustered, DatasetId, ModelId};
+use snn_workloads::{activation_profile, generate_clustered, DatasetId, ModelId, WorkloadConfig};
 use std::hint::black_box;
 
 fn bench_decompose(c: &mut Criterion) {
@@ -63,5 +65,44 @@ fn bench_reconstruct(c: &mut Criterion) {
     c.bench_function("reconstruct_1024x512", |b| b.iter(|| black_box(&decomp).reconstruct()));
 }
 
-criterion_group!(benches, bench_decompose, bench_gemm_paths, bench_reconstruct);
+/// Rows per `serve` request, and requests per `fullsim` batch.
+const REQUEST_ROWS: usize = 4;
+const FULLSIM_BATCH: usize = 32;
+
+fn bench_readout(c: &mut Criterion) {
+    // The compiled VGG-16 readout layer (fc2, n = 10) on one 4-row `serve`
+    // request and on a 128-row `fullsim` batch, and one conv-width layer
+    // (conv5_3, n = 512, generated weights) on a 4-row request, which runs
+    // the kernel's multi-block path.
+    let workload = WorkloadConfig::new(ModelId::Vgg16, DatasetId::Cifar10).generate();
+    let model = ModelCompiler::new(CompileOptions::default()).compile(&workload);
+    let requests = workload.sample_requests(FULLSIM_BATCH, REQUEST_ROWS, 1);
+    let layer_index = |name: &str| model.layers().iter().position(|l| l.name == name).unwrap();
+    let stacked = |l: usize, count: usize| {
+        let mats: Vec<&SpikeMatrix> = requests[..count].iter().map(|r| &r[l]).collect();
+        SpikeMatrix::vstack(&mats).expect("equal widths")
+    };
+    let mut group = c.benchmark_group("readout");
+    let fc2 = layer_index("fc2");
+    let readout = &model.layers()[fc2];
+    let (weights, pwp) = (readout.weights.as_ref().unwrap(), readout.pwp.as_ref().unwrap());
+    for (name, count) in [("fc2_serve_4_rows", 1), ("fc2_fullsim_128_rows", FULLSIM_BATCH)] {
+        let decomp = decompose(&stacked(fc2, count), &readout.patterns);
+        group.bench_function(name, |b| {
+            b.iter(|| par_phi_matmul(black_box(&decomp), pwp, weights).expect("readout"))
+        });
+    }
+    let conv = layer_index("conv5_3");
+    let layer = &model.layers()[conv];
+    let mut rng = StdRng::seed_from_u64(4);
+    let weights = Matrix::random(layer.shape.k, layer.shape.n, &mut rng);
+    let pwp = PwpTable::new(&layer.patterns, &weights).expect("pwp");
+    let decomp = decompose(&stacked(conv, 1), &layer.patterns);
+    group.bench_function("conv5_3_4_rows_n512", |b| {
+        b.iter(|| par_phi_matmul(black_box(&decomp), &pwp, &weights).expect("readout"))
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_decompose, bench_gemm_paths, bench_reconstruct, bench_readout);
 criterion_main!(benches);

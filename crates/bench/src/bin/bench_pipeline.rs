@@ -37,7 +37,7 @@
 //!   kernels vs forced-scalar on both the cold decomposition and the CPU
 //!   execution tracks (default 1.25; 0 disables). Skipped automatically
 //!   when dispatch resolves to scalar (`PHI_SIMD=scalar` or a host
-//!   without AVX2/NEON).
+//!   without AVX2).
 //! * `PHI_SIMD` — kernel dispatch override (see [`phi_core::simd`]); the
 //!   recorded `simd_dispatch` field names the level every track above ran
 //!   at.

@@ -147,9 +147,10 @@ fn phi_matmul_row_with<'a>(
     assert_eq!(out.len(), weights.cols(), "output row width must match weights");
     // Gather the row's accumulation terms — Level-1 PWP rows in partition
     // order, then Level-2 signed weight rows in column order — and fuse
-    // them into one SIMD pass. Per output element the additions still run
-    // in exactly this term order, so the result is bit-identical to the
-    // one-pass-per-term sweep at every dispatch level.
+    // them into one register-blocked pass. Per output element the
+    // additions still run in exactly this term order, so the result is
+    // bit-identical to the one-pass-per-term sweep at every dispatch
+    // level.
     terms.clear();
     for (part, &idx) in decomp.l1_row(row).iter().enumerate() {
         if idx != Decomposition::NO_PATTERN {
@@ -165,8 +166,8 @@ fn phi_matmul_row_with<'a>(
 /// Runs the per-row kernel over `rows ∈ [lo, hi)` into `block` (a
 /// row-major `(hi − lo) × N` slice), sharing one terms scratch across the
 /// whole sweep. This is the single sweep body behind [`phi_matmul`]'s
-/// sequential pass and [`par_phi_matmul`]'s per-worker blocks — the
-/// scratch handling lives here once.
+/// sequential pass and [`par_phi_matmul`]'s inline pass and per-worker
+/// row blocks — the scratch handling lives here once.
 fn sweep_rows(
     decomp: &Decomposition,
     pwp: &PwpTable,
@@ -202,7 +203,35 @@ pub fn phi_matmul(decomp: &Decomposition, pwp: &PwpTable, weights: &Matrix) -> R
     Ok(out)
 }
 
-/// [`phi_matmul`] with the row sweep fanned across rayon workers.
+/// What gathering one partition tile's terms costs, in output floats
+/// accumulated: a row's readout time grows as `partitions × (n +
+/// TILE_WORK)`, not `partitions × n` — a narrow classifier row (n = 10)
+/// pays mostly for its gather (fitted on a 2-core AVX-512 host over
+/// n ∈ {10, 64, 256}; CHANGES.md).
+const TILE_WORK: usize = 96;
+
+/// Readout work, counted as rows × partitions × (n + [`TILE_WORK`]),
+/// below which [`par_phi_matmul`] runs on the calling thread: handing rows
+/// to the pool costs more than accumulating them. In the crossover sweep
+/// that chose it (same host, n ∈ {10, 64, 256}), fan-out pulled ahead
+/// between 0.5 and 1 × 2^20 in one run and between 2 and 4 × 2^20 in two
+/// others, as host load moved the inline time there from 25 to 180 µs;
+/// the grain sits between. A 4-row VGG-16 `fc2` request (4 × 32 × 106)
+/// is far below it.
+const INLINE_WORK: usize = 1 << 21;
+
+/// Whether a readout of `rows` rows over `parts` partitions and `n`
+/// output floats is below the [`INLINE_WORK`] grain.
+fn below_grain(rows: usize, parts: usize, n: usize) -> bool {
+    rows * parts * (n + TILE_WORK) < INLINE_WORK
+}
+
+/// [`phi_matmul`] with the row sweep fanned across rayon workers once the
+/// readout's work reaches a grain: rows × partitions × (n + 96) of
+/// 2^21, measured on a 2-core AVX-512 host. Smaller readouts (a 4-row
+/// request's, for one) run on the calling thread, where the pool hand-off
+/// would cost more than the rows. Above the grain, each worker writes its
+/// contiguous row block straight into the one output matrix.
 ///
 /// Rows accumulate independently through [`phi_matmul_row_into`], so the
 /// result is bit-identical to the sequential sweep regardless of worker
@@ -215,38 +244,21 @@ pub fn par_phi_matmul(decomp: &Decomposition, pwp: &PwpTable, weights: &Matrix) 
     validate_matmul(decomp, pwp, weights)?;
     let n = weights.cols();
     let rows = decomp.rows();
-    if rows == 0 {
-        return Ok(Matrix::zeros(0, n));
-    }
-    // One contiguous row block per worker (not per row): the parallel map
-    // costs `workers` allocations, and the in-order block concatenation is
-    // the only copy.
+    let mut out = Matrix::zeros(rows, n);
     let workers = rayon::current_num_threads().min(rows);
+    if workers <= 1 || n == 0 || below_grain(rows, decomp.num_partitions(), n) {
+        sweep_rows(decomp, pwp, weights, 0, rows, out.as_mut_slice());
+        return Ok(out);
+    }
+    // One contiguous row block of the output per worker: each worker
+    // writes its rows in place, so there is nothing to merge.
     let chunk = rows.div_ceil(workers);
-    let ranges: Vec<(usize, usize)> =
-        (0..rows).step_by(chunk).map(|lo| (lo, (lo + chunk).min(rows))).collect();
-    let blocks: Vec<Vec<f32>> = ranges
-        .into_par_iter()
-        .map(|(lo, hi)| {
-            let mut block = vec![0.0f32; (hi - lo) * n];
-            sweep_rows(decomp, pwp, weights, lo, hi, &mut block);
-            block
-        })
-        .collect();
-    concat_blocks(rows, n, blocks)
-}
-
-/// Concatenates per-worker row blocks into the output matrix, handing a
-/// single worker's block over without a copy.
-fn concat_blocks(rows: usize, n: usize, mut blocks: Vec<Vec<f32>>) -> Result<Matrix> {
-    if blocks.len() == 1 {
-        return Matrix::from_vec(rows, n, blocks.pop().expect("one block"));
-    }
-    let mut data = Vec::with_capacity(rows * n);
-    for block in &blocks {
-        data.extend_from_slice(block);
-    }
-    Matrix::from_vec(rows, n, data)
+    let blocks: Vec<(usize, &mut [f32])> =
+        out.as_mut_slice().chunks_mut(chunk * n).enumerate().map(|(w, b)| (w * chunk, b)).collect();
+    blocks.into_par_iter().for_each(|(lo, block)| {
+        sweep_rows(decomp, pwp, weights, lo, lo + block.len() / n, block);
+    });
+    Ok(out)
 }
 
 /// Term-row work counters for computed readouts, merged per executor
@@ -369,6 +381,65 @@ mod tests {
             // Bit-exact, not approximate: rows accumulate independently.
             assert_eq!(seq, par, "density {density}");
         }
+    }
+
+    /// Both readout paths, the inline sweep just below the grain and the
+    /// fan-out into one shared buffer just above it, at every tier the
+    /// host has, against the sequential sweep at the scalar tier (the
+    /// term-major oracle), bit for bit. Output widths straddle the 16- and
+    /// 8-float blocks, their ragged ends and the register groups; the
+    /// calibrated decompositions carry corrections of both signs.
+    #[test]
+    fn both_readout_paths_match_the_scalar_oracle_at_every_tier() {
+        let mut rng = StdRng::seed_from_u64(35);
+        let cols = 80;
+        let calib = SpikeMatrix::random(64, cols, 0.3, &mut rng);
+        for k in [5usize, 16, 20] {
+            let cal = Calibrator::new(CalibrationConfig { k, q: 16, ..Default::default() });
+            let patterns = cal.calibrate(&calib, &mut rng);
+            let parts = patterns.num_partitions();
+            for n in [10usize, 16, 17, 100] {
+                let weights = Matrix::random(cols, n, &mut rng);
+                let pwp = PwpTable::new(&patterns, &weights).unwrap();
+                let inline_rows = (INLINE_WORK - 1) / (parts * (n + TILE_WORK));
+                for rows in [inline_rows, inline_rows + 1] {
+                    assert_eq!(below_grain(rows, parts, n), rows == inline_rows);
+                    let acts = SpikeMatrix::random(rows, cols, 0.3, &mut rng);
+                    let d = decompose(&acts, &patterns);
+                    let stats = d.stats();
+                    assert!(stats.l2_pos > 0 && stats.l2_neg > 0, "k = {k}: both signs");
+                    let original = simd::force(simd::SimdLevel::Scalar);
+                    let want = phi_matmul(&d, &pwp, &weights).unwrap();
+                    for level in
+                        [simd::SimdLevel::Scalar, simd::SimdLevel::Avx2, simd::SimdLevel::Avx512]
+                    {
+                        simd::force(level);
+                        let got = par_phi_matmul(&d, &pwp, &weights).unwrap();
+                        let bits = |m: &Matrix| {
+                            m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                        };
+                        let same = bits(&got) == bits(&want);
+                        assert!(same, "k = {k}, n = {n}, rows = {rows} at {}", simd::level());
+                    }
+                    simd::force(original);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_zero_width_readout_above_the_grain_is_empty() {
+        let mut rng = StdRng::seed_from_u64(36);
+        let acts = SpikeMatrix::random(64, 80, 0.3, &mut rng);
+        let patterns = Calibrator::new(CalibrationConfig { q: 8, ..Default::default() })
+            .calibrate(&acts, &mut rng);
+        let rows = INLINE_WORK / (patterns.num_partitions() * TILE_WORK) + 1;
+        assert!(!below_grain(rows, patterns.num_partitions(), 0));
+        let d = decompose(&SpikeMatrix::random(rows, 80, 0.3, &mut rng), &patterns);
+        let weights = Matrix::zeros(80, 0);
+        let pwp = PwpTable::new(&patterns, &weights).unwrap();
+        let out = par_phi_matmul(&d, &pwp, &weights).unwrap();
+        assert_eq!((out.rows(), out.cols()), (rows, 0));
     }
 
     #[test]

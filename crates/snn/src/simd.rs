@@ -3,11 +3,11 @@
 //! Phi's software pipeline spends its time in a handful of primitive
 //! loops: XOR+popcount Hamming distances (pattern matching, k-means),
 //! word popcounts (density accounting), tile extraction from packed
-//! rows, and elementwise `f32` row accumulation (the PWP GEMM). This
+//! rows, and signed `f32` row accumulation (the PWP GEMM readout). This
 //! module implements each primitive three ways — a portable scalar
-//! reference, 256-bit AVX2, and 512-bit AVX-512 (`aarch64` gets NEON) —
-//! behind one runtime CPU-feature dispatch, using only stable
-//! `core::arch` intrinsics (no external crates).
+//! reference, 256-bit AVX2, and 512-bit AVX-512 — behind one runtime
+//! CPU-feature dispatch, using only stable `core::arch` intrinsics (no
+//! external crates). Other architectures run the scalar tier.
 //!
 //! # Bit-identity contract
 //!
@@ -28,7 +28,9 @@
 //!   such minimum per lane;
 //! * [`add_assign`] and [`accumulate_signed`] are elementwise
 //!   (`out[i] ± src[i]`, one operation per element in term order, no
-//!   reassociation), so `f32` rounding is unchanged lane for lane.
+//!   reassociation), so `f32` rounding is unchanged lane for lane. The
+//!   vector tiers add a subtracted term with its sign bit flipped, which
+//!   IEEE 754 defines `x − y` to be.
 //!
 //! The `simd_equivalence` property suite in `phi-core` pins all of this
 //! against the [`scalar`] twins.
@@ -58,8 +60,8 @@
 //! The active level is detected once and cached. The `PHI_SIMD`
 //! environment variable overrides it: `off`/`scalar`/`0` force the
 //! portable path, `auto` (or empty, or unset) uses the best detected
-//! level, and `avx2`/`avx512`/`neon` clamp to that level if the host
-//! supports it. Any other value panics on first dispatch, naming the
+//! level, and `avx2`/`avx512` clamp to that level if the host supports
+//! it. Any other value panics on first dispatch, naming the
 //! variable and the value. Benchmarks A/B the paths in-process via
 //! [`force`].
 
@@ -77,8 +79,6 @@ pub enum SimdLevel {
     /// 512-bit AVX-512 with `VPOPCNTDQ` (x86-64): hardware 64-bit lane
     /// popcount, 16-lane `f32`.
     Avx512 = 2,
-    /// 128-bit NEON (aarch64): `vcnt` byte popcount, 4-lane `f32`.
-    Neon = 3,
 }
 
 impl std::fmt::Display for SimdLevel {
@@ -87,7 +87,6 @@ impl std::fmt::Display for SimdLevel {
             SimdLevel::Scalar => "scalar",
             SimdLevel::Avx2 => "avx2",
             SimdLevel::Avx512 => "avx512",
-            SimdLevel::Neon => "neon",
         })
     }
 }
@@ -104,7 +103,6 @@ fn decode(v: u8) -> SimdLevel {
     match v {
         1 => SimdLevel::Avx2,
         2 => SimdLevel::Avx512,
-        3 => SimdLevel::Neon,
         _ => SimdLevel::Scalar,
     }
 }
@@ -124,39 +122,16 @@ pub fn detected() -> SimdLevel {
         }
         SimdLevel::Scalar
     }
-    #[cfg(target_arch = "aarch64")]
-    {
-        // NEON is architecturally guaranteed on aarch64.
-        SimdLevel::Neon
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     {
         SimdLevel::Scalar
     }
 }
 
-/// Clamps a requested tier to what the host actually supports. The x86
-/// tiers and NEON are distinct families, not an ordering: requesting a
-/// tier from the other family degrades to scalar.
+/// Clamps a requested tier to what the host actually supports: the tiers
+/// are ordered, so a request above the host's capability degrades to it.
 fn clamp(requested: SimdLevel) -> SimdLevel {
-    let cap = detected();
-    match requested {
-        SimdLevel::Scalar => SimdLevel::Scalar,
-        SimdLevel::Neon => {
-            if cap == SimdLevel::Neon {
-                SimdLevel::Neon
-            } else {
-                SimdLevel::Scalar
-            }
-        }
-        x86_tier => {
-            if cap == SimdLevel::Neon {
-                SimdLevel::Scalar
-            } else {
-                x86_tier.min(cap)
-            }
-        }
-    }
+    requested.min(detected())
 }
 
 /// What the `PHI_SIMD` knob asks for.
@@ -177,7 +152,6 @@ impl std::str::FromStr for SimdRequest {
             "off" | "scalar" | "0" => Ok(SimdRequest::Fixed(SimdLevel::Scalar)),
             "avx2" => Ok(SimdRequest::Fixed(SimdLevel::Avx2)),
             "avx512" => Ok(SimdRequest::Fixed(SimdLevel::Avx512)),
-            "neon" => Ok(SimdRequest::Fixed(SimdLevel::Neon)),
             _ => Err(()),
         }
     }
@@ -231,8 +205,6 @@ pub fn popcount_words(words: &[u64]) -> u64 {
         SimdLevel::Avx512 => unsafe { x86::popcount_words_avx512(words) },
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => unsafe { x86::popcount_words_avx2(words) },
-        #[cfg(target_arch = "aarch64")]
-        SimdLevel::Neon => unsafe { neon::popcount_words_neon(words) },
         _ => scalar::popcount_words(words),
     }
 }
@@ -540,24 +512,15 @@ fn unkey16(key: u32) -> (usize, u32) {
     ((key & 0x7FF) as usize, key >> 11)
 }
 
-/// Elementwise `out[i] += src[i]` — the PWP / correction row
-/// accumulation. One addition per element in lane order, so the `f32`
+/// Elementwise `out[i] += src[i]` — the PWP table's row sums: the
+/// one-term [`accumulate_signed`]. One addition per element, so the `f32`
 /// result is bit-identical to the scalar loop.
 ///
 /// # Panics
 ///
 /// Panics if the slices differ in length.
 pub fn add_assign(out: &mut [f32], src: &[f32]) {
-    assert_eq!(out.len(), src.len(), "accumulation rows must match in width");
-    match level() {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx512 => unsafe { x86::add_assign_avx512(out, src) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { x86::add_assign_avx2(out, src) },
-        #[cfg(target_arch = "aarch64")]
-        SimdLevel::Neon => unsafe { neon::add_assign_neon(out, src) },
-        _ => scalar::add_assign(out, src),
-    }
+    accumulate_signed(out, &[(src, false)]);
 }
 
 /// Accumulates a batch of signed rows into `out` in one pass:
@@ -565,13 +528,15 @@ pub fn add_assign(out: &mut [f32], src: &[f32]) {
 /// subtracted term, applied in term order per element.
 ///
 /// This is the fused form of a sequence of [`add_assign`] and
-/// elementwise subtract calls:
-/// one dispatch for the whole chain, and the x86 kernels prefetch the
-/// next terms' rows while the current one streams — each term row is a
-/// fresh cache-cold stream, and the hardware prefetcher needs several
-/// misses to lock on without the hint. Terms are applied in order, so
-/// every element sees the exact same addition chain as the sequential
-/// calls — no reassociation, bit-identity holds.
+/// elementwise subtract calls, with one dispatch for the whole chain. The
+/// x86 tiers are register-blocked: each block of `out` (16 floats at
+/// AVX-512, 8 at AVX2, up to four blocks at once) is loaded once, takes
+/// every term in a register, and is stored once, so `out` is not
+/// streamed through memory once per term and a readout row narrower than
+/// a vector (the n = 10 classifier) still runs vector-wide under a lane
+/// mask. A subtracted term is added with its sign bit flipped. Terms are
+/// applied in order, so every element sees the exact same addition chain
+/// as the sequential calls — no reassociation, bit-identity holds.
 ///
 /// # Panics
 ///
@@ -580,13 +545,16 @@ pub fn accumulate_signed(out: &mut [f32], terms: &[(&[f32], bool)]) {
     for (src, _) in terms {
         assert_eq!(out.len(), src.len(), "accumulation rows must match in width");
     }
+    // A row without terms (a silent activation row) leaves `out` as it
+    // is; the blocked bodies would load and store it for nothing.
+    if terms.is_empty() {
+        return;
+    }
     match level() {
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx512 => unsafe { x86::accumulate_signed_avx512(out, terms) },
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => unsafe { x86::accumulate_signed_avx2(out, terms) },
-        #[cfg(target_arch = "aarch64")]
-        SimdLevel::Neon => unsafe { neon::accumulate_signed_neon(out, terms) },
         _ => scalar::accumulate_signed(out, terms),
     }
 }
@@ -771,9 +739,11 @@ pub mod scalar {
 /// Every function is `unsafe` solely because of its `#[target_feature]`
 /// attribute; the dispatcher guarantees the feature is present before
 /// calling (runtime `is_x86_feature_detected!`, cached in [`LEVEL`]).
-/// All memory access is through `loadu`/`storeu` on slice-derived
-/// pointers with explicit remainder handling, so no alignment or bounds
-/// invariants beyond the borrow checker's are assumed.
+/// All memory access is through unaligned (`loadu`/`storeu`) or
+/// lane-masked loads and stores on slice-derived pointers, with the
+/// remainder handled by a scalar tail or a mask that enables only lanes
+/// inside the slice, so no alignment or bounds invariants beyond the
+/// borrow checker's are assumed.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use core::arch::x86_64::*;
@@ -1357,132 +1327,30 @@ mod x86 {
         sweep.run(Avx2Tier(()))
     }
 
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 is available and the slices are equal in
-    /// length (the dispatcher asserts it).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn add_assign_avx2(out: &mut [f32], src: &[f32]) {
-        let n = out.len();
-        let mut i = 0;
-        while i + 8 <= n {
-            // SAFETY: `i + 8 <= n == src.len()`; unaligned loads/store.
-            let a = _mm256_loadu_ps(out.as_ptr().add(i));
-            let b = _mm256_loadu_ps(src.as_ptr().add(i));
-            _mm256_storeu_ps(out.as_mut_ptr().add(i), _mm256_add_ps(a, b));
-            i += 8;
-        }
-        while i < n {
-            out[i] += src[i];
-            i += 1;
-        }
-    }
+    /// Floats per AVX-512 block of `out`.
+    const W512: usize = 16;
+    /// Floats per AVX2 block of `out`.
+    const W256: usize = 8;
+    /// Blocks of `out` held in registers at once. Each block's term chain
+    /// is a serial dependency (one add per term, in term order), so one
+    /// block alone waits out the add latency on every term; four
+    /// independent chains keep the adders busy on wide rows.
+    const GROUP: usize = 4;
 
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 is available and the slices are equal in
-    /// length (`accumulate_signed` asserts it).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn sub_assign_avx2(out: &mut [f32], src: &[f32]) {
-        let n = out.len();
-        let mut i = 0;
-        while i + 8 <= n {
-            // SAFETY: `i + 8 <= n == src.len()`; unaligned loads/store.
-            let a = _mm256_loadu_ps(out.as_ptr().add(i));
-            let b = _mm256_loadu_ps(src.as_ptr().add(i));
-            _mm256_storeu_ps(out.as_mut_ptr().add(i), _mm256_sub_ps(a, b));
-            i += 8;
-        }
-        while i < n {
-            out[i] -= src[i];
-            i += 1;
-        }
-    }
-
-    /// # Safety
-    ///
-    /// Caller must ensure AVX-512F is available and the slices are equal
-    /// in length (the dispatcher asserts it).
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn add_assign_avx512(out: &mut [f32], src: &[f32]) {
-        let n = out.len();
-        let mut i = 0;
-        while i + 16 <= n {
-            // SAFETY: `i + 16 <= n == src.len()`; unaligned loads/store.
-            let a = _mm512_loadu_ps(out.as_ptr().add(i));
-            let b = _mm512_loadu_ps(src.as_ptr().add(i));
-            _mm512_storeu_ps(out.as_mut_ptr().add(i), _mm512_add_ps(a, b));
-            i += 16;
-        }
-        while i < n {
-            out[i] += src[i];
-            i += 1;
-        }
-    }
-
-    /// # Safety
-    ///
-    /// Caller must ensure AVX-512F is available and the slices are equal
-    /// in length (`accumulate_signed` asserts it).
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn sub_assign_avx512(out: &mut [f32], src: &[f32]) {
-        let n = out.len();
-        let mut i = 0;
-        while i + 16 <= n {
-            // SAFETY: `i + 16 <= n == src.len()`; unaligned loads/store.
-            let a = _mm512_loadu_ps(out.as_ptr().add(i));
-            let b = _mm512_loadu_ps(src.as_ptr().add(i));
-            _mm512_storeu_ps(out.as_mut_ptr().add(i), _mm512_sub_ps(a, b));
-            i += 16;
-        }
-        while i < n {
-            out[i] -= src[i];
-            i += 1;
-        }
-    }
-
-    /// Issue prefetches for the head of the next couple of term rows so
-    /// their streams are already in flight when the current pass ends.
-    /// The accumulation is latency-bound, not bandwidth-bound: term rows
-    /// are short (a few cache lines each) and scattered across the PWP
-    /// tables and weight matrix, so every term pass otherwise stalls on a
-    /// cold stream startup. Prefetching never faults, and the pointers
-    /// use `wrapping_add` so going past a short row's end is harmless.
+    /// The f32 sign bit as an `i32` lane: XOR with it negates a float.
     #[inline(always)]
-    unsafe fn prefetch_terms(terms: &[(&[f32], bool)], next: usize) {
-        for &(src, _) in terms.iter().skip(next).take(2) {
-            let p = src.as_ptr().cast::<i8>();
-            _mm_prefetch::<_MM_HINT_T0>(p);
-            _mm_prefetch::<_MM_HINT_T0>(p.wrapping_add(64));
-            _mm_prefetch::<_MM_HINT_T0>(p.wrapping_add(128));
-            _mm_prefetch::<_MM_HINT_T0>(p.wrapping_add(192));
-        }
+    fn sign_bit(negate: bool) -> i32 {
+        i32::from(negate) << 31
     }
 
-    /// Fused signed accumulation, term-major: `out` is a few cache lines
-    /// and stays resident in L1 while each term row is streamed through
-    /// it exactly once, with the next rows prefetched ahead of the pass.
-    /// The per-element operation order is the term order, so the result
-    /// is bit-identical to the scalar sweep.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 is available and every term slice equals
-    /// `out` in length (the dispatcher asserts it).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn accumulate_signed_avx2(out: &mut [f32], terms: &[(&[f32], bool)]) {
-        for (t, &(src, negate)) in terms.iter().enumerate() {
-            prefetch_terms(terms, t + 1);
-            // SAFETY: dispatcher asserted `src.len() == out.len()`.
-            if negate {
-                sub_assign_avx2(out, src);
-            } else {
-                add_assign_avx2(out, src);
-            }
-        }
-    }
-
-    /// [`accumulate_signed_avx2`] over the 16-float AVX-512 kernels.
+    /// Register-blocked signed accumulation at AVX-512: `out` is swept in
+    /// groups of up to [`GROUP`] 16-float blocks. A group is loaded once,
+    /// takes every term in term order in its registers, and is stored
+    /// once. A subtracted term is added with its sign bit XORed in, so the
+    /// term loop has no branch. Every block runs under a lane mask: masked
+    /// loads read zeros past the row's end without faulting, and the
+    /// masked store leaves those lanes untouched, so a ragged or
+    /// narrower-than-a-vector row needs no scalar tail.
     ///
     /// # Safety
     ///
@@ -1490,13 +1358,135 @@ mod x86 {
     /// equals `out` in length (the dispatcher asserts it).
     #[target_feature(enable = "avx512f")]
     pub unsafe fn accumulate_signed_avx512(out: &mut [f32], terms: &[(&[f32], bool)]) {
-        for (t, &(src, negate)) in terms.iter().enumerate() {
-            prefetch_terms(terms, t + 1);
-            // SAFETY: dispatcher asserted `src.len() == out.len()`.
-            if negate {
-                sub_assign_avx512(out, src);
+        let n = out.len();
+        let mut at = 0;
+        while at < n {
+            let left = n - at;
+            // SAFETY (all arms): every lane a mask enables lies below `n`.
+            match left.div_ceil(W512).min(GROUP) {
+                1 => blocks512::<1>(out, terms, at, lanes512(left)),
+                2 => blocks512::<2>(out, terms, at, lanes512(left)),
+                3 => blocks512::<3>(out, terms, at, lanes512(left)),
+                _ => blocks512::<GROUP>(out, terms, at, lanes512(left)),
+            }
+            at += GROUP * W512;
+        }
+    }
+
+    /// The lane masks of the (up to [`GROUP`]) blocks from a group's
+    /// start, `left` floats before the row ends.
+    #[inline(always)]
+    fn lanes512(left: usize) -> [__mmask16; GROUP] {
+        std::array::from_fn(|b| match left.saturating_sub(b * W512) {
+            l if l >= W512 => u16::MAX,
+            l => (1u16 << l) - 1,
+        })
+    }
+
+    /// One group of `B` AVX-512 blocks from float `at`.
+    ///
+    /// # Safety
+    ///
+    /// AVX-512F must be available, every term as long as `out`, and
+    /// `masks[b]` may enable only lanes below `out.len()` of block `b`.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn blocks512<const B: usize>(
+        out: &mut [f32],
+        terms: &[(&[f32], bool)],
+        at: usize,
+        masks: [__mmask16; GROUP],
+    ) {
+        let mut acc: [__m512; B] = std::array::from_fn(|b| {
+            _mm512_maskz_loadu_ps(masks[b], out.as_ptr().add(at + b * W512))
+        });
+        for &(src, negate) in terms {
+            let sign = _mm512_set1_epi32(sign_bit(negate));
+            for (b, acc) in acc.iter_mut().enumerate() {
+                let v = _mm512_maskz_loadu_ps(masks[b], src.as_ptr().add(at + b * W512));
+                let v = _mm512_castsi512_ps(_mm512_xor_si512(_mm512_castps_si512(v), sign));
+                *acc = _mm512_add_ps(*acc, v);
+            }
+        }
+        for (b, &acc) in acc.iter().enumerate() {
+            _mm512_mask_storeu_ps(out.as_mut_ptr().add(at + b * W512), masks[b], acc);
+        }
+    }
+
+    /// [`accumulate_signed_avx512`] at AVX2: groups of up to [`GROUP`]
+    /// 8-float blocks. Full groups load and store plainly; the row's last
+    /// group runs every block under `vmaskmovps` lane masks (masked-off
+    /// lanes read zeros without faulting and are never written).
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 is available and every term slice equals
+    /// `out` in length (the dispatcher asserts it).
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn accumulate_signed_avx2(out: &mut [f32], terms: &[(&[f32], bool)]) {
+        let n = out.len();
+        let mut at = 0;
+        while n - at >= GROUP * W256 {
+            // SAFETY: the group's `GROUP · 8` floats lie below `n`.
+            blocks256::<GROUP, false>(out, terms, at, [_mm256_setzero_si256(); GROUP]);
+            at += GROUP * W256;
+        }
+        let left = n - at;
+        let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        let masks: [__m256i; GROUP] = std::array::from_fn(|b| {
+            let live = left.saturating_sub(b * W256).min(W256) as i32;
+            _mm256_cmpgt_epi32(_mm256_set1_epi32(live), lane)
+        });
+        // SAFETY (all arms): the masks enable only lanes below `n`.
+        match left.div_ceil(W256) {
+            0 => {}
+            1 => blocks256::<1, true>(out, terms, at, masks),
+            2 => blocks256::<2, true>(out, terms, at, masks),
+            3 => blocks256::<3, true>(out, terms, at, masks),
+            _ => blocks256::<GROUP, true>(out, terms, at, masks),
+        }
+    }
+
+    /// One group of `B` AVX2 blocks from float `at`, each under its lane
+    /// mask when `MASKED`.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available, every term as long as `out`, and the
+    /// group's floats (or, when `MASKED`, its enabled lanes) must lie
+    /// below `out.len()`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn blocks256<const B: usize, const MASKED: bool>(
+        out: &mut [f32],
+        terms: &[(&[f32], bool)],
+        at: usize,
+        masks: [__m256i; GROUP],
+    ) {
+        let load = |p: *const f32, b: usize| {
+            if MASKED {
+                _mm256_maskload_ps(p.add(at + b * W256), masks[b])
             } else {
-                add_assign_avx512(out, src);
+                _mm256_loadu_ps(p.add(at + b * W256))
+            }
+        };
+        let mut acc: [__m256; B] = std::array::from_fn(|b| load(out.as_ptr(), b));
+        for &(src, negate) in terms {
+            let sign = _mm256_set1_epi32(sign_bit(negate));
+            for (b, acc) in acc.iter_mut().enumerate() {
+                let v = _mm256_castsi256_ps(_mm256_xor_si256(
+                    _mm256_castps_si256(load(src.as_ptr(), b)),
+                    sign,
+                ));
+                *acc = _mm256_add_ps(*acc, v);
+            }
+        }
+        for (b, &acc) in acc.iter().enumerate() {
+            let p = out.as_mut_ptr().add(at + b * W256);
+            if MASKED {
+                _mm256_maskstore_ps(p, masks[b], acc);
+            } else {
+                _mm256_storeu_ps(p, acc);
             }
         }
     }
@@ -1543,99 +1533,6 @@ mod x86 {
             }
         }
         assert_eq!(part, out.len(), "packed row holds fewer tiles than the buffer");
-    }
-}
-
-/// aarch64 NEON kernel bodies (128-bit): byte popcounts via `vcnt`
-/// summed per 64-bit lane, and 4-lane `f32` accumulation. `min_hamming`
-/// stays scalar on NEON — two 64-bit lanes don't amortize the lane
-/// extraction the first-minimum rule needs.
-///
-/// Every function is `unsafe` for its `#[target_feature]` attribute
-/// only; NEON is architecturally guaranteed on aarch64 and the
-/// dispatcher only routes here on that architecture.
-#[cfg(target_arch = "aarch64")]
-mod neon {
-    use core::arch::aarch64::*;
-
-    /// # Safety
-    ///
-    /// NEON must be available (guaranteed on aarch64).
-    #[target_feature(enable = "neon")]
-    pub unsafe fn popcount_words_neon(words: &[u64]) -> u64 {
-        let mut acc = vdupq_n_u64(0);
-        let chunks = words.chunks_exact(2);
-        let tail = chunks.remainder();
-        for chunk in chunks {
-            // SAFETY: `chunk` is 2 contiguous u64s.
-            let v = vld1q_u64(chunk.as_ptr());
-            let counts = vcntq_u8(vreinterpretq_u8_u64(v));
-            acc = vaddq_u64(acc, vpaddlq_u32(vpaddlq_u16(vpaddlq_u8(counts))));
-        }
-        vgetq_lane_u64::<0>(acc) + vgetq_lane_u64::<1>(acc) + super::scalar::popcount_words(tail)
-    }
-
-    /// # Safety
-    ///
-    /// NEON must be available (guaranteed on aarch64); slices equal in
-    /// length (the dispatcher asserts it).
-    #[target_feature(enable = "neon")]
-    pub unsafe fn add_assign_neon(out: &mut [f32], src: &[f32]) {
-        let n = out.len();
-        let mut i = 0;
-        while i + 4 <= n {
-            // SAFETY: `i + 4 <= n == src.len()`.
-            let a = vld1q_f32(out.as_ptr().add(i));
-            let b = vld1q_f32(src.as_ptr().add(i));
-            vst1q_f32(out.as_mut_ptr().add(i), vaddq_f32(a, b));
-            i += 4;
-        }
-        while i < n {
-            out[i] += src[i];
-            i += 1;
-        }
-    }
-
-    /// # Safety
-    ///
-    /// NEON must be available (guaranteed on aarch64); slices equal in
-    /// length (`accumulate_signed` asserts it).
-    #[target_feature(enable = "neon")]
-    pub unsafe fn sub_assign_neon(out: &mut [f32], src: &[f32]) {
-        let n = out.len();
-        let mut i = 0;
-        while i + 4 <= n {
-            // SAFETY: `i + 4 <= n == src.len()`.
-            let a = vld1q_f32(out.as_ptr().add(i));
-            let b = vld1q_f32(src.as_ptr().add(i));
-            vst1q_f32(out.as_mut_ptr().add(i), vsubq_f32(a, b));
-            i += 4;
-        }
-        while i < n {
-            out[i] -= src[i];
-            i += 1;
-        }
-    }
-
-    /// Fused signed accumulation, term-major — the NEON shape of
-    /// `accumulate_signed_avx2` (same pass order, same bit-identity
-    /// argument; no explicit prefetch, aarch64 has no stable intrinsic
-    /// for it).
-    ///
-    /// # Safety
-    ///
-    /// NEON must be available (guaranteed on aarch64); every term slice
-    /// equals `out` in length (the dispatcher asserts it).
-    #[target_feature(enable = "neon")]
-    pub unsafe fn accumulate_signed_neon(out: &mut [f32], terms: &[(&[f32], bool)]) {
-        for &(src, negate) in terms {
-            // SAFETY: dispatcher asserted `src.len() == out.len()`.
-            if negate {
-                sub_assign_neon(out, src);
-            } else {
-                add_assign_neon(out, src);
-            }
-        }
     }
 }
 
@@ -1757,15 +1654,9 @@ mod tests {
     fn force_clamps_to_the_detected_capability() {
         let prev = force(SimdLevel::Scalar);
         assert_eq!(level(), SimdLevel::Scalar);
-        // Forcing a vector tier lands on it only when the host's family
-        // supports it, and never exceeds the detected capability.
+        // Forcing a vector tier never exceeds the detected capability.
         force(SimdLevel::Avx512);
-        let expect = if detected() == SimdLevel::Neon {
-            SimdLevel::Scalar
-        } else {
-            detected().min(SimdLevel::Avx512)
-        };
-        assert_eq!(level(), expect);
+        assert_eq!(level(), detected().min(SimdLevel::Avx512));
         force(prev);
         assert_eq!(level(), prev);
     }
@@ -1781,7 +1672,6 @@ mod tests {
         }
         assert_eq!(parse("avx2"), SimdRequest::Fixed(SimdLevel::Avx2));
         assert_eq!(parse("avx512"), SimdRequest::Fixed(SimdLevel::Avx512));
-        assert_eq!(parse("neon"), SimdRequest::Fixed(SimdLevel::Neon));
         assert_eq!(crate::env::parse_env("PHI_SIMD", None, SimdRequest::Auto), SimdRequest::Auto);
     }
 
@@ -1792,11 +1682,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "PHI_SIMD=\"neon\" does not parse")]
+    fn neon_is_not_a_tier() {
+        crate::env::parse_env("PHI_SIMD", Some("neon"), SimdRequest::Auto);
+    }
+
+    #[test]
     fn levels_have_stable_names() {
         assert_eq!(SimdLevel::Scalar.to_string(), "scalar");
         assert_eq!(SimdLevel::Avx2.to_string(), "avx2");
         assert_eq!(SimdLevel::Avx512.to_string(), "avx512");
-        assert_eq!(SimdLevel::Neon.to_string(), "neon");
     }
 
     #[test]
